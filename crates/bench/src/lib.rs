@@ -1,16 +1,13 @@
-//! # rtl-bench — benchmark harnesses for the thesis's evaluation
+//! # rtl-bench — the thesis's evaluation tables
 //!
-//! One bench target per table/figure (see `DESIGN.md` §3):
+//! Shared workloads for two one-shot timing binaries:
 //!
-//! * `benches/fig5_1.rs` — ASIM vs ASIM II simulation time on the sieve,
-//! * `benches/figs4.rs` — code-generation throughput (the "Generate code"
-//!   preparation row),
-//! * `benches/ablation.rs` — A1/A2: §4.4 inlining and §5.4 latch elision,
-//! * `benches/scaling.rs` — A3: component-count sweep,
-//! * `benches/levels.rs` — A4: ISP level vs RTL level,
 //! * `src/bin/fig5_1_table.rs` — the full Figure 5.1 table including the
 //!   `rustc` pipeline, printed next to the paper's numbers,
 //! * `src/bin/ablation_table.rs` — one-shot text tables for the ablations.
+//!
+//! Throughput of the verification system itself is measured by the
+//! repository's one benchmark harness, `perfbench/` (see its README).
 
 #![forbid(unsafe_code)]
 

@@ -8,9 +8,9 @@
 //! order-independent, so any parallelism must produce the identical
 //! campaign.
 
-use crate::json::Json;
 use rtl_core::Fingerprint;
 use rtl_cosim::{CosimOptions, FuzzOptions, GenOptions};
+use rtl_obs::json::Json;
 
 /// The persisted campaign configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]

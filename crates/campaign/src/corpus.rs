@@ -18,13 +18,13 @@
 //! the recomputed reference state byte-for-byte before trusting the entry.
 
 use crate::error::CampaignError;
-use crate::json::Json;
 use crate::shrink::Shrunk;
-use crate::state::write_atomic;
 use rtl_core::{read_checkpoint, write_checkpoint, Session, Until, Word};
 use rtl_cosim::{CosimOptions, CosimOutcome, DivergenceKind};
 use rtl_interp::Interpreter;
 use rtl_machines::Scenario;
+use rtl_obs::json::Json;
+use rtl_obs::write_atomic;
 use std::path::Path;
 
 /// The corpus metadata format line; bump on breaking changes.

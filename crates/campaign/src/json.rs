@@ -1,409 +1,4 @@
-//! A minimal JSON document model for the campaign's on-disk state.
-//!
-//! The build environment vendors no serde, and the campaign formats are
-//! small, flat documents — so this module hand-rolls exactly the subset
-//! the campaign needs: objects, arrays, strings, integers and booleans.
-//! Numbers are kept as their literal text ([`Json::Num`]), so `u64` seeds
-//! round-trip losslessly (an `f64` model would corrupt seeds above 2^53).
+//! The campaign's JSON document model is the workspace's one codec,
+//! [`rtl_obs::json`], re-exported here for code outside the workspace.
 
-use std::fmt::Write as _;
-
-/// One JSON value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, kept as its literal text for lossless round-trips.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// A number value from anything displayable as a numeric literal.
-    pub fn num(value: impl std::fmt::Display) -> Json {
-        Json::Num(value.to_string())
-    }
-
-    /// A string value.
-    pub fn str(value: impl Into<String>) -> Json {
-        Json::Str(value.into())
-    }
-
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, when this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number parsed as `u64`.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => n.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number parsed as `i64`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) => n.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The array elements.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Renders the document with two-space indentation and a trailing
-    /// newline — stable output, so identical state diffs as identical
-    /// text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(n),
-            Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_string(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// A position-annotated message on malformed input.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("empty number at byte {start}"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        Ok(Json::Num(text.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trips_a_nested_document() {
-        let doc = Json::Obj(vec![
-            ("seed".into(), Json::num(u64::MAX)),
-            ("name".into(), Json::str("fuzz/seed-7 \"quoted\"\n")),
-            (
-                "engines".into(),
-                Json::Arr(vec![Json::str("interp"), Json::str("vm")]),
-            ),
-            ("clean".into(), Json::Bool(true)),
-            ("nothing".into(), Json::Null),
-        ]);
-        let text = doc.render();
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back, doc);
-        assert_eq!(back.get("seed").unwrap().as_u64(), Some(u64::MAX));
-        assert_eq!(
-            back.get("name").unwrap().as_str(),
-            Some("fuzz/seed-7 \"quoted\"\n")
-        );
-        assert_eq!(back.get("engines").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(back.get("clean").unwrap().as_bool(), Some(true));
-    }
-
-    #[test]
-    fn parses_whitespace_and_escapes() {
-        let doc = Json::parse(" { \"a\" : [ 1 , -2 ] , \"b\" : \"x\\u0041\\ty\" } ").unwrap();
-        assert_eq!(
-            doc.get("a").unwrap().as_arr().unwrap()[1].as_i64(),
-            Some(-2)
-        );
-        assert_eq!(doc.get("b").unwrap().as_str(), Some("xA\ty"));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"open"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
-        }
-    }
-
-    #[test]
-    fn empty_containers_render_compactly() {
-        assert_eq!(Json::Arr(vec![]).render(), "[]\n");
-        assert_eq!(Json::Obj(vec![]).render(), "{}\n");
-    }
-}
+pub use rtl_obs::json::Json;

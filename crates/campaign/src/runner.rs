@@ -771,7 +771,7 @@ fn run_one(
     // per-case deltas, the same scheme lint counters use.
     if let Some(hook) = &profile_hook {
         let snapshot = hook.snapshot();
-        crate::state::write_atomic(&dir.profile_path(index), snapshot.render().as_bytes())?;
+        rtl_obs::write_atomic(&dir.profile_path(index), snapshot.render().as_bytes())?;
         for (key, n) in snapshot.iter() {
             recorder.count("profile", key, n);
         }
@@ -781,7 +781,7 @@ fn run_one(
     // sidecar. Only abnormal endings leave a dump.
     if let Some(events) = &flight_snapshot {
         if let Some(trigger) = flight_trigger(&record) {
-            crate::state::write_atomic(
+            rtl_obs::write_atomic(
                 &dir.flight_path(index),
                 render_flight(events, &trigger).as_bytes(),
             )?;

@@ -18,7 +18,8 @@
 
 use crate::config::CampaignConfig;
 use crate::error::CampaignError;
-use crate::json::Json;
+use rtl_obs::json::Json;
+use rtl_obs::write_atomic;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -392,34 +393,6 @@ impl CampaignDir {
     }
 }
 
-/// Writes a file via a temp sibling + rename, so readers (and interrupted
-/// writers) never observe partial content. Public for the layers built on
-/// the campaign state (`rtl-dist` publishes merged records the same way).
-///
-/// # Errors
-///
-/// File-system failure; the temp sibling is cleaned up on a failed
-/// rename.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        path.file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("campaign")
-    ));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,6 +491,34 @@ mod tests {
         ]);
         std::fs::write(dir.manifest(), doc.render()).unwrap();
         assert!(matches!(dir.load(), Err(CampaignError::Config(_))));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_record_with_a_duplicated_key_is_corrupt() {
+        let root = scratch("dup-key");
+        let dir = CampaignDir::new(&root);
+        dir.init(&CampaignConfig::default()).unwrap();
+        let record = CaseRecord {
+            index: 0,
+            seed: 9,
+            cycles: 64,
+            lane_stats: Vec::new(),
+            status: CaseStatus::Agreed,
+        };
+        dir.write_case(&record).unwrap();
+        assert_eq!(dir.load_cases(1).unwrap()[0].as_ref(), Some(&record));
+        // A second `seed` after the first: a reader that let the first
+        // (or the last) win would load a different case than was run.
+        let text = std::fs::read_to_string(dir.case_path(0)).unwrap();
+        let dup = text.replacen("\"seed\": 9,", "\"seed\": 9,\n  \"seed\": 10,", 1);
+        assert_ne!(dup, text);
+        std::fs::write(dir.case_path(0), dup).unwrap();
+        let err = dir.load_cases(1).unwrap_err();
+        assert!(
+            matches!(&err, CampaignError::Corrupt(m) if m.contains("duplicate key \"seed\"")),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -10,9 +10,9 @@ use super::{
     campaign_err, flag_value, load_err, metrics_recorder, parse_u64_flag, split_optional_file,
     usage_err, write_profile_out, CliError, ProgressReporter,
 };
-use rtl_campaign::json::Json;
 use rtl_campaign::{CampaignConfig, CampaignDir, CaseRecord, Progress};
 use rtl_fleet::{ControllerOptions, FleetError, FleetProgress, StatusClient, WorkerOptions};
+use rtl_obs::json::Json;
 use rtl_obs::Histogram;
 use std::io::Write;
 use std::time::Duration;
@@ -626,7 +626,7 @@ mod tests {
 
     #[test]
     fn fleet_status_answers_mid_campaign_and_histograms_render() {
-        use rtl_campaign::json::Json;
+        use rtl_obs::json::Json;
 
         let fleet_dir = tmp("status-dir");
         let port_file = tmp("status-port");

@@ -18,7 +18,6 @@
 //! asim2 campaign shard plan|run|merge ...    distributed campaigns (rtl-dist)
 //! asim2 fleet serve|work ...                 live campaign control plane (rtl-fleet)
 //! asim2 metrics summarize FILE... [--check]  fold asim2-events logs (rtl-obs)
-//! asim2 bench snapshot [--out F] [--quick]   versioned benchmark snapshot
 //! ```
 //!
 //! `cosim` with no FILE sweeps the whole built-in scenario corpus.
@@ -40,7 +39,6 @@ use rtl_interp::Interpreter;
 use rtl_machines::Scenario;
 use std::io::Write;
 
-mod bench;
 mod fleet;
 mod lint;
 mod metrics;
@@ -150,7 +148,6 @@ const USAGE: &str = "usage:
                              FILEs merge onto one timeline, one track per log)
   asim2 metrics flight FILE                 (pretty-print a case-N.flight.jsonl divergence
                              flight-recorder sidecar, or - for stdin)
-  asim2 bench snapshot  [--out FILE.json] [--quick]
 
 engine NAMEs come from the registry: interp, interp-faithful, vm, vm-noopt,
 rust (the generated binary run as a subprocess cosim lane) and vm-fault (a
@@ -204,7 +201,6 @@ fn dispatch(
         "fleet" => fleet::fleet_cmd(&rest, out, err),
         "profile" => profile_cmd(&rest, out),
         "metrics" => metrics::metrics_cmd(&rest, stdin, out),
-        "bench" => bench::bench_cmd(&rest, out, err),
         "help" | "--help" | "-h" => {
             let _ = writeln!(out, "{USAGE}");
             Ok(())
@@ -2396,7 +2392,7 @@ mod tests {
         }
         recorder.flush();
         let out = run_ok(&["metrics", "trace-export", log.to_str().unwrap()]);
-        let doc = rtl_campaign::json::Json::parse(&out).unwrap();
+        let doc = rtl_obs::json::Json::parse(&out).unwrap();
         let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         assert!(events.len() >= 9, "4 span pairs + counter + mark: {out}");
         let mut last_ts = 0;
@@ -2720,7 +2716,7 @@ mod tests {
         let a = run_ok(&["lint", p.to_str().unwrap(), "--format", "json"]);
         let b = run_ok(&["lint", p.to_str().unwrap(), "--format", "json"]);
         assert_eq!(a, b, "json output must be byte-identical across runs");
-        let doc = rtl_campaign::json::Json::parse(&a).unwrap();
+        let doc = rtl_obs::json::Json::parse(&a).unwrap();
         assert_eq!(
             doc.get("format").and_then(|f| f.as_str()),
             Some(rtl_lint::JSON_FORMAT)

@@ -109,7 +109,7 @@ impl DigestLog {
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut doc = Vec::new();
         self.write(&mut doc)?;
-        crate::write_atomic(path.as_ref(), &doc)
+        rtl_obs::write_atomic(path.as_ref(), &doc)
     }
 
     /// Parses a serialized stream.

@@ -75,27 +75,3 @@ pub use lockstep::{
 };
 pub use rtl_core::observe::{Comparator, CompareMode, DivergenceKind, LaneReport, LaneStats};
 pub use stream::{run_scenario_names, ScenarioError};
-
-/// Writes a file via a temp sibling + rename, so a kill mid-write never
-/// leaves a truncated document behind (lockstep checkpoints, digest
-/// streams).
-pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp = dir
-        .unwrap_or_else(|| std::path::Path::new("."))
-        .join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            path.file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or("document")
-        ));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}

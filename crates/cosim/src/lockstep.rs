@@ -726,7 +726,7 @@ impl<'d> Lockstep<'d> {
     pub fn checkpoint_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut doc = Vec::new();
         self.checkpoint(&mut doc)?;
-        crate::write_atomic(path.as_ref(), &doc)
+        rtl_obs::write_atomic(path.as_ref(), &doc)
     }
 
     /// Restores a harness position previously written by

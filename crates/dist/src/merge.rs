@@ -13,9 +13,9 @@
 
 use crate::plan::ShardPlan;
 use crate::shard::load_marker;
-use rtl_campaign::state::write_atomic;
 use rtl_campaign::{corpus, CampaignDir, CampaignError, CampaignReport, CaseRecord};
 use rtl_core::Recorder;
+use rtl_obs::write_atomic;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;

@@ -11,9 +11,9 @@
 //! is bit-identical to a single-machine run at any shard count.
 
 use crate::fingerprint_hex;
-use rtl_campaign::json::Json;
 use rtl_campaign::{CampaignConfig, CampaignError};
 use rtl_core::Fingerprint;
+use rtl_obs::json::Json;
 use std::path::Path;
 
 /// The plan format line; bump on breaking changes.
@@ -206,7 +206,7 @@ impl ShardPlan {
     ///
     /// File-system failure.
     pub fn save(&self, path: &Path) -> Result<(), CampaignError> {
-        rtl_campaign::state::write_atomic(path, self.to_json().render().as_bytes())?;
+        rtl_obs::write_atomic(path, self.to_json().render().as_bytes())?;
         Ok(())
     }
 

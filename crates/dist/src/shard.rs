@@ -19,9 +19,9 @@
 
 use crate::fingerprint_hex;
 use crate::plan::{ShardPlan, ShardSpec};
-use rtl_campaign::json::Json;
-use rtl_campaign::state::write_atomic;
 use rtl_campaign::{CampaignDir, CampaignError, CampaignReport, CaseStatus, Progress, RunOptions};
+use rtl_obs::json::Json;
+use rtl_obs::write_atomic;
 
 /// The shard marker format line; bump on breaking changes.
 pub const SHARD_FORMAT: &str = "asim2-shard v1";

@@ -9,6 +9,7 @@
 //! record the controller refuses, with the same message.
 
 use rtl_campaign::{CampaignConfig, CaseRecord};
+use rtl_obs::json::Json;
 
 /// The seed the configuration derives for case `index`.
 pub fn expected_seed(config: &CampaignConfig, index: u32) -> u64 {
@@ -48,7 +49,7 @@ pub fn check_record(config: &CampaignConfig, record: &CaseRecord) -> Result<(), 
 /// Unparseable text, an index/claim mismatch, or a [`check_record`]
 /// failure.
 pub fn parse_record(config: &CampaignConfig, index: u32, text: &str) -> Result<CaseRecord, String> {
-    let doc = rtl_campaign::json::Json::parse(text)?;
+    let doc = Json::parse(text)?;
     let record = CaseRecord::from_json(&doc)?;
     if record.index != index {
         return Err(format!(

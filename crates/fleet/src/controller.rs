@@ -22,11 +22,12 @@
 
 use crate::error::FleetError;
 use crate::protocol::{CorpusFiles, Framed, Message, Poll, Refusal, PROTOCOL};
-use rtl_campaign::json::Json;
-use rtl_campaign::state::{write_atomic, CaseStatus};
+use rtl_campaign::state::CaseStatus;
 use rtl_campaign::{
     corpus, CampaignConfig, CampaignDir, CampaignError, CampaignReport, CaseRecord,
 };
+use rtl_obs::json::Json;
+use rtl_obs::write_atomic;
 use rtl_obs::{Event, Histogram, Recorder};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::io;

@@ -11,14 +11,13 @@
 //! byte-stably — refusals are part of the protocol's golden surface, so
 //! two controllers refusing the same handshake emit identical bytes.
 //!
-//! The document model reuses the campaign's hand-rolled
-//! [`Json`]; no serde, no framing library.
-//! String escaping guarantees a rendered frame never contains a raw
-//! newline, so `\n` is an unambiguous frame delimiter.
+//! Frames are the shared [`Json`] codec's compact layout; no serde, no
+//! framing library. String escaping guarantees a rendered frame never
+//! contains a raw newline, so `\n` is an unambiguous frame delimiter.
 
 use crate::error::FleetError;
-use rtl_campaign::json::Json;
 use rtl_campaign::CampaignConfig;
+use rtl_obs::json::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -490,9 +489,7 @@ impl Message {
 /// Encodes a message as one byte-stable frame line (no trailing
 /// newline): compact JSON, keys in declaration order.
 pub fn encode(msg: &Message) -> String {
-    let mut out = String::new();
-    write_compact(&msg.to_json(), &mut out);
-    out
+    msg.to_json().render_compact()
 }
 
 /// Decodes one frame line.
@@ -502,60 +499,6 @@ pub fn encode(msg: &Message) -> String {
 /// Malformed JSON or an invalid message shape.
 pub fn decode(line: &str) -> Result<Message, String> {
     Message::from_json(&Json::parse(line.trim_end())?)
-}
-
-/// Renders a document on a single line: `{"k":v,...}` with no spaces —
-/// the frame encoding (the pretty renderer in `json.rs` is for files).
-fn write_compact(doc: &Json, out: &mut String) {
-    match doc {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(n) => out.push_str(n),
-        Json::Str(s) => write_string(out, s),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(pairs) => {
-            out.push('{');
-            for (i, (key, value)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(out, key);
-                out.push(':');
-                write_compact(value, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// JSON string escaping (mirrors the campaign renderer: control
-/// characters — newlines included — are always escaped, which is what
-/// makes `\n` a safe frame delimiter).
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One poll of the frame reader.
@@ -845,5 +788,39 @@ mod tests {
         ] {
             assert!(decode(bad).is_err(), "{bad:?} should not decode");
         }
+    }
+
+    #[test]
+    fn a_deeply_nested_frame_is_an_error_not_a_stack_overflow() {
+        let depth = 100_000;
+        let line = format!(
+            "{{\"type\":\"ack\",\"x\":{}{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let err = decode(&line).unwrap_err();
+        assert!(err.contains("MAX_DEPTH"), "{err}");
+    }
+
+    #[test]
+    fn a_4_mib_body_round_trips_quickly() {
+        let body: String = "record \"line\"\n\t\u{1}é\\"
+            .chars()
+            .cycle()
+            .take(4 << 20)
+            .collect();
+        let msg = Message::Record { index: 7, body };
+        let started = std::time::Instant::now();
+        let line = encode(&msg);
+        assert!(line.len() > 4 << 20);
+        assert_eq!(decode(&line).unwrap(), msg);
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(10), "{took:?}");
+    }
+
+    #[test]
+    fn a_frame_with_a_duplicated_key_is_refused() {
+        let line = "{\"type\":\"wait\",\"ms\":1,\"ms\":2}";
+        assert!(decode(line).unwrap_err().contains("duplicate key"));
     }
 }

@@ -13,9 +13,9 @@
 
 use crate::error::FleetError;
 use crate::protocol::{CorpusFiles, Framed, Message, PROTOCOL};
-use rtl_campaign::json::Json;
 use rtl_campaign::state::CaseStatus;
 use rtl_campaign::{CampaignDir, CampaignError, CaseRecord, Progress, RunOptions};
+use rtl_obs::json::Json;
 use rtl_obs::Recorder;
 use std::net::TcpStream;
 use std::path::PathBuf;

@@ -223,7 +223,7 @@ fn refusals_surface_through_the_worker_api() {
 /// every work-side frame.
 #[test]
 fn status_role_is_read_only_and_versioned() {
-    use rtl_campaign::json::Json;
+    use rtl_obs::json::Json;
 
     let config = CampaignConfig {
         seed: 1,
@@ -413,5 +413,40 @@ proptest! {
     #[test]
     fn decode_is_total(line in "[a-z0-9{}\":, \\\\]{0,40}") {
         let _ = protocol::decode(&line);
+    }
+}
+
+/// Every truncation of a real frame is refused with an error, never a
+/// panic — the welcome frame carries the nested campaign configuration,
+/// the record frame a whole record document as its body.
+#[test]
+fn every_prefix_of_a_frame_is_refused() {
+    let record = "{\n  \"index\": 3,\n  \"status\": \"agreed\"\n}\n";
+    let frames = [
+        Message::Welcome {
+            protocol: PROTOCOL.into(),
+            fingerprint: format!("{:016x}", CampaignConfig::default().fingerprint()),
+            profile: true,
+            flight: false,
+            config: CampaignConfig::default(),
+        },
+        Message::Record {
+            index: 3,
+            body: record.into(),
+        },
+        Message::Metrics {
+            counters: vec![CounterDelta {
+                src: "campaign".into(),
+                key: "cases_executed".into(),
+                n: u64::MAX,
+            }],
+        },
+    ];
+    for msg in frames {
+        let line = protocol::encode(&msg);
+        assert_eq!(protocol::decode(&line).unwrap(), msg);
+        for end in (0..line.len()).filter(|&end| line.is_char_boundary(end)) {
+            assert!(protocol::decode(&line[..end]).is_err(), "{}", &line[..end]);
+        }
     }
 }

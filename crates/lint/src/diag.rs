@@ -8,6 +8,7 @@
 //! output in both the text and JSON formats.
 
 use rtl_lang::Span;
+use rtl_obs::json::Json;
 use std::fmt::Write as _;
 
 /// How serious a finding is.
@@ -175,56 +176,35 @@ impl Report {
         out
     }
 
-    /// Renders one file entry as a JSON object (hand-rolled, no serde —
-    /// the repo-wide discipline). Fields: `file`, `errors`, `warnings`,
-    /// `diagnostics` with per-finding `code`/`severity`/`line`/`col`/
-    /// `end_line`/`end_col`/`message`/`notes`.
-    pub fn render_json(&self, file: &str, indent: usize) -> String {
-        let pad = "  ".repeat(indent);
-        let inner = "  ".repeat(indent + 1);
-        let mut out = String::new();
-        let _ = writeln!(out, "{pad}{{");
-        let _ = writeln!(out, "{inner}\"file\": {},", json_string(file));
-        let _ = writeln!(out, "{inner}\"errors\": {},", self.errors());
-        let _ = writeln!(out, "{inner}\"warnings\": {},", self.warnings());
-        if self.diagnostics.is_empty() {
-            let _ = writeln!(out, "{inner}\"diagnostics\": []");
-        } else {
-            let _ = writeln!(out, "{inner}\"diagnostics\": [");
-            for (i, d) in self.diagnostics.iter().enumerate() {
-                let comma = if i + 1 < self.diagnostics.len() {
-                    ","
-                } else {
-                    ""
-                };
-                let _ = writeln!(out, "{inner}  {{");
-                let _ = writeln!(out, "{inner}    \"code\": {},", json_string(d.code));
-                let _ = writeln!(
-                    out,
-                    "{inner}    \"severity\": {},",
-                    json_string(d.severity.label())
-                );
-                let _ = writeln!(out, "{inner}    \"line\": {},", d.span.start.line);
-                let _ = writeln!(out, "{inner}    \"col\": {},", d.span.start.col);
-                let _ = writeln!(out, "{inner}    \"end_line\": {},", d.span.end.line);
-                let _ = writeln!(out, "{inner}    \"end_col\": {},", d.span.end.col);
-                let _ = writeln!(out, "{inner}    \"message\": {},", json_string(&d.message));
-                if d.notes.is_empty() {
-                    let _ = writeln!(out, "{inner}    \"notes\": []");
-                } else {
-                    let _ = writeln!(out, "{inner}    \"notes\": [");
-                    for (j, note) in d.notes.iter().enumerate() {
-                        let comma = if j + 1 < d.notes.len() { "," } else { "" };
-                        let _ = writeln!(out, "{inner}      {}{comma}", json_string(note));
-                    }
-                    let _ = writeln!(out, "{inner}    ]");
-                }
-                let _ = writeln!(out, "{inner}  }}{comma}");
-            }
-            let _ = writeln!(out, "{inner}]");
-        }
-        let _ = write!(out, "{pad}}}");
-        out
+    /// One file entry of the JSON document. Fields: `file`, `errors`,
+    /// `warnings`, `diagnostics` with per-finding `code`/`severity`/
+    /// `line`/`col`/`end_line`/`end_col`/`message`/`notes`.
+    pub fn to_json(&self, file: &str) -> Json {
+        let diagnostics = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Json::Obj(vec![
+                    ("code".into(), Json::str(d.code)),
+                    ("severity".into(), Json::str(d.severity.label())),
+                    ("line".into(), Json::num(d.span.start.line)),
+                    ("col".into(), Json::num(d.span.start.col)),
+                    ("end_line".into(), Json::num(d.span.end.line)),
+                    ("end_col".into(), Json::num(d.span.end.col)),
+                    ("message".into(), Json::str(&d.message)),
+                    (
+                        "notes".into(),
+                        Json::Arr(d.notes.iter().map(Json::str).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("file".into(), Json::str(file)),
+            ("errors".into(), Json::num(self.errors())),
+            ("warnings".into(), Json::num(self.warnings())),
+            ("diagnostics".into(), Json::Arr(diagnostics)),
+        ])
     }
 }
 
@@ -235,42 +215,19 @@ pub const JSON_FORMAT: &str = "asim2-lint v1";
 /// of (file, report) pairs. The document is deterministic: same inputs,
 /// byte-identical output.
 pub fn render_json_document(files: &[(&str, &Report)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"format\": {},", json_string(JSON_FORMAT));
-    if files.is_empty() {
-        out.push_str("  \"files\": []\n");
-    } else {
-        out.push_str("  \"files\": [\n");
-        for (i, (file, report)) in files.iter().enumerate() {
-            let comma = if i + 1 < files.len() { "," } else { "" };
-            let _ = writeln!(out, "{}{comma}", report.render_json(file, 2));
-        }
-        out.push_str("  ]\n");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Json::Obj(vec![
+        ("format".into(), Json::str(JSON_FORMAT)),
+        (
+            "files".into(),
+            Json::Arr(
+                files
+                    .iter()
+                    .map(|(file, report)| report.to_json(file))
+                    .collect(),
+            ),
+        ),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -340,8 +297,12 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let message = |m: &str| {
+            let report = Report::new(vec![Diagnostic::new("c", Severity::Error, span(1, 1), m)]);
+            render_json_document(&[("a.asim", &report)])
+        };
+        assert!(message("a\"b\\c\nd").contains("\"a\\\"b\\\\c\\nd\""));
+        assert!(message("\u{1}").contains("\"\\u0001\""));
     }
 
     #[test]

@@ -30,6 +30,6 @@ proptest! {
         let a = lint_source(&source);
         let b = lint_source(&source);
         prop_assert_eq!(a.render_text("spec"), b.render_text("spec"));
-        prop_assert_eq!(a.render_json("spec", 0), b.render_json("spec", 0));
+        prop_assert_eq!(a.to_json("spec").render(), b.to_json("spec").render());
     }
 }

@@ -1,9 +1,10 @@
 //! The `asim2-events v1` event model and its JSONL encoding.
 //!
 //! One event is one flat JSON object on one line. Values are only ever
-//! strings or unsigned integers, which keeps the hand-rolled
-//! encoder/parser small and the schema strict — anything else on a line
-//! is a validation error, which is exactly what the CI schema gate wants.
+//! strings or unsigned integers, which keeps the schema strict: anything
+//! else on a line is a validation error, which is exactly what the CI
+//! schema gate wants. Lines are read and written by the shared
+//! [`json`](crate::json) codec's compact layout.
 //!
 //! ```text
 //! {"v":1,"e":"meta","format":"asim2-events v1"}
@@ -18,6 +19,8 @@
 //! (`key`). Counters are the **deterministic** class; gauges, marks and
 //! spans are **wall-clock** (see [`Class`]). The first line of a stream
 //! is always the `meta` header pinning the format version.
+
+use crate::json::Json;
 
 /// The event-stream format line; bump on breaking changes.
 pub const FORMAT: &str = "asim2-events v1";
@@ -103,51 +106,39 @@ impl Event {
 
     /// Encodes the event as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
-        let mut line = String::from("{\"v\":1,\"e\":");
-        let field = |line: &mut String, name: &str, value: &FieldValue<'_>| {
-            line.push_str(",\"");
-            line.push_str(name);
-            line.push_str("\":");
-            match value {
-                FieldValue::Str(s) => {
-                    line.push('"');
-                    escape_into(s, line);
-                    line.push('"');
-                }
-                FieldValue::Num(n) => line.push_str(&n.to_string()),
-            }
-        };
+        let mut pairs = vec![("v".to_string(), Json::num(1))];
+        let mut field = |name: &str, value: Json| pairs.push((name.to_string(), value));
         match self {
             Event::Meta { format } => {
-                line.push_str("\"meta\"");
-                field(&mut line, "format", &FieldValue::Str(format));
+                field("e", Json::str("meta"));
+                field("format", Json::str(format));
             }
             Event::Counter { src, key, n } => {
-                line.push_str("\"counter\"");
-                field(&mut line, "src", &FieldValue::Str(src));
-                field(&mut line, "key", &FieldValue::Str(key));
-                field(&mut line, "n", &FieldValue::Num(*n));
+                field("e", Json::str("counter"));
+                field("src", Json::str(src));
+                field("key", Json::str(key));
+                field("n", Json::num(n));
             }
             Event::Gauge { src, key, value } => {
-                line.push_str("\"gauge\"");
-                field(&mut line, "src", &FieldValue::Str(src));
-                field(&mut line, "key", &FieldValue::Str(key));
-                field(&mut line, "value", &FieldValue::Num(*value));
+                field("e", Json::str("gauge"));
+                field("src", Json::str(src));
+                field("key", Json::str(key));
+                field("value", Json::num(value));
             }
             Event::Mark { src, key, detail } => {
-                line.push_str("\"mark\"");
-                field(&mut line, "src", &FieldValue::Str(src));
-                field(&mut line, "key", &FieldValue::Str(key));
+                field("e", Json::str("mark"));
+                field("src", Json::str(src));
+                field("key", Json::str(key));
                 if let Some(detail) = detail {
-                    field(&mut line, "detail", &FieldValue::Str(detail));
+                    field("detail", Json::str(detail));
                 }
             }
             Event::SpanEnter { src, key, id } => {
-                line.push_str("\"span\"");
-                field(&mut line, "src", &FieldValue::Str(src));
-                field(&mut line, "key", &FieldValue::Str(key));
-                field(&mut line, "id", &FieldValue::Num(*id));
-                field(&mut line, "phase", &FieldValue::Str("enter"));
+                field("e", Json::str("span"));
+                field("src", Json::str(src));
+                field("key", Json::str(key));
+                field("id", Json::num(id));
+                field("phase", Json::str("enter"));
             }
             Event::SpanExit {
                 src,
@@ -155,43 +146,46 @@ impl Event {
                 id,
                 micros,
             } => {
-                line.push_str("\"span\"");
-                field(&mut line, "src", &FieldValue::Str(src));
-                field(&mut line, "key", &FieldValue::Str(key));
-                field(&mut line, "id", &FieldValue::Num(*id));
-                field(&mut line, "phase", &FieldValue::Str("exit"));
-                field(&mut line, "us", &FieldValue::Num(*micros));
+                field("e", Json::str("span"));
+                field("src", Json::str(src));
+                field("key", Json::str(key));
+                field("id", Json::num(id));
+                field("phase", Json::str("exit"));
+                field("us", Json::num(micros));
             }
         }
-        line.push('}');
-        line
+        Json::Obj(pairs).render_compact()
     }
 
     /// Parses and validates one JSONL line against the v1 schema.
     ///
-    /// Strict by design: unknown event types, unknown fields, missing
-    /// fields, nested values, floats and negative numbers are all
-    /// errors — this parser *is* the schema validator CI runs.
+    /// Strict by design: beyond [`Json::parse`]'s rules (which already
+    /// refuse duplicate fields), unknown event types, unknown fields,
+    /// missing fields, nested values, floats and negative numbers are
+    /// all errors — this parser *is* the schema validator CI runs.
     ///
     /// # Errors
     ///
     /// A message describing the first violation found.
     pub fn parse(line: &str) -> Result<Event, String> {
-        let fields = parse_flat_object(line)?;
+        let doc = Json::parse(line)?;
+        let Json::Obj(fields) = &doc else {
+            return Err("an event must be a JSON object".into());
+        };
         let get = |name: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
+            doc.get(name)
                 .ok_or_else(|| format!("missing field {name:?}"))
         };
-        let text = |name: &str| match get(name)? {
-            ParsedValue::Str(s) => Ok(s.clone()),
-            ParsedValue::Num(_) => Err(format!("field {name:?} must be a string")),
+        let text = |name: &str| {
+            get(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("field {name:?} must be a string"))
         };
-        let num = |name: &str| match get(name)? {
-            ParsedValue::Num(n) => Ok(*n),
-            ParsedValue::Str(_) => Err(format!("field {name:?} must be a number")),
+        let num = |name: &str| {
+            get(name)?
+                .as_u64()
+                .ok_or_else(|| format!("field {name:?} must be an unsigned integer"))
         };
         if num("v")? != 1 {
             return Err("unsupported event version (expected v:1)".into());
@@ -205,7 +199,7 @@ impl Event {
             "span" => &["v", "e", "src", "key", "id", "phase", "us"],
             other => return Err(format!("unknown event type {other:?}")),
         };
-        for (name, _) in &fields {
+        for (name, _) in fields {
             if !allowed.contains(&name.as_str()) {
                 return Err(format!("unknown field {name:?} on a {kind:?} event"));
             }
@@ -234,7 +228,7 @@ impl Event {
             "mark" => Ok(Event::Mark {
                 src: ident("src")?,
                 key: ident("key")?,
-                detail: match fields.iter().find(|(k, _)| k == "detail") {
+                detail: match doc.get("detail") {
                     None => None,
                     Some(_) => Some(text("detail")?),
                 },
@@ -243,7 +237,7 @@ impl Event {
                 let (src, key, id) = (ident("src")?, ident("key")?, num("id")?);
                 match text("phase")?.as_str() {
                     "enter" => {
-                        if fields.iter().any(|(k, _)| k == "us") {
+                        if doc.get("us").is_some() {
                             return Err("span enter must not carry \"us\"".into());
                         }
                         Ok(Event::SpanEnter { src, key, id })
@@ -260,134 +254,6 @@ impl Event {
             _ => unreachable!("kind validated above"),
         }
     }
-}
-
-enum FieldValue<'a> {
-    Str(&'a str),
-    Num(u64),
-}
-
-#[derive(Debug)]
-enum ParsedValue {
-    Str(String),
-    Num(u64),
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parses one flat JSON object: string keys, string or unsigned-integer
-/// values, nothing nested. Duplicate keys are rejected.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, ParsedValue)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields: Vec<(String, ParsedValue)> = Vec::new();
-
-    let expect =
-        |chars: &mut std::iter::Peekable<std::str::Chars<'_>>, want: char| match chars.next() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!("expected {want:?}, found {c:?}")),
-            None => Err(format!("expected {want:?}, found end of line")),
-        };
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-        while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    }
-    fn string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('u') => {
-                        let hex: String = chars.by_ref().take(4).collect();
-                        if hex.len() != 4 {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            expect(&mut chars, '"')?;
-            let key = string(&mut chars)?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate field {key:?}"));
-            }
-            skip_ws(&mut chars);
-            expect(&mut chars, ':')?;
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some('"') => {
-                    chars.next();
-                    ParsedValue::Str(string(&mut chars)?)
-                }
-                Some(c) if c.is_ascii_digit() => {
-                    let mut digits = String::new();
-                    while chars.peek().is_some_and(char::is_ascii_digit) {
-                        digits.push(chars.next().expect("peeked"));
-                    }
-                    if chars.peek().is_some_and(|c| matches!(c, '.' | 'e' | 'E')) {
-                        return Err("floats are not part of the v1 schema".into());
-                    }
-                    ParsedValue::Num(
-                        digits
-                            .parse()
-                            .map_err(|_| format!("number out of range: {digits}"))?,
-                    )
-                }
-                other => {
-                    return Err(format!(
-                        "values must be strings or unsigned integers, found {other:?}"
-                    ))
-                }
-            };
-            fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some(c) = chars.next() {
-        return Err(format!("trailing content after object: {c:?}"));
-    }
-    Ok(fields)
 }
 
 #[cfg(test)]

@@ -23,9 +23,12 @@
 //!    (`asim2 metrics summarize --check`).
 //!
 //! The on-disk format is `asim2-events v1`: one JSON object per line,
-//! hand-rolled like the rest of the workspace's on-disk formats (offline,
-//! no serde), with a leading `meta` header line carrying the format
-//! string. See [`event`] for the exact schema.
+//! with a leading `meta` header line carrying the format string. See
+//! [`event`] for the exact schema.
+//!
+//! As the bottom crate, `rtl-obs` also holds the two primitives every
+//! other crate shares: [`json`], the workspace's one JSON codec, and
+//! [`write_atomic`], the one atomic file publish.
 //!
 //! ```
 //! use rtl_obs::{Recorder, Summary};
@@ -44,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod recorder;
 pub mod summary;
 pub mod trace;
@@ -52,3 +56,35 @@ pub use event::{Class, Event, FORMAT};
 pub use recorder::{FlightRing, MemoryLog, Recorder, Span};
 pub use summary::{Histogram, Summary};
 pub use trace::{trace_from_events, trace_from_sources, trace_from_text};
+
+use std::io;
+use std::path::Path;
+
+/// Writes a file via a temp sibling + rename, creating the parent
+/// directory first, so readers (and interrupted writers) never observe
+/// partial content: campaign records, sidecars, corpus entries, lockstep
+/// checkpoints and digest streams are all published this way.
+///
+/// # Errors
+///
+/// File-system failure; the temp sibling is cleaned up on a failed
+/// rename.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    std::fs::create_dir_all(dir)?;
+    let tmp = dir.join(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        path.file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or("document")
+    ));
+    std::fs::write(&tmp, bytes)?;
+    match std::fs::rename(&tmp, path) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}

@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Event, FORMAT};
+use crate::json::write_str;
 
 /// One entry of the `traceEvents` array, pre-rendered field-by-field.
 struct TraceEntry {
@@ -88,13 +89,13 @@ impl Layout {
             }
             Event::Mark { src, key, detail } => {
                 let mut json = format!(
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":{},\"tid\":0",
-                    escape(&format!("{src}/{key}")),
+                    "{{\"name\":{},\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":{},\"tid\":0",
+                    quoted(&format!("{src}/{key}")),
                     self.clock,
                     self.pid
                 );
                 if let Some(detail) = detail {
-                    json.push_str(&format!(",\"args\":{{\"detail\":\"{}\"}}", escape(detail)));
+                    json.push_str(&format!(",\"args\":{{\"detail\":{}}}", quoted(detail)));
                 }
                 json.push('}');
                 self.push(self.clock, json);
@@ -128,19 +129,19 @@ impl Layout {
     }
 
     fn emit_span(&mut self, src: &str, key: &str, begin: u64, end: u64, tid: u64) {
-        let name = escape(&format!("{src}/{key}"));
-        let cat = escape(src);
+        let name = quoted(&format!("{src}/{key}"));
+        let cat = quoted(src);
         let pid = self.pid;
         self.push(
             begin,
             format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"B\",\"ts\":{begin},\"pid\":{pid},\"tid\":{tid}}}"
+                "{{\"name\":{name},\"cat\":{cat},\"ph\":\"B\",\"ts\":{begin},\"pid\":{pid},\"tid\":{tid}}}"
             ),
         );
         self.push(
             end,
             format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"E\",\"ts\":{end},\"pid\":{pid},\"tid\":{tid}}}"
+                "{{\"name\":{name},\"cat\":{cat},\"ph\":\"E\",\"ts\":{end},\"pid\":{pid},\"tid\":{tid}}}"
             ),
         );
     }
@@ -181,24 +182,15 @@ fn render(mut entries: Vec<TraceEntry>) -> String {
 
 fn counter_sample(src: &str, key: &str, ts: u64, value: u64, pid: u64) -> String {
     format!(
-        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"value\":{value}}}}}",
-        escape(&format!("{src}/{key}"))
+        "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"value\":{value}}}}}",
+        quoted(&format!("{src}/{key}"))
     )
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_str(&mut out, s);
     out
 }
 
@@ -278,8 +270,8 @@ pub fn trace_from_sources(sources: &[(String, String)]) -> Result<String, String
             0,
             format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":{pid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(label)
+                 \"args\":{{\"name\":{}}}}}",
+                quoted(label)
             ),
         );
         for event in &events {

@@ -27,11 +27,12 @@
 //! work, and the rendering sorts keys, so equal work produces equal
 //! bytes. Wall-clock never appears in a profile.
 //!
-//! [`Recorder`]: https://docs.rs/rtl-obs
+//! [`Recorder`]: rtl_obs::Recorder
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use rtl_obs::json::Json;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -390,23 +391,16 @@ impl Profile {
     /// Renders the `asim2-profile v1` document. Byte-stable: sorted
     /// keys, one line per counter.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"format\": \"{FORMAT}\",\n"));
-        out.push_str("  \"counters\": {");
-        let mut first = true;
-        for (key, n) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{}\": {n}", escape(key)));
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        let counters = self
+            .counters
+            .iter()
+            .map(|(key, n)| (key.clone(), Json::num(n)))
+            .collect();
+        Json::Obj(vec![
+            ("format".into(), Json::str(FORMAT)),
+            ("counters".into(), Json::Obj(counters)),
+        ])
+        .render()
     }
 
     /// Parses a rendered document.
@@ -414,185 +408,42 @@ impl Profile {
     /// # Errors
     ///
     /// A message naming the first structural problem (wrong format line,
-    /// malformed JSON, non-numeric counter).
+    /// malformed JSON, a duplicate key, a counter that is not an unsigned
+    /// integer).
     pub fn parse(text: &str) -> Result<Profile, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
+        let Json::Obj(fields) = Json::parse(text)? else {
+            return Err("a profile must be a JSON object".into());
         };
-        p.ws();
-        p.expect(b'{')?;
         let mut format_seen = false;
         let mut counters = BTreeMap::new();
-        loop {
-            p.ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.ws();
-            p.expect(b':')?;
-            p.ws();
-            match key.as_str() {
-                "format" => {
-                    let value = p.string()?;
-                    if value != FORMAT {
+        for (key, value) in fields {
+            match (key.as_str(), value) {
+                ("format", Json::Str(format)) => {
+                    if format != FORMAT {
                         return Err(format!(
-                            "unsupported profile format {value:?} (expected {FORMAT:?})"
+                            "unsupported profile format {format:?} (expected {FORMAT:?})"
                         ));
                     }
                     format_seen = true;
                 }
-                "counters" => {
-                    p.expect(b'{')?;
-                    loop {
-                        p.ws();
-                        if p.eat(b'}') {
-                            break;
-                        }
-                        let ckey = p.string()?;
-                        p.ws();
-                        p.expect(b':')?;
-                        p.ws();
-                        let n = p.number()?;
-                        *counters.entry(ckey).or_insert(0) += n;
-                        p.ws();
-                        if !p.eat(b',') {
-                            p.ws();
-                            p.expect(b'}')?;
-                            break;
-                        }
+                ("counters", Json::Obj(pairs)) => {
+                    for (ckey, n) in pairs {
+                        let n = n.as_u64().ok_or_else(|| {
+                            format!("counter {ckey:?} is not an unsigned integer")
+                        })?;
+                        counters.insert(ckey, n);
                     }
                 }
-                other => return Err(format!("unknown profile field {other:?}")),
-            }
-            p.ws();
-            if !p.eat(b',') {
-                p.ws();
-                p.expect(b'}')?;
-                break;
+                ("format" | "counters", _) => {
+                    return Err(format!("profile field {key:?} has the wrong type"))
+                }
+                (other, _) => return Err(format!("unknown profile field {other:?}")),
             }
         }
         if !format_seen {
             return Err("profile document has no format line".into());
         }
         Ok(Profile { counters })
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A minimal parser for exactly the documents this crate renders (plus
-/// whitespace freedom): objects, strings with basic escapes, and
-/// unsigned integers.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or("bad \\u escape")?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err("unsupported escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Strings are UTF-8 slices of the input; copy the
-                    // whole multi-byte sequence through.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos] & 0xC0) == 0x80
-                        && b >= 0x80
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8 in string")?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "counter out of range".into())
     }
 }
 
@@ -683,6 +534,43 @@ mod tests {
         assert_eq!(parsed, a);
         assert!(Profile::parse("{}").is_err(), "format line required");
         assert!(Profile::parse("{\"format\": \"nope\"}").is_err());
+    }
+
+    #[test]
+    fn a_duplicated_key_is_refused() {
+        let mut p = Profile::default();
+        p.add("a/eval", 2);
+        let text = p.render();
+        let dup = text.replace("\"a/eval\": 2", "\"a/eval\": 2,\n    \"a/eval\": 3");
+        assert_ne!(dup, text);
+        let err = Profile::parse(&dup).unwrap_err();
+        assert!(err.contains("duplicate key"), "{err}");
+        let dup_format = text.replacen("{", "{\"format\": \"asim2-profile v1\",", 1);
+        assert!(Profile::parse(&dup_format).is_err());
+    }
+
+    #[test]
+    fn every_prefix_of_a_profile_is_refused() {
+        let mut p = Profile::default();
+        p.add("alu/eval", 7);
+        p.add("mem/write/3", u64::MAX);
+        let text = p.render();
+        let text = text.trim_end();
+        for end in 0..text.len() {
+            assert!(Profile::parse(&text[..end]).is_err(), "{}", &text[..end]);
+        }
+    }
+
+    #[test]
+    fn tab_and_carriage_return_use_short_escapes() {
+        let mut p = Profile::default();
+        p.add("odd\tname\r/eval", 1);
+        assert!(
+            p.render().contains("\"odd\\tname\\r/eval\": 1"),
+            "{}",
+            p.render()
+        );
+        assert_eq!(Profile::parse(&p.render()).unwrap(), p);
     }
 
     #[test]

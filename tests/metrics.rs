@@ -1,7 +1,7 @@
 //! End-to-end checks for the observability layer: deterministic-counter
 //! identity across worker counts and kill+resume, the no-perturbation
-//! guarantee for `--metrics-out`, the progress/quiet stderr contract,
-//! and the bench snapshot document.
+//! guarantee for `--metrics-out`, and the progress/quiet stderr
+//! contract.
 
 use proptest::prelude::*;
 use rtl_obs::{Recorder, Summary};
@@ -218,20 +218,6 @@ fn corrupt_event_log_is_a_load_error() {
     let ps = path.to_str().unwrap().to_string();
     let (code, _, err) = run_cli(&["metrics", "summarize", &ps]);
     assert_eq!(code, 2, "{err}");
-    let _ = std::fs::remove_file(path);
-}
-
-#[test]
-fn bench_snapshot_quick_writes_a_versioned_document() {
-    let path = tmp("bench.json");
-    let ps = path.to_str().unwrap().to_string();
-    let (code, _, err) = run_cli(&["bench", "snapshot", "--quick", "--out", &ps]);
-    assert_eq!(code, 0, "{err}");
-    let doc = std::fs::read_to_string(&path).unwrap();
-    assert!(doc.contains("asim2-bench-snapshot v1"), "{doc}");
-    assert!(doc.contains("lockstep_stride_1"), "{doc}");
-    assert!(doc.contains("campaign_workers_4"), "{doc}");
-    assert!(doc.contains("merge_2_shards"), "{doc}");
     let _ = std::fs::remove_file(path);
 }
 
