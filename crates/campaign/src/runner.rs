@@ -45,8 +45,11 @@ pub struct RunOptions {
     /// slice of the same campaign, and because every case's outcome
     /// depends only on `(config, index)`, the union of the slices is
     /// bit-identical to a single-machine run. Cases outside the range are
-    /// left unrun (the report shows them as gaps). `None` runs
-    /// everything.
+    /// left unrun (the report shows them as gaps). A ranged
+    /// [`resume`] reads and sweeps only the range's case files, so its
+    /// cost follows the range, not the campaign: a completed record
+    /// outside the range is reported as a gap too, and is never read.
+    /// `None` runs everything.
     pub case_range: Option<std::ops::Range<u32>>,
     /// Telemetry tap (disabled/no-op by default), threaded into every
     /// worker's lockstep sessions. Deterministic counters
@@ -366,6 +369,7 @@ pub fn run(
 
 /// Resumes the campaign in `dir`: validates the stored configuration's
 /// fingerprint, loads completed case records, and runs only the gaps.
+/// With `options.case_range` set, only that range's records are loaded.
 ///
 /// # Errors
 ///
@@ -377,7 +381,7 @@ pub fn resume(
     progress: &mut dyn Progress,
 ) -> Result<CampaignReport, CampaignError> {
     let config = dir.load()?;
-    let records = dir.load_cases(config.cases)?;
+    let records = dir.load_case_range(config.cases, run_range(options, &config))?;
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     validate_engines(&config, &campaign_registry(Some(Arc::clone(&cache))))?;
     execute(dir, &config, options, cache, records, None, progress)
@@ -396,6 +400,13 @@ pub fn replay_corpus(
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     let registry = campaign_registry(Some(cache));
     corpus::replay(&registry, &entries, engines)
+}
+
+/// The case indices a run over `config` may touch: `options.case_range`
+/// clipped to the campaign, or the whole campaign.
+fn run_range(options: &RunOptions, config: &CampaignConfig) -> std::ops::Range<u32> {
+    let range = options.case_range.clone().unwrap_or(0..config.cases);
+    range.start..range.end.min(config.cases)
 }
 
 fn validate_engines(
@@ -441,12 +452,10 @@ fn execute(
     // The recorder reaches every lane session and lockstep harness from
     // here; it is a run-time tap, so the config fingerprint is unchanged.
     fuzz.cosim.recorder = options.recorder.clone();
-    let mut pending: Vec<u32> = records
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.is_none())
-        .map(|(i, _)| i as u32)
-        .filter(|i| options.case_range.as_ref().is_none_or(|r| r.contains(i)))
+    let range = run_range(options, config);
+    let mut pending: Vec<u32> = range
+        .clone()
+        .filter(|&i| records[i as usize].is_none())
         .collect();
     if let Some(limit) = options.limit {
         pending.truncate(limit as usize);
@@ -458,10 +467,11 @@ fn execute(
     let profile = options.profile;
     let flight = options.flight;
     // A kill between record publication and checkpoint removal can leave
-    // a stale .ckpt next to a completed record; sweep those up front.
-    for (index, record) in records.iter().enumerate() {
-        if record.is_some() {
-            let _ = std::fs::remove_file(case_checkpoint_path(dir, index as u32));
+    // a stale .ckpt next to a completed record; sweep those up front,
+    // within the run's range only.
+    for index in range {
+        if records[index as usize].is_some() {
+            let _ = std::fs::remove_file(case_checkpoint_path(dir, index));
         }
     }
     let workers = options.workers.clamp(1, pending.len().max(1));

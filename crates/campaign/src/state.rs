@@ -21,6 +21,7 @@ use crate::error::CampaignError;
 use rtl_obs::json::Json;
 use rtl_obs::write_atomic;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// The manifest format line; bump on breaking layout changes.
@@ -369,8 +370,21 @@ impl CampaignDir {
     ///
     /// A corrupt record, or file-system failure.
     pub fn load_cases(&self, cases: u32) -> Result<Vec<Option<CaseRecord>>, CampaignError> {
+        self.load_case_range(cases, 0..cases)
+    }
+
+    /// [`load_cases`](CampaignDir::load_cases) reading only the records
+    /// of `range`: every case outside it is `None`, its file unopened.
+    pub(crate) fn load_case_range(
+        &self,
+        cases: u32,
+        range: Range<u32>,
+    ) -> Result<Vec<Option<CaseRecord>>, CampaignError> {
         let mut records = vec![None; cases as usize];
-        for (index, slot) in records.iter_mut().enumerate() {
+        let end = range.end.min(cases) as usize;
+        let start = (range.start as usize).min(end);
+        for (index, slot) in records[start..end].iter_mut().enumerate() {
+            let index = start + index;
             let path = self.case_path(index as u32);
             let text = match std::fs::read_to_string(&path) {
                 Ok(text) => text,

@@ -242,3 +242,45 @@ fn run_refuses_unknown_engines_and_existing_campaigns() {
     assert!(err.to_string().contains("resume"), "{err}");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A ranged resume reads and sweeps only its own range: a corrupt record
+/// and a stale checkpoint outside it are left alone, a stale checkpoint
+/// beside a completed in-range record is swept, and the missing in-range
+/// case reruns to the reference record. An unranged resume still reads
+/// every record and refuses the corrupt one.
+#[test]
+fn ranged_resume_reads_and_sweeps_only_its_range() {
+    let root = scratch("ranged");
+    let dir = CampaignDir::new(&root);
+    let reference = run(&dir, &quick_config(6), &opts(2), &mut NoProgress).unwrap();
+    assert!(reference.complete(), "{reference}");
+
+    std::fs::write(dir.case_path(0), "{ not a record").unwrap();
+    std::fs::remove_file(dir.case_path(5)).unwrap();
+    let stale_outside = dir.cases().join("case-000001.ckpt");
+    let stale_inside = dir.cases().join("case-000004.ckpt");
+    std::fs::write(&stale_outside, "stale").unwrap();
+    std::fs::write(&stale_inside, "stale").unwrap();
+
+    let ranged = resume(
+        &dir,
+        &RunOptions {
+            workers: 1,
+            case_range: Some(3..6),
+            ..RunOptions::default()
+        },
+        &mut NoProgress,
+    )
+    .unwrap();
+    assert!(ranged.records[..3].iter().all(Option::is_none));
+    assert_eq!(ranged.records[3..], reference.records[3..]);
+    assert!(stale_outside.exists(), "out-of-range checkpoint was swept");
+    assert!(!stale_inside.exists(), "in-range stale checkpoint survived");
+
+    let err = resume(&dir, &opts(1), &mut NoProgress).unwrap_err();
+    assert!(
+        matches!(err, CampaignError::Corrupt(_)),
+        "expected corrupt-record refusal, got: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -61,7 +61,11 @@ pub struct ControllerOptions {
     pub flight: bool,
     /// Telemetry tap (disabled by default). Deterministic fleet counters:
     /// `fleet/leases_granted`, `fleet/cases_dispatched`,
-    /// `fleet/records_accepted`, `fleet/corpus_accepted`.
+    /// `fleet/records_accepted`, `fleet/corpus_accepted`. Whether it is
+    /// enabled also reaches every worker (`Welcome::metrics`): workers
+    /// record and stream their lease telemetry only into an enabled
+    /// recorder, so a non-recording fleet lints and counts nothing, like
+    /// a recorder-less single-machine run.
     pub recorder: Recorder,
     /// Retry delay handed to workers when nothing is leasable right now.
     pub wait_ms: u64,
@@ -182,6 +186,9 @@ struct State {
     /// the ETA rate so a resumed campaign doesn't project from work it
     /// never performed.
     done_at_start: u32,
+    /// Cases with a record: `done_at_start` plus every record accepted
+    /// since, kept running so accepting one costs O(1).
+    done: u32,
     heartbeat_hist: Histogram,
     lease_hist: Histogram,
 }
@@ -281,6 +288,7 @@ impl Controller {
                 .join(format!(".fleet-stage-{}", std::process::id())),
             started,
             done_at_start,
+            done: done_at_start,
             heartbeat_hist: Histogram::new(),
             lease_hist: Histogram::new(),
         };
@@ -563,6 +571,7 @@ impl State {
             fingerprint: format!("{fp:016x}"),
             profile: self.options.profile,
             flight: self.options.flight,
+            metrics: self.options.recorder.enabled(),
             config: self.config.clone(),
         })
     }
@@ -655,6 +664,7 @@ impl State {
             return Reply::Refuse(Refusal::BadUpload, format!("publication failed: {e}"));
         }
         self.records[index as usize] = Some(record.clone());
+        self.done += 1;
         self.pending.remove(&index);
         for lease in &mut self.leases {
             lease.outstanding.remove(&index);
@@ -670,8 +680,7 @@ impl State {
         if let Some(info) = self.workers.get_mut(worker) {
             info.cases += 1;
         }
-        let done = self.records.iter().flatten().count() as u32;
-        progress.record_accepted(worker, &record, done, self.config.cases);
+        progress.record_accepted(worker, &record, self.done, self.config.cases);
         Reply::Send(Message::Ack)
     }
 
@@ -955,7 +964,7 @@ impl State {
     /// (`null` until at least one case has finished here).
     fn status_document(&self) -> String {
         let now = Instant::now();
-        let done = self.records.iter().flatten().count() as u32;
+        let done = self.done;
         let diverged = self
             .records
             .iter()

@@ -31,9 +31,9 @@
 //! - [`worker`] — [`work`]: wraps the `rtl-campaign` pool
 //!   via `RunOptions.case_range` in a local scratch directory, then
 //!   uploads every artifact byte-verbatim — case records, profile and
-//!   flight-recorder sidecars, corpus entries, and its full local
-//!   telemetry log (`events` frames the controller folds into one
-//!   campaign-wide metrics stream).
+//!   flight-recorder sidecars, corpus entries, and — when the
+//!   controller records — its full local telemetry log (`events` frames
+//!   the controller folds into one campaign-wide metrics stream).
 //! - [`status`] — [`StatusClient`]: a read-only `role: "status"`
 //!   handshake and the `asim2-fleet-status v1` live status document,
 //!   for watching a campaign without joining it.

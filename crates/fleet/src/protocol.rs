@@ -136,6 +136,14 @@ pub enum Message {
         /// Whether workers must arm the divergence flight recorder and
         /// upload `case-N.flight.jsonl` sidecars.
         flight: bool,
+        /// Whether the controller keeps worker telemetry (its recorder is
+        /// enabled). Workers record each lease and upload its
+        /// [`Message::Events`] log only when this is set; otherwise a
+        /// lease runs as a recorder-less single-machine run does, and
+        /// lints and counts nothing. A frame without the field decodes
+        /// as `true`: a controller predating it always folded worker
+        /// events.
+        metrics: bool,
         /// The full campaign configuration; the worker recomputes the
         /// fingerprint from it and refuses a mismatch.
         config: CampaignConfig,
@@ -284,12 +292,14 @@ impl Message {
                 fingerprint,
                 profile,
                 flight,
+                metrics,
                 config,
             } => {
                 pairs.push(("protocol".into(), Json::str(protocol)));
                 pairs.push(("fingerprint".into(), Json::str(fingerprint)));
                 pairs.push(("profile".into(), Json::Bool(*profile)));
                 pairs.push(("flight".into(), Json::Bool(*flight)));
+                pairs.push(("metrics".into(), Json::Bool(*metrics)));
                 pairs.push(("config".into(), config.to_json()));
             }
             Message::Lease {
@@ -401,6 +411,12 @@ impl Message {
                     .get("flight")
                     .and_then(Json::as_bool)
                     .ok_or("missing boolean field \"flight\"")?,
+                metrics: match doc.get("metrics") {
+                    None => true,
+                    Some(value) => value
+                        .as_bool()
+                        .ok_or("field \"metrics\" is not a boolean")?,
+                },
                 config: CampaignConfig::from_json(
                     doc.get("config").ok_or("missing field \"config\"")?,
                 )?,
@@ -650,6 +666,15 @@ mod tests {
                 fingerprint: "0123456789abcdef".into(),
                 profile: true,
                 flight: true,
+                metrics: true,
+                config: CampaignConfig::default(),
+            },
+            Message::Welcome {
+                protocol: PROTOCOL.into(),
+                fingerprint: "0123456789abcdef".into(),
+                profile: false,
+                flight: false,
+                metrics: false,
                 config: CampaignConfig::default(),
             },
             Message::LeaseRequest,
@@ -759,6 +784,20 @@ mod tests {
             }),
             "{\"type\":\"error\",\"reason\":\"protocol-mismatch\",\"detail\":\"speak asim2-fleet v1\"}"
         );
+    }
+
+    #[test]
+    fn a_welcome_with_a_non_boolean_metrics_field_is_refused() {
+        let line = encode(&Message::Welcome {
+            protocol: PROTOCOL.into(),
+            fingerprint: "0123456789abcdef".into(),
+            profile: false,
+            flight: false,
+            metrics: false,
+            config: CampaignConfig::default(),
+        })
+        .replace("\"metrics\":false", "\"metrics\":0");
+        assert!(decode(&line).unwrap_err().contains("metrics"), "{line}");
     }
 
     #[test]

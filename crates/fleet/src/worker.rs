@@ -10,6 +10,13 @@
 //! directory is a normal campaign directory (resumable, inspectable) and
 //! survives reconnects: records already on disk are simply re-uploaded,
 //! which the controller acknowledges idempotently.
+//!
+//! A lease costs what a single-machine run of its cases costs. The
+//! worker records telemetry only when the controller keeps it
+//! (`Welcome::metrics`): otherwise the lease runs with a disabled
+//! recorder, which lints and counts nothing, and uploads no event log.
+//! The lease's resume reads and sweeps only the lease's own case files,
+//! however many earlier leases the scratch directory holds.
 
 use crate::error::FleetError;
 use crate::protocol::{CorpusFiles, Framed, Message, PROTOCOL};
@@ -132,11 +139,12 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
         fingerprint: options.pin.map(|fp| format!("{fp:016x}")),
         role: None,
     };
-    let (config, profile, flight, fingerprint) = match framed.call(&hello)? {
+    let (config, profile, flight, metrics, fingerprint) = match framed.call(&hello)? {
         Message::Welcome {
             fingerprint,
             profile,
             flight,
+            metrics,
             config,
             ..
         } => {
@@ -146,7 +154,7 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
                     "controller's fingerprint does not match its own configuration".into(),
                 ));
             }
-            (config, profile, flight, fp)
+            (config, profile, flight, metrics, fp)
         }
         Message::Error { reason, detail } => return Err(FleetError::Refused { reason, detail }),
         other => {
@@ -193,6 +201,7 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
                     options,
                     profile,
                     flight,
+                    metrics,
                     start,
                     end,
                     &mut uploads,
@@ -227,15 +236,23 @@ fn run_lease(
     options: &WorkerOptions,
     profile: bool,
     flight: bool,
+    metrics: bool,
     start: u32,
     end: u32,
     uploads: &mut u32,
     report: &mut WorkerReport,
 ) -> Result<(), FleetError> {
-    // A fresh in-memory recorder per lease: its full event log is this
-    // lease's telemetry, streamed to the controller afterwards so the
-    // controller-side counter fold equals a single-machine run's.
-    let (recorder, log) = Recorder::memory();
+    // For a recording controller, a fresh in-memory recorder per lease:
+    // its full event log is this lease's telemetry, streamed to the
+    // controller afterwards so the controller-side counter fold equals a
+    // single-machine run's. Otherwise nothing is recorded, as in a
+    // recorder-less single-machine run.
+    let (recorder, log) = if metrics {
+        let (recorder, log) = Recorder::memory();
+        (recorder, Some(log))
+    } else {
+        (Recorder::disabled(), None)
+    };
     let run = RunOptions {
         workers: options.threads.max(1),
         limit: None,
@@ -301,9 +318,11 @@ fn run_lease(
     // deterministic counters fold into the campaign-wide metrics log
     // untagged, wall-clock events are re-emitted under this worker's
     // provenance.
-    let body = log.text();
-    if !body.trim().is_empty() {
-        expect_ack(framed, &Message::Events { body }, "events upload")?;
+    if let Some(log) = log {
+        let body = log.text();
+        if !body.trim().is_empty() {
+            expect_ack(framed, &Message::Events { body }, "events upload")?;
+        }
     }
     Ok(())
 }

@@ -3,8 +3,10 @@
 //! `campaign run` — through work-stealing, worker death, reassignment,
 //! and controller stop+restart.
 
-use rtl_campaign::{CampaignConfig, CampaignDir, NoProgress, RunOptions};
-use rtl_fleet::{work, Controller, ControllerOptions, FleetError, NoFleetProgress, WorkerOptions};
+use rtl_campaign::{CampaignConfig, CampaignDir, CaseRecord, NoProgress, RunOptions};
+use rtl_fleet::{
+    work, Controller, ControllerOptions, FleetError, FleetProgress, NoFleetProgress, WorkerOptions,
+};
 use rtl_obs::{Recorder, Summary};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -352,6 +354,47 @@ fn streamed_fleet_counters_match_single_machine() {
     );
 }
 
+/// Collects the `done` count reported with every accepted record.
+struct Dones(Vec<u32>);
+
+impl FleetProgress for Dones {
+    fn record_accepted(&mut self, _worker: &str, _record: &CaseRecord, done: u32, _total: u32) {
+        self.0.push(done);
+    }
+}
+
+/// The controller's completed-case count rises by one per accepted
+/// record and, when a campaign is served again, starts from the records
+/// already on disk.
+#[test]
+fn accepted_records_count_up_from_the_records_on_disk() {
+    let config = small_config(&["interp", "vm"], 8);
+    let root = scratch("dones");
+    let mut dones = Vec::new();
+    for (phase, limit) in [(0, Some(4)), (1, None)] {
+        let controller = Controller::bind("127.0.0.1:0").unwrap();
+        let addr = controller.local_addr().unwrap();
+        let (dir, config) = (CampaignDir::new(&root), config.clone());
+        let serving = std::thread::spawn(move || {
+            let options = ControllerOptions {
+                token: "t".into(),
+                lease: 4,
+                limit,
+                ..ControllerOptions::default()
+            };
+            let mut progress = Dones(Vec::new());
+            controller
+                .serve(&dir, &config, &options, &mut progress)
+                .unwrap();
+            progress.0
+        });
+        let scratch_dir = scratch(&format!("dones-w{phase}"));
+        work(&addr.to_string(), &worker_options("t", "w", &scratch_dir)).unwrap();
+        dones.extend(serving.join().unwrap());
+    }
+    assert_eq!(dones, (1..=8).collect::<Vec<u32>>());
+}
+
 /// The flight-sidecar files under `cases/`, relative path → bytes.
 fn flight_files(root: &Path) -> BTreeMap<String, Vec<u8>> {
     tree(root)
@@ -362,8 +405,9 @@ fn flight_files(root: &Path) -> BTreeMap<String, Vec<u8>> {
 
 /// With the flight recorder armed fleet-wide, every diverging case gets
 /// a `cases/case-N.flight.jsonl` sidecar whose bytes are identical to
-/// the single-machine run's — across worker counts {1, 2} and across a
-/// worker killed mid-lease and replaced.
+/// the single-machine run's — across worker counts {1, 2}, whether or
+/// not the controller records (its workers then record too, or run
+/// recorder-less), and across a worker killed mid-lease and replaced.
 #[test]
 fn flight_sidecars_are_deterministic_across_worker_counts_and_kill() {
     let mut config = small_config(&["interp", "vm-fault"], 6);
@@ -395,15 +439,22 @@ fn flight_sidecars_are_deterministic_across_worker_counts_and_kill() {
         ..ControllerOptions::default()
     };
 
-    for workers in [1u32, 2] {
-        let fleet_root = scratch(&format!("flight-w{workers}"));
-        let (addr, controller) = serve(&fleet_root, &config, fleet_options());
+    for (workers, recording) in [(1u32, false), (2, false), (2, true)] {
+        let tag = format!("w{workers}{}", if recording { "-rec" } else { "" });
+        let fleet_root = scratch(&format!("flight-{tag}"));
+        let mut options = fleet_options();
+        let log = recording.then(|| {
+            let (recorder, log) = Recorder::memory();
+            options.recorder = recorder;
+            log
+        });
+        let (addr, controller) = serve(&fleet_root, &config, options);
         let handles: Vec<_> = (0..workers)
             .map(|i| {
                 let options = worker_options(
                     "t",
                     &format!("fw{i}"),
-                    &scratch(&format!("flight-w{workers}-s{i}")),
+                    &scratch(&format!("flight-{tag}-s{i}")),
                 );
                 let addr = addr.to_string();
                 std::thread::spawn(move || work(&addr, &options))
@@ -413,10 +464,16 @@ fn flight_sidecars_are_deterministic_across_worker_counts_and_kill() {
             h.join().unwrap().unwrap();
         }
         controller.join().unwrap().unwrap();
+        if let Some(log) = log {
+            assert!(
+                fold(&[log.text()]).contains("lint/designs_linted 6"),
+                "a recording controller folds its workers' telemetry"
+            );
+        }
         assert_eq!(
             reference,
             flight_files(&fleet_root),
-            "{workers}-worker fleet flight sidecars drifted"
+            "{tag} fleet flight sidecars drifted"
         );
         // The sidecars ride inside the campaign directory, so the whole
         // tree — records, corpus, manifest, flight logs — still matches.
@@ -475,7 +532,11 @@ fn silent_workers_lose_their_lease_at_the_deadline() {
             role: None,
         })
         .unwrap();
-    assert!(matches!(welcome, Message::Welcome { .. }), "{welcome:?}");
+    // A controller without a recorder tells its workers not to record.
+    assert!(
+        matches!(welcome, Message::Welcome { metrics: false, .. }),
+        "{welcome:?}"
+    );
     let lease = silent.call(&Message::LeaseRequest).unwrap();
     assert!(
         matches!(

@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 use rtl_campaign::{CampaignConfig, CampaignDir, NoProgress, RunOptions};
-use rtl_fleet::protocol::{self, CorpusFiles, CounterDelta, Message};
+use rtl_fleet::protocol::{self, CorpusFiles, CounterDelta, Framed, Message};
 use rtl_fleet::{Controller, ControllerOptions, NoFleetProgress, WorkerOptions, PROTOCOL};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 
 fn scratch(name: &str) -> PathBuf {
@@ -428,6 +428,15 @@ fn every_prefix_of_a_frame_is_refused() {
             fingerprint: format!("{:016x}", CampaignConfig::default().fingerprint()),
             profile: true,
             flight: false,
+            metrics: true,
+            config: CampaignConfig::default(),
+        },
+        Message::Welcome {
+            protocol: PROTOCOL.into(),
+            fingerprint: format!("{:016x}", CampaignConfig::default().fingerprint()),
+            profile: false,
+            flight: true,
+            metrics: false,
             config: CampaignConfig::default(),
         },
         Message::Record {
@@ -449,4 +458,122 @@ fn every_prefix_of_a_frame_is_refused() {
             assert!(protocol::decode(&line[..end]).is_err(), "{}", &line[..end]);
         }
     }
+}
+
+fn welcome(metrics: bool) -> Message {
+    Message::Welcome {
+        protocol: PROTOCOL.into(),
+        fingerprint: format!("{:016x}", CampaignConfig::default().fingerprint()),
+        profile: false,
+        flight: false,
+        metrics,
+        config: CampaignConfig::default(),
+    }
+}
+
+/// A welcome frame without `metrics` — from a controller predating the
+/// field, which always folded worker events — decodes as
+/// `metrics: true`, whatever value was stripped.
+#[test]
+fn a_welcome_without_metrics_decodes_as_recording() {
+    for metrics in [false, true] {
+        let line = protocol::encode(&welcome(metrics));
+        let legacy = line.replace(&format!(",\"metrics\":{metrics}"), "");
+        assert_ne!(legacy, line, "the encoder always writes the field");
+        assert_eq!(protocol::decode(&legacy).unwrap(), welcome(true));
+    }
+}
+
+/// The frame kinds a real worker sends a scripted controller that
+/// answers `hello` with `welcome(metrics)`, grants one 2-case lease,
+/// acknowledges everything else and then answers `drained` —
+/// heartbeats left out, since their number depends on timing.
+fn scripted_lease_frames(tag: &str, metrics: bool) -> Vec<&'static str> {
+    let mut config = CampaignConfig {
+        seed: 1,
+        cases: 2,
+        ..CampaignConfig::default()
+    };
+    config.generator.size = 8;
+    config.generator.cycles = 16;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut framed = Framed::new(stream).unwrap();
+        let mut kinds = Vec::new();
+        let mut leased = false;
+        loop {
+            let msg = framed.recv().unwrap();
+            let reply = match msg {
+                Message::Hello { .. } => Message::Welcome {
+                    protocol: PROTOCOL.into(),
+                    fingerprint: format!("{:016x}", config.fingerprint()),
+                    profile: false,
+                    flight: false,
+                    metrics,
+                    config: config.clone(),
+                },
+                Message::LeaseRequest if !leased => {
+                    leased = true;
+                    Message::Lease {
+                        start: 0,
+                        end: 2,
+                        deadline_ms: 60_000,
+                    }
+                }
+                Message::LeaseRequest => Message::Drained,
+                _ => Message::Ack,
+            };
+            framed.send(&reply).unwrap();
+            if !matches!(msg, Message::Heartbeat) {
+                kinds.push(msg.kind());
+            }
+            if matches!(msg, Message::Bye) {
+                return kinds;
+            }
+        }
+    });
+    let report = rtl_fleet::work(
+        &addr.to_string(),
+        &WorkerOptions {
+            name: tag.into(),
+            threads: 1,
+            scratch: scratch(tag),
+            ..WorkerOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!((report.leases, report.cases), (1, 2), "{report}");
+    peer.join().unwrap()
+}
+
+/// A worker uploads its lease's event log only when the controller
+/// keeps telemetry: against a non-recording controller it sends no
+/// `events` frame at all.
+#[test]
+fn workers_stream_events_only_to_a_recording_controller() {
+    assert_eq!(
+        scripted_lease_frames("scripted-quiet", false),
+        [
+            "hello",
+            "lease-request",
+            "record",
+            "record",
+            "lease-request",
+            "bye"
+        ]
+    );
+    assert_eq!(
+        scripted_lease_frames("scripted-recording", true),
+        [
+            "hello",
+            "lease-request",
+            "record",
+            "record",
+            "events",
+            "lease-request",
+            "bye"
+        ]
+    );
 }
