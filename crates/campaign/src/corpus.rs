@@ -19,7 +19,7 @@
 
 use crate::error::CampaignError;
 use crate::shrink::Shrunk;
-use rtl_core::{read_checkpoint, write_checkpoint, Session, Until, Word};
+use rtl_core::{read_checkpoint, write_checkpoint, Design, Session, Until, Word};
 use rtl_cosim::{CosimOptions, CosimOutcome, DivergenceKind};
 use rtl_interp::Interpreter;
 use rtl_machines::Scenario;
@@ -129,9 +129,13 @@ pub fn save(
         &corpus_dir.join(format!("{}.stim", entry.name)),
         render_stimulus(&entry.scenario.input).as_bytes(),
     )?;
+    let design = entry
+        .scenario
+        .design()
+        .map_err(|e| CampaignError::Corrupt(format!("corpus scenario: {e}")))?;
     write_atomic(
         &corpus_dir.join(format!("{}.ckpt", entry.name)),
-        &reference_checkpoint(&entry)?,
+        &reference_checkpoint(&design, &entry)?,
     )?;
     let meta = Json::Obj(vec![
         ("format".into(), Json::str(FORMAT)),
@@ -170,13 +174,10 @@ pub fn save(
 }
 
 /// The reference (`interp`) state after the entry's verified prefix, as a
-/// session checkpoint document.
-fn reference_checkpoint(entry: &CorpusEntry) -> Result<Vec<u8>, CampaignError> {
-    let design = entry
-        .scenario
-        .design()
-        .map_err(|e| CampaignError::Corrupt(format!("corpus scenario: {e}")))?;
-    let mut session = Session::over(Interpreter::new(&design))
+/// session checkpoint document. `design` is the entry's scenario,
+/// elaborated by the caller.
+fn reference_checkpoint(design: &Design, entry: &CorpusEntry) -> Result<Vec<u8>, CampaignError> {
+    let mut session = Session::over(Interpreter::new(design))
         .scripted(entry.scenario.input.iter().copied())
         .build();
     // The divergence happened *at* entry.cycle, so every cycle before it
@@ -189,7 +190,7 @@ fn reference_checkpoint(entry: &CorpusEntry) -> Result<Vec<u8>, CampaignError> {
         )));
     }
     let mut doc = Vec::new();
-    write_checkpoint(&design, session.state(), &mut doc)?;
+    write_checkpoint(design, session.state(), &mut doc)?;
     Ok(doc)
 }
 
@@ -371,7 +372,7 @@ fn load_one(corpus_dir: &Path, name: &str) -> Result<CorpusEntry, CampaignError>
     let stored = std::fs::read(&ckpt_path)?;
     read_checkpoint(&design, &mut &stored[..])
         .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", ckpt_path.display())))?;
-    let recomputed = reference_checkpoint(&entry)?;
+    let recomputed = reference_checkpoint(&design, &entry)?;
     if recomputed != stored {
         return Err(CampaignError::Corrupt(format!(
             "{}: reference state differs from the recorded checkpoint",

@@ -18,11 +18,17 @@
 //! different design), so as in all practical shrinkers the result is a
 //! *locally* minimal diverging scenario, found greedily: the search only
 //! ever moves to candidates that were re-run and confirmed to diverge.
+//!
+//! Every probe takes the fuzz case's own path: generate the case's
+//! [`Spec`](rtl_lang::Spec), elaborate it (moved, no text round trip)
+//! and run it through [`rtl_cosim::run_design_names`]. Source text is
+//! rendered once, for the minimal scenario the corpus saves.
 
 use crate::error::CampaignError;
-use rtl_core::EngineRegistry;
+use rtl_core::{Design, ElabOptions, EngineRegistry, Word};
 use rtl_cosim::{
-    generate_scenario, CosimOptions, CosimOutcome, DivergenceReport, GenOptions, ScenarioError,
+    generate_case, CosimOptions, CosimOutcome, DivergenceReport, GenOptions, GeneratedCase,
+    ScenarioError,
 };
 use rtl_machines::Scenario;
 
@@ -65,9 +71,9 @@ pub fn shrink_divergence(
     cosim: &CosimOptions,
 ) -> Result<Option<Shrunk>, CampaignError> {
     let mut attempts = 0u32;
-    let mut probe = |scenario: &Scenario| -> Result<Option<DivergenceReport>, CampaignError> {
+    let mut probe_input = |case: &Candidate, input: &[Word]| {
         attempts += 1;
-        match run(registry, engines, scenario, cosim) {
+        match run(registry, engines, case, input, cosim) {
             // A candidate is only a valid shrink if its divergence stands
             // on its own: a comparison that also tripped a runtime halt
             // (e.g. an over-truncated stimulus exhausting input on the
@@ -81,11 +87,11 @@ pub fn shrink_divergence(
                 Ok(usable.then_some(*report))
             }
             Ok(CosimOutcome::Agreement { .. }) => Ok(None),
-            Err(e) => Err(e.into()),
+            Err(e) => Err(CampaignError::from(e)),
         }
     };
     let generate = |size: usize, cycles: u64| {
-        generate_scenario(
+        Candidate::generate(
             seed,
             &GenOptions {
                 size,
@@ -94,9 +100,13 @@ pub fn shrink_divergence(
             },
         )
     };
+    // A size/horizon probe holds its design only while it runs.
+    let mut probe = |size: usize, cycles: u64| -> Result<Option<DivergenceReport>, CampaignError> {
+        let case = generate(size, cycles)?;
+        probe_input(&case, &case.input)
+    };
 
-    let original = generate(generator.size, generator.cycles);
-    let Some(mut best_report) = probe(&original)? else {
+    let Some(mut best_report) = probe(generator.size, generator.cycles)? else {
         return Ok(None);
     };
 
@@ -106,7 +116,7 @@ pub fn shrink_divergence(
     let mut best_size = generator.size.max(1);
     while lo < best_size {
         let mid = lo + (best_size - lo) / 2;
-        match probe(&generate(mid, generator.cycles))? {
+        match probe(mid, generator.cycles)? {
             Some(report) => {
                 best_size = mid;
                 best_report = report;
@@ -120,7 +130,7 @@ pub fn shrink_divergence(
     //    the first-diverging horizon in [1, c + 1].
     let observed = u64::try_from(best_report.cycle).unwrap_or(generator.cycles);
     let mut best_cycles = (observed + 1).min(generator.cycles.max(1));
-    match probe(&generate(best_size, best_cycles))? {
+    match probe(best_size, best_cycles)? {
         Some(report) => best_report = report,
         // The horizon interacts with the stimulus length; fall back to
         // the full horizon if the tightened bound loses the divergence.
@@ -129,7 +139,7 @@ pub fn shrink_divergence(
     let mut lo = 1u64;
     while lo < best_cycles {
         let mid = lo + (best_cycles - lo) / 2;
-        match probe(&generate(best_size, mid))? {
+        match probe(best_size, mid)? {
             Some(report) => {
                 best_cycles = mid;
                 best_report = report;
@@ -141,34 +151,32 @@ pub fn shrink_divergence(
     // 3. Stimulus: the shortest prefix of the input script that still
     //    diverges (an over-truncated script halts the lanes unanimously
     //    with input-exhausted instead of diverging, ending the search).
-    let mut minimal = generate(best_size, best_cycles);
-    if !minimal.input.is_empty() {
-        let full = minimal.input.clone();
-        let mut best_len = full.len();
-        let mut lo = 0usize;
-        let truncated = |len: usize| Scenario {
-            input: full[..len].to_vec(),
-            ..minimal.clone()
-        };
-        while lo < best_len {
-            let mid = lo + (best_len - lo) / 2;
-            match probe(&truncated(mid))? {
-                Some(report) => {
-                    best_len = mid;
-                    best_report = report;
-                }
-                None => lo = mid + 1,
+    let mut minimal = generate(best_size, best_cycles)?;
+    let mut best_len = minimal.input.len();
+    let mut lo = 0usize;
+    while lo < best_len {
+        let mid = lo + (best_len - lo) / 2;
+        match probe_input(&minimal, &minimal.input[..mid])? {
+            Some(report) => {
+                best_len = mid;
+                best_report = report;
             }
+            None => lo = mid + 1,
         }
-        minimal.input.truncate(best_len);
     }
+    minimal.input.truncate(best_len);
 
     let input_len = minimal.input.len();
-    minimal.name = format!("corpus/seed-{seed}");
-    best_report.scenario = minimal.name.clone();
+    let scenario = Scenario {
+        name: format!("corpus/seed-{seed}"),
+        source: rtl_lang::pretty(minimal.design.spec()),
+        cycles: minimal.cycles,
+        input: minimal.input,
+    };
+    best_report.scenario = scenario.name.clone();
     Ok(Some(Shrunk {
         seed,
-        scenario: minimal,
+        scenario,
         report: best_report,
         size: best_size,
         cycles: best_cycles,
@@ -180,10 +188,46 @@ pub fn shrink_divergence(
 fn run(
     registry: &EngineRegistry,
     engines: &[String],
-    scenario: &Scenario,
+    case: &Candidate,
+    input: &[Word],
     cosim: &CosimOptions,
 ) -> Result<CosimOutcome, ScenarioError> {
-    rtl_cosim::run_scenario_names(registry, engines, scenario, cosim)
+    rtl_cosim::run_design_names(
+        registry,
+        engines,
+        &case.design,
+        &case.name,
+        case.cycles,
+        input,
+        cosim,
+    )
+}
+
+/// One shrink candidate: a generated case with its spec elaborated.
+struct Candidate {
+    name: String,
+    design: Design,
+    cycles: u64,
+    input: Vec<Word>,
+}
+
+impl Candidate {
+    fn generate(seed: u64, options: &GenOptions) -> Result<Candidate, CampaignError> {
+        let GeneratedCase {
+            name,
+            spec,
+            cycles,
+            input,
+        } = generate_case(seed, options);
+        let design =
+            Design::elaborate_with(spec, ElabOptions::default()).map_err(ScenarioError::from)?;
+        Ok(Candidate {
+            name,
+            design,
+            cycles,
+            input,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -256,6 +300,55 @@ mod tests {
         .unwrap();
         assert_eq!(again.scenario, shrunk.scenario);
         assert_eq!(again.attempts, shrunk.attempts);
+    }
+
+    /// Exact shrink results for a few fault-registry seeds. The probe
+    /// count (`campaign/shrink_probes`) and the saved entry are part of a
+    /// campaign's deterministic output, so they must not move when the
+    /// probe path changes.
+    #[test]
+    fn shrink_results_are_pinned() {
+        // (seed, fault cycle, generator) -> (size, cycles, input_len,
+        // attempts, divergence cycle, entry fingerprint)
+        let cases = [
+            (
+                5,
+                40,
+                (30, 64, 2),
+                (1, 41, 0, 12, 40, 0xe06d_5a63_f483_7a4a),
+            ),
+            (
+                3,
+                40,
+                (30, 64, 2),
+                (1, 41, 41, 18, 40, 0x74ac_205a_effd_5d25),
+            ),
+            (0, 8, (20, 64, 1), (1, 9, 9, 15, 8, 0x7f08_fe83_822f_46db)),
+        ];
+        for (seed, fault, (size, cycles, io_every), want) in cases {
+            let shrunk = shrink_divergence(
+                &registry_with_fault(fault),
+                &names(&["interp", "vm-fault"]),
+                seed,
+                &GenOptions {
+                    size,
+                    cycles,
+                    io_every,
+                },
+                &CosimOptions::default(),
+            )
+            .unwrap()
+            .expect("fault diverges");
+            let got = (
+                shrunk.size,
+                shrunk.cycles,
+                shrunk.input_len,
+                shrunk.attempts,
+                shrunk.report.cycle,
+                crate::corpus::entry_fingerprint(&shrunk.scenario),
+            );
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -147,7 +147,9 @@ pub struct Design {
 }
 
 impl Design {
-    /// Elaborates a parsed specification with default options.
+    /// Elaborates a parsed specification with default options. The
+    /// [`Design`] keeps a copy of `spec`; a caller that owns its `Spec`
+    /// avoids the copy with [`Design::elaborate_with`].
     ///
     /// ```
     /// let spec = rtl_lang::parse(
@@ -164,16 +166,18 @@ impl Design {
     /// See [`ElabError`] — unknown names, duplicate definitions, over-wide
     /// concatenations, combinational cycles, traced-but-undefined names.
     pub fn elaborate(spec: &Spec) -> Result<Design, ElabError> {
-        Self::elaborate_with(spec, ElabOptions::default())
+        Self::elaborate_with(spec.clone(), ElabOptions::default())
     }
 
-    /// Elaborates with explicit options.
+    /// Elaborates with explicit options. Takes ownership of `spec`, which
+    /// the [`Design`] keeps (see [`Design::spec`]), so an owned spec is
+    /// never copied.
     ///
     /// # Errors
     ///
     /// As [`Design::elaborate`], plus [`ElabError::TooManyCells`] per the
     /// configured limit.
-    pub fn elaborate_with(spec: &Spec, options: ElabOptions) -> Result<Design, ElabError> {
+    pub fn elaborate_with(spec: Spec, options: ElabOptions) -> Result<Design, ElabError> {
         // 1. Name table (first definition wins in the original's findname;
         // we reject duplicates outright).
         let mut names = HashMap::with_capacity(spec.components.len());
@@ -247,11 +251,10 @@ impl Design {
             .filter(|(_, c)| !c.kind.is_memory())
             .map(|(i, _)| CompId::new(i))
             .collect();
-        let node_of: HashMap<usize, usize> = comb_nodes
-            .iter()
-            .enumerate()
-            .map(|(node, id)| (id.index(), node))
-            .collect();
+        let mut node_of: Vec<Option<usize>> = vec![None; comps.len()];
+        for (node, id) in comb_nodes.iter().enumerate() {
+            node_of[id.index()] = Some(node);
+        }
         let deps: Vec<Vec<usize>> = comb_nodes
             .iter()
             .map(|id| {
@@ -260,25 +263,25 @@ impl Design {
                     .expressions()
                     .iter()
                     .flat_map(|e| e.comps())
-                    .filter_map(|c| node_of.get(&c.index()).copied())
+                    .filter_map(|c| node_of[c.index()])
                     .collect();
                 ds.sort_unstable();
                 ds.dedup();
                 ds
             })
             .collect();
-        let comb_names: Vec<String> = comb_nodes
-            .iter()
-            .map(|id| comps[id.index()].name.as_str().to_string())
-            .collect();
-        let comb_order = sort_combinational(&comb_nodes, &deps, &comb_names)?;
+        let comb_order = sort_combinational(&comb_nodes, &deps, |node| {
+            comps[comb_nodes[node].index()].name.as_str().to_string()
+        })?;
 
         // 5. Trace list and declaration warnings (checkdcl).
         let mut traced = Vec::new();
         let mut warnings = Vec::new();
+        let mut declared = vec![false; comps.len()];
         for d in &spec.declared {
             match names.get(d.name.as_str()) {
                 Some(&id) => {
+                    declared[id.index()] = true;
                     if d.traced {
                         traced.push(id);
                     }
@@ -294,14 +297,14 @@ impl Design {
                 }
             }
         }
-        for c in &spec.components {
-            if !spec.declared.iter().any(|d| d.name == c.name) {
+        for (c, &is_declared) in comps.iter().zip(&declared) {
+            if !is_declared {
                 warnings.push(Warning::DefinedNotDeclared(c.name.as_str().to_string()));
             }
         }
 
         Ok(Design {
-            spec: spec.clone(),
+            spec,
             comps,
             names,
             comb_order,
@@ -318,7 +321,7 @@ impl Design {
     /// Returns a [`LoadError`] wrapping either phase's failure.
     pub fn from_source(source: &str) -> Result<Design, LoadError> {
         let spec = rtl_lang::parse(source)?;
-        Ok(Design::elaborate(&spec)?)
+        Ok(Design::elaborate_with(spec, ElabOptions::default())?)
     }
 
     /// Number of components.
@@ -568,7 +571,7 @@ mod tests {
     #[test]
     fn cell_limit_enforced() {
         let err = Design::elaborate_with(
-            &rtl_lang::parse("# c\nm .\nM m 0 0 0 100 .").unwrap(),
+            rtl_lang::parse("# c\nm .\nM m 0 0 0 100 .").unwrap(),
             ElabOptions { cell_limit: 10 },
         )
         .unwrap_err();

@@ -17,7 +17,8 @@ use std::collections::BinaryHeap;
 /// * `deps[i]` lists, for node `i`, the node indices it depends on (reads
 ///   from). Indices are positions in `nodes`.
 /// * `nodes[i]` is the [`CompId`] of node `i`.
-/// * `names[i]` is used for the circular-dependency diagnostic.
+/// * `name(i)` names node `i` in the circular-dependency diagnostic; it is
+///   called only on that error path, so a successful sort builds no names.
 ///
 /// Returns component ids in evaluation order (dependencies first). Ties are
 /// broken toward lower indices, so the order is stable across runs.
@@ -29,7 +30,7 @@ use std::collections::BinaryHeap;
 pub fn sort_combinational(
     nodes: &[CompId],
     deps: &[Vec<usize>],
-    names: &[String],
+    name: impl Fn(usize) -> String,
 ) -> Result<Vec<CompId>, ElabError> {
     debug_assert_eq!(nodes.len(), deps.len());
     let n = nodes.len();
@@ -72,7 +73,7 @@ pub fn sort_combinational(
     let leftover: Vec<usize> = (0..n).filter(|&i| !placed[i]).collect();
     let mut members = cyclic_members(&leftover, deps);
     members.sort_unstable();
-    let member_names = members.iter().map(|&i| names[i].clone()).collect();
+    let member_names = members.into_iter().map(name).collect();
     Err(ElabError::CircularDependency {
         members: member_names,
     })
@@ -156,8 +157,8 @@ mod tests {
         (0..n).map(CompId::new).collect()
     }
 
-    fn names(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("c{i}")).collect()
+    fn name(i: usize) -> String {
+        format!("c{i}")
     }
 
     fn indices(order: &[CompId]) -> Vec<usize> {
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn already_ordered_stays_ordered() {
         let deps = vec![vec![], vec![0], vec![1]];
-        let order = sort_combinational(&ids(3), &deps, &names(3)).unwrap();
+        let order = sort_combinational(&ids(3), &deps, name).unwrap();
         assert_eq!(indices(&order), [0, 1, 2]);
     }
 
@@ -175,14 +176,14 @@ mod tests {
     fn reversed_chain_is_fixed() {
         // 0 depends on 1 depends on 2.
         let deps = vec![vec![1], vec![2], vec![]];
-        let order = sort_combinational(&ids(3), &deps, &names(3)).unwrap();
+        let order = sort_combinational(&ids(3), &deps, name).unwrap();
         assert_eq!(indices(&order), [2, 1, 0]);
     }
 
     #[test]
     fn independent_nodes_keep_declaration_order() {
         let deps = vec![vec![], vec![], vec![]];
-        let order = sort_combinational(&ids(3), &deps, &names(3)).unwrap();
+        let order = sort_combinational(&ids(3), &deps, name).unwrap();
         assert_eq!(indices(&order), [0, 1, 2]);
     }
 
@@ -190,14 +191,14 @@ mod tests {
     fn diamond() {
         // 3 depends on 1 and 2; both depend on 0.
         let deps = vec![vec![], vec![0], vec![0], vec![1, 2]];
-        let order = sort_combinational(&ids(4), &deps, &names(4)).unwrap();
+        let order = sort_combinational(&ids(4), &deps, name).unwrap();
         assert_eq!(indices(&order), [0, 1, 2, 3]);
     }
 
     #[test]
     fn two_cycle_is_diagnosed() {
         let deps = vec![vec![1], vec![0], vec![]];
-        let err = sort_combinational(&ids(3), &deps, &names(3)).unwrap_err();
+        let err = sort_combinational(&ids(3), &deps, name).unwrap_err();
         match err {
             ElabError::CircularDependency { members } => {
                 assert_eq!(members, ["c0", "c1"]);
@@ -209,7 +210,7 @@ mod tests {
     #[test]
     fn self_loop_is_diagnosed() {
         let deps = vec![vec![0]];
-        let err = sort_combinational(&ids(1), &deps, &names(1)).unwrap_err();
+        let err = sort_combinational(&ids(1), &deps, name).unwrap_err();
         match err {
             ElabError::CircularDependency { members } => assert_eq!(members, ["c0"]),
             other => panic!("{other:?}"),
@@ -220,7 +221,7 @@ mod tests {
     fn downstream_of_cycle_is_not_blamed() {
         // 0 <-> 1 cycle; 2 depends on 1 but is not part of the cycle.
         let deps = vec![vec![1], vec![0], vec![1]];
-        let err = sort_combinational(&ids(3), &deps, &names(3)).unwrap_err();
+        let err = sort_combinational(&ids(3), &deps, name).unwrap_err();
         match err {
             ElabError::CircularDependency { members } => {
                 assert_eq!(members, ["c0", "c1"], "c2 merely depends on the cycle");
@@ -232,7 +233,7 @@ mod tests {
     #[test]
     fn two_disjoint_cycles_both_reported() {
         let deps = vec![vec![1], vec![0], vec![3], vec![2]];
-        let err = sort_combinational(&ids(4), &deps, &names(4)).unwrap_err();
+        let err = sort_combinational(&ids(4), &deps, name).unwrap_err();
         match err {
             ElabError::CircularDependency { members } => {
                 assert_eq!(members, ["c0", "c1", "c2", "c3"]);
@@ -243,14 +244,14 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let order = sort_combinational(&[], &[], &[]).unwrap();
+        let order = sort_combinational(&[], &[], name).unwrap();
         assert!(order.is_empty());
     }
 
     #[test]
     fn duplicate_dep_edges_are_tolerated() {
         let deps = vec![vec![], vec![0, 0, 0]];
-        let order = sort_combinational(&ids(2), &deps, &names(2)).unwrap();
+        let order = sort_combinational(&ids(2), &deps, name).unwrap();
         assert_eq!(indices(&order), [0, 1]);
     }
 }

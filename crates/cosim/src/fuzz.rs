@@ -1,11 +1,11 @@
 //! The fuzz campaign driver: generate N scenarios, lockstep each, report.
 
 use crate::engines::{registry, EngineKind};
-use crate::generate::{generate_scenario, GenOptions};
+use crate::generate::{generate_case, GenOptions, GeneratedCase};
 use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport};
 use crate::report::{all_clean, write_rows, ResultRow};
-use crate::stream::{run_scenario_names, ScenarioError};
-use rtl_core::{LaneStats, StopReason};
+use crate::stream::{run_design_names, ScenarioError};
+use rtl_core::{Design, ElabOptions, LaneStats, StopReason};
 
 /// Fuzz campaign configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,6 +124,10 @@ impl std::fmt::Display for FuzzReport {
 /// Deterministic: the result depends only on `(options, index)`, never on
 /// which worker or in what order cases run.
 ///
+/// The case elaborates the generator's own [`Spec`](rtl_lang::Spec)
+/// ([`generate_case`]), moved into the design; it renders source text
+/// only to lint it under an enabled recorder.
+///
 /// # Errors
 ///
 /// Lane construction failures (unknown name, missing toolchain); runtime
@@ -134,19 +138,36 @@ pub fn run_fuzz_case(
     index: u32,
 ) -> Result<FuzzCase, ScenarioError> {
     let seed = options.seed.wrapping_add(u64::from(index));
-    let scenario = generate_scenario(seed, &options.generator);
+    let GeneratedCase {
+        name,
+        spec,
+        cycles,
+        input,
+    } = generate_case(seed, &options.generator);
     if options.cosim.recorder.enabled() {
         // Static tier in front of execution: lint every generated design
         // and fold per-code counts into the deterministic counter
         // section. The counts depend only on (config, index), so totals
-        // are byte-identical across worker counts and kill+resume.
+        // are byte-identical across worker counts and kill+resume. Lint
+        // reads the rendered text, not `spec`: diagnostics carry source
+        // spans, and the builder's AST has none to tell apart (see
+        // `rtl_lint::lint_spec`).
         let recorder = &options.cosim.recorder;
         recorder.count("lint", "designs_linted", 1);
-        for (code, n) in rtl_lint::lint_source(&scenario.source).counts() {
+        for (code, n) in rtl_lint::lint_source(&rtl_lang::pretty(&spec)).counts() {
             recorder.count("lint", code, n);
         }
     }
-    let outcome = run_scenario_names(registry, &options.engines, &scenario, &options.cosim)?;
+    let design = Design::elaborate_with(spec, ElabOptions::default())?;
+    let outcome = run_design_names(
+        registry,
+        &options.engines,
+        &design,
+        &name,
+        cycles,
+        &input,
+        &options.cosim,
+    )?;
     let stats = outcome.lane_stats();
     let (cycles, stop, divergence) = match outcome {
         CosimOutcome::Agreement { cycles, stop, .. } => (cycles, stop, None),
@@ -157,7 +178,7 @@ pub fn run_fuzz_case(
     };
     Ok(FuzzCase {
         seed,
-        name: scenario.name,
+        name,
         cycles,
         stop,
         stats,
@@ -260,6 +281,52 @@ mod tests {
             ..FuzzOptions::with_kinds(&EngineKind::ALL)
         };
         assert!(run_fuzz(&options).unwrap().clean());
+    }
+
+    /// Under a recorder, a case folds exactly the lint counts of its
+    /// rendered text. Linting the builder's AST instead would under-count:
+    /// its spans are all default, so `Report::new` merges diagnostics that
+    /// differ only by position (seed 2 at size 30 is such a case).
+    #[test]
+    fn recorded_lint_counts_are_those_of_the_rendered_text() {
+        let generator = GenOptions::default();
+        for seed in [0, 1, 2, 3, 7] {
+            let (recorder, log) = rtl_obs::Recorder::memory();
+            let mut options = FuzzOptions {
+                seed,
+                cases: 1,
+                generator: generator.clone(),
+                ..FuzzOptions::default()
+            };
+            options.cosim.recorder = recorder.clone();
+            run_fuzz_case(registry(), &options, 0).unwrap();
+            recorder.flush();
+            let mut summary = rtl_obs::Summary::new();
+            summary.fold_text(&log.text(), "memory").unwrap();
+            let mut got: Vec<String> = summary
+                .deterministic_section()
+                .lines()
+                .map(str::trim)
+                .filter(|l| l.starts_with("lint/"))
+                .map(str::to_string)
+                .collect();
+            let source = crate::generate_scenario(seed, &generator).source;
+            let mut want: Vec<String> = rtl_lint::lint_source(&source)
+                .counts()
+                .into_iter()
+                .map(|(code, n)| format!("lint/{code} {n}"))
+                .collect();
+            want.push("lint/designs_linted 1".into());
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "seed {seed}");
+        }
+        let spec = crate::generate_case(2, &generator).spec;
+        assert_ne!(
+            rtl_lint::lint_spec(&spec).counts(),
+            rtl_lint::lint_source(&rtl_lang::pretty(&spec)).counts(),
+            "seed 2 shows why lint must read the text"
+        );
     }
 
     #[test]

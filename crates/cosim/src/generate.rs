@@ -10,10 +10,19 @@
 //! size, selector indices to the case count, ALU functions stay in
 //! `0..=13`, and the stimulus script always holds enough words — so any
 //! divergence a fuzz run finds is an engine bug, never a bad scenario.
+//!
+//! [`generate_case`] returns the builder's [`Spec`] itself, and a fuzz
+//! case (and every shrink probe) elaborates that AST directly: a
+//! generated design has no reader, so it skips the pretty-print → lex →
+//! parse round trip. Source text is a view of the same case,
+//! [`generate_scenario`], rendered only where text is the artifact — the
+//! corpus `.asim` file and its fingerprint, and lint under an enabled
+//! recorder. Both views elaborate to the same design (covered by tests).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtl_core::Word;
+use rtl_lang::Spec;
 use rtl_machines::{Scenario, SpecBuilder};
 
 /// Generator tuning.
@@ -38,10 +47,49 @@ impl Default for GenOptions {
     }
 }
 
-/// Deterministically generates one scenario from a seed. Identical seed
-/// and options always produce the identical scenario, so a fuzz report
-/// identifies a failing case by seed alone.
+/// One generated fuzz case before rendering: the builder's specification
+/// AST plus the run it is driven for. Its spans are all
+/// [`Span::default()`](rtl_lang::Span); nothing on the execution path
+/// reads them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GeneratedCase {
+    /// Scenario name (`fuzz/seed-N`).
+    pub name: String,
+    /// The specification, as the builder assembled it.
+    pub spec: Spec,
+    /// Cycle horizon.
+    pub cycles: u64,
+    /// Scripted input words for the memory-mapped input port, if any.
+    pub input: Vec<Word>,
+}
+
+impl GeneratedCase {
+    /// Renders the case as a text [`Scenario`]: the specification
+    /// pretty-printed, everything else moved.
+    pub fn into_scenario(self) -> Scenario {
+        Scenario {
+            name: self.name,
+            source: rtl_lang::pretty(&self.spec),
+            cycles: self.cycles,
+            input: self.input,
+        }
+    }
+}
+
+/// Deterministically generates one scenario from a seed, as text: the
+/// [`generate_case`] result pretty-printed. Identical seed and options
+/// always produce the identical scenario, so a fuzz report identifies a
+/// failing case by seed alone.
 pub fn generate_scenario(seed: u64, options: &GenOptions) -> Scenario {
+    generate_case(seed, options).into_scenario()
+}
+
+/// Deterministically generates one fuzz case from a seed, as the
+/// builder's [`Spec`] and the stimulus. Fuzz cases and shrink probes
+/// elaborate the spec directly (moved, with
+/// [`Design::elaborate_with`](rtl_core::Design::elaborate_with));
+/// [`generate_scenario`] is the same case rendered as text.
+pub fn generate_case(seed: u64, options: &GenOptions) -> GeneratedCase {
     let mut rng = StdRng::seed_from_u64(seed);
     let size = options.size.clamp(1, 200);
     let mut b = SpecBuilder::new(format!("cosim fuzz case seed {seed} size {size}"));
@@ -119,9 +167,9 @@ pub fn generate_scenario(seed: u64, options: &GenOptions) -> Scenario {
         Vec::new()
     };
 
-    Scenario {
+    GeneratedCase {
         name: format!("fuzz/seed-{seed}"),
-        source: b.source(),
+        spec: b.finish(),
         cycles: options.cycles,
         input,
     }
@@ -170,6 +218,47 @@ mod tests {
         assert_eq!(a, b);
         let c = generate_scenario(8, &GenOptions::default());
         assert_ne!(a.source, c.source);
+    }
+
+    /// The invariant fuzz cases rest on: elaborating the builder's `Spec`
+    /// gives the design the rendered text parses and elaborates to, and
+    /// the text is the spec pretty-printed.
+    #[test]
+    fn builder_spec_elaborates_like_its_text() {
+        use rtl_core::{design_fingerprint, Design, ElabOptions};
+        for size in [1, 30, 200] {
+            for io_every in [0, 1, 2] {
+                let options = GenOptions {
+                    size,
+                    io_every,
+                    ..GenOptions::default()
+                };
+                for seed in 0..200 {
+                    let case = generate_case(seed, &options);
+                    let scenario = generate_scenario(seed, &options);
+                    let at = format!("seed {seed} size {size} io_every {io_every}");
+                    assert_eq!(rtl_lang::pretty(&case.spec), scenario.source, "{at}");
+                    assert_eq!(
+                        (&case.name, case.cycles, &case.input),
+                        (&scenario.name, scenario.cycles, &scenario.input),
+                        "{at}"
+                    );
+                    let direct = Design::elaborate_with(case.spec, ElabOptions::default())
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    let parsed = Design::from_source(&scenario.source)
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert_eq!(
+                        design_fingerprint(&direct),
+                        design_fingerprint(&parsed),
+                        "{at}"
+                    );
+                    assert_eq!(direct.comb_order(), parsed.comb_order(), "{at}");
+                    assert_eq!(direct.memories(), parsed.memories(), "{at}");
+                    assert_eq!(direct.traced(), parsed.traced(), "{at}");
+                    assert_eq!(direct.warnings(), parsed.warnings(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

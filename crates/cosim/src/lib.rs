@@ -69,9 +69,9 @@ pub use digest::{DigestLane, DigestLog, DigestRecorder};
 pub use engines::{default_registry, registry, EngineKind};
 pub use fault::{FaultyVmFactory, DEFAULT_FAULT_CYCLE};
 pub use fuzz::{run_fuzz, run_fuzz_case, FuzzCase, FuzzOptions, FuzzReport};
-pub use generate::{generate_scenario, GenOptions};
+pub use generate::{generate_case, generate_scenario, GenOptions, GeneratedCase};
 pub use lockstep::{
     run_scenario, CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint,
 };
 pub use rtl_core::observe::{Comparator, CompareMode, DivergenceKind, LaneReport, LaneStats};
-pub use stream::{run_scenario_names, ScenarioError};
+pub use stream::{run_design_names, run_scenario_names, ScenarioError};

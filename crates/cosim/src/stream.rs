@@ -13,8 +13,8 @@
 
 use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint};
 use rtl_core::{
-    DivergenceKind, EngineLane, EngineOptions, EngineRegistry, LaneReport, LaneStats, LoadError,
-    Session, StopReason, StreamEngine, Until, Word,
+    Design, DivergenceKind, ElabError, EngineLane, EngineOptions, EngineRegistry, LaneReport,
+    LaneStats, LoadError, Session, StopReason, StreamEngine, Until, Word,
 };
 use rtl_machines::Scenario;
 
@@ -45,9 +45,16 @@ impl From<LoadError> for ScenarioError {
     }
 }
 
+impl From<ElabError> for ScenarioError {
+    fn from(e: ElabError) -> Self {
+        ScenarioError::Load(LoadError::Elab(e))
+    }
+}
+
 /// Runs a [`Scenario`] through the named registry lanes: stepped lanes in
 /// lockstep, stream lanes by full-stream comparison (see the [module
-/// docs](self)).
+/// docs](self)). This is [`Scenario::design`] followed by
+/// [`run_design_names`].
 ///
 /// When the stepped lanes end in a unanimous halt, the halt outcome is
 /// returned and stream lanes are left unverified — a crashed horizon has
@@ -64,19 +71,49 @@ pub fn run_scenario_names(
     options: &CosimOptions,
 ) -> Result<CosimOutcome, ScenarioError> {
     let design = scenario.design()?;
+    run_design_names(
+        registry,
+        names,
+        &design,
+        &scenario.name,
+        scenario.cycles,
+        &scenario.input,
+        options,
+    )
+}
+
+/// Runs an elaborated design through the named registry lanes for
+/// `cycles` cycles, feeding `input` to its memory-mapped input port —
+/// the one lockstep runner behind [`run_scenario_names`], fuzz cases and
+/// shrink probes. `name` labels the run: it becomes a divergence
+/// report's `scenario` and a digest log's scenario name.
+///
+/// # Errors
+///
+/// Lane construction failures; runtime disagreement is part of the
+/// [`CosimOutcome`], not an `Err`.
+pub fn run_design_names(
+    registry: &EngineRegistry,
+    names: &[String],
+    design: &Design,
+    name: &str,
+    cycles: u64,
+    input: &[Word],
+    options: &CosimOptions,
+) -> Result<CosimOutcome, ScenarioError> {
     let engine_options = EngineOptions {
         trace: options.trace,
         profile: options.profile.clone(),
     };
     let mut stepped = Vec::new();
     let mut streams: Vec<(String, Box<dyn StreamEngine + '_>)> = Vec::new();
-    for name in names {
+    for lane in names {
         match registry
-            .build(name, &design, &engine_options)
+            .build(lane, design, &engine_options)
             .map_err(ScenarioError::Engine)?
         {
-            EngineLane::Stepped(engine) => stepped.push((name.clone(), engine)),
-            EngineLane::Stream(stream) => streams.push((name.clone(), stream)),
+            EngineLane::Stepped(engine) => stepped.push((lane.clone(), engine)),
+            EngineLane::Stream(stream) => streams.push((lane.clone(), stream)),
         }
     }
     if stepped.is_empty() {
@@ -92,23 +129,23 @@ pub fn run_scenario_names(
     let reference_name = stepped[0].0.clone();
     let (mut outcome, agreed) = if stepped.len() >= 2 {
         let mut lockstep = Lockstep::new(
-            &design,
+            design,
             CosimOptions {
                 retain_output: options.retain_output || !streams.is_empty(),
                 ..options.clone()
             },
         );
-        lockstep.stimulus(scenario.input.clone());
-        for (name, engine) in stepped {
-            lockstep.add_lane(&name, engine);
+        lockstep.stimulus(input.to_vec());
+        for (lane, engine) in stepped {
+            lockstep.add_lane(&lane, engine);
         }
         // Digest comparators join before any resume: they are part of the
         // harness identity a lockstep checkpoint fingerprints.
         let export_log = match &options.export_digests {
             Some(_) => {
                 let log = std::rc::Rc::new(std::cell::RefCell::new(crate::digest::DigestLog::new(
-                    scenario.name.clone(),
-                    rtl_core::design_fingerprint(&design),
+                    name.to_string(),
+                    rtl_core::design_fingerprint(design),
                     options.compare_every,
                 )));
                 lockstep.add_comparator(Box::new(crate::digest::DigestRecorder::new(
@@ -119,7 +156,7 @@ pub fn run_scenario_names(
             None => None,
         };
         if options.lint_oracle {
-            let claims = rtl_lint::StaticClaims::of(&design);
+            let claims = rtl_lint::StaticClaims::of(design);
             if !claims.is_empty() {
                 lockstep.add_comparator(Box::new(rtl_lint::OracleComparator::new(
                     claims,
@@ -131,7 +168,7 @@ pub fn run_scenario_names(
             let log = crate::digest::DigestLog::load(path).map_err(|e| {
                 ScenarioError::Engine(format!("cannot read digests {}: {e}", path.display()))
             })?;
-            if log.design != rtl_core::design_fingerprint(&design) {
+            if log.design != rtl_core::design_fingerprint(design) {
                 return Err(ScenarioError::Engine(format!(
                     "digest stream {} was recorded over a different design",
                     path.display()
@@ -163,7 +200,7 @@ pub fn run_scenario_names(
                 ))
             })?;
         }
-        let outcome = drive_lockstep(&mut lockstep, scenario.cycles, options.checkpoint.as_ref())?;
+        let outcome = drive_lockstep(&mut lockstep, cycles, options.checkpoint.as_ref())?;
         if let (Some(path), Some(log)) = (&options.export_digests, export_log) {
             log.borrow().save(path).map_err(|e| {
                 ScenarioError::Engine(format!("cannot write digests {}: {e}", path.display()))
@@ -171,10 +208,10 @@ pub fn run_scenario_names(
         }
         (outcome, lockstep.agreed_output())
     } else {
-        let (name, engine) = stepped.into_iter().next().expect("checked non-empty");
+        let (lane, engine) = stepped.into_iter().next().expect("checked non-empty");
         if streams.is_empty() {
             return Err(ScenarioError::Engine(format!(
-                "engine {name:?} alone is not a comparison (add another lane)"
+                "engine {lane:?} alone is not a comparison (add another lane)"
             )));
         }
         if options.resume.is_some() || options.checkpoint.is_some() {
@@ -191,15 +228,15 @@ pub fn run_scenario_names(
         }
         let mut session = Session::over(engine)
             .capture()
-            .scripted(scenario.input.iter().copied())
+            .scripted(input.iter().copied())
             .recorder(options.recorder.clone())
             .build();
-        let run = session.run(Until::Cycles(scenario.cycles));
+        let run = session.run(Until::Cycles(cycles));
         let stats = session
             .engine()
             .stats()
             .map(|s| LaneStats {
-                lane: name.clone(),
+                lane: lane.clone(),
                 stats: s.clone(),
             })
             .into_iter()
@@ -217,16 +254,16 @@ pub fn run_scenario_names(
         ..
     } = &outcome
     {
-        for (name, mut stream) in streams {
+        for (lane, mut stream) in streams {
             let got = stream
-                .run_stream(scenario.cycles, &scenario.input)
-                .map_err(|e| ScenarioError::Engine(format!("stream lane {name:?}: {e}")))?;
+                .run_stream(cycles, input)
+                .map_err(|e| ScenarioError::Engine(format!("stream lane {lane:?}: {e}")))?;
             if got != agreed {
                 return Ok(CosimOutcome::Divergence(Box::new(stream_report(
-                    scenario,
+                    name,
                     &reference_name,
                     &agreed,
-                    &name,
+                    &lane,
                     &got,
                     options.trace_window,
                 ))));
@@ -235,7 +272,7 @@ pub fn run_scenario_names(
     }
 
     if let CosimOutcome::Divergence(report) = &mut outcome {
-        report.scenario = scenario.name.clone();
+        report.scenario = name.to_string();
     }
     Ok(outcome)
 }
@@ -293,7 +330,7 @@ fn drive_lockstep(
 }
 
 fn stream_report(
-    scenario: &Scenario,
+    scenario: &str,
     reference_name: &str,
     agreed: &[u8],
     lane: &str,
@@ -318,7 +355,7 @@ fn stream_report(
         }
     };
     DivergenceReport {
-        scenario: scenario.name.clone(),
+        scenario: scenario.to_string(),
         cycle,
         kind: DivergenceKind::Stream {
             lane: lane.to_string(),

@@ -98,6 +98,11 @@ pub struct Report {
 impl Report {
     /// Builds a report: sorts by (span, code, message) and drops exact
     /// duplicates, making rendering deterministic.
+    ///
+    /// Two findings with the same code and message at the same span are
+    /// one finding. Diagnostics over an AST without source positions (all
+    /// spans default) therefore merge across components; see
+    /// [`lint_spec`](crate::lint_spec).
     pub fn new(mut diagnostics: Vec<Diagnostic>) -> Report {
         diagnostics.sort_by(|a, b| a.key().cmp(&b.key()));
         diagnostics.dedup();

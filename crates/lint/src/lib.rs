@@ -64,6 +64,13 @@ pub fn lint_source(source: &str) -> Report {
 /// always; design-level passes when elaboration succeeds), then promotes
 /// an elaboration error into a coded diagnostic if no pass already
 /// reported an error for it.
+///
+/// Findings are told apart by their spans (see [`Report::new`]), so the
+/// spec should come from the parser. A spec built in code (with
+/// `SpecBuilder`, or by a generator) carries `Span::default()`
+/// everywhere: findings that differ only in position collapse into one,
+/// and [`Report::counts`] under-counts. Lint such a spec through its
+/// rendered text instead: `lint_source(&rtl_lang::pretty(&spec))`.
 pub fn lint_spec(spec: &Spec) -> Report {
     let mut out = Vec::new();
     let elaborated = Design::elaborate(spec);

@@ -145,9 +145,16 @@ impl SpecBuilder {
         self
     }
 
-    /// Finishes the specification. Every component is declared in the name
-    /// list (in definition order), with `*` markers from [`SpecBuilder::trace`].
+    /// Finishes the specification, leaving the builder as it was. Every
+    /// component is declared in the name list (in definition order), with
+    /// `*` markers from [`SpecBuilder::trace`].
     pub fn build(&self) -> Spec {
+        self.clone().finish()
+    }
+
+    /// Finishes the specification like [`SpecBuilder::build`], moving the
+    /// components into the [`Spec`] instead of cloning them.
+    pub fn finish(self) -> Spec {
         let declared = self
             .components
             .iter()
@@ -158,10 +165,10 @@ impl SpecBuilder {
             })
             .collect();
         Spec {
-            title: self.title.clone(),
+            title: self.title,
             cycles: self.cycles,
             declared,
-            components: self.components.clone(),
+            components: self.components,
         }
     }
 
