@@ -1,0 +1,329 @@
+//! One case's artifacts as one unit: the case record, its optional
+//! profile and flight-recorder sidecars, and the corpus entry the record
+//! names.
+//!
+//! Every surface moves case artifacts through this module. The runner
+//! builds a bundle and [publishes](CaseBundle::publish) it; a shard
+//! merge [reads](CaseBundle::read), [checks](CaseBundle::check) and
+//! publishes each shard's bundles; the fleet worker reads its bundles and
+//! uploads them, and the fleet controller checks and publishes what
+//! arrives. So one set of refusal rules and one commit order hold for
+//! campaign, shard and fleet alike.
+//!
+//! **Commit order.** A bundle is written sidecars → corpus entry →
+//! record, each file atomically. The record is the commit point: a case
+//! without a record is re-run, and because every artifact is a pure
+//! function of `(config, index)`, a kill anywhere before the record only
+//! leaves files that the re-run rewrites byte for byte. Nothing ever
+//! commits a record whose sidecars or corpus entry are not already
+//! durable.
+
+use crate::config::CampaignConfig;
+use crate::corpus;
+use crate::error::CampaignError;
+use crate::state::{CampaignDir, CaseRecord, CaseStatus};
+use rtl_obs::json::Json;
+use rtl_obs::write_atomic;
+use std::io;
+use std::path::Path;
+
+/// The four files of one corpus entry, as text (every corpus artifact —
+/// spec, stimulus, session checkpoint, metadata — is a text document).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CorpusFiles {
+    /// The shrunk `.asim` specification source.
+    pub asim: String,
+    /// The `.stim` stimulus script.
+    pub stim: String,
+    /// The `.ckpt` reference session checkpoint.
+    pub ckpt: String,
+    /// The `.json` entry metadata.
+    pub meta: String,
+}
+
+impl CorpusFiles {
+    /// Reads entry `name`'s files from `corpus_dir`.
+    ///
+    /// # Errors
+    ///
+    /// A missing or unreadable file.
+    pub fn read(corpus_dir: &Path, name: &str) -> io::Result<CorpusFiles> {
+        let read = |ext: &str| std::fs::read_to_string(corpus_dir.join(format!("{name}.{ext}")));
+        Ok(CorpusFiles {
+            asim: read("asim")?,
+            stim: read("stim")?,
+            ckpt: read("ckpt")?,
+            meta: read("json")?,
+        })
+    }
+
+    /// Writes entry `name`'s files into `corpus_dir`, each atomically,
+    /// metadata last (the corpus loader lists entries by their `.json`).
+    ///
+    /// # Errors
+    ///
+    /// File-system failure.
+    pub fn write(&self, corpus_dir: &Path, name: &str) -> io::Result<()> {
+        for (ext, text) in [
+            ("asim", &self.asim),
+            ("stim", &self.stim),
+            ("ckpt", &self.ckpt),
+            ("json", &self.meta),
+        ] {
+            write_atomic(&corpus_dir.join(format!("{name}.{ext}")), text.as_bytes())?;
+        }
+        Ok(())
+    }
+}
+
+/// The corpus entry a case record names: its files and the entry
+/// fingerprint (hex) its producer claims for them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BundleEntry {
+    /// Entry name (`seed-N`), the file stem under `corpus/`.
+    pub name: String,
+    /// The claimed [`entry_fingerprint`](corpus::entry_fingerprint), hex.
+    pub fingerprint: String,
+    /// The entry's four files.
+    pub files: CorpusFiles,
+}
+
+/// One case's artifacts, byte-verbatim.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CaseBundle {
+    /// Global case index.
+    pub index: u32,
+    /// The case record's exact text.
+    pub record: String,
+    /// The execution-profile sidecar (`case-N.profile`), if any.
+    pub profile: Option<String>,
+    /// The flight-recorder sidecar (`case-N.flight.jsonl`), if any.
+    pub flight: Option<String>,
+    /// The corpus entry the record names, unless it is already published
+    /// where the bundle goes.
+    pub corpus: Option<BundleEntry>,
+}
+
+/// The seed the configuration derives for case `index`.
+pub fn expected_seed(config: &CampaignConfig, index: u32) -> u64 {
+    config.seed.wrapping_add(u64::from(index))
+}
+
+/// Validates one case record against the campaign configuration:
+/// in-range index and the derived seed.
+///
+/// # Errors
+///
+/// A message naming the failed invariant.
+pub fn check_record(config: &CampaignConfig, record: &CaseRecord) -> Result<(), String> {
+    if record.index >= config.cases {
+        return Err(format!(
+            "case {} lies outside the campaign's {} case(s)",
+            record.index, config.cases
+        ));
+    }
+    let expected = expected_seed(config, record.index);
+    if record.seed != expected {
+        return Err(format!(
+            "case {} records seed {}, the configuration derives {expected}",
+            record.index, record.seed
+        ));
+    }
+    Ok(())
+}
+
+/// Parses a case record from its text and validates it against the
+/// configuration ([`check_record`]), additionally requiring the record to
+/// describe the claimed `index`.
+///
+/// # Errors
+///
+/// Unparseable text, an index/claim mismatch, or a [`check_record`]
+/// failure.
+pub fn parse_record(config: &CampaignConfig, index: u32, text: &str) -> Result<CaseRecord, String> {
+    let record = CaseRecord::from_json(&Json::parse(text)?)?;
+    if record.index != index {
+        return Err(format!(
+            "record claims case {} but was uploaded for case {index}",
+            record.index
+        ));
+    }
+    check_record(config, &record)?;
+    Ok(record)
+}
+
+impl CaseBundle {
+    /// Reads case `index`'s bundle from a campaign directory: the record,
+    /// whichever sidecars exist, and the corpus entry the record names.
+    /// `None` when the case has no record.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure, or a record naming a corpus entry that is missing.
+    pub fn read(dir: &CampaignDir, index: u32) -> Result<Option<CaseBundle>, CampaignError> {
+        let Some(record) = read_optional(&dir.case_path(index))? else {
+            return Ok(None);
+        };
+        // An unparseable record names no entry; `check` reports it.
+        let named = Json::parse(&record)
+            .ok()
+            .and_then(|doc| doc.get("corpus").and_then(Json::as_str).map(str::to_string));
+        let corpus = match named {
+            None => None,
+            Some(name) => {
+                let files = CorpusFiles::read(&dir.corpus(), &name)?;
+                let fingerprint = Json::parse(&files.meta)
+                    .ok()
+                    .and_then(|doc| {
+                        doc.get("design_fp")
+                            .and_then(Json::as_str)
+                            .map(String::from)
+                    })
+                    .unwrap_or_default();
+                Some(BundleEntry {
+                    name,
+                    fingerprint,
+                    files,
+                })
+            }
+        };
+        Ok(Some(CaseBundle {
+            index,
+            record,
+            profile: read_optional(&dir.profile_path(index))?,
+            flight: read_optional(&dir.flight_path(index))?,
+            corpus,
+        }))
+    }
+
+    /// Checks every artifact before anything is published: the record
+    /// describes this case and carries the seed `config` derives; the
+    /// profile sidecar parses, and only if the campaign collects profiles
+    /// (`profile`); each flight line parses as an event, and only if the
+    /// campaign arms the recorder (`flight`); and the corpus entry is the
+    /// one the record names, under a plain file stem, loads with its
+    /// reference checkpoint recomputed, and matches its claimed
+    /// fingerprint. Returns the record and the entry's fingerprint.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending file (relative to the campaign
+    /// root) and the broken rule.
+    pub fn check(
+        &self,
+        config: &CampaignConfig,
+        profile: bool,
+        flight: bool,
+    ) -> Result<(CaseRecord, Option<u64>), String> {
+        let at = CampaignDir::new("");
+        let file = |path: std::path::PathBuf| path.display().to_string();
+        let record = parse_record(config, self.index, &self.record)
+            .map_err(|e| format!("{}: {e}", file(at.case_path(self.index))))?;
+        if let Some(text) = &self.profile {
+            let path = file(at.profile_path(self.index));
+            if !profile {
+                return Err(format!(
+                    "{path}: this campaign does not collect execution profiles"
+                ));
+            }
+            rtl_core::Profile::parse(text).map_err(|e| format!("{path}: {e}"))?;
+        }
+        if let Some(text) = &self.flight {
+            let path = file(at.flight_path(self.index));
+            if !flight {
+                return Err(format!(
+                    "{path}: this campaign does not arm the flight recorder"
+                ));
+            }
+            for (n, line) in text.lines().enumerate() {
+                if !line.trim().is_empty() {
+                    rtl_obs::Event::parse(line)
+                        .map_err(|e| format!("{path}: line {}: {e}", n + 1))?;
+                }
+            }
+        }
+        let named = match &record.status {
+            CaseStatus::Diverged { corpus, .. } => corpus.as_deref(),
+            _ => None,
+        };
+        let fp = match (&self.corpus, named) {
+            (None, None) => None,
+            (None, Some(name)) => {
+                return Err(format!(
+                    "{}: names corpus entry {name:?}, which did not come with it",
+                    file(at.case_path(self.index))
+                ))
+            }
+            (Some(entry), Some(name)) if entry.name == name => {
+                Some(check_entry(entry).map_err(|e| format!("{}/{e}", file(at.corpus())))?)
+            }
+            (Some(entry), _) => {
+                return Err(format!(
+                    "{}: case {} does not name corpus entry {:?}",
+                    file(at.case_path(self.index)),
+                    self.index,
+                    entry.name
+                ))
+            }
+        };
+        Ok((record, fp))
+    }
+
+    /// Publishes the bundle into `dir` in the commit order: sidecars,
+    /// then the corpus entry, then the record.
+    ///
+    /// # Errors
+    ///
+    /// File-system failure.
+    pub fn publish(&self, dir: &CampaignDir) -> io::Result<()> {
+        if let Some(text) = &self.profile {
+            write_atomic(&dir.profile_path(self.index), text.as_bytes())?;
+        }
+        if let Some(text) = &self.flight {
+            write_atomic(&dir.flight_path(self.index), text.as_bytes())?;
+        }
+        if let Some(entry) = &self.corpus {
+            entry.files.write(&dir.corpus(), &entry.name)?;
+        }
+        write_atomic(&dir.case_path(self.index), self.record.as_bytes())
+    }
+}
+
+/// The corpus rules: a plain file stem (the name becomes file names under
+/// `corpus/`, so nothing may escape the directory or shadow a temp
+/// sibling), a full load with the reference checkpoint recomputed, and
+/// the claimed fingerprint.
+fn check_entry(entry: &BundleEntry) -> Result<u64, String> {
+    let name = &entry.name;
+    let plain = !name.is_empty()
+        && !name.starts_with('.')
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
+    if !plain {
+        return Err(format!("{name}: the entry name is not a plain file stem"));
+    }
+    let claimed = u64::from_str_radix(&entry.fingerprint, 16).map_err(|_| {
+        format!(
+            "{name}: claimed fingerprint {:?} is not hex",
+            entry.fingerprint
+        )
+    })?;
+    let loaded = corpus::entry_from_files(name, &entry.files)?;
+    let fp = corpus::entry_fingerprint(&loaded.scenario);
+    if fp != claimed {
+        return Err(format!(
+            "{name}: claimed fingerprint does not match the files"
+        ));
+    }
+    Ok(fp)
+}
+
+/// A file's text, or `None` when it does not exist.
+fn read_optional(path: &Path) -> io::Result<Option<String>> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}

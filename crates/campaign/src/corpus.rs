@@ -17,6 +17,7 @@
 //! corrupted or mismatched entry is rejected on load), and replays verify
 //! the recomputed reference state byte-for-byte before trusting the entry.
 
+use crate::bundle::{BundleEntry, CorpusFiles};
 use crate::error::CampaignError;
 use crate::shrink::Shrunk;
 use rtl_core::{read_checkpoint, write_checkpoint, Design, Session, Until, Word};
@@ -24,7 +25,6 @@ use rtl_cosim::{CosimOptions, CosimOutcome, DivergenceKind};
 use rtl_interp::Interpreter;
 use rtl_machines::Scenario;
 use rtl_obs::json::Json;
-use rtl_obs::write_atomic;
 use std::path::Path;
 
 /// The corpus metadata format line; bump on breaking changes.
@@ -94,9 +94,6 @@ pub struct CorpusEntry {
 /// existing entry is returned instead of archiving a duplicate (merged
 /// shard corpora and long campaigns re-finding a known bug would
 /// otherwise accumulate identical reproductions under different names).
-/// Also writes the reference checkpoint: the `interp` engine's
-/// architectural state after the verified prefix (the cycles *before*
-/// the divergence), in the session checkpoint format.
 ///
 /// # Errors
 ///
@@ -107,6 +104,28 @@ pub fn save(
     engines: &[String],
     compare_every: u64,
 ) -> Result<CorpusEntry, CampaignError> {
+    let (entry, new) = render(corpus_dir, shrunk, engines, compare_every)?;
+    if let Some(new) = new {
+        new.files.write(corpus_dir, &new.name)?;
+    }
+    Ok(entry)
+}
+
+/// [`save`] without the writes: the entry plus its rendered files, or the
+/// existing entry with the same [`entry_fingerprint`] and no files. The
+/// files include the reference checkpoint: the `interp` engine's
+/// architectural state after the verified prefix (the cycles *before*
+/// the divergence), in the session checkpoint format.
+///
+/// # Errors
+///
+/// A corrupt existing corpus, or a scenario that no longer elaborates.
+pub fn render(
+    corpus_dir: &Path,
+    shrunk: &Shrunk,
+    engines: &[String],
+    compare_every: u64,
+) -> Result<(CorpusEntry, Option<BundleEntry>), CampaignError> {
     let entry = CorpusEntry {
         name: format!("seed-{}", shrunk.seed),
         scenario: shrunk.scenario.clone(),
@@ -117,33 +136,21 @@ pub fn save(
         seed: shrunk.seed,
         size: shrunk.size,
     };
-    if let Some(existing) = find_by_fingerprint(corpus_dir, entry_fingerprint(&entry.scenario))? {
-        return load_one(corpus_dir, &existing);
+    let fp = entry_fingerprint(&entry.scenario);
+    if let Some(existing) = find_by_fingerprint(corpus_dir, fp)? {
+        return Ok((load_one(corpus_dir, &existing)?, None));
     }
-    std::fs::create_dir_all(corpus_dir)?;
-    write_atomic(
-        &corpus_dir.join(format!("{}.asim", entry.name)),
-        entry.scenario.source.as_bytes(),
-    )?;
-    write_atomic(
-        &corpus_dir.join(format!("{}.stim", entry.name)),
-        render_stimulus(&entry.scenario.input).as_bytes(),
-    )?;
     let design = entry
         .scenario
         .design()
         .map_err(|e| CampaignError::Corrupt(format!("corpus scenario: {e}")))?;
-    write_atomic(
-        &corpus_dir.join(format!("{}.ckpt", entry.name)),
-        &reference_checkpoint(&design, &entry)?,
-    )?;
+    let ckpt =
+        String::from_utf8(reference_checkpoint(&design, &entry).map_err(CampaignError::Corrupt)?)
+            .map_err(|_| CampaignError::Corrupt("reference checkpoint is not text".into()))?;
     let meta = Json::Obj(vec![
         ("format".into(), Json::str(FORMAT)),
         ("name".into(), Json::str(&entry.name)),
-        (
-            "design_fp".into(),
-            Json::str(format!("{:016x}", entry_fingerprint(&entry.scenario))),
-        ),
+        ("design_fp".into(), Json::str(format!("{fp:016x}"))),
         ("cycles".into(), Json::num(entry.scenario.cycles)),
         (
             "engines".into(),
@@ -166,17 +173,23 @@ pub fn save(
             ]),
         ),
     ]);
-    write_atomic(
-        &corpus_dir.join(format!("{}.json", entry.name)),
-        meta.render().as_bytes(),
-    )?;
-    Ok(entry)
+    let files = BundleEntry {
+        name: entry.name.clone(),
+        fingerprint: format!("{fp:016x}"),
+        files: CorpusFiles {
+            asim: entry.scenario.source.clone(),
+            stim: render_stimulus(&entry.scenario.input),
+            ckpt,
+            meta: meta.render(),
+        },
+    };
+    Ok((entry, Some(files)))
 }
 
 /// The reference (`interp`) state after the entry's verified prefix, as a
 /// session checkpoint document. `design` is the entry's scenario,
 /// elaborated by the caller.
-fn reference_checkpoint(design: &Design, entry: &CorpusEntry) -> Result<Vec<u8>, CampaignError> {
+fn reference_checkpoint(design: &Design, entry: &CorpusEntry) -> Result<Vec<u8>, String> {
     let mut session = Session::over(Interpreter::new(design))
         .scripted(entry.scenario.input.iter().copied())
         .build();
@@ -184,13 +197,13 @@ fn reference_checkpoint(design: &Design, entry: &CorpusEntry) -> Result<Vec<u8>,
     // is verified common ground across the lanes.
     let outcome = session.run(Until::Cycles(entry.cycle));
     if !outcome.completed() {
-        return Err(CampaignError::Corrupt(format!(
+        return Err(format!(
             "reference engine stopped before the divergence cycle: {}",
             outcome.stop
-        )));
+        ));
     }
     let mut doc = Vec::new();
-    write_checkpoint(design, session.state(), &mut doc)?;
+    write_checkpoint(design, session.state(), &mut doc).map_err(|e| e.to_string())?;
     Ok(doc)
 }
 
@@ -278,9 +291,22 @@ fn find_by_fingerprint(corpus_dir: &Path, fp: u64) -> Result<Option<String>, Cam
 }
 
 fn load_one(corpus_dir: &Path, name: &str) -> Result<CorpusEntry, CampaignError> {
-    let meta_path = corpus_dir.join(format!("{name}.json"));
-    let corrupt = |m: String| CampaignError::Corrupt(format!("{}: {m}", meta_path.display()));
-    let meta = Json::parse(&std::fs::read_to_string(&meta_path)?).map_err(corrupt)?;
+    let files = CorpusFiles::read(corpus_dir, name)?;
+    entry_from_files(name, &files)
+        .map_err(|e| CampaignError::Corrupt(format!("{}/{e}", corpus_dir.display())))
+}
+
+/// Parses and validates entry `name` from its files: the metadata schema,
+/// the stored `design_fp` against the scenario files, and the stored
+/// checkpoint against the reference state recomputed over the entry's
+/// design, byte for byte.
+///
+/// # Errors
+///
+/// A message naming the broken rule.
+pub fn entry_from_files(name: &str, files: &CorpusFiles) -> Result<CorpusEntry, String> {
+    let meta = Json::parse(&files.meta).map_err(|e| format!("{name}.json: {e}"))?;
+    let corrupt = |m: String| format!("{name}.json: {m}");
     match meta.get("format").and_then(Json::as_str) {
         Some(FORMAT) => {}
         other => {
@@ -311,17 +337,12 @@ fn load_one(corpus_dir: &Path, name: &str) -> Result<CorpusEntry, CampaignError>
                 .ok_or_else(|| corrupt("engine names must be strings".into()))
         })
         .collect::<Result<Vec<_>, _>>()?;
-
-    let source = std::fs::read_to_string(corpus_dir.join(format!("{name}.asim")))?;
-    let input = parse_stimulus(&std::fs::read_to_string(
-        corpus_dir.join(format!("{name}.stim")),
-    )?)
-    .map_err(corrupt)?;
+    let input = parse_stimulus(&files.stim).map_err(|e| format!("{name}.stim: {e}"))?;
     let entry = CorpusEntry {
         name: name.to_string(),
         scenario: Scenario {
             name: format!("corpus/{name}"),
-            source,
+            source: files.asim.clone(),
             cycles: num("cycles")?,
             input,
         },
@@ -368,16 +389,12 @@ fn load_one(corpus_dir: &Path, name: &str) -> Result<CorpusEntry, CampaignError>
         .scenario
         .design()
         .map_err(|e| corrupt(format!("scenario does not elaborate: {e}")))?;
-    let ckpt_path = corpus_dir.join(format!("{name}.ckpt"));
-    let stored = std::fs::read(&ckpt_path)?;
-    read_checkpoint(&design, &mut &stored[..])
-        .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", ckpt_path.display())))?;
-    let recomputed = reference_checkpoint(&design, &entry)?;
-    if recomputed != stored {
-        return Err(CampaignError::Corrupt(format!(
-            "{}: reference state differs from the recorded checkpoint",
-            ckpt_path.display()
-        )));
+    let stored = files.ckpt.as_bytes();
+    read_checkpoint(&design, &mut &stored[..]).map_err(|e| format!("{name}.ckpt: {e}"))?;
+    if reference_checkpoint(&design, &entry)? != stored {
+        return Err(format!(
+            "{name}.ckpt: reference state differs from the recorded checkpoint"
+        ));
     }
     Ok(entry)
 }

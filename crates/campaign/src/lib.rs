@@ -16,6 +16,9 @@
 //!   is refused.
 //! * [`state`] — `campaign.json` + atomically-published per-case records;
 //!   stop the process anywhere, [`resume`] runs exactly the gaps.
+//! * [`bundle`] — one case's artifacts (record, sidecars, the corpus
+//!   entry it names) read, checked and published as one unit, in the one
+//!   commit order every surface shares.
 //! * [`shrink`] — binary-search minimization over generator size, cycle
 //!   horizon and stimulus length, re-running lockstep per candidate.
 //! * [`corpus`] — `.asim` + stimulus + a fingerprinted session checkpoint
@@ -49,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bundle;
 pub mod config;
 pub mod corpus;
 pub mod error;
@@ -58,6 +62,7 @@ pub mod runner;
 pub mod shrink;
 pub mod state;
 
+pub use bundle::{BundleEntry, CaseBundle, CorpusFiles};
 pub use config::CampaignConfig;
 pub use corpus::{CorpusEntry, ReplayOutcome, ReplayReport, ReplayResult};
 pub use error::CampaignError;

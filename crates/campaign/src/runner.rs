@@ -7,10 +7,12 @@
 //! summary is identical across runs, worker counts and interruptions.
 //! Workers *steal* case indices from one shared counter (the cheapest
 //! work-stealing queue there is: cases are homogeneous, so a single atomic
-//! head beats per-worker deques), and the collector publishes each record
-//! atomically before acknowledging it, which is what makes a kill at any
-//! instant resumable.
+//! head beats per-worker deques), and each worker publishes its case's
+//! [bundle](crate::bundle) in the shared commit order before the
+//! collector acknowledges it, which is what makes a kill at any instant
+//! resumable.
 
+use crate::bundle::CaseBundle;
 use crate::config::CampaignConfig;
 use crate::corpus::{self, kind_label, ReplayReport};
 use crate::error::CampaignError;
@@ -64,23 +66,22 @@ pub struct RunOptions {
     pub recorder: Recorder,
     /// Collect a per-case execution profile (`rtl-prof`): each case runs
     /// its lanes with a fresh collecting hook, publishes the snapshot as
-    /// a `cases/case-N.profile` sidecar *before* the case record (the
-    /// record stays the commit point, so worker counts and kill+resume
-    /// cannot change a published sidecar), and folds the counters into
-    /// the recorder as deterministic `profile/<component>/<event>`
-    /// deltas. Case outcomes, records and the campaign fingerprint are
-    /// unaffected. Not combinable with `case_checkpoint`: a mid-case
-    /// resume would only tally the post-resume cycles.
+    /// a `cases/case-N.profile` sidecar in its [bundle](crate::bundle),
+    /// and folds the counters into the recorder as deterministic
+    /// `profile/<component>/<event>` deltas. Case outcomes, records and
+    /// the campaign fingerprint are unaffected. Not combinable with
+    /// `case_checkpoint`: a mid-case resume would only tally the
+    /// post-resume cycles.
     pub profile: bool,
     /// Arm the divergence flight recorder: each case runs with a fresh
     /// bounded ring capturing its deterministic counter events in call
     /// order, and when a case ends abnormally (divergence, oracle
     /// contradiction, halt, harness error) the ring is dumped as a
-    /// `cases/case-N.flight.jsonl` sidecar *before* the case record —
-    /// same publication discipline as profiles, so the dump is
-    /// byte-identical across worker counts and kill+resume. Agreed cases
-    /// leave no sidecar. Not combinable with `case_checkpoint`: a case
-    /// resumed mid-run would only capture its post-resume events.
+    /// `cases/case-N.flight.jsonl` sidecar in the case's bundle, so the
+    /// dump is byte-identical across worker counts and kill+resume.
+    /// Agreed cases leave no sidecar. Not combinable with
+    /// `case_checkpoint`: a case resumed mid-run would only capture its
+    /// post-resume events.
     pub flight: bool,
 }
 
@@ -434,19 +435,12 @@ fn execute(
     progress: &mut dyn Progress,
 ) -> Result<CampaignReport, CampaignError> {
     let started = Instant::now();
-    if options.profile && options.case_checkpoint {
-        return Err(CampaignError::Config(
-            "profiling cannot be combined with per-case checkpointing: a case resumed \
-             mid-run would only profile its post-resume cycles"
-                .into(),
-        ));
-    }
-    if options.flight && options.case_checkpoint {
-        return Err(CampaignError::Config(
-            "the flight recorder cannot be combined with per-case checkpointing: a case \
-             resumed mid-run would only capture its post-resume events"
-                .into(),
-        ));
+    if options.case_checkpoint && (options.profile || options.flight) {
+        let option = if options.profile { "profile" } else { "flight" };
+        return Err(CampaignError::Config(format!(
+            "the {option} option cannot be combined with per-case checkpointing: a case \
+             resumed mid-run would only capture its post-resume part"
+        )));
     }
     let mut fuzz = config.fuzz_options();
     // The recorder reaches every lane session and lockstep harness from
@@ -714,7 +708,7 @@ fn run_one(
         recorder: recorder.clone(),
         ..fuzz.cosim.clone()
     };
-    let (status, corpus) = match case.divergence {
+    let (status, archived) = match case.divergence {
         None => {
             let status = match case.stop {
                 StopReason::CycleLimit => CaseStatus::Agreed,
@@ -738,23 +732,25 @@ fn run_one(
                 &config.generator,
                 &probe_cosim,
             )?;
-            let corpus = match &shrunk {
+            let archived = match &shrunk {
                 Some(shrunk) => {
                     recorder.count("campaign", "shrink_probes", u64::from(shrunk.attempts));
                     recorder.count("campaign", "corpus_entries", 1);
-                    Some(
-                        corpus::save(&dir.corpus(), shrunk, &config.engines, config.compare_every)?
-                            .name,
-                    )
+                    Some(corpus::render(
+                        &dir.corpus(),
+                        shrunk,
+                        &config.engines,
+                        config.compare_every,
+                    )?)
                 }
                 None => None,
             };
             let status = CaseStatus::Diverged {
                 cycle: u64::try_from(report.cycle).unwrap_or(0),
                 kind: kind_label(&report.kind),
-                corpus: corpus.clone(),
+                corpus: archived.as_ref().map(|(entry, _)| entry.name.clone()),
             };
-            (status, corpus)
+            (status, archived)
         }
     };
     let record = CaseRecord {
@@ -775,36 +771,37 @@ fn run_one(
     recorder.count("campaign", "cases_executed", 1);
     recorder.count("campaign", &format!("cases_{}", record.status.tag()), 1);
     recorder.count("campaign", "cycles_verified", record.cycles);
-    // The profile sidecar publishes *before* the record: the record is
-    // the commit point, so a kill between the two re-runs the case and
-    // rewrites the identical sidecar. The counters reach the recorder as
-    // per-case deltas, the same scheme lint counters use.
-    if let Some(hook) = &profile_hook {
+    // The counters reach the recorder as per-case deltas, the same scheme
+    // lint counters use; only abnormal endings leave a flight dump.
+    let profile = profile_hook.map(|hook| {
         let snapshot = hook.snapshot();
-        rtl_obs::write_atomic(&dir.profile_path(index), snapshot.render().as_bytes())?;
         for (key, n) in snapshot.iter() {
             recorder.count("profile", key, n);
         }
+        snapshot.render()
+    });
+    let flight = flight_snapshot.and_then(|events| {
+        let trigger = flight_trigger(&record)?;
+        recorder.count("campaign", "flight_dumps", 1);
+        Some(render_flight(&events, &trigger))
+    });
+    // Publish from the worker, so I/O overlaps across workers instead of
+    // serializing in the collector. Once this returns, the case is
+    // durable: a kill right after still resumes past it.
+    let (entry, new_files) = archived.unzip();
+    CaseBundle {
+        index,
+        record: record.to_json().render(),
+        profile,
+        flight,
+        corpus: new_files.flatten(),
     }
-    // The flight dump publishes before the record for the same reason:
-    // a kill between the two re-runs the case and rewrites the identical
-    // sidecar. Only abnormal endings leave a dump.
-    if let Some(events) = &flight_snapshot {
-        if let Some(trigger) = flight_trigger(&record) {
-            rtl_obs::write_atomic(
-                &dir.flight_path(index),
-                render_flight(events, &trigger).as_bytes(),
-            )?;
-            recorder.count("campaign", "flight_dumps", 1);
-        }
-    }
-    // Publish from the worker (atomic temp-file + rename), so record I/O
-    // overlaps across workers instead of serializing in the collector.
-    // Once this returns, the case is durable: a kill right after still
-    // resumes past it.
-    dir.write_case(&record)?;
+    .publish(dir)?;
     if case_checkpoint {
         let _ = std::fs::remove_file(&ckpt_path);
     }
-    Ok(DoneCase { record, corpus })
+    Ok(DoneCase {
+        record,
+        corpus: entry.map(|entry| entry.name),
+    })
 }

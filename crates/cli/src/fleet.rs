@@ -7,10 +7,10 @@
 //! single-machine `asim2 campaign run` of the same configuration.
 
 use super::{
-    campaign_err, flag_value, load_err, metrics_recorder, parse_u64_flag, split_optional_file,
+    campaign_err, config_flags, flag_value, load_err, parse_u64_flag, run_flags, surface_flags,
     usage_err, write_profile_out, CliError, ProgressReporter,
 };
-use rtl_campaign::{CampaignConfig, CampaignDir, CaseRecord, Progress};
+use rtl_campaign::{CampaignDir, CaseRecord, Progress};
 use rtl_fleet::{ControllerOptions, FleetError, FleetProgress, StatusClient, WorkerOptions};
 use rtl_obs::json::Json;
 use rtl_obs::Histogram;
@@ -26,86 +26,7 @@ pub(crate) fn fleet_cmd(
         .first()
         .copied()
         .ok_or_else(|| usage_err("fleet needs a subcommand (serve|work|status)"))?;
-    let (extra, flags) = split_optional_file(
-        &rest[1..],
-        &[
-            "--dir",
-            "--bind",
-            "--port-file",
-            "--token",
-            "--cases",
-            "--seed",
-            "--engines",
-            "--cycles",
-            "--size",
-            "--compare-every",
-            "--lease",
-            "--lease-deadline",
-            "--limit",
-            "--metrics-out",
-            "--profile-out",
-            "--connect",
-            "--name",
-            "--workers",
-            "--scratch",
-            "--fingerprint",
-            "--abandon-after",
-            "--format",
-        ],
-    )?;
-    if let Some(x) = extra {
-        return Err(usage_err(format!("unexpected argument {x:?}")));
-    }
-    let allowed: &[&str] = match sub {
-        "serve" => &[
-            "--dir",
-            "--bind",
-            "--port-file",
-            "--token",
-            "--cases",
-            "--seed",
-            "--engines",
-            "--cycles",
-            "--size",
-            "--compare-every",
-            "--lint-oracle",
-            "--lease",
-            "--lease-deadline",
-            "--limit",
-            "--flight",
-            "--metrics-out",
-            "--profile-out",
-            "--progress",
-            "--quiet",
-        ],
-        "work" => &[
-            "--connect",
-            "--token",
-            "--name",
-            "--workers",
-            "--scratch",
-            "--fingerprint",
-            "--abandon-after",
-            "--quiet",
-        ],
-        "status" => &["--connect", "--token", "--watch", "--format"],
-        other => return Err(usage_err(format!("unknown fleet subcommand {other:?}"))),
-    };
-    if let Some(bad) = flags.iter().find(|f| {
-        let name = if f.starts_with("--progress=") {
-            "--progress"
-        } else if f.starts_with("--watch=") {
-            "--watch"
-        } else {
-            **f
-        };
-        f.starts_with('-') && !allowed.contains(&name)
-    }) {
-        return Err(usage_err(format!(
-            "fleet {sub} does not take {bad} (accepted: {})",
-            allowed.join(" ")
-        )));
-    }
+    let flags = surface_flags("fleet", sub, &rest[1..])?;
     let token = flag_value(&flags, "--token")?
         .ok_or_else(|| usage_err(format!("fleet {sub} needs --token T")))?
         .to_string();
@@ -113,8 +34,7 @@ pub(crate) fn fleet_cmd(
     match sub {
         "serve" => serve(&flags, token, out, err),
         "work" => work(&flags, token, out, err),
-        "status" => status(&flags, token, out, err),
-        _ => unreachable!("validated above"),
+        _ => status(&flags, token, out, err),
     }
 }
 
@@ -188,31 +108,14 @@ fn serve(
     let dir = CampaignDir::new(
         flag_value(flags, "--dir")?.ok_or_else(|| usage_err("fleet serve needs --dir DIR"))?,
     );
-    let mut config = CampaignConfig::default();
-    if let Some(list) = flag_value(flags, "--engines")? {
-        config.engines = rtl_campaign::campaign_registry(None)
-            .parse_list(list)
-            .map_err(usage_err)?;
-    }
-    if let Some(seed) = parse_u64_flag(flags, "--seed")? {
-        config.seed = seed;
-    }
-    if let Some(cases) = parse_u64_flag(flags, "--cases")? {
-        config.cases = u32::try_from(cases).map_err(|_| usage_err("--cases is too large"))?;
-    }
-    if let Some(cycles) = parse_u64_flag(flags, "--cycles")? {
-        config.generator.cycles = cycles;
-    }
-    if let Some(size) = parse_u64_flag(flags, "--size")? {
-        config.generator.size = size as usize;
-    }
-    if let Some(stride) = parse_u64_flag(flags, "--compare-every")? {
-        config.compare_every = stride.max(1);
-    }
-    config.lint_oracle = flags.contains(&"--lint-oracle");
-
+    let config = config_flags(flags)?;
+    let run = run_flags(flags)?;
     let mut options = ControllerOptions {
         token,
+        limit: run.options.limit,
+        profile: run.options.profile,
+        flight: run.options.flight,
+        recorder: run.options.recorder.clone(),
         ..ControllerOptions::default()
     };
     if let Some(lease) = parse_u64_flag(flags, "--lease")? {
@@ -227,13 +130,6 @@ fn serve(
         }
         options.deadline = Duration::from_millis(ms);
     }
-    if let Some(limit) = parse_u64_flag(flags, "--limit")? {
-        options.limit = Some(u32::try_from(limit).map_err(|_| usage_err("--limit is too large"))?);
-    }
-    options.recorder = metrics_recorder(flags)?;
-    let profile_out = flag_value(flags, "--profile-out")?;
-    options.profile = profile_out.is_some();
-    options.flight = flags.contains(&"--flight");
 
     let bind = flag_value(flags, "--bind")?.unwrap_or("127.0.0.1:0");
     let controller = rtl_fleet::Controller::bind(bind)
@@ -250,7 +146,7 @@ fn serve(
     }
 
     let mut reporter = FleetReporter {
-        inner: ProgressReporter::from_flags(err, flags)?,
+        inner: run.progress(err),
         workers_seen: 0,
         histograms: None,
     };
@@ -267,10 +163,10 @@ fn serve(
     let workers_seen = reporter.workers_seen;
     let histograms = reporter.histograms.take();
     options.recorder.flush();
-    write_profile_out(&dir, &report, profile_out)?;
+    write_profile_out(&dir, &report, run.profile_out)?;
 
     let _ = write!(out, "{report}");
-    if !flags.contains(&"--quiet") {
+    if !run.quiet {
         let secs = report.elapsed.as_secs_f64().max(1e-9);
         let _ = writeln!(
             err,

@@ -120,9 +120,9 @@ const USAGE: &str = "usage:
   asim2 campaign replay --dir D [--engines LIST]
   asim2 campaign shrink --dir D --seed N [--engines LIST] [--cycles N] [--size N]
   asim2 campaign shard plan  [--plan F] --cases N --shards K [--seed N] [--engines LIST]
-                             [--cycles N] [--size N] [--compare-every N]
+                             [--cycles N] [--size N] [--compare-every N] [--lint-oracle]
   asim2 campaign shard run   [--plan F] --shard I --dir D [--workers N] [--limit N]
-                             [--case-checkpoint] [--metrics-out F.jsonl]
+                             [--case-checkpoint] [--flight] [--metrics-out F.jsonl]
                              [--profile-out F] [--progress[=MS]] [--quiet]
   asim2 campaign shard merge [--plan F] --out D --shards DIR1,DIR2,...
                              [--metrics-out F.jsonl] [--profile-out F]
@@ -985,17 +985,6 @@ impl<'a> ProgressReporter<'a> {
             diverged: 0,
         }
     }
-
-    /// Builds the reporter from the parsed `--progress[=MS]`/`--quiet`
-    /// flags (progress is on by default, at the default period).
-    fn from_flags(
-        err: &'a mut dyn Write,
-        flags: &[&str],
-    ) -> Result<ProgressReporter<'a>, CliError> {
-        let quiet = flags.contains(&"--quiet");
-        let period = progress_period(flags)?.unwrap_or(Self::DEFAULT_PERIOD_MS);
-        Ok(ProgressReporter::new(err, !quiet, period))
-    }
 }
 
 impl rtl_campaign::Progress for ProgressReporter<'_> {
@@ -1029,35 +1018,167 @@ impl rtl_campaign::Progress for ProgressReporter<'_> {
     }
 }
 
-/// Parses `--progress` / `--progress=MS` from the flag list (the bare
-/// form uses the default period). `None` when absent.
-fn progress_period(flags: &[&str]) -> Result<Option<u64>, CliError> {
-    for flag in flags {
-        if *flag == "--progress" {
-            return Ok(Some(ProgressReporter::DEFAULT_PERIOD_MS));
-        }
-        if let Some(ms) = flag.strip_prefix("--progress=") {
-            return ms
-                .parse()
-                .map(Some)
-                .map_err(|_| usage_err(format!("--progress needs milliseconds, got {ms:?}")));
-        }
+/// The shared run flags: how a campaign executes, never what it
+/// computes, so none of them is fingerprinted.
+const RUN_FLAGS: &str =
+    "--workers --limit --case-checkpoint --flight --metrics-out --profile-out --progress --quiet";
+
+/// The shared config flags: the fingerprinted campaign configuration.
+const CONFIG_FLAGS: &str = "--cases --seed --engines --cycles --size --compare-every --lint-oracle";
+
+/// Every campaign, shard and fleet flag that takes a value; the rest are
+/// switches (`--progress` and `--watch` carry an optional `=MS`).
+const VALUE_FLAGS: &str = "--workers --limit --metrics-out --profile-out --cases --seed --engines \
+    --cycles --size --compare-every --dir --plan --shards --shard --out --bind --port-file --token \
+    --lease --lease-deadline --connect --name --scratch --fingerprint --abandon-after --format";
+
+/// Every campaign, shard and fleet subcommand: its own flags, the shared
+/// run flags it takes, and whether it takes the config flags.
+#[rustfmt::skip]
+const SURFACES: &[(&str, &str, &str, bool)] = &[
+    ("campaign run", "--dir", RUN_FLAGS, true),
+    ("campaign resume", "--dir", RUN_FLAGS, false),
+    ("campaign replay", "--dir --engines", "", false),
+    ("campaign shrink", "--dir --seed --engines --cycles --size --compare-every", "", false),
+    ("campaign shard plan", "--plan --shards", "", true),
+    ("campaign shard run", "--plan --shard --dir", RUN_FLAGS, false),
+    ("campaign shard merge", "--plan --out --shards", "--metrics-out --profile-out", false),
+    ("fleet serve", "--dir --bind --port-file --token --lease --lease-deadline",
+        "--limit --flight --metrics-out --profile-out --progress --quiet", true),
+    ("fleet work", "--connect --token --name --workers --scratch --fingerprint --abandon-after \
+        --quiet", "", false),
+    ("fleet status", "--connect --token --watch --format", "", false),
+];
+
+/// The flag tokens of `{group} {sub}` (values inline, after their flag).
+/// Each subcommand accepts only its own flags — silently swallowing, say,
+/// `resume --cases 200` would let the user believe the campaign was
+/// extended.
+fn surface_flags<'a>(group: &str, sub: &str, rest: &[&'a str]) -> Result<Vec<&'a str>, CliError> {
+    let name = format!("{group} {sub}");
+    let (_, own, run, config) = SURFACES
+        .iter()
+        .find(|s| s.0 == name)
+        .ok_or_else(|| usage_err(format!("unknown {group} subcommand {sub:?}")))?;
+    let values: Vec<&str> = VALUE_FLAGS.split_whitespace().collect();
+    let (extra, flags) = split_optional_file(rest, &values)?;
+    if let Some(x) = extra {
+        return Err(usage_err(format!("unexpected argument {x:?}")));
     }
-    Ok(None)
+    let config = if *config { CONFIG_FLAGS } else { "" };
+    let allowed: Vec<&str> = [*own, *run, config]
+        .iter()
+        .flat_map(|l| l.split_whitespace())
+        .collect();
+    let bad = flags.iter().find(|f| {
+        let flag = match f.split_once('=') {
+            Some((flag @ ("--progress" | "--watch"), _)) => flag,
+            _ => f,
+        };
+        f.starts_with('-') && !allowed.contains(&flag)
+    });
+    match bad {
+        Some(bad) => Err(usage_err(format!(
+            "{name} does not take {bad} (accepted: {})",
+            allowed.join(" ")
+        ))),
+        None => Ok(flags),
+    }
 }
 
-/// Opens the `--metrics-out` event log, when requested.
-fn metrics_recorder(flags: &[&str]) -> Result<rtl_core::Recorder, CliError> {
-    match flag_value(flags, "--metrics-out")? {
-        None => Ok(rtl_core::Recorder::disabled()),
-        Some(path) => rtl_core::Recorder::to_file(std::path::Path::new(path))
-            .map_err(|e| load_err(format!("cannot write metrics to {path}: {e}"))),
+/// The parsed shared run flags.
+struct RunFlags<'a> {
+    /// `--workers`, `--limit`, `--case-checkpoint`, `--flight`,
+    /// `--metrics-out` and (as `profile`) `--profile-out`.
+    options: rtl_campaign::RunOptions,
+    /// Where `--profile-out` folds the profile sidecars.
+    profile_out: Option<&'a str>,
+    /// `--quiet`: no progress or throughput lines.
+    quiet: bool,
+    /// The `--progress[=MS]` refresh period.
+    progress_ms: u64,
+}
+
+impl RunFlags<'_> {
+    /// The live progress reporter the flags ask for (on by default).
+    fn progress<'e>(&self, err: &'e mut dyn Write) -> ProgressReporter<'e> {
+        ProgressReporter::new(err, !self.quiet, self.progress_ms)
     }
+}
+
+/// Parses the shared run flags (a surface that does not take one never
+/// reaches here with it).
+fn run_flags<'a>(flags: &[&'a str]) -> Result<RunFlags<'a>, CliError> {
+    let mut options = rtl_campaign::RunOptions::default();
+    if let Some(workers) = parse_u64_flag(flags, "--workers")? {
+        if workers == 0 {
+            return Err(usage_err("--workers needs a positive count"));
+        }
+        options.workers = workers as usize;
+    }
+    if let Some(limit) = parse_u64_flag(flags, "--limit")? {
+        options.limit = Some(u32::try_from(limit).map_err(|_| usage_err("--limit is too large"))?);
+    }
+    options.case_checkpoint = flags.contains(&"--case-checkpoint");
+    options.flight = flags.contains(&"--flight");
+    options.recorder = match flag_value(flags, "--metrics-out")? {
+        None => rtl_core::Recorder::disabled(),
+        Some(path) => rtl_core::Recorder::to_file(std::path::Path::new(path))
+            .map_err(|e| load_err(format!("cannot write metrics to {path}: {e}")))?,
+    };
+    let profile_out = flag_value(flags, "--profile-out")?;
+    options.profile = profile_out.is_some();
+    let mut progress_ms = ProgressReporter::DEFAULT_PERIOD_MS;
+    if let Some(ms) = flags.iter().find_map(|f| f.strip_prefix("--progress=")) {
+        progress_ms = ms
+            .parse()
+            .map_err(|_| usage_err(format!("--progress needs milliseconds, got {ms:?}")))?;
+    }
+    Ok(RunFlags {
+        options,
+        profile_out,
+        quiet: flags.contains(&"--quiet"),
+        progress_ms,
+    })
+}
+
+/// `--engines LIST`, checked against the campaign registry.
+fn engines_flag(flags: &[&str]) -> Result<Option<Vec<String>>, CliError> {
+    flag_value(flags, "--engines")?
+        .map(|list| {
+            rtl_campaign::campaign_registry(None)
+                .parse_list(list)
+                .map_err(usage_err)
+        })
+        .transpose()
+}
+
+/// Parses the shared config flags over the default configuration.
+fn config_flags(flags: &[&str]) -> Result<rtl_campaign::CampaignConfig, CliError> {
+    let mut config = rtl_campaign::CampaignConfig::default();
+    if let Some(engines) = engines_flag(flags)? {
+        config.engines = engines;
+    }
+    if let Some(seed) = parse_u64_flag(flags, "--seed")? {
+        config.seed = seed;
+    }
+    if let Some(cases) = parse_u64_flag(flags, "--cases")? {
+        config.cases = u32::try_from(cases).map_err(|_| usage_err("--cases is too large"))?;
+    }
+    if let Some(cycles) = parse_u64_flag(flags, "--cycles")? {
+        config.generator.cycles = cycles;
+    }
+    if let Some(size) = parse_u64_flag(flags, "--size")? {
+        config.generator.size = size as usize;
+    }
+    if let Some(stride) = parse_u64_flag(flags, "--compare-every")? {
+        config.compare_every = stride.max(1);
+    }
+    config.lint_oracle = flags.contains(&"--lint-oracle");
+    Ok(config)
 }
 
 fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
-    use rtl_campaign::{CampaignConfig, CampaignDir, RunOptions};
-
     let sub = rest
         .first()
         .copied()
@@ -1065,153 +1186,33 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
     if sub == "shard" {
         return shard_cmd(&rest[1..], out, err);
     }
-    let (extra, flags) = split_optional_file(
-        &rest[1..],
-        &[
-            "--dir",
-            "--cases",
-            "--seed",
-            "--workers",
-            "--engines",
-            "--cycles",
-            "--size",
-            "--compare-every",
-            "--limit",
-            "--metrics-out",
-            "--profile-out",
-        ],
-    )?;
-    if let Some(x) = extra {
-        return Err(usage_err(format!("unexpected argument {x:?}")));
-    }
-    // Each subcommand accepts only its own flags — silently swallowing,
-    // say, `resume --cases 200` would let the user believe the campaign
-    // was extended.
-    let allowed: &[&str] = match sub {
-        "run" => &[
-            "--dir",
-            "--cases",
-            "--seed",
-            "--workers",
-            "--engines",
-            "--cycles",
-            "--size",
-            "--compare-every",
-            "--limit",
-            "--case-checkpoint",
-            "--lint-oracle",
-            "--flight",
-            "--metrics-out",
-            "--profile-out",
-            "--progress",
-            "--quiet",
-        ],
-        "resume" => &[
-            "--dir",
-            "--workers",
-            "--limit",
-            "--case-checkpoint",
-            "--flight",
-            "--metrics-out",
-            "--profile-out",
-            "--progress",
-            "--quiet",
-        ],
-        "replay" => &["--dir", "--engines"],
-        "shrink" => &[
-            "--dir",
-            "--seed",
-            "--engines",
-            "--cycles",
-            "--size",
-            "--compare-every",
-        ],
-        other => return Err(usage_err(format!("unknown campaign subcommand {other:?}"))),
-    };
-    // `--progress=500` carries its value in the token: compare it against
-    // the allowed list by its name part.
-    if let Some(bad) = flags.iter().find(|f| {
-        let name = if f.starts_with("--progress=") {
-            "--progress"
-        } else {
-            **f
-        };
-        f.starts_with('-') && !allowed.contains(&name)
-    }) {
-        return Err(usage_err(format!(
-            "campaign {sub} does not take {bad} (accepted: {})",
-            allowed.join(" ")
-        )));
-    }
-    let dir = CampaignDir::new(
+    let flags = surface_flags("campaign", sub, &rest[1..])?;
+    let dir = rtl_campaign::CampaignDir::new(
         flag_value(&flags, "--dir")?.ok_or_else(|| usage_err("campaign needs --dir DIR"))?,
     );
-    let mut run_options = RunOptions::default();
-    if let Some(workers) = parse_u64_flag(&flags, "--workers")? {
-        if workers == 0 {
-            return Err(usage_err("--workers needs a positive count"));
-        }
-        run_options.workers = workers as usize;
-    }
-    if let Some(limit) = parse_u64_flag(&flags, "--limit")? {
-        run_options.limit =
-            Some(u32::try_from(limit).map_err(|_| usage_err("--limit is too large"))?);
-    }
-    run_options.case_checkpoint = flags.contains(&"--case-checkpoint");
-    run_options.flight = flags.contains(&"--flight");
-    run_options.recorder = metrics_recorder(&flags)?;
-    let profile_out = flag_value(&flags, "--profile-out")?;
-    run_options.profile = profile_out.is_some();
-    let engines_flag = match flag_value(&flags, "--engines")? {
-        Some(list) => Some(
-            rtl_campaign::campaign_registry(None)
-                .parse_list(list)
-                .map_err(usage_err)?,
-        ),
-        None => None,
-    };
 
     match sub {
-        "run" => {
-            let mut config = CampaignConfig::default();
-            if let Some(engines) = engines_flag {
-                config.engines = engines;
+        "run" | "resume" => {
+            let run = run_flags(&flags)?;
+            let config = if sub == "run" {
+                Some(config_flags(&flags)?)
+            } else {
+                None
+            };
+            let mut progress = run.progress(err);
+            let report = match &config {
+                Some(config) => rtl_campaign::run(&dir, config, &run.options, &mut progress),
+                None => rtl_campaign::resume(&dir, &run.options, &mut progress),
             }
-            if let Some(seed) = parse_u64_flag(&flags, "--seed")? {
-                config.seed = seed;
-            }
-            if let Some(cases) = parse_u64_flag(&flags, "--cases")? {
-                config.cases =
-                    u32::try_from(cases).map_err(|_| usage_err("--cases is too large"))?;
-            }
-            if let Some(cycles) = parse_u64_flag(&flags, "--cycles")? {
-                config.generator.cycles = cycles;
-            }
-            if let Some(size) = parse_u64_flag(&flags, "--size")? {
-                config.generator.size = size as usize;
-            }
-            if let Some(stride) = parse_u64_flag(&flags, "--compare-every")? {
-                config.compare_every = stride.max(1);
-            }
-            config.lint_oracle = flags.contains(&"--lint-oracle");
-            let mut progress = ProgressReporter::from_flags(err, &flags)?;
-            let report = rtl_campaign::run(&dir, &config, &run_options, &mut progress)
-                .map_err(campaign_err)?;
-            run_options.recorder.flush();
-            write_profile_out(&dir, &report, profile_out)?;
-            finish_campaign(report, out, err, &run_options, flags.contains(&"--quiet"))
-        }
-        "resume" => {
-            let mut progress = ProgressReporter::from_flags(err, &flags)?;
-            let report =
-                rtl_campaign::resume(&dir, &run_options, &mut progress).map_err(campaign_err)?;
-            run_options.recorder.flush();
-            write_profile_out(&dir, &report, profile_out)?;
-            finish_campaign(report, out, err, &run_options, flags.contains(&"--quiet"))
+            .map_err(campaign_err)?;
+            run.options.recorder.flush();
+            write_profile_out(&dir, &report, run.profile_out)?;
+            finish_campaign(report, out, err, &run.options, run.quiet)
         }
         "replay" => {
+            let engines = engines_flag(&flags)?;
             let report =
-                rtl_campaign::replay_corpus(&dir, engines_flag.as_deref()).map_err(campaign_err)?;
+                rtl_campaign::replay_corpus(&dir, engines.as_deref()).map_err(campaign_err)?;
             let _ = write!(out, "{report}");
             let reproduced = report.reproduced().count();
             if reproduced > 0 {
@@ -1228,7 +1229,7 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
                 Ok(())
             }
         }
-        "shrink" => {
+        _ => {
             let seed = parse_u64_flag(&flags, "--seed")?
                 .ok_or_else(|| usage_err("campaign shrink needs --seed N"))?;
             // Defaults come from the campaign living in --dir, when there
@@ -1239,7 +1240,7 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
             } else {
                 None
             };
-            let engines = engines_flag
+            let engines = engines_flag(&flags)?
                 .or_else(|| stored.as_ref().map(|c| c.engines.clone()))
                 .unwrap_or_else(|| vec!["interp".to_string(), "vm".to_string()]);
             let mut generator = stored
@@ -1292,7 +1293,6 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
                 }
             }
         }
-        other => Err(usage_err(format!("unknown campaign subcommand {other:?}"))),
     }
 }
 
@@ -1300,85 +1300,14 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
 /// partition, execute one shard per machine into a self-contained
 /// directory, merge the directories back into one canonical campaign.
 fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
-    use rtl_campaign::{CampaignConfig, CampaignDir, RunOptions};
+    use rtl_campaign::CampaignDir;
     use rtl_dist::ShardPlan;
 
     let sub = rest
         .first()
         .copied()
         .ok_or_else(|| usage_err("campaign shard needs a subcommand (plan|run|merge)"))?;
-    let (extra, flags) = split_optional_file(
-        &rest[1..],
-        &[
-            "--plan",
-            "--cases",
-            "--shards",
-            "--seed",
-            "--engines",
-            "--cycles",
-            "--size",
-            "--compare-every",
-            "--shard",
-            "--dir",
-            "--workers",
-            "--limit",
-            "--out",
-            "--metrics-out",
-            "--profile-out",
-        ],
-    )?;
-    if let Some(x) = extra {
-        return Err(usage_err(format!("unexpected argument {x:?}")));
-    }
-    let allowed: &[&str] = match sub {
-        "plan" => &[
-            "--plan",
-            "--cases",
-            "--shards",
-            "--seed",
-            "--engines",
-            "--cycles",
-            "--size",
-            "--compare-every",
-        ],
-        "run" => &[
-            "--plan",
-            "--shard",
-            "--dir",
-            "--workers",
-            "--limit",
-            "--case-checkpoint",
-            "--metrics-out",
-            "--profile-out",
-            "--progress",
-            "--quiet",
-        ],
-        "merge" => &[
-            "--plan",
-            "--out",
-            "--shards",
-            "--metrics-out",
-            "--profile-out",
-        ],
-        other => {
-            return Err(usage_err(format!(
-                "unknown campaign shard subcommand {other:?}"
-            )))
-        }
-    };
-    if let Some(bad) = flags.iter().find(|f| {
-        let name = if f.starts_with("--progress=") {
-            "--progress"
-        } else {
-            **f
-        };
-        f.starts_with('-') && !allowed.contains(&name)
-    }) {
-        return Err(usage_err(format!(
-            "campaign shard {sub} does not take {bad} (accepted: {})",
-            allowed.join(" ")
-        )));
-    }
+    let flags = surface_flags("campaign shard", sub, &rest[1..])?;
     let plan_path =
         std::path::PathBuf::from(flag_value(&flags, "--plan")?.unwrap_or("shard-plan.json"));
 
@@ -1387,29 +1316,7 @@ fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<
             let shards = parse_u64_flag(&flags, "--shards")?
                 .ok_or_else(|| usage_err("campaign shard plan needs --shards K"))?;
             let shards = u32::try_from(shards).map_err(|_| usage_err("--shards is too large"))?;
-            let mut config = CampaignConfig::default();
-            if let Some(list) = flag_value(&flags, "--engines")? {
-                config.engines = rtl_campaign::campaign_registry(None)
-                    .parse_list(list)
-                    .map_err(usage_err)?;
-            }
-            if let Some(seed) = parse_u64_flag(&flags, "--seed")? {
-                config.seed = seed;
-            }
-            if let Some(cases) = parse_u64_flag(&flags, "--cases")? {
-                config.cases =
-                    u32::try_from(cases).map_err(|_| usage_err("--cases is too large"))?;
-            }
-            if let Some(cycles) = parse_u64_flag(&flags, "--cycles")? {
-                config.generator.cycles = cycles;
-            }
-            if let Some(size) = parse_u64_flag(&flags, "--size")? {
-                config.generator.size = size as usize;
-            }
-            if let Some(stride) = parse_u64_flag(&flags, "--compare-every")? {
-                config.compare_every = stride.max(1);
-            }
-            let plan = ShardPlan::partition(config, shards).map_err(campaign_err)?;
+            let plan = ShardPlan::partition(config_flags(&flags)?, shards).map_err(campaign_err)?;
             plan.save(&plan_path).map_err(campaign_err)?;
             let _ = writeln!(
                 out,
@@ -1440,26 +1347,12 @@ fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<
                 flag_value(&flags, "--dir")?
                     .ok_or_else(|| usage_err("campaign shard run needs --dir DIR"))?,
             );
-            let mut options = RunOptions::default();
-            if let Some(workers) = parse_u64_flag(&flags, "--workers")? {
-                if workers == 0 {
-                    return Err(usage_err("--workers needs a positive count"));
-                }
-                options.workers = workers as usize;
-            }
-            if let Some(limit) = parse_u64_flag(&flags, "--limit")? {
-                options.limit =
-                    Some(u32::try_from(limit).map_err(|_| usage_err("--limit is too large"))?);
-            }
-            options.case_checkpoint = flags.contains(&"--case-checkpoint");
-            options.recorder = metrics_recorder(&flags)?;
-            let profile_out = flag_value(&flags, "--profile-out")?;
-            options.profile = profile_out.is_some();
-            let mut progress = ProgressReporter::from_flags(err, &flags)?;
-            let report = rtl_dist::run_shard(&plan, index, &dir, &options, &mut progress)
+            let run = run_flags(&flags)?;
+            let mut progress = run.progress(err);
+            let report = rtl_dist::run_shard(&plan, index, &dir, &run.options, &mut progress)
                 .map_err(campaign_err)?;
-            options.recorder.flush();
-            write_profile_out(&dir, &report.report, profile_out)?;
+            run.options.recorder.flush();
+            write_profile_out(&dir, &report.report, run.profile_out)?;
             let _ = write!(out, "{report}");
             if report.clean() {
                 Ok(())
@@ -1481,7 +1374,7 @@ fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<
                 })
             }
         }
-        "merge" => {
+        _ => {
             let plan = ShardPlan::load(&plan_path).map_err(campaign_err)?;
             let dirs: Vec<std::path::PathBuf> = flag_value(&flags, "--shards")?
                 .ok_or_else(|| usage_err("campaign shard merge needs --shards DIR1,DIR2,..."))?
@@ -1494,11 +1387,12 @@ fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<
                 flag_value(&flags, "--out")?
                     .ok_or_else(|| usage_err("campaign shard merge needs --out DIR"))?,
             );
-            let recorder = metrics_recorder(&flags)?;
+            let run = run_flags(&flags)?;
+            let recorder = &run.options.recorder;
             let report =
-                rtl_dist::merge_with(&plan, &dirs, &out_dir, &recorder).map_err(campaign_err)?;
+                rtl_dist::merge_with(&plan, &dirs, &out_dir, recorder).map_err(campaign_err)?;
             recorder.flush();
-            write_profile_out(&out_dir, &report, flag_value(&flags, "--profile-out")?)?;
+            write_profile_out(&out_dir, &report, run.profile_out)?;
             let _ = write!(out, "{report}");
             let _ = writeln!(
                 err,
@@ -1520,7 +1414,6 @@ fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<
                 })
             }
         }
-        _ => unreachable!("validated above"),
     }
 }
 
@@ -2577,6 +2470,94 @@ mod tests {
         // clean no-op over it.
         let resumed = run_ok(&["campaign", "resume", "--dir", merged.to_str().unwrap()]);
         assert!(resumed.contains("summary: 9/9 agreed"), "{resumed}");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// `shard plan` and `shard run` take the same config and run flags as
+    /// `campaign run`: a `--lint-oracle` plan run with `--flight
+    /// --profile-out` merges to the single-machine tree, sidecars and all.
+    #[test]
+    fn campaign_shard_takes_the_shared_run_and_config_flags() {
+        let base = campaign_dir("shard-flags");
+        std::fs::create_dir_all(&base).unwrap();
+        let at = |name: &str| base.join(name).to_str().unwrap().to_string();
+        let config = [
+            "--cases",
+            "4",
+            "--seed",
+            "2",
+            "--cycles",
+            "48",
+            "--size",
+            "8",
+            "--engines",
+            "interp,vm-fault",
+            "--lint-oracle",
+        ];
+        let run = |args: &[&str]| {
+            let (code, _, err) = run_with(args, b"");
+            assert_eq!(code, 3, "every case diverges: {err}");
+        };
+        let mut single = vec!["campaign", "run", "--quiet", "--flight"];
+        let (dir, profile) = (at("single"), at("single.profile"));
+        single.extend(["--dir", &dir, "--profile-out", &profile]);
+        single.extend(config);
+        run(&single);
+        let plan = at("plan.json");
+        let mut plan_args = vec![
+            "campaign", "shard", "plan", "--plan", &plan, "--shards", "2",
+        ];
+        plan_args.extend(config);
+        run_ok(&plan_args);
+        let shards = [at("shard-0"), at("shard-1")];
+        for (i, shard) in shards.iter().enumerate() {
+            let index = i.to_string();
+            let profile = at(&format!("shard-{i}.profile"));
+            run(&[
+                "campaign",
+                "shard",
+                "run",
+                "--plan",
+                &plan,
+                "--shard",
+                &index,
+                "--dir",
+                shard,
+                "--quiet",
+                "--flight",
+                "--profile-out",
+                &profile,
+            ]);
+        }
+        let (merged, merged_profile) = (at("merged"), at("merged.profile"));
+        run(&[
+            "campaign",
+            "shard",
+            "merge",
+            "--plan",
+            &plan,
+            "--out",
+            &merged,
+            "--shards",
+            &shards.join(","),
+            "--profile-out",
+            &merged_profile,
+        ]);
+        let read = |path: &str| std::fs::read(path).unwrap();
+        assert_eq!(read(&profile), read(&merged_profile), "profile folds");
+        let single = std::path::Path::new(&dir);
+        let merged = std::path::Path::new(&merged);
+        for rel in [
+            "campaign.json",
+            "cases/case-000003.flight.jsonl",
+            "cases/case-000003.profile",
+        ] {
+            assert_eq!(
+                std::fs::read(single.join(rel)).unwrap(),
+                std::fs::read(merged.join(rel)).unwrap(),
+                "{rel}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&base);
     }
 

@@ -1,29 +1,32 @@
 //! Folding N shard directories back into one canonical campaign.
 //!
-//! The merge is deliberately boring: records are copied byte-verbatim
-//! (they were produced deterministically from `(config, index)`, so the
-//! merged `cases/` tree is bit-identical to a single-machine run's), and
-//! the only judgment it exercises is *refusal* — drifted configurations,
-//! markers from another plan, records outside a shard's range, records
-//! whose seed contradicts the plan, and incomplete shards all stop the
-//! merge before anything is written. Corpus entries are validated and
-//! deduplicated by [`entry_fingerprint`](rtl_campaign::corpus), shards in
-//! index order, so overlapping regression corpora collapse to one entry
-//! each.
+//! The merge is deliberately boring: every case's
+//! [bundle](rtl_campaign::bundle) — record, sidecars and the corpus
+//! entry the record names — is copied byte-verbatim (each was produced
+//! deterministically from `(config, index)`, so the merged tree is
+//! bit-identical to a single-machine run's), and the only judgment it
+//! exercises is *refusal*. Drifted configurations, markers from another
+//! plan, records outside a shard's range, incomplete shards, and any
+//! bundle that fails [`CaseBundle::check`] stop the merge before
+//! anything is written. The bundles are then read again (so memory holds
+//! parsed records, not every sidecar) and published in the shared commit
+//! order stated in [`rtl_campaign::bundle`]. Corpus entries are
+//! deduplicated by [`entry_fingerprint`](rtl_campaign::corpus), so
+//! overlapping regression corpora collapse to one entry each.
 
 use crate::plan::ShardPlan;
 use crate::shard::load_marker;
-use rtl_campaign::{corpus, CampaignDir, CampaignError, CampaignReport, CaseRecord};
+use rtl_campaign::{CampaignDir, CampaignError, CampaignReport, CaseBundle, CaseRecord};
 use rtl_core::Recorder;
-use rtl_obs::write_atomic;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Validates shard directories against `plan` and merges them into
-/// `out` (which must not already hold a campaign): manifest, verbatim
-/// case records, and a deduplicated corpus. Directories may be passed in
-/// any order; each plan shard must appear exactly once. Shard
+/// `out` (which must not already hold a campaign): manifest, and every
+/// case's bundle — record, profile and flight sidecars, and the corpus
+/// entry it names — with corpus entries deduplicated. Directories may be
+/// passed in any order; each plan shard must appear exactly once. Shard
 /// `bin-cache/` directories are *not* merged — compiled binaries are a
 /// cache, rebuilt on demand.
 ///
@@ -32,8 +35,9 @@ use std::time::Instant;
 ///
 /// # Errors
 ///
-/// Plan/directory mismatches, incomplete shards, out-of-range or
-/// seed-mismatched records, corrupt corpus entries, an already-occupied
+/// Plan/directory mismatches, incomplete shards, out-of-range records, a
+/// bundle that fails its check (seed-mismatched record, corrupt sidecar
+/// or corpus entry; the error names the file), an already-occupied
 /// output directory, or I/O.
 pub fn merge(
     plan: &ShardPlan,
@@ -71,9 +75,13 @@ pub fn merge_with(
         )));
     }
 
-    // Pass 1: validate everything before writing anything.
-    type Validated<'a> = (&'a Path, Vec<Option<CaseRecord>>);
-    let mut by_index: Vec<Option<Validated<'_>>> = (0..plan.shards.len()).map(|_| None).collect();
+    // Pass 1: read and check every bundle before writing anything. Only
+    // the parsed records stay in memory (sidecars can be large); pass 2
+    // reads each bundle again to publish it.
+    let cases = plan.config.cases as usize;
+    let mut sources: Vec<Option<(&Path, Option<u64>)>> = vec![None; cases];
+    let mut records: Vec<Option<CaseRecord>> = vec![None; cases];
+    let mut seen_shards = vec![false; plan.shards.len()];
     for root in shard_dirs {
         let dir = CampaignDir::new(root);
         let config = dir.load()?;
@@ -84,18 +92,16 @@ pub fn merge_with(
             )));
         }
         let spec = load_marker(&dir, plan)?;
-        if by_index[spec.index as usize].is_some() {
+        if std::mem::replace(&mut seen_shards[spec.index as usize], true) {
             return Err(CampaignError::Config(format!(
                 "shard {} appears more than once (second copy: {})",
                 spec.index,
                 root.display()
             )));
         }
-        let records = dir.load_cases(plan.config.cases)?;
-        for (i, record) in records.iter().enumerate() {
-            let index = i as u32;
-            match record {
-                Some(record) if !spec.range().contains(&index) => {
+        for index in 0..plan.config.cases {
+            if !spec.range().contains(&index) {
+                if dir.case_path(index).exists() {
                     return Err(CampaignError::Corrupt(format!(
                         "{}: case {index} lies outside shard {}'s range {}..{}",
                         root.display(),
@@ -104,73 +110,57 @@ pub fn merge_with(
                         spec.end
                     )));
                 }
-                Some(record) => {
-                    // Same invariants the fleet controller enforces on an
-                    // uploaded record — one refusal surface, one message.
-                    crate::verify::check_record(&plan.config, record)
-                        .map_err(|m| CampaignError::Corrupt(format!("{}: {m}", root.display())))?;
-                }
-                None if spec.range().contains(&index) => {
-                    return Err(CampaignError::Config(format!(
-                        "{}: shard {} is missing case {index} — re-run it to completion \
-                         before merging",
-                        root.display(),
-                        spec.index
-                    )));
-                }
-                None => {}
-            }
-        }
-        by_index[spec.index as usize] = Some((root.as_path(), records));
-    }
-
-    // Pass 2: write the canonical campaign.
-    out.init(&plan.config)?;
-    let mut merged: Vec<Option<CaseRecord>> = vec![None; plan.config.cases as usize];
-    let mut seen_corpus: HashSet<u64> = HashSet::new();
-    let mut new_corpus = Vec::new();
-    for (slot, spec) in by_index.iter().zip(&plan.shards) {
-        let (root, records) = slot.as_ref().expect("all shards matched in pass 1");
-        let shard = CampaignDir::new(root);
-        for index in spec.range() {
-            // Byte-verbatim copy: the record file is the deterministic
-            // artifact, so the merged tree diffs clean against a
-            // single-machine run.
-            let bytes = std::fs::read(shard.case_path(index))?;
-            write_atomic(&out.case_path(index), &bytes)?;
-            // Execution-profile sidecars (shards run with profiling)
-            // ride along the same way: each is a pure function of
-            // (config, index), so the merged fold stays bit-identical to
-            // a single-machine profiled run.
-            let profile = shard.profile_path(index);
-            if profile.exists() {
-                let bytes = std::fs::read(profile)?;
-                write_atomic(&out.profile_path(index), &bytes)?;
-            }
-            merged[index as usize] = records[index as usize].clone();
-        }
-        // Corpus entries, validated on load (checkpoint recomputed) and
-        // deduplicated across shards by scenario fingerprint.
-        for entry in corpus::load_all(&shard.corpus())? {
-            if !seen_corpus.insert(corpus::entry_fingerprint(&entry.scenario)) {
                 continue;
             }
-            for ext in ["asim", "stim", "ckpt", "json"] {
-                let file = format!("{}.{ext}", entry.name);
-                let bytes = std::fs::read(shard.corpus().join(&file))?;
-                write_atomic(&out.corpus().join(&file), &bytes)?;
-            }
-            new_corpus.push(entry.name);
+            let bundle = CaseBundle::read(&dir, index)?.ok_or_else(|| {
+                CampaignError::Config(format!(
+                    "{}: shard {} is missing case {index} — re-run it to completion \
+                     before merging",
+                    root.display(),
+                    spec.index
+                ))
+            })?;
+            // The same check the fleet controller runs on an upload. A
+            // shard carries whichever sidecars it was run with.
+            let (record, corpus_fp) = bundle
+                .check(&plan.config, true, true)
+                .map_err(|m| CampaignError::Corrupt(format!("{}/{m}", root.display())))?;
+            sources[index as usize] = Some((root.as_path(), corpus_fp));
+            records[index as usize] = Some(record);
         }
     }
-    new_corpus.sort();
-    recorder.count("merge", "records", merged.iter().flatten().count() as u64);
+
+    // Pass 2: publish the canonical campaign, in case order, so the first
+    // case naming a scenario keeps its corpus entry.
+    out.init(&plan.config)?;
+    let mut seen_corpus: HashSet<u64> = HashSet::new();
+    let mut new_corpus = BTreeSet::new();
+    for (index, source) in sources.iter().enumerate() {
+        let Some((root, corpus_fp)) = source else {
+            continue;
+        };
+        let mut bundle =
+            CaseBundle::read(&CampaignDir::new(root), index as u32)?.ok_or_else(|| {
+                CampaignError::Corrupt(format!(
+                    "{}: case {index} vanished during the merge",
+                    root.display()
+                ))
+            })?;
+        if corpus_fp.is_some_and(|fp| !seen_corpus.insert(fp)) {
+            bundle.corpus = None;
+        }
+        bundle.publish(out)?;
+        if let Some(entry) = &bundle.corpus {
+            new_corpus.insert(entry.name.clone());
+        }
+    }
+    recorder.count("merge", "records", records.iter().flatten().count() as u64);
     recorder.count("merge", "corpus_entries", new_corpus.len() as u64);
     Ok(CampaignReport {
         config: plan.config.clone(),
         replay: None,
-        records: merged,
-        new_corpus,
+        records,
+        new_corpus: new_corpus.into_iter().collect(),
         elapsed: started.elapsed(),
     })
 }

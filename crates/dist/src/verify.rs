@@ -1,70 +1,23 @@
 //! Shared drift/refusal validation for distributed campaign artifacts.
 //!
-//! A shard merge and a fleet-controller upload enforce the same
-//! invariants on a case record before trusting it: the index must lie in
-//! the campaign's range, the file must record *its own* index, and the
-//! recorded seed must be the one the campaign configuration derives
-//! (`config.seed + index`, wrapping). Centralizing the checks keeps the
-//! two refusal surfaces identical — a record a merge would refuse is a
-//! record the controller refuses, with the same message.
+//! A shard merge and a fleet-controller upload trust nothing they did not
+//! check, and both check through one function,
+//! [`CaseBundle::check`](rtl_campaign::CaseBundle::check): the record
+//! (its index in the campaign's range, the index it claims, the seed the
+//! configuration derives — `config.seed + index`, wrapping), the profile
+//! and flight-recorder sidecars (each must parse), and the corpus entry
+//! the record names (a plain file stem, a full load with the reference
+//! checkpoint recomputed, the claimed fingerprint). So there is one
+//! refusal surface for every artifact kind: a bundle a merge would refuse
+//! is a bundle the controller refuses, with the same message. The record
+//! rules are re-exported here under their historical names.
 
-use rtl_campaign::{CampaignConfig, CaseRecord};
-use rtl_obs::json::Json;
-
-/// The seed the configuration derives for case `index`.
-pub fn expected_seed(config: &CampaignConfig, index: u32) -> u64 {
-    config.seed.wrapping_add(u64::from(index))
-}
-
-/// Validates one case record against the campaign configuration:
-/// in-range index and the derived seed.
-///
-/// # Errors
-///
-/// A message naming the failed invariant (stable text — both the shard
-/// merge and the fleet controller surface it verbatim).
-pub fn check_record(config: &CampaignConfig, record: &CaseRecord) -> Result<(), String> {
-    if record.index >= config.cases {
-        return Err(format!(
-            "case {} lies outside the campaign's {} case(s)",
-            record.index, config.cases
-        ));
-    }
-    let expected = expected_seed(config, record.index);
-    if record.seed != expected {
-        return Err(format!(
-            "case {} records seed {}, the configuration derives {expected}",
-            record.index, record.seed
-        ));
-    }
-    Ok(())
-}
-
-/// Parses a case record from its on-disk text and validates it against
-/// the configuration ([`check_record`]), additionally requiring the
-/// record to describe the claimed `index`.
-///
-/// # Errors
-///
-/// Unparseable text, an index/claim mismatch, or a [`check_record`]
-/// failure.
-pub fn parse_record(config: &CampaignConfig, index: u32, text: &str) -> Result<CaseRecord, String> {
-    let doc = Json::parse(text)?;
-    let record = CaseRecord::from_json(&doc)?;
-    if record.index != index {
-        return Err(format!(
-            "record claims case {} but was uploaded for case {index}",
-            record.index
-        ));
-    }
-    check_record(config, &record)?;
-    Ok(record)
-}
+pub use rtl_campaign::bundle::{check_record, expected_seed, parse_record};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtl_campaign::{CaseRecord, CaseStatus};
+    use rtl_campaign::{CampaignConfig, CaseRecord, CaseStatus};
 
     fn record(index: u32, seed: u64) -> CaseRecord {
         CaseRecord {

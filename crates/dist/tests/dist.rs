@@ -301,3 +301,94 @@ fn run_shard_refuses_foreign_directories() {
     let _ = std::fs::remove_dir_all(dir.root());
     let _ = std::fs::remove_dir_all(plain.root());
 }
+
+/// Runs `config` as a 2-shard plan with `options` and returns the plan
+/// and the shard directories.
+fn run_two_shards(config: &CampaignConfig, options: &RunOptions) -> (ShardPlan, Vec<PathBuf>) {
+    let plan = ShardPlan::partition(config.clone(), 2).unwrap();
+    let dirs = plan
+        .shards
+        .iter()
+        .map(|spec| {
+            let dir = CampaignDir::new(scratch(&format!("bundle-shard{}", spec.index)));
+            run_shard(&plan, spec.index, &dir, options, &mut NoProgress).unwrap();
+            dir.root().to_path_buf()
+        })
+        .collect();
+    (plan, dirs)
+}
+
+/// The files under `root/cases` whose names end in `suffix`.
+fn case_files(root: &Path, suffix: &str) -> BTreeMap<String, Vec<u8>> {
+    tree(root)
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("cases/") && name.ends_with(suffix))
+        .collect()
+}
+
+#[test]
+fn merge_carries_flight_sidecars() {
+    // Every vm-fault case diverges, so every case dumps a flight log.
+    let mut config = quick_config(3, &["interp", "vm-fault"], 48);
+    config.cases = 3;
+    let flight = RunOptions {
+        flight: true,
+        ..RunOptions::default()
+    };
+    let single = CampaignDir::new(scratch("flight-single"));
+    rtl_campaign::run(&single, &config, &flight, &mut NoProgress).unwrap();
+    let reference = case_files(single.root(), ".flight.jsonl");
+    assert_eq!(reference.len(), 3, "{:?}", reference.keys());
+
+    let (plan, dirs) = run_two_shards(&config, &flight);
+    let out = CampaignDir::new(scratch("flight-merged"));
+    merge(&plan, &dirs, &out).unwrap();
+    assert_eq!(case_files(out.root(), ".flight.jsonl"), reference);
+    assert_eq!(tree(out.root()), tree(single.root()));
+    for dir in dirs
+        .iter()
+        .map(PathBuf::as_path)
+        .chain([single.root(), out.root()])
+    {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn merge_refuses_a_corrupt_sidecar_before_writing_anything() {
+    let mut config = quick_config(3, &["interp", "vm-fault"], 48);
+    config.cases = 3;
+    let options = RunOptions {
+        profile: true,
+        flight: true,
+        ..RunOptions::default()
+    };
+    let (plan, dirs) = run_two_shards(&config, &options);
+    let shard = CampaignDir::new(&dirs[0]);
+    let index = plan.shards[0].start + 1;
+    let out = CampaignDir::new(scratch("corrupt-out"));
+
+    // A garbage profile sidecar.
+    let profile = std::fs::read(shard.profile_path(index)).unwrap();
+    std::fs::write(shard.profile_path(index), "garbage\n").unwrap();
+    let err = merge(&plan, &dirs, &out).unwrap_err();
+    assert!(matches!(err, CampaignError::Corrupt(_)), "{err}");
+    assert!(err.to_string().contains("case-000001.profile"), "{err}");
+    assert!(!out.root().exists(), "nothing may be written: {err}");
+    std::fs::write(shard.profile_path(index), profile).unwrap();
+
+    // A flight log with a line that is not an event.
+    let mut flight = std::fs::read_to_string(shard.flight_path(index)).unwrap();
+    flight.push_str("not an event\n");
+    std::fs::write(shard.flight_path(index), flight).unwrap();
+    let err = merge(&plan, &dirs, &out).unwrap_err();
+    assert!(matches!(err, CampaignError::Corrupt(_)), "{err}");
+    assert!(
+        err.to_string().contains("case-000001.flight.jsonl"),
+        "{err}"
+    );
+    assert!(!out.root().exists(), "nothing may be written: {err}");
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}

@@ -9,10 +9,12 @@
 //! design and leaves nothing to lock.
 //!
 //! Determinism of the *directory* is inherited from the campaign layer:
-//! every uploaded artifact is a pure function of `(config, index)`,
-//! validated against the configuration (shared with the `rtl-dist` merge
-//! refusals) and published with the same atomic write + dedup rules a
-//! shard merge uses. Determinism of the *fleet counters* holds as long
+//! every uploaded artifact is a pure function of `(config, index)`. A
+//! connection's profile, flight and corpus frames wait in that peer's
+//! pending case bundle, and its record frame commits the bundle through
+//! the same [`CaseBundle::check`] and [`CaseBundle::publish`] a shard
+//! merge uses — one refusal surface, and the commit order stated in
+//! [`rtl_campaign::bundle`]. Determinism of the *fleet counters* holds as long
 //! as every granted lease drains: grants always take the first
 //! contiguous run of pending cases, so `fleet/leases_granted` and
 //! `fleet/cases_dispatched` are byte-identical across worker counts and
@@ -21,18 +23,17 @@
 //! campaign layer documents for `bin_cache` counters.
 
 use crate::error::FleetError;
-use crate::protocol::{CorpusFiles, Framed, Message, Poll, Refusal, PROTOCOL};
+use crate::protocol::{Framed, Message, Poll, Refusal, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
 use rtl_campaign::{
-    corpus, CampaignConfig, CampaignDir, CampaignError, CampaignReport, CaseRecord,
+    corpus, BundleEntry, CampaignConfig, CampaignDir, CampaignError, CampaignReport, CaseBundle,
+    CaseRecord,
 };
 use rtl_obs::json::Json;
-use rtl_obs::write_atomic;
 use rtl_obs::{Event, Histogram, Recorder};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Controller knobs. None of them affect case outcomes — the campaign
@@ -155,6 +156,9 @@ struct Peer {
     /// metrics log — ids from different workers would otherwise collide
     /// in the merged stream.
     spans: BTreeMap<u64, u64>,
+    /// The artifact frames (profile, flight, corpus) of the case bundle
+    /// the peer's next record frame commits.
+    pending: Vec<Message>,
 }
 
 /// What the frame handler wants done with the connection.
@@ -180,7 +184,6 @@ struct State {
     corpus_fps: HashSet<u64>,
     new_corpus: BTreeSet<String>,
     dispatched: u64,
-    stage: PathBuf,
     started: Instant,
     /// Records already on disk when serving began — subtracted out of
     /// the ETA rate so a resumed campaign doesn't project from work it
@@ -283,9 +286,6 @@ impl Controller {
             corpus_fps,
             new_corpus: BTreeSet::new(),
             dispatched: 0,
-            stage: dir
-                .root()
-                .join(format!(".fleet-stage-{}", std::process::id())),
             started,
             done_at_start,
             done: done_at_start,
@@ -385,7 +385,6 @@ impl Controller {
             std::thread::sleep(Duration::from_millis(2));
         }
 
-        let _ = std::fs::remove_dir_all(&state.stage);
         options.recorder.flush();
         progress.fleet_summary(&state.heartbeat_hist, &state.lease_hist);
         Ok(CampaignReport {
@@ -462,19 +461,27 @@ impl State {
             Message::LeaseRequest => self.handle_lease_request(&peer.name),
             Message::Heartbeat => Reply::Send(Message::Ack),
             Message::Record { index, body } => {
-                self.handle_record(&peer.name, index, &body, progress)
+                let pending = std::mem::take(&mut peer.pending);
+                self.handle_record(&peer.name, index, body, pending, progress)
             }
-            Message::Profile { index, body } => self.handle_profile(index, &body),
-            Message::Flight { index, body } => self.handle_flight(index, &body),
+            // A bundle holds at most a profile, a flight log and a corpus
+            // entry; anything more before a record is a broken peer.
+            Message::Profile { .. } | Message::Flight { .. } | Message::Corpus { .. }
+                if peer.pending.len() >= 3 =>
+            {
+                Reply::Refuse(
+                    Refusal::BadUpload,
+                    format!("{} frame beyond a full case bundle", msg.kind()),
+                )
+            }
+            Message::Profile { .. } | Message::Flight { .. } | Message::Corpus { .. } => {
+                peer.pending.push(msg);
+                Reply::Send(Message::Ack)
+            }
             Message::Events { body } => {
                 let name = peer.name.clone();
                 self.handle_events(&name, &mut peer.spans, &body)
             }
-            Message::Corpus {
-                name,
-                fingerprint,
-                files,
-            } => self.handle_corpus(&name, &fingerprint, &files),
             Message::Metrics { counters } => {
                 for delta in counters {
                     self.options.recorder.count(&delta.src, &delta.key, delta.n);
@@ -565,6 +572,7 @@ impl State {
             name: worker,
             role,
             spans: BTreeMap::new(),
+            pending: Vec::new(),
         });
         Reply::Send(Message::Welcome {
             protocol: PROTOCOL.into(),
@@ -624,27 +632,21 @@ impl State {
         })
     }
 
+    /// Commits one case: the record frame plus the peer's pending
+    /// artifact frames, checked and published as one bundle.
     fn handle_record(
         &mut self,
         worker: &str,
         index: u32,
-        body: &str,
+        body: String,
+        pending: Vec<Message>,
         progress: &mut dyn FleetProgress,
     ) -> Reply {
-        if index >= self.config.cases {
-            return Reply::Refuse(
-                Refusal::BadUpload,
-                format!(
-                    "case {index} lies outside the campaign's {} case(s)",
-                    self.config.cases
-                ),
-            );
-        }
-        if self.records[index as usize].is_some() {
+        if let Some(Some(_)) = self.records.get(index as usize) {
             // Idempotent duplicate — a reassigned lease whose original
             // worker got there first, or a replayed upload after a
-            // reconnect. The published record is canonical; a different
-            // body contradicts the determinism contract.
+            // reconnect. The published bundle is canonical; a different
+            // record contradicts the determinism contract.
             let published = std::fs::read(self.dir.case_path(index)).unwrap_or_default();
             if published != body.as_bytes() {
                 return Reply::Refuse(
@@ -654,14 +656,61 @@ impl State {
             }
             return Reply::Send(Message::Ack);
         }
-        let record = match rtl_dist::verify::parse_record(&self.config, index, body) {
-            Ok(record) => record,
-            Err(e) => return Reply::Refuse(Refusal::BadUpload, e),
+        let mut bundle = CaseBundle {
+            index,
+            record: body,
+            profile: None,
+            flight: None,
+            corpus: None,
         };
-        if let Err(e) = write_atomic(&self.dir.case_path(index), body.as_bytes()) {
+        for frame in pending {
+            let slot = match frame {
+                Message::Profile { index: i, body } if i == index => {
+                    bundle.profile.replace(body).map(|_| "profile")
+                }
+                Message::Flight { index: i, body } if i == index => {
+                    bundle.flight.replace(body).map(|_| "flight")
+                }
+                Message::Corpus {
+                    name,
+                    fingerprint,
+                    files,
+                } => bundle
+                    .corpus
+                    .replace(BundleEntry {
+                        name,
+                        fingerprint,
+                        files,
+                    })
+                    .map(|_| "corpus"),
+                other => Some(other.kind()),
+            };
+            if let Some(kind) = slot {
+                return Reply::Refuse(
+                    Refusal::BadUpload,
+                    format!("a stray or repeated {kind} frame came before case {index}'s record"),
+                );
+            }
+        }
+        let (record, corpus_fp) =
+            match bundle.check(&self.config, self.options.profile, self.options.flight) {
+                Ok(checked) => checked,
+                Err(e) => return Reply::Refuse(Refusal::BadUpload, e),
+            };
+        // Another worker may have archived the same scenario already.
+        let fresh_corpus = corpus_fp.filter(|&fp| !self.corpus_fps.contains(&fp));
+        if fresh_corpus.is_none() {
+            bundle.corpus = None;
+        }
+        if let Err(e) = bundle.publish(&self.dir) {
             // A publication failure is the controller's problem, not the
             // worker's — but the conversation cannot meaningfully go on.
             return Reply::Refuse(Refusal::BadUpload, format!("publication failed: {e}"));
+        }
+        if let (Some(fp), Some(entry)) = (fresh_corpus, bundle.corpus) {
+            self.corpus_fps.insert(fp);
+            self.new_corpus.insert(entry.name);
+            self.options.recorder.count("fleet", "corpus_accepted", 1);
         }
         self.records[index as usize] = Some(record.clone());
         self.done += 1;
@@ -682,73 +731,6 @@ impl State {
         }
         progress.record_accepted(worker, &record, self.done, self.config.cases);
         Reply::Send(Message::Ack)
-    }
-
-    fn handle_profile(&mut self, index: u32, body: &str) -> Reply {
-        if !self.options.profile {
-            return Reply::Refuse(
-                Refusal::BadUpload,
-                "this campaign does not collect execution profiles".into(),
-            );
-        }
-        if index >= self.config.cases {
-            return Reply::Refuse(
-                Refusal::BadUpload,
-                format!(
-                    "case {index} lies outside the campaign's {} case(s)",
-                    self.config.cases
-                ),
-            );
-        }
-        if let Err(e) = rtl_core::Profile::parse(body) {
-            return Reply::Refuse(Refusal::BadUpload, format!("case {index} profile: {e}"));
-        }
-        if self.records[index as usize].is_some() {
-            // The record already committed this case; its sidecar (if
-            // profiled) is already published and deterministic.
-            return Reply::Send(Message::Ack);
-        }
-        // Sidecar-before-record discipline: the record stays the commit
-        // point, so publishing the sidecar first is always safe.
-        match write_atomic(&self.dir.profile_path(index), body.as_bytes()) {
-            Ok(()) => Reply::Send(Message::Ack),
-            Err(e) => Reply::Refuse(Refusal::BadUpload, format!("publication failed: {e}")),
-        }
-    }
-
-    fn handle_flight(&mut self, index: u32, body: &str) -> Reply {
-        if !self.options.flight {
-            return Reply::Refuse(
-                Refusal::BadUpload,
-                "this campaign does not arm the flight recorder".into(),
-            );
-        }
-        if index >= self.config.cases {
-            return Reply::Refuse(
-                Refusal::BadUpload,
-                format!(
-                    "case {index} lies outside the campaign's {} case(s)",
-                    self.config.cases
-                ),
-            );
-        }
-        // The sidecar is an `asim2-events v1` excerpt: every line must
-        // decode as an event before anything touches the directory.
-        for line in body.lines().filter(|l| !l.trim().is_empty()) {
-            if let Err(e) = Event::parse(line) {
-                return Reply::Refuse(Refusal::BadUpload, format!("case {index} flight log: {e}"));
-            }
-        }
-        if self.records[index as usize].is_some() {
-            // The record already committed this case; its sidecar (if
-            // any) is already published and deterministic.
-            return Reply::Send(Message::Ack);
-        }
-        // Sidecar-before-record discipline, exactly like profiles.
-        match write_atomic(&self.dir.flight_path(index), body.as_bytes()) {
-            Ok(()) => Reply::Send(Message::Ack),
-            Err(e) => Reply::Refuse(Refusal::BadUpload, format!("publication failed: {e}")),
-        }
     }
 
     /// Folds a worker's streamed `asim2-events v1` log into the
@@ -807,102 +789,6 @@ impl State {
             }
         }
         Reply::Send(Message::Ack)
-    }
-
-    fn handle_corpus(&mut self, name: &str, claimed: &str, files: &CorpusFiles) -> Reply {
-        // The name becomes file stems under corpus/ — refuse anything
-        // that could escape the directory or shadow temp siblings.
-        let clean = !name.is_empty()
-            && !name.starts_with('.')
-            && name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-        if !clean {
-            return Reply::Refuse(
-                Refusal::BadUpload,
-                format!("corpus entry name {name:?} is not a plain file stem"),
-            );
-        }
-        let Ok(claimed_fp) = u64::from_str_radix(claimed, 16) else {
-            return Reply::Refuse(
-                Refusal::BadUpload,
-                format!("corpus entry {name}: fingerprint is not hex"),
-            );
-        };
-        // Stage the four files and run the full corpus load validation
-        // (metadata schema, checkpoint recompute) before anything touches
-        // the published corpus.
-        let entry = match self.stage_corpus(name, files) {
-            Ok(entry) => entry,
-            Err(e) => {
-                return Reply::Refuse(Refusal::BadUpload, format!("corpus entry {name}: {e}"))
-            }
-        };
-        let fp = corpus::entry_fingerprint(&entry.scenario);
-        if fp != claimed_fp {
-            return Reply::Refuse(
-                Refusal::BadUpload,
-                format!("corpus entry {name}: claimed fingerprint does not match the files"),
-            );
-        }
-        if !self.corpus_fps.insert(fp) {
-            // Already archived (another worker found the same scenario).
-            return Reply::Send(Message::Ack);
-        }
-        let publish = || -> io::Result<()> {
-            let corpus_dir = self.dir.corpus();
-            write_atomic(
-                &corpus_dir.join(format!("{name}.asim")),
-                files.asim.as_bytes(),
-            )?;
-            write_atomic(
-                &corpus_dir.join(format!("{name}.stim")),
-                files.stim.as_bytes(),
-            )?;
-            write_atomic(
-                &corpus_dir.join(format!("{name}.ckpt")),
-                files.ckpt.as_bytes(),
-            )?;
-            write_atomic(
-                &corpus_dir.join(format!("{name}.json")),
-                files.meta.as_bytes(),
-            )?;
-            Ok(())
-        };
-        if let Err(e) = publish() {
-            self.corpus_fps.remove(&fp);
-            return Reply::Refuse(Refusal::BadUpload, format!("publication failed: {e}"));
-        }
-        self.new_corpus.insert(name.to_string());
-        self.options.recorder.count("fleet", "corpus_accepted", 1);
-        Reply::Send(Message::Ack)
-    }
-
-    /// Writes the upload into a scratch directory and validates it with
-    /// the standard corpus loader (which recomputes the reference
-    /// checkpoint byte-for-byte).
-    fn stage_corpus(&self, name: &str, files: &CorpusFiles) -> Result<corpus::CorpusEntry, String> {
-        let _ = std::fs::remove_dir_all(&self.stage);
-        let stage = |ext: &str, text: &str| {
-            write_atomic(&self.stage.join(format!("{name}.{ext}")), text.as_bytes())
-        };
-        stage("asim", &files.asim)
-            .and_then(|()| stage("stim", &files.stim))
-            .and_then(|()| stage("ckpt", &files.ckpt))
-            .and_then(|()| stage("json", &files.meta))
-            .map_err(|e| e.to_string())?;
-        let mut entries = corpus::load_all(&self.stage).map_err(|e| e.to_string())?;
-        let _ = std::fs::remove_dir_all(&self.stage);
-        match entries.len() {
-            1 => {
-                let entry = entries.remove(0);
-                if entry.name != name {
-                    return Err(format!("metadata names {:?}", entry.name));
-                }
-                Ok(entry)
-            }
-            n => Err(format!("staged {n} entries instead of 1")),
-        }
     }
 
     /// Refreshes a worker's liveness and pushes its lease deadlines out.

@@ -14,9 +14,11 @@
 //! workspace: a case's outcome (its record, its profile sidecar, its
 //! shrunk corpus entry) is a pure function of `(config, index)`, so it
 //! does not matter *which* worker executes it, *when*, or *how many
-//! times* — the controller publishes each artifact atomically, validates
-//! it against the campaign fingerprint first, and deduplicates corpus
-//! entries by scenario fingerprint exactly like a shard merge.
+//! times* — the controller checks each case's bundle against the
+//! campaign configuration, publishes it atomically in the shared commit
+//! order, and deduplicates corpus entries by scenario fingerprint, all
+//! through the same [`CaseBundle`](rtl_campaign::CaseBundle) code a shard
+//! merge uses.
 //!
 //! The moving pieces:
 //!
@@ -26,12 +28,13 @@
 //!   token, drifted manifest fingerprint, duplicate worker name).
 //! - [`controller`] — [`Controller::serve`](controller::Controller):
 //!   lease dispatch, heartbeat tracking, expiry + reassignment on worker
-//!   death, validated atomic publication of records / profiles / corpus
-//!   entries / metrics deltas into the standard campaign layout.
+//!   death, checked atomic publication of case bundles (record,
+//!   sidecars, corpus entry) and telemetry into the standard campaign
+//!   layout.
 //! - [`worker`] — [`work`]: wraps the `rtl-campaign` pool
 //!   via `RunOptions.case_range` in a local scratch directory, then
-//!   uploads every artifact byte-verbatim — case records, profile and
-//!   flight-recorder sidecars, corpus entries, and — when the
+//!   uploads every case bundle byte-verbatim — profile and
+//!   flight-recorder sidecars, corpus entry, record — and, when the
 //!   controller records — its full local telemetry log (`events` frames
 //!   the controller folds into one campaign-wide metrics stream).
 //! - [`status`] — [`StatusClient`]: a read-only `role: "status"`

@@ -17,6 +17,7 @@
 
 use crate::error::FleetError;
 use rtl_campaign::CampaignConfig;
+pub use rtl_campaign::CorpusFiles;
 use rtl_obs::json::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -90,21 +91,6 @@ pub struct CounterDelta {
     pub n: u64,
 }
 
-/// The four files of one corpus entry, shipped as text (every campaign
-/// artifact — spec, stimulus, session checkpoint, metadata — is a text
-/// document).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorpusFiles {
-    /// The shrunk `.asim` specification source.
-    pub asim: String,
-    /// The `.stim` stimulus script.
-    pub stim: String,
-    /// The `.ckpt` reference session checkpoint.
-    pub ckpt: String,
-    /// The `.json` entry metadata.
-    pub meta: String,
-}
-
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -170,7 +156,10 @@ pub enum Message {
     Drained,
     /// Worker → controller: liveness signal between case completions.
     Heartbeat,
-    /// Worker → controller: one completed case record, byte-verbatim.
+    /// Worker → controller: one completed case record, byte-verbatim. It
+    /// commits the case's bundle: the profile, flight and corpus frames
+    /// sent before it are checked and published with it, in the commit
+    /// order stated in [`rtl_campaign::bundle`].
     Record {
         /// Global case index.
         index: u32,
@@ -178,15 +167,15 @@ pub enum Message {
         body: String,
     },
     /// Worker → controller: one execution-profile sidecar,
-    /// byte-verbatim (sent *before* its case record, preserving the
-    /// sidecar-before-record publication discipline).
+    /// byte-verbatim, sent before the case record that commits it.
     Profile {
         /// Global case index.
         index: u32,
         /// The sidecar file's exact text.
         body: String,
     },
-    /// Worker → controller: one shrunk corpus entry.
+    /// Worker → controller: the shrunk corpus entry the next case record
+    /// names, sent before that record.
     Corpus {
         /// Entry name (`seed-N`).
         name: String,
@@ -212,8 +201,8 @@ pub enum Message {
         /// The event log's exact text (meta header included).
         body: String,
     },
-    /// Worker → controller: one flight-recorder sidecar, byte-verbatim
-    /// (sent *before* its case record, like [`Message::Profile`]).
+    /// Worker → controller: one flight-recorder sidecar, byte-verbatim,
+    /// sent before the case record that commits it.
     Flight {
         /// Global case index.
         index: u32,

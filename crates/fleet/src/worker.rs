@@ -1,6 +1,7 @@
 //! The fleet worker: leases case ranges from a controller, executes them
 //! with the standard `rtl-campaign` pool in a local scratch directory,
-//! and uploads every artifact byte-verbatim.
+//! and uploads every case's [bundle](rtl_campaign::bundle) byte-verbatim,
+//! its frames in the commit order that module states, record last.
 //!
 //! The worker is deliberately thin. All execution — engine registries,
 //! per-case seeds, shrinking, profiling — is the campaign runner's,
@@ -19,10 +20,9 @@
 //! however many earlier leases the scratch directory holds.
 
 use crate::error::FleetError;
-use crate::protocol::{CorpusFiles, Framed, Message, PROTOCOL};
+use crate::protocol::{Framed, Message, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
-use rtl_campaign::{CampaignDir, CampaignError, CaseRecord, Progress, RunOptions};
-use rtl_obs::json::Json;
+use rtl_campaign::{CampaignDir, CampaignError, CaseBundle, CaseRecord, Progress, RunOptions};
 use rtl_obs::Recorder;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -273,40 +273,25 @@ fn run_lease(
     }
     recorder.flush();
 
-    // Upload the lease's artifacts byte-verbatim from disk — the same
-    // files a single-machine run publishes, so the controller's
-    // directory diffs clean. The profile sidecar goes first, preserving
-    // the sidecar-before-record publication discipline.
+    // Upload each case's bundle byte-verbatim from disk — the same files
+    // a single-machine run publishes, so the controller's directory
+    // diffs clean.
     for index in start..end {
-        if profile {
-            let body = std::fs::read_to_string(dir.profile_path(index))
-                .map_err(|e| FleetError::Campaign(CampaignError::Io(e)))?;
-            expect_ack(framed, &Message::Profile { index, body }, "profile upload")?;
-        }
-        // The flight sidecar exists exactly when the case did not agree
-        // — deterministically, so its presence needs no bookkeeping.
-        if flight && dir.flight_path(index).exists() {
-            let body = std::fs::read_to_string(dir.flight_path(index))
-                .map_err(|e| FleetError::Campaign(CampaignError::Io(e)))?;
-            expect_ack(framed, &Message::Flight { index, body }, "flight upload")?;
-        }
-        // A divergence's shrunk corpus entry goes before the record as
-        // well: the record is the commit point, so a worker killed
-        // between the two must not leave an accepted record whose
-        // corpus entry was never published. The controller dedups
-        // entries idempotently by scenario fingerprint, across workers.
+        let mut bundle = CaseBundle::read(dir, index)?.ok_or_else(|| {
+            CampaignError::Corrupt(format!("case {index} has no record after its lease ran"))
+        })?;
+        // A reused scratch may hold sidecars this controller does not
+        // collect.
+        bundle.profile = bundle.profile.filter(|_| profile);
+        bundle.flight = bundle.flight.filter(|_| flight);
         if let Some(Some(record)) = lease_report.records.get(index as usize) {
-            if let CaseStatus::Diverged { corpus, .. } = &record.status {
+            if matches!(record.status, CaseStatus::Diverged { .. }) {
                 report.diverged += 1;
-                if let Some(name) = corpus {
-                    let msg = corpus_message(dir, name)?;
-                    expect_ack(framed, &msg, "corpus upload")?;
-                }
             }
         }
-        let body = std::fs::read_to_string(dir.case_path(index))
-            .map_err(|e| FleetError::Campaign(CampaignError::Io(e)))?;
-        expect_ack(framed, &Message::Record { index, body }, "record upload")?;
+        for msg in bundle_frames(bundle) {
+            expect_ack(framed, &msg)?;
+        }
         *uploads += 1;
         report.cases += 1;
         if options.abandon_after.is_some_and(|n| *uploads >= n) {
@@ -321,50 +306,43 @@ fn run_lease(
     if let Some(log) = log {
         let body = log.text();
         if !body.trim().is_empty() {
-            expect_ack(framed, &Message::Events { body }, "events upload")?;
+            expect_ack(framed, &Message::Events { body })?;
         }
     }
     Ok(())
 }
 
-/// Reads a corpus entry's four files and claimed fingerprint (the
-/// `design_fp` the campaign layer stamped into the metadata, passed
-/// through verbatim).
-fn corpus_message(dir: &CampaignDir, name: &str) -> Result<Message, FleetError> {
-    let read = |ext: &str| {
-        std::fs::read_to_string(dir.corpus().join(format!("{name}.{ext}")))
-            .map_err(|e| FleetError::Campaign(CampaignError::Io(e)))
-    };
-    let files = CorpusFiles {
-        asim: read("asim")?,
-        stim: read("stim")?,
-        ckpt: read("ckpt")?,
-        meta: read("json")?,
-    };
-    let fingerprint = Json::parse(&files.meta)
-        .ok()
-        .as_ref()
-        .and_then(|doc| {
-            doc.get("design_fp")
-                .and_then(Json::as_str)
-                .map(String::from)
-        })
-        .ok_or_else(|| {
-            FleetError::Protocol(format!("corpus entry {name} has no design_fp metadata"))
-        })?;
-    Ok(Message::Corpus {
-        name: name.to_string(),
-        fingerprint,
-        files,
-    })
+/// A bundle as upload frames, in its commit order.
+fn bundle_frames(bundle: CaseBundle) -> Vec<Message> {
+    let CaseBundle {
+        index,
+        record,
+        profile,
+        flight,
+        corpus,
+    } = bundle;
+    let mut frames = Vec::with_capacity(4);
+    frames.extend(profile.map(|body| Message::Profile { index, body }));
+    frames.extend(flight.map(|body| Message::Flight { index, body }));
+    frames.extend(corpus.map(|entry| Message::Corpus {
+        name: entry.name,
+        fingerprint: entry.fingerprint,
+        files: entry.files,
+    }));
+    frames.push(Message::Record {
+        index,
+        body: record,
+    });
+    frames
 }
 
-fn expect_ack(framed: &mut Framed, msg: &Message, what: &str) -> Result<(), FleetError> {
+fn expect_ack(framed: &mut Framed, msg: &Message) -> Result<(), FleetError> {
     match framed.call(msg)? {
         Message::Ack => Ok(()),
         Message::Error { reason, detail } => Err(FleetError::Refused { reason, detail }),
         other => Err(FleetError::Protocol(format!(
-            "{what} answered with {:?}",
+            "{} upload answered with {:?}",
+            msg.kind(),
             other.kind()
         ))),
     }

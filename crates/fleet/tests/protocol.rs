@@ -2,9 +2,9 @@
 //! byte-stable error frames, and frame round-trip properties.
 
 use proptest::prelude::*;
-use rtl_campaign::{CampaignConfig, CampaignDir, NoProgress, RunOptions};
+use rtl_campaign::{CampaignConfig, CampaignDir, CaseBundle, NoProgress, RunOptions};
 use rtl_fleet::protocol::{self, CorpusFiles, CounterDelta, Framed, Message};
-use rtl_fleet::{Controller, ControllerOptions, NoFleetProgress, WorkerOptions, PROTOCOL};
+use rtl_fleet::{Controller, ControllerOptions, NoFleetProgress, Refusal, WorkerOptions, PROTOCOL};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -576,4 +576,187 @@ fn workers_stream_events_only_to_a_recording_controller() {
             "bye"
         ]
     );
+}
+
+/// A diverging campaign with both sidecars on, as one controller serves
+/// it: two `interp,vm-fault` cases, each shrunk into a corpus entry.
+fn upload_config() -> CampaignConfig {
+    let mut config = CampaignConfig {
+        seed: 5,
+        cases: 2,
+        engines: vec!["interp".into(), "vm-fault".into()],
+        ..CampaignConfig::default()
+    };
+    config.generator.size = 8;
+    config.generator.cycles = 48;
+    config
+}
+
+/// A case bundle as the frames a worker uploads, record last.
+fn frames(bundle: &CaseBundle) -> Vec<Message> {
+    let mut frames = Vec::new();
+    if let Some(body) = &bundle.profile {
+        frames.push(Message::Profile {
+            index: bundle.index,
+            body: body.clone(),
+        });
+    }
+    if let Some(body) = &bundle.flight {
+        frames.push(Message::Flight {
+            index: bundle.index,
+            body: body.clone(),
+        });
+    }
+    if let Some(entry) = &bundle.corpus {
+        frames.push(Message::Corpus {
+            name: entry.name.clone(),
+            fingerprint: entry.fingerprint.clone(),
+            files: entry.files.clone(),
+        });
+    }
+    frames.push(Message::Record {
+        index: bundle.index,
+        body: bundle.record.clone(),
+    });
+    frames
+}
+
+/// Sends `frames` as worker `name` and returns the refusal that ends
+/// the conversation (every frame before it is acknowledged).
+fn refusal(addr: SocketAddr, name: &str, frames: Vec<Message>) -> (Refusal, String) {
+    let mut framed = Framed::new(TcpStream::connect(addr).unwrap()).unwrap();
+    let hello = Message::Hello {
+        protocol: PROTOCOL.into(),
+        token: "t".into(),
+        worker: name.into(),
+        fingerprint: None,
+        role: None,
+    };
+    assert_eq!(framed.call(&hello).unwrap().kind(), "welcome");
+    for frame in frames {
+        match framed.call(&frame).unwrap() {
+            Message::Ack => {}
+            Message::Error { reason, detail } => return (reason, detail),
+            other => panic!("{} answered with {}", frame.kind(), other.kind()),
+        }
+    }
+    panic!("{name}: the upload was accepted");
+}
+
+/// The files published under a controller's `cases/` and `corpus/`.
+fn published(root: &std::path::Path) -> Vec<String> {
+    let mut files = Vec::new();
+    for sub in ["cases", "corpus"] {
+        for dirent in std::fs::read_dir(root.join(sub)).into_iter().flatten() {
+            files.push(format!("{sub}/{:?}", dirent.unwrap().file_name()));
+        }
+    }
+    files
+}
+
+/// Every upload refusal the controller makes: a contradicting record
+/// seed, a garbage profile, a garbage flight line, a profile to a
+/// campaign that collects none, a corpus name that escapes `corpus/`,
+/// and a corpus upload whose claimed fingerprint mismatches its files.
+/// Each is refused as `bad-upload`, and nothing is published.
+#[test]
+fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
+    let config = upload_config();
+    // The genuine bundles of case 0, from a single-machine run.
+    let local = CampaignDir::new(scratch("upload-local"));
+    let options = RunOptions {
+        workers: 1,
+        profile: true,
+        flight: true,
+        ..RunOptions::default()
+    };
+    rtl_campaign::run(&local, &config, &options, &mut NoProgress).unwrap();
+    let good = CaseBundle::read(&local, 0).unwrap().unwrap();
+    assert!(good.profile.is_some() && good.flight.is_some() && good.corpus.is_some());
+    let entry = good.corpus.clone().unwrap();
+
+    let tampered = |f: &dyn Fn(&mut CaseBundle)| {
+        let mut bundle = good.clone();
+        f(&mut bundle);
+        frames(&bundle)
+    };
+    let escape = tampered(&|b| {
+        let corpus = b.corpus.as_mut().unwrap();
+        b.record = b.record.replace(&corpus.name, "../x");
+        corpus.name = "../x".into();
+    });
+    let cases: Vec<(&str, bool, Vec<Message>, &str)> = vec![
+        (
+            "seed",
+            true,
+            tampered(&|b| b.record = b.record.replace("\"seed\": 5", "\"seed\": 6")),
+            "the configuration derives 5",
+        ),
+        (
+            "profile",
+            true,
+            tampered(&|b| b.profile = Some("garbage\n".into())),
+            "case-000000.profile",
+        ),
+        (
+            "flight",
+            true,
+            tampered(&|b| b.flight.as_mut().unwrap().push_str("not an event\n")),
+            "case-000000.flight.jsonl",
+        ),
+        (
+            "unwanted-profile",
+            false,
+            frames(&good),
+            "does not collect execution profiles",
+        ),
+        ("escape", true, escape, "not a plain file stem"),
+        (
+            "fingerprint",
+            true,
+            tampered(&|b| b.corpus.as_mut().unwrap().fingerprint = "0".repeat(16)),
+            "claimed fingerprint does not match the files",
+        ),
+    ];
+    assert_ne!(entry.fingerprint, "0".repeat(16));
+
+    for profile in [true, false] {
+        let root = scratch(&format!("upload-controller-{profile}"));
+        let controller = Controller::bind("127.0.0.1:0").unwrap();
+        let addr = controller.local_addr().unwrap();
+        let dir = CampaignDir::new(&root);
+        let serve_config = config.clone();
+        let serving = std::thread::spawn(move || {
+            controller.serve(
+                &dir,
+                &serve_config,
+                &ControllerOptions {
+                    token: "t".into(),
+                    profile,
+                    flight: true,
+                    ..ControllerOptions::default()
+                },
+                &mut NoFleetProgress,
+            )
+        });
+        for (name, wants_profile, frames, detail) in &cases {
+            if *wants_profile != profile {
+                continue;
+            }
+            let (reason, got) = refusal(addr, name, frames.clone());
+            assert_eq!(reason, Refusal::BadUpload, "{name}: {got}");
+            assert!(got.contains(detail), "{name}: {got}");
+            assert_eq!(published(&root), Vec::<String>::new(), "{name}");
+        }
+        // Drain so the serving thread exits.
+        let mut worker = WorkerOptions {
+            token: "t".into(),
+            name: "drain".into(),
+            scratch: scratch(&format!("upload-drain-{profile}")),
+            ..WorkerOptions::default()
+        };
+        worker.threads = 1;
+        rtl_fleet::work(&addr.to_string(), &worker).unwrap();
+        serving.join().unwrap().unwrap();
+    }
 }
