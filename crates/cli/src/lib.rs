@@ -640,50 +640,15 @@ fn cosim_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     };
 
     // One scenario (a file or a named corpus entry), or the full corpus.
-    match (file, flag_value(&flags, "--scenario")?) {
-        (Some(_), Some(_)) => Err(usage_err("pass either FILE or --scenario, not both")),
-        (Some(path), None) => {
-            let source = std::fs::read_to_string(path)
-                .map_err(|e| load_err(format!("cannot read {path}: {e}")))?;
-            // Elaborate only when the horizon must come from the spec's
-            // own `= n` clause (run_scenario_names elaborates again; with
-            // --cycles given, the file is elaborated exactly once).
-            let horizon = match cycles {
-                Some(n) => n,
-                None => rtl_core::Design::from_source(&source)
-                    .map_err(load_err)?
-                    .cycles()
-                    .and_then(|n| u64::try_from(n + 1).ok())
-                    .unwrap_or(rtl_machines::scenarios::DEFAULT_CYCLES),
-            };
-            let scenario = Scenario {
-                name: path.to_string(),
-                source,
-                cycles: horizon,
-                input: Vec::new(),
-            };
-            let outcome =
-                rtl_cosim::run_scenario_names(rtl_cosim::registry(), &engines, &scenario, &options)
-                    .map_err(load_err)?;
-            dump_divergent_window(&engines, &scenario, &outcome, dump_divergence, out)?;
-            report_single(path, outcome, out)
-        }
-        (None, Some(name)) => {
-            let scenario = rtl_machines::scenarios::by_name(name).ok_or_else(|| {
-                let known = rtl_machines::scenarios::names().join(", ");
-                usage_err(format!("unknown scenario {name:?} (known: {known})"))
-            })?;
-            let scenario = match cycles {
-                Some(n) => scenario.with_cycles(n),
-                None => scenario,
-            };
+    match scenario_arg(file, &flags, cycles)? {
+        Some(scenario) => {
             let outcome =
                 rtl_cosim::run_scenario_names(rtl_cosim::registry(), &engines, &scenario, &options)
                     .map_err(load_err)?;
             dump_divergent_window(&engines, &scenario, &outcome, dump_divergence, out)?;
             report_single(&scenario.name, outcome, out)
         }
-        (None, None) => {
+        None => {
             let report =
                 rtl_cosim::run_corpus_names(rtl_cosim::registry(), &engines, cycles, &options)
                     .map_err(load_err)?;
@@ -706,6 +671,53 @@ fn cosim_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
             } else {
                 Ok(())
             }
+        }
+    }
+}
+
+/// The one scenario a `cosim` or `profile` command names: a spec FILE
+/// (labelled by its path, no stimulus) or a `--scenario` corpus entry, at
+/// `--cycles` when given. A FILE's default horizon is its own `= n`
+/// clause plus one, else [`DEFAULT_CYCLES`](rtl_machines::scenarios::DEFAULT_CYCLES).
+/// `None` when neither is given.
+fn scenario_arg(
+    file: Option<&str>,
+    flags: &[&str],
+    cycles: Option<u64>,
+) -> Result<Option<Scenario>, CliError> {
+    match (file, flag_value(flags, "--scenario")?) {
+        (Some(_), Some(_)) => Err(usage_err("pass either FILE or --scenario, not both")),
+        (None, None) => Ok(None),
+        (Some(path), None) => {
+            let source = std::fs::read_to_string(path)
+                .map_err(|e| load_err(format!("cannot read {path}: {e}")))?;
+            // Elaborate only when the horizon must come from the spec's
+            // own `= n` clause (the caller elaborates again; with --cycles
+            // given, the file is elaborated exactly once).
+            let horizon = match cycles {
+                Some(n) => n,
+                None => rtl_core::Design::from_source(&source)
+                    .map_err(load_err)?
+                    .cycles()
+                    .and_then(|n| u64::try_from(n + 1).ok())
+                    .unwrap_or(rtl_machines::scenarios::DEFAULT_CYCLES),
+            };
+            Ok(Some(Scenario {
+                name: path.to_string(),
+                source,
+                cycles: horizon,
+                input: Vec::new(),
+            }))
+        }
+        (None, Some(name)) => {
+            let scenario = rtl_machines::scenarios::by_name(name).ok_or_else(|| {
+                let known = rtl_machines::scenarios::names().join(", ");
+                usage_err(format!("unknown scenario {name:?} (known: {known})"))
+            })?;
+            Ok(Some(match cycles {
+                Some(n) => scenario.with_cycles(n),
+                None => scenario,
+            }))
         }
     }
 }
@@ -836,38 +848,8 @@ fn profile_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let cycles = parse_u64_flag(&flags, "--cycles")?;
 
     // One scenario: a spec file or a named corpus entry, like cosim.
-    let scenario = match (file, flag_value(&flags, "--scenario")?) {
-        (Some(_), Some(_)) => return Err(usage_err("pass either FILE or --scenario, not both")),
-        (None, None) => return Err(usage_err("profile needs a FILE or --scenario NAME")),
-        (Some(path), None) => {
-            let source = std::fs::read_to_string(path)
-                .map_err(|e| load_err(format!("cannot read {path}: {e}")))?;
-            let horizon = match cycles {
-                Some(n) => n,
-                None => rtl_core::Design::from_source(&source)
-                    .map_err(load_err)?
-                    .cycles()
-                    .and_then(|n| u64::try_from(n + 1).ok())
-                    .unwrap_or(rtl_machines::scenarios::DEFAULT_CYCLES),
-            };
-            Scenario {
-                name: path.to_string(),
-                source,
-                cycles: horizon,
-                input: Vec::new(),
-            }
-        }
-        (None, Some(name)) => {
-            let scenario = rtl_machines::scenarios::by_name(name).ok_or_else(|| {
-                let known = rtl_machines::scenarios::names().join(", ");
-                usage_err(format!("unknown scenario {name:?} (known: {known})"))
-            })?;
-            match cycles {
-                Some(n) => scenario.with_cycles(n),
-                None => scenario,
-            }
-        }
-    };
+    let scenario = scenario_arg(file, &flags, cycles)?
+        .ok_or_else(|| usage_err("profile needs a FILE or --scenario NAME"))?;
 
     let design = Design::from_source(&scenario.source).map_err(load_err)?;
     let hook = rtl_core::ProfileHook::collecting();

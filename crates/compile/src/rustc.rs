@@ -125,8 +125,22 @@ impl CompiledSim {
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()?;
-        child.stdin.take().expect("piped stdin").write_all(stdin)?;
-        let output = child.wait_with_output()?;
+        // The simulator reads stdin as it runs and writes its trace as it
+        // goes, so stdin is fed from its own thread while this one drains
+        // stdout: writing all of it first deadlocks once both pipes fill.
+        let mut pipe = child.stdin.take().expect("piped stdin");
+        let (fed, output) = std::thread::scope(|scope| {
+            let feeder = scope.spawn(move || match pipe.write_all(stdin) {
+                // A simulator that stops before reading all of its input
+                // closes the pipe; its exit status and output decide.
+                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+                fed => fed,
+            });
+            let output = child.wait_with_output();
+            (feeder.join().expect("stdin feeder does not panic"), output)
+        });
+        fed?;
+        let output = output?;
         let elapsed = start.elapsed();
         if !output.status.success() {
             return Err(PipelineError::RunFailed {

@@ -275,6 +275,10 @@ impl std::fmt::Display for DivergenceKind {
     }
 }
 
+/// Lines of trailing trace text a divergence report quotes per lane
+/// ([`LaneReport::trace_window`]).
+pub const TRACE_WINDOW_LINES: usize = 8;
+
 /// One engine's view at a divergence point — a value built from an
 /// [`Observation`] (see [`LaneReport::from_observation`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -297,17 +301,17 @@ pub struct LaneReport {
 impl LaneReport {
     /// Builds the report value for one lane from its observation: the
     /// cycle, the kind-specific diverging value, the stop state, the
-    /// statistics, and a trailing `window`-line quote of `trace_text`.
+    /// statistics, and a trailing [`TRACE_WINDOW_LINES`]-line quote of
+    /// `trace_text`.
     pub fn from_observation(
         name: &str,
         kind: &DivergenceKind,
         observation: &Observation<'_>,
         trace_text: &[u8],
-        window: usize,
     ) -> LaneReport {
         let text = String::from_utf8_lossy(trace_text);
         let lines: Vec<&str> = text.lines().collect();
-        let start = lines.len().saturating_sub(window);
+        let start = lines.len().saturating_sub(TRACE_WINDOW_LINES);
         LaneReport {
             engine: name.to_string(),
             cycle: observation.cycle(),

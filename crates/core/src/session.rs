@@ -565,17 +565,18 @@ impl<'d> Session<'d> {
         write_checkpoint(self.engine.design(), self.engine.state(), out)
     }
 
-    /// [`checkpoint`](Session::checkpoint) to a file path.
+    /// [`checkpoint`](Session::checkpoint) to a file path, published
+    /// atomically (temp sibling + rename) so a kill mid-write leaves the
+    /// previous checkpoint intact.
     ///
     /// # Errors
     ///
-    /// File creation or write failure.
+    /// File creation, write, or rename failure.
     pub fn checkpoint_to(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
         let _span = self.recorder.span("session", "checkpoint");
-        let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-        self.checkpoint(&mut file)?;
-        use std::io::Write as _;
-        file.flush()
+        let mut doc = Vec::new();
+        self.checkpoint(&mut doc)?;
+        rtl_obs::write_atomic(path.as_ref(), &doc)
     }
 
     /// Restores the engine from a checkpoint previously written over the

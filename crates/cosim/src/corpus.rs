@@ -1,6 +1,5 @@
 //! Runs the built-in scenario corpus through lockstep.
 
-use crate::engines::{registry, EngineKind};
 use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport};
 use crate::report::{all_clean, write_rows, ResultRow};
 use crate::stream::{run_scenario_names, ScenarioError};
@@ -129,30 +128,20 @@ pub fn run_corpus_names(
     })
 }
 
-/// [`run_corpus_names`] over the in-process tiers of the default
-/// registry — the harness-friendly entry point ([`EngineKind`] is `Copy`
-/// and cannot fail to build).
-pub fn run_corpus(
-    engines: &[EngineKind],
-    cycles: Option<u64>,
-    options: &CosimOptions,
-) -> CorpusReport {
-    let names: Vec<String> = engines.iter().map(|k| k.name().to_string()).collect();
-    run_corpus_names(registry(), &names, cycles, options).expect("in-process tiers always build")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::registry;
     use rtl_core::HaltKind;
+
+    fn interp_vm(cycles: u64, options: &CosimOptions) -> CorpusReport {
+        let names = ["interp".to_string(), "vm".to_string()];
+        run_corpus_names(registry(), &names, Some(cycles), options).unwrap()
+    }
 
     #[test]
     fn halted_scenarios_fail_the_sweep() {
-        let mut report = run_corpus(
-            &[EngineKind::Interp, EngineKind::Vm],
-            Some(4),
-            &CosimOptions::default(),
-        );
+        let mut report = interp_vm(4, &CosimOptions::default());
         assert!(report.clean());
         report.results[0].stop = StopReason::Halt(HaltKind::InputExhausted { cycle: 0 });
         assert!(
@@ -167,9 +156,8 @@ mod tests {
         // Regression: the override used to leave io/accumulator's stimulus
         // at its registered length, so any horizon above it exhausted
         // input and failed the sweep.
-        let report = run_corpus(
-            &[EngineKind::Interp, EngineKind::Vm],
-            Some(1100),
+        let report = interp_vm(
+            1100,
             &CosimOptions {
                 compare_every: 64,
                 ..CosimOptions::default()
@@ -185,11 +173,7 @@ mod tests {
     fn corpus_agrees_briefly() {
         // Full-horizon sweeps run in the integration tests and the CLI;
         // keep the unit test quick with a short override.
-        let report = run_corpus(
-            &[EngineKind::Interp, EngineKind::Vm],
-            Some(48),
-            &CosimOptions::default(),
-        );
+        let report = interp_vm(48, &CosimOptions::default());
         assert!(report.clean(), "{report}");
         assert!(report.results.len() >= 12);
         assert!(report.to_string().contains("summary:"));

@@ -1,15 +1,13 @@
-//! The default engine registry and the legacy tier names.
+//! The default engine registry.
 //!
 //! Engine *construction* lives in `rtl-core`'s open
 //! [`EngineRegistry`]: each execution tier registers an
 //! [`EngineFactory`](rtl_core::EngineFactory) with its own crate
 //! (`rtl-interp` the interpreter tiers, `rtl-compile` the VM tiers and
 //! the generated-Rust subprocess lane). This module only *assembles* the
-//! default registry — and keeps [`EngineKind`], the enum of in-process
-//! tiers, as a thin alias over it for harness code that wants `Copy`
-//! handles.
+//! default registry; every lane is named by its registry name.
 
-use rtl_core::{Design, Engine, EngineLane, EngineOptions, EngineRegistry};
+use rtl_core::EngineRegistry;
 
 /// The default registry: every built-in tier, in registration order —
 /// `interp`, `interp-faithful`, `vm`, `vm-noopt`, the `rust` subprocess
@@ -41,158 +39,37 @@ pub fn registry() -> &'static EngineRegistry {
     REGISTRY.get_or_init(default_registry)
 }
 
-/// An in-process execution tier that can join a lockstep run — a `Copy`
-/// alias over the core registry's stepped lanes. Stream lanes (the
-/// generated-Rust subprocess) have no `EngineKind`; drive them by name
-/// through [`run_scenario_names`](crate::stream::run_scenario_names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// The ASIM table interpreter with indexed lookups.
-    Interp,
-    /// The interpreter in its faithful 1986 configuration (symbol-table
-    /// lookups — slower, same values).
-    InterpFaithful,
-    /// The ASIM II bytecode VM with full optimization.
-    Vm,
-    /// The VM with every optimization pass disabled.
-    VmNoOpt,
-}
-
-impl EngineKind {
-    /// All in-process tiers, in registry order.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Interp,
-        EngineKind::InterpFaithful,
-        EngineKind::Vm,
-        EngineKind::VmNoOpt,
-    ];
-
-    /// The registry name (`interp`, `interp-faithful`, `vm`, `vm-noopt`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Interp => "interp",
-            EngineKind::InterpFaithful => "interp-faithful",
-            EngineKind::Vm => "vm",
-            EngineKind::VmNoOpt => "vm-noopt",
-        }
-    }
-
-    /// Parses one in-process tier name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the known names.
-    pub fn parse(name: &str) -> Result<EngineKind, String> {
-        Self::ALL
-            .into_iter()
-            .find(|k| k.name() == name)
-            .ok_or_else(|| {
-                let known: Vec<&str> = Self::ALL.iter().map(|k| k.name()).collect();
-                format!("unknown engine {name:?} (known: {})", known.join(", "))
-            })
-    }
-
-    /// Parses a comma-separated list (`"interp,vm"`), requiring at least
-    /// two distinct tiers — lockstep against yourself proves nothing.
-    ///
-    /// # Errors
-    ///
-    /// Unknown names, fewer than two entries, or duplicates.
-    pub fn parse_list(list: &str) -> Result<Vec<EngineKind>, String> {
-        let kinds: Vec<EngineKind> = list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(Self::parse)
-            .collect::<Result<_, _>>()?;
-        if kinds.len() < 2 {
-            return Err("need at least two engines (e.g. --engines interp,vm)".into());
-        }
-        for (i, k) in kinds.iter().enumerate() {
-            if kinds[..i].contains(k) {
-                return Err(format!("duplicate engine {:?}", k.name()));
-            }
-        }
-        Ok(kinds)
-    }
-
-    /// Builds the engine over a design through the core registry. `trace`
-    /// controls cycle-trace text (lockstep compares it byte-for-byte when
-    /// on).
-    pub fn build<'d>(self, design: &'d Design, trace: bool) -> Box<dyn Engine + 'd> {
-        self.build_with(
-            design,
-            &EngineOptions {
-                trace,
-                ..EngineOptions::default()
-            },
-        )
-    }
-
-    /// [`build`](EngineKind::build) with full [`EngineOptions`] (trace
-    /// plus the profile hook).
-    pub fn build_with<'d>(
-        self,
-        design: &'d Design,
-        options: &EngineOptions,
-    ) -> Box<dyn Engine + 'd> {
-        match registry().build(self.name(), design, options) {
-            Ok(EngineLane::Stepped(engine)) => engine,
-            Ok(EngineLane::Stream(_)) | Err(_) => {
-                unreachable!("built-in in-process tiers always build stepped lanes")
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtl_core::{Design, EngineLane, EngineOptions};
+
+    const COUNTER: &str = "# c\ncount* next .\nM count 0 next 1 1\nA next 4 count 1 .";
 
     #[test]
-    fn names_round_trip() {
-        for k in EngineKind::ALL {
-            assert_eq!(EngineKind::parse(k.name()), Ok(k));
-        }
-        assert!(
-            EngineKind::parse("rust").is_err(),
-            "stream lanes have no EngineKind"
-        );
-    }
-
-    #[test]
-    fn list_parsing() {
+    fn every_stepped_lane_builds_and_steps() {
+        let design = Design::from_source(COUNTER).unwrap();
+        let stepped: Vec<&str> = registry()
+            .names()
+            .into_iter()
+            .filter(|name| registry().get(name).unwrap().is_stepped())
+            .collect();
         assert_eq!(
-            EngineKind::parse_list("interp, vm"),
-            Ok(vec![EngineKind::Interp, EngineKind::Vm])
+            stepped,
+            ["interp", "interp-faithful", "vm", "vm-noopt", "vm-fault"]
         );
-        assert!(
-            EngineKind::parse_list("interp").is_err(),
-            "one engine is not a comparison"
-        );
-        assert!(
-            EngineKind::parse_list("vm,vm").is_err(),
-            "duplicates rejected"
-        );
-        assert!(EngineKind::parse_list("interp,warp").is_err());
-    }
-
-    #[test]
-    fn every_kind_builds_and_steps() {
-        let design =
-            Design::from_source("# c\ncount* next .\nM count 0 next 1 1\nA next 4 count 1 .")
-                .unwrap();
-        for kind in EngineKind::ALL {
-            let mut engine = kind.build(&design, true);
+        for name in stepped {
+            let options = EngineOptions {
+                trace: true,
+                ..EngineOptions::default()
+            };
+            let Ok(EngineLane::Stepped(mut engine)) = registry().build(name, &design, &options)
+            else {
+                panic!("{name} is stepped");
+            };
             let mut out = Vec::new();
             engine.step(&mut out, &mut rtl_core::NoInput).unwrap();
-            assert_eq!(engine.state().cycle(), 1, "{kind}");
+            assert_eq!(engine.state().cycle(), 1, "{name}");
         }
     }
 
@@ -206,9 +83,7 @@ mod tests {
         assert_send_sync::<EngineRegistry>();
         let handle = std::thread::spawn(|| {
             let registry = default_registry();
-            let design =
-                Design::from_source("# c\ncount* next .\nM count 0 next 1 1\nA next 4 count 1 .")
-                    .unwrap();
+            let design = Design::from_source(COUNTER).unwrap();
             let lane = registry
                 .build("vm", &design, &EngineOptions::default())
                 .unwrap();
@@ -225,12 +100,17 @@ mod tests {
 
     #[test]
     fn registry_lists_every_lane() {
-        let names = registry().names();
-        for kind in EngineKind::ALL {
-            assert!(names.contains(&kind.name()), "{names:?}");
-        }
-        assert!(names.contains(&"rust"), "{names:?}");
+        assert_eq!(
+            registry().names(),
+            [
+                "interp",
+                "interp-faithful",
+                "vm",
+                "vm-noopt",
+                "rust",
+                "vm-fault"
+            ]
+        );
         assert!(!registry().get("rust").unwrap().is_stepped());
-        assert!(names.contains(&"vm-fault"), "{names:?}");
     }
 }

@@ -1,6 +1,6 @@
 //! The fuzz campaign driver: generate N scenarios, lockstep each, report.
 
-use crate::engines::{registry, EngineKind};
+use crate::engines::registry;
 use crate::generate::{generate_case, GenOptions, GeneratedCase};
 use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport};
 use crate::report::{all_clean, write_rows, ResultRow};
@@ -22,16 +22,6 @@ pub struct FuzzOptions {
     pub generator: GenOptions,
     /// Lockstep tuning.
     pub cosim: CosimOptions,
-}
-
-impl FuzzOptions {
-    /// Compares the given in-process tiers (the common case).
-    pub fn with_kinds(kinds: &[EngineKind]) -> Self {
-        FuzzOptions {
-            engines: kinds.iter().map(|k| k.name().to_string()).collect(),
-            ..Self::default()
-        }
-    }
 }
 
 impl Default for FuzzOptions {
@@ -273,12 +263,52 @@ mod tests {
         assert_eq!(report.cases[1].seed, 0, "wraps deterministically");
     }
 
+    /// Regression: the `rust` lane wrote the whole stimulus into the
+    /// simulator before reading any of its output, so a case whose
+    /// stimulus and trace both outgrow the pipe buffers (seed 3 at 15,000
+    /// cycles) deadlocked. The case runs on a worker thread so a deadlock
+    /// fails the test instead of hanging it.
+    #[test]
+    fn long_rust_lane_case_does_not_deadlock() {
+        if !rtl_compile::rustc_available() {
+            eprintln!("skipping: rustc not on PATH");
+            return;
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let report = run_fuzz(&FuzzOptions {
+                seed: 3,
+                cases: 1,
+                engines: vec!["interp".into(), "rust".into()],
+                generator: GenOptions {
+                    cycles: 15_000,
+                    ..GenOptions::default()
+                },
+                ..FuzzOptions::default()
+            })
+            .map(|report| report.to_string())
+            .map_err(|e| e.to_string());
+            let _ = done.send(report);
+        });
+        let report = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a 15,000-cycle rust-lane case finishes within 60 s")
+            .unwrap();
+        assert!(
+            report.contains("summary: 1/1 agreed, 0 diverged, 15000 cycles verified"),
+            "{report}"
+        );
+    }
+
     #[test]
     fn four_way_campaign_agrees() {
         let options = FuzzOptions {
             cases: 5,
             generator: quick_options().generator,
-            ..FuzzOptions::with_kinds(&EngineKind::ALL)
+            engines: ["interp", "interp-faithful", "vm", "vm-noopt"]
+                .map(String::from)
+                .to_vec(),
+            ..FuzzOptions::default()
         };
         assert!(run_fuzz(&options).unwrap().clean());
     }

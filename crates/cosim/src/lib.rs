@@ -12,17 +12,16 @@
 //!   samples — see [`rtl_core::observe`]). On mismatch it produces a
 //!   structured [`DivergenceReport`] pinpointing the first divergent
 //!   cycle and component, with a trace window per engine. Comparison can
-//!   run at a coarse interval (`compare_every`); the harness then uses
-//!   the lanes' [`Session::checkpoint`](rtl_core::Session::checkpoint)/
-//!   [`resume`](rtl_core::Session::resume) to rewind and bisect to the
-//!   exact cycle — and the same mechanism lets one long case stop and
-//!   restart mid-run ([`Lockstep::checkpoint`]/[`Lockstep::resume`]).
+//!   run at a coarse interval (`compare_every`); the harness then rewinds
+//!   the lanes through [`Engine::snapshot`](rtl_core::Engine::snapshot)/
+//!   [`restore`](rtl_core::Engine::restore) and bisects to the exact
+//!   cycle. A long case can also stop and restart mid-run through the
+//!   on-disk [`Lockstep::checkpoint`]/[`Lockstep::resume`] document.
 //! * [`engines`] — assembles the *default* core
 //!   [`EngineRegistry`](rtl_core::EngineRegistry): `interp`,
 //!   `interp-faithful`, `vm`, `vm-noopt`, the `rust` generated-binary
 //!   subprocess lane, and the deliberately broken `vm-fault` self-test
-//!   lane ([`fault`]); [`EngineKind`] stays as a thin `Copy` alias over
-//!   it.
+//!   lane ([`fault`]). Every lane is named by its registry name.
 //! * [`stream`] — drives scenarios across registry lanes by name,
 //!   comparing stream lanes (subprocess stdout) against the stepped
 //!   lanes' agreed trace.
@@ -40,13 +39,11 @@
 //!   each lane rendered as side-by-side VCD documents.
 //!
 //! ```
-//! use rtl_cosim::{run_scenario, CosimOptions, CosimOutcome, EngineKind};
+//! use rtl_cosim::{registry, run_scenario_names, CosimOptions, CosimOutcome};
 //! let scenario = rtl_machines::scenarios::by_name("classic/counter").unwrap();
-//! let outcome = run_scenario(
-//!     &scenario,
-//!     &[EngineKind::Interp, EngineKind::Vm],
-//!     &CosimOptions::default(),
-//! ).unwrap();
+//! let lanes = ["interp".to_string(), "vm".to_string()];
+//! let outcome =
+//!     run_scenario_names(registry(), &lanes, &scenario, &CosimOptions::default()).unwrap();
 //! assert!(matches!(outcome, CosimOutcome::Agreement { .. }));
 //! ```
 
@@ -64,14 +61,12 @@ mod report;
 pub mod stream;
 pub mod wavedump;
 
-pub use corpus::{run_corpus, run_corpus_names, CorpusReport};
+pub use corpus::{run_corpus_names, CorpusReport};
 pub use digest::{DigestLane, DigestLog, DigestRecorder};
-pub use engines::{default_registry, registry, EngineKind};
+pub use engines::{default_registry, registry};
 pub use fault::{FaultyVmFactory, DEFAULT_FAULT_CYCLE};
 pub use fuzz::{run_fuzz, run_fuzz_case, FuzzCase, FuzzOptions, FuzzReport};
 pub use generate::{generate_case, generate_scenario, GenOptions, GeneratedCase};
-pub use lockstep::{
-    run_scenario, CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint,
-};
+pub use lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint};
 pub use rtl_core::observe::{Comparator, CompareMode, DivergenceKind, LaneReport, LaneStats};
 pub use stream::{run_design_names, run_scenario_names, ScenarioError};

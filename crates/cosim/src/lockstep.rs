@@ -10,28 +10,26 @@
 //! After every comparison interval the lanes' [`Observation`]s are
 //! checked against lane 0 by the configured [`Comparator`] set (the
 //! classic trace/cycles/outputs/cells tuple by default; see
-//! [`CompareMode`]), and — at coarse strides — checkpointed through
-//! [`Session::checkpoint`]. When a coarse-interval comparison fails,
-//! every lane rewinds to the last agreeing checkpoint
-//! ([`Session::resume`] plus re-supplied stimulus) and replays one cycle
+//! [`CompareMode`]), and — at coarse strides — each lane's state is kept
+//! as an [`Engine::snapshot`] value. When a coarse-interval comparison
+//! fails, every lane rewinds to the last agreeing snapshot
+//! ([`Engine::restore`] plus re-supplied stimulus) and replays one cycle
 //! at a time, so the report always names the *first* divergent cycle
 //! regardless of stride.
 //!
-//! Because a lane's whole position is a value (session checkpoint +
-//! stimulus offset + verified count), a lockstep run itself can stop and
-//! restart mid-case: [`Lockstep::checkpoint`] writes every lane to one
-//! document and [`Lockstep::resume`] restores it — the mechanism behind
-//! `asim2 cosim --checkpoint/--resume` and `asim2 campaign run
-//! --case-checkpoint`.
+//! Because a lane's whole position is a value (engine state + stimulus
+//! offset + verified count), a lockstep run itself can stop and restart
+//! mid-case: [`Lockstep::checkpoint`] writes every lane to one document
+//! (each lane's state as a [`Session::checkpoint`]) and
+//! [`Lockstep::resume`] restores it — the mechanism behind `asim2 cosim
+//! --checkpoint/--resume` and `asim2 campaign run --case-checkpoint`.
 
-use crate::engines::EngineKind;
 use rtl_core::observe::{stop_state, Comparator, CompareMode, Observation};
 use rtl_core::{
     design_fingerprint, Design, DivergenceKind, Engine, Fingerprint, HaltKind, InputSource,
-    LaneReport, LaneStats, LoadError, Recorder, ScriptedInput, Session, SimError, StopReason,
+    LaneReport, LaneStats, Recorder, ScriptedInput, Session, SimError, SimState, StopReason,
     TraceSink, Until, Word,
 };
-use rtl_machines::Scenario;
 use std::cell::{Cell, RefCell};
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -52,10 +50,8 @@ pub struct LockstepCheckpoint {
 pub struct CosimOptions {
     /// Compare lanes every N cycles (1 = every cycle). Coarser intervals
     /// amortize comparison cost on long runs; divergences are still
-    /// pinpointed exactly by checkpoint-rewind bisection.
+    /// pinpointed exactly by snapshot-rewind bisection.
     pub compare_every: u64,
-    /// Lines of trailing trace text quoted per lane in a report.
-    pub trace_window: usize,
     /// Run engines with trace output on and compare it byte-for-byte.
     pub trace: bool,
     /// Keep the full agreed trace in memory so
@@ -110,7 +106,6 @@ impl Default for CosimOptions {
     fn default() -> Self {
         CosimOptions {
             compare_every: 1,
-            trace_window: 8,
             trace: true,
             retain_output: false,
             compare: vec![CompareMode::All],
@@ -286,19 +281,17 @@ struct Lane<'d> {
     consumed: Rc<Cell<usize>>,
     /// Sticky stop state: the error this lane raised, if any.
     error: Option<SimError>,
-    /// The lane's session checkpoint at the last agreeing comparison
-    /// (only maintained at coarse strides, where rewind can happen).
-    check: Vec<u8>,
+    /// The lane's engine state at the last agreeing comparison (refreshed
+    /// only at coarse strides, where rewind can happen), with the
+    /// stimulus offset and output length that go with it.
+    check: SimState,
     check_consumed: usize,
     check_out: usize,
 }
 
 impl Lane<'_> {
-    fn serialize_check(&mut self) {
-        self.check.clear();
-        self.session
-            .checkpoint(&mut self.check)
-            .expect("writing a checkpoint to memory cannot fail");
+    fn snapshot(&mut self) {
+        self.check = self.session.engine().snapshot();
         self.check_consumed = self.consumed.get();
     }
 }
@@ -363,25 +356,16 @@ impl<'d> Lockstep<'d> {
         self
     }
 
-    /// Adds a registry engine as a lane.
-    pub fn add_engine(&mut self, kind: EngineKind) -> &mut Self {
-        let engine = kind.build_with(
-            self.design,
-            &rtl_core::EngineOptions {
-                trace: self.options.trace,
-                profile: self.options.profile.clone(),
-            },
-        );
-        self.add_lane(kind.name(), engine)
-    }
-
-    /// Adds an arbitrary engine as a lane under a label — the hook for
-    /// testing the harness itself with deliberately broken engines. The
-    /// engine is wrapped in a [`Session`] (shared capture sink, metered
-    /// stimulus) and driven only through it from here on.
+    /// Adds an engine as a lane under a label — a registry lane built
+    /// with [`EngineRegistry::build`](rtl_core::EngineRegistry::build)
+    /// under its registry name, or a deliberately broken engine that tests
+    /// the harness itself. The engine is wrapped in a [`Session`] (shared
+    /// capture sink, metered stimulus) and driven only through it from
+    /// here on.
     pub fn add_lane(&mut self, name: &str, engine: Box<dyn Engine + 'd>) -> &mut Self {
         let out = Rc::new(RefCell::new(Vec::new()));
         let consumed = Rc::new(Cell::new(0usize));
+        let check = engine.snapshot();
         let session = Session::over(engine)
             .sink(SharedSink(Rc::clone(&out)))
             .stimulus(MeteredInput::from_offset(
@@ -391,20 +375,16 @@ impl<'d> Lockstep<'d> {
             ))
             .recorder(self.options.recorder.clone())
             .build();
-        let mut lane = Lane {
+        self.lanes.push(Lane {
             name: name.to_string(),
             session,
             out,
             consumed,
             error: None,
-            check: Vec::new(),
+            check,
             check_consumed: 0,
             check_out: 0,
-        };
-        if self.options.compare_every > 1 {
-            lane.serialize_check();
-        }
-        self.lanes.push(lane);
+        });
         self
     }
 
@@ -599,7 +579,7 @@ impl<'d> Lockstep<'d> {
 
     /// Commits an agreeing comparison: drains verified output down to a
     /// report tail (unless retained) and refreshes the per-lane rewind
-    /// checkpoints ([`Session::checkpoint`] at coarse strides).
+    /// points ([`Engine::snapshot`] at coarse strides).
     fn commit(&mut self) {
         let len = self.lanes[0].out.borrow().len();
         if self.options.retain_output {
@@ -617,26 +597,24 @@ impl<'d> Lockstep<'d> {
             self.verified_out = len - drain;
         }
         // Rewind only ever happens when a burst covered more than one
-        // cycle, so at stride 1 the serialized checkpoints would be pure
-        // overhead (the whole memory image per lane per cycle).
+        // cycle, so at stride 1 the snapshots would be pure overhead (the
+        // whole memory image per lane per cycle).
         let rewindable = self.options.compare_every > 1;
         for lane in &mut self.lanes {
             if rewindable {
-                lane.serialize_check();
+                lane.snapshot();
             }
             lane.check_out = lane.out.borrow().len();
         }
     }
 
-    /// Rewinds every lane to the last agreeing checkpoint: session state
-    /// through [`Session::resume`], stimulus re-supplied from the
+    /// Rewinds every lane to the last agreeing snapshot: engine state
+    /// through [`Engine::restore`], stimulus re-supplied from the
     /// recorded offset, output truncated.
     fn rewind(&mut self) {
         self.rewinds += 1;
         for lane in &mut self.lanes {
-            lane.session
-                .resume(&mut &lane.check[..])
-                .expect("an in-memory checkpoint round-trips");
+            lane.session.engine_mut().restore(&lane.check);
             let stimulus = MeteredInput::from_offset(
                 &self.stimulus,
                 lane.check_consumed,
@@ -650,7 +628,6 @@ impl<'d> Lockstep<'d> {
 
     fn build_report(&mut self) -> DivergenceReport {
         let kind = self.compare().expect("report requested without divergence");
-        let window = self.options.trace_window;
         let lanes = self
             .lanes
             .iter()
@@ -659,7 +636,7 @@ impl<'d> Lockstep<'d> {
                 let span = self.verified_out.min(buf.len());
                 let observation =
                     Observation::new(lane.session.engine(), &buf[span..], lane.error.as_ref());
-                LaneReport::from_observation(&lane.name, &kind, &observation, &buf, window)
+                LaneReport::from_observation(&lane.name, &kind, &observation, &buf)
             })
             .collect();
         DivergenceReport {
@@ -797,16 +774,11 @@ impl<'d> Lockstep<'d> {
             lane.session.set_stimulus(stimulus);
             lane.out.borrow_mut().clear();
             lane.error = None;
+            lane.snapshot();
             lane.check_out = 0;
-            lane.check_consumed = consumed;
         }
         self.verified = verified;
         self.verified_out = 0;
-        if self.options.compare_every > 1 {
-            for lane in &mut self.lanes {
-                lane.serialize_check();
-            }
-        }
         Ok(())
     }
 
@@ -833,36 +805,30 @@ enum BurstResult {
     Diverged(u64),
 }
 
-/// Runs a [`Scenario`] through lockstep with the given engine tiers.
-///
-/// # Errors
-///
-/// Propagates specification parse/elaboration errors; simulation runtime
-/// errors are part of the [`CosimOutcome`], not an `Err`.
-pub fn run_scenario(
-    scenario: &Scenario,
-    kinds: &[EngineKind],
-    options: &CosimOptions,
-) -> Result<CosimOutcome, LoadError> {
-    let design = scenario.design()?;
-    let mut lockstep = Lockstep::new(&design, options.clone());
-    lockstep.stimulus(scenario.input.clone());
-    for &kind in kinds {
-        lockstep.add_engine(kind);
-    }
-    let mut outcome = lockstep.run(scenario.cycles);
-    if let CosimOutcome::Divergence(report) = &mut outcome {
-        report.scenario = scenario.name.clone();
-    }
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::registry;
+    use rtl_core::{EngineLane, EngineOptions};
 
     fn design(src: &str) -> Design {
         Design::from_source(src).unwrap()
+    }
+
+    /// Adds default-registry lanes by name, built with the harness's
+    /// trace flag.
+    fn add_lanes(ls: &mut Lockstep<'_>, names: &[&str]) {
+        let options = EngineOptions {
+            trace: ls.options.trace,
+            ..EngineOptions::default()
+        };
+        for name in names {
+            let Ok(EngineLane::Stepped(engine)) = registry().build(name, ls.design, &options)
+            else {
+                panic!("{name} is a stepped registry lane");
+            };
+            ls.add_lane(name, engine);
+        }
     }
 
     const COUNTER: &str = "# c\ncount* next .\nM count 0 next 1 1\nA next 4 count 1 .";
@@ -871,7 +837,7 @@ mod tests {
     fn engines_agree_on_the_counter() {
         let d = design(COUNTER);
         let mut ls = Lockstep::new(&d, CosimOptions::default());
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         match ls.run(64) {
             CosimOutcome::Agreement {
                 cycles: 64,
@@ -897,9 +863,7 @@ mod tests {
                 ..CosimOptions::default()
             },
         );
-        for kind in EngineKind::ALL {
-            ls.add_engine(kind);
-        }
+        add_lanes(&mut ls, &["interp", "interp-faithful", "vm", "vm-noopt"]);
         assert!(ls.run(100).agreed());
     }
 
@@ -908,7 +872,7 @@ mod tests {
         // Selector goes out of range at cycle 2 in every engine.
         let d = design("# bad\nc s n .\nM c 0 n 1 1\nA n 4 c 1\nS s c 1 2 .");
         let mut ls = Lockstep::new(&d, CosimOptions::default());
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         match ls.run(50) {
             CosimOutcome::Agreement {
                 cycles,
@@ -928,7 +892,7 @@ mod tests {
         let d = design("# io\ni* acc n .\nM i 1 0 2 1\nM acc 0 n 1 1\nA n 4 acc i .");
         let mut ls = Lockstep::new(&d, CosimOptions::default());
         ls.stimulus((1..=8).collect::<Vec<Word>>());
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         assert!(ls.run(8).agreed());
     }
 
@@ -937,7 +901,7 @@ mod tests {
         let d = design("# io\ni .\nM i 1 0 2 1 .");
         let mut ls = Lockstep::new(&d, CosimOptions::default());
         ls.stimulus(vec![5, 6]);
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         match ls.run(10) {
             CosimOutcome::Agreement {
                 cycles: 2,
@@ -964,7 +928,7 @@ mod tests {
             },
         );
         ls.stimulus((1..=64).collect::<Vec<Word>>());
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         assert!(ls.run(48).agreed());
         assert_eq!(ls.verified_cycles(), 48);
     }
@@ -980,7 +944,7 @@ mod tests {
                     ..CosimOptions::default()
                 },
             );
-            ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+            add_lanes(&mut ls, &["interp", "vm"]);
             assert!(ls.run(stop_at).agreed());
             let mut doc = Vec::new();
             ls.checkpoint(&mut doc).unwrap();
@@ -998,7 +962,7 @@ mod tests {
                 ..CosimOptions::default()
             },
         );
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         ls.resume(&mut &doc[..]).unwrap();
         assert_eq!(ls.verified_cycles(), 24);
         let resumed = ls.run(64 - 24);
@@ -1027,22 +991,19 @@ mod tests {
     fn resume_refuses_a_different_harness() {
         let d = design(COUNTER);
         let mut ls = Lockstep::new(&d, CosimOptions::default());
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         let mut doc = Vec::new();
         ls.checkpoint(&mut doc).unwrap();
 
         // Different lane list: refused.
         let mut other = Lockstep::new(&d, CosimOptions::default());
-        other
-            .add_engine(EngineKind::Interp)
-            .add_engine(EngineKind::VmNoOpt);
+        add_lanes(&mut other, &["interp", "vm-noopt"]);
         let err = other.resume(&mut &doc[..]).unwrap_err();
         assert!(err.to_string().contains("different harness"), "{err}");
 
         // Garbage: refused.
         let mut same = Lockstep::new(&d, CosimOptions::default());
-        same.add_engine(EngineKind::Interp)
-            .add_engine(EngineKind::Vm);
+        add_lanes(&mut same, &["interp", "vm"]);
         assert!(same.resume(&mut &b"not a checkpoint"[..]).is_err());
     }
 
@@ -1071,11 +1032,11 @@ mod tests {
                 ..CosimOptions::default()
             },
         );
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         assert!(ls.run(16).agreed(), "healthy lanes agree under vcd");
 
         let mut ls = Lockstep::new(&d, CosimOptions::default());
-        ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+        add_lanes(&mut ls, &["interp", "vm"]);
         ls.add_comparator(Box::new(AlwaysDiverges));
         let CosimOutcome::Divergence(report) = ls.run(16) else {
             panic!("custom comparator must fire");

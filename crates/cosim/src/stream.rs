@@ -12,6 +12,7 @@
 //! from the last matching cycle header.
 
 use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint};
+use rtl_core::observe::TRACE_WINDOW_LINES;
 use rtl_core::{
     Design, DivergenceKind, ElabError, EngineLane, EngineOptions, EngineRegistry, LaneReport,
     LaneStats, LoadError, Session, StopReason, StreamEngine, Until, Word,
@@ -265,7 +266,6 @@ pub fn run_design_names(
                     &agreed,
                     &lane,
                     &got,
-                    options.trace_window,
                 ))));
             }
         }
@@ -335,7 +335,6 @@ fn stream_report(
     agreed: &[u8],
     lane: &str,
     got: &[u8],
-    window: usize,
 ) -> DivergenceReport {
     let prefix = agreed.iter().zip(got).take_while(|(a, b)| a == b).count();
     let cycle = cycle_at(&agreed[..prefix]);
@@ -344,7 +343,7 @@ fn stream_report(
         let end = (prefix + 120).min(bytes.len());
         let text = String::from_utf8_lossy(&bytes[..end]);
         let lines: Vec<&str> = text.lines().collect();
-        let start = lines.len().saturating_sub(window);
+        let start = lines.len().saturating_sub(TRACE_WINDOW_LINES);
         LaneReport {
             engine: name.to_string(),
             cycle,
@@ -402,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn stepped_lanes_by_name_match_engine_kinds() {
+    fn stepped_lanes_agree_by_name() {
         let scenario = scenarios::by_name("classic/counter")
             .unwrap()
             .with_cycles(32);

@@ -4,9 +4,13 @@
 //! on generated scenarios (the property the whole subsystem guards).
 
 use proptest::prelude::*;
-use rtl_core::{Design, Engine, HaltKind, InputSource, SimError, SimState, StopReason, Word};
+use rtl_core::{
+    Design, Engine, EngineLane, EngineOptions, HaltKind, InputSource, SimError, SimState,
+    StopReason, Word,
+};
 use rtl_cosim::{
-    generate_scenario, CosimOptions, CosimOutcome, DivergenceKind, EngineKind, GenOptions, Lockstep,
+    generate_scenario, registry, run_scenario_names, CosimOptions, CosimOutcome, DivergenceKind,
+    GenOptions, Lockstep,
 };
 use rtl_interp::Interpreter;
 use std::io::Write;
@@ -86,10 +90,26 @@ impl Engine for BrokenEngine<'_> {
 
 const COUNTER: &str = "# c\ncount* next .\nM count 0 next 1 1\nA next 4 count 1 .";
 
+/// Adds default-registry lanes to a harness by name.
+fn add_lanes<'d>(lockstep: &mut Lockstep<'d>, design: &'d Design, lanes: &[&str]) {
+    for &name in lanes {
+        let Ok(EngineLane::Stepped(engine)) =
+            registry().build(name, design, &EngineOptions::default())
+        else {
+            panic!("{name} is a stepped registry lane");
+        };
+        lockstep.add_lane(name, engine);
+    }
+}
+
+fn interp_vm() -> Vec<String> {
+    vec!["interp".to_string(), "vm".to_string()]
+}
+
 fn broken_lockstep(fault: Fault, at_cycle: Word, options: CosimOptions) -> CosimOutcome {
     let design = Design::from_source(COUNTER).unwrap();
     let mut lockstep = Lockstep::new(&design, options);
-    lockstep.add_engine(EngineKind::Vm);
+    add_lanes(&mut lockstep, &design, &["vm"]);
     lockstep.add_lane(
         "broken",
         Box::new(BrokenEngine::new(&design, fault, at_cycle)),
@@ -158,8 +178,7 @@ fn unanimous_halts_are_classified_structurally() {
     let design = Design::from_source("# io\ni .\nM i 1 0 2 1 .").unwrap();
     let mut lockstep = Lockstep::new(&design, CosimOptions::default());
     lockstep.stimulus(vec![5, 6, 7]);
-    lockstep.add_engine(EngineKind::Interp);
-    lockstep.add_engine(EngineKind::Vm);
+    add_lanes(&mut lockstep, &design, &["interp", "vm"]);
     match lockstep.run(20) {
         CosimOutcome::Agreement {
             cycles,
@@ -177,8 +196,7 @@ fn unanimous_halts_are_classified_structurally() {
     let design =
         Design::from_source("# bad\nc s n .\nM c 0 n 1 1\nA n 4 c 1\nS s c 1 2 .").unwrap();
     let mut lockstep = Lockstep::new(&design, CosimOptions::default());
-    lockstep.add_engine(EngineKind::Interp);
-    lockstep.add_engine(EngineKind::Vm);
+    add_lanes(&mut lockstep, &design, &["interp", "vm"]);
     let outcome = lockstep.run(20);
     let halt = outcome.halt().expect("unanimous selector crash");
     assert!(
@@ -216,11 +234,8 @@ proptest! {
     fn interp_vs_vm_lockstep_on_generated_scenarios(seed in 0u64..300, size in 1usize..25) {
         let options = GenOptions { size, cycles: 24, ..GenOptions::default() };
         let scenario = generate_scenario(seed, &options);
-        let outcome = rtl_cosim::run_scenario(
-            &scenario,
-            &[EngineKind::Interp, EngineKind::Vm],
-            &CosimOptions::default(),
-        ).expect("generated scenarios elaborate");
+        let outcome = run_scenario_names(registry(), &interp_vm(), &scenario, &CosimOptions::default())
+            .expect("generated scenarios elaborate");
         prop_assert!(outcome.agreed(), "{scenario:?}: {outcome:?}");
     }
 
@@ -228,14 +243,12 @@ proptest! {
     #[test]
     fn comparison_stride_does_not_change_verdicts(seed in 0u64..40, stride in 1u64..32) {
         let scenario = generate_scenario(seed, &GenOptions { size: 10, cycles: 32, ..GenOptions::default() });
-        let fine = rtl_cosim::run_scenario(
+        let fine = run_scenario_names(registry(), &interp_vm(), &scenario, &CosimOptions::default())
+            .unwrap();
+        let coarse = run_scenario_names(
+            registry(),
+            &interp_vm(),
             &scenario,
-            &[EngineKind::Interp, EngineKind::Vm],
-            &CosimOptions::default(),
-        ).unwrap();
-        let coarse = rtl_cosim::run_scenario(
-            &scenario,
-            &[EngineKind::Interp, EngineKind::Vm],
             &CosimOptions { compare_every: stride, ..CosimOptions::default() },
         ).unwrap();
         prop_assert_eq!(fine.agreed(), coarse.agreed());

@@ -7,8 +7,8 @@
 //! every registry scenario runs clean under the oracle.
 
 use rtl_core::observe::DivergenceKind;
-use rtl_core::Design;
-use rtl_cosim::{registry, run_scenario_names, CosimOptions, CosimOutcome, EngineKind, Lockstep};
+use rtl_core::{Design, EngineLane, EngineOptions};
+use rtl_cosim::{registry, run_scenario_names, CosimOptions, CosimOutcome, Lockstep};
 use rtl_lint::{lint_source, OracleComparator, StaticClaims};
 use rtl_obs::Recorder;
 
@@ -16,6 +16,20 @@ use rtl_obs::Recorder;
 /// two-bit select never exceeds 3.
 const DEAD_ARM: &str =
     "# dead arm demo\nc* n s* .\nM c 0 n 1 1\nA n 4 c 1\nS s c.0.1 10 20 30 40 50 .\n";
+
+/// An interp + vm harness over `design` with default options.
+fn interp_vm(design: &Design) -> Lockstep<'_> {
+    let mut lockstep = Lockstep::new(design, CosimOptions::default());
+    for name in ["interp", "vm"] {
+        let Ok(EngineLane::Stepped(engine)) =
+            registry().build(name, design, &EngineOptions::default())
+        else {
+            panic!("{name} is a stepped registry lane");
+        };
+        lockstep.add_lane(name, engine);
+    }
+    lockstep
+}
 
 #[test]
 fn dead_arm_is_flagged_statically_and_never_fires_dynamically() {
@@ -33,11 +47,8 @@ fn dead_arm_is_flagged_statically_and_never_fires_dynamically() {
     let claims = StaticClaims::of(&design);
     assert!(!claims.is_empty(), "the demo design must carry claims");
     let (recorder, log) = Recorder::memory();
-    let mut lockstep = Lockstep::new(&design, CosimOptions::default());
-    lockstep
-        .add_engine(EngineKind::Interp)
-        .add_engine(EngineKind::Vm)
-        .add_comparator(Box::new(OracleComparator::new(claims, recorder.clone())));
+    let mut lockstep = interp_vm(&design);
+    lockstep.add_comparator(Box::new(OracleComparator::new(claims, recorder.clone())));
     let outcome = lockstep.run(64);
     assert!(outcome.agreed(), "{outcome:?}");
     recorder.flush();
@@ -57,11 +68,8 @@ fn falsified_dead_arm_claim_is_caught() {
         undriven: vec![],
     };
     let recorder = Recorder::disabled();
-    let mut lockstep = Lockstep::new(&design, CosimOptions::default());
-    lockstep
-        .add_engine(EngineKind::Interp)
-        .add_engine(EngineKind::Vm)
-        .add_comparator(Box::new(OracleComparator::new(claims, recorder)));
+    let mut lockstep = interp_vm(&design);
+    lockstep.add_comparator(Box::new(OracleComparator::new(claims, recorder)));
     match lockstep.run(64) {
         CosimOutcome::Divergence(report) => match &report.kind {
             DivergenceKind::Oracle { component, claim } => {
@@ -84,14 +92,11 @@ fn falsified_undriven_claim_is_caught() {
         dead_arms: vec![],
         undriven: vec![(c, vec![0])],
     };
-    let mut lockstep = Lockstep::new(&design, CosimOptions::default());
-    lockstep
-        .add_engine(EngineKind::Interp)
-        .add_engine(EngineKind::Vm)
-        .add_comparator(Box::new(OracleComparator::new(
-            claims,
-            Recorder::disabled(),
-        )));
+    let mut lockstep = interp_vm(&design);
+    lockstep.add_comparator(Box::new(OracleComparator::new(
+        claims,
+        Recorder::disabled(),
+    )));
     match lockstep.run(64) {
         CosimOutcome::Divergence(report) => match &report.kind {
             DivergenceKind::Oracle { component, claim } => {

@@ -58,7 +58,7 @@ pub mod prelude {
         run_captured, Design, Engine, EngineOptions, EngineRegistry, HaltKind, InputSource,
         NoInput, RunOutcome, ScriptedInput, Session, SimError, StopReason, Until, Word,
     };
-    pub use rtl_cosim::{registry, CosimOptions, CosimOutcome, EngineKind, Lockstep};
+    pub use rtl_cosim::{registry, CosimOptions, CosimOutcome, Lockstep};
     pub use rtl_interp::Interpreter;
     pub use rtl_lang::{parse, pretty, Spec};
 }

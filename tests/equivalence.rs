@@ -6,12 +6,29 @@
 //! sample of them (cosim drives in-process engines; the rustc pipeline
 //! stays a direct comparison).
 
-use asim2::cosim::{run_corpus, run_scenario, CosimOptions, EngineKind, Lockstep};
+use asim2::core::EngineLane;
+use asim2::cosim::{registry, run_corpus_names, run_scenario_names, CosimOptions, Lockstep};
 use asim2::machines::{scenarios, synth};
 use asim2::prelude::*;
 
 /// The three in-process tiers every design must agree across.
-const TIERS: [EngineKind; 3] = [EngineKind::Interp, EngineKind::Vm, EngineKind::VmNoOpt];
+const TIERS: [&str; 3] = ["interp", "vm", "vm-noopt"];
+
+fn names(lanes: &[&str]) -> Vec<String> {
+    lanes.iter().map(|s| s.to_string()).collect()
+}
+
+/// Adds default-registry lanes to a harness by name.
+fn add_lanes<'d>(lockstep: &mut Lockstep<'d>, design: &'d Design, lanes: &[&str]) {
+    for &name in lanes {
+        let Ok(EngineLane::Stepped(engine)) =
+            registry().build(name, design, &EngineOptions::default())
+        else {
+            panic!("{name} is a stepped registry lane");
+        };
+        lockstep.add_lane(name, engine);
+    }
+}
 
 fn assert_lockstep_agrees(design: &Design, cycles: u64) -> String {
     let options = CosimOptions {
@@ -19,9 +36,7 @@ fn assert_lockstep_agrees(design: &Design, cycles: u64) -> String {
         ..CosimOptions::default()
     };
     let mut lockstep = Lockstep::new(design, options);
-    for kind in TIERS {
-        lockstep.add_engine(kind);
-    }
+    add_lanes(&mut lockstep, design, &TIERS);
     let outcome = lockstep.run(cycles);
     assert!(outcome.agreed(), "{outcome:?}");
     String::from_utf8(lockstep.agreed_output().to_vec()).expect("trace is utf-8")
@@ -50,7 +65,8 @@ fn random_designs_agree_across_100_seeds() {
 fn full_scenario_corpus_agrees_at_its_registered_horizons() {
     // The acceptance sweep: every registered scenario (>= 1000 cycles
     // each), all three in-process tiers, compared every cycle.
-    let report = run_corpus(&TIERS, None, &CosimOptions::default());
+    let report =
+        run_corpus_names(registry(), &names(&TIERS), None, &CosimOptions::default()).unwrap();
     assert!(report.clean(), "{report}");
     assert!(report.total_cycles() >= 16_000, "{report}");
 }
@@ -63,7 +79,8 @@ fn coarse_comparison_matches_fine_on_the_corpus() {
         compare_every: 64,
         ..CosimOptions::default()
     };
-    let report = run_corpus(&[EngineKind::Interp, EngineKind::Vm], Some(256), &options);
+    let report =
+        run_corpus_names(registry(), &names(&["interp", "vm"]), Some(256), &options).unwrap();
     assert!(report.clean(), "{report}");
 }
 
@@ -111,9 +128,7 @@ fn scripted_input_agrees_across_engines() {
         },
     );
     lockstep.stimulus((1..=6).collect::<Vec<i64>>());
-    for kind in TIERS {
-        lockstep.add_engine(kind);
-    }
+    add_lanes(&mut lockstep, &design, &TIERS);
     assert!(lockstep.run(6).agreed());
     let text = String::from_utf8(lockstep.agreed_output().to_vec()).unwrap();
     // The accumulator output stream shows the running sum of the inputs,
@@ -134,7 +149,13 @@ fn tiny_computer_engines_agree() {
 fn registry_scenarios_run_individually() {
     for name in ["classic/gcd", "io/accumulator", "io/echo"] {
         let scenario = scenarios::by_name(name).expect("registered");
-        let outcome = run_scenario(&scenario, &TIERS, &CosimOptions::default()).unwrap();
+        let outcome = run_scenario_names(
+            registry(),
+            &names(&TIERS),
+            &scenario,
+            &CosimOptions::default(),
+        )
+        .unwrap();
         assert!(outcome.agreed(), "{name}: {outcome:?}");
     }
 }

@@ -107,3 +107,56 @@ proptest! {
         }
     }
 }
+
+/// `Session::checkpoint_to` publishes through a temp sibling and a
+/// rename, so the previous checkpoint is never truncated in place: a
+/// hard link to it still reads the old document whole afterwards (a kill
+/// mid-write would leave that document in place). The write is still
+/// timed as a `session/checkpoint` span.
+#[test]
+fn checkpoint_to_never_truncates_the_previous_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("asim2-session-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.ckpt");
+    let held = dir.join("held.ckpt");
+    let previous = "the previous checkpoint\n".repeat(64);
+    std::fs::write(&path, &previous).unwrap();
+    std::fs::hard_link(&path, &held).unwrap();
+
+    let scenario = generate_scenario(
+        1,
+        &GenOptions {
+            size: 10,
+            cycles: 16,
+            io_every: 0,
+        },
+    );
+    let design = scenario.design().unwrap();
+    let (recorder, log) = asim2::core::Recorder::memory();
+    let mut session = Session::builder(&design)
+        .engine_named(registry(), "vm", &EngineOptions::default())
+        .unwrap()
+        .recorder(recorder.clone())
+        .build();
+    assert!(session.run(Until::Cycles(16)).completed());
+    session.checkpoint_to(&path).unwrap();
+
+    let mut expected = Vec::new();
+    session.checkpoint(&mut expected).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), expected);
+    assert_eq!(std::fs::read_to_string(&held).unwrap(), previous);
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["held.ckpt", "run.ckpt"], "no temp sibling is left");
+    recorder.flush();
+    assert!(
+        log.text().contains("\"key\":\"checkpoint\""),
+        "{}",
+        log.text()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
