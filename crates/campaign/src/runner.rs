@@ -59,10 +59,7 @@ pub struct RunOptions {
     /// `campaign/divergences`, `campaign/shrink_probes`, ...) fold to
     /// byte-identical totals across worker counts and kill+resume;
     /// spans and gauges are wall-clock. Recording never perturbs the
-    /// campaign's report, manifest or case records. One caveat:
-    /// `campaign/bin_cache_hits`/`_misses` depend on which worker wins a
-    /// compile race, so they are only schedule-stable when the engine
-    /// set reaches a warm cache or never compiles at all.
+    /// campaign's report, manifest or case records.
     pub recorder: Recorder,
     /// Collect a per-case execution profile (`rtl-prof`): each case runs
     /// its lanes with a fresh collecting hook, publishes the snapshot as
@@ -544,15 +541,17 @@ fn execute(
     if let Some(e) = first_error {
         return Err(e);
     }
-    // Cache effectiveness for this invocation. Which worker wins a
-    // compile race can shift a hit into a miss, so these counters are
-    // only schedule-stable for engine sets that reach a warm cache (or
-    // none at all) — the caveat lives on `RunOptions::recorder`.
+    // Cache effectiveness for this invocation, when the engine set
+    // compiles at all. Which worker wins a compile race can shift a hit
+    // into a miss, so these are wall-clock gauges, not deterministic
+    // counters.
     let (hits, misses) = cache.stats();
-    options.recorder.count("campaign", "bin_cache_hits", hits);
-    options
-        .recorder
-        .count("campaign", "bin_cache_misses", misses);
+    if hits + misses > 0 {
+        options.recorder.gauge("campaign", "bin_cache_hits", hits);
+        options
+            .recorder
+            .gauge("campaign", "bin_cache_misses", misses);
+    }
     Ok(CampaignReport {
         config: config.clone(),
         replay,

@@ -337,9 +337,8 @@ fn run_cmd(
 /// stream the trace goes to).
 fn prompt(session: &mut Session<'_>, line: &str) -> Result<(), CliError> {
     session
-        .sink_mut()
-        .write_bytes(format!("{line}\n").as_bytes())
-        .map_err(|e| sim_err(SimError::from(e)))
+        .write_text(format!("{line}\n").as_bytes())
+        .map_err(sim_err)
 }
 
 /// Runs to the `= last` bound, writing a checkpoint at every

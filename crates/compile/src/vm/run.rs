@@ -3,10 +3,9 @@
 use super::{Instr, Program};
 use crate::lower::{lower_with_trace, OptOptions};
 use rtl_core::{
-    land, trace, AluFn, Design, Engine, InputSource, LaneTally, MemOp, ProfileHook, SimError,
-    SimState, SimStats, Word, WORD_MASK,
+    land, AluFn, Design, Engine, InputSource, LaneTally, MemOp, ProfileHook, SimError, SimState,
+    SimStats, TraceBuf, TraceEvent, Word, WORD_MASK,
 };
-use std::io::Write;
 
 /// The bytecode virtual machine. Implements [`Engine`], so it is a drop-in
 /// replacement for the interpreter — just faster.
@@ -246,7 +245,11 @@ impl Engine for Vm<'_> {
             .is_none_or(|m| m.latch_needed)
     }
 
-    fn step(&mut self, out: &mut dyn Write, input: &mut dyn InputSource) -> Result<(), SimError> {
+    fn step(
+        &mut self,
+        trace: &mut TraceBuf<'_>,
+        input: &mut dyn InputSource,
+    ) -> Result<(), SimError> {
         let cycle = self.state.cycle();
 
         // 1 + 3. Combinational phase and memory capture (one program).
@@ -256,12 +259,12 @@ impl Engine for Vm<'_> {
         // point in the original's ordering, but captures are pure, so
         // running them early is unobservable.)
         if self.program.trace {
-            trace::cycle_header(out, cycle)?;
+            trace.push(TraceEvent::Cycle(cycle));
             for &t in &self.program.traced {
                 let id = self.comp_id(t);
-                trace::traced_value(out, self.design.name(id), self.state.output(id))?;
+                trace.push(TraceEvent::Value(id, self.state.output(id)));
             }
-            trace::end_line(out)?;
+            trace.push(TraceEvent::EndLine);
         }
 
         // 4. Memory update phase.
@@ -288,13 +291,13 @@ impl Engine for Vm<'_> {
                     data
                 }
                 MemOp::Input => {
+                    if addr != 0 && addr != 1 {
+                        trace.push(TraceEvent::InputPrompt(addr));
+                    }
+                    trace.flush(self.design)?;
                     let value = match addr {
                         0 => input.read_char(),
-                        1 => input.read_int(),
-                        _ => {
-                            trace::input_prompt(out, addr)?;
-                            input.read_int()
-                        }
+                        _ => input.read_int(),
                     };
                     value.map_err(|e| match e {
                         SimError::InputExhausted { .. } => SimError::InputExhausted { cycle },
@@ -303,7 +306,7 @@ impl Engine for Vm<'_> {
                 }
                 MemOp::Output => {
                     debug_assert!(m.has_data);
-                    trace::output_event(out, addr, data)?;
+                    trace.push(TraceEvent::Output { addr, data });
                     data
                 }
             };
@@ -327,20 +330,29 @@ impl Engine for Vm<'_> {
             }
             if self.program.trace {
                 use crate::ir::TraceDecision::*;
-                let name = self.design.name(id);
-                match m.trace_write {
-                    Always => trace::mem_write(out, name, addr, latch)?,
-                    Dynamic if rtl_core::word::traces_write(opn) => {
-                        trace::mem_write(out, name, addr, latch)?;
-                    }
-                    _ => {}
+                let write = match m.trace_write {
+                    Always => true,
+                    Dynamic => rtl_core::word::traces_write(opn),
+                    _ => false,
+                };
+                if write {
+                    trace.push(TraceEvent::MemWrite {
+                        mem: id,
+                        addr,
+                        value: latch,
+                    });
                 }
-                match m.trace_read {
-                    Always => trace::mem_read(out, name, addr, latch)?,
-                    Dynamic if rtl_core::word::traces_read(opn) => {
-                        trace::mem_read(out, name, addr, latch)?;
-                    }
-                    _ => {}
+                let read = match m.trace_read {
+                    Always => true,
+                    Dynamic => rtl_core::word::traces_read(opn),
+                    _ => false,
+                };
+                if read {
+                    trace.push(TraceEvent::MemRead {
+                        mem: id,
+                        addr,
+                        value: latch,
+                    });
                 }
             }
         }

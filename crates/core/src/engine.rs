@@ -15,7 +15,7 @@ use crate::resolve::CompId;
 use crate::session::{Session, StopReason, Until};
 use crate::state::SimState;
 use crate::stats::SimStats;
-use std::io::Write;
+use crate::trace::TraceBuf;
 
 /// A cycle-stepped simulation engine over a [`Design`].
 pub trait Engine {
@@ -61,13 +61,23 @@ pub trait Engine {
     /// [`design`](crate::design) (combinational phase, trace, memory
     /// capture, memory update, cycle increment).
     ///
+    /// Trace and output are recorded as [`TraceEvent`]s into `trace`
+    /// (never formatted here); memory-mapped input comes from `input`,
+    /// and an engine calls [`TraceBuf::flush`] before every input read so
+    /// a text sink shows the pending trace first. Drivers bind both once
+    /// through a [`Session`](crate::session) instead of threading them.
+    ///
     /// # Errors
     ///
-    /// Runtime errors per [`SimError`]; trace/output text goes to `out`,
-    /// memory-mapped input comes from `input`. This is the one place raw
-    /// `Write`/`InputSource` appear — drivers bind them once through a
-    /// [`Session`](crate::session) instead of threading them.
-    fn step(&mut self, out: &mut dyn Write, input: &mut dyn InputSource) -> Result<(), SimError>;
+    /// Runtime errors per [`SimError`]. The events recorded before the
+    /// error stay in `trace`.
+    ///
+    /// [`TraceEvent`]: crate::trace::TraceEvent
+    fn step(
+        &mut self,
+        trace: &mut TraceBuf<'_>,
+        input: &mut dyn InputSource,
+    ) -> Result<(), SimError>;
 }
 
 impl<E: Engine + ?Sized> Engine for &mut E {
@@ -95,8 +105,12 @@ impl<E: Engine + ?Sized> Engine for &mut E {
         (**self).stats()
     }
 
-    fn step(&mut self, out: &mut dyn Write, input: &mut dyn InputSource) -> Result<(), SimError> {
-        (**self).step(out, input)
+    fn step(
+        &mut self,
+        trace: &mut TraceBuf<'_>,
+        input: &mut dyn InputSource,
+    ) -> Result<(), SimError> {
+        (**self).step(trace, input)
     }
 }
 
@@ -125,8 +139,12 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
         (**self).stats()
     }
 
-    fn step(&mut self, out: &mut dyn Write, input: &mut dyn InputSource) -> Result<(), SimError> {
-        (**self).step(out, input)
+    fn step(
+        &mut self,
+        trace: &mut TraceBuf<'_>,
+        input: &mut dyn InputSource,
+    ) -> Result<(), SimError> {
+        (**self).step(trace, input)
     }
 }
 

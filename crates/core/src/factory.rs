@@ -22,8 +22,8 @@ use crate::word::Word;
 /// Construction options shared by every factory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Emit cycle/trace text (differential harnesses compare it
-    /// byte-for-byte when on).
+    /// Record cycle and memory trace events (differential harnesses
+    /// compare them, as the bytes they render to, when on).
     pub trace: bool,
     /// Execution-profile tap (disabled/no-op by default). Engines that
     /// support profiling attach a per-lane tally to it; the hook always
@@ -240,7 +240,7 @@ mod tests {
 
         fn step(
             &mut self,
-            _out: &mut dyn std::io::Write,
+            _trace: &mut crate::trace::TraceBuf<'_>,
             _input: &mut dyn InputSource,
         ) -> Result<(), crate::error::SimError> {
             self.state.bump_cycle();

@@ -10,9 +10,10 @@
 //! * elaboration of a parsed [`Spec`](rtl_lang::Spec) into a simulatable
 //!   [`Design`] ([`design`] — the cycle-semantics contract is documented
 //!   there),
-//! * the engine-agnostic simulation state ([`state`]), trace text formats
-//!   ([`trace`]), input abstraction ([`io`]) and the [`Engine`] trait that
-//!   the interpreter and the compiled VM both implement,
+//! * the engine-agnostic simulation state ([`state`]), the trace as typed
+//!   events and its one text rendering ([`trace`]), input abstraction
+//!   ([`io`]) and the [`Engine`] trait that the interpreter and the
+//!   compiled VM both implement,
 //! * the driving layer: trace sinks ([`sink`]), the open engine registry
 //!   ([`factory`]) and the [`Session`] API with structured stop reasons
 //!   and on-disk checkpoints ([`session`]),
@@ -68,4 +69,5 @@ pub use session::{
 pub use sink::{BufferSink, NullSink, TeeSink, TraceSink, WriteSink};
 pub use state::SimState;
 pub use stats::SimStats;
+pub use trace::{TraceBuf, TraceEvent};
 pub use word::{dologic, land, AluFn, MemOp, Word, WORD_MASK};

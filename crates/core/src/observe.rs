@@ -9,9 +9,11 @@
 //! * [`Observation`] — a cheap, comparable snapshot of one lane at a
 //!   comparison point: cycle counter, per-component visible outputs
 //!   (respecting [`Engine::observes_output`]), memory cells, the trace
-//!   span produced since the last agreed point, and the lane's stop
+//!   span produced since the last agreed point — as values, the
+//!   [`TraceEvent`]s the engine recorded, not text — and the lane's stop
 //!   state. Fingerprintable with [`Fingerprint`]
-//!   ([`Observation::fingerprint`]).
+//!   ([`Observation::fingerprint`], which hashes the *rendered* span, so
+//!   a digest is a function of the bytes a text sink would have seen).
 //! * [`Comparator`] — an open trait turning two observations into a
 //!   [`DivergenceKind`] value (or agreement). Shipped lenses:
 //!   [`TraceBytes`], [`CycleCounter`], [`Outputs`], [`Cells`],
@@ -29,7 +31,7 @@
 //!
 //! ```
 //! use rtl_core::observe::{CompareMode, Observation};
-//! use rtl_core::{Design, Engine};
+//! use rtl_core::{Design, Engine, TraceEvent};
 //!
 //! let design = Design::from_source(
 //!     "# counter\ncount* next .\nM count 0 next 1 1\nA next 4 count 1 .",
@@ -41,7 +43,7 @@
 //! #     fn restore(&mut self, s: &rtl_core::SimState) { self.1 = s.clone(); }
 //! #     fn step(
 //! #         &mut self,
-//! #         _out: &mut dyn std::io::Write,
+//! #         _trace: &mut rtl_core::TraceBuf<'_>,
 //! #         _input: &mut dyn rtl_core::InputSource,
 //! #     ) -> Result<(), rtl_core::SimError> {
 //! #         self.1.bump_cycle();
@@ -52,8 +54,11 @@
 //! # let b = Idle(&design, rtl_core::SimState::new(&design));
 //! // Two lanes at a comparison point: identical trace spans, identical
 //! // state — every shipped comparator agrees, and so do fingerprints.
-//! let left = Observation::new(&a as &dyn Engine, b"Cycle   0 count= 0\n", None);
-//! let right = Observation::new(&b as &dyn Engine, b"Cycle   0 count= 0\n", None);
+//! let count = design.find("count").unwrap();
+//! let span = [TraceEvent::Cycle(0), TraceEvent::Value(count, 0), TraceEvent::EndLine];
+//! let left = Observation::new(&a as &dyn Engine, &span, None);
+//! let right = Observation::new(&b as &dyn Engine, &span, None);
+//! assert_eq!(left.rendered_trace(), b"Cycle   0 count= 0\n");
 //! assert_eq!(left.fingerprint(), right.fingerprint());
 //! let mut all = CompareMode::All.build();
 //! assert!(all.compare(&left, &right).is_none(), "no divergence");
@@ -65,24 +70,29 @@ use crate::error::SimError;
 use crate::resolve::CompId;
 use crate::session::{design_fingerprint, Fingerprint};
 use crate::stats::SimStats;
+use crate::trace::{render_text, TraceEvent};
 use crate::word::Word;
 
 /// One lane's observable face at a comparison point — see the [module
 /// docs](self). Cheap to build (it borrows the engine's state and the
-/// trace span; nothing is copied) and comparable as a value through the
-/// accessors or [`fingerprint`](Observation::fingerprint).
+/// trace span; nothing is copied or rendered) and comparable as a value
+/// through the accessors or [`fingerprint`](Observation::fingerprint).
 #[derive(Clone, Copy)]
 pub struct Observation<'a> {
     engine: &'a dyn Engine,
-    trace: &'a [u8],
+    trace: &'a [TraceEvent],
     error: Option<&'a SimError>,
 }
 
 impl<'a> Observation<'a> {
-    /// Observes an engine: `trace` is the trace/output span produced
+    /// Observes an engine: `trace` is the span of trace events recorded
     /// since the last agreed comparison point, `error` the lane's sticky
     /// stop state (a runtime halt or harness error), if any.
-    pub fn new(engine: &'a dyn Engine, trace: &'a [u8], error: Option<&'a SimError>) -> Self {
+    pub fn new(
+        engine: &'a dyn Engine,
+        trace: &'a [TraceEvent],
+        error: Option<&'a SimError>,
+    ) -> Self {
         Observation {
             engine,
             trace,
@@ -115,9 +125,17 @@ impl<'a> Observation<'a> {
         self.engine.state().cells(id)
     }
 
-    /// The trace/output bytes produced since the last agreed point.
-    pub fn trace(&self) -> &'a [u8] {
+    /// The trace events recorded since the last agreed point.
+    pub fn trace(&self) -> &'a [TraceEvent] {
         self.trace
+    }
+
+    /// The trace span rendered as text ([`trace::render`]), the bytes a
+    /// text sink would have received.
+    ///
+    /// [`trace::render`]: crate::trace::render
+    pub fn rendered_trace(&self) -> Vec<u8> {
+        render_text(self.design(), self.trace)
     }
 
     /// The lane's stop state: a runtime error it raised, if any.
@@ -131,7 +149,8 @@ impl<'a> Observation<'a> {
     }
 
     /// A stable [`Fingerprint`] over everything this observation exposes:
-    /// cycle, observed outputs, memory cells, trace span and stop state.
+    /// cycle, observed outputs, memory cells, the *rendered* trace span
+    /// and stop state.
     /// Two lanes at the same comparison point agree under every shipped
     /// comparator iff their fingerprints can agree (the fingerprint also
     /// folds in *which* components are observed).
@@ -152,7 +171,7 @@ impl<'a> Observation<'a> {
                 fp.write_u64(cell as u64);
             }
         }
-        fp.write(self.trace);
+        fp.write(&self.rendered_trace());
         match self.error {
             Some(e) => fp.write_str(&e.to_string()),
             None => fp.write(&[0]),
@@ -165,7 +184,7 @@ impl std::fmt::Debug for Observation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Observation")
             .field("cycle", &self.cycle())
-            .field("trace_len", &self.trace.len())
+            .field("trace_events", &self.trace.len())
             .field("error", &self.error)
             .finish_non_exhaustive()
     }
@@ -361,8 +380,13 @@ pub trait Comparator {
     ) -> Option<DivergenceKind>;
 }
 
-/// Compares the trace/output byte spans produced since the last agreed
-/// point — the strictest lens, and the paper's own equivalence notion.
+/// Compares the trace spans produced since the last agreed point *as the
+/// bytes they render to* — the strictest lens, and the paper's own
+/// equivalence notion. Values first: equal event spans render equal
+/// bytes, so they agree without any text. Only when two spans differ as
+/// values are both rendered and the bytes compared, which keeps the
+/// verdict exactly the byte comparison's (`Output { addr: 0, data: 49 }`
+/// and `Output { addr: 1, data: 1 }` both render `1\n` and agree).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceBytes;
 
@@ -376,7 +400,10 @@ impl Comparator for TraceBytes {
         reference: &Observation<'_>,
         candidate: &Observation<'_>,
     ) -> Option<DivergenceKind> {
-        (reference.trace() != candidate.trace()).then_some(DivergenceKind::Trace)
+        if reference.trace() == candidate.trace() {
+            return None;
+        }
+        (reference.rendered_trace() != candidate.rendered_trace()).then_some(DivergenceKind::Trace)
     }
 }
 
@@ -688,7 +715,7 @@ mod tests {
     use super::*;
     use crate::io::InputSource;
     use crate::state::SimState;
-    use std::io::Write;
+    use crate::trace::TraceBuf;
 
     /// A stub engine over an arbitrary state, with a controllable
     /// observed-output mask.
@@ -727,7 +754,7 @@ mod tests {
 
         fn step(
             &mut self,
-            _out: &mut dyn Write,
+            _trace: &mut TraceBuf<'_>,
             _input: &mut dyn InputSource,
         ) -> Result<(), SimError> {
             self.state.bump_cycle();
@@ -745,8 +772,9 @@ mod tests {
     fn identical_lanes_agree_under_every_mode() {
         let d = design();
         let (a, b) = (Stub::new(&d), Stub::new(&d));
-        let left = Observation::new(&a, b"span", None);
-        let right = Observation::new(&b, b"span", None);
+        let span = [TraceEvent::raw(&b"span"[..])];
+        let left = Observation::new(&a, &span, None);
+        let right = Observation::new(&b, &span, None);
         assert!(stop_state(&left, &right).is_none());
         for mode in CompareMode::ALL {
             let mut c = mode.build();
@@ -765,8 +793,9 @@ mod tests {
         b.state.set_output(count, 5);
         b.state.set_cell(count, 0, 5);
 
-        let left = Observation::new(&a, b"x", None);
-        let right = Observation::new(&b, b"y", None);
+        let (x, y) = ([TraceEvent::raw(&b"x"[..])], [TraceEvent::raw(&b"y"[..])]);
+        let left = Observation::new(&a, &x, None);
+        let right = Observation::new(&b, &y, None);
         assert_eq!(
             TraceBytes.compare(&left, &right),
             Some(DivergenceKind::Trace)
@@ -813,15 +842,15 @@ mod tests {
         let a = Stub::new(&d);
         let mut b = Stub::new(&d);
         b.state.set_cycle(3);
-        let left = Observation::new(&a, b"", None);
-        let right = Observation::new(&b, b"", None);
+        let left = Observation::new(&a, &[], None);
+        let right = Observation::new(&b, &[], None);
         assert_eq!(
             CycleCounter.compare(&left, &right),
             Some(DivergenceKind::CycleCounter)
         );
 
         let e = SimError::InputExhausted { cycle: 3 };
-        let crashed = Observation::new(&b, b"", Some(&e));
+        let crashed = Observation::new(&b, &[], Some(&e));
         assert_eq!(stop_state(&left, &crashed), Some(DivergenceKind::Error));
         assert!(
             stop_state(&crashed, &crashed).is_none(),
@@ -837,8 +866,8 @@ mod tests {
         let mut b = Stub::new(&d);
         b.state.set_output(count, 9);
         b.hidden.push(count);
-        let left = Observation::new(&a, b"", None);
-        let right = Observation::new(&b, b"", None);
+        let left = Observation::new(&a, &[], None);
+        let right = Observation::new(&b, &[], None);
         assert_eq!(right.output(count), None, "elided latch is unobserved");
         assert!(Outputs.compare(&left, &right).is_none());
         assert!(VcdDiff::new().compare(&left, &right).is_none());
@@ -856,8 +885,8 @@ mod tests {
         let a = Stub::new(&d);
         let mut b = Stub::new(&d);
         b.state.set_output(bit, 2);
-        let left = Observation::new(&a, b"", None);
-        let right = Observation::new(&b, b"", None);
+        let left = Observation::new(&a, &[], None);
+        let right = Observation::new(&b, &[], None);
         let mut vcd = VcdDiff::new();
         assert!(vcd.compare(&left, &right).is_none(), "masked equal");
         assert!(Outputs.compare(&left, &right).is_some(), "raw differs");
@@ -881,5 +910,105 @@ mod tests {
             "duplicates"
         );
         assert!(CompareMode::parse_list("warp").is_err(), "unknown");
+    }
+
+    #[test]
+    fn differently_shaped_spans_that_render_alike_agree() {
+        let d = design();
+        let (a, b) = (Stub::new(&d), Stub::new(&d));
+        let char_one = [TraceEvent::Output { addr: 0, data: 49 }];
+        let int_one = [TraceEvent::Output { addr: 1, data: 1 }];
+        let left = Observation::new(&a, &char_one, None);
+        let right = Observation::new(&b, &int_one, None);
+        assert_ne!(left.trace(), right.trace(), "different values");
+        assert!(TraceBytes.compare(&left, &right).is_none(), "same bytes");
+        assert_eq!(left.fingerprint(), right.fingerprint());
+    }
+
+    /// SplitMix64: a seeded generator for the property below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A small random event, drawn from a narrow value range so distinct
+    /// spans often render alike: char output above 0xFF, the
+    /// `Output(0, '1')` / `Output(1, 1)` collision, and raw bytes that
+    /// spell other events' text.
+    fn event(rng: &mut Rng, ids: &[CompId]) -> TraceEvent {
+        let word = |rng: &mut Rng| rng.below(3) as Word;
+        let id = ids[rng.below(ids.len() as u64) as usize];
+        match rng.below(10) {
+            0 => TraceEvent::Cycle(word(rng)),
+            1 => TraceEvent::Value(id, word(rng)),
+            2 => TraceEvent::EndLine,
+            3 => TraceEvent::MemWrite {
+                mem: id,
+                addr: word(rng),
+                value: word(rng),
+            },
+            4 => TraceEvent::MemRead {
+                mem: id,
+                addr: word(rng),
+                value: word(rng),
+            },
+            5 => TraceEvent::Output {
+                addr: 0,
+                data: [48, 49, 50, 49 + 256, 10][rng.below(5) as usize],
+            },
+            6 => TraceEvent::Output {
+                addr: rng.below(3) as Word,
+                data: word(rng),
+            },
+            7 => TraceEvent::InputPrompt(2 + word(rng)),
+            _ => {
+                let pieces: [&[u8]; 6] = [b"0", b"1", b"\n", b"Cycle   0", b" count= ", b"="];
+                let mut bytes = Vec::new();
+                for _ in 0..rng.below(3) {
+                    bytes.extend_from_slice(pieces[rng.below(6) as usize]);
+                }
+                TraceEvent::raw(bytes)
+            }
+        }
+    }
+
+    #[test]
+    fn trace_verdict_is_the_byte_verdict() {
+        let d = design();
+        let ids: Vec<CompId> = d.iter().map(|(id, _)| id).collect();
+        let (a, b) = (Stub::new(&d), Stub::new(&d));
+        let mut rng = Rng(17);
+        let mut spans: Vec<Vec<TraceEvent>> = Vec::new();
+        for _ in 0..400 {
+            let len = rng.below(4) as usize;
+            spans.push((0..len).map(|_| event(&mut rng, &ids)).collect());
+        }
+        let mut agreed_unequal = 0;
+        for x in &spans {
+            for y in &spans {
+                let left = Observation::new(&a, x, None);
+                let right = Observation::new(&b, y, None);
+                let bytes_equal = left.rendered_trace() == right.rendered_trace();
+                let verdict = TraceBytes.compare(&left, &right).is_none();
+                assert_eq!(verdict, bytes_equal, "{x:?} vs {y:?}");
+                assert_eq!(left.fingerprint() == right.fingerprint(), bytes_equal);
+                agreed_unequal += usize::from(verdict && x != y);
+            }
+        }
+        assert!(
+            agreed_unequal > 0,
+            "the property must meet value-unequal, byte-equal pairs"
+        );
     }
 }

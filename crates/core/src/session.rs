@@ -27,10 +27,11 @@
 //! #     fn restore(&mut self, s: &rtl_core::SimState) { self.1 = s.clone(); }
 //! #     fn step(
 //! #         &mut self,
-//! #         out: &mut dyn std::io::Write,
+//! #         trace: &mut rtl_core::TraceBuf<'_>,
 //! #         _input: &mut dyn rtl_core::InputSource,
 //! #     ) -> Result<(), rtl_core::SimError> {
-//! #         writeln!(out, "Cycle {}", self.1.cycle())?;
+//! #         trace.push(rtl_core::TraceEvent::Cycle(self.1.cycle()));
+//! #         trace.push(rtl_core::TraceEvent::EndLine);
 //! #         self.1.bump_cycle();
 //! #         Ok(())
 //! #     }
@@ -40,7 +41,7 @@
 //! let outcome = session.run(Until::Cycles(3));
 //! assert_eq!(outcome.cycles, 3);
 //! assert_eq!(outcome.stop, StopReason::CycleLimit);
-//! assert!(session.output_text().contains("Cycle 2"));
+//! assert!(session.output_text().contains("Cycle   2"));
 //! ```
 
 use crate::design::Design;
@@ -48,8 +49,9 @@ use crate::engine::Engine;
 use crate::error::SimError;
 use crate::factory::{EngineLane, EngineOptions, EngineRegistry};
 use crate::io::{InputSource, NoInput, ScriptedInput};
-use crate::sink::{BufferSink, NullSink, SinkWriter, TraceSink};
+use crate::sink::{BufferSink, NullSink, TraceSink};
 use crate::state::SimState;
+use crate::trace::{TraceBuf, TraceEvent};
 use crate::word::Word;
 use rtl_obs::Recorder;
 use std::io::{self, BufRead, Write};
@@ -420,6 +422,7 @@ impl<'d> SessionBuilder<'d> {
             engine: self
                 .engine
                 .expect("SessionBuilder needs an engine (engine() or engine_named())"),
+            events: Vec::new(),
             sink: self.sink,
             stimulus: self.stimulus,
             recorder: self.recorder,
@@ -431,6 +434,8 @@ impl<'d> SessionBuilder<'d> {
 /// See the [module docs](self).
 pub struct Session<'d> {
     engine: Box<dyn Engine + 'd>,
+    /// The step trace buffer's allocation, reused from step to step.
+    events: Vec<TraceEvent>,
     sink: Box<dyn TraceSink + 'd>,
     stimulus: Box<dyn InputSource + 'd>,
     recorder: Recorder,
@@ -449,14 +454,20 @@ impl<'d> Session<'d> {
         SessionBuilder::empty().engine(engine)
     }
 
-    /// Executes one cycle.
+    /// Executes one cycle and hands its trace events to the sink — also
+    /// the events a failing step recorded before its error.
     ///
     /// # Errors
     ///
-    /// The raw step error; [`run`](Session::run) is the classified driver.
+    /// The sink's I/O failure first, then the raw step error;
+    /// [`run`](Session::run) is the classified driver.
     pub fn step(&mut self) -> Result<(), SimError> {
-        let mut writer = SinkWriter(&mut *self.sink);
-        self.engine.step(&mut writer, &mut *self.stimulus)?;
+        let mut trace = TraceBuf::to_sink(std::mem::take(&mut self.events), &mut *self.sink);
+        let stepped = self.engine.step(&mut trace, &mut *self.stimulus);
+        let delivered = trace.flush(self.engine.design());
+        self.events = trace.into_events();
+        delivered?;
+        stepped?;
         self.sink
             .end_cycle(self.engine.design(), self.engine.state())
             .map_err(SimError::from)
@@ -528,13 +539,19 @@ impl<'d> Session<'d> {
         self.stimulus = Box::new(stimulus);
     }
 
-    /// The trace sink, mutably — interactive drivers write their prompts
-    /// to the same destination the trace goes to.
-    pub fn sink_mut(&mut self) -> &mut (dyn TraceSink + 'd) {
-        &mut *self.sink
+    /// Writes text to the trace sink, verbatim — interactive drivers write
+    /// their prompts to the same destination the trace goes to.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure of the sink's destination.
+    pub fn write_text(&mut self, text: &[u8]) -> Result<(), SimError> {
+        self.sink
+            .record(self.engine.design(), &[TraceEvent::raw(text)])
+            .map_err(SimError::from)
     }
 
-    /// The captured trace bytes, when the sink buffers (see
+    /// The captured (rendered) trace bytes, when the sink buffers (see
     /// [`SessionBuilder::capture`]); empty otherwise.
     pub fn output(&self) -> &[u8] {
         self.sink.captured().unwrap_or(&[])

@@ -1,33 +1,41 @@
-//! Trace sinks — where a simulation's trace/output text goes.
+//! Trace sinks — where a simulation's trace goes.
 //!
-//! The engines themselves write to a raw byte stream; everything *driving*
-//! an engine goes through [`TraceSink`], the typed replacement for the
-//! `&mut dyn Write` that used to thread through every call site. A sink
-//! receives the trace bytes as they are produced and, once per completed
+//! Engines record typed [`TraceEvent`]s (see [`trace`](crate::trace));
+//! everything *driving* an engine hands them to a [`TraceSink`]. A sink
+//! receives each step's events in emission order and, once per completed
 //! cycle, a [`TraceSink::end_cycle`] callback with the post-step state —
-//! the hook the VCD sink uses to sample waveforms.
+//! the hook the VCD sink uses to sample waveforms. Text sinks render the
+//! events with [`trace::render`](crate::trace::render); the others never
+//! pay for text.
 //!
 //! Bundled sinks:
 //!
 //! * [`NullSink`] — discards everything (throughput runs),
-//! * [`BufferSink`] — captures into memory (tests, divergence windows),
-//! * [`WriteSink`] — adapts any [`std::io::Write`] (stdout, files),
+//! * [`BufferSink`] — renders into memory (tests, captured runs),
+//! * [`WriteSink`] — renders into any [`std::io::Write`] (stdout, files),
 //! * [`TeeSink`] — duplicates into two sinks (capture *and* stream),
 //! * [`VcdSink`](crate::vcd::VcdSink) — records a waveform per cycle.
 
 use crate::design::Design;
 use crate::state::SimState;
+use crate::trace::{render, TraceEvent};
 use std::io::{self, Write};
 
-/// A destination for simulation trace/output text, with a per-cycle hook.
+/// A destination for simulation trace events, with a per-cycle hook.
 pub trait TraceSink {
-    /// Receives a chunk of trace/output bytes.
+    /// Receives trace events in emission order: one step's, or the part
+    /// of a step before an input read. `design` names the components the
+    /// events refer to. The default discards them — right for sinks that
+    /// only sample state.
     ///
     /// # Errors
     ///
     /// I/O failure of the underlying destination; the session surfaces it
     /// as [`StopReason::Error`](crate::session::StopReason).
-    fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()>;
+    fn record(&mut self, design: &Design, events: &[TraceEvent]) -> io::Result<()> {
+        let _ = (design, events);
+        Ok(())
+    }
 
     /// Flushes buffered bytes to the underlying destination.
     ///
@@ -40,7 +48,7 @@ pub trait TraceSink {
 
     /// Called by [`Session`](crate::session::Session) after every completed
     /// cycle with the design and post-step state. Sinks that only care
-    /// about the byte stream ignore it.
+    /// about the trace ignore it.
     ///
     /// # Errors
     ///
@@ -50,8 +58,8 @@ pub trait TraceSink {
         Ok(())
     }
 
-    /// The bytes captured so far, when this sink (or one it wraps)
-    /// buffers them. `None` for pass-through sinks.
+    /// The rendered bytes captured so far, when this sink (or one it
+    /// wraps) buffers them. `None` for pass-through sinks.
     fn captured(&self) -> Option<&[u8]> {
         None
     }
@@ -61,13 +69,9 @@ pub trait TraceSink {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSink;
 
-impl TraceSink for NullSink {
-    fn write_bytes(&mut self, _bytes: &[u8]) -> io::Result<()> {
-        Ok(())
-    }
-}
+impl TraceSink for NullSink {}
 
-/// Captures the trace into memory; [`TraceSink::captured`] returns it.
+/// Renders the trace into memory; [`TraceSink::captured`] returns it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BufferSink {
     bytes: Vec<u8>,
@@ -96,9 +100,8 @@ impl BufferSink {
 }
 
 impl TraceSink for BufferSink {
-    fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.bytes.extend_from_slice(bytes);
-        Ok(())
+    fn record(&mut self, design: &Design, events: &[TraceEvent]) -> io::Result<()> {
+        render(events, |id| design.name(id), &mut self.bytes)
     }
 
     fn captured(&self) -> Option<&[u8]> {
@@ -106,7 +109,7 @@ impl TraceSink for BufferSink {
     }
 }
 
-/// Adapts any [`std::io::Write`] into a sink (stdout, a file, a pipe).
+/// Renders the trace into any [`std::io::Write`] (stdout, a file, a pipe).
 #[derive(Debug)]
 pub struct WriteSink<W: Write>(W);
 
@@ -123,8 +126,8 @@ impl<W: Write> WriteSink<W> {
 }
 
 impl<W: Write> TraceSink for WriteSink<W> {
-    fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.0.write_all(bytes)
+    fn record(&mut self, design: &Design, events: &[TraceEvent]) -> io::Result<()> {
+        render(events, |id| design.name(id), &mut self.0)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -132,7 +135,7 @@ impl<W: Write> TraceSink for WriteSink<W> {
     }
 }
 
-/// Duplicates every byte (and cycle hook) into two sinks — capture a run
+/// Duplicates every event (and cycle hook) into two sinks — capture a run
 /// while also streaming it, or record a VCD alongside the text trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TeeSink<A: TraceSink, B: TraceSink> {
@@ -163,9 +166,9 @@ impl<A: TraceSink, B: TraceSink> TeeSink<A, B> {
 }
 
 impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.first.write_bytes(bytes)?;
-        self.second.write_bytes(bytes)
+    fn record(&mut self, design: &Design, events: &[TraceEvent]) -> io::Result<()> {
+        self.first.record(design, events)?;
+        self.second.record(design, events)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -183,72 +186,61 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     }
 }
 
-/// Adapts a sink to the raw [`std::io::Write`] the [`Engine::step`]
-/// contract uses — the one place the byte stream crosses back into `dyn
-/// Write`, owned by the session layer.
-///
-/// [`Engine::step`]: crate::engine::Engine::step
-pub(crate) struct SinkWriter<'a>(pub &'a mut dyn TraceSink);
-
-impl Write for SinkWriter<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write_bytes(buf)?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn design() -> Design {
+        Design::from_source("# c\ncount* next .\nM count 0 next 1 1\nA next 4 count 1 .").unwrap()
+    }
+
+    fn line(design: &Design, cycle: i64) -> Vec<TraceEvent> {
+        let count = design.find("count").unwrap();
+        vec![
+            TraceEvent::Cycle(cycle),
+            TraceEvent::Value(count, cycle),
+            TraceEvent::EndLine,
+        ]
+    }
+
     #[test]
-    fn buffer_captures_bytes() {
+    fn buffer_renders_events() {
+        let d = design();
         let mut s = BufferSink::new();
-        s.write_bytes(b"abc").unwrap();
-        s.write_bytes(b"def").unwrap();
-        assert_eq!(s.bytes(), b"abcdef");
-        assert_eq!(s.captured(), Some(&b"abcdef"[..]));
-        assert_eq!(s.text(), "abcdef");
-        assert_eq!(s.into_bytes(), b"abcdef");
+        s.record(&d, &line(&d, 0)).unwrap();
+        s.record(&d, &[TraceEvent::raw(&b"x"[..])]).unwrap();
+        assert_eq!(s.bytes(), b"Cycle   0 count= 0\nx");
+        assert_eq!(s.captured(), Some(s.bytes()));
+        assert_eq!(s.text(), "Cycle   0 count= 0\nx");
+        assert_eq!(s.into_bytes(), b"Cycle   0 count= 0\nx");
     }
 
     #[test]
     fn null_discards() {
+        let d = design();
         let mut s = NullSink;
-        s.write_bytes(b"anything").unwrap();
+        s.record(&d, &line(&d, 0)).unwrap();
         assert_eq!(s.captured(), None);
     }
 
     #[test]
-    fn write_sink_passes_through() {
+    fn write_sink_renders_through() {
+        let d = design();
         let mut s = WriteSink::new(Vec::new());
-        s.write_bytes(b"xy").unwrap();
+        s.record(&d, &line(&d, 12)).unwrap();
         s.flush().unwrap();
-        assert_eq!(s.into_inner(), b"xy");
+        assert_eq!(s.into_inner(), b"Cycle  12 count= 12\n");
     }
 
     #[test]
     fn tee_duplicates_and_surfaces_capture() {
+        let d = design();
         let mut t = TeeSink::new(BufferSink::new(), WriteSink::new(Vec::new()));
-        t.write_bytes(b"12").unwrap();
-        assert_eq!(t.captured(), Some(&b"12"[..]));
+        t.record(&d, &[TraceEvent::Output { addr: 1, data: 12 }])
+            .unwrap();
+        assert_eq!(t.captured(), Some(&b"12\n"[..]));
         let (a, b) = t.into_parts();
-        assert_eq!(a.bytes(), b"12");
-        assert_eq!(b.into_inner(), b"12");
-    }
-
-    #[test]
-    fn sink_writer_adapts_to_io_write() {
-        let mut buf = BufferSink::new();
-        {
-            let mut w = SinkWriter(&mut buf);
-            use std::io::Write as _;
-            write!(w, "cycle {}", 7).unwrap();
-        }
-        assert_eq!(buf.text(), "cycle 7");
+        assert_eq!(a.bytes(), b"12\n");
+        assert_eq!(b.into_inner(), b"12\n");
     }
 }

@@ -106,10 +106,6 @@ impl<W: Write> VcdSink<W> {
 }
 
 impl<W: Write> TraceSink for VcdSink<W> {
-    fn write_bytes(&mut self, _bytes: &[u8]) -> io::Result<()> {
-        Ok(())
-    }
-
     fn flush(&mut self) -> io::Result<()> {
         self.out.flush()
     }

@@ -67,9 +67,10 @@ mod tests {
             else {
                 panic!("{name} is stepped");
             };
-            let mut out = Vec::new();
-            engine.step(&mut out, &mut rtl_core::NoInput).unwrap();
+            let mut trace = rtl_core::TraceBuf::new();
+            engine.step(&mut trace, &mut rtl_core::NoInput).unwrap();
             assert_eq!(engine.state().cycle(), 1, "{name}");
+            assert!(!trace.events().is_empty(), "{name} records its trace");
         }
     }
 
@@ -91,7 +92,7 @@ mod tests {
                 panic!("vm is stepped");
             };
             engine
-                .step(&mut Vec::new(), &mut rtl_core::NoInput)
+                .step(&mut rtl_core::TraceBuf::new(), &mut rtl_core::NoInput)
                 .unwrap();
             engine.state().cycle()
         });

@@ -4,7 +4,8 @@
 //! A verification subsystem that has never seen a bug is itself
 //! unverified. The `vm-fault` lane wraps the production bytecode VM and,
 //! from a trigger cycle on, corrupts what the lane *shows*: its trace
-//! bytes (`=` becomes `#`) and its observed architectural state (bit 0 of
+//! (each step's events are replaced by their rendering with `=` mangled
+//! to `#`) and its observed architectural state (bit 0 of
 //! the first observed component's output flipped, via a corrupted view —
 //! the VM's real state is never touched). Every shipped
 //! [`Comparator`](rtl_core::observe::Comparator) lens — trace bytes,
@@ -13,11 +14,11 @@
 //! checkpoint/rewind bisection still replays the divergence
 //! byte-for-byte.
 
+use rtl_core::trace::render_text;
 use rtl_core::{
     CompId, Design, Engine, EngineFactory, EngineLane, EngineOptions, InputSource, SimError,
-    SimState, SimStats, Word,
+    SimState, SimStats, TraceBuf, TraceEvent, Word,
 };
-use std::io::Write;
 
 /// The default trigger cycle of the registered `vm-fault` lane.
 pub const DEFAULT_FAULT_CYCLE: u64 = 40;
@@ -68,12 +69,14 @@ impl EngineFactory for FaultyVmFactory {
             inner,
             from_cycle: Word::try_from(self.from_cycle).unwrap_or(Word::MAX),
             view: None,
+            scratch: TraceBuf::new(),
         })))
     }
 }
 
-/// Wraps any engine: from the trigger cycle on, its trace bytes are
-/// mangled (`=` becomes `#`) and its [`state`](Engine::state) is a
+/// Wraps any engine: from the trigger cycle on, each step's trace events
+/// are replaced by their rendering with `=` mangled to `#` (one
+/// [`TraceEvent::Raw`]), and its [`state`](Engine::state) is a
 /// deterministically corrupted *view* (bit 0 of the first observed
 /// component's output flipped). The inner engine's own state is never
 /// modified, so restore/replay reproduces the fault exactly.
@@ -81,6 +84,8 @@ struct FaultInjector<'d> {
     inner: Box<dyn Engine + 'd>,
     from_cycle: Word,
     view: Option<SimState>,
+    /// The inner engine's trace for one triggered step, before mangling.
+    scratch: TraceBuf<'static>,
 }
 
 impl FaultInjector<'_> {
@@ -150,34 +155,29 @@ impl Engine for FaultInjector<'_> {
         self.inner.stats()
     }
 
-    fn step(&mut self, out: &mut dyn Write, input: &mut dyn InputSource) -> Result<(), SimError> {
+    fn step(
+        &mut self,
+        trace: &mut TraceBuf<'_>,
+        input: &mut dyn InputSource,
+    ) -> Result<(), SimError> {
         let result = if self.inner.state().cycle() >= self.from_cycle {
-            let mut corrupt = Corruptor { out };
-            self.inner.step(&mut corrupt, input)
+            let result = self.inner.step(&mut self.scratch, input);
+            let mut text = render_text(self.inner.design(), self.scratch.events());
+            self.scratch.clear();
+            for byte in &mut text {
+                if *byte == b'=' {
+                    *byte = b'#';
+                }
+            }
+            if !text.is_empty() {
+                trace.push(TraceEvent::raw(text));
+            }
+            result
         } else {
-            self.inner.step(out, input)
+            self.inner.step(trace, input)
         };
         self.refresh_view();
         result
-    }
-}
-
-struct Corruptor<'a> {
-    out: &'a mut dyn Write,
-}
-
-impl Write for Corruptor<'_> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mangled: Vec<u8> = buf
-            .iter()
-            .map(|&b| if b == b'=' { b'#' } else { b })
-            .collect();
-        self.out.write_all(&mangled)?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.out.flush()
     }
 }
 
@@ -310,10 +310,10 @@ mod tests {
         let before = engine.snapshot();
         for _ in 0..5 {
             engine
-                .step(&mut Vec::new(), &mut rtl_core::NoInput)
+                .step(&mut TraceBuf::new(), &mut rtl_core::NoInput)
                 .unwrap();
             healthy
-                .step(&mut Vec::new(), &mut rtl_core::NoInput)
+                .step(&mut TraceBuf::new(), &mut rtl_core::NoInput)
                 .unwrap();
         }
         let count = design.find("count").unwrap();

@@ -2,10 +2,18 @@
 //! every interval — rebuilt on the [`Session`] API.
 //!
 //! Each engine runs in its own *lane*, and each lane **is** a
-//! [`Session`]: the sink (a shared capture buffer) and the stimulus (a
-//! metered replay of the scripted input) are bound once, and the lane is
-//! driven exclusively through [`Session::run`] — `Lockstep` never calls
-//! [`Engine::step`] directly.
+//! [`Session`]: the sink (a shared buffer of trace *values*) and the
+//! stimulus (a metered replay of the scripted input) are bound once, and
+//! the lane is driven exclusively through [`Session::run`] — `Lockstep`
+//! never calls [`Engine::step`] directly.
+//!
+//! Lanes keep the [`TraceEvent`]s their engines record and never format
+//! them: the trace lens compares event spans and renders text only when
+//! two spans differ as values (see
+//! [`TraceBytes`](rtl_core::observe::TraceBytes)). Text is rendered only
+//! where it is the artifact: a divergence report's trace windows, the
+//! [`agreed_output`](Lockstep::agreed_output) a stream lane is checked
+//! against, and digests.
 //!
 //! After every comparison interval the lanes' [`Observation`]s are
 //! checked against lane 0 by the configured [`Comparator`] set (the
@@ -24,11 +32,12 @@
 //! [`Lockstep::resume`] restores it — the mechanism behind `asim2 cosim
 //! --checkpoint/--resume` and `asim2 campaign run --case-checkpoint`.
 
-use rtl_core::observe::{stop_state, Comparator, CompareMode, Observation};
+use rtl_core::observe::{stop_state, Comparator, CompareMode, Observation, TRACE_WINDOW_LINES};
+use rtl_core::trace::render_text;
 use rtl_core::{
     design_fingerprint, Design, DivergenceKind, Engine, Fingerprint, HaltKind, InputSource,
     LaneReport, LaneStats, Recorder, ScriptedInput, Session, SimError, SimState, StopReason,
-    TraceSink, Until, Word,
+    TraceEvent, TraceSink, Until, Word,
 };
 use std::cell::{Cell, RefCell};
 use std::io::{self, BufRead, Write};
@@ -54,11 +63,12 @@ pub struct CosimOptions {
     pub compare_every: u64,
     /// Run engines with trace output on and compare it byte-for-byte.
     pub trace: bool,
-    /// Keep the full agreed trace in memory so
-    /// [`Lockstep::agreed_output`] can return it. Off by default: long
-    /// runs would otherwise grow O(cycles × lanes); with retention off,
-    /// verified output is drained at each checkpoint down to a small tail
-    /// (kept for divergence-report trace windows).
+    /// Keep the full agreed trace so [`Lockstep::agreed_output`] can
+    /// return it: each agreed span is rendered to text as it is
+    /// committed. Off by default: long runs would otherwise grow
+    /// O(cycles); with retention off, verified trace is dropped at each
+    /// commit down to a small tail (kept for divergence-report trace
+    /// windows).
     pub retain_output: bool,
     /// The comparator set, as values (see [`CompareMode`]); empty falls
     /// back to [`CompareMode::All`]. Lane error states are always
@@ -221,16 +231,51 @@ impl std::fmt::Display for DivergenceReport {
     }
 }
 
-/// A [`TraceSink`] appending into a buffer the harness also holds — the
-/// lane's session writes through it, the comparator reads (and, on
-/// rewind, truncates) the same bytes.
-struct SharedSink(Rc<RefCell<Vec<u8>>>);
+/// A [`TraceSink`] appending trace events into a buffer the harness also
+/// holds — the lane's session records through it, the comparators read
+/// (and, on rewind, truncate) the same values. Nothing is rendered.
+struct LaneSink(Rc<RefCell<Vec<TraceEvent>>>);
 
-impl TraceSink for SharedSink {
-    fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.0.borrow_mut().extend_from_slice(bytes);
+impl TraceSink for LaneSink {
+    fn record(&mut self, _design: &Design, events: &[TraceEvent]) -> io::Result<()> {
+        self.0.borrow_mut().extend_from_slice(events);
         Ok(())
     }
+}
+
+/// The committed trace text a report quotes and
+/// [`Lockstep::agreed_output`] returns without retention: the last
+/// `TRACE_TAIL` bytes of everything the lanes agreed on.
+const TRACE_TAIL: usize = 4096;
+
+/// Committed events are trimmed to a report tail once a lane holds more
+/// than this many (amortizes the move over many commits).
+const TRIM_AT: usize = 1024;
+
+/// The start of the shortest suffix of `committed` that renders to at
+/// least `min_len` bytes *and* holds more than [`TRACE_WINDOW_LINES`]
+/// newlines (both counted as lower bounds), or 0 when there is none.
+///
+/// Such a suffix gives a report the same window as the whole committed
+/// text: its first newline ends the only line it may cut short, and the
+/// lines after it are more than a window's worth. Its last
+/// [`TRACE_TAIL`] bytes are the whole text's too, once `min_len` is
+/// `TRACE_TAIL` — the bound commits trim to.
+fn tail_start(committed: &[TraceEvent], min_len: usize) -> usize {
+    let (mut len, mut newlines) = (0, 0);
+    for (i, event) in committed.iter().enumerate().rev() {
+        len += event.min_len();
+        newlines += event.min_newlines();
+        if len >= min_len && newlines > TRACE_WINDOW_LINES {
+            return i;
+        }
+    }
+    0
+}
+
+/// The last [`TRACE_TAIL`] bytes of `text`.
+fn tail(text: &[u8]) -> &[u8] {
+    &text[text.len().saturating_sub(TRACE_TAIL)..]
 }
 
 /// A [`ScriptedInput`] that reports how many words it has consumed
@@ -275,24 +320,44 @@ struct Lane<'d> {
     /// The lane *is* a session: engine + shared sink + metered stimulus,
     /// bound once.
     session: Session<'d>,
-    /// The session's sink buffer (shared with [`SharedSink`]).
-    out: Rc<RefCell<Vec<u8>>>,
+    /// The session's trace events (shared with [`LaneSink`]): a tail of
+    /// committed events, then the span since the last agreed point.
+    events: Rc<RefCell<Vec<TraceEvent>>>,
+    /// Where the uncommitted span starts in `events`.
+    committed: usize,
     /// Stimulus words consumed so far (shared with [`MeteredInput`]).
     consumed: Rc<Cell<usize>>,
     /// Sticky stop state: the error this lane raised, if any.
     error: Option<SimError>,
     /// The lane's engine state at the last agreeing comparison (refreshed
     /// only at coarse strides, where rewind can happen), with the
-    /// stimulus offset and output length that go with it.
+    /// stimulus offset that goes with it.
     check: SimState,
     check_consumed: usize,
-    check_out: usize,
 }
 
 impl Lane<'_> {
     fn snapshot(&mut self) {
         self.check = self.session.engine().snapshot();
         self.check_consumed = self.consumed.get();
+    }
+
+    /// The text a report quotes for this lane: the committed text (all
+    /// of it under retention, else its last [`TRACE_TAIL`] bytes)
+    /// followed by the uncommitted span — rendered only from where the
+    /// committed events stop mattering to the window ([`tail_start`]).
+    fn report_text(&self, retain: bool) -> Vec<u8> {
+        let events = self.events.borrow();
+        let design = self.session.design();
+        let start = tail_start(&events[..self.committed], 0);
+        let committed = render_text(design, &events[start..self.committed]);
+        let mut text = if retain {
+            committed
+        } else {
+            tail(&committed).to_vec()
+        };
+        text.extend_from_slice(&render_text(design, &events[self.committed..]));
+        text
     }
 }
 
@@ -306,8 +371,9 @@ pub struct Lockstep<'d> {
     lanes: Vec<Lane<'d>>,
     /// Cycles verified equal so far; also the index of the next cycle.
     verified: u64,
-    /// Output length up to which all lanes are known byte-identical.
-    verified_out: usize,
+    /// The agreed trace text, rendered from lane 0 at each commit — kept
+    /// only under [`CosimOptions::retain_output`].
+    agreed: Vec<u8>,
     /// Comparator invocations per lens since the last telemetry emit
     /// (parallel to `comparators`); aggregated locally so the hot
     /// comparison loop never allocates a counter key.
@@ -335,7 +401,7 @@ impl<'d> Lockstep<'d> {
             stimulus: Vec::new(),
             lanes: Vec::new(),
             verified: 0,
-            verified_out: 0,
+            agreed: Vec::new(),
             compare_calls,
             rewinds: 0,
         }
@@ -363,11 +429,11 @@ impl<'d> Lockstep<'d> {
     /// capture sink, metered stimulus) and driven only through it from
     /// here on.
     pub fn add_lane(&mut self, name: &str, engine: Box<dyn Engine + 'd>) -> &mut Self {
-        let out = Rc::new(RefCell::new(Vec::new()));
+        let events = Rc::new(RefCell::new(Vec::new()));
         let consumed = Rc::new(Cell::new(0usize));
         let check = engine.snapshot();
         let session = Session::over(engine)
-            .sink(SharedSink(Rc::clone(&out)))
+            .sink(LaneSink(Rc::clone(&events)))
             .stimulus(MeteredInput::from_offset(
                 &self.stimulus,
                 0,
@@ -378,12 +444,12 @@ impl<'d> Lockstep<'d> {
         self.lanes.push(Lane {
             name: name.to_string(),
             session,
-            out,
+            events,
+            committed: 0,
             consumed,
             error: None,
             check,
             check_consumed: 0,
-            check_out: 0,
         });
         self
     }
@@ -407,13 +473,18 @@ impl<'d> Lockstep<'d> {
             .collect()
     }
 
-    /// The trace/output text all lanes agreed on (bytes up to the last
-    /// verified checkpoint). Empty until the first successful comparison.
-    /// The *full* run text is only available with
-    /// [`CosimOptions::retain_output`] set; otherwise verified output is
-    /// drained at checkpoints and only the retained tail is returned.
+    /// The trace/output text all lanes agreed on (up to the last verified
+    /// comparison), rendered. Empty until the first successful
+    /// comparison. The *full* run text is only available with
+    /// [`CosimOptions::retain_output`] set; otherwise verified trace is
+    /// dropped at commits and only the last 4096 bytes are returned.
     pub fn agreed_output(&self) -> Vec<u8> {
-        self.lanes[0].out.borrow()[..self.verified_out].to_vec()
+        if self.options.retain_output {
+            return self.agreed.clone();
+        }
+        let lane = &self.lanes[0];
+        let events = lane.events.borrow();
+        tail(&render_text(self.design, &events[..lane.committed])).to_vec()
     }
 
     /// Runs up to `cycles` further cycles in lockstep.
@@ -538,17 +609,16 @@ impl<'d> Lockstep<'d> {
     /// first, then the configured comparators over each lane's
     /// [`Observation`]. `None` means agreement.
     fn compare(&mut self) -> Option<DivergenceKind> {
-        let span = self.verified_out;
-        let bufs: Vec<std::cell::Ref<'_, Vec<u8>>> =
-            self.lanes.iter().map(|l| l.out.borrow()).collect();
+        let bufs: Vec<std::cell::Ref<'_, Vec<TraceEvent>>> =
+            self.lanes.iter().map(|l| l.events.borrow()).collect();
         let observations: Vec<Observation<'_>> = self
             .lanes
             .iter()
             .zip(&bufs)
-            .map(|(lane, buf)| {
+            .map(|(lane, events)| {
                 Observation::new(
                     lane.session.engine(),
-                    &buf[span.min(buf.len())..],
+                    &events[lane.committed..],
                     lane.error.as_ref(),
                 )
             })
@@ -577,24 +647,17 @@ impl<'d> Lockstep<'d> {
         None
     }
 
-    /// Commits an agreeing comparison: drains verified output down to a
-    /// report tail (unless retained) and refreshes the per-lane rewind
-    /// points ([`Engine::snapshot`] at coarse strides).
+    /// Commits an agreeing comparison: renders the agreed span into the
+    /// retained text (when retaining), trims each lane's committed events
+    /// down to a report tail, and refreshes the per-lane rewind points
+    /// ([`Engine::snapshot`] at coarse strides).
     fn commit(&mut self) {
-        let len = self.lanes[0].out.borrow().len();
         if self.options.retain_output {
-            self.verified_out = len;
-        } else {
-            // Keep a tail for divergence-report trace windows; drain the
-            // rest so long runs stay O(interval), not O(cycles).
-            const TRACE_TAIL: usize = 4096;
-            let drain = len.saturating_sub(TRACE_TAIL);
-            if drain > 0 {
-                for lane in &self.lanes {
-                    lane.out.borrow_mut().drain(..drain);
-                }
-            }
-            self.verified_out = len - drain;
+            let lane = &self.lanes[0];
+            let events = lane.events.borrow();
+            let span = &events[lane.committed..];
+            rtl_core::trace::render(span, |id| self.design.name(id), &mut self.agreed)
+                .expect("writing to a Vec cannot fail");
         }
         // Rewind only ever happens when a burst covered more than one
         // cycle, so at stride 1 the snapshots would be pure overhead (the
@@ -604,13 +667,21 @@ impl<'d> Lockstep<'d> {
             if rewindable {
                 lane.snapshot();
             }
-            lane.check_out = lane.out.borrow().len();
+            let mut events = lane.events.borrow_mut();
+            lane.committed = events.len();
+            // Keep a tail for divergence-report trace windows; drop the
+            // rest so long runs stay O(interval), not O(cycles).
+            if lane.committed > TRIM_AT {
+                let start = tail_start(&events, TRACE_TAIL);
+                events.drain(..start);
+                lane.committed -= start;
+            }
         }
     }
 
     /// Rewinds every lane to the last agreeing snapshot: engine state
     /// through [`Engine::restore`], stimulus re-supplied from the
-    /// recorded offset, output truncated.
+    /// recorded offset, uncommitted trace events dropped.
     fn rewind(&mut self) {
         self.rewinds += 1;
         for lane in &mut self.lanes {
@@ -621,22 +692,26 @@ impl<'d> Lockstep<'d> {
                 Rc::clone(&lane.consumed),
             );
             lane.session.set_stimulus(stimulus);
-            lane.out.borrow_mut().truncate(lane.check_out);
+            lane.events.borrow_mut().truncate(lane.committed);
             lane.error = None;
         }
     }
 
     fn build_report(&mut self) -> DivergenceReport {
         let kind = self.compare().expect("report requested without divergence");
+        let retain = self.options.retain_output;
         let lanes = self
             .lanes
             .iter()
             .map(|lane| {
-                let buf = lane.out.borrow();
-                let span = self.verified_out.min(buf.len());
-                let observation =
-                    Observation::new(lane.session.engine(), &buf[span..], lane.error.as_ref());
-                LaneReport::from_observation(&lane.name, &kind, &observation, &buf)
+                let events = lane.events.borrow();
+                let observation = Observation::new(
+                    lane.session.engine(),
+                    &events[lane.committed..],
+                    lane.error.as_ref(),
+                );
+                let text = lane.report_text(retain);
+                LaneReport::from_observation(&lane.name, &kind, &observation, &text)
             })
             .collect();
         DivergenceReport {
@@ -772,13 +847,13 @@ impl<'d> Lockstep<'d> {
             let stimulus =
                 MeteredInput::from_offset(&self.stimulus, consumed, Rc::clone(&lane.consumed));
             lane.session.set_stimulus(stimulus);
-            lane.out.borrow_mut().clear();
+            lane.events.borrow_mut().clear();
+            lane.committed = 0;
             lane.error = None;
             lane.snapshot();
-            lane.check_out = 0;
         }
         self.verified = verified;
-        self.verified_out = 0;
+        self.agreed.clear();
         Ok(())
     }
 

@@ -6,8 +6,8 @@
 //! — cannot be stepped, so they join differently: after the stepped lanes
 //! agree over the full horizon, each stream lane replays the same
 //! scenario in one shot and its stdout is compared byte-for-byte against
-//! the trace the stepped lanes agreed on (the same bytes a capture
-//! [`TraceSink`](rtl_core::TraceSink) would have seen). A mismatch is a
+//! the trace the stepped lanes agreed on, rendered (the same bytes a
+//! capture [`TraceSink`](rtl_core::TraceSink) would have seen). A mismatch is a
 //! [`DivergenceKind::Stream`] report with the divergence cycle estimated
 //! from the last matching cycle header.
 
@@ -207,7 +207,13 @@ pub fn run_design_names(
                 ScenarioError::Engine(format!("cannot write digests {}: {e}", path.display()))
             })?;
         }
-        (outcome, lockstep.agreed_output())
+        // Rendered only when a stream lane will compare against it.
+        let agreed = if streams.is_empty() {
+            Vec::new()
+        } else {
+            lockstep.agreed_output()
+        };
+        (outcome, agreed)
     } else {
         let (lane, engine) = stepped.into_iter().next().expect("checked non-empty");
         if streams.is_empty() {

@@ -53,10 +53,6 @@ struct WindowSink<'a> {
 }
 
 impl TraceSink for WindowSink<'_> {
-    fn write_bytes(&mut self, _bytes: &[u8]) -> io::Result<()> {
-        Ok(())
-    }
-
     fn end_cycle(&mut self, design: &Design, state: &SimState) -> io::Result<()> {
         let index = self.seen;
         self.seen += 1;

@@ -6,14 +6,13 @@
 use proptest::prelude::*;
 use rtl_core::{
     Design, Engine, EngineLane, EngineOptions, HaltKind, InputSource, SimError, SimState,
-    StopReason, Word,
+    StopReason, TraceBuf, TraceEvent, Word,
 };
 use rtl_cosim::{
     generate_scenario, registry, run_scenario_names, CosimOptions, CosimOutcome, DivergenceKind,
     GenOptions, Lockstep,
 };
 use rtl_interp::Interpreter;
-use std::io::Write;
 
 /// How the broken engine misbehaves.
 #[derive(Clone, Copy)]
@@ -57,7 +56,11 @@ impl Engine for BrokenEngine<'_> {
         self.inner.restore(snapshot);
     }
 
-    fn step(&mut self, out: &mut dyn Write, input: &mut dyn InputSource) -> Result<(), SimError> {
+    fn step(
+        &mut self,
+        trace: &mut TraceBuf<'_>,
+        input: &mut dyn InputSource,
+    ) -> Result<(), SimError> {
         let cycle = self.inner.state().cycle();
         if cycle >= self.at_cycle {
             match self.fault {
@@ -69,12 +72,12 @@ impl Engine for BrokenEngine<'_> {
                     });
                 }
                 Fault::Trace => {
-                    self.inner.step(out, input)?;
-                    writeln!(out, "garbage")?;
+                    self.inner.step(trace, input)?;
+                    trace.push(TraceEvent::raw(&b"garbage\n"[..]));
                     return Ok(());
                 }
                 Fault::Output => {
-                    self.inner.step(out, input)?;
+                    self.inner.step(trace, input)?;
                     let id = self.inner.design().id_at(0);
                     let bad = self.inner.state().output(id) + 1000;
                     let mut corrupted = self.inner.snapshot();
@@ -84,7 +87,7 @@ impl Engine for BrokenEngine<'_> {
                 }
             }
         }
-        self.inner.step(out, input)
+        self.inner.step(trace, input)
     }
 }
 
@@ -252,5 +255,117 @@ proptest! {
             &CosimOptions { compare_every: stride, ..CosimOptions::default() },
         ).unwrap();
         prop_assert_eq!(fine.agreed(), coarse.agreed());
+    }
+}
+
+/// A report's trace window as the byte-capturing harness quoted it: the
+/// last 4096 bytes of the committed text (all of it under retention),
+/// then the divergent span, cut into its last 8 lines.
+fn byte_window(committed: &[u8], span: &[u8], retain: bool) -> Vec<String> {
+    let start = if retain {
+        0
+    } else {
+        committed.len().saturating_sub(4096)
+    };
+    let mut text = committed[start..].to_vec();
+    text.extend_from_slice(span);
+    let text = String::from_utf8_lossy(&text).into_owned();
+    let lines: Vec<&str> = text.lines().collect();
+    lines[lines.len().saturating_sub(8)..]
+        .iter()
+        .map(|line| line.to_string())
+        .collect()
+}
+
+fn captured(design: &Design, cycles: u64) -> Vec<u8> {
+    let Ok(EngineLane::Stepped(engine)) =
+        registry().build("interp", design, &EngineOptions::default())
+    else {
+        panic!("interp is stepped");
+    };
+    let mut session = rtl_core::Session::over(engine).capture().build();
+    assert!(session.run(rtl_core::Until::Cycles(cycles)).completed());
+    session.output().to_vec()
+}
+
+/// Report windows and the agreed tail are exact long after the committed
+/// trace was trimmed: at both strides, with and without retention, for
+/// short lines and for lines so wide that the 4096-byte cut lands
+/// mid-line, and at every point of a trim period.
+#[test]
+fn trace_windows_match_the_byte_harness_after_trimming() {
+    let names: Vec<String> = (0..40).map(|i| format!("componentnumber{i:02}")).collect();
+    let mut wide = format!(
+        "# wide\n{} count next .\nM count 0 next 1 1\nA next 4 count 1\n",
+        names
+            .iter()
+            .map(|n| format!("{n}*"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    for (i, name) in names.iter().enumerate() {
+        wide.push_str(&format!("A {name} 4 count {i}\n"));
+    }
+    wide.push('.');
+    // Commits trim every few cycles (wide lines) or every ~70 (the
+    // counter); the triggers cover a whole trim period of each.
+    let wide_triggers: Vec<u64> = (120..=130).collect();
+    let counter_triggers: Vec<u64> = (1000..=1070).step_by(5).collect();
+    let cases = wide_triggers
+        .into_iter()
+        .map(|t| (wide.as_str(), t))
+        .chain(counter_triggers.into_iter().map(|t| (COUNTER, t)));
+    for (src, trigger) in cases {
+        let design = Design::from_source(src).unwrap();
+        let committed = captured(&design, trigger);
+        let full = captured(&design, trigger + 1);
+        let span = &full[committed.len()..];
+        let mangled: Vec<u8> = span
+            .iter()
+            .map(|&b| if b == b'=' { b'#' } else { b })
+            .collect();
+        let mut fault_registry = rtl_cosim::default_registry();
+        fault_registry.register(Box::new(rtl_cosim::FaultyVmFactory::from_cycle(trigger)));
+        for stride in [1, 16] {
+            for retain in [false, true] {
+                let mut lockstep = Lockstep::new(
+                    &design,
+                    CosimOptions {
+                        compare_every: stride,
+                        retain_output: retain,
+                        ..CosimOptions::default()
+                    },
+                );
+                for name in ["interp", "vm-fault"] {
+                    let Ok(EngineLane::Stepped(engine)) =
+                        fault_registry.build(name, &design, &EngineOptions::default())
+                    else {
+                        panic!("{name} is stepped");
+                    };
+                    lockstep.add_lane(name, engine);
+                }
+                let CosimOutcome::Divergence(report) = lockstep.run(trigger + 20) else {
+                    panic!("vm-fault must diverge");
+                };
+                let at = format!("trigger {trigger}, stride {stride}, retain {retain}");
+                assert_eq!(report.cycle, trigger as Word, "{at}");
+                assert_eq!(
+                    report.lanes[0].trace_window,
+                    byte_window(&committed, span, retain),
+                    "{at}"
+                );
+                assert_eq!(
+                    report.lanes[1].trace_window,
+                    byte_window(&committed, &mangled, retain),
+                    "{at}"
+                );
+                let agreed = lockstep.agreed_output();
+                if retain {
+                    assert_eq!(agreed, committed, "{at}");
+                } else {
+                    assert_eq!(agreed, committed[committed.len() - 4096..], "{at}");
+                }
+            }
+        }
     }
 }

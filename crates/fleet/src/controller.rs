@@ -19,8 +19,8 @@
 //! contiguous run of pending cases, so `fleet/leases_granted` and
 //! `fleet/cases_dispatched` are byte-identical across worker counts and
 //! across a graceful `--limit` stop + restart. A worker that dies
-//! mid-lease legitimately re-dispatches its cases — the same caveat the
-//! campaign layer documents for `bin_cache` counters.
+//! mid-lease legitimately re-dispatches its cases, and both counters
+//! then count the re-dispatch too.
 
 use crate::error::FleetError;
 use crate::protocol::{Framed, Message, Poll, Refusal, PROTOCOL};

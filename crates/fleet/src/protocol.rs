@@ -526,6 +526,9 @@ pub struct Framed {
     reader: TcpStream,
     writer: TcpStream,
     buf: Vec<u8>,
+    /// How many leading bytes of `buf` are known to hold no newline, so
+    /// each byte is scanned once however many reads a frame takes.
+    scanned: usize,
 }
 
 impl Framed {
@@ -540,6 +543,7 @@ impl Framed {
             reader: stream,
             writer,
             buf: Vec::new(),
+            scanned: 0,
         })
     }
 
@@ -569,13 +573,16 @@ impl Framed {
     /// Stream failure, or a frame exceeding [`MAX_FRAME`].
     pub fn poll(&mut self) -> std::io::Result<Poll> {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
+            let unscanned = &self.buf[self.scanned..];
+            if let Some(pos) = unscanned.iter().position(|&b| b == b'\n') {
+                let rest = self.buf.split_off(self.scanned + pos + 1);
                 let line = std::mem::replace(&mut self.buf, rest);
+                self.scanned = 0;
                 let line =
                     String::from_utf8(line).map_err(|_| std::io::Error::other("non-utf8 frame"))?;
                 return Ok(Poll::Frame(line));
             }
+            self.scanned = self.buf.len();
             if self.buf.len() > MAX_FRAME {
                 return Err(std::io::Error::other("frame exceeds MAX_FRAME"));
             }

@@ -760,3 +760,74 @@ fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
         serving.join().unwrap().unwrap();
     }
 }
+
+/// A connected pair: the framed reading end and the raw writing end.
+fn framed_pair() -> (Framed, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (reader, _) = listener.accept().unwrap();
+    (Framed::new(reader).unwrap(), writer)
+}
+
+/// A frame far larger than one 64 KiB read, written in small odd-sized
+/// pieces with the next frame right behind it, arrives whole and in
+/// order: the scan resumes where the last read left off.
+#[test]
+fn a_frame_split_across_many_reads_is_followed_by_the_next() {
+    let big = Message::Record {
+        index: 7,
+        body: "x".repeat(300 * 1024),
+    };
+    let small = Message::Ack;
+    let mut bytes = protocol::encode(&big).into_bytes();
+    bytes.push(b'\n');
+    bytes.extend_from_slice(protocol::encode(&small).as_bytes());
+    bytes.push(b'\n');
+    let (mut framed, mut writer) = framed_pair();
+    let sender = std::thread::spawn(move || {
+        for piece in bytes.chunks(7919) {
+            writer.write_all(piece).unwrap();
+            writer.flush().unwrap();
+        }
+    });
+    assert_eq!(framed.recv().unwrap(), big);
+    assert_eq!(framed.recv().unwrap(), small);
+    sender.join().unwrap();
+}
+
+/// A stream that never sends a newline is refused once it exceeds
+/// `MAX_FRAME`, not buffered without bound.
+#[test]
+fn an_over_long_stream_without_a_newline_is_refused() {
+    let (mut framed, mut writer) = framed_pair();
+    let sender = std::thread::spawn(move || {
+        let piece = vec![b'x'; 1 << 20];
+        for _ in 0..=(rtl_fleet::MAX_FRAME >> 20) + 1 {
+            if writer.write_all(&piece).is_err() {
+                return;
+            }
+        }
+    });
+    let err = loop {
+        match framed.poll() {
+            Ok(protocol::Poll::Pending) => continue,
+            Ok(protocol::Poll::Frame(_)) => panic!("a frame without a newline"),
+            Ok(protocol::Poll::Eof) => panic!("EOF before the refusal"),
+            Err(e) => break e,
+        }
+    };
+    assert!(err.to_string().contains("MAX_FRAME"), "{err}");
+    drop(framed);
+    sender.join().unwrap();
+}
+
+/// A frame that is not UTF-8 is refused as such.
+#[test]
+fn a_non_utf8_frame_is_refused() {
+    let (mut framed, mut writer) = framed_pair();
+    writer.write_all(b"{\"kind\":\"ack\xff\"}\n").unwrap();
+    let Err(err) = framed.poll() else {
+        panic!("a non-UTF-8 frame must be refused");
+    };
+    assert!(err.to_string().contains("non-utf8"), "{err}");
+}

@@ -3,16 +3,15 @@
 use crate::lookup::{LookupMode, SymbolTable};
 use crate::postfix::Program;
 use rtl_core::{
-    trace, AluFn, CompId, Design, Engine, InputSource, LaneTally, MemOp, ProfileHook, RKind,
-    SimError, SimState, SimStats, Word,
+    AluFn, CompId, Design, Engine, InputSource, LaneTally, MemOp, ProfileHook, RKind, SimError,
+    SimState, SimStats, TraceBuf, TraceEvent, Word,
 };
-use std::io::Write;
 
 /// Interpreter configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterpOptions {
-    /// Emit cycle/trace text (`true` matches the original simulators; turn
-    /// off for throughput experiments).
+    /// Record cycle and memory trace events (`true` matches the original
+    /// simulators; turn off for throughput experiments).
     pub trace: bool,
     /// Operand lookup discipline (see [`LookupMode`]). `Indexed` by
     /// default; `SymbolTable` reproduces the 1986 per-reference cost for
@@ -237,7 +236,11 @@ impl Engine for Interpreter<'_> {
         Some(&self.stats)
     }
 
-    fn step(&mut self, out: &mut dyn Write, input: &mut dyn InputSource) -> Result<(), SimError> {
+    fn step(
+        &mut self,
+        trace: &mut TraceBuf<'_>,
+        input: &mut dyn InputSource,
+    ) -> Result<(), SimError> {
         let cycle = self.state.cycle();
 
         // 1. Combinational phase, in dependency order.
@@ -300,11 +303,11 @@ impl Engine for Interpreter<'_> {
 
         // 2. Trace phase.
         if self.options.trace {
-            trace::cycle_header(out, cycle)?;
+            trace.push(TraceEvent::Cycle(cycle));
             for &id in self.design.traced() {
-                trace::traced_value(out, self.design.name(id), self.state.output(id))?;
+                trace.push(TraceEvent::Value(id, self.state.output(id)));
             }
-            trace::end_line(out)?;
+            trace.push(TraceEvent::EndLine);
         }
 
         // 3. Capture phase: evaluate every memory's address, operation and
@@ -340,13 +343,13 @@ impl Engine for Interpreter<'_> {
                     scratch.data
                 }
                 MemOp::Input => {
+                    if addr != 0 && addr != 1 {
+                        trace.push(TraceEvent::InputPrompt(addr));
+                    }
+                    trace.flush(self.design)?;
                     let value = match addr {
                         0 => input.read_char(),
-                        1 => input.read_int(),
-                        _ => {
-                            trace::input_prompt(out, addr)?;
-                            input.read_int()
-                        }
+                        _ => input.read_int(),
                     };
                     value.map_err(|e| match e {
                         SimError::InputExhausted { .. } => SimError::InputExhausted { cycle },
@@ -354,7 +357,10 @@ impl Engine for Interpreter<'_> {
                     })?
                 }
                 MemOp::Output => {
-                    trace::output_event(out, addr, scratch.data)?;
+                    trace.push(TraceEvent::Output {
+                        addr,
+                        data: scratch.data,
+                    });
                     scratch.data
                 }
             };
@@ -375,11 +381,20 @@ impl Engine for Interpreter<'_> {
             }
             self.state.set_output(plan.id, latch);
             if self.options.trace {
+                let mem = plan.id;
                 if rtl_core::word::traces_write(opn) {
-                    trace::mem_write(out, name, addr, latch)?;
+                    trace.push(TraceEvent::MemWrite {
+                        mem,
+                        addr,
+                        value: latch,
+                    });
                 }
                 if rtl_core::word::traces_read(opn) {
-                    trace::mem_read(out, name, addr, latch)?;
+                    trace.push(TraceEvent::MemRead {
+                        mem,
+                        addr,
+                        value: latch,
+                    });
                 }
             }
         }

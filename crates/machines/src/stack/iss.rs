@@ -7,7 +7,7 @@
 //! uses it as the independent oracle the RTL implementation must match.
 
 use super::isa::{Instr, Op, IO_BIT, RAM_WORDS};
-use rtl_core::{land, Word};
+use rtl_core::{land, TraceEvent, Word};
 
 /// An output event: `(device address, value)` — what `soutput` would see.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,10 +162,21 @@ impl Iss {
     /// The output stream rendered exactly as the RTL simulation's
     /// `soutput` renders it (integer lines for device address 1, etc.).
     pub fn rendered_output(&self) -> String {
+        let events: Vec<TraceEvent> = self
+            .outputs
+            .iter()
+            .map(|e| TraceEvent::Output {
+                addr: e.addr,
+                data: e.data,
+            })
+            .collect();
         let mut out = Vec::new();
-        for e in &self.outputs {
-            rtl_core::trace::output_event(&mut out, e.addr, e.data).expect("vec write");
-        }
+        rtl_core::trace::render(
+            &events,
+            |_| unreachable!("output events are unnamed"),
+            &mut out,
+        )
+        .expect("vec write");
         String::from_utf8(out).expect("trace output is utf-8")
     }
 

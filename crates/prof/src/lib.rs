@@ -334,11 +334,12 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Adds `n` to `key` (a `component/event` path). Zero adds are
-    /// dropped.
+    /// Adds `n` to `key` (a `component/event` path), saturating at
+    /// `u64::MAX`. Zero adds are dropped.
     pub fn add(&mut self, key: &str, n: u64) {
         if n > 0 {
-            *self.counters.entry(key.to_string()).or_insert(0) += n;
+            let count = self.counters.entry(key.to_string()).or_insert(0);
+            *count = count.saturating_add(n);
         }
     }
 
@@ -359,9 +360,12 @@ impl Profile {
         self.counters.is_empty()
     }
 
-    /// Sum of every counter.
+    /// Sum of every counter, saturating at `u64::MAX` (a parsed document
+    /// may hold counters no run could reach).
     pub fn total_events(&self) -> u64 {
-        self.counters.values().sum()
+        self.counters
+            .values()
+            .fold(0, |sum, &n| sum.saturating_add(n))
     }
 
     /// Per-component aggregation, sorted by total events descending
@@ -376,10 +380,10 @@ impl Profile {
                 evals: 0,
                 changes: 0,
             });
-            row.events += n;
+            row.events = row.events.saturating_add(*n);
             match event {
-                "eval" => row.evals += n,
-                "change" => row.changes += n,
+                "eval" => row.evals = row.evals.saturating_add(*n),
+                "change" => row.changes = row.changes.saturating_add(*n),
                 _ => {}
             }
         }

@@ -266,3 +266,56 @@ proptest! {
         );
     }
 }
+
+/// Binary-cache hits and misses depend on which worker wins a compile
+/// race, so they are wall-clock gauges: the deterministic section that
+/// `--check` compares never holds them.
+#[test]
+fn bin_cache_stats_stay_out_of_the_deterministic_section() {
+    if !asim2::compile::rustc_available() {
+        eprintln!("skipping: rustc not on PATH");
+        return;
+    }
+    let dir = tmp("bin-cache-dir");
+    let metrics = tmp("bin-cache.jsonl");
+    let _ = std::fs::remove_dir_all(&dir);
+    let m = metrics.to_str().unwrap().to_string();
+    let d = dir.to_str().unwrap().to_string();
+    let (code, _, err) = run_cli(&[
+        "campaign",
+        "run",
+        "--dir",
+        &d,
+        "--cases",
+        "2",
+        "--seed",
+        "3",
+        "--cycles",
+        "8",
+        "--size",
+        "6",
+        "--engines",
+        "interp,rust",
+        "--workers",
+        "2",
+        "--metrics-out",
+        &m,
+    ]);
+    assert_eq!(code, 0, "{err}");
+    let (code, summary, err) = run_cli(&["metrics", "summarize", &m]);
+    assert_eq!(code, 0, "{err}");
+    let (deterministic, wall_clock) = summary
+        .split_once("wall-clock")
+        .expect("both sections are rendered");
+    assert!(
+        deterministic.contains("campaign/cases_executed 2"),
+        "{summary}"
+    );
+    assert!(!deterministic.contains("bin_cache"), "{summary}");
+    assert!(
+        wall_clock.contains("gauge campaign/bin_cache_misses"),
+        "{summary}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&metrics);
+}

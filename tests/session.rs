@@ -2,6 +2,7 @@
 //! property across *every registered in-process engine*, and the
 //! checkpoint file format driven end to end through `Session`.
 
+use asim2::core::{TraceEvent, TraceSink, WriteSink};
 use asim2::cosim::{generate_scenario, GenOptions};
 use asim2::prelude::*;
 use proptest::prelude::*;
@@ -159,4 +160,101 @@ fn checkpoint_to_never_truncates_the_previous_checkpoint() {
         log.text()
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A text sink whose rendered bytes an input source can see.
+struct SharedText(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+impl TraceSink for SharedText {
+    fn record(&mut self, design: &Design, events: &[TraceEvent]) -> std::io::Result<()> {
+        let mut text = self.0.borrow_mut();
+        asim2::core::trace::render(events, |id| design.name(id), &mut *text)
+    }
+}
+
+/// An input source that records what the sink held at each read.
+struct Witness {
+    seen: std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
+    at_reads: std::rc::Rc<std::cell::RefCell<Vec<String>>>,
+}
+
+impl InputSource for Witness {
+    fn read_char(&mut self) -> Result<Word, SimError> {
+        self.read_int()
+    }
+
+    fn read_int(&mut self) -> Result<Word, SimError> {
+        let mut at_reads = self.at_reads.borrow_mut();
+        at_reads.push(String::from_utf8_lossy(&self.seen.borrow()).into_owned());
+        Ok(at_reads.len() as Word)
+    }
+}
+
+#[test]
+fn pending_trace_reaches_a_text_sink_before_every_input_read() {
+    let design = Design::from_source("# io\ni* o .\nM i 9 0 2 1\nM o 1 i 3 1 .").unwrap();
+    for name in stepped_names() {
+        let text = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let at_reads = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let witness = Witness {
+            seen: std::rc::Rc::clone(&text),
+            at_reads: std::rc::Rc::clone(&at_reads),
+        };
+        let mut session = Session::builder(&design)
+            .engine_named(registry(), &name, &EngineOptions::default())
+            .unwrap()
+            .sink(SharedText(std::rc::Rc::clone(&text)))
+            .stimulus(witness)
+            .build();
+        assert!(session.run(Until::Cycles(2)).completed(), "{name}");
+        assert_eq!(
+            *at_reads.borrow(),
+            [
+                "Cycle   0 i= 0\nInput from address 9: ",
+                "Cycle   0 i= 0\nInput from address 9: 0\nCycle   1 i= 1\nInput from address 9: ",
+            ],
+            "{name}"
+        );
+    }
+}
+
+/// A writer that accepts `room` bytes, then fails.
+struct Full {
+    room: usize,
+}
+
+impl std::io::Write for Full {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if buf.len() > self.room {
+            return Err(std::io::Error::other("device full"));
+        }
+        self.room -= buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_failing_text_sink_stops_the_run_after_the_last_delivered_cycle() {
+    // "Cycle   N count= N\n" is 19 bytes for N < 10: 50 bytes of room hold
+    // two whole lines, and the third cycle's write fails.
+    let design =
+        Design::from_source("# c\ncount* next .\nM count 0 next 1 1\nA next 4 count 1 .").unwrap();
+    for name in stepped_names() {
+        let mut session = Session::builder(&design)
+            .engine_named(registry(), &name, &EngineOptions::default())
+            .unwrap()
+            .sink(WriteSink::new(Full { room: 50 }))
+            .build();
+        let outcome = session.run(Until::Cycles(10));
+        assert_eq!(outcome.cycles, 2, "{name}");
+        assert!(
+            matches!(outcome.stop, StopReason::Error(SimError::Io(_))),
+            "{name}: {:?}",
+            outcome.stop
+        );
+    }
 }
