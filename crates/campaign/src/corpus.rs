@@ -368,6 +368,15 @@ pub fn entry_from_files(name: &str, files: &CorpusFiles) -> Result<CorpusEntry, 
             .ok_or_else(|| corrupt("missing provenance.size".into()))?,
     };
 
+    // The reference replay below runs to the divergence cycle, so one
+    // past the horizon would run a garbage number of cycles.
+    if entry.cycle > entry.scenario.cycles {
+        return Err(corrupt(format!(
+            "divergence.cycle {} is past the horizon of {} cycles",
+            entry.cycle, entry.scenario.cycles
+        )));
+    }
+
     // Integrity: a stored entry fingerprint must match the sibling files
     // it claims to describe (entries predating the field are accepted).
     if let Some(stored) = meta

@@ -296,6 +296,32 @@ impl CampaignDir {
         Ok(())
     }
 
+    /// Opens the directory for `config`: initializes it when it holds no
+    /// campaign, else loads the stored configuration, which must have
+    /// `config`'s fingerprint. Returns the configuration now on disk.
+    ///
+    /// # Errors
+    ///
+    /// A stored campaign with a different fingerprint, corrupt state, or
+    /// file-system failure.
+    pub fn open(&self, config: &CampaignConfig) -> Result<CampaignConfig, CampaignError> {
+        if !self.manifest().exists() {
+            self.init(config)?;
+            return Ok(config.clone());
+        }
+        let stored = self.load()?;
+        if stored.fingerprint() != config.fingerprint() {
+            return Err(CampaignError::Config(format!(
+                "{} holds a campaign whose fingerprint {:016x} differs from the \
+                 requested configuration's {:016x}",
+                self.root.display(),
+                stored.fingerprint(),
+                config.fingerprint()
+            )));
+        }
+        Ok(stored)
+    }
+
     /// Loads and validates the manifest: format line, config, and the
     /// fingerprint recomputed from the config.
     ///
@@ -429,6 +455,28 @@ mod tests {
         assert_eq!(dir.load().unwrap(), config);
         let err = dir.init(&config).unwrap_err();
         assert!(err.to_string().contains("resume"), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn open_initializes_reopens_and_refuses_drift() {
+        let root = scratch("open");
+        let dir = CampaignDir::new(&root);
+        let config = CampaignConfig::default();
+        assert_eq!(dir.open(&config).unwrap(), config, "fresh");
+        assert_eq!(dir.load().unwrap(), config);
+        assert_eq!(dir.open(&config).unwrap(), config, "same config");
+        let drifted = CampaignConfig {
+            seed: config.seed + 1,
+            ..config.clone()
+        };
+        let err = dir.open(&drifted).unwrap_err();
+        let message = err.to_string();
+        assert!(matches!(err, CampaignError::Config(_)), "{message}");
+        for fp in [config.fingerprint(), drifted.fingerprint()] {
+            assert!(message.contains(&format!("{fp:016x}")), "{message}");
+        }
+        assert_eq!(dir.load().unwrap(), config, "a refusal writes nothing");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -7,8 +7,8 @@
 //! single-machine `asim2 campaign run` of the same configuration.
 
 use super::{
-    campaign_err, config_flags, flag_value, load_err, parse_u64_flag, run_flags, surface_flags,
-    usage_err, write_profile_out, CliError, ProgressReporter,
+    campaign_err, config_flags, load_err, run_flags, usage_err, verdict, write_profile_out, Args,
+    CliError, ProgressReporter, Surface,
 };
 use rtl_campaign::{CampaignDir, CaseRecord, Progress};
 use rtl_fleet::{ControllerOptions, FleetError, FleetProgress, StatusClient, WorkerOptions};
@@ -18,23 +18,19 @@ use std::io::Write;
 use std::time::Duration;
 
 pub(crate) fn fleet_cmd(
-    rest: &[&str],
+    args: &Args,
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let sub = rest
-        .first()
-        .copied()
-        .ok_or_else(|| usage_err("fleet needs a subcommand (serve|work|status)"))?;
-    let flags = surface_flags("fleet", sub, &rest[1..])?;
-    let token = flag_value(&flags, "--token")?
-        .ok_or_else(|| usage_err(format!("fleet {sub} needs --token T")))?
+    let token = args
+        .value("--token")
+        .ok_or_else(|| usage_err(format!("{} needs --token T", args.name)))?
         .to_string();
 
-    match sub {
-        "serve" => serve(&flags, token, out, err),
-        "work" => work(&flags, token, out, err),
-        _ => status(&flags, token, out, err),
+    match args.name {
+        "fleet serve" => serve(args, token, out, err),
+        "fleet work" => work(args, token, out, err),
+        _ => status(args, token, out, err),
     }
 }
 
@@ -100,16 +96,17 @@ impl FleetProgress for FleetReporter<'_> {
 }
 
 fn serve(
-    flags: &[&str],
+    args: &Args,
     token: String,
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), CliError> {
     let dir = CampaignDir::new(
-        flag_value(flags, "--dir")?.ok_or_else(|| usage_err("fleet serve needs --dir DIR"))?,
+        args.value("--dir")
+            .ok_or_else(|| usage_err("fleet serve needs --dir DIR"))?,
     );
-    let config = config_flags(flags)?;
-    let run = run_flags(flags)?;
+    let config = config_flags(args)?;
+    let run = run_flags(args)?;
     let mut options = ControllerOptions {
         token,
         limit: run.options.limit,
@@ -118,20 +115,20 @@ fn serve(
         recorder: run.options.recorder.clone(),
         ..ControllerOptions::default()
     };
-    if let Some(lease) = parse_u64_flag(flags, "--lease")? {
+    if let Some(lease) = args.number::<u64>("--lease")? {
         if lease == 0 {
             return Err(usage_err("--lease needs a positive case count"));
         }
         options.lease = u32::try_from(lease).map_err(|_| usage_err("--lease is too large"))?;
     }
-    if let Some(ms) = parse_u64_flag(flags, "--lease-deadline")? {
+    if let Some(ms) = args.number::<u64>("--lease-deadline")? {
         if ms == 0 {
             return Err(usage_err("--lease-deadline needs positive milliseconds"));
         }
         options.deadline = Duration::from_millis(ms);
     }
 
-    let bind = flag_value(flags, "--bind")?.unwrap_or("127.0.0.1:0");
+    let bind = args.value("--bind").unwrap_or("127.0.0.1:0");
     let controller = rtl_fleet::Controller::bind(bind)
         .map_err(|e| load_err(format!("cannot bind {bind}: {e}")))?;
     let addr = controller
@@ -140,7 +137,7 @@ fn serve(
     // `--port-file` publishes the OS-assigned port for scripts (written
     // only once the socket accepts connections, so a reader can connect
     // immediately).
-    if let Some(path) = flag_value(flags, "--port-file")? {
+    if let Some(path) = args.value("--port-file") {
         std::fs::write(path, format!("{}\n", addr.port()))
             .map_err(|e| load_err(format!("cannot write port file {path}: {e}")))?;
     }
@@ -181,55 +178,38 @@ fn serve(
             let _ = writeln!(err, "fleet lease duration: {}", render_histogram(leases));
         }
     }
-    if report.clean() {
-        Ok(())
-    } else if report.diverged() > 0 {
-        Err(CliError {
-            code: 3,
-            message: format!("fleet campaign found {} divergence(s)", report.diverged()),
-        })
-    } else if !report.complete() {
-        let _ = writeln!(
-            err,
-            "fleet campaign interrupted at --limit; serve the same --dir again to continue"
-        );
-        Ok(())
-    } else {
-        Err(CliError {
-            code: 3,
-            message: "fleet campaign hit runtime halts/errors (nothing verified past them)".into(),
-        })
-    }
+    verdict(Surface::Fleet(&report), err)
 }
 
 fn work(
-    flags: &[&str],
+    args: &Args,
     token: String,
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let addr = flag_value(flags, "--connect")?
+    let addr = args
+        .value("--connect")
         .ok_or_else(|| usage_err("fleet work needs --connect HOST:PORT"))?;
     let mut options = WorkerOptions {
         token,
         ..WorkerOptions::default()
     };
-    if let Some(name) = flag_value(flags, "--name")? {
+    if let Some(name) = args.value("--name") {
         options.name = name.to_string();
     }
-    if let Some(workers) = parse_u64_flag(flags, "--workers")? {
+    if let Some(workers) = args.number::<u64>("--workers")? {
         if workers == 0 {
             return Err(usage_err("--workers needs a positive count"));
         }
         options.threads = workers as usize;
     }
-    options.scratch = match flag_value(flags, "--scratch")? {
+    options.scratch = match args.value("--scratch") {
         Some(path) => path.into(),
         // A per-name default keeps two workers on one host from
         // sharing (and fighting over) a scratch campaign.
         None => std::env::temp_dir().join(format!("asim2-fleet-{}", options.name)),
     };
-    if let Some(hex) = flag_value(flags, "--fingerprint")? {
+    if let Some(hex) = args.value("--fingerprint") {
         let fp = u64::from_str_radix(hex, 16).map_err(|_| {
             usage_err(format!(
                 "--fingerprint needs a hex fingerprint, got {hex:?}"
@@ -237,14 +217,14 @@ fn work(
         })?;
         options.pin = Some(fp);
     }
-    if let Some(n) = parse_u64_flag(flags, "--abandon-after")? {
+    if let Some(n) = args.number::<u64>("--abandon-after")? {
         options.abandon_after =
             Some(u32::try_from(n).map_err(|_| usage_err("--abandon-after is too large"))?);
     }
 
     let report = rtl_fleet::work(addr, &options).map_err(fleet_err)?;
     let _ = writeln!(out, "{report}");
-    if !flags.contains(&"--quiet") && report.diverged > 0 {
+    if !args.has("--quiet") && report.diverged > 0 {
         let _ = writeln!(
             err,
             "{} of this worker's cases diverged; the controller's campaign directory has \
@@ -275,20 +255,21 @@ fn render_histogram(hist: &Histogram) -> String {
 }
 
 fn status(
-    flags: &[&str],
+    args: &Args,
     token: String,
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let addr = flag_value(flags, "--connect")?
+    let addr = args
+        .value("--connect")
         .ok_or_else(|| usage_err("fleet status needs --connect HOST:PORT"))?;
-    let format = flag_value(flags, "--format")?.unwrap_or("text");
+    let format = args.value("--format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
         return Err(usage_err(format!(
             "--format must be text or json, got {format:?}"
         )));
     }
-    let watch = watch_period(flags)?;
+    let watch = watch_period(args)?;
     let mut client = StatusClient::connect(addr, &token).map_err(fleet_err)?;
     loop {
         match client.fetch().map_err(fleet_err)? {
@@ -319,19 +300,15 @@ fn status(
 }
 
 /// Parses `--watch` / `--watch=MS` (the bare form polls once a second).
-fn watch_period(flags: &[&str]) -> Result<Option<u64>, CliError> {
-    for flag in flags {
-        if *flag == "--watch" {
-            return Ok(Some(1000));
-        }
-        if let Some(ms) = flag.strip_prefix("--watch=") {
-            return ms
-                .parse()
-                .map(Some)
-                .map_err(|_| usage_err(format!("--watch needs milliseconds, got {ms:?}")));
-        }
+fn watch_period(args: &Args) -> Result<Option<u64>, CliError> {
+    match args.value("--watch") {
+        _ if !args.has("--watch") => Ok(None),
+        None => Ok(Some(1000)),
+        Some(ms) => ms
+            .parse()
+            .map(Some)
+            .map_err(|_| usage_err(format!("--watch needs milliseconds, got {ms:?}"))),
     }
-    Ok(None)
 }
 
 /// Renders an `asim2-fleet-status v1` document as human-readable lines.

@@ -1,24 +1,8 @@
 //! # asim-cli — the `asim` command line tool
 //!
-//! The modern counterpart of the thesis's `sim [file]` (Appendix A):
-//!
-//! ```text
-//! asim2 check  FILE                      parse + elaborate, report warnings
-//! asim2 run    FILE [--cycles N] [--engine NAME] [--no-trace] [--stats]
-//!              [--checkpoint FILE --checkpoint-every N] [--resume FILE]
-//! asim2 compile FILE [--backend rust|pascal] [-o OUT] [--cycles N] [--interactive]
-//! asim2 netlist FILE [--format report|dot|wiring]
-//! asim2 vcd    FILE [-o OUT.vcd] [--cycles N]
-//! asim2 spec   NAME                      print a bundled/generated specification
-//! asim2 fig    3.1|4.1|4.2|4.3|5.1       regenerate a thesis figure
-//! asim2 cosim  [FILE] [--engines LIST] [--cycles N] [--scenario NAME] [--compare-every N]
-//!              [--dump-divergence DIR] [--export-digests F] [--check-digests F]
-//! asim2 fuzz   [--seed N] [--cases N] [--cycles N] [--size N] [--engines LIST]
-//! asim2 campaign run|resume|replay|shrink ...
-//! asim2 campaign shard plan|run|merge ...    distributed campaigns (rtl-dist)
-//! asim2 fleet serve|work ...                 live campaign control plane (rtl-fleet)
-//! asim2 metrics summarize FILE... [--check]  fold asim2-events logs (rtl-obs)
-//! ```
+//! The modern counterpart of the thesis's `sim [file]` (Appendix A).
+//! `asim2 help` prints every command and its flags; one table, parsed by
+//! one parser, gives each command its row of accepted flags.
 //!
 //! `cosim` with no FILE sweeps the whole built-in scenario corpus.
 //! Engine names come from the open registry (`asim2 cosim --engines` lists
@@ -31,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 
+use args::Args;
 use rtl_compile::{EmitOptions, OptOptions, Vm};
 use rtl_core::{
     Design, EngineOptions, ReaderInput, Session, SimError, StopReason, Until, WriteSink,
@@ -39,6 +24,7 @@ use rtl_interp::Interpreter;
 use rtl_machines::Scenario;
 use std::io::Write;
 
+mod args;
 mod fleet;
 mod lint;
 mod metrics;
@@ -119,6 +105,7 @@ const USAGE: &str = "usage:
                         [--progress[=MS]] [--quiet]
   asim2 campaign replay --dir D [--engines LIST]
   asim2 campaign shrink --dir D --seed N [--engines LIST] [--cycles N] [--size N]
+                        [--compare-every N]
   asim2 campaign shard plan  [--plan F] --cases N --shards K [--seed N] [--engines LIST]
                              [--cycles N] [--size N] [--compare-every N] [--lint-oracle]
   asim2 campaign shard run   [--plan F] --shard I --dir D [--workers N] [--limit N]
@@ -183,29 +170,28 @@ fn dispatch(
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let mut it = args.iter().map(String::as_str);
-    let cmd = it.next().ok_or_else(|| usage_err("missing command"))?;
-    let rest: Vec<&str> = it.collect();
-    match cmd {
-        "check" => check(&rest, out),
-        "run" => run_cmd(&rest, stdin, out),
-        "compile" => compile(&rest, out),
-        "netlist" => netlist(&rest, out),
-        "vcd" => vcd_cmd(&rest, out),
-        "spec" => spec_cmd(&rest, out),
-        "fig" => fig(&rest, out),
-        "lint" => lint::lint_cmd(&rest, out),
-        "cosim" => cosim_cmd(&rest, out),
-        "fuzz" => fuzz_cmd(&rest, out),
-        "campaign" => campaign_cmd(&rest, out, err),
-        "fleet" => fleet::fleet_cmd(&rest, out, err),
-        "profile" => profile_cmd(&rest, out),
-        "metrics" => metrics::metrics_cmd(&rest, stdin, out),
-        "help" | "--help" | "-h" => {
+    let words: Vec<&str> = args.iter().map(String::as_str).collect();
+    let args = args::parse(&words)?;
+    match args.name {
+        "help" => {
             let _ = writeln!(out, "{USAGE}");
             Ok(())
         }
-        other => Err(usage_err(format!("unknown command {other:?}"))),
+        "check" => check(&args, out),
+        "run" => run_cmd(&args, stdin, out),
+        "compile" => compile(&args, out),
+        "netlist" => netlist(&args, out),
+        "vcd" => vcd_cmd(&args, out),
+        "spec" => spec_cmd(&args, out),
+        "fig" => fig(&args, out),
+        "lint" => lint::lint_cmd(&args, out),
+        "cosim" => cosim_cmd(&args, out),
+        "fuzz" => fuzz_cmd(&args, out),
+        "profile" => profile_cmd(&args, out),
+        name if name.starts_with("campaign shard ") => shard_cmd(&args, out, err),
+        name if name.starts_with("campaign ") => campaign_cmd(&args, out, err),
+        name if name.starts_with("fleet ") => fleet::fleet_cmd(&args, out, err),
+        _ => metrics::metrics_cmd(&args, stdin, out),
     }
 }
 
@@ -215,16 +201,19 @@ fn load_design(path: &str) -> Result<Design, CliError> {
     Design::from_source(&source).map_err(load_err)
 }
 
-fn check(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let (file, flags) = split_file(rest)?;
-    let verbose = flags.contains(&"-v");
-    let design = load_design(file)?;
+/// The one FILE of `check`, `run`, `compile`, `netlist` and `vcd`.
+fn file<'a>(args: &Args<'a>) -> Result<&'a str, CliError> {
+    args.positional().ok_or_else(|| usage_err("missing FILE"))
+}
+
+fn check(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let design = load_design(file(args)?)?;
     // The original's progress line: "N components read."
     let _ = writeln!(out, "{} components read.", design.len());
     for w in design.warnings() {
         let _ = writeln!(out, "{w}");
     }
-    if verbose {
+    if args.has("-v") {
         let order: Vec<&str> = design
             .comb_order()
             .iter()
@@ -241,24 +230,19 @@ fn check(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn run_cmd(
-    rest: &[&str],
+    args: &Args,
     stdin: &mut dyn std::io::BufRead,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let (file, flags) = split_file(rest)?;
-    let cycles = flag_value(&flags, "--cycles")?
-        .map(|v| {
-            v.parse::<i64>()
-                .map_err(|_| usage_err("--cycles needs an integer"))
-        })
-        .transpose()?;
-    let engine = flag_value(&flags, "--engine")?.unwrap_or("vm");
-    let trace = !flags.contains(&"--no-trace");
-    let want_stats = flags.contains(&"--stats");
-    let interactive = flags.contains(&"--interactive");
-    let checkpoint_path = flag_value(&flags, "--checkpoint")?;
-    let checkpoint_every = parse_u64_flag(&flags, "--checkpoint-every")?;
-    let resume_path = flag_value(&flags, "--resume")?;
+    let file = file(args)?;
+    let cycles = args.number::<i64>("--cycles")?;
+    let engine = args.value("--engine").unwrap_or("vm");
+    let trace = !args.has("--no-trace");
+    let want_stats = args.has("--stats");
+    let interactive = args.has("--interactive");
+    let checkpoint_path = args.value("--checkpoint");
+    let checkpoint_every = args.number::<u64>("--checkpoint-every")?;
+    let resume_path = args.value("--resume");
     if checkpoint_every.is_some() != checkpoint_path.is_some() {
         return Err(usage_err(
             "--checkpoint FILE and --checkpoint-every N go together",
@@ -375,20 +359,14 @@ fn drive_checkpointed(
     }
 }
 
-fn compile(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let (file, flags) = split_file(rest)?;
-    let backend = flag_value(&flags, "--backend")?.unwrap_or("rust");
-    let output = flag_value(&flags, "-o")?;
-    let cycles = flag_value(&flags, "--cycles")?
-        .map(|v| {
-            v.parse::<i64>()
-                .map_err(|_| usage_err("--cycles needs an integer"))
-        })
-        .transpose()?;
+fn compile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let file = file(args)?;
+    let backend = args.value("--backend").unwrap_or("rust");
+    let output = args.value("-o");
     let options = EmitOptions {
-        cycles,
-        interactive: flags.contains(&"--interactive"),
-        opt: if flags.contains(&"--no-opt") {
+        cycles: args.number("--cycles")?,
+        interactive: args.has("--interactive"),
+        opt: if args.has("--no-opt") {
             OptOptions::none()
         } else {
             OptOptions::full()
@@ -412,9 +390,9 @@ fn compile(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn netlist(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let (file, flags) = split_file(rest)?;
-    let format = flag_value(&flags, "--format")?.unwrap_or("report");
+fn netlist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let file = file(args)?;
+    let format = args.value("--format").unwrap_or("report");
     let design = load_design(file)?;
     let nl = rtl_hw::Netlist::extract(&design);
     let text = match format {
@@ -427,15 +405,10 @@ fn netlist(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn vcd_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let (file, flags) = split_file(rest)?;
-    let cycles = flag_value(&flags, "--cycles")?
-        .map(|v| {
-            v.parse::<i64>()
-                .map_err(|_| usage_err("--cycles needs an integer"))
-        })
-        .transpose()?;
-    let output = flag_value(&flags, "-o")?;
+fn vcd_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let file = file(args)?;
+    let cycles = args.number::<i64>("--cycles")?;
+    let output = args.value("-o");
     let design = load_design(file)?;
     let total = cycles.or(design.cycles()).ok_or_else(|| {
         usage_err("no cycle count: pass --cycles or add '= n' to the specification")
@@ -455,9 +428,11 @@ fn vcd_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn spec_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let name = rest.first().ok_or_else(|| usage_err("spec needs a name"))?;
-    let text = match *name {
+fn spec_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let name = args
+        .positional()
+        .ok_or_else(|| usage_err("spec needs a name"))?;
+    let text = match name {
         "sieve" => {
             let w = rtl_machines::stack::sieve_workload(20);
             rtl_machines::stack::rtl::spec_source(&w.program, Some(w.cycles))
@@ -474,9 +449,11 @@ fn spec_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn fig(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let id = rest.first().ok_or_else(|| usage_err("fig needs an id"))?;
-    match *id {
+fn fig(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let id = args
+        .positional()
+        .ok_or_else(|| usage_err("fig needs an id"))?;
+    match id {
         "3.1" => fig_3_1(out),
         "4.1" => fig_codegen(out, rtl_machines::classic::FIG4_1, "Figure 4.1"),
         "4.2" => fig_codegen(out, rtl_machines::classic::FIG4_2, "Figure 4.2"),
@@ -560,46 +537,22 @@ fn fig_5_1_quick(out: &mut dyn Write) -> Result<(), CliError> {
 /// Flags shared by `cosim` and `fuzz`: engine list (validated against the
 /// open registry, so subprocess lanes like `rust` work too) and lockstep
 /// tuning.
-fn parse_engines(flags: &[&str]) -> Result<Vec<String>, CliError> {
-    let list = flag_value(flags, "--engines")?.unwrap_or("interp,vm");
+fn parse_engines(args: &Args) -> Result<Vec<String>, CliError> {
+    let list = args.value("--engines").unwrap_or("interp,vm");
     rtl_cosim::registry().parse_list(list).map_err(usage_err)
 }
 
-fn parse_u64_flag(flags: &[&str], name: &str) -> Result<Option<u64>, CliError> {
-    flag_value(flags, name)?
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| usage_err(format!("{name} needs an integer")))
-        })
-        .transpose()
-}
-
-fn cosim_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let (file, flags) = split_optional_file(
-        rest,
-        &[
-            "--engines",
-            "--cycles",
-            "--scenario",
-            "--compare-every",
-            "--compare",
-            "--checkpoint",
-            "--checkpoint-every",
-            "--resume",
-            "--dump-divergence",
-            "--export-digests",
-            "--check-digests",
-        ],
-    )?;
-    let engines = parse_engines(&flags)?;
-    let cycles = parse_u64_flag(&flags, "--cycles")?;
-    let compare_every = parse_u64_flag(&flags, "--compare-every")?.unwrap_or(1);
-    let compare = match flag_value(&flags, "--compare")? {
+fn cosim_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let file = args.positional();
+    let engines = parse_engines(args)?;
+    let cycles = args.number::<u64>("--cycles")?;
+    let compare_every = args.number::<u64>("--compare-every")?.unwrap_or(1);
+    let compare = match args.value("--compare") {
         Some(list) => rtl_core::observe::CompareMode::parse_list(list).map_err(usage_err)?,
         None => vec![rtl_core::observe::CompareMode::All],
     };
-    let checkpoint_path = flag_value(&flags, "--checkpoint")?;
-    let checkpoint_every = parse_u64_flag(&flags, "--checkpoint-every")?;
+    let checkpoint_path = args.value("--checkpoint");
+    let checkpoint_every = args.number::<u64>("--checkpoint-every")?;
     if checkpoint_every.is_some() && checkpoint_path.is_none() {
         return Err(usage_err("--checkpoint-every needs --checkpoint FILE"));
     }
@@ -610,17 +563,17 @@ fn cosim_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         path: path.into(),
         every: checkpoint_every.unwrap_or(256),
     });
-    let resume = flag_value(&flags, "--resume")?.map(std::path::PathBuf::from);
-    let dump_divergence = flag_value(&flags, "--dump-divergence")?;
-    let export_digests = flag_value(&flags, "--export-digests")?.map(std::path::PathBuf::from);
-    let check_digests = flag_value(&flags, "--check-digests")?.map(std::path::PathBuf::from);
+    let resume = args.value("--resume").map(std::path::PathBuf::from);
+    let dump_divergence = args.value("--dump-divergence");
+    let export_digests = args.value("--export-digests").map(std::path::PathBuf::from);
+    let check_digests = args.value("--check-digests").map(std::path::PathBuf::from);
     if (checkpoint.is_some()
         || resume.is_some()
         || dump_divergence.is_some()
         || export_digests.is_some()
         || check_digests.is_some())
         && file.is_none()
-        && flag_value(&flags, "--scenario")?.is_none()
+        && args.value("--scenario").is_none()
     {
         return Err(usage_err(
             "--checkpoint/--resume/--dump-divergence/--export-digests/--check-digests \
@@ -634,12 +587,12 @@ fn cosim_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         resume,
         export_digests,
         check_digests,
-        lint_oracle: flags.contains(&"--lint-oracle"),
+        lint_oracle: args.has("--lint-oracle"),
         ..rtl_cosim::CosimOptions::default()
     };
 
     // One scenario (a file or a named corpus entry), or the full corpus.
-    match scenario_arg(file, &flags, cycles)? {
+    match scenario_arg(file, args, cycles)? {
         Some(scenario) => {
             let outcome =
                 rtl_cosim::run_scenario_names(rtl_cosim::registry(), &engines, &scenario, &options)
@@ -681,10 +634,10 @@ fn cosim_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
 /// `None` when neither is given.
 fn scenario_arg(
     file: Option<&str>,
-    flags: &[&str],
+    args: &Args,
     cycles: Option<u64>,
 ) -> Result<Option<Scenario>, CliError> {
-    match (file, flag_value(flags, "--scenario")?) {
+    match (file, args.value("--scenario")) {
         (Some(_), Some(_)) => Err(usage_err("pass either FILE or --scenario, not both")),
         (None, None) => Ok(None),
         (Some(path), None) => {
@@ -790,30 +743,21 @@ fn report_single(
     }
 }
 
-fn fuzz_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let (file, flags) = split_optional_file(
-        rest,
-        &["--engines", "--cycles", "--seed", "--cases", "--size"],
-    )?;
-    if let Some(f) = file {
-        return Err(usage_err(format!(
-            "fuzz takes no FILE argument (got {f:?})"
-        )));
-    }
+fn fuzz_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut options = rtl_cosim::FuzzOptions {
-        engines: parse_engines(&flags)?,
+        engines: parse_engines(args)?,
         ..rtl_cosim::FuzzOptions::default()
     };
-    if let Some(seed) = parse_u64_flag(&flags, "--seed")? {
+    if let Some(seed) = args.number("--seed")? {
         options.seed = seed;
     }
-    if let Some(cases) = parse_u64_flag(&flags, "--cases")? {
+    if let Some(cases) = args.number::<u64>("--cases")? {
         options.cases = u32::try_from(cases).map_err(|_| usage_err("--cases is too large"))?;
     }
-    if let Some(cycles) = parse_u64_flag(&flags, "--cycles")? {
+    if let Some(cycles) = args.number("--cycles")? {
         options.generator.cycles = cycles;
     }
-    if let Some(size) = parse_u64_flag(&flags, "--size")? {
+    if let Some(size) = args.number::<u64>("--size")? {
         options.generator.size = size as usize;
     }
     let report = rtl_cosim::run_fuzz(&options).map_err(load_err)?;
@@ -831,23 +775,19 @@ fn fuzz_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
 /// and print the hot-component table (or the raw `asim2-profile v1`
 /// document with `--format json`). The output is a pure function of
 /// (design, stimulus, engine), so two runs print identical bytes.
-fn profile_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let (file, flags) = split_optional_file(
-        rest,
-        &["--engine", "--cycles", "--scenario", "--top", "--format"],
-    )?;
-    let engine = flag_value(&flags, "--engine")?.unwrap_or("interp");
-    let format = flag_value(&flags, "--format")?.unwrap_or("text");
+fn profile_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let engine = args.value("--engine").unwrap_or("interp");
+    let format = args.value("--format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
         return Err(usage_err(format!(
             "unknown profile format {format:?} (expected text or json)"
         )));
     }
-    let top = parse_u64_flag(&flags, "--top")?;
-    let cycles = parse_u64_flag(&flags, "--cycles")?;
+    let top = args.number::<u64>("--top")?;
+    let cycles = args.number("--cycles")?;
 
     // One scenario: a spec file or a named corpus entry, like cosim.
-    let scenario = scenario_arg(file, &flags, cycles)?
+    let scenario = scenario_arg(args.positional(), args, cycles)?
         .ok_or_else(|| usage_err("profile needs a FILE or --scenario NAME"))?;
 
     let design = Design::from_source(&scenario.source).map_err(load_err)?;
@@ -999,74 +939,6 @@ impl rtl_campaign::Progress for ProgressReporter<'_> {
     }
 }
 
-/// The shared run flags: how a campaign executes, never what it
-/// computes, so none of them is fingerprinted.
-const RUN_FLAGS: &str =
-    "--workers --limit --case-checkpoint --flight --metrics-out --profile-out --progress --quiet";
-
-/// The shared config flags: the fingerprinted campaign configuration.
-const CONFIG_FLAGS: &str = "--cases --seed --engines --cycles --size --compare-every --lint-oracle";
-
-/// Every campaign, shard and fleet flag that takes a value; the rest are
-/// switches (`--progress` and `--watch` carry an optional `=MS`).
-const VALUE_FLAGS: &str = "--workers --limit --metrics-out --profile-out --cases --seed --engines \
-    --cycles --size --compare-every --dir --plan --shards --shard --out --bind --port-file --token \
-    --lease --lease-deadline --connect --name --scratch --fingerprint --abandon-after --format";
-
-/// Every campaign, shard and fleet subcommand: its own flags, the shared
-/// run flags it takes, and whether it takes the config flags.
-#[rustfmt::skip]
-const SURFACES: &[(&str, &str, &str, bool)] = &[
-    ("campaign run", "--dir", RUN_FLAGS, true),
-    ("campaign resume", "--dir", RUN_FLAGS, false),
-    ("campaign replay", "--dir --engines", "", false),
-    ("campaign shrink", "--dir --seed --engines --cycles --size --compare-every", "", false),
-    ("campaign shard plan", "--plan --shards", "", true),
-    ("campaign shard run", "--plan --shard --dir", RUN_FLAGS, false),
-    ("campaign shard merge", "--plan --out --shards", "--metrics-out --profile-out", false),
-    ("fleet serve", "--dir --bind --port-file --token --lease --lease-deadline",
-        "--limit --flight --metrics-out --profile-out --progress --quiet", true),
-    ("fleet work", "--connect --token --name --workers --scratch --fingerprint --abandon-after \
-        --quiet", "", false),
-    ("fleet status", "--connect --token --watch --format", "", false),
-];
-
-/// The flag tokens of `{group} {sub}` (values inline, after their flag).
-/// Each subcommand accepts only its own flags — silently swallowing, say,
-/// `resume --cases 200` would let the user believe the campaign was
-/// extended.
-fn surface_flags<'a>(group: &str, sub: &str, rest: &[&'a str]) -> Result<Vec<&'a str>, CliError> {
-    let name = format!("{group} {sub}");
-    let (_, own, run, config) = SURFACES
-        .iter()
-        .find(|s| s.0 == name)
-        .ok_or_else(|| usage_err(format!("unknown {group} subcommand {sub:?}")))?;
-    let values: Vec<&str> = VALUE_FLAGS.split_whitespace().collect();
-    let (extra, flags) = split_optional_file(rest, &values)?;
-    if let Some(x) = extra {
-        return Err(usage_err(format!("unexpected argument {x:?}")));
-    }
-    let config = if *config { CONFIG_FLAGS } else { "" };
-    let allowed: Vec<&str> = [*own, *run, config]
-        .iter()
-        .flat_map(|l| l.split_whitespace())
-        .collect();
-    let bad = flags.iter().find(|f| {
-        let flag = match f.split_once('=') {
-            Some((flag @ ("--progress" | "--watch"), _)) => flag,
-            _ => f,
-        };
-        f.starts_with('-') && !allowed.contains(&flag)
-    });
-    match bad {
-        Some(bad) => Err(usage_err(format!(
-            "{name} does not take {bad} (accepted: {})",
-            allowed.join(" ")
-        ))),
-        None => Ok(flags),
-    }
-}
-
 /// The parsed shared run flags.
 struct RunFlags<'a> {
     /// `--workers`, `--limit`, `--case-checkpoint`, `--flight`,
@@ -1089,28 +961,28 @@ impl RunFlags<'_> {
 
 /// Parses the shared run flags (a surface that does not take one never
 /// reaches here with it).
-fn run_flags<'a>(flags: &[&'a str]) -> Result<RunFlags<'a>, CliError> {
+fn run_flags<'a>(args: &Args<'a>) -> Result<RunFlags<'a>, CliError> {
     let mut options = rtl_campaign::RunOptions::default();
-    if let Some(workers) = parse_u64_flag(flags, "--workers")? {
+    if let Some(workers) = args.number::<u64>("--workers")? {
         if workers == 0 {
             return Err(usage_err("--workers needs a positive count"));
         }
         options.workers = workers as usize;
     }
-    if let Some(limit) = parse_u64_flag(flags, "--limit")? {
+    if let Some(limit) = args.number::<u64>("--limit")? {
         options.limit = Some(u32::try_from(limit).map_err(|_| usage_err("--limit is too large"))?);
     }
-    options.case_checkpoint = flags.contains(&"--case-checkpoint");
-    options.flight = flags.contains(&"--flight");
-    options.recorder = match flag_value(flags, "--metrics-out")? {
+    options.case_checkpoint = args.has("--case-checkpoint");
+    options.flight = args.has("--flight");
+    options.recorder = match args.value("--metrics-out") {
         None => rtl_core::Recorder::disabled(),
         Some(path) => rtl_core::Recorder::to_file(std::path::Path::new(path))
             .map_err(|e| load_err(format!("cannot write metrics to {path}: {e}")))?,
     };
-    let profile_out = flag_value(flags, "--profile-out")?;
+    let profile_out = args.value("--profile-out");
     options.profile = profile_out.is_some();
     let mut progress_ms = ProgressReporter::DEFAULT_PERIOD_MS;
-    if let Some(ms) = flags.iter().find_map(|f| f.strip_prefix("--progress=")) {
+    if let Some(ms) = args.value("--progress") {
         progress_ms = ms
             .parse()
             .map_err(|_| usage_err(format!("--progress needs milliseconds, got {ms:?}")))?;
@@ -1118,14 +990,14 @@ fn run_flags<'a>(flags: &[&'a str]) -> Result<RunFlags<'a>, CliError> {
     Ok(RunFlags {
         options,
         profile_out,
-        quiet: flags.contains(&"--quiet"),
+        quiet: args.has("--quiet"),
         progress_ms,
     })
 }
 
 /// `--engines LIST`, checked against the campaign registry.
-fn engines_flag(flags: &[&str]) -> Result<Option<Vec<String>>, CliError> {
-    flag_value(flags, "--engines")?
+fn engines_flag(args: &Args) -> Result<Option<Vec<String>>, CliError> {
+    args.value("--engines")
         .map(|list| {
             rtl_campaign::campaign_registry(None)
                 .parse_list(list)
@@ -1135,48 +1007,41 @@ fn engines_flag(flags: &[&str]) -> Result<Option<Vec<String>>, CliError> {
 }
 
 /// Parses the shared config flags over the default configuration.
-fn config_flags(flags: &[&str]) -> Result<rtl_campaign::CampaignConfig, CliError> {
+fn config_flags(args: &Args) -> Result<rtl_campaign::CampaignConfig, CliError> {
     let mut config = rtl_campaign::CampaignConfig::default();
-    if let Some(engines) = engines_flag(flags)? {
+    if let Some(engines) = engines_flag(args)? {
         config.engines = engines;
     }
-    if let Some(seed) = parse_u64_flag(flags, "--seed")? {
+    if let Some(seed) = args.number("--seed")? {
         config.seed = seed;
     }
-    if let Some(cases) = parse_u64_flag(flags, "--cases")? {
+    if let Some(cases) = args.number::<u64>("--cases")? {
         config.cases = u32::try_from(cases).map_err(|_| usage_err("--cases is too large"))?;
     }
-    if let Some(cycles) = parse_u64_flag(flags, "--cycles")? {
+    if let Some(cycles) = args.number("--cycles")? {
         config.generator.cycles = cycles;
     }
-    if let Some(size) = parse_u64_flag(flags, "--size")? {
+    if let Some(size) = args.number::<u64>("--size")? {
         config.generator.size = size as usize;
     }
-    if let Some(stride) = parse_u64_flag(flags, "--compare-every")? {
+    if let Some(stride) = args.number::<u64>("--compare-every")? {
         config.compare_every = stride.max(1);
     }
-    config.lint_oracle = flags.contains(&"--lint-oracle");
+    config.lint_oracle = args.has("--lint-oracle");
     Ok(config)
 }
 
-fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
-    let sub = rest
-        .first()
-        .copied()
-        .ok_or_else(|| usage_err("campaign needs a subcommand (run|resume|replay|shrink|shard)"))?;
-    if sub == "shard" {
-        return shard_cmd(&rest[1..], out, err);
-    }
-    let flags = surface_flags("campaign", sub, &rest[1..])?;
+fn campaign_cmd(args: &Args, out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
     let dir = rtl_campaign::CampaignDir::new(
-        flag_value(&flags, "--dir")?.ok_or_else(|| usage_err("campaign needs --dir DIR"))?,
+        args.value("--dir")
+            .ok_or_else(|| usage_err("campaign needs --dir DIR"))?,
     );
 
-    match sub {
-        "run" | "resume" => {
-            let run = run_flags(&flags)?;
-            let config = if sub == "run" {
-                Some(config_flags(&flags)?)
+    match args.name {
+        "campaign run" | "campaign resume" => {
+            let run = run_flags(args)?;
+            let config = if args.name == "campaign run" {
+                Some(config_flags(args)?)
             } else {
                 None
             };
@@ -1188,10 +1053,22 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
             .map_err(campaign_err)?;
             run.options.recorder.flush();
             write_profile_out(&dir, &report, run.profile_out)?;
-            finish_campaign(report, out, err, &run.options, run.quiet)
+            let _ = write!(out, "{report}");
+            if !run.quiet {
+                let secs = report.elapsed.as_secs_f64().max(1e-9);
+                let _ = writeln!(
+                    err,
+                    "throughput: {} cases with {} worker(s) in {:.2}s ({:.1} cases/s)",
+                    report.completed(),
+                    run.options.workers,
+                    secs,
+                    f64::from(report.completed()) / secs,
+                );
+            }
+            verdict(Surface::Campaign(&report), err)
         }
-        "replay" => {
-            let engines = engines_flag(&flags)?;
+        "campaign replay" => {
+            let engines = engines_flag(args)?;
             let report =
                 rtl_campaign::replay_corpus(&dir, engines.as_deref()).map_err(campaign_err)?;
             let _ = write!(out, "{report}");
@@ -1211,7 +1088,8 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
             }
         }
         _ => {
-            let seed = parse_u64_flag(&flags, "--seed")?
+            let seed = args
+                .number::<u64>("--seed")?
                 .ok_or_else(|| usage_err("campaign shrink needs --seed N"))?;
             // Defaults come from the campaign living in --dir, when there
             // is one: a shrink must probe the same scenario the campaign
@@ -1221,20 +1099,21 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
             } else {
                 None
             };
-            let engines = engines_flag(&flags)?
+            let engines = engines_flag(args)?
                 .or_else(|| stored.as_ref().map(|c| c.engines.clone()))
                 .unwrap_or_else(|| vec!["interp".to_string(), "vm".to_string()]);
             let mut generator = stored
                 .as_ref()
                 .map(|c| c.generator.clone())
                 .unwrap_or_default();
-            if let Some(cycles) = parse_u64_flag(&flags, "--cycles")? {
+            if let Some(cycles) = args.number("--cycles")? {
                 generator.cycles = cycles;
             }
-            if let Some(size) = parse_u64_flag(&flags, "--size")? {
+            if let Some(size) = args.number::<u64>("--size")? {
                 generator.size = size as usize;
             }
-            let stride = parse_u64_flag(&flags, "--compare-every")?
+            let stride = args
+                .number::<u64>("--compare-every")?
                 .or(stored.as_ref().map(|c| c.compare_every))
                 .unwrap_or(1)
                 .max(1);
@@ -1280,24 +1159,19 @@ fn campaign_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Resu
 /// `asim2 campaign shard plan|run|merge` — distributed campaigns: plan a
 /// partition, execute one shard per machine into a self-contained
 /// directory, merge the directories back into one canonical campaign.
-fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
+fn shard_cmd(args: &Args, out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
     use rtl_campaign::CampaignDir;
     use rtl_dist::ShardPlan;
 
-    let sub = rest
-        .first()
-        .copied()
-        .ok_or_else(|| usage_err("campaign shard needs a subcommand (plan|run|merge)"))?;
-    let flags = surface_flags("campaign shard", sub, &rest[1..])?;
-    let plan_path =
-        std::path::PathBuf::from(flag_value(&flags, "--plan")?.unwrap_or("shard-plan.json"));
+    let plan_path = std::path::PathBuf::from(args.value("--plan").unwrap_or("shard-plan.json"));
 
-    match sub {
-        "plan" => {
-            let shards = parse_u64_flag(&flags, "--shards")?
+    match args.name {
+        "campaign shard plan" => {
+            let shards = args
+                .number::<u64>("--shards")?
                 .ok_or_else(|| usage_err("campaign shard plan needs --shards K"))?;
             let shards = u32::try_from(shards).map_err(|_| usage_err("--shards is too large"))?;
-            let plan = ShardPlan::partition(config_flags(&flags)?, shards).map_err(campaign_err)?;
+            let plan = ShardPlan::partition(config_flags(args)?, shards).map_err(campaign_err)?;
             plan.save(&plan_path).map_err(campaign_err)?;
             let _ = writeln!(
                 out,
@@ -1319,45 +1193,29 @@ fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<
             }
             Ok(())
         }
-        "run" => {
+        "campaign shard run" => {
             let plan = ShardPlan::load(&plan_path).map_err(campaign_err)?;
-            let index = parse_u64_flag(&flags, "--shard")?
+            let index = args
+                .number::<u64>("--shard")?
                 .ok_or_else(|| usage_err("campaign shard run needs --shard I"))?;
             let index = u32::try_from(index).map_err(|_| usage_err("--shard is too large"))?;
             let dir = CampaignDir::new(
-                flag_value(&flags, "--dir")?
+                args.value("--dir")
                     .ok_or_else(|| usage_err("campaign shard run needs --dir DIR"))?,
             );
-            let run = run_flags(&flags)?;
+            let run = run_flags(args)?;
             let mut progress = run.progress(err);
             let report = rtl_dist::run_shard(&plan, index, &dir, &run.options, &mut progress)
                 .map_err(campaign_err)?;
             run.options.recorder.flush();
             write_profile_out(&dir, &report.report, run.profile_out)?;
             let _ = write!(out, "{report}");
-            if report.clean() {
-                Ok(())
-            } else if report.diverged() > 0 {
-                Err(CliError {
-                    code: 3,
-                    message: format!("shard {index} found {} divergence(s)", report.diverged()),
-                })
-            } else if !report.complete() {
-                let _ = writeln!(
-                    err,
-                    "shard interrupted at --limit; re-run `campaign shard run` to continue"
-                );
-                Ok(())
-            } else {
-                Err(CliError {
-                    code: 3,
-                    message: "shard hit runtime halts/errors (nothing verified past them)".into(),
-                })
-            }
+            verdict(Surface::Shard(&report), err)
         }
         _ => {
             let plan = ShardPlan::load(&plan_path).map_err(campaign_err)?;
-            let dirs: Vec<std::path::PathBuf> = flag_value(&flags, "--shards")?
+            let dirs: Vec<std::path::PathBuf> = args
+                .value("--shards")
                 .ok_or_else(|| usage_err("campaign shard merge needs --shards DIR1,DIR2,..."))?
                 .split(',')
                 .map(str::trim)
@@ -1365,10 +1223,10 @@ fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<
                 .map(std::path::PathBuf::from)
                 .collect();
             let out_dir = CampaignDir::new(
-                flag_value(&flags, "--out")?
+                args.value("--out")
                     .ok_or_else(|| usage_err("campaign shard merge needs --out DIR"))?,
             );
-            let run = run_flags(&flags)?;
+            let run = run_flags(args)?;
             let recorder = &run.options.recorder;
             let report =
                 rtl_dist::merge_with(&plan, &dirs, &out_dir, recorder).map_err(campaign_err)?;
@@ -1381,19 +1239,7 @@ fn shard_cmd(rest: &[&str], out: &mut dyn Write, err: &mut dyn Write) -> Result<
                 dirs.len(),
                 out_dir.root().display()
             );
-            if report.clean() {
-                Ok(())
-            } else if report.diverged() > 0 {
-                Err(CliError {
-                    code: 3,
-                    message: format!("merged campaign has {} divergence(s)", report.diverged()),
-                })
-            } else {
-                Err(CliError {
-                    code: 3,
-                    message: "merged campaign hit runtime halts/errors".into(),
-                })
-            }
+            verdict(Surface::Merge(&report), err)
         }
     }
 }
@@ -1412,113 +1258,61 @@ fn write_profile_out(
         .map_err(|e| load_err(format!("cannot write profile to {path}: {e}")))
 }
 
-/// Prints the campaign report and (unless `--quiet`) a stderr throughput
-/// line; exit 3 unless the campaign is complete and clean.
-fn finish_campaign(
-    report: rtl_campaign::CampaignReport,
-    out: &mut dyn Write,
-    err: &mut dyn Write,
-    options: &rtl_campaign::RunOptions,
-    quiet: bool,
-) -> Result<(), CliError> {
-    let _ = write!(out, "{report}");
-    if !quiet {
-        let secs = report.elapsed.as_secs_f64().max(1e-9);
-        let _ = writeln!(
-            err,
-            "throughput: {} cases with {} worker(s) in {:.2}s ({:.1} cases/s)",
-            report.completed(),
-            options.workers,
-            secs,
-            f64::from(report.completed()) / secs,
-        );
-    }
+/// The four surfaces that end in a campaign report, for [`verdict`].
+enum Surface<'a> {
+    Campaign(&'a rtl_campaign::CampaignReport),
+    Shard(&'a rtl_dist::ShardReport),
+    Merge(&'a rtl_campaign::CampaignReport),
+    Fleet(&'a rtl_campaign::CampaignReport),
+}
+
+/// The one campaign verdict: clean is exit 0; divergences (and the
+/// pre-seeded corpus divergences a campaign's replay reproduced) are
+/// exit 3; a run `--limit` stopped is exit 0 with the surface's resume
+/// hint on stderr; anything else halted, exit 3. A merge has no resume
+/// and verified nothing itself, so its lines say what it *has*.
+fn verdict(surface: Surface, err: &mut dyn Write) -> Result<(), CliError> {
+    let (noun, resume, report) = match &surface {
+        Surface::Campaign(r) => ("campaign", Some("run `asim2 campaign resume`"), *r),
+        Surface::Shard(r) => ("shard", Some("re-run `campaign shard run`"), &r.report),
+        Surface::Merge(r) => ("merged campaign", None, *r),
+        Surface::Fleet(r) => ("fleet campaign", Some("serve the same --dir again"), *r),
+    };
+    let (clean, complete, diverged) = match &surface {
+        Surface::Shard(r) => (r.clean(), r.complete(), r.diverged()),
+        _ => (report.clean(), report.complete(), report.diverged()),
+    };
     let reproduced = report.replay.as_ref().map_or(0, |r| r.reproduced().count());
-    if report.clean() {
-        Ok(())
-    } else if report.diverged() > 0 || reproduced > 0 {
+    let fail = |message: String| Err(CliError { code: 3, message });
+    if clean {
+        return Ok(());
+    }
+    if diverged > 0 || reproduced > 0 {
         let mut parts = Vec::new();
-        if report.diverged() > 0 {
-            parts.push(format!("found {} divergence(s)", report.diverged()));
+        if diverged > 0 {
+            let verb = if resume.is_some() { "found" } else { "has" };
+            parts.push(format!("{verb} {diverged} divergence(s)"));
         }
         if reproduced > 0 {
             parts.push(format!(
                 "{reproduced} pre-seeded corpus divergence(s) reproduced"
             ));
         }
-        Err(CliError {
-            code: 3,
-            message: format!("campaign {}", parts.join("; ")),
-        })
-    } else if !report.complete() {
-        let _ = writeln!(
-            err,
-            "campaign interrupted at --limit; run `asim2 campaign resume` to continue"
-        );
-        Ok(())
-    } else {
-        Err(CliError {
-            code: 3,
-            message: "campaign hit runtime halts/errors (nothing verified past them)".into(),
-        })
+        let who = match surface {
+            Surface::Shard(r) => format!("shard {}", r.spec.index),
+            _ => noun.to_string(),
+        };
+        return fail(format!("{who} {}", parts.join("; ")));
     }
-}
-
-/// Splits arguments into an optional positional FILE and a flag list;
-/// a token following any of `value_flags` is swallowed as that flag's
-/// value.
-fn split_optional_file<'a>(
-    rest: &[&'a str],
-    value_flags: &[&str],
-) -> Result<(Option<&'a str>, Vec<&'a str>), CliError> {
-    let mut file = None;
-    let mut flags = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = rest[i];
-        if a.starts_with('-') {
-            flags.push(a);
-            if value_flags.contains(&a) {
-                i += 1;
-                if let Some(v) = rest.get(i) {
-                    flags.push(v);
-                }
-            }
-        } else if file.is_none() {
-            file = Some(a);
-        } else {
-            return Err(usage_err(format!("unexpected argument {a:?}")));
+    match resume {
+        Some(hint) if !complete => {
+            let _ = writeln!(err, "{noun} interrupted at --limit; {hint} to continue");
+            Ok(())
         }
-        i += 1;
-    }
-    Ok((file, flags))
-}
-
-fn split_file<'a>(rest: &[&'a str]) -> Result<(&'a str, Vec<&'a str>), CliError> {
-    let (file, flags) = split_optional_file(
-        rest,
-        &[
-            "--cycles",
-            "--engine",
-            "--backend",
-            "-o",
-            "--format",
-            "--checkpoint",
-            "--checkpoint-every",
-            "--resume",
-        ],
-    )?;
-    Ok((file.ok_or_else(|| usage_err("missing FILE"))?, flags))
-}
-
-fn flag_value<'a>(flags: &[&'a str], name: &str) -> Result<Option<&'a str>, CliError> {
-    match flags.iter().position(|f| *f == name) {
-        None => Ok(None),
-        Some(i) => flags
-            .get(i + 1)
-            .copied()
-            .map(Some)
-            .ok_or_else(|| usage_err(format!("{name} needs a value"))),
+        Some(_) => fail(format!(
+            "{noun} hit runtime halts/errors (nothing verified past them)"
+        )),
+        None => fail(format!("{noun} hit runtime halts/errors")),
     }
 }
 
@@ -2626,6 +2420,149 @@ mod tests {
         assert_eq!(code, 1, "{err}");
         assert!(err.contains("does not take --cases"), "{err}");
         let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// Every surface's verdict wording, as the four blocks that
+    /// `verdict` replaced printed it.
+    #[test]
+    fn verdicts_keep_every_surfaces_wording() {
+        use rtl_campaign::{CampaignReport, CaseRecord, CaseStatus};
+        let record = |index, status| CaseRecord {
+            index,
+            seed: 0,
+            cycles: 8,
+            lane_stats: Vec::new(),
+            status,
+        };
+        let agreed = || Some(record(0, CaseStatus::Agreed));
+        let diverged = || {
+            Some(record(
+                1,
+                CaseStatus::Diverged {
+                    cycle: 4,
+                    kind: "trace".into(),
+                    corpus: None,
+                },
+            ))
+        };
+        let halted = || {
+            Some(record(
+                1,
+                CaseStatus::Halted {
+                    detail: "halt".into(),
+                },
+            ))
+        };
+        let report = |records: Vec<Option<CaseRecord>>, reproduced: bool| CampaignReport {
+            config: rtl_campaign::CampaignConfig::default(),
+            replay: reproduced.then(|| rtl_campaign::ReplayReport {
+                results: vec![rtl_campaign::ReplayResult {
+                    name: "seed-1".into(),
+                    expected: (4, "trace".into()),
+                    outcome: rtl_campaign::ReplayOutcome::Reproduced {
+                        cycle: 4,
+                        kind: "trace".into(),
+                    },
+                    lane_stats: Vec::new(),
+                }],
+            }),
+            records,
+            new_corpus: Vec::new(),
+            elapsed: std::time::Duration::ZERO,
+        };
+        let shard = |records| rtl_dist::ShardReport {
+            spec: rtl_dist::ShardSpec {
+                index: 2,
+                start: 0,
+                end: 2,
+            },
+            report: report(records, false),
+        };
+        let verdict_of = |surface: Surface| {
+            let mut err = Vec::new();
+            let result = verdict(surface, &mut err);
+            let message = result.err().map(|e| (e.code, e.message));
+            (message, String::from_utf8(err).unwrap())
+        };
+        let fails = |message: &str| (Some((3, message.to_string())), String::new());
+        let interrupted = |line: &str| (None, format!("{line}\n"));
+
+        let clean = report(vec![agreed()], false);
+        assert_eq!(verdict_of(Surface::Campaign(&clean)), (None, String::new()));
+        let cases = [
+            (
+                vec![agreed(), diverged()],
+                false,
+                "campaign found 1 divergence(s)",
+            ),
+            (
+                vec![agreed(), diverged()],
+                true,
+                "campaign found 1 divergence(s); 1 pre-seeded corpus divergence(s) reproduced",
+            ),
+            (
+                vec![agreed()],
+                true,
+                "campaign 1 pre-seeded corpus divergence(s) reproduced",
+            ),
+            (
+                vec![agreed(), halted()],
+                false,
+                "campaign hit runtime halts/errors (nothing verified past them)",
+            ),
+        ];
+        for (records, reproduced, message) in cases {
+            let r = report(records, reproduced);
+            assert_eq!(verdict_of(Surface::Campaign(&r)), fails(message));
+        }
+        let r = report(vec![agreed(), None], false);
+        assert_eq!(
+            verdict_of(Surface::Campaign(&r)),
+            interrupted("campaign interrupted at --limit; run `asim2 campaign resume` to continue")
+        );
+
+        for (records, expected) in [
+            (
+                vec![agreed(), diverged()],
+                fails("shard 2 found 1 divergence(s)"),
+            ),
+            (
+                vec![agreed(), None],
+                interrupted(
+                    "shard interrupted at --limit; re-run `campaign shard run` to continue",
+                ),
+            ),
+            (
+                vec![agreed(), halted()],
+                fails("shard hit runtime halts/errors (nothing verified past them)"),
+            ),
+        ] {
+            assert_eq!(verdict_of(Surface::Shard(&shard(records))), expected);
+        }
+
+        for (records, merged, fleet) in [
+            (
+                vec![agreed(), diverged()],
+                fails("merged campaign has 1 divergence(s)"),
+                fails("fleet campaign found 1 divergence(s)"),
+            ),
+            (
+                vec![agreed(), halted()],
+                fails("merged campaign hit runtime halts/errors"),
+                fails("fleet campaign hit runtime halts/errors (nothing verified past them)"),
+            ),
+            (
+                vec![agreed(), None],
+                fails("merged campaign hit runtime halts/errors"),
+                interrupted(
+                    "fleet campaign interrupted at --limit; serve the same --dir again to continue",
+                ),
+            ),
+        ] {
+            let r = report(records, false);
+            assert_eq!(verdict_of(Surface::Merge(&r)), merged);
+            assert_eq!(verdict_of(Surface::Fleet(&r)), fleet);
+        }
     }
 
     // A spec whose arm 2 is provably dead (eq output is one bit wide).

@@ -8,55 +8,35 @@
 //! the tool-wide convention: 0 clean, 1 usage, 2 unreadable file, 3
 //! denied findings.
 
-use crate::{load_err, usage_err, CliError};
+use crate::{load_err, usage_err, Args, CliError};
 use rtl_lint::Report;
 use std::io::Write;
 
-pub(crate) fn lint_cmd(rest: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut files: Vec<&str> = Vec::new();
-    let mut allow: Vec<&str> = Vec::new();
-    let mut deny_warnings = false;
-    let mut format = "text";
-    let mut it = rest.iter().copied();
-    while let Some(a) = it.next() {
-        match a {
-            "--deny" => match it.next() {
-                Some("warnings") => deny_warnings = true,
-                Some(other) => {
-                    return Err(usage_err(format!(
-                        "--deny takes \"warnings\" (errors are always denied), got {other:?}"
-                    )))
-                }
-                None => return Err(usage_err("--deny needs a value")),
-            },
-            "--allow" => match it.next() {
-                Some(code) => allow.push(code),
-                None => return Err(usage_err("--allow needs a lint code")),
-            },
-            "--format" => match it.next() {
-                Some(f @ ("text" | "json")) => format = f,
-                Some(other) => {
-                    return Err(usage_err(format!(
-                        "--format takes text or json, got {other:?}"
-                    )))
-                }
-                None => return Err(usage_err("--format needs a value")),
-            },
-            "--codes" => {
-                for code in rtl_lint::all_codes() {
-                    let _ = writeln!(out, "{code}");
-                }
-                return Ok(());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(usage_err(format!("lint does not take {flag}")))
-            }
-            file => files.push(file),
-        }
+pub(crate) fn lint_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    if let Some(other) = args.values("--deny").into_iter().find(|v| *v != "warnings") {
+        return Err(usage_err(format!(
+            "--deny takes \"warnings\" (errors are always denied), got {other:?}"
+        )));
     }
+    let deny_warnings = args.has("--deny");
+    let formats = args.values("--format");
+    if let Some(other) = formats.iter().find(|f| !matches!(**f, "text" | "json")) {
+        return Err(usage_err(format!(
+            "--format takes text or json, got {other:?}"
+        )));
+    }
+    let format = formats.last().copied().unwrap_or("text");
+    if args.has("--codes") {
+        for code in rtl_lint::all_codes() {
+            let _ = writeln!(out, "{code}");
+        }
+        return Ok(());
+    }
+    let files = args.positionals();
     if files.is_empty() {
         return Err(usage_err("lint needs at least one FILE (or --codes)"));
     }
+    let allow = args.values("--allow");
     let known = rtl_lint::all_codes();
     if let Some(bad) = allow.iter().find(|code| !known.contains(code)) {
         return Err(usage_err(format!(

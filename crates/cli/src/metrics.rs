@@ -16,26 +16,20 @@
 //! `-` anywhere a FILE is accepted reads the log from stdin (read once,
 //! reused if `-` appears in several run groups).
 
-use crate::{load_err, usage_err, CliError};
+use crate::args::Arg;
+use crate::{load_err, usage_err, Args, CliError};
 use rtl_obs::{Event, Summary};
 use std::io::{BufRead, Write};
 
 pub(crate) fn metrics_cmd(
-    rest: &[&str],
+    args: &Args,
     stdin: &mut dyn BufRead,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let sub = rest
-        .first()
-        .copied()
-        .ok_or_else(|| usage_err("metrics needs a subcommand (summarize|trace-export|flight)"))?;
-    match sub {
-        "summarize" => summarize_cmd(&rest[1..], stdin, out),
-        "trace-export" => trace_export_cmd(&rest[1..], stdin, out),
-        "flight" => flight_cmd(&rest[1..], stdin, out),
-        other => Err(usage_err(format!(
-            "unknown metrics subcommand {other:?} (expected summarize, trace-export or flight)"
-        ))),
+    match args.name {
+        "metrics summarize" => summarize_cmd(args, stdin, out),
+        "metrics trace-export" => trace_export_cmd(args, stdin, out),
+        _ => flight_cmd(args, stdin, out),
     }
 }
 
@@ -64,21 +58,19 @@ impl<'a> StdinLog<'a> {
 }
 
 fn summarize_cmd(
-    rest: &[&str],
+    args: &Args,
     stdin: &mut dyn BufRead,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let mut check = false;
     // Positionals before any `--group` are each their own run; every
     // `--group` starts a fresh run collecting the FILEs after it — the
     // spelled-out form of the comma-joined group syntax, which shells
     // with glob expansion can actually produce.
     let mut runs: Vec<String> = Vec::new();
     let mut group: Option<Vec<&str>> = None;
-    for a in rest {
-        match *a {
-            "--check" => check = true,
-            "--group" => {
+    for item in &args.items {
+        match *item {
+            Arg::Flag("--group", _) => {
                 if let Some(files) = group.replace(Vec::new()) {
                     if files.is_empty() {
                         return Err(usage_err("--group needs at least one FILE after it"));
@@ -86,13 +78,8 @@ fn summarize_cmd(
                     runs.push(files.join(","));
                 }
             }
-            // "-" is stdin, not a flag.
-            flag if flag.starts_with('-') && flag != "-" => {
-                return Err(usage_err(format!(
-                    "metrics summarize does not take {flag} (accepted: --check --group)"
-                )));
-            }
-            file => match &mut group {
+            Arg::Flag(..) => {}
+            Arg::Positional(file) => match &mut group {
                 Some(files) => files.push(file),
                 None => runs.push(file.to_string()),
             },
@@ -108,7 +95,7 @@ fn summarize_cmd(
         return Err(usage_err("metrics summarize needs at least one FILE"));
     }
     let mut piped = StdinLog::new(stdin);
-    if check {
+    if args.has("--check") {
         let refs: Vec<&str> = runs.iter().map(String::as_str).collect();
         check_runs(&refs, &mut piped, out)
     } else {
@@ -198,30 +185,12 @@ fn first_difference(a: &str, b: &str) -> String {
 /// Chrome trace-event JSON. One FILE keeps the classic single-process
 /// layout; several merge onto one timeline with a named track per log.
 fn trace_export_cmd(
-    rest: &[&str],
+    args: &Args,
     stdin: &mut dyn BufRead,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let mut files: Vec<&str> = Vec::new();
-    let mut out_path: Option<&str> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match *a {
-            "--out" => {
-                out_path = Some(
-                    it.next()
-                        .copied()
-                        .ok_or_else(|| usage_err("--out needs a value"))?,
-                );
-            }
-            flag if flag.starts_with('-') && flag != "-" => {
-                return Err(usage_err(format!(
-                    "metrics trace-export does not take {flag} (accepted: --out)"
-                )));
-            }
-            positional => files.push(positional),
-        }
-    }
+    let files = args.positionals();
+    let out_path = args.values("--out").last().copied();
     if files.is_empty() {
         return Err(usage_err(
             "metrics trace-export needs at least one FILE (or -)",
@@ -267,18 +236,10 @@ fn trace_export_cmd(
 /// `flight FILE` — pretty-prints a `case-N.flight.jsonl` divergence
 /// flight-recorder sidecar: the ring buffer of events leading up to the
 /// trigger, then the trigger itself.
-fn flight_cmd(rest: &[&str], stdin: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), CliError> {
-    let mut file: Option<&str> = None;
-    for a in rest {
-        match *a {
-            flag if flag.starts_with('-') && flag != "-" => {
-                return Err(usage_err(format!("metrics flight does not take {flag}")));
-            }
-            positional if file.is_none() => file = Some(positional),
-            extra => return Err(usage_err(format!("unexpected argument {extra:?}"))),
-        }
-    }
-    let file = file.ok_or_else(|| usage_err("metrics flight needs one FILE (or -)"))?;
+fn flight_cmd(args: &Args, stdin: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), CliError> {
+    let file = args
+        .positional()
+        .ok_or_else(|| usage_err("metrics flight needs one FILE (or -)"))?;
     let text = if file == "-" {
         let mut piped = String::new();
         stdin
@@ -338,7 +299,6 @@ fn flight_cmd(rest: &[&str], stdin: &mut dyn BufRead, out: &mut dyn Write) -> Re
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use rtl_obs::Recorder;
 
     fn write_log(name: &str, build: impl Fn(&Recorder)) -> std::path::PathBuf {
@@ -352,9 +312,13 @@ mod tests {
     }
 
     fn run_stdin(args: &[&str], stdin: &str) -> (Result<(), i32>, String) {
-        let mut out = Vec::new();
-        let mut input = stdin.as_bytes();
-        let result = metrics_cmd(args, &mut input, &mut out).map_err(|e| e.code);
+        let args: Vec<String> = std::iter::once("metrics")
+            .chain(args.iter().copied())
+            .map(str::to_string)
+            .collect();
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = crate::run_with_input(&args, &mut stdin.as_bytes(), &mut out, &mut err);
+        let result = if code == 0 { Ok(()) } else { Err(code) };
         (result, String::from_utf8(out).unwrap())
     }
 

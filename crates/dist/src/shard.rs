@@ -246,45 +246,29 @@ pub fn run_shard(
     options
         .recorder
         .mark("shard", "run", Some(&format!("shard {index}")));
-    if dir.manifest().exists() {
-        // Resume path: the directory must belong to this plan and shard.
-        let stored = dir.load()?;
-        if stored.fingerprint() != plan.config.fingerprint() {
-            return Err(CampaignError::Config(format!(
-                "{} holds a campaign with a different configuration than the plan",
-                dir.root().display()
-            )));
-        }
-        // A kill between init and the marker write leaves a manifest with
-        // no shard.json and — because the marker always lands before any
-        // case runs — an empty cases/. That exact window is healed by
-        // rewriting the marker; a directory with case records and no
-        // marker is a foreign campaign and stays refused.
-        if !marker_path(dir).exists()
-            && dir
-                .load_cases(plan.config.cases)?
-                .iter()
-                .all(Option::is_none)
-        {
-            write_atomic(
-                &marker_path(dir),
-                marker_json(plan, spec).render().as_bytes(),
-            )?;
-        }
-        let marked = load_marker(dir, plan)?;
-        if marked.index != index {
-            return Err(CampaignError::Config(format!(
-                "{} executes shard {}, not shard {index}",
-                dir.root().display(),
-                marked.index
-            )));
-        }
-    } else {
-        dir.init(&plan.config)?;
+    dir.open(&plan.config)?;
+    // The marker always lands before any case runs, so a directory with
+    // no marker and no case records is either fresh or was killed between
+    // init and the marker write: write the marker. A directory with case
+    // records and no marker is a foreign campaign and stays refused.
+    if !marker_path(dir).exists()
+        && dir
+            .load_cases(plan.config.cases)?
+            .iter()
+            .all(Option::is_none)
+    {
         write_atomic(
             &marker_path(dir),
             marker_json(plan, spec).render().as_bytes(),
         )?;
+    }
+    let marked = load_marker(dir, plan)?;
+    if marked.index != index {
+        return Err(CampaignError::Config(format!(
+            "{} executes shard {}, not shard {index}",
+            dir.root().display(),
+            marked.index
+        )));
     }
     let scoped = RunOptions {
         case_range: Some(spec.range()),

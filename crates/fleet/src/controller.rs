@@ -26,8 +26,7 @@ use crate::error::FleetError;
 use crate::protocol::{Framed, Message, Poll, Refusal, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
 use rtl_campaign::{
-    corpus, BundleEntry, CampaignConfig, CampaignDir, CampaignError, CampaignReport, CaseBundle,
-    CaseRecord,
+    corpus, BundleEntry, CampaignConfig, CampaignDir, CampaignReport, CaseBundle, CaseRecord,
 };
 use rtl_obs::json::Json;
 use rtl_obs::{Event, Histogram, Recorder};
@@ -246,23 +245,7 @@ impl Controller {
         progress: &mut dyn FleetProgress,
     ) -> Result<CampaignReport, FleetError> {
         let started = Instant::now();
-        let config = if dir.manifest().exists() {
-            let stored = dir.load()?;
-            if stored.fingerprint() != config.fingerprint() {
-                return Err(CampaignError::Config(format!(
-                    "{} holds a campaign whose fingerprint {:016x} differs from the \
-                     requested configuration's {:016x}",
-                    dir.root().display(),
-                    stored.fingerprint(),
-                    config.fingerprint()
-                ))
-                .into());
-            }
-            stored
-        } else {
-            dir.init(config)?;
-            config.clone()
-        };
+        let config = dir.open(config)?;
         let records = dir.load_cases(config.cases)?;
         let corpus_fps = corpus::load_all(&dir.corpus())?
             .iter()

@@ -169,20 +169,7 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
     // controller's configuration; a drifted leftover is refused, not
     // silently overwritten.
     let dir = CampaignDir::new(&options.scratch);
-    if dir.manifest().exists() {
-        let stored = dir.load()?;
-        if stored.fingerprint() != fingerprint {
-            return Err(CampaignError::Config(format!(
-                "{} holds a different campaign (fingerprint {:016x}, controller serves \
-                 {fingerprint:016x})",
-                options.scratch.display(),
-                stored.fingerprint()
-            ))
-            .into());
-        }
-    } else {
-        dir.init(&config)?;
-    }
+    dir.open(&config)?;
 
     let mut report = WorkerReport {
         name: options.name.clone(),
