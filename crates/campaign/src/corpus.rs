@@ -20,8 +20,9 @@
 use crate::bundle::{BundleEntry, CorpusFiles};
 use crate::error::CampaignError;
 use crate::shrink::Shrunk;
+use crate::state::LaneAccess;
 use rtl_core::{read_checkpoint, write_checkpoint, Design, Session, Until, Word};
-use rtl_cosim::{CosimOptions, CosimOutcome, DivergenceKind};
+use rtl_cosim::{CosimOptions, DivergenceKind, ScenarioResult};
 use rtl_interp::Interpreter;
 use rtl_machines::Scenario;
 use rtl_obs::json::Json;
@@ -147,10 +148,11 @@ pub fn render(
     let ckpt =
         String::from_utf8(reference_checkpoint(&design, &entry).map_err(CampaignError::Corrupt)?)
             .map_err(|_| CampaignError::Corrupt("reference checkpoint is not text".into()))?;
+    let fingerprint = format!("{fp:016x}");
     let meta = Json::Obj(vec![
         ("format".into(), Json::str(FORMAT)),
         ("name".into(), Json::str(&entry.name)),
-        ("design_fp".into(), Json::str(format!("{fp:016x}"))),
+        ("design_fp".into(), Json::str(&fingerprint)),
         ("cycles".into(), Json::num(entry.scenario.cycles)),
         (
             "engines".into(),
@@ -175,7 +177,7 @@ pub fn render(
     ]);
     let files = BundleEntry {
         name: entry.name.clone(),
-        fingerprint: format!("{fp:016x}"),
+        fingerprint,
         files: CorpusFiles {
             asim: entry.scenario.source.clone(),
             stim: render_stimulus(&entry.scenario.input),
@@ -252,42 +254,27 @@ pub fn load_all(corpus_dir: &Path) -> Result<Vec<CorpusEntry>, CampaignError> {
 }
 
 /// The name of the existing entry whose [`entry_fingerprint`] equals
-/// `fp`, if any — the dedup probe. Reads the `design_fp` meta field;
-/// entries written before the field existed are fingerprinted from their
-/// files.
+/// `fp`, if any — the dedup probe. Reads the `design_fp` meta field.
 fn find_by_fingerprint(corpus_dir: &Path, fp: u64) -> Result<Option<String>, CampaignError> {
     for name in entry_names(corpus_dir)? {
         let meta_path = corpus_dir.join(format!("{name}.json"));
-        let meta = Json::parse(&std::fs::read_to_string(&meta_path)?)
-            .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", meta_path.display())))?;
-        let existing = match meta
-            .get("design_fp")
-            .and_then(Json::as_str)
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-        {
-            Some(stored) => stored,
-            None => {
-                let source = std::fs::read_to_string(corpus_dir.join(format!("{name}.asim")))?;
-                let input = parse_stimulus(&std::fs::read_to_string(
-                    corpus_dir.join(format!("{name}.stim")),
-                )?)
-                .map_err(|e| CampaignError::Corrupt(format!("{name}.stim: {e}")))?;
-                let cycles = meta.get("cycles").and_then(Json::as_u64).ok_or_else(|| {
-                    CampaignError::Corrupt(format!("{}: missing cycles", meta_path.display()))
-                })?;
-                entry_fingerprint(&Scenario {
-                    name: format!("corpus/{name}"),
-                    source,
-                    cycles,
-                    input,
-                })
-            }
-        };
-        if existing == fp {
+        let corrupt = |e: String| CampaignError::Corrupt(format!("{}: {e}", meta_path.display()));
+        let meta = Json::parse(&std::fs::read_to_string(&meta_path)?).map_err(corrupt)?;
+        if stored_fingerprint(&meta).map_err(corrupt)? == fp {
             return Ok(Some(name));
         }
     }
     Ok(None)
+}
+
+/// The entry fingerprint a meta document records as `design_fp`, in the
+/// one form [`render`] writes: exactly 16 lowercase hex digits.
+fn stored_fingerprint(meta: &Json) -> Result<u64, String> {
+    meta.get("design_fp")
+        .and_then(Json::as_str)
+        .filter(|h| h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or_else(|| "design_fp is missing or not 16 lowercase hex digits".into())
 }
 
 fn load_one(corpus_dir: &Path, name: &str) -> Result<CorpusEntry, CampaignError> {
@@ -377,18 +364,12 @@ pub fn entry_from_files(name: &str, files: &CorpusFiles) -> Result<CorpusEntry, 
         )));
     }
 
-    // Integrity: a stored entry fingerprint must match the sibling files
-    // it claims to describe (entries predating the field are accepted).
-    if let Some(stored) = meta
-        .get("design_fp")
-        .and_then(Json::as_str)
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-    {
-        if stored != entry_fingerprint(&entry.scenario) {
-            return Err(corrupt(
-                "entry fingerprint (design_fp) does not match the scenario files".into(),
-            ));
-        }
+    // Integrity: the stored entry fingerprint must match the sibling
+    // files it claims to describe.
+    if stored_fingerprint(&meta).map_err(corrupt)? != entry_fingerprint(&entry.scenario) {
+        return Err(corrupt(
+            "entry fingerprint (design_fp) does not match the scenario files".into(),
+        ));
     }
 
     // Integrity: the stored checkpoint must load over this entry's design
@@ -439,7 +420,7 @@ pub struct ReplayResult {
     pub outcome: ReplayOutcome,
     /// Per-lane statistics from the replay run, for lanes whose engines
     /// keep them.
-    pub lane_stats: Vec<crate::state::LaneAccess>,
+    pub lane_stats: Vec<LaneAccess>,
 }
 
 /// A corpus replay sweep.
@@ -518,21 +499,13 @@ pub fn replay(
         };
         let outcome = rtl_cosim::run_scenario_names(registry, &lanes, &entry.scenario, &options)
             .map_err(CampaignError::from)?;
-        let lane_stats = outcome
-            .lane_stats()
-            .iter()
-            .map(|s| crate::state::LaneAccess {
-                lane: s.lane.clone(),
-                cycles: s.stats.cycles,
-                accesses: s.stats.total_accesses(),
-            })
-            .collect();
-        let outcome = match outcome {
-            CosimOutcome::Divergence(report) => ReplayOutcome::Reproduced {
-                cycle: u64::try_from(report.cycle).unwrap_or(0),
+        let result = ScenarioResult::new(entry.name.clone(), outcome);
+        let outcome = match &result.divergence {
+            Some(report) => ReplayOutcome::Reproduced {
+                cycle: result.cycles,
                 kind: kind_label(&report.kind),
             },
-            CosimOutcome::Agreement { stop, .. } => match stop.into_error() {
+            None => match result.stop.into_error() {
                 None => ReplayOutcome::Clean,
                 Some(e) => ReplayOutcome::Halted {
                     detail: e.to_string(),
@@ -540,10 +513,10 @@ pub fn replay(
             },
         };
         results.push(ReplayResult {
-            name: entry.name.clone(),
+            name: result.name,
             expected: (entry.cycle, entry.kind.clone()),
             outcome,
-            lane_stats,
+            lane_stats: result.stats.iter().map(LaneAccess::from).collect(),
         });
     }
     Ok(ReplayReport { results })
@@ -681,12 +654,42 @@ mod tests {
         // Swap the specification for a different design: the stored
         // checkpoint's fingerprint no longer matches.
         let asim = dir.join("seed-4.asim");
+        let source = std::fs::read_to_string(&asim).unwrap();
         std::fs::write(&asim, "# other\nx .\nA x 2 1 0 .").unwrap();
         let err = load_all(&dir).unwrap_err();
         assert!(
             err.to_string().contains("fingerprint") || err.to_string().contains("checkpoint"),
             "{err}"
         );
+        std::fs::write(&asim, source).unwrap();
+        assert_eq!(load_all(&dir).unwrap().len(), 1);
+
+        // A missing, non-hex or numeric design_fp is refused at load, as a
+        // shard merge refuses it, and stops the dedup probe too.
+        let meta_path = dir.join("seed-4.json");
+        let other = shrunk_fault_case(5);
+        let Json::Obj(pairs) = Json::parse(&std::fs::read_to_string(&meta_path).unwrap()).unwrap()
+        else {
+            panic!("the meta is an object")
+        };
+        let with_design_fp = |value: Option<Json>| {
+            let pairs = pairs.iter().filter_map(|(key, v)| match key.as_str() {
+                "design_fp" => value.clone().map(|value| (key.clone(), value)),
+                _ => Some((key.clone(), v.clone())),
+            });
+            Json::Obj(pairs.collect()).render()
+        };
+        for tampered in [
+            with_design_fp(None),
+            with_design_fp(Some(Json::str("zz"))),
+            with_design_fp(Some(Json::num(12345u64))),
+        ] {
+            std::fs::write(&meta_path, &tampered).unwrap();
+            let err = load_all(&dir).unwrap_err().to_string();
+            assert!(err.contains("design_fp"), "{err}");
+            let err = save(&dir, &other, &engines(), 1).unwrap_err();
+            assert!(err.to_string().contains("design_fp"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,13 +12,13 @@
 //! collector acknowledges it, which is what makes a kill at any instant
 //! resumable.
 
-use crate::bundle::CaseBundle;
+use crate::bundle::{expected_seed, CaseBundle};
 use crate::config::CampaignConfig;
 use crate::corpus::{self, kind_label, ReplayReport};
 use crate::error::CampaignError;
 use crate::fault::FaultyVmFactory;
 use crate::shrink::shrink_divergence;
-use crate::state::{CampaignDir, CaseRecord, CaseStatus};
+use crate::state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};
 use rtl_compile::{BinaryCache, GeneratedRustFactory};
 use rtl_core::{EngineRegistry, Recorder, StopReason};
 use rtl_cosim::{run_fuzz_case, FuzzOptions};
@@ -196,10 +196,9 @@ impl CampaignReport {
     }
 
     /// Per-lane totals aggregated over every completed case's persisted
-    /// [`LaneAccess`](crate::state::LaneAccess) stats, sorted by lane
-    /// name. Purely a function of the records, so the rendering stays
-    /// deterministic (and identical between a single-machine run and a
-    /// merged shard set).
+    /// [`LaneAccess`] stats, sorted by lane name. Purely a function of the
+    /// records, so the rendering stays deterministic (and identical
+    /// between a single-machine run and a merged shard set).
     pub fn lane_totals(&self) -> Vec<LaneTotals> {
         aggregate_lanes(self.records.iter().flatten().map(|r| &r.lane_stats[..]))
     }
@@ -218,11 +217,9 @@ pub struct LaneTotals {
     pub accesses: u64,
 }
 
-/// Folds per-case [`LaneAccess`](crate::state::LaneAccess) stats into
-/// sorted per-lane totals (shared by campaign, shard and replay reports).
-pub fn aggregate_lanes<'a>(
-    stats: impl IntoIterator<Item = &'a [crate::state::LaneAccess]>,
-) -> Vec<LaneTotals> {
+/// Folds per-case [`LaneAccess`] stats into sorted per-lane totals
+/// (shared by campaign, shard and replay reports).
+pub fn aggregate_lanes<'a>(stats: impl IntoIterator<Item = &'a [LaneAccess]>) -> Vec<LaneTotals> {
     let mut lanes: std::collections::BTreeMap<&str, LaneTotals> = Default::default();
     for case in stats {
         for stat in case {
@@ -693,6 +690,7 @@ fn run_one(
         fuzz
     };
     let case = run_fuzz_case(registry, fuzz, index)?;
+    let seed = expected_seed(config, index);
     // Snapshot the ring *now*, before any shrink probes can run: the dump
     // must hold only the case's own final events.
     let flight_snapshot = flight_ring.as_ref().map(|ring| ring.snapshot());
@@ -727,7 +725,7 @@ fn run_one(
             let shrunk = shrink_divergence(
                 registry,
                 &config.engines,
-                case.seed,
+                seed,
                 &config.generator,
                 &probe_cosim,
             )?;
@@ -754,17 +752,9 @@ fn run_one(
     };
     let record = CaseRecord {
         index,
-        seed: case.seed,
+        seed,
         cycles: case.cycles,
-        lane_stats: case
-            .stats
-            .iter()
-            .map(|s| crate::state::LaneAccess {
-                lane: s.lane.clone(),
-                cycles: s.stats.cycles,
-                accesses: s.stats.total_accesses(),
-            })
-            .collect(),
+        lane_stats: case.stats.iter().map(LaneAccess::from).collect(),
         status,
     };
     recorder.count("campaign", "cases_executed", 1);
@@ -803,4 +793,170 @@ fn run_one(
         record,
         corpus: entry.map(|entry| entry.name),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtl_core::{
+        Design, Engine, EngineFactory, EngineLane, EngineOptions, HaltKind, InputSource, SimError,
+        SimState, TraceBuf,
+    };
+    use rtl_cosim::FuzzReport;
+
+    /// A lane that steps idly until the cycle of `halt`, then raises it.
+    struct Halting<'d> {
+        design: &'d Design,
+        state: SimState,
+        halt: HaltKind,
+    }
+
+    impl Engine for Halting<'_> {
+        fn design(&self) -> &Design {
+            self.design
+        }
+
+        fn state(&self) -> &SimState {
+            &self.state
+        }
+
+        fn restore(&mut self, snapshot: &SimState) {
+            self.state = snapshot.clone();
+        }
+
+        fn step(
+            &mut self,
+            _trace: &mut TraceBuf<'_>,
+            _input: &mut dyn InputSource,
+        ) -> Result<(), SimError> {
+            if self.state.cycle() == self.halt.cycle() {
+                let stop = StopReason::Halt(self.halt.clone());
+                return Err(stop.into_error().expect("a halt is an error"));
+            }
+            self.state.bump_cycle();
+            Ok(())
+        }
+    }
+
+    struct HaltingFactory(&'static str, HaltKind);
+
+    impl EngineFactory for HaltingFactory {
+        fn name(&self) -> &str {
+            self.0
+        }
+
+        fn build<'d>(
+            &self,
+            design: &'d Design,
+            _options: &EngineOptions,
+        ) -> Result<EngineLane<'d>, String> {
+            Ok(EngineLane::Stepped(Box::new(Halting {
+                design,
+                state: SimState::new(design),
+                halt: self.1.clone(),
+            })))
+        }
+    }
+
+    /// The wording of each runtime halt, pinned on every surface that
+    /// prints it: the step error, the halt value, the session's stop
+    /// reason, a campaign record's detail and a cosim report's `halt:`
+    /// line. Two lanes raise the same halt, so lockstep reports a
+    /// unanimous halt.
+    #[test]
+    fn every_surface_keeps_the_halt_wording() {
+        let table = [
+            (
+                HaltKind::SelectorOutOfRange {
+                    component: "mux".into(),
+                    index: 9,
+                    cases: 4,
+                    cycle: 2,
+                },
+                "selector mux index 9 outside 0..4 at cycle 2",
+            ),
+            (
+                HaltKind::AddressOutOfRange {
+                    component: "ram".into(),
+                    address: -1,
+                    size: 8,
+                    cycle: 3,
+                },
+                "memory ram address -1 outside 0..8 at cycle 3",
+            ),
+            (
+                HaltKind::BadAluFunction {
+                    component: "acc".into(),
+                    funct: 14,
+                    cycle: 1,
+                },
+                "alu acc function 14 outside 0..=13 at cycle 1",
+            ),
+            (
+                HaltKind::InputExhausted { cycle: 0 },
+                "input exhausted at cycle 0",
+            ),
+        ];
+        for (halt, text) in table {
+            let mut registry = EngineRegistry::new();
+            registry.register(Box::new(HaltingFactory("halt-a", halt.clone())));
+            registry.register(Box::new(HaltingFactory("halt-b", halt.clone())));
+            let config = CampaignConfig {
+                seed: 7,
+                cases: 1,
+                engines: vec!["halt-a".into(), "halt-b".into()],
+                generator: rtl_cosim::GenOptions {
+                    size: 4,
+                    cycles: 8,
+                    io_every: 0,
+                },
+                ..CampaignConfig::default()
+            };
+            let fuzz = config.fuzz_options();
+
+            let case = run_fuzz_case(&registry, &fuzz, 0).unwrap();
+            let stop = case.stop.clone();
+            assert_eq!(stop, StopReason::Halt(halt.clone()));
+            assert_eq!(stop.clone().into_error().unwrap().to_string(), text);
+            assert_eq!(halt.to_string(), text);
+            assert_eq!(stop.to_string(), format!("design halted: {text}"));
+            let report = FuzzReport {
+                options: fuzz.clone(),
+                cases: vec![case],
+            };
+            let line = format!(
+                "  fuzz/seed-7                 {} cycles  halted\n    halt: {text}\n",
+                halt.cycle()
+            );
+            assert!(report.to_string().contains(&line), "{report}");
+
+            let dir = CampaignDir::new(std::env::temp_dir().join(format!(
+                "asim2-halt-wording-{}-{}",
+                std::process::id(),
+                halt.label()
+            )));
+            let _ = std::fs::remove_dir_all(dir.root());
+            dir.init(&config).unwrap();
+            let done = run_one(
+                &registry,
+                &config,
+                &fuzz,
+                0,
+                &dir,
+                false,
+                false,
+                false,
+                &Recorder::disabled(),
+            )
+            .unwrap();
+            let halted = CaseStatus::Halted {
+                detail: text.to_string(),
+            };
+            assert_eq!(done.record.status, halted);
+            let stored = std::fs::read_to_string(dir.case_path(0)).unwrap();
+            let stored = rtl_obs::json::Json::parse(&stored).unwrap();
+            assert_eq!(CaseRecord::from_json(&stored).unwrap().status, halted);
+            let _ = std::fs::remove_dir_all(dir.root());
+        }
+    }
 }

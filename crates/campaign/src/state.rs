@@ -18,6 +18,7 @@
 
 use crate::config::CampaignConfig;
 use crate::error::CampaignError;
+use rtl_core::LaneStats;
 use rtl_obs::json::Json;
 use rtl_obs::write_atomic;
 use std::io;
@@ -79,6 +80,17 @@ pub struct LaneAccess {
     pub cycles: u64,
     /// Total memory accesses (reads + writes + inputs + outputs).
     pub accesses: u64,
+}
+
+impl From<&LaneStats> for LaneAccess {
+    /// The one fold of a lane's full statistics into its record headline.
+    fn from(s: &LaneStats) -> Self {
+        LaneAccess {
+            lane: s.lane.clone(),
+            cycles: s.stats.cycles,
+            accesses: s.stats.total_accesses(),
+        }
+    }
 }
 
 /// One completed case.

@@ -1278,13 +1278,17 @@ fn verdict(surface: Surface, err: &mut dyn Write) -> Result<(), CliError> {
         Surface::Merge(r) => ("merged campaign", None, *r),
         Surface::Fleet(r) => ("fleet campaign", Some("serve the same --dir again"), *r),
     };
-    let (clean, complete, diverged) = match &surface {
-        Surface::Shard(r) => (r.clean(), r.complete(), r.diverged()),
-        _ => (report.clean(), report.complete(), report.diverged()),
+    // The report counts; only the number of cases it answers for is the
+    // surface's own (a shard's records outside its range are `None`).
+    let cases = match &surface {
+        Surface::Shard(r) => r.spec.cases(),
+        _ => report.records.len() as u32,
     };
+    let complete = report.completed() == cases;
+    let diverged = report.diverged();
     let reproduced = report.replay.as_ref().map_or(0, |r| r.reproduced().count());
     let fail = |message: String| Err(CliError { code: 3, message });
-    if clean {
+    if report.agreed() == cases && report.replay.as_ref().is_none_or(|r| r.clean()) {
         return Ok(());
     }
     if diverged > 0 || reproduced > 0 {

@@ -3,8 +3,8 @@
 use super::{Instr, Program};
 use crate::lower::{lower_with_trace, OptOptions};
 use rtl_core::{
-    land, AluFn, Design, Engine, InputSource, LaneTally, MemOp, ProfileHook, SimError, SimState,
-    SimStats, TraceBuf, TraceEvent, Word, WORD_MASK,
+    land, AluFn, Design, Engine, HaltKind, InputSource, LaneTally, MemOp, ProfileHook, SimError,
+    SimState, SimStats, TraceBuf, TraceEvent, Word, WORD_MASK,
 };
 
 /// The bytecode virtual machine. Implements [`Engine`], so it is a drop-in
@@ -161,7 +161,7 @@ impl<'d> Vm<'d> {
                 }
                 Instr::Dologic { dst, f, l, r, comp } => {
                     let fv = regs[f as usize];
-                    let fun = AluFn::from_word(fv).ok_or_else(|| SimError::BadAluFunction {
+                    let fun = AluFn::from_word(fv).ok_or_else(|| HaltKind::BadAluFunction {
                         component: design.name(design.id_at(comp as usize)).to_string(),
                         funct: fv,
                         cycle: state.cycle(),
@@ -195,7 +195,7 @@ impl<'d> Vm<'d> {
                     let slot = usize::try_from(idx)
                         .ok()
                         .filter(|&i| i < len as usize)
-                        .ok_or_else(|| SimError::SelectorOutOfRange {
+                        .ok_or_else(|| HaltKind::SelectorOutOfRange {
                             component: design.name(design.id_at(comp as usize)).to_string(),
                             index: idx,
                             cases: len as usize,
@@ -300,7 +300,9 @@ impl Engine for Vm<'_> {
                         _ => input.read_int(),
                     };
                     value.map_err(|e| match e {
-                        SimError::InputExhausted { .. } => SimError::InputExhausted { cycle },
+                        SimError::Halt(HaltKind::InputExhausted { .. }) => {
+                            HaltKind::InputExhausted { cycle }.into()
+                        }
                         other => other,
                     })?
                 }
@@ -363,11 +365,11 @@ impl Engine for Vm<'_> {
     }
 }
 
-fn check_addr(name: &str, addr: Word, size: u32, cycle: Word) -> Result<u32, SimError> {
+fn check_addr(name: &str, addr: Word, size: u32, cycle: Word) -> Result<u32, HaltKind> {
     if (0..Word::from(size)).contains(&addr) {
         Ok(addr as u32)
     } else {
-        Err(SimError::AddressOutOfRange {
+        Err(HaltKind::AddressOutOfRange {
             component: name.to_string(),
             address: addr,
             size,

@@ -121,11 +121,12 @@ impl fmt::Display for Warning {
     }
 }
 
-/// Runtime simulation failures. The original generated Pascal crashed with a
-/// range-check error in these situations (Appendix A calls them "runtime
-/// errors"); the library surfaces them as typed errors instead.
+/// Why a simulated design stopped before its cycle bound — the runtime
+/// conditions the original generated Pascal crashed on with a
+/// range-check error (Appendix A calls them "runtime errors"). This is a
+/// *value*, not a stringified error: harnesses match on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
+pub enum HaltKind {
     /// A selector index fell outside its case list.
     SelectorOutOfRange {
         /// Selector name.
@@ -157,19 +158,39 @@ pub enum SimError {
         /// Cycle at which it happened.
         cycle: Word,
     },
-    /// A memory-mapped input was requested but the input source is empty.
+    /// A memory-mapped input was requested but the stimulus is exhausted.
     InputExhausted {
         /// Cycle at which it happened.
         cycle: Word,
     },
-    /// Writing trace or output text failed.
-    Io(String),
 }
 
-impl fmt::Display for SimError {
+impl HaltKind {
+    /// The cycle at which the design halted.
+    pub fn cycle(&self) -> Word {
+        match self {
+            HaltKind::SelectorOutOfRange { cycle, .. }
+            | HaltKind::AddressOutOfRange { cycle, .. }
+            | HaltKind::BadAluFunction { cycle, .. }
+            | HaltKind::InputExhausted { cycle } => *cycle,
+        }
+    }
+
+    /// A stable machine-readable label for reports and metrics.
+    pub fn label(&self) -> &'static str {
+        match self {
+            HaltKind::SelectorOutOfRange { .. } => "selector-out-of-range",
+            HaltKind::AddressOutOfRange { .. } => "address-out-of-range",
+            HaltKind::BadAluFunction { .. } => "bad-alu-function",
+            HaltKind::InputExhausted { .. } => "input-exhausted",
+        }
+    }
+}
+
+impl fmt::Display for HaltKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::SelectorOutOfRange {
+            HaltKind::SelectorOutOfRange {
                 component,
                 index,
                 cases,
@@ -178,7 +199,7 @@ impl fmt::Display for SimError {
                 f,
                 "selector {component} index {index} outside 0..{cases} at cycle {cycle}"
             ),
-            SimError::AddressOutOfRange {
+            HaltKind::AddressOutOfRange {
                 component,
                 address,
                 size,
@@ -187,7 +208,7 @@ impl fmt::Display for SimError {
                 f,
                 "memory {component} address {address} outside 0..{size} at cycle {cycle}"
             ),
-            SimError::BadAluFunction {
+            HaltKind::BadAluFunction {
                 component,
                 funct,
                 cycle,
@@ -195,15 +216,38 @@ impl fmt::Display for SimError {
                 f,
                 "alu {component} function {funct} outside 0..=13 at cycle {cycle}"
             ),
-            SimError::InputExhausted { cycle } => {
-                write!(f, "input exhausted at cycle {cycle}")
-            }
+            HaltKind::InputExhausted { cycle } => write!(f, "input exhausted at cycle {cycle}"),
+        }
+    }
+}
+
+/// A failed simulation step: the design halted, or the harness around it
+/// failed. The library surfaces the original's runtime crashes as typed
+/// [`HaltKind`] values instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The design stopped itself with a runtime halt.
+    Halt(HaltKind),
+    /// Writing trace or output text failed.
+    Io(String),
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Halt(halt) => halt.fmt(f),
             SimError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+impl From<HaltKind> for SimError {
+    fn from(halt: HaltKind) -> Self {
+        SimError::Halt(halt)
+    }
+}
 
 impl From<std::io::Error> for SimError {
     fn from(e: std::io::Error) -> Self {
@@ -233,12 +277,12 @@ mod tests {
 
     #[test]
     fn sim_errors_carry_context() {
-        let e = SimError::SelectorOutOfRange {
+        let e = SimError::Halt(HaltKind::SelectorOutOfRange {
             component: "mux".into(),
             index: 9,
             cases: 4,
             cycle: 17,
-        };
+        });
         let s = e.to_string();
         assert!(
             s.contains("mux") && s.contains('9') && s.contains("17"),

@@ -6,7 +6,7 @@
 //! output* side lives in [`trace`](crate::trace); this module abstracts
 //! where input words come from so tests can script them.
 
-use crate::error::SimError;
+use crate::error::{HaltKind, SimError};
 use crate::word::Word;
 use std::collections::VecDeque;
 use std::io::BufRead;
@@ -17,7 +17,7 @@ pub trait InputSource {
     ///
     /// # Errors
     ///
-    /// [`SimError::InputExhausted`] when no input remains; the caller fills
+    /// [`HaltKind::InputExhausted`] when no input remains; the caller fills
     /// in the cycle number.
     fn read_char(&mut self) -> Result<Word, SimError>;
 
@@ -25,8 +25,14 @@ pub trait InputSource {
     ///
     /// # Errors
     ///
-    /// [`SimError::InputExhausted`] when no input remains.
+    /// [`HaltKind::InputExhausted`] when no input remains.
     fn read_int(&mut self) -> Result<Word, SimError>;
+}
+
+/// The halt every source raises when no input remains; the engine fills
+/// in the cycle number.
+fn exhausted() -> SimError {
+    SimError::Halt(HaltKind::InputExhausted { cycle: -1 })
 }
 
 /// An input source with nothing in it: every read fails. The right choice
@@ -36,11 +42,11 @@ pub struct NoInput;
 
 impl InputSource for NoInput {
     fn read_char(&mut self) -> Result<Word, SimError> {
-        Err(SimError::InputExhausted { cycle: -1 })
+        Err(exhausted())
     }
 
     fn read_int(&mut self) -> Result<Word, SimError> {
-        Err(SimError::InputExhausted { cycle: -1 })
+        Err(exhausted())
     }
 }
 
@@ -74,15 +80,11 @@ impl ScriptedInput {
 
 impl InputSource for ScriptedInput {
     fn read_char(&mut self) -> Result<Word, SimError> {
-        self.queue
-            .pop_front()
-            .ok_or(SimError::InputExhausted { cycle: -1 })
+        self.queue.pop_front().ok_or_else(exhausted)
     }
 
     fn read_int(&mut self) -> Result<Word, SimError> {
-        self.queue
-            .pop_front()
-            .ok_or(SimError::InputExhausted { cycle: -1 })
+        self.queue.pop_front().ok_or_else(exhausted)
     }
 }
 
@@ -114,7 +116,7 @@ impl<R: BufRead> InputSource for ReaderInput<R> {
     fn read_char(&mut self) -> Result<Word, SimError> {
         match self.next_byte()? {
             Some(b) => Ok(Word::from(b)),
-            None => Err(SimError::InputExhausted { cycle: -1 }),
+            None => Err(exhausted()),
         }
     }
 
@@ -124,18 +126,18 @@ impl<R: BufRead> InputSource for ReaderInput<R> {
             match self.next_byte()? {
                 Some(b) if b.is_ascii_whitespace() => continue,
                 Some(b) => break b,
-                None => return Err(SimError::InputExhausted { cycle: -1 }),
+                None => return Err(exhausted()),
             }
         };
         let negative = b == b'-';
         if negative {
             b = match self.next_byte()? {
                 Some(b) => b,
-                None => return Err(SimError::InputExhausted { cycle: -1 }),
+                None => return Err(exhausted()),
             };
         }
         if !b.is_ascii_digit() {
-            return Err(SimError::InputExhausted { cycle: -1 });
+            return Err(exhausted());
         }
         let mut value: Word = Word::from(b - b'0');
         loop {

@@ -55,7 +55,7 @@ pub mod word;
 
 pub use design::{CompData, Design, ElabOptions, LoadError, RAlu, RKind, RMemory, RSelector};
 pub use engine::{run_captured, Engine};
-pub use error::{ElabError, SimError, Warning};
+pub use error::{ElabError, HaltKind, SimError, Warning};
 pub use factory::{EngineFactory, EngineLane, EngineOptions, EngineRegistry, StreamEngine};
 pub use io::{InputSource, NoInput, ReaderInput, ScriptedInput};
 pub use observe::{Comparator, CompareMode, DivergenceKind, LaneReport, LaneStats, Observation};
@@ -63,8 +63,8 @@ pub use resolve::{CompId, RExpr, RefMode, RefOp};
 pub use rtl_obs::Recorder;
 pub use rtl_prof::{CompMeta, LaneTally, Profile, ProfileHook};
 pub use session::{
-    design_fingerprint, read_checkpoint, write_checkpoint, Fingerprint, HaltKind, RunOutcome,
-    Session, SessionBuilder, StopReason, Until,
+    design_fingerprint, read_checkpoint, write_checkpoint, Fingerprint, RunOutcome, Session,
+    SessionBuilder, StopReason, Until,
 };
 pub use sink::{BufferSink, NullSink, TeeSink, TraceSink, WriteSink};
 pub use state::SimState;

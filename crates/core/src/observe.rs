@@ -849,7 +849,7 @@ mod tests {
             Some(DivergenceKind::CycleCounter)
         );
 
-        let e = SimError::InputExhausted { cycle: 3 };
+        let e = SimError::Halt(crate::error::HaltKind::InputExhausted { cycle: 3 });
         let crashed = Observation::new(&b, &[], Some(&e));
         assert_eq!(stop_state(&left, &crashed), Some(DivergenceKind::Error));
         assert!(

@@ -46,7 +46,7 @@
 
 use crate::design::Design;
 use crate::engine::Engine;
-use crate::error::SimError;
+use crate::error::{HaltKind, SimError};
 use crate::factory::{EngineLane, EngineOptions, EngineRegistry};
 use crate::io::{InputSource, NoInput, ScriptedInput};
 use crate::sink::{BufferSink, NullSink, TraceSink};
@@ -70,156 +70,6 @@ pub enum Until {
     Spec,
 }
 
-/// Why a simulated design stopped before its cycle bound — the structured
-/// classification of the runtime conditions the original Pascal crashed
-/// on. This is a *value*, not a stringified error: harnesses match on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HaltKind {
-    /// A selector index fell outside its case list.
-    SelectorOutOfRange {
-        /// Selector name.
-        component: String,
-        /// The index value.
-        index: Word,
-        /// Number of cases.
-        cases: usize,
-        /// Cycle at which it happened.
-        cycle: Word,
-    },
-    /// A memory address fell outside `0..size`.
-    AddressOutOfRange {
-        /// Memory name.
-        component: String,
-        /// The address value.
-        address: Word,
-        /// Number of cells.
-        size: u32,
-        /// Cycle at which it happened.
-        cycle: Word,
-    },
-    /// An ALU function expression evaluated outside `0..=13`.
-    BadAluFunction {
-        /// ALU name.
-        component: String,
-        /// The function value.
-        funct: Word,
-        /// Cycle at which it happened.
-        cycle: Word,
-    },
-    /// A memory-mapped input was requested but the stimulus is exhausted.
-    InputExhausted {
-        /// Cycle at which it happened.
-        cycle: Word,
-    },
-}
-
-impl HaltKind {
-    /// Classifies a runtime error as a design halt. `None` for harness
-    /// errors ([`SimError::Io`]) — those are the driver's problem, not the
-    /// design's.
-    pub fn classify(error: &SimError) -> Option<HaltKind> {
-        match error {
-            SimError::SelectorOutOfRange {
-                component,
-                index,
-                cases,
-                cycle,
-            } => Some(HaltKind::SelectorOutOfRange {
-                component: component.clone(),
-                index: *index,
-                cases: *cases,
-                cycle: *cycle,
-            }),
-            SimError::AddressOutOfRange {
-                component,
-                address,
-                size,
-                cycle,
-            } => Some(HaltKind::AddressOutOfRange {
-                component: component.clone(),
-                address: *address,
-                size: *size,
-                cycle: *cycle,
-            }),
-            SimError::BadAluFunction {
-                component,
-                funct,
-                cycle,
-            } => Some(HaltKind::BadAluFunction {
-                component: component.clone(),
-                funct: *funct,
-                cycle: *cycle,
-            }),
-            SimError::InputExhausted { cycle } => Some(HaltKind::InputExhausted { cycle: *cycle }),
-            SimError::Io(_) => None,
-        }
-    }
-
-    /// The cycle at which the design halted.
-    pub fn cycle(&self) -> Word {
-        match self {
-            HaltKind::SelectorOutOfRange { cycle, .. }
-            | HaltKind::AddressOutOfRange { cycle, .. }
-            | HaltKind::BadAluFunction { cycle, .. }
-            | HaltKind::InputExhausted { cycle } => *cycle,
-        }
-    }
-
-    /// A stable machine-readable label for reports and metrics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            HaltKind::SelectorOutOfRange { .. } => "selector-out-of-range",
-            HaltKind::AddressOutOfRange { .. } => "address-out-of-range",
-            HaltKind::BadAluFunction { .. } => "bad-alu-function",
-            HaltKind::InputExhausted { .. } => "input-exhausted",
-        }
-    }
-
-    /// The equivalent [`SimError`], for APIs that still speak errors.
-    pub fn to_error(&self) -> SimError {
-        match self.clone() {
-            HaltKind::SelectorOutOfRange {
-                component,
-                index,
-                cases,
-                cycle,
-            } => SimError::SelectorOutOfRange {
-                component,
-                index,
-                cases,
-                cycle,
-            },
-            HaltKind::AddressOutOfRange {
-                component,
-                address,
-                size,
-                cycle,
-            } => SimError::AddressOutOfRange {
-                component,
-                address,
-                size,
-                cycle,
-            },
-            HaltKind::BadAluFunction {
-                component,
-                funct,
-                cycle,
-            } => SimError::BadAluFunction {
-                component,
-                funct,
-                cycle,
-            },
-            HaltKind::InputExhausted { cycle } => SimError::InputExhausted { cycle },
-        }
-    }
-}
-
-impl std::fmt::Display for HaltKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.to_error().fmt(f)
-    }
-}
-
 /// How a [`Session::run`] stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StopReason {
@@ -236,9 +86,9 @@ impl StopReason {
     /// Classifies a step error: design halts become [`StopReason::Halt`],
     /// harness failures [`StopReason::Error`].
     pub fn from_error(error: SimError) -> StopReason {
-        match HaltKind::classify(&error) {
-            Some(halt) => StopReason::Halt(halt),
-            None => StopReason::Error(error),
+        match error {
+            SimError::Halt(halt) => StopReason::Halt(halt),
+            error => StopReason::Error(error),
         }
     }
 
@@ -259,7 +109,7 @@ impl StopReason {
     pub fn into_error(self) -> Option<SimError> {
         match self {
             StopReason::CycleLimit => None,
-            StopReason::Halt(h) => Some(h.to_error()),
+            StopReason::Halt(h) => Some(SimError::Halt(h)),
             StopReason::Error(e) => Some(e),
         }
     }
@@ -856,7 +706,7 @@ mod tests {
 
     #[test]
     fn stop_reason_classifies_errors() {
-        let halt = StopReason::from_error(SimError::InputExhausted { cycle: 7 });
+        let halt = StopReason::from_error(SimError::Halt(HaltKind::InputExhausted { cycle: 7 }));
         assert_eq!(
             halt,
             StopReason::Halt(HaltKind::InputExhausted { cycle: 7 })
@@ -872,16 +722,22 @@ mod tests {
 
     #[test]
     fn halt_kind_round_trips_through_sim_error() {
-        let e = SimError::SelectorOutOfRange {
+        let h = HaltKind::SelectorOutOfRange {
             component: "mux".into(),
             index: 9,
             cases: 4,
             cycle: 17,
         };
-        let h = HaltKind::classify(&e).unwrap();
-        assert_eq!(h.to_error(), e);
+        let e = SimError::Halt(h.clone());
+        assert_eq!(
+            StopReason::from_error(e.clone()),
+            StopReason::Halt(h.clone())
+        );
+        assert_eq!(StopReason::Halt(h.clone()).into_error(), Some(e.clone()));
         assert_eq!(h.to_string(), e.to_string(), "display wording preserved");
-        assert!(HaltKind::classify(&SimError::Io("x".into())).is_none());
+        assert!(StopReason::from_error(SimError::Io("x".into()))
+            .halt()
+            .is_none());
     }
 
     #[test]
@@ -932,7 +788,7 @@ mod tests {
         assert!(halted.halt().is_some());
         assert!(matches!(
             halted.into_result(),
-            Err(SimError::InputExhausted { cycle: 2 })
+            Err(SimError::Halt(HaltKind::InputExhausted { cycle: 2 }))
         ));
     }
 }

@@ -95,7 +95,7 @@ impl SimState {
     /// # Panics
     ///
     /// Panics when out of range; engines validate first and raise
-    /// [`SimError::AddressOutOfRange`](crate::error::SimError) themselves.
+    /// [`HaltKind::AddressOutOfRange`](crate::error::HaltKind) themselves.
     #[inline]
     pub fn cell(&self, id: CompId, addr: u32) -> Word {
         debug_assert!(addr < self.cell_len[id.index()]);

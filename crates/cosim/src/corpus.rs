@@ -1,35 +1,10 @@
 //! Runs the built-in scenario corpus through lockstep.
 
-use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport};
-use crate::report::{all_clean, write_rows, ResultRow};
+use crate::lockstep::CosimOptions;
+use crate::report::{self, ScenarioResult};
 use crate::stream::{run_scenario_names, ScenarioError};
-use rtl_core::{EngineRegistry, StopReason};
+use rtl_core::EngineRegistry;
 use rtl_machines::scenarios;
-
-/// One corpus entry's lockstep result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorpusResult {
-    /// Scenario registry name.
-    pub name: String,
-    /// Cycles verified.
-    pub cycles: u64,
-    /// How the scenario stopped: a clean cycle limit, or a structured
-    /// unanimous halt.
-    pub stop: StopReason,
-    /// `Some` when engines diverged.
-    pub divergence: Option<DivergenceReport>,
-}
-
-impl CorpusResult {
-    fn row(&self) -> ResultRow<'_> {
-        ResultRow {
-            name: &self.name,
-            cycles: self.cycles,
-            stop: &self.stop,
-            divergence: self.divergence.as_ref(),
-        }
-    }
-}
 
 /// Results for a corpus sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +12,7 @@ pub struct CorpusReport {
     /// Engine lane names compared.
     pub engines: Vec<String>,
     /// Per-scenario results, in registry order.
-    pub results: Vec<CorpusResult>,
+    pub results: Vec<ScenarioResult>,
 }
 
 impl CorpusReport {
@@ -47,22 +22,22 @@ impl CorpusReport {
     /// otherwise a scenario halting at cycle 0 would verify nothing and
     /// still report green.
     pub fn clean(&self) -> bool {
-        all_clean(self.results.iter().map(CorpusResult::row))
+        report::all_clean(&self.results)
     }
 
     /// Scenarios that ended in a unanimous halt.
-    pub fn halts(&self) -> impl Iterator<Item = &CorpusResult> {
+    pub fn halts(&self) -> impl Iterator<Item = &ScenarioResult> {
         self.results.iter().filter(|r| r.stop.halt().is_some())
     }
 
     /// Scenarios whose engines diverged.
-    pub fn divergences(&self) -> impl Iterator<Item = &CorpusResult> {
-        self.results.iter().filter(|r| r.divergence.is_some())
+    pub fn divergences(&self) -> impl Iterator<Item = &ScenarioResult> {
+        report::divergences(&self.results)
     }
 
     /// Total cycles verified across the corpus.
     pub fn total_cycles(&self) -> u64 {
-        self.results.iter().map(|r| r.cycles).sum()
+        report::total_cycles(&self.results)
     }
 }
 
@@ -73,8 +48,7 @@ impl std::fmt::Display for CorpusReport {
             "cosim corpus sweep, engines [{}]",
             self.engines.join(", ")
         )?;
-        let rows: Vec<ResultRow<'_>> = self.results.iter().map(CorpusResult::row).collect();
-        write_rows(f, &rows)
+        report::write_results(f, &self.results)
     }
 }
 
@@ -107,20 +81,7 @@ pub fn run_corpus_names(
             }
             Err(e) => return Err(e),
         };
-        let (ran, stop, divergence) = match outcome {
-            CosimOutcome::Agreement { cycles, stop, .. } => (cycles, stop, None),
-            CosimOutcome::Divergence(report) => (
-                u64::try_from(report.cycle).unwrap_or(0),
-                StopReason::CycleLimit,
-                Some(*report),
-            ),
-        };
-        results.push(CorpusResult {
-            name: scenario.name,
-            cycles: ran,
-            stop,
-            divergence,
-        });
+        results.push(ScenarioResult::new(scenario.name, outcome));
     }
     Ok(CorpusReport {
         engines: names.to_vec(),
@@ -132,7 +93,7 @@ pub fn run_corpus_names(
 mod tests {
     use super::*;
     use crate::engines::registry;
-    use rtl_core::HaltKind;
+    use rtl_core::{HaltKind, StopReason};
 
     fn interp_vm(cycles: u64, options: &CosimOptions) -> CorpusReport {
         let names = ["interp".to_string(), "vm".to_string()];

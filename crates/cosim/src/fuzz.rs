@@ -2,10 +2,10 @@
 
 use crate::engines::registry;
 use crate::generate::{generate_case, GenOptions, GeneratedCase};
-use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport};
-use crate::report::{all_clean, write_rows, ResultRow};
+use crate::lockstep::CosimOptions;
+use crate::report::{self, ScenarioResult};
 use crate::stream::{run_design_names, ScenarioError};
-use rtl_core::{Design, ElabOptions, LaneStats, StopReason};
+use rtl_core::{Design, ElabOptions};
 
 /// Fuzz campaign configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,47 +36,19 @@ impl Default for FuzzOptions {
     }
 }
 
-/// One fuzz case's result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzCase {
-    /// The case's own seed (`base + index`).
-    pub seed: u64,
-    /// Scenario name (`fuzz/seed-N`).
-    pub name: String,
-    /// Cycles verified in lockstep.
-    pub cycles: u64,
-    /// How the case stopped: cycle limit, or a structured unanimous halt.
-    pub stop: StopReason,
-    /// Per-lane simulation statistics, for lanes whose engines keep them.
-    pub stats: Vec<LaneStats>,
-    /// `Some` when the engines diverged.
-    pub divergence: Option<DivergenceReport>,
-}
-
-impl FuzzCase {
-    fn row(&self) -> ResultRow<'_> {
-        ResultRow {
-            name: &self.name,
-            cycles: self.cycles,
-            stop: &self.stop,
-            divergence: self.divergence.as_ref(),
-        }
-    }
-}
-
 /// The structured result of a fuzz campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzReport {
     /// The campaign's options (for reproduction).
     pub options: FuzzOptions,
     /// Per-case results, in seed order.
-    pub cases: Vec<FuzzCase>,
+    pub cases: Vec<ScenarioResult>,
 }
 
 impl FuzzReport {
     /// Cases whose engines diverged.
-    pub fn divergences(&self) -> impl Iterator<Item = &FuzzCase> {
-        self.cases.iter().filter(|c| c.divergence.is_some())
+    pub fn divergences(&self) -> impl Iterator<Item = &ScenarioResult> {
+        report::divergences(&self.cases)
     }
 
     /// `true` when every case agreed *and* ran its full horizon.
@@ -84,12 +56,12 @@ impl FuzzReport {
     /// here means the generator's invariant broke — that must fail the
     /// campaign too, not just engine divergence.
     pub fn clean(&self) -> bool {
-        all_clean(self.cases.iter().map(FuzzCase::row))
+        report::all_clean(&self.cases)
     }
 
     /// Total cycles verified across all cases.
     pub fn total_cycles(&self) -> u64 {
-        self.cases.iter().map(|c| c.cycles).sum()
+        report::total_cycles(&self.cases)
     }
 }
 
@@ -103,8 +75,7 @@ impl std::fmt::Display for FuzzReport {
             self.options.engines.join(", "),
             self.options.generator.cycles,
         )?;
-        let rows: Vec<ResultRow<'_>> = self.cases.iter().map(FuzzCase::row).collect();
-        write_rows(f, &rows)
+        report::write_results(f, &self.cases)
     }
 }
 
@@ -126,7 +97,7 @@ pub fn run_fuzz_case(
     registry: &rtl_core::EngineRegistry,
     options: &FuzzOptions,
     index: u32,
-) -> Result<FuzzCase, ScenarioError> {
+) -> Result<ScenarioResult, ScenarioError> {
     let seed = options.seed.wrapping_add(u64::from(index));
     let GeneratedCase {
         name,
@@ -158,22 +129,7 @@ pub fn run_fuzz_case(
         &input,
         &options.cosim,
     )?;
-    let stats = outcome.lane_stats();
-    let (cycles, stop, divergence) = match outcome {
-        CosimOutcome::Agreement { cycles, stop, .. } => (cycles, stop, None),
-        CosimOutcome::Divergence(report) => {
-            let cycles = u64::try_from(report.cycle).unwrap_or(0);
-            (cycles, StopReason::CycleLimit, Some(*report))
-        }
-    };
-    Ok(FuzzCase {
-        seed,
-        name,
-        cycles,
-        stop,
-        stats,
-        divergence,
-    })
+    Ok(ScenarioResult::new(name, outcome))
 }
 
 /// Runs a fuzz campaign against the default registry. Deterministic:
@@ -197,7 +153,7 @@ pub fn run_fuzz(options: &FuzzOptions) -> Result<FuzzReport, ScenarioError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtl_core::HaltKind;
+    use rtl_core::{HaltKind, StopReason};
 
     fn quick_options() -> FuzzOptions {
         FuzzOptions {
@@ -259,8 +215,11 @@ mod tests {
         })
         .unwrap();
         assert_eq!(report.cases.len(), 3);
-        assert_eq!(report.cases[0].seed, u64::MAX);
-        assert_eq!(report.cases[1].seed, 0, "wraps deterministically");
+        assert_eq!(report.cases[0].name, format!("fuzz/seed-{}", u64::MAX));
+        assert_eq!(
+            report.cases[1].name, "fuzz/seed-0",
+            "wraps deterministically"
+        );
     }
 
     /// Regression: the `rust` lane wrote the whole stimulus into the

@@ -65,8 +65,9 @@ pub use corpus::{run_corpus_names, CorpusReport};
 pub use digest::{DigestLane, DigestLog, DigestRecorder};
 pub use engines::{default_registry, registry};
 pub use fault::{FaultyVmFactory, DEFAULT_FAULT_CYCLE};
-pub use fuzz::{run_fuzz, run_fuzz_case, FuzzCase, FuzzOptions, FuzzReport};
+pub use fuzz::{run_fuzz, run_fuzz_case, FuzzOptions, FuzzReport};
 pub use generate::{generate_case, generate_scenario, GenOptions, GeneratedCase};
 pub use lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint};
+pub use report::ScenarioResult;
 pub use rtl_core::observe::{Comparator, CompareMode, DivergenceKind, LaneReport, LaneStats};
 pub use stream::{run_design_names, run_scenario_names, ScenarioError};

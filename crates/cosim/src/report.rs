@@ -1,40 +1,80 @@
-//! Shared result-row rendering for the corpus and fuzz reports, so the
-//! status derivation, summary line and halt/divergence dumps cannot
-//! drift apart between the two.
+//! The one named lockstep result, shared by the corpus and fuzz reports:
+//! a [`CosimOutcome`] is split into cycles, stop and divergence here and
+//! nowhere else, and the status derivation, summary line and
+//! halt/divergence dumps cannot drift apart between the two reports.
 
-use crate::lockstep::DivergenceReport;
-use rtl_core::StopReason;
+use crate::lockstep::{CosimOutcome, DivergenceReport};
+use rtl_core::{LaneStats, StopReason};
 
-/// One scenario/case outcome, borrowed from the owning report.
-pub(crate) struct ResultRow<'a> {
-    pub name: &'a str,
+/// One named scenario's lockstep result: a corpus scenario or a fuzz case.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScenarioResult {
+    /// Scenario name (a registry name, or `fuzz/seed-N`).
+    pub name: String,
+    /// Cycles verified in lockstep (up to the divergence, when one
+    /// occurred).
     pub cycles: u64,
-    pub stop: &'a StopReason,
-    pub divergence: Option<&'a DivergenceReport>,
+    /// How the scenario stopped: a clean cycle limit, or a structured
+    /// unanimous halt.
+    pub stop: StopReason,
+    /// Per-lane simulation statistics, for lanes whose engines keep them.
+    pub stats: Vec<LaneStats>,
+    /// `Some` when the engines diverged.
+    pub divergence: Option<DivergenceReport>,
 }
 
-impl ResultRow<'_> {
+impl ScenarioResult {
+    /// Splits a lockstep outcome under the scenario's name. A divergence
+    /// verified the cycles before it and stops at no limit of its own.
+    pub fn new(name: String, outcome: CosimOutcome) -> ScenarioResult {
+        let stats = outcome.lane_stats();
+        let (cycles, stop, divergence) = match outcome {
+            CosimOutcome::Agreement { cycles, stop, .. } => (cycles, stop, None),
+            CosimOutcome::Divergence(report) => (
+                u64::try_from(report.cycle).unwrap_or(0),
+                StopReason::CycleLimit,
+                Some(*report),
+            ),
+        };
+        ScenarioResult {
+            name,
+            cycles,
+            stop,
+            stats,
+            divergence,
+        }
+    }
+
     /// Agreed over the full horizon: no divergence *and* a clean cycle
     /// limit (a unanimous halt verifies nothing past the halting cycle,
     /// and both the corpus and the generator promise halt-free horizons).
-    pub(crate) fn clean(&self) -> bool {
+    pub fn clean(&self) -> bool {
         self.divergence.is_none() && self.stop.is_cycle_limit()
     }
 }
 
-/// Whether every row is clean.
-pub(crate) fn all_clean<'a>(rows: impl Iterator<Item = ResultRow<'a>>) -> bool {
-    let mut rows = rows;
-    rows.all(|r| r.clean())
+/// Whether every result is clean.
+pub(crate) fn all_clean(results: &[ScenarioResult]) -> bool {
+    results.iter().all(ScenarioResult::clean)
 }
 
-/// Writes the per-row lines, the summary line, and the full divergence
+/// The results whose engines diverged.
+pub(crate) fn divergences(results: &[ScenarioResult]) -> impl Iterator<Item = &ScenarioResult> {
+    results.iter().filter(|r| r.divergence.is_some())
+}
+
+/// Total cycles verified across the results.
+pub(crate) fn total_cycles(results: &[ScenarioResult]) -> u64 {
+    results.iter().map(|r| r.cycles).sum()
+}
+
+/// Writes the per-result lines, the summary line, and the full divergence
 /// reports.
-pub(crate) fn write_rows(
+pub(crate) fn write_results(
     f: &mut std::fmt::Formatter<'_>,
-    rows: &[ResultRow<'_>],
+    results: &[ScenarioResult],
 ) -> std::fmt::Result {
-    for r in rows {
+    for r in results {
         let status = match (&r.divergence, &r.stop) {
             (Some(_), _) => "DIVERGED",
             (None, StopReason::CycleLimit) => "ok",
@@ -48,20 +88,17 @@ pub(crate) fn write_rows(
             StopReason::Error(e) => writeln!(f, "    error: {e}")?,
         }
     }
-    let diverged = rows.iter().filter(|r| r.divergence.is_some()).count();
-    let total: u64 = rows.iter().map(|r| r.cycles).sum();
+    let diverged = divergences(results).count();
     writeln!(
         f,
         "summary: {}/{} agreed, {} diverged, {} cycles verified",
-        rows.len() - diverged,
-        rows.len(),
+        results.len() - diverged,
+        results.len(),
         diverged,
-        total,
+        total_cycles(results),
     )?;
-    for r in rows {
-        if let Some(report) = r.divergence {
-            write!(f, "{report}")?;
-        }
+    for report in results.iter().filter_map(|r| r.divergence.as_ref()) {
+        write!(f, "{report}")?;
     }
     Ok(())
 }

@@ -65,11 +65,11 @@ impl Engine for BrokenEngine<'_> {
         if cycle >= self.at_cycle {
             match self.fault {
                 Fault::Error => {
-                    return Err(SimError::BadAluFunction {
+                    return Err(SimError::Halt(HaltKind::BadAluFunction {
                         component: "sabotaged".into(),
                         funct: 99,
                         cycle,
-                    });
+                    }));
                 }
                 Fault::Trace => {
                     self.inner.step(trace, input)?;
@@ -165,7 +165,7 @@ fn one_sided_error_is_a_divergence_not_a_halt() {
     assert!(
         matches!(
             &broken.error,
-            Some(SimError::BadAluFunction { component, .. }) if component == "sabotaged"
+            Some(SimError::Halt(HaltKind::BadAluFunction { component, .. })) if component == "sabotaged"
         ),
         "{report}"
     );

@@ -27,7 +27,8 @@ use rtl_obs::write_atomic;
 pub const SHARD_FORMAT: &str = "asim2-shard v1";
 
 /// A shard run's result: the underlying campaign report, scoped to the
-/// shard's range.
+/// shard's range. The report does the counting; the shard is complete
+/// when [`CampaignReport::completed`] reaches [`ShardSpec::cases`].
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// The slice this shard is responsible for.
@@ -35,49 +36,6 @@ pub struct ShardReport {
     /// The campaign report over the *whole* case range; indices outside
     /// [`spec`](ShardReport::spec) are structurally `None`.
     pub report: CampaignReport,
-}
-
-impl ShardReport {
-    /// Records inside the shard's range, in index order.
-    pub fn records(&self) -> impl Iterator<Item = &rtl_campaign::CaseRecord> {
-        self.report.records[self.spec.start as usize..self.spec.end as usize]
-            .iter()
-            .flatten()
-    }
-
-    /// Completed cases in the shard's range.
-    pub fn completed(&self) -> u32 {
-        self.records().count() as u32
-    }
-
-    /// `true` when every case in the range has a record.
-    pub fn complete(&self) -> bool {
-        self.completed() == self.spec.cases()
-    }
-
-    /// Diverged cases in the shard's range.
-    pub fn diverged(&self) -> u32 {
-        self.records()
-            .filter(|r| matches!(r.status, CaseStatus::Diverged { .. }))
-            .count() as u32
-    }
-
-    /// Agreed cases in the shard's range.
-    pub fn agreed(&self) -> u32 {
-        self.records()
-            .filter(|r| matches!(r.status, CaseStatus::Agreed))
-            .count() as u32
-    }
-
-    /// Cycles verified in the shard's range.
-    pub fn cycles_verified(&self) -> u64 {
-        self.records().map(|r| r.cycles).sum()
-    }
-
-    /// `true` when the shard is complete and every case agreed.
-    pub fn clean(&self) -> bool {
-        self.complete() && self.agreed() == self.spec.cases()
-    }
 }
 
 impl std::fmt::Display for ShardReport {
@@ -92,7 +50,10 @@ impl std::fmt::Display for ShardReport {
             self.report.config.seed,
             self.report.config.engines.join(", "),
         )?;
-        for record in self.records() {
+        // A ranged resume leaves every record outside the shard's range
+        // `None`, so the wrapped report counts exactly the shard's cases.
+        let report = &self.report;
+        for record in report.records.iter().flatten() {
             match &record.status {
                 CaseStatus::Agreed => {}
                 CaseStatus::Halted { detail } => writeln!(
@@ -112,26 +73,25 @@ impl std::fmt::Display for ShardReport {
                 )?,
             }
         }
-        for totals in rtl_campaign::aggregate_lanes(self.records().map(|r| &r.lane_stats[..])) {
+        for totals in report.lane_totals() {
             writeln!(
                 f,
                 "lane {}: {} cases, {} cycles, {} accesses",
                 totals.lane, totals.cases, totals.cycles, totals.accesses
             )?;
         }
+        let done = report.completed();
         write!(
             f,
-            "shard summary: {}/{} agreed, {} diverged, {} cycles verified",
-            self.agreed(),
-            self.completed(),
-            self.diverged(),
-            self.cycles_verified(),
+            "shard summary: {}/{done} agreed, {} diverged, {} cycles verified",
+            report.agreed(),
+            report.diverged(),
+            report.cycles_verified(),
         )?;
-        if !self.complete() {
+        if done < self.spec.cases() {
             write!(
                 f,
-                " ({}/{} cases done, re-run this shard to continue)",
-                self.completed(),
+                " ({done}/{} cases done, re-run this shard to continue)",
                 self.spec.cases()
             )?;
         }

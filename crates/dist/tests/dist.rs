@@ -91,7 +91,10 @@ fn assert_sharded_matches(
                 &mut NoProgress,
             )
             .unwrap();
-            assert!(!partial.complete(), "limit interrupts the shard");
+            assert!(
+                partial.report.completed() < spec.cases(),
+                "limit interrupts the shard"
+            );
         }
         let report = run_shard(
             &plan,
@@ -101,7 +104,7 @@ fn assert_sharded_matches(
             &mut NoProgress,
         )
         .unwrap();
-        assert!(report.complete(), "{report}");
+        assert_eq!(report.report.completed(), spec.cases(), "{report}");
         dirs.push(dir.root().to_path_buf());
     }
     // Argument order must not matter: merge sorts shards by index.
@@ -261,7 +264,7 @@ fn run_shard_heals_a_kill_between_init_and_marker() {
     dir.init(&plan.config).unwrap(); // simulate the crash window
     assert!(!dir.root().join("shard.json").exists());
     let report = run_shard(&plan, 0, &dir, &RunOptions::default(), &mut NoProgress).unwrap();
-    assert!(report.clean(), "{report}");
+    assert_eq!(report.report.agreed(), report.spec.cases(), "{report}");
     assert!(dir.root().join("shard.json").exists(), "marker rewritten");
     let _ = std::fs::remove_dir_all(dir.root());
 }

@@ -35,6 +35,9 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+/// The retry delay handed to workers when nothing is leasable right now.
+const WAIT_MS: u64 = 200;
+
 /// Controller knobs. None of them affect case outcomes — the campaign
 /// configuration alone does — so none are fingerprinted.
 #[derive(Debug, Clone)]
@@ -67,8 +70,6 @@ pub struct ControllerOptions {
     /// recorder, so a non-recording fleet lints and counts nothing, like
     /// a recorder-less single-machine run.
     pub recorder: Recorder,
-    /// Retry delay handed to workers when nothing is leasable right now.
-    pub wait_ms: u64,
     /// How long to keep answering `Drained` after the campaign finishes,
     /// so sleeping workers can come back, learn they are done, and
     /// disconnect cleanly.
@@ -85,7 +86,6 @@ impl Default for ControllerOptions {
             profile: false,
             flight: false,
             recorder: Recorder::disabled(),
-            wait_ms: 200,
             grace: Duration::from_secs(2),
         }
     }
@@ -578,9 +578,7 @@ impl State {
         if limit_reached || self.pending.is_empty() {
             // Everything is out with other workers (or granting has
             // stopped); the worker retries after a nap.
-            return Reply::Send(Message::Wait {
-                ms: self.options.wait_ms,
-            });
+            return Reply::Send(Message::Wait { ms: WAIT_MS });
         }
         // First contiguous run of pending cases, capped at the lease
         // size. Grants depend only on the grant *sequence*, never on

@@ -35,7 +35,7 @@ pub use sim::{InterpOptions, Interpreter};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtl_core::{run_captured, Design, Engine, Session, SimError, Until};
+    use rtl_core::{run_captured, Design, Engine, HaltKind, Session, SimError, Until};
 
     fn design(src: &str) -> Design {
         Design::from_source(src).unwrap_or_else(|e| panic!("{e}"))
@@ -102,12 +102,12 @@ mod tests {
         let mut sim = Interpreter::new(&d);
         let err = run_captured(&mut sim, 5).unwrap_err().1;
         match err {
-            SimError::SelectorOutOfRange {
+            SimError::Halt(HaltKind::SelectorOutOfRange {
                 component,
                 index,
                 cases,
                 cycle,
-            } => {
+            }) => {
                 assert_eq!(component, "s");
                 assert_eq!(index, 2);
                 assert_eq!(cases, 2);
@@ -124,7 +124,7 @@ mod tests {
         let err = run_captured(&mut sim, 5).unwrap_err().1;
         assert!(matches!(
             err,
-            SimError::AddressOutOfRange { address: 2, .. }
+            SimError::Halt(HaltKind::AddressOutOfRange { address: 2, .. })
         ));
     }
 
@@ -133,7 +133,10 @@ mod tests {
         let d = design("# bad\na .\nA a 14 0 0 .");
         let mut sim = Interpreter::new(&d);
         let err = run_captured(&mut sim, 1).unwrap_err().1;
-        assert!(matches!(err, SimError::BadAluFunction { funct: 14, .. }));
+        assert!(matches!(
+            err,
+            SimError::Halt(HaltKind::BadAluFunction { funct: 14, .. })
+        ));
     }
 
     #[test]
@@ -186,7 +189,10 @@ mod tests {
         let d = design("# in\ni .\nM i 1 0 2 1 .");
         let mut sim = Interpreter::new(&d);
         let err = run_captured(&mut sim, 3).unwrap_err().1;
-        assert!(matches!(err, SimError::InputExhausted { cycle: 0 }));
+        assert!(matches!(
+            err,
+            SimError::Halt(HaltKind::InputExhausted { cycle: 0 })
+        ));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use crate::lookup::{LookupMode, SymbolTable};
 use crate::postfix::Program;
 use rtl_core::{
-    AluFn, CompId, Design, Engine, InputSource, LaneTally, MemOp, ProfileHook, RKind, SimError,
-    SimState, SimStats, TraceBuf, TraceEvent, Word,
+    AluFn, CompId, Design, Engine, HaltKind, InputSource, LaneTally, MemOp, ProfileHook, RKind,
+    SimError, SimState, SimStats, TraceBuf, TraceEvent, Word,
 };
 
 /// Interpreter configuration.
@@ -257,7 +257,7 @@ impl Engine for Interpreter<'_> {
                     let l = left.eval(self.state.outputs(), &mut self.stack, self.symbols.as_ref());
                     let r =
                         right.eval(self.state.outputs(), &mut self.stack, self.symbols.as_ref());
-                    let fun = AluFn::from_word(f).ok_or_else(|| SimError::BadAluFunction {
+                    let fun = AluFn::from_word(f).ok_or_else(|| HaltKind::BadAluFunction {
                         component: self.design.name(*id).to_string(),
                         funct: f,
                         cycle,
@@ -278,7 +278,7 @@ impl Engine for Interpreter<'_> {
                     let arm = usize::try_from(idx)
                         .ok()
                         .filter(|&i| i < cases.len())
-                        .ok_or_else(|| SimError::SelectorOutOfRange {
+                        .ok_or_else(|| HaltKind::SelectorOutOfRange {
                             component: self.design.name(*id).to_string(),
                             index: idx,
                             cases: cases.len(),
@@ -352,7 +352,9 @@ impl Engine for Interpreter<'_> {
                         _ => input.read_int(),
                     };
                     value.map_err(|e| match e {
-                        SimError::InputExhausted { .. } => SimError::InputExhausted { cycle },
+                        SimError::Halt(HaltKind::InputExhausted { .. }) => {
+                            HaltKind::InputExhausted { cycle }.into()
+                        }
                         other => other,
                     })?
                 }
@@ -406,11 +408,11 @@ impl Engine for Interpreter<'_> {
     }
 }
 
-fn cell_index(name: &str, addr: Word, size: u32, cycle: Word) -> Result<u32, SimError> {
+fn cell_index(name: &str, addr: Word, size: u32, cycle: Word) -> Result<u32, HaltKind> {
     if (0..Word::from(size)).contains(&addr) {
         Ok(addr as u32)
     } else {
-        Err(SimError::AddressOutOfRange {
+        Err(HaltKind::AddressOutOfRange {
             component: name.to_string(),
             address: addr,
             size,

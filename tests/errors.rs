@@ -1,7 +1,7 @@
 //! Failure injection (S5 in `DESIGN.md`): every diagnostic class the
 //! thesis documents must fire, with its message.
 
-use asim2::core::{ElabError, LoadError, SimError};
+use asim2::core::{ElabError, HaltKind, LoadError, SimError};
 use asim2::lang::ParseErrorKind;
 use asim2::prelude::*;
 
@@ -92,12 +92,12 @@ fn too_many_bits() {
 fn selector_out_of_range_at_runtime() {
     let (e, _) = run_err("# m\nc s n .\nM c 0 n 1 1\nA n 4 c 1\nS s c 10 20 30 .", 10);
     match e {
-        SimError::SelectorOutOfRange {
+        SimError::Halt(HaltKind::SelectorOutOfRange {
             component,
             index,
             cases,
             cycle,
-        } => {
+        }) => {
             assert_eq!(component, "s");
             assert_eq!(index, 3);
             assert_eq!(cases, 3);
@@ -114,7 +114,10 @@ fn negative_selector_index_is_out_of_range() {
         3,
     );
     assert!(
-        matches!(e, SimError::SelectorOutOfRange { index: -1, .. }),
+        matches!(
+            e,
+            SimError::Halt(HaltKind::SelectorOutOfRange { index: -1, .. })
+        ),
         "{e:?}"
     );
 }
@@ -125,11 +128,11 @@ fn memory_address_out_of_range_at_runtime() {
     assert!(
         matches!(
             e,
-            SimError::AddressOutOfRange {
+            SimError::Halt(HaltKind::AddressOutOfRange {
                 address: 3,
                 size: 3,
                 ..
-            }
+            })
         ),
         "{e:?}"
     );
@@ -140,7 +143,10 @@ fn bad_alu_function_at_runtime() {
     // Dynamic function expression walks past 13.
     let (e, _) = run_err("# m\nc a n .\nM c 0 n 1 1\nA n 4 c 1\nA a c 1 2 .", 20);
     assert!(
-        matches!(e, SimError::BadAluFunction { funct: 14, .. }),
+        matches!(
+            e,
+            SimError::Halt(HaltKind::BadAluFunction { funct: 14, .. })
+        ),
         "{e:?}"
     );
 }
@@ -148,7 +154,10 @@ fn bad_alu_function_at_runtime() {
 #[test]
 fn input_exhaustion_at_runtime() {
     let (e, _) = run_err("# m\ni .\nM i 1 0 2 1 .", 2);
-    assert!(matches!(e, SimError::InputExhausted { cycle: 0 }), "{e:?}");
+    assert!(
+        matches!(e, SimError::Halt(HaltKind::InputExhausted { cycle: 0 })),
+        "{e:?}"
+    );
 }
 
 #[test]
