@@ -29,6 +29,9 @@ pub struct Vm<'d> {
     scratch: Vec<[Word; 3]>,
     stats: SimStats,
     tally: Option<Box<LaneTally>>,
+    /// Per component index: whether its visible output is maintained
+    /// (latch elision, §5.4, stops maintaining dead memory latches).
+    observed: Vec<bool>,
 }
 
 impl<'d> Vm<'d> {
@@ -47,6 +50,11 @@ impl<'d> Vm<'d> {
     pub fn with_program(design: &'d Design, program: Program) -> Self {
         let regs = vec![0; program.reg_count()];
         let scratch = vec![[0; 3]; program.mems.len()];
+        let mut observed = vec![true; design.len()];
+        // In reverse, so the first entry for a component wins.
+        for m in program.mems.iter().rev() {
+            observed[m.comp as usize] = m.latch_needed;
+        }
         Vm {
             design,
             program,
@@ -55,6 +63,7 @@ impl<'d> Vm<'d> {
             scratch,
             stats: SimStats::new(design),
             tally: None,
+            observed,
         }
     }
 
@@ -236,13 +245,7 @@ impl Engine for Vm<'_> {
     }
 
     fn observes_output(&self, id: rtl_core::CompId) -> bool {
-        // Latch elision (§5.4) stops maintaining dead memory latches; every
-        // other component's output stays exact.
-        self.program
-            .mems
-            .iter()
-            .find(|m| m.comp as usize == id.index())
-            .is_none_or(|m| m.latch_needed)
+        self.observed[id.index()]
     }
 
     fn step(

@@ -69,6 +69,7 @@ use crate::engine::Engine;
 use crate::error::SimError;
 use crate::resolve::CompId;
 use crate::session::{design_fingerprint, Fingerprint};
+use crate::state::SimState;
 use crate::stats::SimStats;
 use crate::trace::{render_text, TraceEvent};
 use crate::word::Word;
@@ -80,6 +81,8 @@ use crate::word::Word;
 #[derive(Clone, Copy)]
 pub struct Observation<'a> {
     engine: &'a dyn Engine,
+    /// The engine's state, fetched once.
+    state: &'a SimState,
     trace: &'a [TraceEvent],
     error: Option<&'a SimError>,
 }
@@ -95,6 +98,7 @@ impl<'a> Observation<'a> {
     ) -> Self {
         Observation {
             engine,
+            state: engine.state(),
             trace,
             error,
         }
@@ -107,7 +111,7 @@ impl<'a> Observation<'a> {
 
     /// The lane's cycle counter.
     pub fn cycle(&self) -> Word {
-        self.engine.state().cycle()
+        self.state.cycle()
     }
 
     /// Component `id`'s visible output — `None` when this lane's engine
@@ -116,13 +120,13 @@ impl<'a> Observation<'a> {
     pub fn output(&self, id: CompId) -> Option<Word> {
         self.engine
             .observes_output(id)
-            .then(|| self.engine.state().output(id))
+            .then(|| self.state.output(id))
     }
 
     /// Memory `id`'s cells, in address order (empty for combinational
     /// components).
     pub fn cells(&self, id: CompId) -> &'a [Word] {
-        self.engine.state().cells(id)
+        self.state.cells(id)
     }
 
     /// The trace events recorded since the last agreed point.
@@ -425,7 +429,9 @@ impl Comparator for CycleCounter {
     }
 }
 
-/// Compares every visible component output both lanes maintain.
+/// Compares every visible component output both lanes maintain. Equal
+/// output arrays agree whichever components each lane observes, so the
+/// per-component walk runs only when the arrays differ.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Outputs;
 
@@ -439,6 +445,9 @@ impl Comparator for Outputs {
         reference: &Observation<'_>,
         candidate: &Observation<'_>,
     ) -> Option<DivergenceKind> {
+        if reference.state.outputs() == candidate.state.outputs() {
+            return None;
+        }
         let design = reference.design();
         for (id, _) in design.iter() {
             if let (Some(a), Some(b)) = (reference.output(id), candidate.output(id)) {
@@ -453,7 +462,8 @@ impl Comparator for Outputs {
     }
 }
 
-/// Compares every memory cell, address by address.
+/// Compares every memory cell: each memory as a slice, and address by
+/// address only when the slices differ.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Cells;
 
@@ -471,6 +481,9 @@ impl Comparator for Cells {
         for &id in design.memories() {
             let (a, b) = (reference.cells(id), candidate.cells(id));
             debug_assert_eq!(a.len(), b.len(), "same design, same memory sizes");
+            if a == b {
+                continue;
+            }
             if let Some(addr) = a.iter().zip(b).position(|(x, y)| x != y) {
                 return Some(DivergenceKind::Cells {
                     component: design.name(id).to_string(),
@@ -714,8 +727,9 @@ impl std::fmt::Display for CompareMode {
 mod tests {
     use super::*;
     use crate::io::InputSource;
-    use crate::state::SimState;
     use crate::trace::TraceBuf;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// A stub engine over an arbitrary state, with a controllable
     /// observed-output mask.
@@ -1010,5 +1024,103 @@ mod tests {
             agreed_unequal > 0,
             "the property must meet value-unequal, byte-equal pairs"
         );
+    }
+
+    /// Two memories (4 and 3 cells), an ALU and a selector: every kind of
+    /// component a state lens walks.
+    const STATE_DESIGN: &str =
+        "# p\nram rom acc sel .\nM ram 0 acc 1 4\nM rom 0 0 0 3\nA acc 4 ram 1\nS sel acc ram rom .";
+    const COMPONENTS: usize = 4;
+    const CELLS: usize = 7;
+
+    /// The per-component output walk the [`Outputs`] fast path skips.
+    fn walk_outputs(
+        reference: &Observation<'_>,
+        candidate: &Observation<'_>,
+    ) -> Option<DivergenceKind> {
+        let design = reference.design();
+        design.iter().find_map(
+            |(id, _)| match (reference.output(id), candidate.output(id)) {
+                (Some(a), Some(b)) if a != b => Some(DivergenceKind::Output {
+                    component: design.name(id).to_string(),
+                }),
+                _ => None,
+            },
+        )
+    }
+
+    /// The address-by-address walk the [`Cells`] fast path skips.
+    fn walk_cells(
+        reference: &Observation<'_>,
+        candidate: &Observation<'_>,
+    ) -> Option<DivergenceKind> {
+        let design = reference.design();
+        design.memories().iter().find_map(|&id| {
+            let (a, b) = (reference.cells(id), candidate.cells(id));
+            a.iter()
+                .zip(b)
+                .position(|(x, y)| x != y)
+                .map(|addr| DivergenceKind::Cells {
+                    component: design.name(id).to_string(),
+                    addr: addr as u32,
+                })
+        })
+    }
+
+    proptest! {
+        /// The slice fast paths of `Outputs` and `Cells` (and so `All`)
+        /// give exactly the verdict, component and address of the walks
+        /// they skip — also when lanes differ only where one of them does
+        /// not observe.
+        #[test]
+        fn state_lens_fast_paths_keep_every_verdict(
+            outputs in vec(0i64..3, COMPONENTS),
+            flips in vec(0u8..6, COMPONENTS),
+            hidden_a in vec(0u8..4, COMPONENTS),
+            hidden_b in vec(0u8..4, COMPONENTS),
+            only_hidden in any::<bool>(),
+            cells in vec(0i64..3, CELLS),
+            cell_flips in vec(0u8..6, CELLS),
+            cycles in vec(0i64..2, 2),
+        ) {
+            let d = Design::from_source(STATE_DESIGN).unwrap();
+            let (mut a, mut b) = (Stub::new(&d), Stub::new(&d));
+            for (i, (id, _)) in d.iter().enumerate() {
+                if hidden_a[i] == 0 {
+                    a.hidden.push(id);
+                }
+                if hidden_b[i] == 0 {
+                    b.hidden.push(id);
+                }
+                let hidden = a.hidden.contains(&id) || b.hidden.contains(&id);
+                let flip = flips[i] == 0 && (hidden || !only_hidden);
+                a.state.set_output(id, outputs[i]);
+                b.state.set_output(id, outputs[i] ^ Word::from(flip));
+            }
+            let mut k = 0;
+            for &id in d.memories() {
+                for addr in 0..a.state.cell_count(id) {
+                    a.state.set_cell(id, addr, cells[k]);
+                    b.state.set_cell(id, addr, cells[k] ^ Word::from(cell_flips[k] == 0));
+                    k += 1;
+                }
+            }
+            prop_assert_eq!(k, CELLS);
+            a.state.set_cycle(cycles[0]);
+            b.state.set_cycle(cycles[1]);
+
+            let (left, right) = (Observation::new(&a, &[], None), Observation::new(&b, &[], None));
+            for (x, y) in [(&left, &right), (&right, &left)] {
+                let outputs = walk_outputs(x, y);
+                let cells = walk_cells(x, y);
+                let all = (x.cycle() != y.cycle())
+                    .then_some(DivergenceKind::CycleCounter)
+                    .or_else(|| outputs.clone())
+                    .or_else(|| cells.clone());
+                prop_assert_eq!(Outputs.compare(x, y), outputs);
+                prop_assert_eq!(Cells.compare(x, y), cells);
+                prop_assert_eq!(All.compare(x, y), all);
+            }
+        }
     }
 }

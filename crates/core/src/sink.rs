@@ -37,6 +37,22 @@ pub trait TraceSink {
         Ok(())
     }
 
+    /// [`record`](TraceSink::record) for events the caller hands over:
+    /// takes them out of `events` and leaves it empty, its allocation
+    /// kept for reuse. [`TraceBuf::flush`](crate::TraceBuf::flush) delivers
+    /// through this. The default records and then clears; a sink that
+    /// keeps the values overrides it to move them instead of cloning.
+    ///
+    /// # Errors
+    ///
+    /// As [`record`](TraceSink::record); `events` is left empty either
+    /// way.
+    fn append(&mut self, design: &Design, events: &mut Vec<TraceEvent>) -> io::Result<()> {
+        let result = self.record(design, events);
+        events.clear();
+        result
+    }
+
     /// Flushes buffered bytes to the underlying destination.
     ///
     /// # Errors

@@ -215,9 +215,7 @@ impl<'s> TraceBuf<'s> {
         if self.events.is_empty() {
             return Ok(());
         }
-        let result = sink.record(design, &self.events);
-        self.events.clear();
-        result
+        sink.append(design, &mut self.events)
     }
 
     /// The event allocation, for reuse by the next step.

@@ -88,9 +88,11 @@ pub struct CosimOptions {
     /// comparison lane: the reference lane must match the recorded
     /// digests cycle for cycle.
     pub check_digests: Option<PathBuf>,
-    /// Telemetry tap (disabled/no-op by default): lane sessions count
-    /// executed cycles, the harness counts comparator invocations per
-    /// lens (`lockstep/compare_<lens>`) and bisection rewinds
+    /// Telemetry tap (disabled/no-op by default): the harness counts the
+    /// cycles its lanes executed (`session/cycles`, summed over lanes and
+    /// emitted once per [`Lockstep::run`]; lane sessions themselves record
+    /// nothing), comparator invocations per lens
+    /// (`lockstep/compare_<lens>`) and bisection rewinds
     /// (`lockstep/bisect_rewinds`). A [`Recorder`] never affects
     /// behavior, compares equal to every other recorder, and stays out
     /// of harness fingerprints.
@@ -233,12 +235,18 @@ impl std::fmt::Display for DivergenceReport {
 
 /// A [`TraceSink`] appending trace events into a buffer the harness also
 /// holds — the lane's session records through it, the comparators read
-/// (and, on rewind, truncate) the same values. Nothing is rendered.
+/// (and, on rewind, truncate) the same values. Nothing is rendered, and
+/// a step's events are moved in, not cloned.
 struct LaneSink(Rc<RefCell<Vec<TraceEvent>>>);
 
 impl TraceSink for LaneSink {
     fn record(&mut self, _design: &Design, events: &[TraceEvent]) -> io::Result<()> {
         self.0.borrow_mut().extend_from_slice(events);
+        Ok(())
+    }
+
+    fn append(&mut self, _design: &Design, events: &mut Vec<TraceEvent>) -> io::Result<()> {
+        self.0.borrow_mut().append(events);
         Ok(())
     }
 }
@@ -249,7 +257,9 @@ impl TraceSink for LaneSink {
 const TRACE_TAIL: usize = 4096;
 
 /// Committed events are trimmed to a report tail once a lane holds more
-/// than this many (amortizes the move over many commits).
+/// than this many. After a trim, a lane trims again only once its buffer
+/// has doubled (with this as the floor), so each trim's rescan and move
+/// is paid for by as many new events.
 const TRIM_AT: usize = 1024;
 
 /// The start of the shortest suffix of `committed` that renders to at
@@ -325,6 +335,8 @@ struct Lane<'d> {
     events: Rc<RefCell<Vec<TraceEvent>>>,
     /// Where the uncommitted span starts in `events`.
     committed: usize,
+    /// Trim the committed events once the lane holds more than this many.
+    trim_at: usize,
     /// Stimulus words consumed so far (shared with [`MeteredInput`]).
     consumed: Rc<Cell<usize>>,
     /// Sticky stop state: the error this lane raised, if any.
@@ -337,6 +349,15 @@ struct Lane<'d> {
 }
 
 impl Lane<'_> {
+    /// The lane's observation over `events`, its borrowed event buffer.
+    fn observe<'a>(&'a self, events: &'a [TraceEvent]) -> Observation<'a> {
+        Observation::new(
+            self.session.engine(),
+            &events[self.committed..],
+            self.error.as_ref(),
+        )
+    }
+
     fn snapshot(&mut self) {
         self.check = self.session.engine().snapshot();
         self.check_consumed = self.consumed.get();
@@ -380,6 +401,8 @@ pub struct Lockstep<'d> {
     compare_calls: Vec<u64>,
     /// Bisection rewinds since the last telemetry emit.
     rewinds: u64,
+    /// Cycles executed by all lanes since the last telemetry emit.
+    lane_cycles: u64,
 }
 
 impl<'d> Lockstep<'d> {
@@ -404,6 +427,7 @@ impl<'d> Lockstep<'d> {
             agreed: Vec::new(),
             compare_calls,
             rewinds: 0,
+            lane_cycles: 0,
         }
     }
 
@@ -427,7 +451,8 @@ impl<'d> Lockstep<'d> {
     /// under its registry name, or a deliberately broken engine that tests
     /// the harness itself. The engine is wrapped in a [`Session`] (shared
     /// capture sink, metered stimulus) and driven only through it from
-    /// here on.
+    /// here on. The lane session records no telemetry: the harness counts
+    /// its cycles instead.
     pub fn add_lane(&mut self, name: &str, engine: Box<dyn Engine + 'd>) -> &mut Self {
         let events = Rc::new(RefCell::new(Vec::new()));
         let consumed = Rc::new(Cell::new(0usize));
@@ -439,13 +464,13 @@ impl<'d> Lockstep<'d> {
                 0,
                 Rc::clone(&consumed),
             ))
-            .recorder(self.options.recorder.clone())
             .build();
         self.lanes.push(Lane {
             name: name.to_string(),
             session,
             events,
             committed: 0,
+            trim_at: TRIM_AT,
             consumed,
             error: None,
             check,
@@ -484,7 +509,9 @@ impl<'d> Lockstep<'d> {
         }
         let lane = &self.lanes[0];
         let events = lane.events.borrow();
-        tail(&render_text(self.design, &events[..lane.committed])).to_vec()
+        let committed = &events[..lane.committed];
+        let start = tail_start(committed, TRACE_TAIL);
+        tail(&render_text(self.design, &committed[start..])).to_vec()
     }
 
     /// Runs up to `cycles` further cycles in lockstep.
@@ -499,8 +526,8 @@ impl<'d> Lockstep<'d> {
         outcome
     }
 
-    /// Emits locally-aggregated deterministic counters as deltas
-    /// (comparator invocations per lens, bisection rewinds) and resets
+    /// Emits locally-aggregated deterministic counters as deltas (lane
+    /// cycles, comparator invocations per lens, bisection rewinds) and resets
     /// the local tallies — folding sums deltas, so repeated `run` calls
     /// total correctly.
     fn emit_counters(&mut self) {
@@ -508,6 +535,7 @@ impl<'d> Lockstep<'d> {
         if !recorder.enabled() {
             return;
         }
+        recorder.count("session", "cycles", std::mem::take(&mut self.lane_cycles));
         for (comparator, calls) in self.comparators.iter().zip(self.compare_calls.iter_mut()) {
             let key = format!("compare_{}", comparator.name());
             recorder.count("lockstep", &key, std::mem::take(calls));
@@ -581,6 +609,7 @@ impl<'d> Lockstep<'d> {
                     continue;
                 }
                 let outcome = lane.session.run(Until::Cycles(1));
+                self.lane_cycles += outcome.cycles;
                 if let Some(e) = outcome.stop.into_error() {
                     lane.error = Some(e);
                 }
@@ -609,26 +638,15 @@ impl<'d> Lockstep<'d> {
     /// first, then the configured comparators over each lane's
     /// [`Observation`]. `None` means agreement.
     fn compare(&mut self) -> Option<DivergenceKind> {
-        let bufs: Vec<std::cell::Ref<'_, Vec<TraceEvent>>> =
-            self.lanes.iter().map(|l| l.events.borrow()).collect();
-        let observations: Vec<Observation<'_>> = self
-            .lanes
-            .iter()
-            .zip(&bufs)
-            .map(|(lane, events)| {
-                Observation::new(
-                    lane.session.engine(),
-                    &events[lane.committed..],
-                    lane.error.as_ref(),
-                )
-            })
-            .collect();
-        let (first, rest) = observations.split_first().expect("at least two lanes");
+        let (first, rest) = self.lanes.split_first().expect("at least two lanes");
+        let first_events = first.events.borrow();
+        let reference = first.observe(&first_events);
 
         // Error states are not an optional lens: comparing the values of
         // a crashed lane is meaningless, so this check always runs first.
-        for candidate in rest {
-            if let Some(kind) = stop_state(first, candidate) {
+        for lane in rest {
+            let events = lane.events.borrow();
+            if let Some(kind) = stop_state(&reference, &lane.observe(&events)) {
                 return Some(kind);
             }
         }
@@ -637,9 +655,10 @@ impl<'d> Lockstep<'d> {
             .iter_mut()
             .zip(self.compare_calls.iter_mut())
         {
-            for candidate in rest {
+            for lane in rest {
+                let events = lane.events.borrow();
                 *calls += 1;
-                if let Some(kind) = comparator.compare(first, candidate) {
+                if let Some(kind) = comparator.compare(&reference, &lane.observe(&events)) {
                     return Some(kind);
                 }
             }
@@ -671,10 +690,11 @@ impl<'d> Lockstep<'d> {
             lane.committed = events.len();
             // Keep a tail for divergence-report trace windows; drop the
             // rest so long runs stay O(interval), not O(cycles).
-            if lane.committed > TRIM_AT {
+            if lane.committed > lane.trim_at {
                 let start = tail_start(&events, TRACE_TAIL);
                 events.drain(..start);
                 lane.committed -= start;
+                lane.trim_at = TRIM_AT.max(2 * lane.committed);
             }
         }
     }
@@ -705,13 +725,8 @@ impl<'d> Lockstep<'d> {
             .iter()
             .map(|lane| {
                 let events = lane.events.borrow();
-                let observation = Observation::new(
-                    lane.session.engine(),
-                    &events[lane.committed..],
-                    lane.error.as_ref(),
-                );
                 let text = lane.report_text(retain);
-                LaneReport::from_observation(&lane.name, &kind, &observation, &text)
+                LaneReport::from_observation(&lane.name, &kind, &lane.observe(&events), &text)
             })
             .collect();
         DivergenceReport {
@@ -849,6 +864,7 @@ impl<'d> Lockstep<'d> {
             lane.session.set_stimulus(stimulus);
             lane.events.borrow_mut().clear();
             lane.committed = 0;
+            lane.trim_at = TRIM_AT;
             lane.error = None;
             lane.snapshot();
         }
@@ -884,7 +900,9 @@ enum BurstResult {
 mod tests {
     use super::*;
     use crate::engines::registry;
-    use rtl_core::{EngineLane, EngineOptions};
+    use rtl_core::{EngineLane, EngineOptions, TraceBuf};
+    use rtl_obs::{Event, FlightRing};
+    use std::sync::Arc;
 
     fn design(src: &str) -> Design {
         Design::from_source(src).unwrap()
@@ -1118,5 +1136,129 @@ mod tests {
         };
         assert_eq!(report.kind, DivergenceKind::CycleCounter);
         assert_eq!(report.cycle, 0, "fires at the first comparison");
+    }
+
+    #[test]
+    fn the_harness_counts_lane_cycles_once_per_run() {
+        // Lane sessions record nothing; one `session/cycles` delta per
+        // run carries every lane's cycles, so a flight ring is not
+        // flooded with one event per lane per cycle.
+        let ring = Arc::new(FlightRing::new(FlightRing::DEFAULT_CAP));
+        let d = design(COUNTER);
+        let mut ls = Lockstep::new(
+            &d,
+            CosimOptions {
+                recorder: Recorder::disabled().with_flight(Arc::clone(&ring)),
+                ..CosimOptions::default()
+            },
+        );
+        add_lanes(&mut ls, &["interp", "vm"]);
+        assert!(ls.run(300).agreed());
+        let sessions: Vec<(String, u64)> = ring
+            .snapshot()
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::Counter { src, key, n } if src == "session" => Some((key, n)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sessions, [("cycles".to_string(), 600)]);
+    }
+
+    #[test]
+    fn trimming_keeps_lane_buffers_bounded() {
+        // A counter line is 3 events rendering at least 15 bytes, so a
+        // 4096-byte report tail is about 820 events: a lane trims to
+        // that and trims again once its buffer has doubled.
+        let d = design(COUNTER);
+        let mut ls = Lockstep::new(&d, CosimOptions::default());
+        add_lanes(&mut ls, &["interp", "vm"]);
+        let mut peak = 0;
+        for _ in 0..100_000 {
+            assert!(ls.run(1).agreed());
+            for lane in &ls.lanes {
+                peak = peak.max(lane.events.borrow().len());
+            }
+        }
+        assert_eq!(ls.verified_cycles(), 100_000);
+        assert!(peak <= 2 * TRIM_AT, "peak {peak} events");
+    }
+
+    /// An engine that appends a garbage line to its trace from cycle `at`
+    /// on — the trace fault of the harness's divergence tests.
+    struct GarbageAfter<'d> {
+        inner: Box<dyn Engine + 'd>,
+        at: Word,
+    }
+
+    impl Engine for GarbageAfter<'_> {
+        fn design(&self) -> &Design {
+            self.inner.design()
+        }
+
+        fn state(&self) -> &SimState {
+            self.inner.state()
+        }
+
+        fn restore(&mut self, snapshot: &SimState) {
+            self.inner.restore(snapshot);
+        }
+
+        fn step(
+            &mut self,
+            trace: &mut TraceBuf<'_>,
+            input: &mut dyn InputSource,
+        ) -> Result<(), SimError> {
+            let cycle = self.inner.state().cycle();
+            self.inner.step(trace, input)?;
+            if cycle >= self.at {
+                trace.push(TraceEvent::raw(&b"garbage\n"[..]));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn late_divergence_reports_do_not_depend_on_retention() {
+        // Trimmed buffers and the full retained text give the same report
+        // windows and the same agreed-output tail.
+        let d = design(COUNTER);
+        let run = |retain_output: bool| {
+            let mut ls = Lockstep::new(
+                &d,
+                CosimOptions {
+                    retain_output,
+                    ..CosimOptions::default()
+                },
+            );
+            add_lanes(&mut ls, &["interp"]);
+            let Ok(EngineLane::Stepped(inner)) =
+                registry().build("interp", &d, &EngineOptions::default())
+            else {
+                panic!("interp is a stepped registry lane");
+            };
+            ls.add_lane("garbage", Box::new(GarbageAfter { inner, at: 20_000 }));
+            let CosimOutcome::Divergence(report) = ls.run(30_000) else {
+                panic!("the garbage lane must diverge");
+            };
+            (*report, ls.agreed_output())
+        };
+        let (retained, full_text) = run(true);
+        let (trimmed, tail_text) = run(false);
+        assert_eq!(retained, trimmed);
+        assert_eq!(tail(&full_text), &tail_text[..]);
+        assert_eq!(tail_text.len(), TRACE_TAIL);
+
+        assert_eq!(trimmed.cycle, 20_000);
+        assert_eq!(trimmed.kind, DivergenceKind::Trace);
+        let lines = |from: Word| -> Vec<String> {
+            (from..=20_000)
+                .map(|c| format!("Cycle {c:>3} count= {c}"))
+                .collect()
+        };
+        assert_eq!(trimmed.lanes[0].trace_window, lines(19_993));
+        let mut garbage = lines(19_994);
+        garbage.push("garbage".into());
+        assert_eq!(trimmed.lanes[1].trace_window, garbage);
     }
 }
