@@ -543,8 +543,8 @@ fn parse_stimulus(text: &str) -> Result<Vec<Word>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultyVmFactory;
     use crate::shrink::shrink_divergence;
+    use rtl_cosim::fault::FaultyVmFactory;
     use rtl_cosim::GenOptions;
     use std::path::PathBuf;
 

@@ -23,8 +23,6 @@
 //!   horizon and stimulus length, re-running lockstep per candidate.
 //! * [`corpus`] — `.asim` + stimulus + a fingerprinted session checkpoint
 //!   per entry; [`replay_corpus`] is the CI gate.
-//! * [`fault`] — the `vm-fault` lane: deliberate trace corruption that
-//!   proves the find→shrink→archive→replay pipeline end to end.
 //! * [`runner`] — the pool itself, plus [`CampaignReport`].
 //!
 //! ```
@@ -56,7 +54,6 @@ pub mod bundle;
 pub mod config;
 pub mod corpus;
 pub mod error;
-pub mod fault;
 pub mod json;
 pub mod runner;
 pub mod shrink;
@@ -66,7 +63,9 @@ pub use bundle::{BundleEntry, CaseBundle, CorpusFiles};
 pub use config::CampaignConfig;
 pub use corpus::{CorpusEntry, ReplayOutcome, ReplayReport, ReplayResult};
 pub use error::CampaignError;
-pub use fault::{FaultyVmFactory, DEFAULT_FAULT_CYCLE};
+// The `vm-fault` lane: deliberate trace corruption that proves the
+// find→shrink→archive→replay pipeline end to end.
+pub use rtl_cosim::fault::{FaultyVmFactory, DEFAULT_FAULT_CYCLE};
 pub use runner::{
     aggregate_lanes, campaign_registry, fold_profiles, replay_corpus, resume, run, CampaignReport,
     LaneTotals, NoProgress, Progress, RunOptions, CASE_CHECKPOINT_EVERY,

@@ -16,11 +16,11 @@ use crate::bundle::{expected_seed, CaseBundle};
 use crate::config::CampaignConfig;
 use crate::corpus::{self, kind_label, ReplayReport};
 use crate::error::CampaignError;
-use crate::fault::FaultyVmFactory;
 use crate::shrink::shrink_divergence;
 use crate::state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};
 use rtl_compile::{BinaryCache, GeneratedRustFactory};
 use rtl_core::{EngineRegistry, Recorder, StopReason};
+use rtl_cosim::fault::FaultyVmFactory;
 use rtl_cosim::{run_fuzz_case, FuzzOptions};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -344,6 +344,7 @@ pub fn run(
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     validate_engines(config, &campaign_registry(Some(Arc::clone(&cache))))?;
     dir.init(config)?;
+    dir.sweep_orphans()?;
 
     // Pre-seeded regression scenarios replay before any fuzzing: a known
     // bug resurfacing is worth more than a new random case.
@@ -364,7 +365,10 @@ pub fn run(
 
 /// Resumes the campaign in `dir`: validates the stored configuration's
 /// fingerprint, loads completed case records, and runs only the gaps.
-/// With `options.case_range` set, only that range's records are loaded.
+/// An unranged resume takes the directory over and first
+/// [sweeps](CampaignDir::sweep_orphans) orphaned temp files. With
+/// `options.case_range` set, only that range's records are loaded and
+/// nothing outside the range is touched.
 ///
 /// # Errors
 ///
@@ -376,6 +380,9 @@ pub fn resume(
     progress: &mut dyn Progress,
 ) -> Result<CampaignReport, CampaignError> {
     let config = dir.load()?;
+    if options.case_range.is_none() {
+        dir.sweep_orphans()?;
+    }
     let records = dir.load_case_range(config.cases, run_range(options, &config))?;
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     validate_engines(&config, &campaign_registry(Some(Arc::clone(&cache))))?;

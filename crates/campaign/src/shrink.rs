@@ -233,7 +233,7 @@ impl Candidate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultyVmFactory;
+    use rtl_cosim::fault::FaultyVmFactory;
 
     fn registry_with_fault(from_cycle: u64) -> EngineRegistry {
         let mut r = rtl_cosim::default_registry();

@@ -387,6 +387,32 @@ impl CampaignDir {
         Ok(config)
     }
 
+    /// Removes the `.tmp-*` siblings that a kill between write and rename
+    /// leaves in `cases/` and `corpus/` (see [`write_atomic`]). A process
+    /// calls this once, when it takes the directory over: an orphan would
+    /// otherwise survive into the finished tree and break its byte
+    /// identity with an uninterrupted run.
+    ///
+    /// # Errors
+    ///
+    /// File-system failure; a missing subdirectory holds no orphans.
+    pub fn sweep_orphans(&self) -> Result<(), CampaignError> {
+        for sub in [self.cases(), self.corpus()] {
+            let listing = match std::fs::read_dir(&sub) {
+                Ok(listing) => listing,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(CampaignError::Io(e)),
+            };
+            for dirent in listing {
+                let dirent = dirent?;
+                if dirent.file_name().to_string_lossy().starts_with(".tmp-") {
+                    std::fs::remove_file(dirent.path())?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Publishes one case record atomically (temp file + rename), so an
     /// interrupt never leaves a half-written record behind.
     ///

@@ -1,6 +1,7 @@
-//! Campaign acceptance tests: determinism across worker counts,
-//! interrupt + resume equivalence, and the injected-bug pipeline
-//! (find → shrink → archive → replay).
+//! Campaign acceptance tests: the injected-bug pipeline (find → shrink →
+//! archive → replay), pre-seeded corpus replay, and the refusals of
+//! drifted, foreign and corrupt state. Determinism across worker counts
+//! and interrupt + resume is the root `tests/identity.rs` matrix.
 
 use rtl_campaign::{
     replay_corpus, resume, run, CampaignConfig, CampaignDir, CampaignError, CaseStatus, NoProgress,
@@ -50,73 +51,6 @@ fn opts(workers: usize) -> RunOptions {
         workers,
         ..RunOptions::default()
     }
-}
-
-#[test]
-fn identical_summary_across_runs_and_worker_counts() {
-    let mut displays = Vec::new();
-    for (label, workers) in [("a", 1), ("b", 4), ("c", 4)] {
-        let root = scratch(&format!("det-{label}"));
-        let report = run(
-            &CampaignDir::new(&root),
-            &quick_config(24),
-            &opts(workers),
-            &mut NoProgress,
-        )
-        .unwrap();
-        assert!(report.complete());
-        assert!(report.clean(), "{report}");
-        displays.push((report.to_string(), report.records));
-        let _ = std::fs::remove_dir_all(&root);
-    }
-    let (first_text, first_records) = &displays[0];
-    for (text, records) in &displays[1..] {
-        assert_eq!(text, first_text, "summary must not depend on workers");
-        assert_eq!(records, first_records, "case outcomes must be identical");
-    }
-}
-
-#[test]
-fn interrupted_campaign_resumes_to_the_uninterrupted_result() {
-    // Uninterrupted reference.
-    let ref_root = scratch("resume-ref");
-    let reference = run(
-        &CampaignDir::new(&ref_root),
-        &faulty_config(12),
-        &opts(2),
-        &mut NoProgress,
-    )
-    .unwrap();
-    assert!(reference.diverged() > 0, "the fault must fire: {reference}");
-
-    // Interrupted run: stop after 5 cases, then resume the rest.
-    let root = scratch("resume-cut");
-    let dir = CampaignDir::new(&root);
-    let partial = run(
-        &dir,
-        &faulty_config(12),
-        &RunOptions {
-            workers: 3,
-            limit: Some(5),
-            ..RunOptions::default()
-        },
-        &mut NoProgress,
-    )
-    .unwrap();
-    assert_eq!(partial.completed(), 5);
-    assert!(!partial.complete());
-    assert!(
-        partial.to_string().contains("resume to continue"),
-        "{partial}"
-    );
-
-    let resumed = resume(&dir, &opts(4), &mut NoProgress).unwrap();
-    assert!(resumed.complete());
-    assert_eq!(resumed.records, reference.records);
-    assert_eq!(resumed.to_string(), reference.to_string());
-
-    let _ = std::fs::remove_dir_all(&ref_root);
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

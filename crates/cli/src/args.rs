@@ -330,12 +330,21 @@ mod tests {
         for (name, ..) in COMMANDS {
             assert!(PROBES.iter().any(|p| p.0 == *name), "no probe for {name}");
         }
+        // A command that writes a directory is given one, which must not
+        // appear: the refusal comes before anything runs.
+        let dir = std::env::temp_dir().join(format!("asim-cli-probe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         for &(name, misspelled, value_flag) in PROBES {
             let mut words: Vec<&str> = name.split(' ').collect();
+            let (_, lists, _) = COMMANDS.iter().find(|row| row.0 == name).unwrap();
+            if row_flags(lists).iter().any(|flag| flag.0 == "--dir") {
+                words.extend(["--dir", dir.to_str().unwrap()]);
+            }
             words.push(misspelled);
             let (code, out, err) = run(&words);
             assert_eq!(code, 1, "{words:?}: {err}");
             assert!(out.is_empty(), "{words:?} ran: {out}");
+            assert!(!dir.exists(), "{words:?} wrote {}", dir.display());
             let expected = format!("{name} does not take {misspelled} (accepted: ");
             assert!(err.starts_with(&expected), "{words:?}: {err}");
             if let Some(flag) = value_flag {

@@ -444,6 +444,26 @@ mod tests {
         let serving = spawn_serve(serve_args);
 
         let addr = wait_port(&port_file);
+        // A worker that abandons its connection after one upload exits 3;
+        // its lease returns to the pool, and the report below is still
+        // the single-machine one.
+        let doomed = tmp("serve-doomed");
+        let (code, _, err) = run_args(&[
+            "fleet",
+            "work",
+            "--connect",
+            &addr,
+            "--token",
+            "hunter2",
+            "--name",
+            "doomed",
+            "--abandon-after",
+            "1",
+            "--scratch",
+            doomed.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 3, "{err}");
+        assert!(err.contains("abandoned mid-lease"), "{err}");
         let workers: Vec<_> = ["w1", "w2"]
             .iter()
             .map(|name| {
@@ -548,6 +568,9 @@ mod tests {
         );
         assert_eq!(doc.get("cases").and_then(Json::as_u64), Some(4), "{out}");
         assert_eq!(doc.get("done").and_then(Json::as_u64), Some(0), "{out}");
+        for list in ["workers", "leases"] {
+            assert_eq!(doc.get(list).and_then(Json::as_arr), Some(&[][..]), "{out}");
+        }
 
         // The text rendering of the same answer.
         let (code, out, err) =

@@ -1523,12 +1523,19 @@ mod tests {
 
     #[test]
     fn cosim_sweeps_the_corpus() {
-        // Short horizon override keeps the in-process test quick; the full
-        // 1000+-cycle sweep runs in CI and tests/equivalence.rs.
-        let out = run_ok(&["cosim", "--cycles", "16", "--engines", "interp,vm,vm-noopt"]);
-        assert!(out.contains("cosim corpus sweep"), "{out}");
-        assert!(out.contains("stack/sieve"), "{out}");
-        assert!(out.contains("0 diverged"), "{out}");
+        // Short horizon overrides keep the in-process test quick; the full
+        // 1000+-cycle sweep is tests/equivalence.rs.
+        for extra in [
+            &["--cycles", "16"][..],
+            &["--cycles", "300", "--compare", "vcd,trace"],
+        ] {
+            let mut args = vec!["cosim", "--engines", "interp,vm,vm-noopt"];
+            args.extend_from_slice(extra);
+            let out = run_ok(&args);
+            assert!(out.contains("cosim corpus sweep"), "{out}");
+            assert!(out.contains("stack/sieve"), "{out}");
+            assert!(out.contains("0 diverged"), "{out}");
+        }
     }
 
     #[test]
@@ -1570,25 +1577,45 @@ mod tests {
     #[test]
     fn cosim_compare_modes_report_the_same_first_divergent_cycle() {
         // The vm-fault lane corrupts its trace bytes *and* its observed
-        // state from cycle 40 on, so the trace lens and the VCD waveform
-        // lens must pinpoint the identical first divergent cycle.
-        for compare in ["trace", "vcd", "trace,vcd,cells", "digest", "all"] {
-            let (code, out, err) = run_with(
+        // outputs from cycle 40 on, so every lens that sees them pins the
+        // identical first divergent cycle, at any stride; no memory cell
+        // differs, so the cells lens alone agrees.
+        const AT_40: &[&str] = &["at cycle 40"];
+        const WINDOW: &[&str] = &["at cycle 40", "| Cycle  40 count# 8"];
+        let rows: &[(&[&str], i32, &[&str])] = &[
+            (&["--compare", "trace"], 3, WINDOW),
+            (&["--compare", "vcd"], 3, AT_40),
+            (&["--compare", "trace,vcd,cells"], 3, AT_40),
+            (&["--compare", "digest"], 3, AT_40),
+            (&["--compare", "all"], 3, AT_40),
+            (
+                &["--compare", "outputs"],
+                3,
                 &[
-                    "cosim",
-                    "--scenario",
-                    "classic/counter",
-                    "--cycles",
-                    "64",
-                    "--engines",
-                    "interp,vm-fault",
-                    "--compare",
-                    compare,
+                    "at cycle 40",
+                    "output of component 'count' differs",
+                    "value 9",
                 ],
-                b"",
-            );
-            assert_eq!(code, 3, "{compare}: {err}");
-            assert!(out.contains("at cycle 40"), "{compare}: {out}");
+            ),
+            (&["--compare", "cells"], 0, &["no divergence"]),
+            (&["--compare-every", "16"], 3, WINDOW),
+        ];
+        for &(flags, expected_code, expected) in rows {
+            let mut args = vec![
+                "cosim",
+                "--scenario",
+                "classic/counter",
+                "--cycles",
+                "64",
+                "--engines",
+                "interp,vm-fault",
+            ];
+            args.extend_from_slice(flags);
+            let (code, out, err) = run_with(&args, b"");
+            assert_eq!(code, expected_code, "{flags:?}: {err}");
+            for text in expected {
+                assert!(out.contains(text), "{flags:?}: {out}");
+            }
         }
         let (code, err) = run_fail(&[
             "cosim",
@@ -1610,30 +1637,21 @@ mod tests {
         let ck =
             std::env::temp_dir().join(format!("asim-cli-lockstep-{}.ckpt", std::process::id()));
         let ck = ck.to_str().unwrap();
-        let scenario = ["--scenario", "classic/counter"];
-        let out = run_ok(&[
-            "cosim",
-            scenario[0],
-            scenario[1],
-            "--cycles",
-            "300",
-            "--checkpoint",
-            ck,
-            "--checkpoint-every",
-            "128",
-        ]);
-        assert!(out.contains("300 cycles verified"), "{out}");
-        let resumed = run_ok(&[
-            "cosim",
-            scenario[0],
-            scenario[1],
-            "--cycles",
-            "1024",
-            "--resume",
-            ck,
-        ]);
-        let fresh = run_ok(&["cosim", scenario[0], scenario[1], "--cycles", "1024"]);
-        assert_eq!(resumed, fresh, "resumed outcome is byte-identical");
+        for (scenario, phase, every, horizon) in [
+            ("classic/counter", "300", "128", "1024"),
+            ("stack/sieve", "800", "200", "2341"),
+        ] {
+            let scenario = ["cosim", "--scenario", scenario, "--cycles"];
+            let mut first = scenario.to_vec();
+            first.extend([phase, "--checkpoint", ck, "--checkpoint-every", every]);
+            let out = run_ok(&first);
+            assert!(out.contains(&format!("{phase} cycles verified")), "{out}");
+            let mut resume = scenario.to_vec();
+            resume.extend([horizon, "--resume", ck]);
+            let mut fresh = scenario.to_vec();
+            fresh.push(horizon);
+            assert_eq!(run_ok(&resume), run_ok(&fresh), "{scenario:?} resumes");
+        }
         let _ = std::fs::remove_file(ck);
     }
 
@@ -1742,9 +1760,13 @@ mod tests {
 
     #[test]
     fn fuzz_reports_a_clean_campaign() {
-        let out = run_ok(&["fuzz", "--seed", "1", "--cases", "5", "--cycles", "16"]);
-        assert!(out.contains("fuzz campaign: 5 cases from seed 1"), "{out}");
-        assert!(out.contains("summary: 5/5 agreed, 0 diverged"), "{out}");
+        for (cases, cycles) in [("5", "16"), ("200", "64")] {
+            let out = run_ok(&["fuzz", "--seed", "1", "--cases", cases, "--cycles", cycles]);
+            let header = format!("fuzz campaign: {cases} cases from seed 1");
+            assert!(out.contains(&header), "{out}");
+            let summary = format!("summary: {cases}/{cases} agreed, 0 diverged");
+            assert!(out.contains(&summary), "{out}");
+        }
     }
 
     #[test]
@@ -1944,20 +1966,19 @@ mod tests {
 
     #[test]
     fn profile_json_is_a_valid_versioned_document() {
-        let out = run_ok(&[
-            "profile",
-            "--scenario",
-            "classic/counter",
-            "--cycles",
-            "32",
-            "--format",
-            "json",
-            "--engine",
-            "vm",
-        ]);
-        let profile = rtl_core::Profile::parse(&out).unwrap();
-        assert!(profile.total_events() > 0, "{out}");
-        assert_eq!(out, profile.render(), "render/parse round-trips");
+        for args in [
+            &["classic/counter", "--cycles", "32", "--engine", "vm"][..],
+            &["classic/counter"],
+            &["stack/sieve"],
+        ] {
+            let args = [&["profile", "--format", "json", "--scenario"][..], args].concat();
+            let out = run_ok(&args);
+            // Parsing checks the versioned format tag.
+            let profile = rtl_core::Profile::parse(&out).unwrap();
+            assert!(profile.total_events() > 0, "{out}");
+            assert_eq!(out, profile.render(), "render/parse round-trips");
+            assert_eq!(out, run_ok(&args), "{args:?} is run-to-run stable");
+        }
     }
 
     #[test]

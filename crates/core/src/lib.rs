@@ -66,7 +66,7 @@ pub use session::{
     design_fingerprint, read_checkpoint, write_checkpoint, Fingerprint, RunOutcome, Session,
     SessionBuilder, StopReason, Until,
 };
-pub use sink::{BufferSink, NullSink, TeeSink, TraceSink, WriteSink};
+pub use sink::{BufferSink, NullSink, TraceSink, WriteSink};
 pub use state::SimState;
 pub use stats::SimStats;
 pub use trace::{TraceBuf, TraceEvent};

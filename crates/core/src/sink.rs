@@ -13,7 +13,6 @@
 //! * [`NullSink`] — discards everything (throughput runs),
 //! * [`BufferSink`] — renders into memory (tests, captured runs),
 //! * [`WriteSink`] — renders into any [`std::io::Write`] (stdout, files),
-//! * [`TeeSink`] — duplicates into two sinks (capture *and* stream),
 //! * [`VcdSink`](crate::vcd::VcdSink) — records a waveform per cycle.
 
 use crate::design::Design;
@@ -151,57 +150,6 @@ impl<W: Write> TraceSink for WriteSink<W> {
     }
 }
 
-/// Duplicates every event (and cycle hook) into two sinks — capture a run
-/// while also streaming it, or record a VCD alongside the text trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TeeSink<A: TraceSink, B: TraceSink> {
-    first: A,
-    second: B,
-}
-
-impl<A: TraceSink, B: TraceSink> TeeSink<A, B> {
-    /// Tees into `first` and `second`, in that order.
-    pub fn new(first: A, second: B) -> Self {
-        TeeSink { first, second }
-    }
-
-    /// The first sink.
-    pub fn first(&self) -> &A {
-        &self.first
-    }
-
-    /// The second sink.
-    pub fn second(&self) -> &B {
-        &self.second
-    }
-
-    /// Consumes the tee, returning both sinks.
-    pub fn into_parts(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn record(&mut self, design: &Design, events: &[TraceEvent]) -> io::Result<()> {
-        self.first.record(design, events)?;
-        self.second.record(design, events)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.first.flush()?;
-        self.second.flush()
-    }
-
-    fn end_cycle(&mut self, design: &Design, state: &SimState) -> io::Result<()> {
-        self.first.end_cycle(design, state)?;
-        self.second.end_cycle(design, state)
-    }
-
-    fn captured(&self) -> Option<&[u8]> {
-        self.first.captured().or_else(|| self.second.captured())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,17 +194,5 @@ mod tests {
         s.record(&d, &line(&d, 12)).unwrap();
         s.flush().unwrap();
         assert_eq!(s.into_inner(), b"Cycle  12 count= 12\n");
-    }
-
-    #[test]
-    fn tee_duplicates_and_surfaces_capture() {
-        let d = design();
-        let mut t = TeeSink::new(BufferSink::new(), WriteSink::new(Vec::new()));
-        t.record(&d, &[TraceEvent::Output { addr: 1, data: 12 }])
-            .unwrap();
-        assert_eq!(t.captured(), Some(&b"12\n"[..]));
-        let (a, b) = t.into_parts();
-        assert_eq!(a.bytes(), b"12\n");
-        assert_eq!(b.into_inner(), b"12\n");
     }
 }

@@ -182,7 +182,8 @@ pub fn load_marker(dir: &CampaignDir, plan: &ShardPlan) -> Result<ShardSpec, Cam
 /// Runs (or resumes) shard `index` of `plan` in `dir`. A fresh directory
 /// is initialized as a campaign under the plan's config plus a
 /// `shard.json` marker; an existing one must have been created under the
-/// *same* plan and shard index — then only its missing cases run.
+/// *same* plan and shard index — then only its missing cases run, after
+/// orphaned temp files are [swept](CampaignDir::sweep_orphans).
 /// `options.case_range` is overwritten with the shard's range.
 ///
 /// # Errors
@@ -230,6 +231,7 @@ pub fn run_shard(
             marked.index
         )));
     }
+    dir.sweep_orphans()?;
     let scoped = RunOptions {
         case_range: Some(spec.range()),
         ..options.clone()

@@ -229,7 +229,8 @@ impl Controller {
     /// `campaign run` reports.
     ///
     /// A directory already holding a campaign is *resumed*: its stored
-    /// configuration must fingerprint-match `config`, and only the
+    /// configuration must fingerprint-match `config`, orphaned temp
+    /// files are [swept](CampaignDir::sweep_orphans), and only the
     /// missing cases are leased out.
     ///
     /// # Errors
@@ -246,6 +247,7 @@ impl Controller {
     ) -> Result<CampaignReport, FleetError> {
         let started = Instant::now();
         let config = dir.open(config)?;
+        dir.sweep_orphans()?;
         let records = dir.load_cases(config.cases)?;
         let corpus_fps = corpus::load_all(&dir.corpus())?
             .iter()

@@ -167,9 +167,11 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
 
     // The scratch is a normal campaign directory pinned to the
     // controller's configuration; a drifted leftover is refused, not
-    // silently overwritten.
+    // silently overwritten, and a killed predecessor's temp files are
+    // swept.
     let dir = CampaignDir::new(&options.scratch);
     dir.open(&config)?;
+    dir.sweep_orphans()?;
 
     let mut report = WorkerReport {
         name: options.name.clone(),

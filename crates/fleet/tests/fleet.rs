@@ -1,7 +1,8 @@
-//! End-to-end fleet campaigns: a controller plus networked workers must
-//! produce a campaign directory byte-identical to a single-machine
-//! `campaign run` — through work-stealing, worker death, reassignment,
-//! and controller stop+restart.
+//! End-to-end fleet campaigns under failure: a controller plus networked
+//! workers must produce a campaign directory byte-identical to a
+//! single-machine `campaign run` through worker death, reassignment and
+//! silent workers. Identity across worker counts and a controller
+//! stop+restart is the root `tests/identity.rs` matrix.
 
 use rtl_campaign::{CampaignConfig, CampaignDir, CaseRecord, NoProgress, RunOptions};
 use rtl_fleet::{
@@ -108,56 +109,6 @@ fn assert_identical(single: &Path, fleet: &Path) {
     }
 }
 
-/// A controller with two workers over a diverging engine pair produces
-/// records, profile-free reports, and a merged shrunk corpus
-/// byte-identical to a single-machine run of the same configuration.
-#[test]
-fn fleet_campaign_is_bit_identical_to_single_machine() {
-    let mut config = small_config(&["interp", "vm-fault"], 6);
-    // The vm-fault lane corrupts from cycle 40 — run past it.
-    config.generator.cycles = 48;
-
-    let single_root = scratch("ident-single");
-    let single = rtl_campaign::run(
-        &CampaignDir::new(&single_root),
-        &config,
-        &RunOptions {
-            workers: 2,
-            ..RunOptions::default()
-        },
-        &mut NoProgress,
-    )
-    .unwrap();
-    assert!(single.diverged() > 0, "fault lane must diverge: {single}");
-    assert!(!single.new_corpus.is_empty(), "divergences must shrink");
-
-    let fleet_root = scratch("ident-fleet");
-    let (addr, controller) = serve(
-        &fleet_root,
-        &config,
-        ControllerOptions {
-            token: "t".into(),
-            lease: 2,
-            ..ControllerOptions::default()
-        },
-    );
-    let workers: Vec<_> = (1..=2)
-        .map(|i| {
-            let options = worker_options("t", &format!("w{i}"), &scratch(&format!("ident-w{i}")));
-            let addr = addr.to_string();
-            std::thread::spawn(move || work(&addr, &options))
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap().unwrap();
-    }
-    let fleet = controller.join().unwrap().unwrap();
-
-    assert!(fleet.clean() == single.clean());
-    assert_eq!(format!("{single}"), format!("{fleet}"), "reports differ");
-    assert_identical(&single_root, &fleet_root);
-}
-
 /// A worker killed mid-lease (deliberately dropping its connection after
 /// three record uploads) has its lease reassigned, and a replacement
 /// worker finishes the campaign — still bit-identical.
@@ -209,149 +160,6 @@ fn fold(summaries: &[String]) -> String {
         summary.fold_text(text, &format!("log{i}")).unwrap();
     }
     summary.deterministic_section()
-}
-
-/// Runs a full fleet campaign with `workers` workers and returns the
-/// controller's deterministic metrics section plus the report text.
-fn run_fleet_with_metrics(tag: &str, config: &CampaignConfig, workers: u32) -> (String, String) {
-    let (recorder, log) = Recorder::memory();
-    let root = scratch(&format!("metrics-{tag}"));
-    let (addr, controller) = serve(
-        &root,
-        config,
-        ControllerOptions {
-            token: "t".into(),
-            lease: 4,
-            recorder,
-            ..ControllerOptions::default()
-        },
-    );
-    let handles: Vec<_> = (0..workers)
-        .map(|i| {
-            let options = worker_options(
-                "t",
-                &format!("{tag}-w{i}"),
-                &scratch(&format!("metrics-{tag}-w{i}")),
-            );
-            let addr = addr.to_string();
-            std::thread::spawn(move || work(&addr, &options))
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap().unwrap();
-    }
-    let report = controller.join().unwrap().unwrap();
-    (fold(&[log.text()]), format!("{report}"))
-}
-
-/// Fleet counters (`fleet/leases_granted`, `fleet/cases_dispatched`,
-/// `fleet/records_accepted`) and the forwarded campaign counters are
-/// byte-identical across worker counts, and across a graceful `--limit`
-/// stop + restart (the two phases' logs fold to the full run's totals).
-#[test]
-fn fleet_counters_are_deterministic_across_worker_counts_and_restart() {
-    let config = small_config(&["interp", "vm"], 12);
-
-    let (one_worker, report_one) = run_fleet_with_metrics("one", &config, 1);
-    let (two_workers, report_two) = run_fleet_with_metrics("two", &config, 2);
-    assert_eq!(one_worker, two_workers, "worker count leaked into counters");
-    assert_eq!(report_one, report_two);
-    assert!(
-        one_worker.contains("fleet/leases_granted 3"),
-        "12 cases / lease 4 = 3 grants:\n{one_worker}"
-    );
-    assert!(
-        one_worker.contains("fleet/cases_dispatched 12"),
-        "{one_worker}"
-    );
-    assert!(
-        one_worker.contains("fleet/records_accepted 12"),
-        "{one_worker}"
-    );
-
-    // Phase 1: stop granting once 6 cases are dispatched (rounds up to
-    // lease granularity: 8), drain, exit incomplete.
-    let root = scratch("metrics-restart");
-    let (rec1, log1) = Recorder::memory();
-    let (addr, controller) = serve(
-        &root,
-        &config,
-        ControllerOptions {
-            token: "t".into(),
-            lease: 4,
-            limit: Some(6),
-            recorder: rec1,
-            ..ControllerOptions::default()
-        },
-    );
-    let options = worker_options("t", "restart-w", &scratch("metrics-restart-w"));
-    work(&addr.to_string(), &options).unwrap();
-    let phase1 = controller.join().unwrap().unwrap();
-    assert!(!phase1.complete(), "limit leaves a gap: {phase1}");
-    assert_eq!(phase1.completed(), 8, "limit 6 rounds up to two leases");
-
-    // Phase 2: a fresh controller process over the same directory picks
-    // up exactly the missing cases.
-    let (rec2, log2) = Recorder::memory();
-    let (addr, controller) = serve(
-        &root,
-        &config,
-        ControllerOptions {
-            token: "t".into(),
-            lease: 4,
-            recorder: rec2,
-            ..ControllerOptions::default()
-        },
-    );
-    let options = worker_options("t", "restart-w", &scratch("metrics-restart-w2"));
-    work(&addr.to_string(), &options).unwrap();
-    let phase2 = controller.join().unwrap().unwrap();
-    assert!(phase2.complete(), "{phase2}");
-    assert_eq!(format!("{phase2}"), report_one);
-
-    let restarted = fold(&[log1.text(), log2.text()]);
-    assert_eq!(restarted, one_worker, "restart leaked into counters");
-}
-
-/// The streamed deterministic counter section — workers forwarding
-/// their telemetry to the controller — is byte-identical to a
-/// single-machine `campaign run` with a recorder attached, once the
-/// controller's own `fleet/*` counters (which have no single-machine
-/// analogue) are set aside.
-#[test]
-fn streamed_fleet_counters_match_single_machine() {
-    let mut config = small_config(&["interp", "vm-fault"], 6);
-    config.generator.cycles = 48; // run past the fault lane's corruption
-
-    let (fleet_section, _) = run_fleet_with_metrics("vs-single", &config, 2);
-    let stripped: String = fleet_section
-        .lines()
-        .filter(|line| !line.starts_with("  fleet/"))
-        .map(|line| format!("{line}\n"))
-        .collect();
-    assert_ne!(
-        stripped, fleet_section,
-        "the fleet log must carry fleet/* counters"
-    );
-
-    let (recorder, log) = Recorder::memory();
-    let single_root = scratch("vs-single-machine");
-    let single = rtl_campaign::run(
-        &CampaignDir::new(&single_root),
-        &config,
-        &RunOptions {
-            recorder,
-            ..RunOptions::default()
-        },
-        &mut NoProgress,
-    )
-    .unwrap();
-    assert!(single.diverged() > 0, "fault lane must diverge: {single}");
-    assert_eq!(
-        stripped,
-        fold(&[log.text()]),
-        "streamed counters drifted from the single-machine run"
-    );
 }
 
 /// Collects the `done` count reported with every accepted record.

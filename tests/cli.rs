@@ -217,6 +217,17 @@ fn campaign_archives_and_reproduces_an_injected_engine_bug() {
     let (code, out, err) = run_cli(&["campaign", "replay", "--dir", d, "--engines", "interp,vm"]);
     assert_eq!(code, 0, "{err}");
     assert!(out.contains("bug no longer reproduces"), "{out}");
+
+    // An entry whose design_fp is not hex is refused as corrupt: exit 2.
+    let meta = dir.join("corpus/seed-9.json");
+    let text = std::fs::read_to_string(&meta).unwrap();
+    let key = "\"design_fp\": \"";
+    let start = text.find(key).unwrap() + key.len();
+    let end = start + text[start..].find('"').unwrap();
+    std::fs::write(&meta, format!("{}zz{}", &text[..start], &text[end..])).unwrap();
+    let (code, _, err) = run_cli(&["campaign", "replay", "--dir", d]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("design_fp"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
