@@ -4,20 +4,29 @@
 //!
 //! Every surface moves case artifacts through this module. The runner
 //! builds a bundle and [publishes](CaseBundle::publish) it; a shard
-//! merge [reads](CaseBundle::read), [checks](CaseBundle::check) and
+//! merge [reads](CaseBundle::read_range), [checks](CaseBundle::check) and
 //! publishes each shard's bundles; the fleet worker reads its bundles and
 //! uploads them, and the fleet controller checks and publishes what
 //! arrives. So one set of refusal rules and one commit order hold for
 //! campaign, shard and fleet alike.
 //!
 //! **Commit order.** A bundle is written sidecars → corpus entry →
-//! record, each file atomically. The record is the commit point: a case
-//! without a record is re-run, and because every artifact is a pure
-//! function of `(config, index)`, a kill anywhere before the record only
-//! leaves files that the re-run rewrites byte for byte. Nothing ever
-//! commits a record whose sidecars or corpus entry are not already
-//! durable.
+//! record. Sidecars and corpus files are each published atomically; the
+//! record is one checksummed frame appended to the publishing thread's
+//! worker log ([`caselog`](crate::caselog)), and that frame is the commit
+//! point. A case without a record is re-run, and because every artifact
+//! is a pure function of `(config, index)`, a kill anywhere before the
+//! frame only leaves files that the re-run rewrites byte for byte, or a
+//! torn tail frame that the reader drops. Nothing ever commits a record
+//! whose sidecars or corpus entry are not already written.
+//!
+//! Once a directory holds every case it owns, its worker logs are
+//! compacted into the canonical `cases/cases.log`, one frame per case in
+//! index order ([`CampaignDir::compact`]); a shard merge writes its
+//! output log the same way. `asim2 campaign export` renders the records
+//! back out as `case-NNNNNN.json` files.
 
+use crate::caselog::{CaseFrames, LogWriter};
 use crate::config::CampaignConfig;
 use crate::corpus;
 use crate::error::CampaignError;
@@ -25,6 +34,7 @@ use crate::state::{CampaignDir, CaseRecord, CaseStatus};
 use rtl_obs::json::Json;
 use rtl_obs::write_atomic;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 
 /// The four files of one corpus entry, as text (every corpus artifact —
@@ -153,17 +163,39 @@ pub fn parse_record(config: &CampaignConfig, index: u32, text: &str) -> Result<C
 }
 
 impl CaseBundle {
-    /// Reads case `index`'s bundle from a campaign directory: the record,
-    /// whichever sidecars exist, and the corpus entry the record names.
-    /// `None` when the case has no record.
+    /// Reads the bundle of every case in `range` that has a record, in
+    /// one scan of `dir`'s logs ([`CaseFrames::scan`]): `each` gets the
+    /// record, whichever sidecars exist and the corpus entry the record
+    /// names, in log order. Returns the scan, which locates every frame.
     ///
     /// # Errors
     ///
-    /// I/O failure, or a record naming a corpus entry that is missing.
-    pub fn read(dir: &CampaignDir, index: u32) -> Result<Option<CaseBundle>, CampaignError> {
-        let Some(record) = read_optional(&dir.case_path(index))? else {
-            return Ok(None);
-        };
+    /// A corrupt log, a record that is not UTF-8, a record naming a
+    /// corpus entry that is missing, an error from `each`, or I/O.
+    pub fn read_range(
+        dir: &CampaignDir,
+        cases: u32,
+        range: Range<u32>,
+        mut each: impl FnMut(CaseBundle) -> Result<(), CampaignError>,
+    ) -> Result<CaseFrames, CampaignError> {
+        CaseFrames::scan(dir, cases, range, |index, record| {
+            let record = String::from_utf8(record.to_vec()).map_err(|_| {
+                CampaignError::Corrupt(format!(
+                    "{}: case {index}'s record is not UTF-8",
+                    dir.cases().display()
+                ))
+            })?;
+            each(CaseBundle::with_record(dir, index, record)?)
+        })
+    }
+
+    /// Case `index`'s bundle around its record text: the sidecars on
+    /// disk and the corpus entry the record names.
+    fn with_record(
+        dir: &CampaignDir,
+        index: u32,
+        record: String,
+    ) -> Result<CaseBundle, CampaignError> {
         // An unparseable record names no entry; `check` reports it.
         let named = Json::parse(&record)
             .ok()
@@ -187,13 +219,13 @@ impl CaseBundle {
                 })
             }
         };
-        Ok(Some(CaseBundle {
+        Ok(CaseBundle {
             index,
             record,
             profile: read_optional(&dir.profile_path(index))?,
             flight: read_optional(&dir.flight_path(index))?,
             corpus,
-        }))
+        })
     }
 
     /// Checks every artifact before anything is published: the record
@@ -207,8 +239,8 @@ impl CaseBundle {
     ///
     /// # Errors
     ///
-    /// A message naming the offending file (relative to the campaign
-    /// root) and the broken rule.
+    /// A message naming the offending record or file (relative to the
+    /// campaign root) and the broken rule.
     pub fn check(
         &self,
         config: &CampaignConfig,
@@ -217,8 +249,9 @@ impl CaseBundle {
     ) -> Result<(CaseRecord, Option<u64>), String> {
         let at = CampaignDir::new("");
         let file = |path: std::path::PathBuf| path.display().to_string();
+        let record_label = format!("{}: case {}", file(at.cases()), self.index);
         let record = parse_record(config, self.index, &self.record)
-            .map_err(|e| format!("{}: {e}", file(at.case_path(self.index))))?;
+            .map_err(|e| format!("{record_label}: {e}"))?;
         if let Some(text) = &self.profile {
             let path = file(at.profile_path(self.index));
             if !profile {
@@ -250,8 +283,7 @@ impl CaseBundle {
             (None, None) => None,
             (None, Some(name)) => {
                 return Err(format!(
-                    "{}: names corpus entry {name:?}, which did not come with it",
-                    file(at.case_path(self.index))
+                    "{record_label}: names corpus entry {name:?}, which did not come with it"
                 ))
             }
             (Some(entry), Some(name)) if entry.name == name => {
@@ -259,23 +291,22 @@ impl CaseBundle {
             }
             (Some(entry), _) => {
                 return Err(format!(
-                    "{}: case {} does not name corpus entry {:?}",
-                    file(at.case_path(self.index)),
-                    self.index,
-                    entry.name
+                    "{record_label}: case {} does not name corpus entry {:?}",
+                    self.index, entry.name
                 ))
             }
         };
         Ok((record, fp))
     }
 
-    /// Publishes the bundle into `dir` in the commit order: sidecars,
-    /// then the corpus entry, then the record.
+    /// Publishes the bundle into `log`'s directory in the commit order:
+    /// sidecars, then the corpus entry, then the record frame.
     ///
     /// # Errors
     ///
     /// File-system failure.
-    pub fn publish(&self, dir: &CampaignDir) -> io::Result<()> {
+    pub fn publish(&self, log: &mut LogWriter) -> io::Result<()> {
+        let dir = log.dir().clone();
         if let Some(text) = &self.profile {
             write_atomic(&dir.profile_path(self.index), text.as_bytes())?;
         }
@@ -285,7 +316,7 @@ impl CaseBundle {
         if let Some(entry) = &self.corpus {
             entry.files.write(&dir.corpus(), &entry.name)?;
         }
-        write_atomic(&dir.case_path(self.index), self.record.as_bytes())
+        log.append(self.index, self.record.as_bytes())
     }
 }
 
@@ -319,7 +350,7 @@ fn check_entry(entry: &BundleEntry) -> Result<u64, String> {
     Ok(fp)
 }
 
-/// A file's text, or `None` when it does not exist.
+/// A sidecar's text, or `None` when it does not exist.
 fn read_optional(path: &Path) -> io::Result<Option<String>> {
     match std::fs::read_to_string(path) {
         Ok(text) => Ok(Some(text)),

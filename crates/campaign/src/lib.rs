@@ -14,8 +14,10 @@
 //! * [`config`] — the determinism contract: everything outcome-relevant,
 //!   fingerprinted with the session-checkpoint hasher so a drifted resume
 //!   is refused.
-//! * [`state`] — `campaign.json` + atomically-published per-case records;
-//!   stop the process anywhere, [`resume`] runs exactly the gaps.
+//! * [`state`] — `campaign.json` and the case records; stop the process
+//!   anywhere, [`resume`] runs exactly the gaps.
+//! * [`caselog`] — records as checksummed frames in per-worker
+//!   append-only logs, compacted into one canonical log per campaign.
 //! * [`bundle`] — one case's artifacts (record, sidecars, the corpus
 //!   entry it names) read, checked and published as one unit, in the one
 //!   commit order every surface shares.
@@ -51,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod bundle;
+pub mod caselog;
 pub mod config;
 pub mod corpus;
 pub mod error;
@@ -60,6 +63,7 @@ pub mod shrink;
 pub mod state;
 
 pub use bundle::{BundleEntry, CaseBundle, CorpusFiles};
+pub use caselog::{CaseFrames, LogWriter};
 pub use config::CampaignConfig;
 pub use corpus::{CorpusEntry, ReplayOutcome, ReplayReport, ReplayResult};
 pub use error::CampaignError;

@@ -13,6 +13,7 @@
 //! resumable.
 
 use crate::bundle::{expected_seed, CaseBundle};
+use crate::caselog::LogWriter;
 use crate::config::CampaignConfig;
 use crate::corpus::{self, kind_label, ReplayReport};
 use crate::error::CampaignError;
@@ -360,15 +361,18 @@ pub fn run(
     };
 
     let records = vec![None; config.cases as usize];
-    execute(dir, config, options, cache, records, replay, progress)
+    let report = execute(dir, config, options, cache, records, replay, progress)?;
+    compact_when_complete(dir, options, &report)?;
+    Ok(report)
 }
 
 /// Resumes the campaign in `dir`: validates the stored configuration's
 /// fingerprint, loads completed case records, and runs only the gaps.
 /// An unranged resume takes the directory over and first
-/// [sweeps](CampaignDir::sweep_orphans) orphaned temp files. With
-/// `options.case_range` set, only that range's records are loaded and
-/// nothing outside the range is touched.
+/// [sweeps](CampaignDir::sweep_orphans) orphaned temp files, and
+/// [compacts](CampaignDir::compact) the record logs once the campaign is
+/// complete. With `options.case_range` set, only that range's records
+/// are loaded and nothing outside the range is touched.
 ///
 /// # Errors
 ///
@@ -386,7 +390,22 @@ pub fn resume(
     let records = dir.load_case_range(config.cases, run_range(options, &config))?;
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     validate_engines(&config, &campaign_registry(Some(Arc::clone(&cache))))?;
-    execute(dir, &config, options, cache, records, None, progress)
+    let report = execute(dir, &config, options, cache, records, None, progress)?;
+    compact_when_complete(dir, options, &report)?;
+    Ok(report)
+}
+
+/// Compacts the record logs once an unranged run leaves the campaign
+/// complete. A ranged run owns only its range; its caller decides.
+fn compact_when_complete(
+    dir: &CampaignDir,
+    options: &RunOptions,
+    report: &CampaignReport,
+) -> Result<(), CampaignError> {
+    if options.case_range.is_none() && report.complete() {
+        dir.compact(report.config.cases)?;
+    }
+    Ok(())
 }
 
 /// Replays the campaign's corpus standalone (the CI entry point).
@@ -487,6 +506,8 @@ fn execute(
                 let _worker_span = recorder.span("campaign", "worker");
                 let mut claimed = 0u64;
                 let registry = campaign_registry(Some(cache));
+                // One log per thread: publishing a case is an append.
+                let mut log = LogWriter::new(dir);
                 loop {
                     if abort.load(Ordering::Relaxed) {
                         break;
@@ -502,7 +523,7 @@ fn execute(
                         config,
                         fuzz,
                         index,
-                        dir,
+                        &mut log,
                         case_checkpoint,
                         profile,
                         flight,
@@ -514,6 +535,9 @@ fn execute(
                         abort.store(true, Ordering::Relaxed);
                         break;
                     }
+                }
+                if let Err(e) = log.finish() {
+                    let _ = tx.send(Err(e.into()));
                 }
                 // Which worker claimed how many cases is scheduling
                 // luck — a utilization gauge, never a counter.
@@ -654,12 +678,13 @@ fn run_one(
     config: &CampaignConfig,
     fuzz: &FuzzOptions,
     index: u32,
-    dir: &CampaignDir,
+    log: &mut LogWriter,
     case_checkpoint: bool,
     profile: bool,
     flight: bool,
     recorder: &Recorder,
 ) -> Result<DoneCase, CampaignError> {
+    let dir = &log.dir().clone();
     // Thread the per-case lockstep checkpoint through: write it while the
     // case runs, resume from a leftover document (a kill mid-case), and
     // remove it once the record is durable.
@@ -782,8 +807,8 @@ fn run_one(
         Some(render_flight(&events, &trigger))
     });
     // Publish from the worker, so I/O overlaps across workers instead of
-    // serializing in the collector. Once this returns, the case is
-    // durable: a kill right after still resumes past it.
+    // serializing in the collector. Once this returns, the case survives
+    // a kill: a resume right after runs past it.
     let (entry, new_files) = archived.unzip();
     CaseBundle {
         index,
@@ -792,7 +817,7 @@ fn run_one(
         flight,
         corpus: new_files.flatten(),
     }
-    .publish(dir)?;
+    .publish(log)?;
     if case_checkpoint {
         let _ = std::fs::remove_file(&ckpt_path);
     }
@@ -944,12 +969,13 @@ mod tests {
             )));
             let _ = std::fs::remove_dir_all(dir.root());
             dir.init(&config).unwrap();
+            let mut log = LogWriter::new(&dir);
             let done = run_one(
                 &registry,
                 &config,
                 &fuzz,
                 0,
-                &dir,
+                &mut log,
                 false,
                 false,
                 false,
@@ -960,9 +986,9 @@ mod tests {
                 detail: text.to_string(),
             };
             assert_eq!(done.record.status, halted);
-            let stored = std::fs::read_to_string(dir.case_path(0)).unwrap();
-            let stored = rtl_obs::json::Json::parse(&stored).unwrap();
-            assert_eq!(CaseRecord::from_json(&stored).unwrap().status, halted);
+            log.finish().unwrap();
+            let stored = dir.load_cases(1).unwrap().remove(0).unwrap();
+            assert_eq!(stored.status, halted);
             let _ = std::fs::remove_dir_all(dir.root());
         }
     }

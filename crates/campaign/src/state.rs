@@ -3,19 +3,24 @@
 //! A campaign directory holds:
 //!
 //! ```text
-//! campaign.json      — format line, config fingerprint, configuration
-//! cases/case-N.json  — one record per completed case, written atomically
-//! corpus/            — shrunk divergence-regression scenarios (see corpus)
-//! bin-cache/         — compiled `rust`-lane binaries, keyed by source hash
+//! campaign.json        — format line, config fingerprint, configuration
+//! cases/cases.log      — every case record, one frame per case by index
+//! cases/worker-N.log   — records appended by a run's writers, until compaction
+//! cases/case-N.profile — sidecars of a case: profile, flight dump, checkpoint
+//! corpus/              — shrunk divergence-regression scenarios (see corpus)
+//! bin-cache/           — compiled `rust`-lane binaries, keyed by source hash
 //! ```
 //!
 //! Stop the process at any point and `resume` picks up exactly the
-//! missing cases: a record file either exists completely (it is published
-//! with a write-to-temp + rename) or not at all. The manifest carries the
+//! missing cases: a record is a checksummed frame in a log
+//! ([`caselog`](crate::caselog)), and a frame a kill tore is dropped, so
+//! its case runs again. The manifest carries the
 //! [`CampaignConfig::fingerprint`] so a resume with a drifted
 //! configuration is refused instead of silently producing different
-//! results.
+//! results, and the [`FORMAT`] line, so a directory laid out by another
+//! version is refused by name.
 
+use crate::caselog::CaseFrames;
 use crate::config::CampaignConfig;
 use crate::error::CampaignError;
 use rtl_core::LaneStats;
@@ -25,8 +30,12 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// The manifest format line; bump on breaking layout changes.
-pub const FORMAT: &str = "asim2-campaign v1";
+/// The manifest format line; bump on breaking layout changes. Version 2
+/// keeps case records in logs; version 1 kept one file per record.
+pub const FORMAT: &str = "asim2-campaign v2";
+
+/// The format line of the one-file-per-record layout, refused by name.
+const V1: &str = "asim2-campaign v1";
 
 /// How one case ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,7 +253,7 @@ impl CampaignDir {
         self.root.join("campaign.json")
     }
 
-    /// The per-case record directory.
+    /// The case record logs and sidecars directory.
     pub fn cases(&self) -> PathBuf {
         self.root.join("cases")
     }
@@ -259,7 +268,8 @@ impl CampaignDir {
         self.root.join("bin-cache")
     }
 
-    /// One case record's path.
+    /// Where `campaign export` renders one case record as a file (a
+    /// campaign itself keeps its records in logs).
     pub fn case_path(&self, index: u32) -> PathBuf {
         self.cases().join(format!("case-{index:06}.json"))
     }
@@ -357,6 +367,13 @@ impl CampaignDir {
             .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", path.display())))?;
         match doc.get("format").and_then(Json::as_str) {
             Some(FORMAT) => {}
+            Some(V1) => {
+                return Err(CampaignError::Corrupt(format!(
+                    "{} holds an {V1:?} campaign, which keeps one file per case record; \
+                     this asim2 reads only {FORMAT:?} campaigns, whose records are logs",
+                    self.root.display()
+                )))
+            }
             Some(other) => {
                 return Err(CampaignError::Corrupt(format!(
                     "unsupported campaign format {other:?} (expected {FORMAT:?})"
@@ -413,17 +430,17 @@ impl CampaignDir {
         Ok(())
     }
 
-    /// Publishes one case record atomically (temp file + rename), so an
-    /// interrupt never leaves a half-written record behind.
+    /// Publishes one case record as a worker log of its own holding its
+    /// one frame, written in one write. Any number of threads may call
+    /// it on one directory. Like a file published through
+    /// [`write_atomic`], it is not synced; a campaign run publishes
+    /// through one [`LogWriter`](crate::LogWriter) per thread, which is.
     ///
     /// # Errors
     ///
     /// File-system failure.
     pub fn write_case(&self, record: &CaseRecord) -> Result<(), CampaignError> {
-        write_atomic(
-            &self.case_path(record.index),
-            record.to_json().render().as_bytes(),
-        )?;
+        crate::caselog::write_one(self, record.index, record.to_json().render().as_bytes())?;
         Ok(())
     }
 
@@ -432,41 +449,39 @@ impl CampaignDir {
     ///
     /// # Errors
     ///
-    /// A corrupt record, or file-system failure.
+    /// A corrupt record or log, or file-system failure.
     pub fn load_cases(&self, cases: u32) -> Result<Vec<Option<CaseRecord>>, CampaignError> {
         self.load_case_range(cases, 0..cases)
     }
 
     /// [`load_cases`](CampaignDir::load_cases) reading only the records
-    /// of `range`: every case outside it is `None`, its file unopened.
+    /// of `range`: every case outside it is `None`, its frame stepped
+    /// over unread.
     pub(crate) fn load_case_range(
         &self,
         cases: u32,
         range: Range<u32>,
     ) -> Result<Vec<Option<CaseRecord>>, CampaignError> {
         let mut records = vec![None; cases as usize];
-        let end = range.end.min(cases) as usize;
-        let start = (range.start as usize).min(end);
-        for (index, slot) in records[start..end].iter_mut().enumerate() {
-            let index = start + index;
-            let path = self.case_path(index as u32);
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(CampaignError::Io(e)),
-            };
-            let record = Json::parse(&text)
+        let cases_dir = self.cases();
+        CaseFrames::scan(self, cases, range, |index, text| {
+            let record = std::str::from_utf8(text)
+                .map_err(|e| e.to_string())
+                .and_then(Json::parse)
                 .and_then(|doc| CaseRecord::from_json(&doc))
-                .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", path.display())))?;
-            if record.index != index as u32 {
+                .map_err(|e| {
+                    CampaignError::Corrupt(format!("{}: case {index}: {e}", cases_dir.display()))
+                })?;
+            if record.index != index {
                 return Err(CampaignError::Corrupt(format!(
-                    "{} records case {} (index/file mismatch)",
-                    path.display(),
+                    "{}: the frame for case {index} records case {}",
+                    cases_dir.display(),
                     record.index
                 )));
             }
-            *slot = Some(record);
-        }
+            records[index as usize] = Some(record);
+            Ok(())
+        })?;
         Ok(records)
     }
 }
@@ -474,6 +489,7 @@ impl CampaignDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::caselog::LogWriter;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -610,10 +626,14 @@ mod tests {
         assert_eq!(dir.load_cases(1).unwrap()[0].as_ref(), Some(&record));
         // A second `seed` after the first: a reader that let the first
         // (or the last) win would load a different case than was run.
-        let text = std::fs::read_to_string(dir.case_path(0)).unwrap();
+        let text = record.to_json().render();
         let dup = text.replacen("\"seed\": 9,", "\"seed\": 9,\n  \"seed\": 10,", 1);
         assert_ne!(dup, text);
-        std::fs::write(dir.case_path(0), dup).unwrap();
+        std::fs::remove_dir_all(dir.cases()).unwrap();
+        std::fs::create_dir_all(dir.cases()).unwrap();
+        let mut log = LogWriter::new(&dir);
+        log.append(0, dup.as_bytes()).unwrap();
+        log.finish().unwrap();
         let err = dir.load_cases(1).unwrap_err();
         assert!(
             matches!(&err, CampaignError::Corrupt(m) if m.contains("duplicate key \"seed\"")),

@@ -3,6 +3,7 @@
 //! drifted, foreign and corrupt state. Determinism across worker counts
 //! and interrupt + resume is the root `tests/identity.rs` matrix.
 
+use rtl_campaign::caselog::{FrameReader, CANONICAL, HEADER};
 use rtl_campaign::{
     replay_corpus, resume, run, CampaignConfig, CampaignDir, CampaignError, CaseStatus, NoProgress,
     ReplayOutcome, RunOptions,
@@ -181,7 +182,7 @@ fn run_refuses_unknown_engines_and_existing_campaigns() {
 /// and a stale checkpoint outside it are left alone, a stale checkpoint
 /// beside a completed in-range record is swept, and the missing in-range
 /// case reruns to the reference record. An unranged resume still reads
-/// every record and refuses the corrupt one.
+/// every record and refuses the corrupt one by name.
 #[test]
 fn ranged_resume_reads_and_sweeps_only_its_range() {
     let root = scratch("ranged");
@@ -189,8 +190,22 @@ fn ranged_resume_reads_and_sweeps_only_its_range() {
     let reference = run(&dir, &quick_config(6), &opts(2), &mut NoProgress).unwrap();
     assert!(reference.complete(), "{reference}");
 
-    std::fs::write(dir.case_path(0), "{ not a record").unwrap();
-    std::fs::remove_file(dir.case_path(5)).unwrap();
+    // Flip one record byte of case 0's frame, the first of the canonical
+    // log, and cut case 5's, its last, off at its frame boundary.
+    let log = dir.cases().join(CANONICAL);
+    let mut bytes = std::fs::read(&log).unwrap();
+    let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
+    let mut offsets = Vec::new();
+    while let Some(frame) = reader.next(|_| false).unwrap() {
+        offsets.push((frame.index, frame.offset));
+    }
+    assert_eq!(
+        offsets.iter().map(|f| f.0).collect::<Vec<_>>(),
+        [0, 1, 2, 3, 4, 5]
+    );
+    bytes.truncate(offsets[5].1 as usize);
+    bytes[HEADER + 2] ^= 0x20;
+    std::fs::write(&log, bytes).unwrap();
     let stale_outside = dir.cases().join("case-000001.ckpt");
     let stale_inside = dir.cases().join("case-000004.ckpt");
     std::fs::write(&stale_outside, "stale").unwrap();
@@ -213,7 +228,8 @@ fn ranged_resume_reads_and_sweeps_only_its_range() {
 
     let err = resume(&dir, &opts(1), &mut NoProgress).unwrap_err();
     assert!(
-        matches!(err, CampaignError::Corrupt(_)),
+        matches!(&err, CampaignError::Corrupt(m)
+            if m.contains("cases.log") && m.contains("(case 0) fails its checksum")),
         "expected corrupt-record refusal, got: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);

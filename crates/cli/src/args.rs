@@ -47,6 +47,7 @@ const COMMANDS: &[(&str, &[&str], usize)] = &[
     ("campaign replay", &["--dir D --engines LIST"], 0),
     ("campaign shrink", &["--dir D --seed N --engines LIST --cycles N --size N \
         --compare-every N"], 0),
+    ("campaign export", &["--dir D --out O"], 0),
     ("campaign shard plan", &["--plan F --shards K", CONFIG], 0),
     ("campaign shard run", &["--plan F --shard I --dir D", RUN], 0),
     ("campaign shard merge", &["--plan F --out D --shards DIRS --metrics-out F \
@@ -305,6 +306,7 @@ mod tests {
         ("campaign resume", "--cases", Some("--dir")),
         ("campaign replay", "--seed", Some("--engines")),
         ("campaign shrink", "--lint-oracle", Some("--seed")),
+        ("campaign export", "--shards", Some("--out")),
         ("campaign shard plan", "--shard", Some("--shards")),
         ("campaign shard run", "--shards", Some("--shard")),
         ("campaign shard merge", "--cases", Some("--out")),
@@ -455,7 +457,7 @@ mod tests {
             (&["frob"], "unknown command \"frob\""),
             (
                 &["campaign"],
-                "campaign needs a subcommand (run|resume|replay|shrink|shard)",
+                "campaign needs a subcommand (run|resume|replay|shrink|export|shard)",
             ),
             (
                 &["campaign", "shard"],

@@ -106,6 +106,8 @@ const USAGE: &str = "usage:
   asim2 campaign replay --dir D [--engines LIST]
   asim2 campaign shrink --dir D --seed N [--engines LIST] [--cycles N] [--size N]
                         [--compare-every N]
+  asim2 campaign export --dir D --out O     (render the case records as
+                        O/cases/case-NNNNNN.json files)
   asim2 campaign shard plan  [--plan F] --cases N --shards K [--seed N] [--engines LIST]
                              [--cycles N] [--size N] [--compare-every N] [--lint-oracle]
   asim2 campaign shard run   [--plan F] --shard I --dir D [--workers N] [--limit N]
@@ -1066,6 +1068,19 @@ fn campaign_cmd(args: &Args, out: &mut dyn Write, err: &mut dyn Write) -> Result
                 );
             }
             verdict(Surface::Campaign(&report), err)
+        }
+        "campaign export" => {
+            let to = rtl_campaign::CampaignDir::new(
+                args.value("--out")
+                    .ok_or_else(|| usage_err("campaign export needs --out DIR"))?,
+            );
+            let exported = dir.export(&to).map_err(campaign_err)?;
+            let _ = writeln!(
+                out,
+                "exported {exported} case record(s) to {}",
+                to.cases().display()
+            );
+            Ok(())
         }
         "campaign replay" => {
             let engines = engines_flag(args)?;
@@ -2257,19 +2272,135 @@ mod tests {
             std::fs::read(merged.join("campaign.json")).unwrap(),
             "manifests are byte-identical"
         );
-        for i in 0..9 {
-            let name = format!("case-{i:06}.json");
-            assert_eq!(
-                std::fs::read(single.join("cases").join(&name)).unwrap(),
-                std::fs::read(merged.join("cases").join(&name)).unwrap(),
-                "{name} is byte-identical"
-            );
-        }
+        let listing = |root: &std::path::Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(root.join("cases"))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(listing(&single), ["cases.log"], "one canonical log");
+        assert_eq!(listing(&merged), ["cases.log"], "one canonical log");
+        assert_eq!(
+            std::fs::read(single.join("cases/cases.log")).unwrap(),
+            std::fs::read(merged.join("cases/cases.log")).unwrap(),
+            "the record logs are byte-identical"
+        );
 
         // The merged directory is a first-class campaign: resume is a
         // clean no-op over it.
         let resumed = run_ok(&["campaign", "resume", "--dir", merged.to_str().unwrap()]);
         assert!(resumed.contains("summary: 9/9 agreed"), "{resumed}");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// The quick campaign the export and format tests run, into `dir`.
+    fn quick_campaign(dir: &std::path::Path, cases: &str) {
+        run_ok(&[
+            "campaign",
+            "run",
+            "--dir",
+            dir.to_str().unwrap(),
+            "--cases",
+            cases,
+            "--seed",
+            "3",
+            "--cycles",
+            "16",
+            "--size",
+            "8",
+            "--quiet",
+        ]);
+    }
+
+    /// `campaign export` renders every record at its `case_path`, each
+    /// file the record's canonical rendering, and writes nothing else.
+    #[test]
+    fn campaign_export_renders_each_record_as_its_canonical_file() {
+        let base = campaign_dir("export");
+        let (dir, to) = (base.join("campaign"), base.join("exported"));
+        quick_campaign(&dir, "5");
+        let out = run_ok(&[
+            "campaign",
+            "export",
+            "--dir",
+            dir.to_str().unwrap(),
+            "--out",
+            to.to_str().unwrap(),
+        ]);
+        assert!(out.contains("exported 5 case record(s)"), "{out}");
+        let campaign = rtl_campaign::CampaignDir::new(&dir);
+        let exported = rtl_campaign::CampaignDir::new(&to);
+        let mut names: Vec<String> = std::fs::read_dir(exported.cases())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let expected: Vec<String> = (0..5).map(|i| format!("case-{i:06}.json")).collect();
+        assert_eq!(names, expected);
+        for record in campaign.load_cases(5).unwrap().iter().flatten() {
+            assert_eq!(
+                std::fs::read_to_string(exported.case_path(record.index)).unwrap(),
+                record.to_json().render(),
+                "case {}",
+                record.index
+            );
+        }
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A version-1 directory — one file per case record — is refused by
+    /// name by every command that takes a campaign directory over; none
+    /// reads it as an empty campaign.
+    #[test]
+    fn version_1_campaign_directories_are_refused_by_name() {
+        let base = campaign_dir("v1");
+        let dir = base.join("v1");
+        quick_campaign(&dir, "2");
+        let campaign = rtl_campaign::CampaignDir::new(&dir);
+        campaign.export(&campaign).unwrap();
+        std::fs::remove_file(campaign.cases().join("cases.log")).unwrap();
+        let manifest = std::fs::read_to_string(campaign.manifest()).unwrap();
+        let v1 = manifest.replace("asim2-campaign v2", "asim2-campaign v1");
+        assert_ne!(v1, manifest);
+        std::fs::write(campaign.manifest(), v1).unwrap();
+
+        let (d, plan) = (dir.to_str().unwrap(), base.join("plan.json"));
+        let plan = plan.to_str().unwrap();
+        let config = [
+            "--cases", "2", "--seed", "3", "--cycles", "16", "--size", "8",
+        ];
+        let mut plan_args = vec!["campaign", "shard", "plan", "--plan", plan, "--shards", "1"];
+        plan_args.extend(config);
+        run_ok(&plan_args);
+        let mut serve = vec!["fleet", "serve", "--dir", d, "--token", "t"];
+        serve.extend(["--bind", "127.0.0.1:0", "--quiet"]);
+        serve.extend(config);
+        let out = base.join("out");
+        for args in [
+            vec!["campaign", "resume", "--dir", d],
+            vec![
+                "campaign",
+                "export",
+                "--dir",
+                d,
+                "--out",
+                out.to_str().unwrap(),
+            ],
+            vec![
+                "campaign", "shard", "merge", "--plan", plan, "--shards", d, "--out",
+            ]
+            .into_iter()
+            .chain([out.to_str().unwrap()])
+            .collect(),
+            serve,
+        ] {
+            let (code, err) = run_fail(&args);
+            assert_eq!(code, 2, "{args:?}: {err}");
+            assert!(err.contains("\"asim2-campaign v1\""), "{args:?}: {err}");
+        }
+        assert!(!out.exists(), "a refusal writes nothing");
         let _ = std::fs::remove_dir_all(&base);
     }
 

@@ -8,19 +8,35 @@
 //! exercises is *refusal*. Drifted configurations, markers from another
 //! plan, records outside a shard's range, incomplete shards, and any
 //! bundle that fails [`CaseBundle::check`] stop the merge before
-//! anything is written. The bundles are then read again (so memory holds
-//! parsed records, not every sidecar) and published in the shared commit
-//! order stated in [`rtl_campaign::bundle`]. Corpus entries are
-//! deduplicated by [`entry_fingerprint`](rtl_campaign::corpus), so
-//! overlapping regression corpora collapse to one entry each.
+//! anything is written. One scan of each shard's record logs finds and
+//! checks its bundles; the merge then copies the sidecars and corpus
+//! entries it located and streams the record frames into one canonical
+//! `cases/cases.log`, keeping the shared commit order stated in
+//! [`rtl_campaign::bundle`]. Corpus entries are deduplicated by
+//! [`entry_fingerprint`](rtl_campaign::corpus), so overlapping regression
+//! corpora collapse to one entry each.
 
 use crate::plan::ShardPlan;
 use crate::shard::load_marker;
-use rtl_campaign::{CampaignDir, CampaignError, CampaignReport, CaseBundle, CaseRecord};
+use rtl_campaign::{
+    CampaignDir, CampaignError, CampaignReport, CaseBundle, CaseFrames, CaseRecord, CorpusFiles,
+};
 use rtl_core::Recorder;
+use rtl_obs::write_atomic;
 use std::collections::{BTreeSet, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
+
+/// Where pass 1 found one case's artifacts: which shard directory, which
+/// sidecars, and the corpus entry its record names with the entry's
+/// fingerprint.
+#[derive(Clone)]
+struct Source {
+    shard: usize,
+    profile: bool,
+    flight: bool,
+    corpus: Option<(String, u64)>,
+}
 
 /// Validates shard directories against `plan` and merges them into
 /// `out` (which must not already hold a campaign): manifest, and every
@@ -76,13 +92,14 @@ pub fn merge_with(
     }
 
     // Pass 1: read and check every bundle before writing anything. Only
-    // the parsed records stay in memory (sidecars can be large); pass 2
-    // reads each bundle again to publish it.
+    // the parsed records, and where each case's artifacts lie, stay in
+    // memory (sidecars can be large).
     let cases = plan.config.cases as usize;
-    let mut sources: Vec<Option<(&Path, Option<u64>)>> = vec![None; cases];
+    let mut sources: Vec<Option<Source>> = vec![None; cases];
     let mut records: Vec<Option<CaseRecord>> = vec![None; cases];
+    let mut frames: Option<CaseFrames> = None;
     let mut seen_shards = vec![false; plan.shards.len()];
-    for root in shard_dirs {
+    for (shard, root) in shard_dirs.iter().enumerate() {
         let dir = CampaignDir::new(root);
         let config = dir.load()?;
         if config.fingerprint() != plan.config.fingerprint() {
@@ -99,60 +116,76 @@ pub fn merge_with(
                 root.display()
             )));
         }
-        for index in 0..plan.config.cases {
-            if !spec.range().contains(&index) {
-                if dir.case_path(index).exists() {
-                    return Err(CampaignError::Corrupt(format!(
-                        "{}: case {index} lies outside shard {}'s range {}..{}",
-                        root.display(),
-                        spec.index,
-                        spec.start,
-                        spec.end
-                    )));
-                }
-                continue;
-            }
-            let bundle = CaseBundle::read(&dir, index)?.ok_or_else(|| {
-                CampaignError::Config(format!(
-                    "{}: shard {} is missing case {index} — re-run it to completion \
-                     before merging",
-                    root.display(),
-                    spec.index
-                ))
-            })?;
+        let range = spec.range();
+        let scanned = CaseBundle::read_range(&dir, plan.config.cases, range.clone(), |bundle| {
             // The same check the fleet controller runs on an upload. A
             // shard carries whichever sidecars it was run with.
             let (record, corpus_fp) = bundle
                 .check(&plan.config, true, true)
                 .map_err(|m| CampaignError::Corrupt(format!("{}/{m}", root.display())))?;
-            sources[index as usize] = Some((root.as_path(), corpus_fp));
-            records[index as usize] = Some(record);
+            let index = bundle.index as usize;
+            sources[index] = Some(Source {
+                shard,
+                profile: bundle.profile.is_some(),
+                flight: bundle.flight.is_some(),
+                corpus: bundle.corpus.map(|entry| entry.name).zip(corpus_fp),
+            });
+            records[index] = Some(record);
+            Ok(())
+        })?;
+        if let Some(index) = scanned.indices().find(|index| !range.contains(index)) {
+            return Err(CampaignError::Corrupt(format!(
+                "{}: case {index} lies outside shard {}'s range {}..{}",
+                root.display(),
+                spec.index,
+                spec.start,
+                spec.end
+            )));
+        }
+        if let Some(index) = range.clone().find(|&index| !scanned.contains(index)) {
+            return Err(CampaignError::Config(format!(
+                "{}: shard {} is missing case {index} — re-run it to completion \
+                 before merging",
+                root.display(),
+                spec.index
+            )));
+        }
+        match &mut frames {
+            None => frames = Some(scanned),
+            Some(all) => all.absorb(scanned),
         }
     }
 
-    // Pass 2: publish the canonical campaign, in case order, so the first
-    // case naming a scenario keeps its corpus entry.
+    // Pass 2: publish the canonical campaign, copying what pass 1
+    // located. Sidecars and corpus entries go first, in case order, so
+    // the first case naming a scenario keeps its corpus entry; then the
+    // record frames stream into the canonical log.
     out.init(&plan.config)?;
     let mut seen_corpus: HashSet<u64> = HashSet::new();
     let mut new_corpus = BTreeSet::new();
     for (index, source) in sources.iter().enumerate() {
-        let Some((root, corpus_fp)) = source else {
+        let Some(source) = source else {
             continue;
         };
-        let mut bundle =
-            CaseBundle::read(&CampaignDir::new(root), index as u32)?.ok_or_else(|| {
-                CampaignError::Corrupt(format!(
-                    "{}: case {index} vanished during the merge",
-                    root.display()
-                ))
-            })?;
-        if corpus_fp.is_some_and(|fp| !seen_corpus.insert(fp)) {
-            bundle.corpus = None;
+        let from = CampaignDir::new(&shard_dirs[source.shard]);
+        let index = index as u32;
+        if source.profile {
+            let text = std::fs::read(from.profile_path(index))?;
+            write_atomic(&out.profile_path(index), &text)?;
         }
-        bundle.publish(out)?;
-        if let Some(entry) = &bundle.corpus {
-            new_corpus.insert(entry.name.clone());
+        if source.flight {
+            let text = std::fs::read(from.flight_path(index))?;
+            write_atomic(&out.flight_path(index), &text)?;
         }
+        if let Some((name, fp)) = &source.corpus {
+            if seen_corpus.insert(*fp) {
+                CorpusFiles::read(&from.corpus(), name)?.write(&out.corpus(), name)?;
+                new_corpus.insert(name.clone());
+            }
+        }
+    }
+    if let Some(frames) = frames.filter(|frames| frames.indices().next().is_some()) {
+        frames.write_canonical(out)?;
     }
     recorder.count("merge", "records", records.iter().flatten().count() as u64);
     recorder.count("merge", "corpus_entries", new_corpus.len() as u64);

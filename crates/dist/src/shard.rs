@@ -12,10 +12,11 @@
 //! byte-identical end state, no manual partitioning.)
 //!
 //! `run_shard` is kill-anywhere resumable for free: it rides the campaign
-//! state layer's atomically-published case records, so invoking it again
-//! on an interrupted directory runs exactly the missing cases of the
-//! shard's range (`--limit` and `--case-checkpoint` compose the same way
-//! they do for `campaign run`).
+//! state layer's case record logs, so invoking it again on an
+//! interrupted directory runs exactly the missing cases of the shard's
+//! range (`--limit` and `--case-checkpoint` compose the same way they do
+//! for `campaign run`). A completed shard compacts its logs into one
+//! canonical `cases/cases.log`.
 
 use crate::fingerprint_hex;
 use crate::plan::{ShardPlan, ShardSpec};
@@ -183,8 +184,10 @@ pub fn load_marker(dir: &CampaignDir, plan: &ShardPlan) -> Result<ShardSpec, Cam
 /// is initialized as a campaign under the plan's config plus a
 /// `shard.json` marker; an existing one must have been created under the
 /// *same* plan and shard index — then only its missing cases run, after
-/// orphaned temp files are [swept](CampaignDir::sweep_orphans).
-/// `options.case_range` is overwritten with the shard's range.
+/// orphaned temp files are [swept](CampaignDir::sweep_orphans). Once the
+/// shard's range is complete, its record logs are
+/// [compacted](CampaignDir::compact). `options.case_range` is overwritten
+/// with the shard's range.
 ///
 /// # Errors
 ///
@@ -237,6 +240,11 @@ pub fn run_shard(
         ..options.clone()
     };
     let report = rtl_campaign::resume(dir, &scoped, progress)?;
+    // The shard owns only its range: once that is complete, its record
+    // logs compact into the canonical log.
+    if report.completed() == spec.cases() {
+        dir.compact(plan.config.cases)?;
+    }
     Ok(ShardReport {
         spec: spec.clone(),
         report,

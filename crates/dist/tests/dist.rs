@@ -5,6 +5,7 @@
 //! with a single-machine run, across shard counts and kill+resume inside
 //! a shard, is the root `tests/identity.rs` matrix.
 
+use rtl_campaign::caselog::CANONICAL;
 use rtl_campaign::{CampaignConfig, CampaignDir, CampaignError, NoProgress, RunOptions};
 use rtl_cosim::GenOptions;
 use rtl_dist::{merge, run_shard, ShardPlan};
@@ -39,7 +40,7 @@ fn quick_config(seed: u64, engines: &[&str], cycles: u64) -> CampaignConfig {
 }
 
 /// Everything outcome-carrying in a campaign directory, as relative path
-/// → bytes: the manifest, every case record, every corpus file. The
+/// → bytes: the manifest, the record log and sidecars, every corpus file. The
 /// `bin-cache/` (a rebuildable cache) and `shard.json` (shard-local
 /// metadata by design) are excluded.
 fn tree(root: &Path) -> BTreeMap<String, Vec<u8>> {
@@ -117,8 +118,12 @@ fn merge_refuses_drift_and_incompleteness() {
     // A record outside the shard's range poisons a future merge.
     let stray = CampaignDir::new(scratch("refuse-stray"));
     run_shard(&plan, 0, &stray, &RunOptions::default(), &mut NoProgress).unwrap();
-    let out_of_range = plan.shards[1].start; // belongs to shard 1
-    std::fs::copy(b.case_path(out_of_range), stray.case_path(out_of_range)).unwrap();
+    // Shard 1's records, appended as a worker log of shard 0's directory.
+    std::fs::copy(
+        b.cases().join(CANONICAL),
+        stray.cases().join("worker-9.log"),
+    )
+    .unwrap();
     let out2 = CampaignDir::new(scratch("refuse-out2"));
     let err = merge(
         &plan,

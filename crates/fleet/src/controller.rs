@@ -27,6 +27,7 @@ use crate::protocol::{Framed, Message, Poll, Refusal, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
 use rtl_campaign::{
     corpus, BundleEntry, CampaignConfig, CampaignDir, CampaignReport, CaseBundle, CaseRecord,
+    LogWriter,
 };
 use rtl_obs::json::Json;
 use rtl_obs::{Event, Histogram, Recorder};
@@ -173,8 +174,9 @@ enum Reply {
 /// The mutable serving state, separated from connection I/O so the event
 /// loop can hold `&mut Conn` and `&mut State` at once.
 struct State {
-    dir: CampaignDir,
     config: CampaignConfig,
+    /// The log accepted records are appended to.
+    log: LogWriter,
     options: ControllerOptions,
     records: Vec<Option<CaseRecord>>,
     pending: BTreeSet<u32>,
@@ -231,7 +233,9 @@ impl Controller {
     /// A directory already holding a campaign is *resumed*: its stored
     /// configuration must fingerprint-match `config`, orphaned temp
     /// files are [swept](CampaignDir::sweep_orphans), and only the
-    /// missing cases are leased out.
+    /// missing cases are leased out. Accepted records are appended to
+    /// the controller's own worker log, which is
+    /// [compacted](CampaignDir::compact) once every case has a record.
     ///
     /// # Errors
     ///
@@ -261,8 +265,8 @@ impl Controller {
             .collect();
         let done_at_start = records.iter().flatten().count() as u32;
         let mut state = State {
-            dir: dir.clone(),
             config: config.clone(),
+            log: LogWriter::new(dir),
             options: options.clone(),
             records,
             pending,
@@ -370,6 +374,10 @@ impl Controller {
             std::thread::sleep(Duration::from_millis(2));
         }
 
+        state.log.finish()?;
+        if state.records.iter().all(Option::is_some) {
+            dir.compact(config.cases)?;
+        }
         options.recorder.flush();
         progress.fleet_summary(&state.heartbeat_hist, &state.lease_hist);
         Ok(CampaignReport {
@@ -625,13 +633,13 @@ impl State {
         pending: Vec<Message>,
         progress: &mut dyn FleetProgress,
     ) -> Reply {
-        if let Some(Some(_)) = self.records.get(index as usize) {
+        if let Some(Some(published)) = self.records.get(index as usize) {
             // Idempotent duplicate — a reassigned lease whose original
             // worker got there first, or a replayed upload after a
-            // reconnect. The published bundle is canonical; a different
-            // record contradicts the determinism contract.
-            let published = std::fs::read(self.dir.case_path(index)).unwrap_or_default();
-            if published != body.as_bytes() {
+            // reconnect. The published record's canonical rendering is
+            // its frame's bytes; a different record contradicts the
+            // determinism contract.
+            if published.to_json().render() != body {
                 return Reply::Refuse(
                     Refusal::BadUpload,
                     format!("case {index} differs from the already-published record"),
@@ -685,7 +693,7 @@ impl State {
         if fresh_corpus.is_none() {
             bundle.corpus = None;
         }
-        if let Err(e) = bundle.publish(&self.dir) {
+        if let Err(e) = bundle.publish(&mut self.log) {
             // A publication failure is the controller's problem, not the
             // worker's — but the conversation cannot meaningfully go on.
             return Reply::Refuse(Refusal::BadUpload, format!("publication failed: {e}"));

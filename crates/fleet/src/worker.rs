@@ -16,8 +16,9 @@
 //! worker records telemetry only when the controller keeps it
 //! (`Welcome::metrics`): otherwise the lease runs with a disabled
 //! recorder, which lints and counts nothing, and uploads no event log.
-//! The lease's resume reads and sweeps only the lease's own case files,
-//! however many earlier leases the scratch directory holds.
+//! The lease's resume parses only the lease's own records, stepping over
+//! the frames of every earlier lease the scratch directory holds. The
+//! scratch never owns a whole campaign, so its logs are never compacted.
 
 use crate::error::FleetError;
 use crate::protocol::{Framed, Message, PROTOCOL};
@@ -262,11 +263,18 @@ fn run_lease(
     }
     recorder.flush();
 
-    // Upload each case's bundle byte-verbatim from disk — the same files
-    // a single-machine run publishes, so the controller's directory
-    // diffs clean.
-    for index in start..end {
-        let mut bundle = CaseBundle::read(dir, index)?.ok_or_else(|| {
+    // Upload each case's bundle byte-verbatim from disk — the same record
+    // frames and files a single-machine run publishes, so the
+    // controller's directory diffs clean. One scan of the scratch logs
+    // reads the lease's bundles.
+    let mut bundles: Vec<Option<CaseBundle>> = (start..end).map(|_| None).collect();
+    CaseBundle::read_range(dir, lease_report.config.cases, start..end, |bundle| {
+        let slot = (bundle.index - start) as usize;
+        bundles[slot] = Some(bundle);
+        Ok(())
+    })?;
+    for (index, bundle) in (start..end).zip(bundles) {
+        let mut bundle = bundle.ok_or_else(|| {
             CampaignError::Corrupt(format!("case {index} has no record after its lease ran"))
         })?;
         // A reused scratch may hold sidecars this controller does not

@@ -671,7 +671,13 @@ fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
         ..RunOptions::default()
     };
     rtl_campaign::run(&local, &config, &options, &mut NoProgress).unwrap();
-    let good = CaseBundle::read(&local, 0).unwrap().unwrap();
+    let mut read = Vec::new();
+    CaseBundle::read_range(&local, config.cases, 0..1, |bundle| {
+        read.push(bundle);
+        Ok(())
+    })
+    .unwrap();
+    let good = read.pop().unwrap();
     assert!(good.profile.is_some() && good.flight.is_some() && good.corpus.is_some());
     let entry = good.corpus.clone().unwrap();
 

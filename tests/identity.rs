@@ -2,22 +2,28 @@
 //!
 //! Every cell of config {diverging, diverging under the lint oracle} ×
 //! surface {campaign, shard+merge, fleet} × workers {1, 2} ×
-//! {uninterrupted, `limit` stop + resume} runs one diverging campaign with
+//! {uninterrupted, `limit` stop + resume, `limit` stop + torn tail +
+//! resume} runs one diverging campaign with
 //! profiles, the flight recorder and an in-memory `Recorder` on, so every
 //! artifact kind appears: records, profile and flight sidecars, shrunk
 //! corpus entries and deterministic counters. Against a single-machine
 //! run of the same config, each cell must have
 //!
 //! * the same report text;
-//! * the same `campaign.json`, `cases/` and `corpus/`, byte for byte;
+//! * the same `campaign.json`, `cases/` and `corpus/`, byte for byte —
+//!   `cases/` holding one canonical `cases.log` beside the sidecars;
 //! * the same folded deterministic counter section, once the surface's
 //!   own `merge/*` and `fleet/*` keys are set aside. Fleet cells must also
 //!   agree with each other on `fleet/*`.
 //!
-//! An interrupted cell first plants, in every directory it will take
-//! over, the `.tmp-*` files that a kill between write and rename leaves
-//! behind. No cell may leave one anywhere under its root.
+//! A stopped cell first plants, in every directory it will take over,
+//! the `.tmp-*` files that a kill between write and rename leaves
+//! behind. No cell may leave one anywhere under its root. A torn cell
+//! instead appends half of a valid frame to a worker log, as a kill
+//! mid-append leaves it, and creates an empty worker log, as a kill
+//! between create and first append leaves it.
 
+use rtl_campaign::caselog::{CaseFrames, FrameReader, CANONICAL, HEADER};
 use rtl_campaign::{CampaignConfig, CampaignDir, CampaignReport, NoProgress, RunOptions};
 use rtl_dist::{merge_with, run_shard, ShardPlan};
 use rtl_fleet::{work, Controller, ControllerOptions, NoFleetProgress, WorkerOptions};
@@ -84,6 +90,27 @@ fn plant_orphans(root: &Path) {
     }
 }
 
+/// Appends the first half of a valid frame to a worker log of the
+/// campaign directory at `root`, as a kill mid-append leaves it, and
+/// creates an empty worker log. Returns whether a frame was torn.
+fn plant_torn_tail(root: &Path) -> bool {
+    let dir = CampaignDir::new(root);
+    let logs = CaseFrames::logs(&dir).unwrap();
+    let torn = logs.iter().find_map(|log| {
+        let bytes = std::fs::read(log).unwrap();
+        let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
+        let frame = reader.next(|_| false).unwrap()?;
+        let end = frame.offset as usize + HEADER + frame.len as usize;
+        Some((log, bytes[frame.offset as usize..end].to_vec()))
+    });
+    if let Some((log, frame)) = &torn {
+        let mut file = std::fs::File::options().append(true).open(log).unwrap();
+        std::io::Write::write_all(&mut file, &frame[..frame.len() / 2]).unwrap();
+    }
+    std::fs::write(dir.cases().join("worker-99.log"), b"").unwrap();
+    torn.is_some()
+}
+
 /// Every `.tmp-*` file under `root`, at any depth.
 fn orphans(root: &Path) -> Vec<PathBuf> {
     let mut found = Vec::new();
@@ -118,19 +145,45 @@ fn options(workers: usize, limit: Option<u32>, recorder: &Recorder) -> RunOption
     }
 }
 
+/// How a cell's run is interrupted before it resumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Interrupt {
+    /// It runs through.
+    None,
+    /// A `limit` stop, then orphaned temp files.
+    Stop,
+    /// A `limit` stop, then a torn tail frame and an empty worker log.
+    Torn,
+}
+
+impl Interrupt {
+    /// Leaves what the interruption leaves in the directory at `root`;
+    /// says whether a frame was torn there.
+    fn plant(self, root: &Path) -> bool {
+        match self {
+            Interrupt::None => false,
+            Interrupt::Stop => {
+                plant_orphans(root);
+                false
+            }
+            Interrupt::Torn => plant_torn_tail(root),
+        }
+    }
+}
+
 /// One cell's inputs.
 struct Cell<'a> {
     config: &'a CampaignConfig,
     root: &'a Path,
     workers: usize,
-    interrupt: bool,
+    interrupt: Interrupt,
     recorder: &'a Recorder,
 }
 
 fn campaign(cell: &Cell) -> CampaignReport {
     let dir = CampaignDir::new(cell.root);
     let (config, workers, recorder) = (cell.config, cell.workers, cell.recorder);
-    if cell.interrupt {
+    if cell.interrupt != Interrupt::None {
         let first = options(workers, Some(2), recorder);
         let partial = rtl_campaign::run(&dir, config, &first, &mut NoProgress).unwrap();
         assert_eq!(partial.completed(), 2, "{partial}");
@@ -138,7 +191,8 @@ fn campaign(cell: &Cell) -> CampaignReport {
             partial.to_string().contains("resume to continue"),
             "{partial}"
         );
-        plant_orphans(cell.root);
+        let torn = cell.interrupt.plant(cell.root);
+        assert_eq!(torn, cell.interrupt == Interrupt::Torn);
         rtl_campaign::resume(&dir, &options(workers, None, recorder), &mut NoProgress).unwrap()
     } else {
         rtl_campaign::run(
@@ -159,11 +213,12 @@ fn shards(cell: &Cell) -> CampaignReport {
     let mut dirs = Vec::new();
     for spec in &plan.shards {
         let dir = CampaignDir::new(cell.root.join(format!("shard-{}", spec.index)));
-        if cell.interrupt && spec.cases() > 1 {
+        if cell.interrupt != Interrupt::None && spec.cases() > 1 {
             let first = options(workers, Some(1), recorder);
             let partial = run_shard(&plan, spec.index, &dir, &first, &mut NoProgress).unwrap();
             assert!(partial.report.completed() < spec.cases(), "{partial}");
-            plant_orphans(dir.root());
+            let torn = cell.interrupt.plant(dir.root());
+            assert_eq!(torn, cell.interrupt == Interrupt::Torn);
         }
         let all = options(workers, None, recorder);
         run_shard(&plan, spec.index, &dir, &all, &mut NoProgress).unwrap();
@@ -213,12 +268,14 @@ fn serve(cell: &Cell, limit: Option<u32>, tag: &str) -> CampaignReport {
 
 /// A limit of 3 rounds up to two whole leases of 2.
 fn fleet(cell: &Cell) -> CampaignReport {
-    if cell.interrupt {
+    if cell.interrupt != Interrupt::None {
         let partial = serve(cell, Some(3), "first");
         assert_eq!(partial.completed(), 4, "{partial}");
-        plant_orphans(&cell.root.join("fleet"));
+        let torn = cell.interrupt.plant(&cell.root.join("fleet"));
+        assert_eq!(torn, cell.interrupt == Interrupt::Torn);
         for i in 0..cell.workers {
-            plant_orphans(&cell.root.join(format!("scratch-{i}")));
+            cell.interrupt
+                .plant(&cell.root.join(format!("scratch-{i}")));
         }
     }
     serve(cell, None, "second")
@@ -258,6 +315,12 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
         .unwrap();
         assert_eq!(single.diverged(), 6, "{label}: {single}");
         let reference = tree(&single_root);
+        let logs: Vec<&String> = reference.keys().filter(|k| k.ends_with(".log")).collect();
+        assert_eq!(
+            logs,
+            [&format!("cases/{CANONICAL}")],
+            "{label}: one canonical log"
+        );
         for suffix in [".profile", ".flight.jsonl", ".asim", ".stim", ".ckpt"] {
             assert!(
                 reference.keys().any(|name| name.ends_with(suffix)),
@@ -285,8 +348,8 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
         let mut fleet_counters: Option<String> = None;
         for (surface, run, out) in surfaces {
             for workers in [1, 2] {
-                for interrupt in [false, true] {
-                    let name = format!("{label}-{surface}-w{workers}-{interrupt}");
+                for interrupt in [Interrupt::None, Interrupt::Stop, Interrupt::Torn] {
+                    let name = format!("{label}-{surface}-w{workers}-{interrupt:?}");
                     let root = scratch(&name);
                     let (recorder, log) = Recorder::memory();
                     let cell = Cell {
