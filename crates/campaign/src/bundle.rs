@@ -229,8 +229,8 @@ impl CaseBundle {
     }
 
     /// Checks every artifact before anything is published: the record
-    /// describes this case and carries the seed `config` derives; the
-    /// profile sidecar parses, and only if the campaign collects profiles
+    /// describes this case, carries the seed `config` derives and is
+    /// text in its canonical rendering; the profile sidecar parses, and only if the campaign collects profiles
     /// (`profile`); each flight line parses as an event, and only if the
     /// campaign arms the recorder (`flight`); and the corpus entry is the
     /// one the record names, under a plain file stem, loads with its
@@ -252,6 +252,13 @@ impl CaseBundle {
         let record_label = format!("{}: case {}", file(at.cases()), self.index);
         let record = parse_record(config, self.index, &self.record)
             .map_err(|e| format!("{record_label}: {e}"))?;
+        // A published record's frame holds its canonical rendering, so
+        // a frame's bytes stand for its record wherever it is compared.
+        if record.to_json().render() != self.record {
+            return Err(format!(
+                "{record_label}: the record is not in its canonical rendering"
+            ));
+        }
         if let Some(text) = &self.profile {
             let path = file(at.profile_path(self.index));
             if !profile {
@@ -300,13 +307,25 @@ impl CaseBundle {
     }
 
     /// Publishes the bundle into `log`'s directory in the commit order:
-    /// sidecars, then the corpus entry, then the record frame.
+    /// [its files](CaseBundle::publish_files), then the record frame.
     ///
     /// # Errors
     ///
     /// File-system failure.
     pub fn publish(&self, log: &mut LogWriter) -> io::Result<()> {
-        let dir = log.dir().clone();
+        self.publish_files(log.dir())?;
+        log.append(self.index, self.record.as_bytes())
+    }
+
+    /// Publishes the bundle's files into `dir`, the steps of the commit
+    /// order before the record frame: the sidecars, then the corpus
+    /// entry. A shard merge calls it alone, then writes every record
+    /// frame into the canonical log at once.
+    ///
+    /// # Errors
+    ///
+    /// File-system failure.
+    pub fn publish_files(&self, dir: &CampaignDir) -> io::Result<()> {
         if let Some(text) = &self.profile {
             write_atomic(&dir.profile_path(self.index), text.as_bytes())?;
         }
@@ -316,7 +335,7 @@ impl CaseBundle {
         if let Some(entry) = &self.corpus {
             entry.files.write(&dir.corpus(), &entry.name)?;
         }
-        log.append(self.index, self.record.as_bytes())
+        Ok(())
     }
 }
 

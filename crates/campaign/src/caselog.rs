@@ -24,7 +24,7 @@
 //! directory at its first sync, so the log's name survives an OS crash
 //! too. A process kill loses nothing that was appended.
 //! [`CampaignDir::write_case`], for records published outside a run,
-//! writes a one-frame log of its own.
+//! appends to one unsynced log per process, `worker-pID-….log`.
 //!
 //! **Reader.** [`CaseFrames::scan`] reads every log frame by frame. A
 //! frame that runs past the end of its log, or one whose checksum fails
@@ -49,6 +49,9 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The largest record a frame may carry, in bytes. A record is about
 /// half a kilobyte; the cap bounds what a damaged length can make a
@@ -343,18 +346,61 @@ impl Drop for LogWriter {
     }
 }
 
-/// Publishes one record as a worker log of its own holding its one
-/// frame, in one write and without a sync
-/// ([`CampaignDir::write_case`]).
+/// Appends one record's frame, unsynced, to this process's direct log
+/// ([`CampaignDir::write_case`]). The frame goes out in one `write` on a
+/// log opened for appending, so the kernel places each frame whole after
+/// every other thread's; a short write bumps the log's generation, so no
+/// frame ever follows a torn one.
 pub(crate) fn write_one(dir: &CampaignDir, index: u32, record: &[u8]) -> io::Result<()> {
     let mut frame = Vec::with_capacity(HEADER + record.len());
     encode_frame(index, record, &mut frame)?;
-    create_log(&dir.cases())?.write_all(&frame)
+    let generation = DIRECT_GENERATION.load(Ordering::Relaxed);
+    let name = format!("worker-{}-{generation}.log", direct_tag());
+    let mut file = File::options()
+        .append(true)
+        .create(true)
+        .open(dir.cases().join(name))?;
+    let written = file.write(&frame)?;
+    if written < frame.len() {
+        let _ = DIRECT_GENERATION.compare_exchange(
+            generation,
+            generation + 1,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+        return Err(io::Error::new(
+            io::ErrorKind::WriteZero,
+            format!("case {index}'s frame was cut short"),
+        ));
+    }
+    Ok(())
 }
 
-/// Creates the first free `worker-N.log` under `cases`.
+/// The direct log's generation: bumped past a log whose last frame a
+/// failed write may have torn.
+static DIRECT_GENERATION: AtomicU32 = AtomicU32::new(0);
+
+/// What names this process's direct logs: its id and its first call's
+/// clock, so a later process reusing the id never appends to them.
+fn direct_tag() -> &'static str {
+    static TAG: OnceLock<String> = OnceLock::new();
+    TAG.get_or_init(|| {
+        let nanos = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |since| since.as_nanos());
+        format!("p{}-{nanos:x}", std::process::id())
+    })
+}
+
+/// The next `worker-N.log` number [`create_log`] tries. It is shared by
+/// the whole process, so a long-lived one never probes the names it
+/// already took.
+static NEXT_LOG: AtomicU32 = AtomicU32::new(0);
+
+/// Creates a free `worker-N.log` under `cases`.
 fn create_log(cases: &Path) -> io::Result<File> {
-    for n in 0u32.. {
+    loop {
+        let n = NEXT_LOG.fetch_add(1, Ordering::Relaxed);
         let path = cases.join(format!("worker-{n}.log"));
         match File::options().append(true).create_new(true).open(&path) {
             Ok(file) => return Ok(file),
@@ -362,7 +408,6 @@ fn create_log(cases: &Path) -> io::Result<File> {
             Err(e) => return Err(e),
         }
     }
-    unreachable!("u32::MAX worker logs exist")
 }
 
 fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -577,10 +622,25 @@ impl CampaignDir {
         }
         let frames = CaseFrames::scan(self, cases, 0..cases, |_, _| Ok(()))?;
         frames.write_canonical(self)?;
-        for log in logs.iter().filter(|log| **log != canonical) {
-            std::fs::remove_file(log)?;
-        }
+        self.remove_worker_logs()?;
         sync_dir(&self.cases())?;
+        Ok(())
+    }
+
+    /// Removes every worker log under `cases/`, leaving the canonical
+    /// log, sidecars and corpus alone: for a directory whose records are
+    /// compacted or held elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// File-system failure.
+    pub fn remove_worker_logs(&self) -> Result<(), CampaignError> {
+        let canonical = self.cases().join(CANONICAL);
+        for log in CaseFrames::logs(self)? {
+            if log != canonical {
+                std::fs::remove_file(log)?;
+            }
+        }
         Ok(())
     }
 
@@ -638,7 +698,38 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, [(3, b"{}".to_vec())]);
-        assert!(dir.cases().join("worker-0.log").exists());
+        assert_eq!(CaseFrames::logs(&dir).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `write_case`'s appends from several threads land whole in one log.
+    #[test]
+    fn direct_appends_from_many_threads_share_one_log() {
+        let root =
+            std::env::temp_dir().join(format!("asim2-caselog-direct-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = CampaignDir::new(&root);
+        std::fs::create_dir_all(dir.cases()).unwrap();
+        let record = |index: u32| format!("{{\"index\": {index}}}");
+        std::thread::scope(|scope| {
+            for thread in 0..4u32 {
+                let dir = &dir;
+                scope.spawn(move || {
+                    for index in (thread..200).step_by(4) {
+                        write_one(dir, index, record(index).as_bytes()).unwrap();
+                    }
+                });
+            }
+        });
+        let mut seen = 0;
+        CaseFrames::scan(&dir, 200, 0..200, |index, bytes| {
+            assert_eq!(bytes, record(index).as_bytes());
+            seen += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, 200);
+        assert_eq!(CaseFrames::logs(&dir).unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -430,9 +430,9 @@ impl CampaignDir {
         Ok(())
     }
 
-    /// Publishes one case record as a worker log of its own holding its
-    /// one frame, written in one write. Any number of threads may call
-    /// it on one directory. Like a file published through
+    /// Publishes one case record as one frame appended, in one write,
+    /// to this process's direct worker log. Any number of threads may
+    /// call it on one directory. Like a file published through
     /// [`write_atomic`], it is not synced; a campaign run publishes
     /// through one [`LogWriter`](crate::LogWriter) per thread, which is.
     ///

@@ -9,34 +9,22 @@
 //! plan, records outside a shard's range, incomplete shards, and any
 //! bundle that fails [`CaseBundle::check`] stop the merge before
 //! anything is written. One scan of each shard's record logs finds and
-//! checks its bundles; the merge then copies the sidecars and corpus
-//! entries it located and streams the record frames into one canonical
-//! `cases/cases.log`, keeping the shared commit order stated in
-//! [`rtl_campaign::bundle`]. Corpus entries are deduplicated by
+//! checks its bundles; a second publishes each bundle's sidecars and
+//! corpus entry ([`CaseBundle::publish_files`]), and the record frames
+//! then stream into one canonical `cases/cases.log`, keeping the shared
+//! commit order stated in [`rtl_campaign::bundle`]. Corpus entries are deduplicated by
 //! [`entry_fingerprint`](rtl_campaign::corpus), so overlapping regression
 //! corpora collapse to one entry each.
 
 use crate::plan::ShardPlan;
 use crate::shard::load_marker;
 use rtl_campaign::{
-    CampaignDir, CampaignError, CampaignReport, CaseBundle, CaseFrames, CaseRecord, CorpusFiles,
+    CampaignDir, CampaignError, CampaignReport, CaseBundle, CaseFrames, CaseRecord,
 };
 use rtl_core::Recorder;
-use rtl_obs::write_atomic;
 use std::collections::{BTreeSet, HashSet};
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Where pass 1 found one case's artifacts: which shard directory, which
-/// sidecars, and the corpus entry its record names with the entry's
-/// fingerprint.
-#[derive(Clone)]
-struct Source {
-    shard: usize,
-    profile: bool,
-    flight: bool,
-    corpus: Option<(String, u64)>,
-}
 
 /// Validates shard directories against `plan` and merges them into
 /// `out` (which must not already hold a campaign): manifest, and every
@@ -92,13 +80,13 @@ pub fn merge_with(
     }
 
     // Pass 1: read and check every bundle before writing anything. Only
-    // the parsed records, and where each case's artifacts lie, stay in
-    // memory (sidecars can be large).
+    // the parsed records, the fingerprint of each case's corpus entry and
+    // where each frame lies stay in memory (sidecars can be large).
     let cases = plan.config.cases as usize;
-    let mut sources: Vec<Option<Source>> = vec![None; cases];
     let mut records: Vec<Option<CaseRecord>> = vec![None; cases];
+    let mut corpus_fps: Vec<Option<u64>> = vec![None; cases];
     let mut frames: Option<CaseFrames> = None;
-    let mut seen_shards = vec![false; plan.shards.len()];
+    let mut ranges = vec![None; plan.shards.len()];
     for (shard, root) in shard_dirs.iter().enumerate() {
         let dir = CampaignDir::new(root);
         let config = dir.load()?;
@@ -109,7 +97,7 @@ pub fn merge_with(
             )));
         }
         let spec = load_marker(&dir, plan)?;
-        if std::mem::replace(&mut seen_shards[spec.index as usize], true) {
+        if ranges[spec.index as usize].is_some() {
             return Err(CampaignError::Config(format!(
                 "shard {} appears more than once (second copy: {})",
                 spec.index,
@@ -117,6 +105,7 @@ pub fn merge_with(
             )));
         }
         let range = spec.range();
+        ranges[spec.index as usize] = Some((shard, range.clone()));
         let scanned = CaseBundle::read_range(&dir, plan.config.cases, range.clone(), |bundle| {
             // The same check the fleet controller runs on an upload. A
             // shard carries whichever sidecars it was run with.
@@ -124,12 +113,7 @@ pub fn merge_with(
                 .check(&plan.config, true, true)
                 .map_err(|m| CampaignError::Corrupt(format!("{}/{m}", root.display())))?;
             let index = bundle.index as usize;
-            sources[index] = Some(Source {
-                shard,
-                profile: bundle.profile.is_some(),
-                flight: bundle.flight.is_some(),
-                corpus: bundle.corpus.map(|entry| entry.name).zip(corpus_fp),
-            });
+            corpus_fps[index] = corpus_fp;
             records[index] = Some(record);
             Ok(())
         })?;
@@ -156,33 +140,26 @@ pub fn merge_with(
         }
     }
 
-    // Pass 2: publish the canonical campaign, copying what pass 1
-    // located. Sidecars and corpus entries go first, in case order, so
-    // the first case naming a scenario keeps its corpus entry; then the
-    // record frames stream into the canonical log.
+    // Pass 2: publish the canonical campaign. Each shard's bundles, in
+    // plan order, publish their files — the first case naming a
+    // scenario keeps its corpus entry — then the record frames stream
+    // into the canonical log.
     out.init(&plan.config)?;
     let mut seen_corpus: HashSet<u64> = HashSet::new();
     let mut new_corpus = BTreeSet::new();
-    for (index, source) in sources.iter().enumerate() {
-        let Some(source) = source else {
-            continue;
-        };
-        let from = CampaignDir::new(&shard_dirs[source.shard]);
-        let index = index as u32;
-        if source.profile {
-            let text = std::fs::read(from.profile_path(index))?;
-            write_atomic(&out.profile_path(index), &text)?;
-        }
-        if source.flight {
-            let text = std::fs::read(from.flight_path(index))?;
-            write_atomic(&out.flight_path(index), &text)?;
-        }
-        if let Some((name, fp)) = &source.corpus {
-            if seen_corpus.insert(*fp) {
-                CorpusFiles::read(&from.corpus(), name)?.write(&out.corpus(), name)?;
-                new_corpus.insert(name.clone());
+    for (shard, range) in ranges.into_iter().flatten() {
+        let from = CampaignDir::new(&shard_dirs[shard]);
+        CaseBundle::read_range(&from, plan.config.cases, range, |mut bundle| {
+            let fresh = corpus_fps[bundle.index as usize].is_some_and(|fp| seen_corpus.insert(fp));
+            if !fresh {
+                bundle.corpus = None;
             }
-        }
+            if let Some(entry) = &bundle.corpus {
+                new_corpus.insert(entry.name.clone());
+            }
+            bundle.publish_files(out)?;
+            Ok(())
+        })?;
     }
     if let Some(frames) = frames.filter(|frames| frames.indices().next().is_some()) {
         frames.write_canonical(out)?;

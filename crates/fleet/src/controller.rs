@@ -636,8 +636,9 @@ impl State {
         if let Some(Some(published)) = self.records.get(index as usize) {
             // Idempotent duplicate — a reassigned lease whose original
             // worker got there first, or a replayed upload after a
-            // reconnect. The published record's canonical rendering is
-            // its frame's bytes; a different record contradicts the
+            // reconnect. `CaseBundle::check` let only the canonical
+            // rendering be published, so that rendering is the published
+            // frame's bytes; a different record contradicts the
             // determinism contract.
             if published.to_json().render() != body {
                 return Reply::Refuse(

@@ -9,16 +9,18 @@
 //! its global index and derived seed and the uploaded record is the
 //! exact file a single-machine run would have published. The scratch
 //! directory is a normal campaign directory (resumable, inspectable) and
-//! survives reconnects: records already on disk are simply re-uploaded,
-//! which the controller acknowledges idempotently.
+//! survives reconnects: the records of a lease cut short are simply
+//! re-uploaded, which the controller acknowledges idempotently.
 //!
 //! A lease costs what a single-machine run of its cases costs. The
 //! worker records telemetry only when the controller keeps it
 //! (`Welcome::metrics`): otherwise the lease runs with a disabled
 //! recorder, which lints and counts nothing, and uploads no event log.
-//! The lease's resume parses only the lease's own records, stepping over
-//! the frames of every earlier lease the scratch directory holds. The
-//! scratch never owns a whole campaign, so its logs are never compacted.
+//! The scratch never owns a whole campaign, so its record logs are never
+//! compacted; instead, once a lease's uploads are acknowledged, the
+//! worker removes them. A lease's resume and upload so scan only the
+//! logs of that lease (and of one cut short before it), however many
+//! leases the session has run.
 
 use crate::error::FleetError;
 use crate::protocol::{Framed, Message, PROTOCOL};
@@ -306,6 +308,12 @@ fn run_lease(
             expect_ack(framed, &Message::Events { body })?;
         }
     }
+
+    // The controller now holds every record of the lease, so the scratch
+    // drops its record logs: the next lease scans only its own, however
+    // long the session. Were this range leased here again, its cases
+    // would re-run to the same bytes.
+    dir.remove_worker_logs()?;
     Ok(())
 }
 

@@ -4,7 +4,7 @@
 //! silent workers. Identity across worker counts and a controller
 //! stop+restart is the root `tests/identity.rs` matrix.
 
-use rtl_campaign::{CampaignConfig, CampaignDir, CaseRecord, NoProgress, RunOptions};
+use rtl_campaign::{CampaignConfig, CampaignDir, CaseFrames, CaseRecord, NoProgress, RunOptions};
 use rtl_fleet::{
     work, Controller, ControllerOptions, FleetError, FleetProgress, NoFleetProgress, WorkerOptions,
 };
@@ -201,6 +201,57 @@ fn accepted_records_count_up_from_the_records_on_disk() {
         dones.extend(serving.join().unwrap());
     }
     assert_eq!(dones, (1..=8).collect::<Vec<u32>>());
+}
+
+/// The most record logs a worker's scratch held whenever the controller
+/// accepted a record (the worker waits for each acknowledgement, so its
+/// scratch is still then).
+struct ScratchLogs {
+    scratch: CampaignDir,
+    most: usize,
+}
+
+impl FleetProgress for ScratchLogs {
+    fn record_accepted(&mut self, _worker: &str, _record: &CaseRecord, _done: u32, _total: u32) {
+        let logs = CaseFrames::logs(&self.scratch).unwrap().len();
+        self.most = self.most.max(logs);
+    }
+}
+
+/// A worker removes its scratch's record logs once a lease's uploads are
+/// acknowledged, so however many leases a session runs, a lease's scans
+/// meet only the logs its own threads wrote.
+#[test]
+fn a_long_session_keeps_the_scratch_logs_bounded() {
+    let config = small_config(&["interp", "vm"], 40);
+    let root = scratch("long");
+    let scratch_dir = scratch("long-w");
+    let controller = Controller::bind("127.0.0.1:0").unwrap();
+    let addr = controller.local_addr().unwrap();
+    let (dir, served) = (CampaignDir::new(&root), config.clone());
+    let scratch = CampaignDir::new(&scratch_dir);
+    let serving = std::thread::spawn(move || {
+        let options = ControllerOptions {
+            token: "t".into(),
+            lease: 2,
+            ..ControllerOptions::default()
+        };
+        let mut progress = ScratchLogs { scratch, most: 0 };
+        let report = controller
+            .serve(&dir, &served, &options, &mut progress)
+            .unwrap();
+        (report, progress.most)
+    });
+    let worker = work(&addr.to_string(), &worker_options("t", "w", &scratch_dir)).unwrap();
+    let (report, most) = serving.join().unwrap();
+    assert!(report.complete(), "{report}");
+    assert_eq!((worker.leases, worker.cases), (20, 40));
+    // Two threads, so at most two logs, and none once the session ends.
+    assert!((1..=2).contains(&most), "the scratch held {most} logs");
+    assert_eq!(
+        CaseFrames::logs(&CampaignDir::new(&scratch_dir)).unwrap(),
+        Vec::<PathBuf>::new()
+    );
 }
 
 /// The flight-sidecar files under `cases/`, relative path → bytes.

@@ -716,6 +716,12 @@ fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
             frames(&good),
             "does not collect execution profiles",
         ),
+        (
+            "non-canonical",
+            true,
+            tampered(&|b| b.record.push(' ')),
+            "not in its canonical rendering",
+        ),
         ("escape", true, escape, "not a plain file stem"),
         (
             "fingerprint",
