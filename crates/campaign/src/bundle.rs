@@ -11,24 +11,29 @@
 //! campaign, shard and fleet alike.
 //!
 //! **Commit order.** A bundle is written sidecars → corpus entry →
-//! record. Sidecars and corpus files are each published atomically; the
-//! record is one checksummed frame appended to the publishing thread's
-//! worker log ([`caselog`](crate::caselog)), and that frame is the commit
-//! point. A case without a record is re-run, and because every artifact
-//! is a pure function of `(config, index)`, a kill anywhere before the
-//! frame only leaves files that the re-run rewrites byte for byte, or a
-//! torn tail frame that the reader drops. Nothing ever commits a record
-//! whose sidecars or corpus entry are not already written.
+//! record. Sidecars are files, each published atomically; the corpus
+//! entry is one checksummed frame appended to the publishing thread's
+//! corpus log, and the record one frame appended to its record log
+//! ([`caselog`](crate::caselog)). The record frame is the commit point,
+//! and the writer syncs its corpus log before its record log, so a
+//! corpus entry is durable no later than the record that names it. A
+//! case without a record is re-run, and because every artifact is a pure
+//! function of `(config, index)`, a kill anywhere before the record frame
+//! only leaves files that the re-run rewrites byte for byte, a whole
+//! corpus frame that the re-run finds by its fingerprint and names again,
+//! or a torn tail frame that the reader drops. Nothing ever commits a
+//! record whose sidecars or corpus entry are not already written.
 //!
 //! Once a directory holds every case it owns, its worker logs are
-//! compacted into the canonical `cases/cases.log`, one frame per case in
-//! index order ([`CampaignDir::compact`]); a shard merge writes its
-//! output log the same way. `asim2 campaign export` renders the records
-//! back out as `case-NNNNNN.json` files.
+//! compacted into the canonical `corpus/corpus.log`, one frame per entry
+//! in name order, and `cases/cases.log`, one frame per case in index
+//! order ([`CampaignDir::compact`]); a shard merge writes its output
+//! logs the same way. `asim2 campaign export` renders the records and
+//! the corpus entries back out as files.
 
 use crate::caselog::{CaseFrames, LogWriter};
 use crate::config::CampaignConfig;
-use crate::corpus;
+use crate::corpus::{self, CorpusFrames};
 use crate::error::CampaignError;
 use crate::state::{CampaignDir, CaseRecord, CaseStatus};
 use rtl_obs::json::Json;
@@ -37,8 +42,9 @@ use std::io;
 use std::ops::Range;
 use std::path::Path;
 
-/// The four files of one corpus entry, as text (every corpus artifact —
-/// spec, stimulus, session checkpoint, metadata — is a text document).
+/// The four documents of one corpus entry, as text (every corpus
+/// artifact — spec, stimulus, session checkpoint, metadata — is a text
+/// document).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusFiles {
     /// The shrunk `.asim` specification source.
@@ -52,37 +58,15 @@ pub struct CorpusFiles {
 }
 
 impl CorpusFiles {
-    /// Reads entry `name`'s files from `corpus_dir`.
-    ///
-    /// # Errors
-    ///
-    /// A missing or unreadable file.
-    pub fn read(corpus_dir: &Path, name: &str) -> io::Result<CorpusFiles> {
-        let read = |ext: &str| std::fs::read_to_string(corpus_dir.join(format!("{name}.{ext}")));
-        Ok(CorpusFiles {
-            asim: read("asim")?,
-            stim: read("stim")?,
-            ckpt: read("ckpt")?,
-            meta: read("json")?,
-        })
-    }
-
-    /// Writes entry `name`'s files into `corpus_dir`, each atomically,
-    /// metadata last (the corpus loader lists entries by their `.json`).
-    ///
-    /// # Errors
-    ///
-    /// File-system failure.
-    pub fn write(&self, corpus_dir: &Path, name: &str) -> io::Result<()> {
-        for (ext, text) in [
+    /// The documents with the file extensions an export gives them, in
+    /// the order a corpus frame carries them.
+    pub fn documents(&self) -> [(&'static str, &str); 4] {
+        [
             ("asim", &self.asim),
             ("stim", &self.stim),
             ("ckpt", &self.ckpt),
             ("json", &self.meta),
-        ] {
-            write_atomic(&corpus_dir.join(format!("{name}.{ext}")), text.as_bytes())?;
-        }
-        Ok(())
+        ]
     }
 }
 
@@ -90,12 +74,31 @@ impl CorpusFiles {
 /// fingerprint (hex) its producer claims for them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BundleEntry {
-    /// Entry name (`seed-N`), the file stem under `corpus/`.
+    /// Entry name (`seed-N`), the file stem its documents export under.
     pub name: String,
     /// The claimed [`entry_fingerprint`](corpus::entry_fingerprint), hex.
     pub fingerprint: String,
-    /// The entry's four files.
+    /// The entry's four documents.
     pub files: CorpusFiles,
+}
+
+impl BundleEntry {
+    /// The body of the entry's corpus frame ([`corpus::encode_entry`]),
+    /// keyed by its claimed fingerprint.
+    ///
+    /// # Errors
+    ///
+    /// A claimed fingerprint that is not hex, or a document too long for
+    /// a frame.
+    pub fn body(&self) -> io::Result<Vec<u8>> {
+        let fingerprint = u64::from_str_radix(&self.fingerprint, 16).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("corpus entry {}: fingerprint is not hex", self.name),
+            )
+        })?;
+        corpus::encode_entry(fingerprint, &self.name, &self.files)
+    }
 }
 
 /// One case's artifacts, byte-verbatim.
@@ -164,9 +167,10 @@ pub fn parse_record(config: &CampaignConfig, index: u32, text: &str) -> Result<C
 
 impl CaseBundle {
     /// Reads the bundle of every case in `range` that has a record, in
-    /// one scan of `dir`'s logs ([`CaseFrames::scan`]): `each` gets the
-    /// record, whichever sidecars exist and the corpus entry the record
-    /// names, in log order. Returns the scan, which locates every frame.
+    /// one scan of `dir`'s record logs ([`CaseFrames::scan`]): `each`
+    /// gets the record, whichever sidecars exist and, given `dir`'s
+    /// scanned `corpus`, the corpus entry the record names, in log order.
+    /// Returns the scan, which locates every record frame.
     ///
     /// # Errors
     ///
@@ -174,6 +178,7 @@ impl CaseBundle {
     /// corpus entry that is missing, an error from `each`, or I/O.
     pub fn read_range(
         dir: &CampaignDir,
+        corpus: Option<&CorpusFrames>,
         cases: u32,
         range: Range<u32>,
         mut each: impl FnMut(CaseBundle) -> Result<(), CampaignError>,
@@ -185,25 +190,32 @@ impl CaseBundle {
                     dir.cases().display()
                 ))
             })?;
-            each(CaseBundle::with_record(dir, index, record)?)
+            each(CaseBundle::with_record(dir, corpus, index, record)?)
         })
     }
 
     /// Case `index`'s bundle around its record text: the sidecars on
-    /// disk and the corpus entry the record names.
+    /// disk and, given the corpus, the entry the record names.
     fn with_record(
         dir: &CampaignDir,
+        corpus: Option<&CorpusFrames>,
         index: u32,
         record: String,
     ) -> Result<CaseBundle, CampaignError> {
         // An unparseable record names no entry; `check` reports it.
-        let named = Json::parse(&record)
-            .ok()
-            .and_then(|doc| doc.get("corpus").and_then(Json::as_str).map(str::to_string));
+        let named = corpus.and_then(|corpus| {
+            let doc = Json::parse(&record).ok()?;
+            Some((corpus, doc.get("corpus")?.as_str()?.to_string()))
+        });
         let corpus = match named {
             None => None,
-            Some(name) => {
-                let files = CorpusFiles::read(&dir.corpus(), &name)?;
+            Some((corpus, name)) => {
+                let files = corpus.files(&name)?.ok_or_else(|| {
+                    CampaignError::Corrupt(format!(
+                        "{}: case {index} names corpus entry {name:?}, which is not there",
+                        dir.corpus().display()
+                    ))
+                })?;
                 let fingerprint = Json::parse(&files.meta)
                     .ok()
                     .and_then(|doc| {
@@ -307,50 +319,45 @@ impl CaseBundle {
     }
 
     /// Publishes the bundle into `log`'s directory in the commit order:
-    /// [its files](CaseBundle::publish_files), then the record frame.
+    /// [its sidecars](CaseBundle::publish_sidecars), the corpus frame,
+    /// then the record frame.
     ///
     /// # Errors
     ///
     /// File-system failure.
     pub fn publish(&self, log: &mut LogWriter) -> io::Result<()> {
-        self.publish_files(log.dir())?;
+        self.publish_sidecars(log.dir())?;
+        if let Some(entry) = &self.corpus {
+            log.append_entry(&entry.body()?)?;
+        }
         log.append(self.index, self.record.as_bytes())
     }
 
-    /// Publishes the bundle's files into `dir`, the steps of the commit
-    /// order before the record frame: the sidecars, then the corpus
-    /// entry. A shard merge calls it alone, then writes every record
-    /// frame into the canonical log at once.
+    /// Publishes the bundle's sidecar files into `dir`, the first step of
+    /// the commit order. A shard merge calls it alone, then writes every
+    /// corpus frame and every record frame into the canonical logs at
+    /// once.
     ///
     /// # Errors
     ///
     /// File-system failure.
-    pub fn publish_files(&self, dir: &CampaignDir) -> io::Result<()> {
+    pub fn publish_sidecars(&self, dir: &CampaignDir) -> io::Result<()> {
         if let Some(text) = &self.profile {
             write_atomic(&dir.profile_path(self.index), text.as_bytes())?;
         }
         if let Some(text) = &self.flight {
             write_atomic(&dir.flight_path(self.index), text.as_bytes())?;
         }
-        if let Some(entry) = &self.corpus {
-            entry.files.write(&dir.corpus(), &entry.name)?;
-        }
         Ok(())
     }
 }
 
-/// The corpus rules: a plain file stem (the name becomes file names under
-/// `corpus/`, so nothing may escape the directory or shadow a temp
-/// sibling), a full load with the reference checkpoint recomputed, and
-/// the claimed fingerprint.
+/// The corpus rules: a [plain file stem](corpus::plain_name), a full
+/// load with the reference checkpoint recomputed, and the claimed
+/// fingerprint.
 fn check_entry(entry: &BundleEntry) -> Result<u64, String> {
     let name = &entry.name;
-    let plain = !name.is_empty()
-        && !name.starts_with('.')
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-    if !plain {
+    if !corpus::plain_name(name) {
         return Err(format!("{name}: the entry name is not a plain file stem"));
     }
     let claimed = u64::from_str_radix(&entry.fingerprint, 16).map_err(|_| {

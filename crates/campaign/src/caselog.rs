@@ -1,45 +1,55 @@
-//! Case records in append-only logs.
+//! Case records and corpus entries in append-only logs.
 //!
-//! A campaign publishes each case record by appending one **frame** to a
-//! log under `cases/`, not by creating a file per case: a create costs
-//! tens of microseconds to a millisecond of system time on a busy disk,
-//! an append a few.
+//! A campaign publishes each case record, and each corpus entry, by
+//! appending one **frame** to a log, not by creating files: a create
+//! costs tens of microseconds to a millisecond of system time on a busy
+//! disk, an append a few.
 //!
 //! ```text
-//! cases/worker-N.log — the frames one writer appended, in completion order
-//! cases/cases.log    — the canonical log: one frame per case, by index
+//! cases/worker-N.log   — the record frames one writer appended, in completion order
+//! cases/cases.log      — the canonical record log: one frame per case, by index
+//! corpus/worker-N.log  — the corpus frames one writer appended
+//! corpus/corpus.log    — the canonical corpus log: one frame per entry, by name
 //! ```
 //!
-//! **Frame.** A 16-byte little-endian header — record length (`u32`),
-//! case index (`u32`), checksum (`u64`) — then the record's canonical
-//! JSON text ([`CaseRecord::to_json`](crate::CaseRecord::to_json)
-//! rendered). The checksum is a [`Fingerprint`] of the index and the
-//! record bytes. No record may exceed [`FRAME_CAP`] bytes; the reader
-//! checks a frame's length against the cap before it allocates anything.
+//! **Frame.** A 16-byte little-endian header — body length (`u32`),
+//! key (`u32`), checksum (`u64`) — then the body. A record frame's key
+//! is its case index and its body the record's canonical JSON text
+//! ([`CaseRecord::to_json`](crate::CaseRecord::to_json) rendered). A
+//! corpus frame's key is 0 and its body leads with the entry's
+//! fingerprint, by which it is keyed, then the entry's four documents
+//! ([`corpus::encode_entry`](crate::corpus::encode_entry)). The checksum
+//! is a [`Fingerprint`] of the key and the body. No body may exceed
+//! [`FRAME_CAP`] bytes; the reader checks a frame's length against the
+//! cap before it allocates anything.
 //!
 //! **Writers.** Each case-running thread owns a [`LogWriter`], which
-//! creates a fresh `worker-N.log` at its first append and never appends
-//! to a log it did not create. It `fdatasync`s the log every
-//! [`SYNC_EVERY`] frames and when it finishes, and syncs the `cases/`
-//! directory at its first sync, so the log's name survives an OS crash
-//! too. A process kill loses nothing that was appended.
-//! [`CampaignDir::write_case`], for records published outside a run,
-//! appends to one unsynced log per process, `worker-pID-….log`.
+//! creates a fresh `worker-N.log` under `cases/` at its first record,
+//! and one under `corpus/` at its first corpus entry, and never appends
+//! to a log it did not create. It `fdatasync`s its logs every
+//! [`SYNC_EVERY`] records and when it finishes, the corpus log before the
+//! record log, so a corpus entry is durable no later than the record
+//! that names it; it syncs each directory at its first sync, so the
+//! logs' names survive an OS crash too. A process kill loses nothing
+//! that was appended. [`CampaignDir::write_case`] and
+//! [`corpus::save`](crate::corpus::save), for what is published outside
+//! a run, append to one unsynced log per process, `worker-pID-….log`.
 //!
-//! **Reader.** [`CaseFrames::scan`] reads every log frame by frame. A
-//! frame that runs past the end of its log, or one whose checksum fails
-//! with nothing but zero bytes after it (all a crash can leave past the
-//! data), is a torn tail: it is dropped and its case runs again. A bad
-//! frame anywhere else, a frame over the cap, and two different frames
-//! for one case are [`CampaignError::Corrupt`]. A writer whose append
-//! or sync fails abandons its log, so nothing is ever appended after a
-//! torn frame.
+//! **Reader.** [`FrameReader`] reads a log frame by frame. A frame that
+//! runs past the end of its log, or one whose checksum fails with
+//! nothing but zero bytes after it (all a crash can leave past the
+//! data), is a torn tail: it is dropped, and its case runs again. A bad
+//! frame anywhere else and a frame over the cap are
+//! [`CampaignError::Corrupt`]; so are two different frames for one case
+//! ([`CaseFrames::scan`]). A writer whose append or sync fails abandons
+//! its log, so nothing is ever appended after a torn frame.
 //!
 //! **Compaction.** Once a directory holds a record for every case it
-//! owns, [`CampaignDir::compact`] streams every frame, in index order,
-//! into `cases.log` (temp file, sync, rename) and removes the worker
-//! logs. Every case's frame is a pure function of `(config, index)`, so
-//! the canonical log is byte-identical however the campaign ran.
+//! owns, [`CampaignDir::compact`] streams every corpus frame, in name
+//! order, into `corpus.log` and every record frame, in index order, into
+//! `cases.log` (each a temp file, synced, renamed) and removes the
+//! worker logs. Every frame is a pure function of `(config, index)`, so
+//! the canonical logs are byte-identical however the campaign ran.
 
 use crate::error::CampaignError;
 use crate::state::CampaignDir;
@@ -53,21 +63,21 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// The largest record a frame may carry, in bytes. A record is about
-/// half a kilobyte; the cap bounds what a damaged length can make a
-/// reader allocate.
+/// The largest body a frame may carry, in bytes. A record is about
+/// half a kilobyte and a shrunk corpus entry a few; the cap bounds what a
+/// damaged length can make a reader allocate.
 pub const FRAME_CAP: u32 = 1 << 20;
 
-/// A writer `fdatasync`s its log after this many frames.
+/// A writer `fdatasync`s its logs after this many record frames.
 pub const SYNC_EVERY: u32 = 8;
 
-/// The frame header: record length, case index, checksum.
+/// The frame header: body length, key, checksum.
 pub const HEADER: usize = 16;
 
-/// The canonical log's file name under `cases/`.
+/// The canonical record log's file name under `cases/`.
 pub const CANONICAL: &str = "cases.log";
 
-/// The checksum of one frame: a [`Fingerprint`] of its index and record.
+/// The checksum of one frame: a [`Fingerprint`] of its key and body.
 pub fn frame_sum(index: u32, record: &[u8]) -> u64 {
     let mut fp = Fingerprint::new();
     fp.write(&index.to_le_bytes());
@@ -75,11 +85,11 @@ pub fn frame_sum(index: u32, record: &[u8]) -> u64 {
     fp.finish()
 }
 
-/// Appends one frame to `out`.
+/// Appends one frame, keyed `index`, to `out`.
 ///
 /// # Errors
 ///
-/// A record longer than [`FRAME_CAP`].
+/// A body longer than [`FRAME_CAP`].
 pub fn encode_frame(index: u32, record: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
     let len = u32::try_from(record.len())
         .ok()
@@ -88,7 +98,7 @@ pub fn encode_frame(index: u32, record: &[u8], out: &mut Vec<u8>) -> io::Result<
             io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "case {index}'s record is {} bytes, over the {FRAME_CAP}-byte frame cap",
+                    "the body of frame {index} is {} bytes, over the {FRAME_CAP}-byte frame cap",
                     record.len()
                 ),
             )
@@ -252,30 +262,85 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Appends record frames to a worker log of its own (see the module
-/// docs). Dropping it finishes it, ignoring errors; call
-/// [`finish`](LogWriter::finish) to see them.
+/// Appends record frames, and the corpus frames they name, to worker
+/// logs of its own (see the module docs). Dropping it finishes it,
+/// ignoring errors; call [`finish`](LogWriter::finish) to see them.
 #[derive(Debug)]
 pub struct LogWriter {
     dir: CampaignDir,
-    cases: PathBuf,
+    cases: Log,
+    corpus: Log,
+    frame: Vec<u8>,
+}
+
+/// One worker log a [`LogWriter`] appends to.
+#[derive(Debug)]
+struct Log {
+    /// The directory the log lives in.
+    parent: PathBuf,
     file: Option<File>,
     /// Frames appended since the last sync.
     unsynced: u32,
     dir_synced: bool,
-    frame: Vec<u8>,
 }
 
-impl LogWriter {
-    /// A writer for `dir`'s `cases/`. It creates its log at its first
-    /// append, so a writer that publishes nothing leaves no file.
-    pub fn new(dir: &CampaignDir) -> LogWriter {
-        LogWriter {
-            dir: dir.clone(),
-            cases: dir.cases(),
+impl Log {
+    fn new(parent: PathBuf) -> Log {
+        Log {
+            parent,
             file: None,
             unsynced: 0,
             dir_synced: false,
+        }
+    }
+
+    /// Appends one encoded frame in one write, creating the log first.
+    fn append(&mut self, frame: &[u8]) -> io::Result<()> {
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self.file.insert(create_log(&self.parent)?),
+        };
+        if let Err(e) = file.write_all(frame) {
+            // The write may have left part of the frame: that log now
+            // ends in a torn tail, and the next append starts a new one.
+            self.file = None;
+            self.unsynced = 0;
+            return Err(e);
+        }
+        self.unsynced += 1;
+        Ok(())
+    }
+
+    /// Syncs whatever was appended since the last sync.
+    fn sync(&mut self) -> io::Result<()> {
+        if self.unsynced == 0 {
+            return Ok(());
+        }
+        self.unsynced = 0;
+        if let Some(file) = &self.file {
+            if let Err(e) = file.sync_data() {
+                // What reached the disk is unknown; append elsewhere.
+                self.file = None;
+                return Err(e);
+            }
+            if !self.dir_synced {
+                sync_dir(&self.parent)?;
+                self.dir_synced = true;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl LogWriter {
+    /// A writer for `dir`'s `cases/` and `corpus/`. It creates each log
+    /// at its first append, so a writer that publishes nothing leaves no
+    /// file.
+    pub fn new(dir: &CampaignDir) -> LogWriter {
+        LogWriter {
+            dir: dir.clone(),
+            cases: Log::new(dir.cases()),
+            corpus: Log::new(dir.corpus()),
             frame: Vec::new(),
         }
     }
@@ -293,50 +358,35 @@ impl LogWriter {
     pub fn append(&mut self, index: u32, record: &[u8]) -> io::Result<()> {
         self.frame.clear();
         encode_frame(index, record, &mut self.frame)?;
-        let file = match &mut self.file {
-            Some(file) => file,
-            None => self.file.insert(create_log(&self.cases)?),
-        };
-        if let Err(e) = file.write_all(&self.frame) {
-            // The write may have left part of the frame: that log now
-            // ends in a torn tail, and the next append starts a new one.
-            self.file = None;
-            self.unsynced = 0;
-            return Err(e);
-        }
-        self.unsynced += 1;
-        if self.unsynced >= SYNC_EVERY {
-            self.sync()?;
+        self.cases.append(&self.frame)?;
+        if self.cases.unsynced >= SYNC_EVERY {
+            self.finish()?;
         }
         Ok(())
     }
 
-    /// Syncs whatever was appended since the last sync.
+    /// Appends one corpus entry's frame (a body from
+    /// [`corpus::encode_entry`](crate::corpus::encode_entry)), in one
+    /// write. It is synced no later than the next record frame.
+    ///
+    /// # Errors
+    ///
+    /// A body over [`FRAME_CAP`], or file-system failure.
+    pub fn append_entry(&mut self, body: &[u8]) -> io::Result<()> {
+        self.frame.clear();
+        encode_frame(0, body, &mut self.frame)?;
+        self.corpus.append(&self.frame)
+    }
+
+    /// Syncs whatever was appended since the last sync: the corpus log
+    /// first, so no record is durable before the entry it names.
     ///
     /// # Errors
     ///
     /// File-system failure.
     pub fn finish(&mut self) -> io::Result<()> {
-        if self.unsynced > 0 {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.unsynced = 0;
-        if let Some(file) = &self.file {
-            if let Err(e) = file.sync_data() {
-                // What reached the disk is unknown; append elsewhere.
-                self.file = None;
-                return Err(e);
-            }
-            if !self.dir_synced {
-                sync_dir(&self.cases)?;
-                self.dir_synced = true;
-            }
-        }
-        Ok(())
+        self.corpus.sync()?;
+        self.cases.sync()
     }
 }
 
@@ -346,12 +396,13 @@ impl Drop for LogWriter {
     }
 }
 
-/// Appends one record's frame, unsynced, to this process's direct log
-/// ([`CampaignDir::write_case`]). The frame goes out in one `write` on a
-/// log opened for appending, so the kernel places each frame whole after
-/// every other thread's; a short write bumps the log's generation, so no
-/// frame ever follows a torn one.
-pub(crate) fn write_one(dir: &CampaignDir, index: u32, record: &[u8]) -> io::Result<()> {
+/// Appends one frame, unsynced, to this process's direct log under
+/// `parent` ([`CampaignDir::write_case`] under `cases/`,
+/// [`corpus::save`](crate::corpus::save) under `corpus/`). The frame
+/// goes out in one `write` on a log opened for appending, so the kernel
+/// places each frame whole after every other thread's; a short write
+/// bumps the log's generation, so no frame ever follows a torn one.
+pub(crate) fn append_direct(parent: &Path, index: u32, record: &[u8]) -> io::Result<()> {
     let mut frame = Vec::with_capacity(HEADER + record.len());
     encode_frame(index, record, &mut frame)?;
     let generation = DIRECT_GENERATION.load(Ordering::Relaxed);
@@ -359,7 +410,7 @@ pub(crate) fn write_one(dir: &CampaignDir, index: u32, record: &[u8]) -> io::Res
     let mut file = File::options()
         .append(true)
         .create(true)
-        .open(dir.cases().join(name))?;
+        .open(parent.join(name))?;
     let written = file.write(&frame)?;
     if written < frame.len() {
         let _ = DIRECT_GENERATION.compare_exchange(
@@ -370,7 +421,7 @@ pub(crate) fn write_one(dir: &CampaignDir, index: u32, record: &[u8]) -> io::Res
         );
         return Err(io::Error::new(
             io::ErrorKind::WriteZero,
-            format!("case {index}'s frame was cut short"),
+            format!("frame {index} was cut short"),
         ));
     }
     Ok(())
@@ -397,11 +448,11 @@ fn direct_tag() -> &'static str {
 /// already took.
 static NEXT_LOG: AtomicU32 = AtomicU32::new(0);
 
-/// Creates a free `worker-N.log` under `cases`.
-fn create_log(cases: &Path) -> io::Result<File> {
+/// Creates a free `worker-N.log` under `parent`.
+fn create_log(parent: &Path) -> io::Result<File> {
     loop {
         let n = NEXT_LOG.fetch_add(1, Ordering::Relaxed);
-        let path = cases.join(format!("worker-{n}.log"));
+        let path = parent.join(format!("worker-{n}.log"));
         match File::options().append(true).create_new(true).open(&path) {
             Ok(file) => return Ok(file),
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
@@ -410,8 +461,80 @@ fn create_log(cases: &Path) -> io::Result<File> {
     }
 }
 
-fn sync_dir(dir: &Path) -> io::Result<()> {
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
+}
+
+/// The logs under `parent`: the canonical log `canonical` first, then
+/// the worker logs by name. A missing `parent` holds none.
+///
+/// # Errors
+///
+/// File-system failure.
+pub fn list_logs(parent: &Path, canonical: &str) -> Result<Vec<PathBuf>, CampaignError> {
+    let listing = match std::fs::read_dir(parent) {
+        Ok(listing) => listing,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e.into()),
+    };
+    let mut workers = Vec::new();
+    for dirent in listing {
+        let name = dirent?.file_name().to_string_lossy().into_owned();
+        if name.starts_with("worker-") && name.ends_with(".log") {
+            workers.push(name);
+        }
+    }
+    workers.sort();
+    let path = parent.join(canonical);
+    let mut logs: Vec<PathBuf> = Vec::new();
+    if path.exists() {
+        logs.push(path);
+    }
+    logs.extend(workers.into_iter().map(|name| parent.join(name)));
+    Ok(logs)
+}
+
+/// Reads `frame` (header and body) back from `log` into `buf`: `false`
+/// when the bytes there are no longer the frame a scan verified.
+pub(crate) fn reread(log: &mut File, frame: &Frame, buf: &mut Vec<u8>) -> io::Result<bool> {
+    log.seek(SeekFrom::Start(frame.offset))?;
+    buf.resize(HEADER + frame.len as usize, 0);
+    log.read_exact(buf)?;
+    Ok(buf[..HEADER] == header(frame.len, frame.index, frame.sum)
+        && frame_sum(frame.index, &buf[HEADER..]) == frame.sum)
+}
+
+/// Publishes the canonical log `parent/canonical`: `write` streams it
+/// into a temp file, which is synced and renamed over it, and `parent`
+/// is synced.
+///
+/// # Errors
+///
+/// An error from `write`, or file-system failure.
+pub(crate) fn write_canonical(
+    parent: &Path,
+    canonical: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), CampaignError>,
+) -> Result<(), CampaignError> {
+    std::fs::create_dir_all(parent)?;
+    let tmp = parent.join(format!(".tmp-{}-{canonical}", std::process::id()));
+    let written = File::create(&tmp)
+        .map_err(CampaignError::from)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write(&mut out)?;
+            let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+            file.sync_data()?;
+            Ok(())
+        });
+    let renamed =
+        written.and_then(|()| std::fs::rename(&tmp, parent.join(canonical)).map_err(Into::into));
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    renamed?;
+    sync_dir(parent)?;
+    Ok(())
 }
 
 /// Where one case's frame lies.
@@ -437,27 +560,7 @@ impl CaseFrames {
     ///
     /// File-system failure.
     pub fn logs(dir: &CampaignDir) -> Result<Vec<PathBuf>, CampaignError> {
-        let cases = dir.cases();
-        let listing = match std::fs::read_dir(&cases) {
-            Ok(listing) => listing,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
-        };
-        let mut workers = Vec::new();
-        for dirent in listing {
-            let name = dirent?.file_name().to_string_lossy().into_owned();
-            if name.starts_with("worker-") && name.ends_with(".log") {
-                workers.push(name);
-            }
-        }
-        workers.sort();
-        let canonical = cases.join(CANONICAL);
-        let mut logs: Vec<PathBuf> = Vec::new();
-        if canonical.exists() {
-            logs.push(canonical);
-        }
-        logs.extend(workers.into_iter().map(|name| cases.join(name)));
-        Ok(logs)
+        list_logs(&dir.cases(), CANONICAL)
     }
 
     /// Scans every log under `dir` for a campaign of `cases` cases. Each
@@ -558,63 +661,41 @@ impl CaseFrames {
     ///
     /// A frame that changed since the scan, or file-system failure.
     pub fn write_canonical(&self, dir: &CampaignDir) -> Result<(), CampaignError> {
-        let cases = dir.cases();
-        std::fs::create_dir_all(&cases)?;
-        let path = cases.join(CANONICAL);
-        let tmp = cases.join(format!(".tmp-{}-{CANONICAL}", std::process::id()));
-        let written = self.stream_into(&tmp);
-        let renamed = written.and_then(|()| std::fs::rename(&tmp, &path).map_err(Into::into));
-        if renamed.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        renamed?;
-        sync_dir(&cases)?;
-        Ok(())
-    }
-
-    fn stream_into(&self, tmp: &Path) -> Result<(), CampaignError> {
-        let mut out = BufWriter::new(File::create(tmp)?);
-        let mut sources: Vec<Option<File>> = self.logs.iter().map(|_| None).collect();
-        let mut frame = Vec::new();
-        for at in self.at.iter().flatten() {
-            let source = match &mut sources[at.log] {
-                Some(file) => file,
-                slot => slot.insert(File::open(&self.logs[at.log])?),
-            };
-            source.seek(SeekFrom::Start(at.frame.offset))?;
-            frame.resize(HEADER + at.frame.len as usize, 0);
-            source.read_exact(&mut frame)?;
-            let Frame {
-                len, index, sum, ..
-            } = at.frame;
-            if frame[..HEADER] != header(len, index, sum)
-                || frame_sum(index, &frame[HEADER..]) != sum
-            {
-                return Err(CampaignError::Corrupt(format!(
-                    "{}: case {}'s frame changed since it was scanned",
-                    self.logs[at.log].display(),
-                    at.frame.index
-                )));
+        write_canonical(&dir.cases(), CANONICAL, |out| {
+            let mut sources: Vec<Option<File>> = self.logs.iter().map(|_| None).collect();
+            let mut frame = Vec::new();
+            for at in self.at.iter().flatten() {
+                let source = match &mut sources[at.log] {
+                    Some(file) => file,
+                    slot => slot.insert(File::open(&self.logs[at.log])?),
+                };
+                if !reread(source, &at.frame, &mut frame)? {
+                    return Err(CampaignError::Corrupt(format!(
+                        "{}: case {}'s frame changed since it was scanned",
+                        self.logs[at.log].display(),
+                        at.frame.index
+                    )));
+                }
+                out.write_all(&frame)?;
             }
-            out.write_all(&frame)?;
-        }
-        let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
-        file.sync_data()?;
-        Ok(())
+            Ok(())
+        })
     }
 }
 
 impl CampaignDir {
-    /// Compacts the record logs of a campaign of `cases` cases into the
-    /// canonical `cases/cases.log` and removes the worker logs (see the
-    /// [module docs](crate::caselog)). Callers compact once the
-    /// directory holds a record for every case it owns. A directory with
-    /// no worker log is already compact and is left alone.
+    /// Compacts the corpus and record logs of a campaign of `cases` cases
+    /// into the canonical `corpus/corpus.log` and `cases/cases.log` and
+    /// removes the worker logs (see the [module docs](crate::caselog)).
+    /// Callers compact once the directory holds a record for every case
+    /// it owns. A directory with no worker log is already compact and is
+    /// left alone.
     ///
     /// # Errors
     ///
     /// A corrupt log, or file-system failure.
     pub fn compact(&self, cases: u32) -> Result<(), CampaignError> {
+        crate::corpus::compact(&self.corpus())?;
         let logs = CaseFrames::logs(self)?;
         let canonical = self.cases().join(CANONICAL);
         if logs.iter().all(|log| *log == canonical) {
@@ -622,48 +703,65 @@ impl CampaignDir {
         }
         let frames = CaseFrames::scan(self, cases, 0..cases, |_, _| Ok(()))?;
         frames.write_canonical(self)?;
-        self.remove_worker_logs()?;
+        remove_worker_logs(&self.cases(), CANONICAL)?;
         sync_dir(&self.cases())?;
         Ok(())
     }
 
-    /// Removes every worker log under `cases/`, leaving the canonical
-    /// log, sidecars and corpus alone: for a directory whose records are
-    /// compacted or held elsewhere.
+    /// Removes every worker log under `cases/` and `corpus/`, leaving
+    /// the canonical logs and the sidecars alone: for a directory whose
+    /// records and entries are compacted or held elsewhere.
     ///
     /// # Errors
     ///
     /// File-system failure.
     pub fn remove_worker_logs(&self) -> Result<(), CampaignError> {
-        let canonical = self.cases().join(CANONICAL);
-        for log in CaseFrames::logs(self)? {
-            if log != canonical {
-                std::fs::remove_file(log)?;
-            }
-        }
-        Ok(())
+        remove_worker_logs(&self.corpus(), crate::corpus::CANONICAL)?;
+        remove_worker_logs(&self.cases(), CANONICAL)
     }
 
     /// Renders every case record of the campaign in this directory as a
     /// `case-NNNNNN.json` file at `out`'s [`case_path`](CampaignDir::case_path),
-    /// each through [`write_atomic`]: the record's canonical rendering,
-    /// the bytes a one-file-per-record campaign published. Returns how
-    /// many records were exported.
+    /// and every corpus entry as `<name>.asim`, `.stim`, `.ckpt` and
+    /// `.json` files under `out`'s `corpus/`, each through
+    /// [`write_atomic`]: the bytes a campaign that kept one file per
+    /// record and per corpus document published. Returns how many
+    /// records and entries were exported.
     ///
     /// # Errors
     ///
     /// A missing, foreign-format or corrupt campaign, or file-system
     /// failure.
-    pub fn export(&self, out: &CampaignDir) -> Result<u32, CampaignError> {
+    pub fn export(&self, out: &CampaignDir) -> Result<(u32, u32), CampaignError> {
         let cases = self.load()?.cases;
-        let mut exported = 0;
+        let corpus = crate::corpus::CorpusFrames::scan(&self.corpus())?;
+        let mut records = 0;
         CaseFrames::scan(self, cases, 0..cases, |index, record| {
             write_atomic(&out.case_path(index), record)?;
-            exported += 1;
+            records += 1;
             Ok(())
         })?;
-        Ok(exported)
+        let mut entries = 0;
+        corpus.each(|name, files| {
+            for (ext, text) in files.documents() {
+                write_atomic(&out.corpus().join(format!("{name}.{ext}")), text.as_bytes())?;
+            }
+            entries += 1;
+            Ok(())
+        })?;
+        Ok((records, entries))
     }
+}
+
+/// Removes every worker log under `parent`.
+pub(crate) fn remove_worker_logs(parent: &Path, canonical: &str) -> Result<(), CampaignError> {
+    let path = parent.join(canonical);
+    for log in list_logs(parent, canonical)? {
+        if log != path {
+            std::fs::remove_file(log)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -686,7 +784,7 @@ mod tests {
         let dir = CampaignDir::new(&root);
         std::fs::create_dir_all(dir.cases()).unwrap();
         let mut log = LogWriter::new(&dir);
-        log.file = Some(File::options().append(true).open(full).unwrap());
+        log.cases.file = Some(File::options().append(true).open(full).unwrap());
         let err = log.append(3, b"{}").unwrap_err();
         assert_eq!(err.raw_os_error(), Some(28), "ENOSPC: {err}");
         log.append(3, b"{}").unwrap();
@@ -716,7 +814,7 @@ mod tests {
                 let dir = &dir;
                 scope.spawn(move || {
                     for index in (thread..200).step_by(4) {
-                        write_one(dir, index, record(index).as_bytes()).unwrap();
+                        append_direct(&dir.cases(), index, record(index).as_bytes()).unwrap();
                     }
                 });
             }

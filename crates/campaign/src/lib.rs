@@ -16,15 +16,16 @@
 //!   is refused.
 //! * [`state`] — `campaign.json` and the case records; stop the process
 //!   anywhere, [`resume`] runs exactly the gaps.
-//! * [`caselog`] — records as checksummed frames in per-worker
-//!   append-only logs, compacted into one canonical log per campaign.
+//! * [`caselog`] — records and corpus entries as checksummed frames in
+//!   per-worker append-only logs, compacted into one canonical log each.
 //! * [`bundle`] — one case's artifacts (record, sidecars, the corpus
 //!   entry it names) read, checked and published as one unit, in the one
 //!   commit order every surface shares.
 //! * [`shrink`] — binary-search minimization over generator size, cycle
 //!   horizon and stimulus length, re-running lockstep per candidate.
 //! * [`corpus`] — `.asim` + stimulus + a fingerprinted session checkpoint
-//!   per entry; [`replay_corpus`] is the CI gate.
+//!   per entry, one log frame each, deduplicated by fingerprint;
+//!   [`replay_corpus`] is the CI gate.
 //! * [`runner`] — the pool itself, plus [`CampaignReport`].
 //!
 //! ```
@@ -65,7 +66,9 @@ pub mod state;
 pub use bundle::{BundleEntry, CaseBundle, CorpusFiles};
 pub use caselog::{CaseFrames, LogWriter};
 pub use config::CampaignConfig;
-pub use corpus::{CorpusEntry, ReplayOutcome, ReplayReport, ReplayResult};
+pub use corpus::{
+    Archive, CorpusEntry, CorpusFrames, CorpusIndex, ReplayOutcome, ReplayReport, ReplayResult,
+};
 pub use error::CampaignError;
 // The `vm-fault` lane: deliberate trace corruption that proves the
 // find→shrink→archive→replay pipeline end to end.

@@ -15,7 +15,7 @@
 use crate::bundle::{expected_seed, CaseBundle};
 use crate::caselog::LogWriter;
 use crate::config::CampaignConfig;
-use crate::corpus::{self, kind_label, ReplayReport};
+use crate::corpus::{self, kind_label, Archive, CorpusFrames, CorpusIndex, ReplayReport};
 use crate::error::CampaignError;
 use crate::shrink::shrink_divergence;
 use crate::state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};
@@ -348,8 +348,10 @@ pub fn run(
     dir.sweep_orphans()?;
 
     // Pre-seeded regression scenarios replay before any fuzzing: a known
-    // bug resurfacing is worth more than a new random case.
-    let entries = corpus::load_all(&dir.corpus())?;
+    // bug resurfacing is worth more than a new random case. The same scan
+    // indexes them for deduplication.
+    let corpus = CorpusFrames::scan(&dir.corpus())?;
+    let entries = corpus.load_all()?;
     options
         .recorder
         .count("campaign", "corpus_replayed", entries.len() as u64);
@@ -361,7 +363,10 @@ pub fn run(
     };
 
     let records = vec![None; config.cases as usize];
-    let report = execute(dir, config, options, cache, records, replay, progress)?;
+    let index = corpus.index();
+    let report = execute(
+        dir, config, options, cache, records, replay, &index, progress,
+    )?;
     compact_when_complete(dir, options, &report)?;
     Ok(report)
 }
@@ -388,9 +393,12 @@ pub fn resume(
         dir.sweep_orphans()?;
     }
     let records = dir.load_case_range(config.cases, run_range(options, &config))?;
+    let index = CorpusFrames::scan(&dir.corpus())?.index();
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     validate_engines(&config, &campaign_registry(Some(Arc::clone(&cache))))?;
-    let report = execute(dir, &config, options, cache, records, None, progress)?;
+    let report = execute(
+        dir, &config, options, cache, records, None, &index, progress,
+    )?;
     compact_when_complete(dir, options, &report)?;
     Ok(report)
 }
@@ -445,6 +453,9 @@ struct DoneCase {
     corpus: Option<String>,
 }
 
+/// Runs the pending cases of `records` on a pool of workers, each
+/// deduplicating what it archives against `index`.
+#[allow(clippy::too_many_arguments)]
 fn execute(
     dir: &CampaignDir,
     config: &CampaignConfig,
@@ -452,6 +463,7 @@ fn execute(
     cache: Arc<BinaryCache>,
     mut records: Vec<Option<CaseRecord>>,
     replay: Option<ReplayReport>,
+    corpus_index: &CorpusIndex,
     progress: &mut dyn Progress,
 ) -> Result<CampaignReport, CampaignError> {
     let started = Instant::now();
@@ -524,6 +536,7 @@ fn execute(
                         fuzz,
                         index,
                         &mut log,
+                        corpus_index,
                         case_checkpoint,
                         profile,
                         flight,
@@ -679,6 +692,7 @@ fn run_one(
     fuzz: &FuzzOptions,
     index: u32,
     log: &mut LogWriter,
+    corpus_index: &CorpusIndex,
     case_checkpoint: bool,
     profile: bool,
     flight: bool,
@@ -766,7 +780,7 @@ fn run_one(
                     recorder.count("campaign", "shrink_probes", u64::from(shrunk.attempts));
                     recorder.count("campaign", "corpus_entries", 1);
                     Some(corpus::render(
-                        &dir.corpus(),
+                        corpus_index,
                         shrunk,
                         &config.engines,
                         config.compare_every,
@@ -777,7 +791,7 @@ fn run_one(
             let status = CaseStatus::Diverged {
                 cycle: u64::try_from(report.cycle).unwrap_or(0),
                 kind: kind_label(&report.kind),
-                corpus: archived.as_ref().map(|(entry, _)| entry.name.clone()),
+                corpus: archived.as_ref().map(|archive| archive.name().to_string()),
             };
             (status, archived)
         }
@@ -809,13 +823,17 @@ fn run_one(
     // Publish from the worker, so I/O overlaps across workers instead of
     // serializing in the collector. Once this returns, the case survives
     // a kill: a resume right after runs past it.
-    let (entry, new_files) = archived.unzip();
+    let name = archived.as_ref().map(|archive| archive.name().to_string());
+    let new_entry = match archived {
+        Some(Archive::New(_, entry)) => Some(entry),
+        _ => None,
+    };
     CaseBundle {
         index,
         record: record.to_json().render(),
         profile,
         flight,
-        corpus: new_files.flatten(),
+        corpus: new_entry,
     }
     .publish(log)?;
     if case_checkpoint {
@@ -823,7 +841,7 @@ fn run_one(
     }
     Ok(DoneCase {
         record,
-        corpus: entry.map(|entry| entry.name),
+        corpus: name,
     })
 }
 
@@ -976,6 +994,7 @@ mod tests {
                 &fuzz,
                 0,
                 &mut log,
+                &CorpusIndex::default(),
                 false,
                 false,
                 false,

@@ -7,7 +7,8 @@
 //! cases/cases.log      — every case record, one frame per case by index
 //! cases/worker-N.log   — records appended by a run's writers, until compaction
 //! cases/case-N.profile — sidecars of a case: profile, flight dump, checkpoint
-//! corpus/              — shrunk divergence-regression scenarios (see corpus)
+//! corpus/corpus.log    — shrunk divergence-regression scenarios, one frame per entry
+//! corpus/worker-N.log  — entries appended by a run's writers, until compaction
 //! bin-cache/           — compiled `rust`-lane binaries, keyed by source hash
 //! ```
 //!
@@ -30,12 +31,16 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// The manifest format line; bump on breaking layout changes. Version 2
-/// keeps case records in logs; version 1 kept one file per record.
-pub const FORMAT: &str = "asim2-campaign v2";
+/// The manifest format line; bump on breaking layout changes. Version 3
+/// keeps case records and corpus entries in logs.
+pub const FORMAT: &str = "asim2-campaign v3";
 
-/// The format line of the one-file-per-record layout, refused by name.
-const V1: &str = "asim2-campaign v1";
+/// The format lines of earlier layouts, refused by name, with what they
+/// kept as files.
+const RETIRED: [(&str, &str); 2] = [
+    ("asim2-campaign v1", "one file per case record"),
+    ("asim2-campaign v2", "four files per corpus entry"),
+];
 
 /// How one case ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -365,15 +370,16 @@ impl CampaignDir {
         })?;
         let doc = Json::parse(&text)
             .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", path.display())))?;
-        match doc.get("format").and_then(Json::as_str) {
+        let format = doc.get("format").and_then(Json::as_str);
+        if let Some((old, files)) = RETIRED.iter().find(|(old, _)| format == Some(*old)) {
+            return Err(CampaignError::Corrupt(format!(
+                "{} holds an {old:?} campaign, which keeps {files}; this asim2 reads \
+                 only {FORMAT:?} campaigns, whose records and corpus entries are logs",
+                self.root.display()
+            )));
+        }
+        match format {
             Some(FORMAT) => {}
-            Some(V1) => {
-                return Err(CampaignError::Corrupt(format!(
-                    "{} holds an {V1:?} campaign, which keeps one file per case record; \
-                     this asim2 reads only {FORMAT:?} campaigns, whose records are logs",
-                    self.root.display()
-                )))
-            }
             Some(other) => {
                 return Err(CampaignError::Corrupt(format!(
                     "unsupported campaign format {other:?} (expected {FORMAT:?})"
@@ -405,7 +411,8 @@ impl CampaignDir {
     }
 
     /// Removes the `.tmp-*` siblings that a kill between write and rename
-    /// leaves in `cases/` and `corpus/` (see [`write_atomic`]). A process
+    /// leaves in `cases/` (sidecars, see [`write_atomic`], and the
+    /// compacted record log) and `corpus/` (the compacted corpus log). A process
     /// calls this once, when it takes the directory over: an orphan would
     /// otherwise survive into the finished tree and break its byte
     /// identity with an uninterrupted run.
@@ -440,7 +447,11 @@ impl CampaignDir {
     ///
     /// File-system failure.
     pub fn write_case(&self, record: &CaseRecord) -> Result<(), CampaignError> {
-        crate::caselog::write_one(self, record.index, record.to_json().render().as_bytes())?;
+        crate::caselog::append_direct(
+            &self.cases(),
+            record.index,
+            record.to_json().render().as_bytes(),
+        )?;
         Ok(())
     }
 

@@ -1,5 +1,6 @@
-//! Garbage → error or a dropped tail, never a panic, for the case-record
-//! log decoder ([`FrameReader`]).
+//! Garbage → error or a dropped tail, never a panic, for the campaign
+//! log decoders: the frame reader ([`FrameReader`]) and the corpus frame
+//! body decoder ([`decode_entry`]).
 //!
 //! A valid log of real record renderings is fed to the decoder as
 //! arbitrary bytes, as every truncation, with zeros where a crash leaves
@@ -10,11 +11,18 @@
 //! never grow past [`FRAME_CAP`]: a damaged length cannot make the reader
 //! allocate for it, and no record larger than the cap reaches the JSON
 //! parser, whose tree costs about 30 bytes per input byte.
+//!
+//! A corpus frame's body is fed to its decoder truncated at every byte,
+//! with every single bit flipped, with each length prefix set anywhere up
+//! to `u32::MAX`, with a document that is not UTF-8 and with a document
+//! missing. Each must return `Err`, or for a flip that leaves the body
+//! well formed, an entry; never a panic.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rtl_campaign::caselog::{encode_frame, FrameReader, FRAME_CAP, HEADER};
-use rtl_campaign::{CampaignError, CaseRecord, CaseStatus, LaneAccess};
+use rtl_campaign::corpus::{decode_entry, encode_entry};
+use rtl_campaign::{CampaignError, CaseRecord, CaseStatus, CorpusFiles, LaneAccess};
 
 /// What the decoder made of a log: the frames it read, and where a
 /// dropped tail starts.
@@ -221,4 +229,132 @@ fn a_record_over_the_cap_is_refused_unread() {
     encode_frame(7, &vec![b' '; FRAME_CAP as usize], &mut at_cap).unwrap();
     let (frames, tail) = decode(&at_cap).unwrap();
     assert_eq!((frames.len(), frames[0].0, tail), (1, 7, None));
+}
+
+/// A corpus entry's documents, shaped like a shrunk entry's.
+fn entry_files() -> CorpusFiles {
+    CorpusFiles {
+        asim: "# cosim fuzz case seed 7 size 1\nc* x0 .\nM c 0 c 1 1\nA x0 2 c.0.3 c\n.\n".into(),
+        stim: "3\n-1\n40\n".into(),
+        ckpt: "asim2-checkpoint v1\ndesign 0123456789abcdef\ncycle 40\nc 7\n".into(),
+        meta: "{\"format\": \"asim2-corpus v1\", \"name\": \"seed-7\"}".into(),
+    }
+}
+
+const FINGERPRINT: u64 = 0x0123_4567_89ab_cdef;
+
+/// A valid corpus frame body, and where each length prefix starts.
+fn entry_body() -> (Vec<u8>, Vec<usize>) {
+    let files = entry_files();
+    let body = encode_entry(FINGERPRINT, "seed-7", &files).unwrap();
+    let mut prefixes = vec![8];
+    for text in ["seed-7", &files.asim, &files.stim, &files.ckpt] {
+        prefixes.push(prefixes.last().unwrap() + 4 + text.len());
+    }
+    (body, prefixes)
+}
+
+#[test]
+fn a_corpus_body_reads_back_whole() {
+    let (body, _) = entry_body();
+    let (fingerprint, name, files) = decode_entry(&body).unwrap();
+    assert_eq!(
+        (fingerprint, name.as_str(), files),
+        (FINGERPRINT, "seed-7", entry_files())
+    );
+}
+
+#[test]
+fn every_truncation_of_a_corpus_body_is_refused() {
+    let (body, _) = entry_body();
+    for cut in 0..body.len() {
+        assert!(decode_entry(&body[..cut]).is_err(), "cut at {cut}");
+    }
+    let mut longer = body.clone();
+    longer.push(b'\n');
+    let err = decode_entry(&longer).unwrap_err();
+    assert!(err.contains("follow the last document"), "{err}");
+}
+
+#[test]
+fn every_single_bit_flip_of_a_corpus_body_is_refused_or_decodes() {
+    let (body, prefixes) = entry_body();
+    for bit in 0..body.len() * 8 {
+        let mut bytes = body.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let at = bit / 8;
+        let in_a_prefix = prefixes.iter().any(|&p| (p..p + 4).contains(&at));
+        match decode_entry(&bytes) {
+            // A flipped length cannot tile the body exactly again.
+            Ok(_) => assert!(!in_a_prefix, "bit {bit}: a flipped length decoded"),
+            Err(e) => assert!(!e.is_empty()),
+        }
+    }
+}
+
+#[test]
+fn corpus_lengths_up_to_u32_max_are_refused_before_allocating() {
+    let (body, prefixes) = entry_body();
+    let mut rng = StdRng::seed_from_u64(0xca5e_0003);
+    let mut lengths = vec![FRAME_CAP, FRAME_CAP + 1, 1 << 31, u32::MAX - 1, u32::MAX];
+    lengths.extend((0..500).map(|_| rng.next_u64() as u32 | (1 << 20)));
+    for &at in &prefixes {
+        for &len in &lengths {
+            let mut bytes = body.clone();
+            bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            let err = decode_entry(&bytes).unwrap_err();
+            assert!(
+                err.contains("claims"),
+                "prefix at {at}, length {len}: {err}"
+            );
+        }
+    }
+    // A document over the cap is refused even when its bytes are there.
+    let mut huge = FINGERPRINT.to_le_bytes().to_vec();
+    huge.extend_from_slice(&(FRAME_CAP + 1).to_le_bytes());
+    huge.resize(huge.len() + FRAME_CAP as usize + 1, b'a');
+    let err = decode_entry(&huge).unwrap_err();
+    assert!(err.contains("claims"), "{err}");
+    let over = CorpusFiles {
+        ckpt: "x".repeat(FRAME_CAP as usize + 1),
+        ..entry_files()
+    };
+    assert!(encode_entry(FINGERPRINT, "seed-7", &over).is_err());
+}
+
+#[test]
+fn non_utf8_and_missing_documents_are_refused() {
+    let (body, prefixes) = entry_body();
+    for (what, &at) in ["name", ".asim", ".stim", ".ckpt", ".json"]
+        .iter()
+        .zip(&prefixes)
+    {
+        let mut bytes = body.clone();
+        bytes[at + 4] = 0xff;
+        let err = decode_entry(&bytes).unwrap_err();
+        assert_eq!(err, format!("the {what} is not UTF-8"));
+    }
+    // The `.json` document left out: the body ends before it.
+    let err = decode_entry(&body[..prefixes[4]]).unwrap_err();
+    assert_eq!(err, "the body ends before the .json");
+    for name in ["", ".tmp-1-seed-7", "../x", "a/b"] {
+        let body = encode_entry(FINGERPRINT, name, &entry_files()).unwrap();
+        let err = decode_entry(&body).unwrap_err();
+        assert!(err.contains("not a plain file stem"), "{name:?}: {err}");
+    }
+}
+
+#[test]
+fn arbitrary_bytes_are_never_a_corpus_panic() {
+    let (body, _) = entry_body();
+    let mut rng = StdRng::seed_from_u64(0xca5e_0004);
+    for round in 0..20_000 {
+        let len = rng.random_range(0..=96);
+        let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        if round % 2 == 1 {
+            let keep = rng.random_range(0..body.len());
+            bytes.splice(0..0, body[..keep].iter().copied());
+        }
+        let _ = decode_entry(&bytes);
+    }
 }

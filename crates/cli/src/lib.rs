@@ -107,7 +107,8 @@ const USAGE: &str = "usage:
   asim2 campaign shrink --dir D --seed N [--engines LIST] [--cycles N] [--size N]
                         [--compare-every N]
   asim2 campaign export --dir D --out O     (render the case records as
-                        O/cases/case-NNNNNN.json files)
+                        O/cases/case-NNNNNN.json files, the corpus entries as
+                        O/corpus/<name>.asim/.stim/.ckpt/.json files)
   asim2 campaign shard plan  [--plan F] --cases N --shards K [--seed N] [--engines LIST]
                              [--cycles N] [--size N] [--compare-every N] [--lint-oracle]
   asim2 campaign shard run   [--plan F] --shard I --dir D [--workers N] [--limit N]
@@ -1074,11 +1075,13 @@ fn campaign_cmd(args: &Args, out: &mut dyn Write, err: &mut dyn Write) -> Result
                 args.value("--out")
                     .ok_or_else(|| usage_err("campaign export needs --out DIR"))?,
             );
-            let exported = dir.export(&to).map_err(campaign_err)?;
+            let (records, entries) = dir.export(&to).map_err(campaign_err)?;
             let _ = writeln!(
                 out,
-                "exported {exported} case record(s) to {}",
-                to.cases().display()
+                "exported {records} case record(s) to {} and {entries} corpus entr{} to {}",
+                to.cases().display(),
+                if entries == 1 { "y" } else { "ies" },
+                to.corpus().display()
             );
             Ok(())
         }
@@ -2171,8 +2174,9 @@ mod tests {
             "{out}"
         );
         assert!(err.contains("campaign found 2 divergence(s)"), "{err}");
+        let corpus = rtl_campaign::CorpusFrames::scan(&d.join("corpus")).unwrap();
         assert!(
-            d.join("corpus").join("seed-3.asim").is_file(),
+            corpus.names().any(|name| name == "seed-3"),
             "corpus archived"
         );
 
@@ -2350,58 +2354,147 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
-    /// A version-1 directory — one file per case record — is refused by
-    /// name by every command that takes a campaign directory over; none
-    /// reads it as an empty campaign.
+    /// `campaign export` renders every corpus entry as its four files
+    /// under `corpus/`, each holding the bytes `corpus::render` returns
+    /// for the case's shrunk divergence — the bytes a campaign that kept
+    /// four files per entry wrote — and the exported specification runs.
     #[test]
-    fn version_1_campaign_directories_are_refused_by_name() {
-        let base = campaign_dir("v1");
-        let dir = base.join("v1");
-        quick_campaign(&dir, "2");
-        let campaign = rtl_campaign::CampaignDir::new(&dir);
-        campaign.export(&campaign).unwrap();
-        std::fs::remove_file(campaign.cases().join("cases.log")).unwrap();
-        let manifest = std::fs::read_to_string(campaign.manifest()).unwrap();
-        let v1 = manifest.replace("asim2-campaign v2", "asim2-campaign v1");
-        assert_ne!(v1, manifest);
-        std::fs::write(campaign.manifest(), v1).unwrap();
-
-        let (d, plan) = (dir.to_str().unwrap(), base.join("plan.json"));
-        let plan = plan.to_str().unwrap();
-        let config = [
-            "--cases", "2", "--seed", "3", "--cycles", "16", "--size", "8",
-        ];
-        let mut plan_args = vec!["campaign", "shard", "plan", "--plan", plan, "--shards", "1"];
-        plan_args.extend(config);
-        run_ok(&plan_args);
-        let mut serve = vec!["fleet", "serve", "--dir", d, "--token", "t"];
-        serve.extend(["--bind", "127.0.0.1:0", "--quiet"]);
-        serve.extend(config);
-        let out = base.join("out");
-        for args in [
-            vec!["campaign", "resume", "--dir", d],
-            vec![
+    fn campaign_export_renders_each_corpus_entry_as_its_rendered_files() {
+        let base = campaign_dir("export-corpus");
+        let (dir, to) = (base.join("campaign"), base.join("exported"));
+        let (d, t) = (dir.to_str().unwrap(), to.to_str().unwrap());
+        let (code, out, err) = run_with(
+            &[
                 "campaign",
-                "export",
+                "run",
                 "--dir",
                 d,
-                "--out",
-                out.to_str().unwrap(),
+                "--cases",
+                "3",
+                "--seed",
+                "3",
+                "--cycles",
+                "48",
+                "--size",
+                "8",
+                "--engines",
+                "interp,vm-fault",
+                "--quiet",
             ],
-            vec![
-                "campaign", "shard", "merge", "--plan", plan, "--shards", d, "--out",
-            ]
-            .into_iter()
-            .chain([out.to_str().unwrap()])
-            .collect(),
-            serve,
-        ] {
-            let (code, err) = run_fail(&args);
-            assert_eq!(code, 2, "{args:?}: {err}");
-            assert!(err.contains("\"asim2-campaign v1\""), "{args:?}: {err}");
+            b"",
+        );
+        assert_eq!(code, 3, "{out}\n{err}");
+        let out = run_ok(&["campaign", "export", "--dir", d, "--out", t]);
+        assert!(out.contains("and 3 corpus entries to"), "{out}");
+
+        let campaign = rtl_campaign::CampaignDir::new(&dir);
+        let config = campaign.load().unwrap();
+        let registry = rtl_campaign::campaign_registry(None);
+        let cosim = config.fuzz_options().cosim;
+        let mut expected = Vec::new();
+        for index in 0..config.cases {
+            let seed = rtl_campaign::bundle::expected_seed(&config, index);
+            let shrunk = rtl_campaign::shrink_divergence(
+                &registry,
+                &config.engines,
+                seed,
+                &config.generator,
+                &cosim,
+            )
+            .unwrap()
+            .expect("the faulty lane diverges");
+            let archive = rtl_campaign::corpus::render(
+                &rtl_campaign::CorpusIndex::default(),
+                &shrunk,
+                &config.engines,
+                config.compare_every,
+            )
+            .unwrap();
+            let rtl_campaign::Archive::New(_, entry) = archive else {
+                panic!("an empty index archives anew")
+            };
+            for (ext, text) in entry.files.documents() {
+                expected.push((format!("{}.{ext}", entry.name), text.to_string()));
+            }
         }
-        assert!(!out.exists(), "a refusal writes nothing");
+        expected.sort();
+        let mut exported: Vec<(String, String)> = std::fs::read_dir(to.join("corpus"))
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(&path).unwrap())
+            })
+            .collect();
+        exported.sort();
+        assert_eq!(exported, expected);
+
+        let (file, _) = &expected[0];
+        let asim = to.join("corpus").join(file);
+        assert!(file.ends_with(".asim"), "{file}");
+        let stim = std::fs::read(asim.with_extension("stim")).unwrap();
+        let (code, out, err) = run_with(&["run", asim.to_str().unwrap(), "--cycles", "40"], &stim);
+        assert_eq!(code, 0, "{err}");
+        assert!(out.contains("Cycle  39"), "{out}");
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A directory laid out by an earlier version — version 1 kept one
+    /// file per case record, version 2 four files per corpus entry — is
+    /// refused by name by every command that takes a campaign directory
+    /// over; none reads it as an empty campaign.
+    #[test]
+    fn retired_campaign_layouts_are_refused_by_name() {
+        for version in ["v1", "v2"] {
+            let base = campaign_dir(&format!("retired-{version}"));
+            let dir = base.join("old");
+            quick_campaign(&dir, "2");
+            let campaign = rtl_campaign::CampaignDir::new(&dir);
+            campaign.export(&campaign).unwrap();
+            std::fs::remove_file(campaign.cases().join("cases.log")).unwrap();
+            let manifest = std::fs::read_to_string(campaign.manifest()).unwrap();
+            let format = format!("asim2-campaign {version}");
+            let old = manifest.replace("asim2-campaign v3", &format);
+            assert_ne!(old, manifest);
+            std::fs::write(campaign.manifest(), old).unwrap();
+
+            let (d, plan) = (dir.to_str().unwrap(), base.join("plan.json"));
+            let plan = plan.to_str().unwrap();
+            let config = [
+                "--cases", "2", "--seed", "3", "--cycles", "16", "--size", "8",
+            ];
+            let mut plan_args = vec!["campaign", "shard", "plan", "--plan", plan, "--shards", "1"];
+            plan_args.extend(config);
+            run_ok(&plan_args);
+            let mut serve = vec!["fleet", "serve", "--dir", d, "--token", "t"];
+            serve.extend(["--bind", "127.0.0.1:0", "--quiet"]);
+            serve.extend(config);
+            let out = base.join("out");
+            for args in [
+                vec!["campaign", "resume", "--dir", d],
+                vec![
+                    "campaign",
+                    "export",
+                    "--dir",
+                    d,
+                    "--out",
+                    out.to_str().unwrap(),
+                ],
+                vec![
+                    "campaign", "shard", "merge", "--plan", plan, "--shards", d, "--out",
+                ]
+                .into_iter()
+                .chain([out.to_str().unwrap()])
+                .collect(),
+                serve,
+            ] {
+                let (code, err) = run_fail(&args);
+                assert_eq!(code, 2, "{args:?}: {err}");
+                assert!(err.contains(&format!("{format:?}")), "{args:?}: {err}");
+            }
+            assert!(!out.exists(), "a refusal writes nothing");
+            let _ = std::fs::remove_dir_all(&base);
+        }
     }
 
     /// `shard plan` and `shard run` take the same config and run flags as

@@ -8,18 +8,20 @@
 //! exercises is *refusal*. Drifted configurations, markers from another
 //! plan, records outside a shard's range, incomplete shards, and any
 //! bundle that fails [`CaseBundle::check`] stop the merge before
-//! anything is written. One scan of each shard's record logs finds and
-//! checks its bundles; a second publishes each bundle's sidecars and
-//! corpus entry ([`CaseBundle::publish_files`]), and the record frames
-//! then stream into one canonical `cases/cases.log`, keeping the shared
-//! commit order stated in [`rtl_campaign::bundle`]. Corpus entries are deduplicated by
+//! anything is written. One scan of each shard's record and corpus logs
+//! finds and checks its bundles; a second publishes each bundle's
+//! sidecars ([`CaseBundle::publish_sidecars`]), then the corpus frames
+//! and the record frames stream into one canonical `corpus/corpus.log`
+//! and `cases/cases.log`, keeping the shared commit order stated in
+//! [`rtl_campaign::bundle`]. No corpus entry or sidecar is held in memory.
+//! Corpus entries are deduplicated by
 //! [`entry_fingerprint`](rtl_campaign::corpus), so overlapping regression
 //! corpora collapse to one entry each.
 
 use crate::plan::ShardPlan;
 use crate::shard::load_marker;
 use rtl_campaign::{
-    CampaignDir, CampaignError, CampaignReport, CaseBundle, CaseFrames, CaseRecord,
+    CampaignDir, CampaignError, CampaignReport, CaseBundle, CaseFrames, CaseRecord, CorpusFrames,
 };
 use rtl_core::Recorder;
 use std::collections::{BTreeSet, HashSet};
@@ -80,12 +82,14 @@ pub fn merge_with(
     }
 
     // Pass 1: read and check every bundle before writing anything. Only
-    // the parsed records, the fingerprint of each case's corpus entry and
-    // where each frame lies stay in memory (sidecars can be large).
+    // the parsed records, the fingerprint and name of each case's corpus
+    // entry and where each frame lies stay in memory (sidecars and corpus
+    // entries can be large).
     let cases = plan.config.cases as usize;
     let mut records: Vec<Option<CaseRecord>> = vec![None; cases];
-    let mut corpus_fps: Vec<Option<u64>> = vec![None; cases];
+    let mut named: Vec<Option<(u64, String)>> = vec![None; cases];
     let mut frames: Option<CaseFrames> = None;
+    let mut corpora: Vec<Option<CorpusFrames>> = shard_dirs.iter().map(|_| None).collect();
     let mut ranges = vec![None; plan.shards.len()];
     for (shard, root) in shard_dirs.iter().enumerate() {
         let dir = CampaignDir::new(root);
@@ -106,17 +110,25 @@ pub fn merge_with(
         }
         let range = spec.range();
         ranges[spec.index as usize] = Some((shard, range.clone()));
-        let scanned = CaseBundle::read_range(&dir, plan.config.cases, range.clone(), |bundle| {
-            // The same check the fleet controller runs on an upload. A
-            // shard carries whichever sidecars it was run with.
-            let (record, corpus_fp) = bundle
-                .check(&plan.config, true, true)
-                .map_err(|m| CampaignError::Corrupt(format!("{}/{m}", root.display())))?;
-            let index = bundle.index as usize;
-            corpus_fps[index] = corpus_fp;
-            records[index] = Some(record);
-            Ok(())
-        })?;
+        let corpus = CorpusFrames::scan(&dir.corpus())?;
+        let scanned = CaseBundle::read_range(
+            &dir,
+            Some(&corpus),
+            plan.config.cases,
+            range.clone(),
+            |bundle| {
+                // The same check the fleet controller runs on an upload. A
+                // shard carries whichever sidecars it was run with.
+                let (record, corpus_fp) = bundle
+                    .check(&plan.config, true, true)
+                    .map_err(|m| CampaignError::Corrupt(format!("{}/{m}", root.display())))?;
+                let index = bundle.index as usize;
+                named[index] = corpus_fp.zip(bundle.corpus.map(|entry| entry.name));
+                records[index] = Some(record);
+                Ok(())
+            },
+        )?;
+        corpora[shard] = Some(corpus);
         if let Some(index) = scanned.indices().find(|index| !range.contains(index)) {
             return Err(CampaignError::Corrupt(format!(
                 "{}: case {index} lies outside shard {}'s range {}..{}",
@@ -141,26 +153,30 @@ pub fn merge_with(
     }
 
     // Pass 2: publish the canonical campaign. Each shard's bundles, in
-    // plan order, publish their files — the first case naming a
-    // scenario keeps its corpus entry — then the record frames stream
-    // into the canonical log.
+    // plan order, publish their sidecars; the first case naming a
+    // scenario keeps its corpus entry. Then the kept corpus frames and
+    // the record frames stream into the canonical logs.
     out.init(&plan.config)?;
     let mut seen_corpus: HashSet<u64> = HashSet::new();
     let mut new_corpus = BTreeSet::new();
+    let mut corpus = CorpusFrames::default();
     for (shard, range) in ranges.into_iter().flatten() {
+        let keep: BTreeSet<String> = named[range.start as usize..range.end as usize]
+            .iter()
+            .flatten()
+            .filter(|(fp, _)| seen_corpus.insert(*fp))
+            .map(|(_, name)| name.clone())
+            .collect();
+        let shard_corpus = corpora[shard].take().expect("every shard was scanned");
+        corpus.absorb(shard_corpus, |name| keep.contains(name));
+        new_corpus.extend(keep);
         let from = CampaignDir::new(&shard_dirs[shard]);
-        CaseBundle::read_range(&from, plan.config.cases, range, |mut bundle| {
-            let fresh = corpus_fps[bundle.index as usize].is_some_and(|fp| seen_corpus.insert(fp));
-            if !fresh {
-                bundle.corpus = None;
-            }
-            if let Some(entry) = &bundle.corpus {
-                new_corpus.insert(entry.name.clone());
-            }
-            bundle.publish_files(out)?;
+        CaseBundle::read_range(&from, None, plan.config.cases, range, |bundle| {
+            bundle.publish_sidecars(out)?;
             Ok(())
         })?;
     }
+    corpus.write_canonical(&out.corpus())?;
     if let Some(frames) = frames.filter(|frames| frames.indices().next().is_some()) {
         frames.write_canonical(out)?;
     }

@@ -26,7 +26,7 @@ use crate::error::FleetError;
 use crate::protocol::{Framed, Message, Poll, Refusal, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
 use rtl_campaign::{
-    corpus, BundleEntry, CampaignConfig, CampaignDir, CampaignReport, CaseBundle, CaseRecord,
+    BundleEntry, CampaignConfig, CampaignDir, CampaignReport, CaseBundle, CaseRecord, CorpusFrames,
     LogWriter,
 };
 use rtl_obs::json::Json;
@@ -175,7 +175,7 @@ enum Reply {
 /// loop can hold `&mut Conn` and `&mut State` at once.
 struct State {
     config: CampaignConfig,
-    /// The log accepted records are appended to.
+    /// The logs accepted records and corpus entries are appended to.
     log: LogWriter,
     options: ControllerOptions,
     records: Vec<Option<CaseRecord>>,
@@ -233,9 +233,11 @@ impl Controller {
     /// A directory already holding a campaign is *resumed*: its stored
     /// configuration must fingerprint-match `config`, orphaned temp
     /// files are [swept](CampaignDir::sweep_orphans), and only the
-    /// missing cases are leased out. Accepted records are appended to
-    /// the controller's own worker log, which is
+    /// missing cases are leased out. Accepted records and corpus entries
+    /// are appended to the controller's own worker logs, which are
     /// [compacted](CampaignDir::compact) once every case has a record.
+    /// The corpus fingerprints already archived come from one scan of
+    /// the corpus logs.
     ///
     /// # Errors
     ///
@@ -253,10 +255,7 @@ impl Controller {
         let config = dir.open(config)?;
         dir.sweep_orphans()?;
         let records = dir.load_cases(config.cases)?;
-        let corpus_fps = corpus::load_all(&dir.corpus())?
-            .iter()
-            .map(|e| corpus::entry_fingerprint(&e.scenario))
-            .collect();
+        let corpus_fps = CorpusFrames::scan(&dir.corpus())?.fingerprints().collect();
         let pending: BTreeSet<u32> = records
             .iter()
             .enumerate()

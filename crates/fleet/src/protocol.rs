@@ -182,7 +182,7 @@ pub enum Message {
         /// The claimed entry fingerprint (hex); the controller
         /// revalidates it from the files before publication.
         fingerprint: String,
-        /// The entry's four files.
+        /// The entry's four documents.
         files: CorpusFiles,
     },
     /// Worker → controller: deterministic counter deltas from the

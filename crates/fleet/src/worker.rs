@@ -16,16 +16,18 @@
 //! worker records telemetry only when the controller keeps it
 //! (`Welcome::metrics`): otherwise the lease runs with a disabled
 //! recorder, which lints and counts nothing, and uploads no event log.
-//! The scratch never owns a whole campaign, so its record logs are never
-//! compacted; instead, once a lease's uploads are acknowledged, the
-//! worker removes them. A lease's resume and upload so scan only the
-//! logs of that lease (and of one cut short before it), however many
-//! leases the session has run.
+//! The scratch never owns a whole campaign, so its record and corpus
+//! logs are never compacted; instead, once a lease's uploads are
+//! acknowledged, the worker removes them. A lease's resume and upload so
+//! scan only the logs of that lease (and of one cut short before it),
+//! however many leases the session has run.
 
 use crate::error::FleetError;
 use crate::protocol::{Framed, Message, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
-use rtl_campaign::{CampaignDir, CampaignError, CaseBundle, CaseRecord, Progress, RunOptions};
+use rtl_campaign::{
+    CampaignDir, CampaignError, CaseBundle, CaseRecord, CorpusFrames, Progress, RunOptions,
+};
 use rtl_obs::Recorder;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -266,11 +268,14 @@ fn run_lease(
     recorder.flush();
 
     // Upload each case's bundle byte-verbatim from disk — the same record
-    // frames and files a single-machine run publishes, so the
-    // controller's directory diffs clean. One scan of the scratch logs
-    // reads the lease's bundles.
+    // frames, corpus documents and files a single-machine run publishes,
+    // so the controller's directory diffs clean. One scan of the
+    // scratch's record logs and one of its corpus logs read the lease's
+    // bundles.
     let mut bundles: Vec<Option<CaseBundle>> = (start..end).map(|_| None).collect();
-    CaseBundle::read_range(dir, lease_report.config.cases, start..end, |bundle| {
+    let corpus = CorpusFrames::scan(&dir.corpus())?;
+    let cases = lease_report.config.cases;
+    CaseBundle::read_range(dir, Some(&corpus), cases, start..end, |bundle| {
         let slot = (bundle.index - start) as usize;
         bundles[slot] = Some(bundle);
         Ok(())
@@ -309,10 +314,10 @@ fn run_lease(
         }
     }
 
-    // The controller now holds every record of the lease, so the scratch
-    // drops its record logs: the next lease scans only its own, however
-    // long the session. Were this range leased here again, its cases
-    // would re-run to the same bytes.
+    // The controller now holds every record and corpus entry of the
+    // lease, so the scratch drops its record and corpus logs: the next
+    // lease scans only its own, however long the session. Were this
+    // range leased here again, its cases would re-run to the same bytes.
     dir.remove_worker_logs()?;
     Ok(())
 }

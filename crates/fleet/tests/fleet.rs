@@ -4,7 +4,10 @@
 //! silent workers. Identity across worker counts and a controller
 //! stop+restart is the root `tests/identity.rs` matrix.
 
-use rtl_campaign::{CampaignConfig, CampaignDir, CaseFrames, CaseRecord, NoProgress, RunOptions};
+use rtl_campaign::caselog::list_logs;
+use rtl_campaign::{
+    corpus, CampaignConfig, CampaignDir, CaseFrames, CaseRecord, NoProgress, RunOptions,
+};
 use rtl_fleet::{
     work, Controller, ControllerOptions, FleetError, FleetProgress, NoFleetProgress, WorkerOptions,
 };
@@ -203,55 +206,81 @@ fn accepted_records_count_up_from_the_records_on_disk() {
     assert_eq!(dones, (1..=8).collect::<Vec<u32>>());
 }
 
-/// The most record logs a worker's scratch held whenever the controller
-/// accepted a record (the worker waits for each acknowledgement, so its
-/// scratch is still then).
+/// The most record logs and corpus logs a worker's scratch held whenever
+/// the controller accepted a record (the worker waits for each
+/// acknowledgement, so its scratch is still then).
 struct ScratchLogs {
     scratch: CampaignDir,
-    most: usize,
+    most: (usize, usize),
+}
+
+/// A scratch's record logs and corpus logs.
+fn scratch_logs(scratch: &CampaignDir) -> (Vec<PathBuf>, Vec<PathBuf>) {
+    (
+        CaseFrames::logs(scratch).unwrap(),
+        list_logs(&scratch.corpus(), corpus::CANONICAL).unwrap(),
+    )
 }
 
 impl FleetProgress for ScratchLogs {
     fn record_accepted(&mut self, _worker: &str, _record: &CaseRecord, _done: u32, _total: u32) {
-        let logs = CaseFrames::logs(&self.scratch).unwrap().len();
-        self.most = self.most.max(logs);
+        let (cases, corpus) = scratch_logs(&self.scratch);
+        self.most = (self.most.0.max(cases.len()), self.most.1.max(corpus.len()));
     }
 }
 
-/// A worker removes its scratch's record logs once a lease's uploads are
-/// acknowledged, so however many leases a session runs, a lease's scans
-/// meet only the logs its own threads wrote.
+/// A worker removes its scratch's record and corpus logs once a lease's
+/// uploads are acknowledged, so however many leases a session runs, a
+/// lease's scans meet only the logs its own threads wrote. With the
+/// faulty lane every case archives a corpus entry.
 #[test]
 fn a_long_session_keeps_the_scratch_logs_bounded() {
-    let config = small_config(&["interp", "vm"], 40);
-    let root = scratch("long");
-    let scratch_dir = scratch("long-w");
-    let controller = Controller::bind("127.0.0.1:0").unwrap();
-    let addr = controller.local_addr().unwrap();
-    let (dir, served) = (CampaignDir::new(&root), config.clone());
-    let scratch = CampaignDir::new(&scratch_dir);
-    let serving = std::thread::spawn(move || {
-        let options = ControllerOptions {
-            token: "t".into(),
-            lease: 2,
-            ..ControllerOptions::default()
-        };
-        let mut progress = ScratchLogs { scratch, most: 0 };
-        let report = controller
-            .serve(&dir, &served, &options, &mut progress)
-            .unwrap();
-        (report, progress.most)
-    });
-    let worker = work(&addr.to_string(), &worker_options("t", "w", &scratch_dir)).unwrap();
-    let (report, most) = serving.join().unwrap();
-    assert!(report.complete(), "{report}");
-    assert_eq!((worker.leases, worker.cases), (20, 40));
-    // Two threads, so at most two logs, and none once the session ends.
-    assert!((1..=2).contains(&most), "the scratch held {most} logs");
-    assert_eq!(
-        CaseFrames::logs(&CampaignDir::new(&scratch_dir)).unwrap(),
-        Vec::<PathBuf>::new()
-    );
+    let mut diverging = small_config(&["interp", "vm-fault"], 40);
+    diverging.generator.cycles = 48;
+    for (label, config, corpus_logs) in [
+        ("agreeing", small_config(&["interp", "vm"], 40), 0..=0),
+        ("diverging", diverging, 1..=2),
+    ] {
+        let root = scratch(&format!("long-{label}"));
+        let scratch_dir = scratch(&format!("long-{label}-w"));
+        let controller = Controller::bind("127.0.0.1:0").unwrap();
+        let addr = controller.local_addr().unwrap();
+        let (dir, served) = (CampaignDir::new(&root), config.clone());
+        let scratch = CampaignDir::new(&scratch_dir);
+        let serving = std::thread::spawn(move || {
+            let options = ControllerOptions {
+                token: "t".into(),
+                lease: 2,
+                ..ControllerOptions::default()
+            };
+            let mut progress = ScratchLogs {
+                scratch,
+                most: (0, 0),
+            };
+            let report = controller
+                .serve(&dir, &served, &options, &mut progress)
+                .unwrap();
+            (report, progress.most)
+        });
+        let worker = work(&addr.to_string(), &worker_options("t", "w", &scratch_dir)).unwrap();
+        let (report, (cases, corpus)) = serving.join().unwrap();
+        assert!(report.complete(), "{label}: {report}");
+        assert_eq!((worker.leases, worker.cases), (20, 40), "{label}");
+        // Two threads, so at most two logs of each kind, and none once
+        // the session ends.
+        assert!((1..=2).contains(&cases), "{label}: {cases} record logs");
+        assert!(
+            corpus_logs.contains(&corpus),
+            "{label}: {corpus} corpus logs"
+        );
+        let none = (Vec::<PathBuf>::new(), Vec::<PathBuf>::new());
+        assert_eq!(scratch_logs(&CampaignDir::new(&scratch_dir)), none);
+        if label == "diverging" {
+            assert_eq!(report.diverged(), 40, "{report}");
+            let entries = rtl_campaign::CorpusFrames::scan(&CampaignDir::new(&root).corpus());
+            assert_eq!(entries.unwrap().len(), 40);
+        }
+    }
 }
 
 /// The flight-sidecar files under `cases/`, relative path → bytes.

@@ -2,7 +2,7 @@
 //! byte-stable error frames, and frame round-trip properties.
 
 use proptest::prelude::*;
-use rtl_campaign::{CampaignConfig, CampaignDir, CaseBundle, NoProgress, RunOptions};
+use rtl_campaign::{CampaignConfig, CampaignDir, CaseBundle, CorpusFrames, NoProgress, RunOptions};
 use rtl_fleet::protocol::{self, CorpusFiles, CounterDelta, Framed, Message};
 use rtl_fleet::{Controller, ControllerOptions, NoFleetProgress, Refusal, WorkerOptions, PROTOCOL};
 use std::io::{BufRead, BufReader, Write};
@@ -672,7 +672,8 @@ fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
     };
     rtl_campaign::run(&local, &config, &options, &mut NoProgress).unwrap();
     let mut read = Vec::new();
-    CaseBundle::read_range(&local, config.cases, 0..1, |bundle| {
+    let corpus = CorpusFrames::scan(&local.corpus()).unwrap();
+    CaseBundle::read_range(&local, Some(&corpus), config.cases, 0..1, |bundle| {
         read.push(bundle);
         Ok(())
     })

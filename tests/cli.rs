@@ -207,8 +207,42 @@ fn campaign_archives_and_reproduces_an_injected_engine_bug() {
         out.contains("DIVERGED at cycle 40 (trace) -> corpus seed-9"),
         "{out}"
     );
-    assert!(dir.join("corpus/seed-9.asim").is_file());
-    assert!(dir.join("corpus/seed-9.ckpt").is_file());
+    // The entry is one frame of the compacted corpus log…
+    let names: Vec<String> = std::fs::read_dir(dir.join("corpus"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["corpus.log"]);
+
+    // …which `campaign export` renders as the entry's four files, and the
+    // exported specification runs on its stimulus.
+    let exported = dir.join("exported");
+    let (code, out, err) = run_cli(&[
+        "campaign",
+        "export",
+        "--dir",
+        d,
+        "--out",
+        exported.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("and 1 corpus entry to"), "{out}");
+    for ext in ["asim", "stim", "ckpt", "json"] {
+        assert!(
+            exported.join(format!("corpus/seed-9.{ext}")).is_file(),
+            "{ext}"
+        );
+    }
+    let stim = std::fs::read(exported.join("corpus/seed-9.stim")).unwrap();
+    let asim = exported.join("corpus/seed-9.asim");
+    let args: Vec<String> = ["run", asim.to_str().unwrap(), "--cycles", "40"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    let code = asim_cli::run_with_input(&args, &mut &stim[..], &mut out, &mut err);
+    assert_eq!(code, 0, "{}", String::from_utf8_lossy(&err));
+    assert!(String::from_utf8_lossy(&out).contains("Cycle  39"));
 
     // Replay reproduces it (exit 3); the healthy lane pair is clean.
     let (code, out, _) = run_cli(&["campaign", "replay", "--dir", d]);
@@ -219,12 +253,17 @@ fn campaign_archives_and_reproduces_an_injected_engine_bug() {
     assert!(out.contains("bug no longer reproduces"), "{out}");
 
     // An entry whose design_fp is not hex is refused as corrupt: exit 2.
-    let meta = dir.join("corpus/seed-9.json");
-    let text = std::fs::read_to_string(&meta).unwrap();
+    let frames = rtl_campaign::CorpusFrames::scan(&dir.join("corpus")).unwrap();
+    let fingerprint = frames.fingerprints().next().unwrap();
+    let mut files = frames.files("seed-9").unwrap().unwrap();
     let key = "\"design_fp\": \"";
-    let start = text.find(key).unwrap() + key.len();
-    let end = start + text[start..].find('"').unwrap();
-    std::fs::write(&meta, format!("{}zz{}", &text[..start], &text[end..])).unwrap();
+    let start = files.meta.find(key).unwrap() + key.len();
+    let end = start + files.meta[start..].find('"').unwrap();
+    files.meta = format!("{}zz{}", &files.meta[..start], &files.meta[end..]);
+    let body = rtl_campaign::corpus::encode_entry(fingerprint, "seed-9", &files).unwrap();
+    let mut log = Vec::new();
+    rtl_campaign::caselog::encode_frame(0, &body, &mut log).unwrap();
+    std::fs::write(dir.join("corpus/corpus.log"), log).unwrap();
     let (code, _, err) = run_cli(&["campaign", "replay", "--dir", d]);
     assert_eq!(code, 2, "{err}");
     assert!(err.contains("design_fp"), "{err}");

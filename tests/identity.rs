@@ -3,7 +3,8 @@
 //! Every cell of config {diverging, diverging under the lint oracle} ×
 //! surface {campaign, shard+merge, fleet} × workers {1, 2} ×
 //! {uninterrupted, `limit` stop + resume, `limit` stop + torn tail +
-//! resume} runs one diverging campaign with
+//! resume, `limit` stop + torn corpus frame + resume, `limit` stop +
+//! corpus frame without its record + resume} runs one diverging campaign with
 //! profiles, the flight recorder and an in-memory `Recorder` on, so every
 //! artifact kind appears: records, profile and flight sidecars, shrunk
 //! corpus entries and deterministic counters. Against a single-machine
@@ -11,7 +12,8 @@
 //!
 //! * the same report text;
 //! * the same `campaign.json`, `cases/` and `corpus/`, byte for byte —
-//!   `cases/` holding one canonical `cases.log` beside the sidecars;
+//!   `cases/` holding one canonical `cases.log` beside the sidecars, and
+//!   `corpus/` one canonical `corpus.log`;
 //! * the same folded deterministic counter section, once the surface's
 //!   own `merge/*` and `fleet/*` keys are set aside. Fleet cells must also
 //!   agree with each other on `fleet/*`.
@@ -21,14 +23,19 @@
 //! behind. No cell may leave one anywhere under its root. A torn cell
 //! instead appends half of a valid frame to a worker log, as a kill
 //! mid-append leaves it, and creates an empty worker log, as a kill
-//! between create and first append leaves it.
+//! between create and first append leaves it. The two corpus cells take
+//! a case the directory holds no record for and append its corpus frame
+//! to a corpus worker log: half of it, as a kill during the corpus
+//! append leaves it, or all of it, as a kill after the corpus append
+//! and before the record append leaves it.
 
-use rtl_campaign::caselog::{CaseFrames, FrameReader, CANONICAL, HEADER};
-use rtl_campaign::{CampaignConfig, CampaignDir, CampaignReport, NoProgress, RunOptions};
+use rtl_campaign::caselog::{list_logs, CaseFrames, FrameReader, CANONICAL, HEADER};
+use rtl_campaign::{corpus, CampaignConfig, CampaignDir, CampaignReport, NoProgress, RunOptions};
 use rtl_dist::{merge_with, run_shard, ShardPlan};
 use rtl_fleet::{work, Controller, ControllerOptions, NoFleetProgress, WorkerOptions};
 use rtl_obs::{Recorder, Summary};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 fn scratch(name: &str) -> PathBuf {
@@ -79,11 +86,13 @@ fn tree(root: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 /// Plants the temp files a kill between write and rename leaves in a
-/// campaign directory's `cases/` and `corpus/`.
+/// campaign directory's `cases/` (a sidecar, the compacted record log)
+/// and `corpus/` (the compacted corpus log).
 fn plant_orphans(root: &Path) {
     for (sub, name) in [
         ("cases", ".tmp-424242-case-000005.json"),
-        ("corpus", ".tmp-424242-seed-3.json"),
+        ("cases", ".tmp-424242-cases.log"),
+        ("corpus", ".tmp-424242-corpus.log"),
     ] {
         std::fs::create_dir_all(root.join(sub)).unwrap();
         std::fs::write(root.join(sub).join(name), "{").unwrap();
@@ -109,6 +118,58 @@ fn plant_torn_tail(root: &Path) -> bool {
     }
     std::fs::write(dir.cases().join("worker-99.log"), b"").unwrap();
     torn.is_some()
+}
+
+/// The frames of a complete run's canonical corpus log, each with the
+/// case whose divergence it archives.
+fn corpus_frames(root: &Path, config: &CampaignConfig) -> Vec<(u32, Vec<u8>)> {
+    let bytes = std::fs::read(root.join("corpus").join(corpus::CANONICAL)).unwrap();
+    let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
+    let mut frames = Vec::new();
+    while let Some(frame) = reader.next(|_| true).unwrap() {
+        let (_, name, _) = corpus::decode_entry(reader.record()).unwrap();
+        let seed: u64 = name.strip_prefix("seed-").unwrap().parse().unwrap();
+        let end = frame.offset as usize + HEADER + frame.len as usize;
+        let index = u32::try_from(seed - config.seed).unwrap();
+        frames.push((index, bytes[frame.offset as usize..end].to_vec()));
+    }
+    frames
+}
+
+/// Appends the corpus frame of the first case in `range` that the
+/// campaign directory at `root` holds no record for — all of it when
+/// `whole`, else its first half — to a corpus worker log there. Returns
+/// whether such a case remained.
+fn plant_entry(root: &Path, cell: &Cell, range: Range<u32>, whole: bool) -> bool {
+    let dir = CampaignDir::new(root);
+    let cases = cell.config.cases;
+    let recorded = CaseFrames::scan(&dir, cases, 0..cases, |_, _| Ok(())).unwrap();
+    let Some((_, frame)) = cell
+        .entries
+        .iter()
+        .find(|(index, _)| range.contains(index) && !recorded.contains(*index))
+    else {
+        return false;
+    };
+    std::fs::create_dir_all(dir.corpus()).unwrap();
+    let canonical = dir.corpus().join(corpus::CANONICAL);
+    let log = list_logs(&dir.corpus(), corpus::CANONICAL)
+        .unwrap()
+        .into_iter()
+        .find(|log| *log != canonical)
+        .unwrap_or_else(|| dir.corpus().join("worker-98.log"));
+    let bytes = if whole {
+        &frame[..]
+    } else {
+        &frame[..frame.len() / 2]
+    };
+    let mut file = std::fs::File::options()
+        .append(true)
+        .create(true)
+        .open(log)
+        .unwrap();
+    std::io::Write::write_all(&mut file, bytes).unwrap();
+    true
 }
 
 /// Every `.tmp-*` file under `root`, at any depth.
@@ -154,12 +215,26 @@ enum Interrupt {
     Stop,
     /// A `limit` stop, then a torn tail frame and an empty worker log.
     Torn,
+    /// A `limit` stop, then half the corpus frame of a case to run.
+    TornEntry,
+    /// A `limit` stop, then the whole corpus frame of a case to run,
+    /// with no record naming it.
+    Entry,
 }
 
 impl Interrupt {
-    /// Leaves what the interruption leaves in the directory at `root`;
-    /// says whether a frame was torn there.
-    fn plant(self, root: &Path) -> bool {
+    const ALL: [Interrupt; 5] = [
+        Interrupt::None,
+        Interrupt::Stop,
+        Interrupt::Torn,
+        Interrupt::TornEntry,
+        Interrupt::Entry,
+    ];
+
+    /// Leaves what the interruption leaves in the directory at `root`,
+    /// which runs the cases of `range` next; says whether a frame was
+    /// planted there.
+    fn plant(self, root: &Path, cell: &Cell, range: Range<u32>) -> bool {
         match self {
             Interrupt::None => false,
             Interrupt::Stop => {
@@ -167,7 +242,18 @@ impl Interrupt {
                 false
             }
             Interrupt::Torn => plant_torn_tail(root),
+            Interrupt::TornEntry => plant_entry(root, cell, range, false),
+            Interrupt::Entry => plant_entry(root, cell, range, true),
         }
+    }
+
+    /// Whether the interruption plants a frame in a directory with cases
+    /// left to run.
+    fn plants_a_frame(self) -> bool {
+        matches!(
+            self,
+            Interrupt::Torn | Interrupt::TornEntry | Interrupt::Entry
+        )
     }
 }
 
@@ -178,6 +264,8 @@ struct Cell<'a> {
     workers: usize,
     interrupt: Interrupt,
     recorder: &'a Recorder,
+    /// The single-machine run's corpus frames, by case.
+    entries: &'a [(u32, Vec<u8>)],
 }
 
 fn campaign(cell: &Cell) -> CampaignReport {
@@ -191,8 +279,8 @@ fn campaign(cell: &Cell) -> CampaignReport {
             partial.to_string().contains("resume to continue"),
             "{partial}"
         );
-        let torn = cell.interrupt.plant(cell.root);
-        assert_eq!(torn, cell.interrupt == Interrupt::Torn);
+        let planted = cell.interrupt.plant(cell.root, cell, 0..config.cases);
+        assert_eq!(planted, cell.interrupt.plants_a_frame());
         rtl_campaign::resume(&dir, &options(workers, None, recorder), &mut NoProgress).unwrap()
     } else {
         rtl_campaign::run(
@@ -217,8 +305,8 @@ fn shards(cell: &Cell) -> CampaignReport {
             let first = options(workers, Some(1), recorder);
             let partial = run_shard(&plan, spec.index, &dir, &first, &mut NoProgress).unwrap();
             assert!(partial.report.completed() < spec.cases(), "{partial}");
-            let torn = cell.interrupt.plant(dir.root());
-            assert_eq!(torn, cell.interrupt == Interrupt::Torn);
+            let planted = cell.interrupt.plant(dir.root(), cell, spec.range());
+            assert_eq!(planted, cell.interrupt.plants_a_frame());
         }
         let all = options(workers, None, recorder);
         run_shard(&plan, spec.index, &dir, &all, &mut NoProgress).unwrap();
@@ -271,11 +359,14 @@ fn fleet(cell: &Cell) -> CampaignReport {
     if cell.interrupt != Interrupt::None {
         let partial = serve(cell, Some(3), "first");
         assert_eq!(partial.completed(), 4, "{partial}");
-        let torn = cell.interrupt.plant(&cell.root.join("fleet"));
-        assert_eq!(torn, cell.interrupt == Interrupt::Torn);
+        let cases = 0..cell.config.cases;
+        let planted = cell
+            .interrupt
+            .plant(&cell.root.join("fleet"), cell, cases.clone());
+        assert_eq!(planted, cell.interrupt.plants_a_frame());
         for i in 0..cell.workers {
-            cell.interrupt
-                .plant(&cell.root.join(format!("scratch-{i}")));
+            let scratch = cell.root.join(format!("scratch-{i}"));
+            cell.interrupt.plant(&scratch, cell, cases.clone());
         }
     }
     serve(cell, None, "second")
@@ -318,10 +409,29 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
         let logs: Vec<&String> = reference.keys().filter(|k| k.ends_with(".log")).collect();
         assert_eq!(
             logs,
-            [&format!("cases/{CANONICAL}")],
-            "{label}: one canonical log"
+            [
+                &format!("cases/{CANONICAL}"),
+                &format!("corpus/{}", corpus::CANONICAL)
+            ],
+            "{label}: one canonical log each"
         );
-        for suffix in [".profile", ".flight.jsonl", ".asim", ".stim", ".ckpt"] {
+        let corpus_dir = single_root.join("corpus");
+        assert_eq!(
+            reference
+                .keys()
+                .filter(|k| k.starts_with("corpus/"))
+                .count(),
+            1
+        );
+        let entries = corpus_frames(&single_root, &config);
+        assert_eq!(entries.len(), 6, "{label}: one entry per case");
+        let names: Vec<String> = corpus::CorpusFrames::scan(&corpus_dir)
+            .unwrap()
+            .names()
+            .map(str::to_string)
+            .collect();
+        assert_eq!(names.len(), 6, "{label}: {names:?}");
+        for suffix in [".profile", ".flight.jsonl"] {
             assert!(
                 reference.keys().any(|name| name.ends_with(suffix)),
                 "{label}: no {suffix} artifact in {:?}",
@@ -348,7 +458,7 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
         let mut fleet_counters: Option<String> = None;
         for (surface, run, out) in surfaces {
             for workers in [1, 2] {
-                for interrupt in [Interrupt::None, Interrupt::Stop, Interrupt::Torn] {
+                for interrupt in Interrupt::ALL {
                     let name = format!("{label}-{surface}-w{workers}-{interrupt:?}");
                     let root = scratch(&name);
                     let (recorder, log) = Recorder::memory();
@@ -358,6 +468,7 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
                         workers,
                         interrupt,
                         recorder: &recorder,
+                        entries: &entries,
                     };
                     let report = run(&cell);
                     assert_eq!(format!("{report}"), format!("{single}"), "{name} report");
@@ -379,12 +490,21 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
                                 "fleet/leases_granted 3",
                                 "fleet/cases_dispatched 6",
                                 "fleet/records_accepted 6",
+                                "fleet/corpus_accepted 6",
                             ] {
                                 assert!(own.contains(key), "{name}: no {key}:\n{own}");
                             }
                             own.clone()
                         });
-                        assert_eq!(&own, expected, "{name} fleet counters");
+                        // A whole corpus frame already in the controller's
+                        // directory is not accepted again.
+                        let expected = match interrupt {
+                            Interrupt::Entry => {
+                                expected.replace("corpus_accepted 6", "corpus_accepted 5")
+                            }
+                            _ => expected.clone(),
+                        };
+                        assert_eq!(own, expected, "{name} fleet counters");
                     }
                     let _ = std::fs::remove_dir_all(&root);
                 }
