@@ -298,7 +298,12 @@ impl Log {
     fn append(&mut self, frame: &[u8]) -> io::Result<()> {
         let file = match &mut self.file {
             Some(file) => file,
-            None => self.file.insert(create_log(&self.parent)?),
+            None => {
+                let file = create_log(&self.parent)?;
+                // A fresh log's directory entry is not yet durable.
+                self.dir_synced = false;
+                self.file.insert(file)
+            }
         };
         if let Err(e) = file.write_all(frame) {
             // The write may have left part of the frame: that log now
@@ -771,7 +776,8 @@ mod tests {
     /// A writer whose append fails (here ENOSPC, from a log that is the
     /// full device) abandons that log: its next append starts a fresh
     /// worker log, so nothing lands after a frame the failure may have
-    /// torn, and the scan reads the record back.
+    /// torn, the fresh log's directory entry is synced at its first sync,
+    /// and the scan reads both records back.
     #[test]
     fn a_failed_append_moves_the_writer_to_a_fresh_log() {
         let full = Path::new("/dev/full");
@@ -784,19 +790,24 @@ mod tests {
         let dir = CampaignDir::new(&root);
         std::fs::create_dir_all(dir.cases()).unwrap();
         let mut log = LogWriter::new(&dir);
+        log.append(1, b"{}").unwrap();
+        log.finish().unwrap();
+        assert!(log.cases.dir_synced);
         log.cases.file = Some(File::options().append(true).open(full).unwrap());
         let err = log.append(3, b"{}").unwrap_err();
         assert_eq!(err.raw_os_error(), Some(28), "ENOSPC: {err}");
         log.append(3, b"{}").unwrap();
+        assert!(!log.cases.dir_synced);
         log.finish().unwrap();
+        assert!(log.cases.dir_synced);
         let mut seen = Vec::new();
         CaseFrames::scan(&dir, 4, 0..4, |index, record| {
             seen.push((index, record.to_vec()));
             Ok(())
         })
         .unwrap();
-        assert_eq!(seen, [(3, b"{}".to_vec())]);
-        assert_eq!(CaseFrames::logs(&dir).unwrap().len(), 1);
+        assert_eq!(seen, [(1, b"{}".to_vec()), (3, b"{}".to_vec())]);
+        assert_eq!(CaseFrames::logs(&dir).unwrap().len(), 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 

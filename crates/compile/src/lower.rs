@@ -2,7 +2,7 @@
 //! applied as independent, ablatable passes.
 
 use crate::ir::{CycleIr, IrExpr, MemPlan, OpnPlan, Step, TraceDecision};
-use rtl_core::{AluFn, Design, RKind, Word};
+use rtl_core::{AluFn, Design, RKind};
 
 /// Optimization switches, each corresponding to a design choice the thesis
 /// discusses. [`OptOptions::full`] is what ASIM II shipped with (plus the
@@ -257,11 +257,6 @@ pub fn stats(ir: &CycleIr) -> LowerStats {
             .count(),
         elided_latches: ir.mems.iter().filter(|m| !m.latch_needed).count(),
     }
-}
-
-/// Convenience: is this constant a valid operation word for `op & 3`?
-pub fn const_mem_op(op: Word) -> Word {
-    rtl_core::land(op, 3)
 }
 
 #[cfg(test)]

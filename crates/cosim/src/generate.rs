@@ -1,15 +1,10 @@
-//! The seeded scenario generator: valid-by-construction random ASIM II
-//! specifications *with stimulus scripts*.
-//!
-//! Where [`rtl_machines::synth::random_spec`] generates closed designs for
-//! property tests, this generator also wires in memory-mapped input fed by
-//! a seeded stimulus script, so a fuzz case exercises the full engine
-//! surface: combinational evaluation, memory capture/update, trace
-//! formatting, and the input path. Every construction rule keeps the
-//! design free of runtime errors — addresses are bit-masked to the memory
-//! size, selector indices to the case count, ALU functions stay in
-//! `0..=13`, and the stimulus script always holds enough words — so any
-//! divergence a fuzz run finds is an engine bug, never a bad scenario.
+//! Seeded fuzz cases: the campaign's view of [`synth::generate`], the
+//! one seeded design generator. A case is a valid-by-construction
+//! specification, often with a memory-mapped input port and the
+//! stimulus that feeds it, so a fuzz case exercises the full engine
+//! surface: combinational evaluation, memory capture and update, trace
+//! formatting and the input path. Any divergence a fuzz run finds is an
+//! engine bug, never a bad scenario.
 //!
 //! [`generate_case`] returns the builder's [`Spec`] itself, and a fuzz
 //! case (and every shrink probe) elaborates that AST directly: a
@@ -19,11 +14,9 @@
 //! corpus `.asim` file and its fingerprint, and lint under an enabled
 //! recorder. Both views elaborate to the same design (covered by tests).
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use rtl_core::Word;
 use rtl_lang::Spec;
-use rtl_machines::{Scenario, SpecBuilder};
+use rtl_machines::{synth, Scenario};
 
 /// Generator tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,126 +78,24 @@ pub fn generate_scenario(seed: u64, options: &GenOptions) -> Scenario {
 }
 
 /// Deterministically generates one fuzz case from a seed, as the
-/// builder's [`Spec`] and the stimulus. Fuzz cases and shrink probes
-/// elaborate the spec directly (moved, with
+/// builder's [`Spec`] and the stimulus: [`synth::generate`] titled
+/// `cosim fuzz case`, without clamped subfield reads. Fuzz cases and
+/// shrink probes elaborate the spec directly (moved, with
 /// [`Design::elaborate_with`](rtl_core::Design::elaborate_with));
 /// [`generate_scenario`] is the same case rendered as text.
 pub fn generate_case(seed: u64, options: &GenOptions) -> GeneratedCase {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let size = options.size.clamp(1, 200);
-    let mut b = SpecBuilder::new(format!("cosim fuzz case seed {seed} size {size}"));
-
-    // Driver: a free-running counter every expression can draw from.
-    b.trace("c");
-    b.memory("c", "0", "next", "1", 1);
-    b.alu("next", "4", "c.0.11", "1");
-    let mut sources: Vec<String> = vec!["c".into()];
-
-    // Optional memory-mapped input port, one word per cycle.
-    let has_input = options.io_every > 0 && rng.random_range(0..options.io_every) == 0;
-    if has_input {
-        // Address 1 reads an integer; size 1 (input ops never index cells).
-        b.memory("inp", "1", "0", "2", 1);
-        b.trace("inp");
-        sources.push("inp".into());
-    }
-
-    // A few internal memories: ROMs, registers, and dynamically-switched.
-    let mem_count = rng.random_range(1..=3u32);
-    for m in 0..mem_count {
-        let name = format!("m{m}");
-        let bits = rng.random_range(1..=4u8);
-        let cells = 1u32 << bits;
-        let addr = format!("c.0.{}", bits - 1);
-        match rng.random_range(0..3) {
-            0 => {
-                let init: Vec<Word> = (0..cells).map(|_| rng.random_range(0..1000)).collect();
-                b.memory_init(&name, &addr, "0", "0", init);
-            }
-            1 => {
-                let data = pick_expr(&mut rng, &sources);
-                b.memory(&name, &addr, &data, "1", cells);
-            }
-            _ => {
-                let data = pick_expr(&mut rng, &sources);
-                b.memory(&name, &addr, &data, "c.0", cells);
-            }
-        }
-        b.trace(&name);
-        sources.push(name);
-    }
-
-    // Combinational layers: ALUs with in-range functions, selectors with
-    // masked indices.
-    for i in 0..size {
-        let name = format!("x{i}");
-        if rng.random_range(0..4) == 0 {
-            let bits = rng.random_range(1..=3u32);
-            let cases: Vec<String> = (0..(1 << bits))
-                .map(|_| pick_expr(&mut rng, &sources))
-                .collect();
-            let sel = format!("{}.0.{}", pick_source(&mut rng, &sources), bits - 1);
-            b.selector(&name, &sel, cases);
-        } else {
-            let f = rng.random_range(0..=13i64).to_string();
-            let left = pick_expr(&mut rng, &sources);
-            let right = pick_expr(&mut rng, &sources);
-            b.alu(&name, &f, &left, &right);
-        }
-        if rng.random_range(0..3) == 0 {
-            b.trace(&name);
-        }
-        sources.push(name);
-    }
-
-    // Stimulus: one word per cycle for the input port, plus slack in case
-    // a future edit adds a second port.
-    let input = if has_input {
-        (0..options.cycles + 8)
-            .map(|_| rng.random_range(0..100_000i64))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
+    let GenOptions {
+        size,
+        cycles,
+        io_every,
+    } = *options;
+    let (spec, input) = synth::generate(seed, size, io_every, cycles, "cosim fuzz case", false);
     GeneratedCase {
         name: format!("fuzz/seed-{seed}"),
-        spec: b.finish(),
-        cycles: options.cycles,
+        spec,
+        cycles,
         input,
     }
-}
-
-fn pick_source(rng: &mut StdRng, sources: &[String]) -> String {
-    sources[rng.random_range(0..sources.len())].clone()
-}
-
-/// A concatenation expression over existing sources and constants; only
-/// the leftmost part may be unsized (the 31-bit width budget).
-fn pick_expr(rng: &mut StdRng, sources: &[String]) -> String {
-    let parts = rng.random_range(1..=3usize);
-    let mut out = Vec::with_capacity(parts);
-    for i in 0..parts {
-        let sized = i > 0 || rng.random_range(0..2) == 0;
-        if rng.random_range(0..3) == 0 {
-            let v = rng.random_range(0..16i64);
-            if sized {
-                out.push(format!("{v}.4"));
-            } else {
-                out.push(v.to_string());
-            }
-        } else {
-            let s = pick_source(rng, sources);
-            if sized {
-                let from = rng.random_range(0..4u8);
-                let to = from + rng.random_range(0..4u8);
-                out.push(format!("{s}.{from}.{to}"));
-            } else {
-                out.push(s);
-            }
-        }
-    }
-    out.join(",")
 }
 
 #[cfg(test)]
@@ -218,6 +109,41 @@ mod tests {
         assert_eq!(a, b);
         let c = generate_scenario(8, &GenOptions::default());
         assert_ne!(a.source, c.source);
+    }
+
+    /// The bytes of every campaign case are pinned: its text and its
+    /// stimulus for a grid of seeds, sizes, input rates and horizons.
+    /// Changing what any seed generates changes campaign results, so it
+    /// fails here, and must say so where it updates the digests.
+    #[test]
+    fn generated_case_bytes_are_pinned() {
+        let pinned = [
+            (0, 0x7a06_980d_8ec5_ae25),
+            (1, 0x61b0_9b30_341b_e1ae),
+            (2, 0xb69c_3dbd_51b9_e046),
+        ];
+        for (io_every, digest) in pinned {
+            let mut fp = rtl_core::Fingerprint::new();
+            for size in [1, 30, 200] {
+                for cycles in [0, 1, 64, 300] {
+                    let options = GenOptions {
+                        size,
+                        cycles,
+                        io_every,
+                    };
+                    for seed in 0..20 {
+                        let case = generate_case(seed, &options);
+                        fp.write_str(&rtl_lang::pretty(&case.spec));
+                        fp.write_u64(case.input.len() as u64);
+                        for &word in &case.input {
+                            fp.write_u64(word as u64);
+                        }
+                    }
+                }
+            }
+            let got = fp.finish();
+            assert_eq!(got, digest, "io_every {io_every}: {got:#018x}");
+        }
     }
 
     /// The invariant fuzz cases rest on: elaborating the builder's `Spec`

@@ -25,9 +25,10 @@
 //! * [`stream`] — drives scenarios across registry lanes by name,
 //!   comparing stream lanes (subprocess stdout) against the stepped
 //!   lanes' agreed trace.
-//! * [`generate`] — a seeded, deterministic scenario generator producing
-//!   valid random specifications *plus stimulus scripts* (memory-mapped
-//!   input included), so lockstep doubles as a fuzzer.
+//! * [`generate`] — seeded, deterministic fuzz cases from
+//!   [`rtl_machines::synth::generate`]: valid random specifications
+//!   *plus stimulus scripts* (memory-mapped input included), so lockstep
+//!   doubles as a fuzzer.
 //! * [`fuzz`] — the fuzz campaign driver and its structured report.
 //! * [`corpus`] — runs the whole built-in
 //!   [`rtl_machines::scenarios`] corpus through lockstep.

@@ -657,8 +657,11 @@ fn published(root: &std::path::Path) -> Vec<String> {
 /// Every upload refusal the controller makes: a contradicting record
 /// seed, a garbage profile, a garbage flight line, a profile to a
 /// campaign that collects none, a corpus name that escapes `corpus/`,
-/// and a corpus upload whose claimed fingerprint mismatches its files.
-/// Each is refused as `bad-upload`, and nothing is published.
+/// a corpus upload whose claimed fingerprint mismatches its files, a
+/// record naming an entry its bundle lacks, an entry its record does
+/// not name, a repeated profile frame, and a fourth artifact frame
+/// before a record. Each is refused as `bad-upload`, and nothing is
+/// published.
 #[test]
 fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
     let config = upload_config();
@@ -692,6 +695,29 @@ fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
         b.record = b.record.replace(&corpus.name, "../x");
         corpus.name = "../x".into();
     });
+    let unnamed = tampered(&|b| {
+        let named = format!("\"corpus\": \"{}\"", entry.name);
+        assert!(b.record.contains(&named), "{}", b.record);
+        b.record = b.record.replace(&named, "\"corpus\": null");
+    });
+    // The bundle's frames with `extra` sent just before the record.
+    let with_extra = |bundle: &CaseBundle, extra: Message| {
+        let mut frames = frames(bundle);
+        frames.insert(frames.len() - 1, extra);
+        frames
+    };
+    let profile = Message::Profile {
+        index: good.index,
+        body: good.profile.clone().unwrap(),
+    };
+    // Profile, corpus, profile: a repeat within a bundle's three slots.
+    let no_flight = CaseBundle {
+        flight: None,
+        ..good.clone()
+    };
+    let twice = with_extra(&no_flight, profile.clone());
+    // Profile, flight, corpus, profile: one frame more than a bundle holds.
+    let four = with_extra(&good, profile);
     let cases: Vec<(&str, bool, Vec<Message>, &str)> = vec![
         (
             "seed",
@@ -724,6 +750,15 @@ fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
             "not in its canonical rendering",
         ),
         ("escape", true, escape, "not a plain file stem"),
+        (
+            "missing-entry",
+            true,
+            tampered(&|b| b.corpus = None),
+            "which did not come with it",
+        ),
+        ("unnamed-entry", true, unnamed, "does not name corpus entry"),
+        ("repeated-profile", true, twice, "stray or repeated profile"),
+        ("beyond-bundle", true, four, "beyond a full case bundle"),
         (
             "fingerprint",
             true,

@@ -386,11 +386,6 @@ impl Spec {
     pub fn component(&self, name: &str) -> Option<&Component> {
         self.components.iter().find(|c| c.name == name)
     }
-
-    /// Names marked for tracing, in declaration order.
-    pub fn traced_names(&self) -> impl Iterator<Item = &Ident> {
-        self.declared.iter().filter(|d| d.traced).map(|d| &d.name)
-    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! * [`tiny`] — the 10-bit machine with its division demo,
 //! * [`classic`] — small bundled specifications (counter, GCD datapath,
 //!   traffic light, and the completed fragments of Figures 3.1/4.1–4.3),
-//! * [`synth`] — synthetic chains for scaling benchmarks and seeded random
-//!   designs for differential property tests,
+//! * [`synth`] — synthetic chains for scaling benchmarks and the one
+//!   seeded design generator, behind property tests' random designs and
+//!   every campaign case,
 //! * [`scenarios`] — the named scenario registry: every design above
 //!   packaged as a replayable workload for the cosim harness.
 //!

@@ -1,10 +1,24 @@
-//! Synthetic specifications: sized chains for the scaling benchmarks and
-//! seeded random designs for differential property tests.
+//! Synthetic specifications: sized chains for the scaling benchmarks, and
+//! the one seeded design generator behind property tests' random designs
+//! and every campaign case.
+//!
+//! [`generate`] builds a valid-by-construction design from a seed:
+//! memory addresses are bit-masked to the memory size, selector indices
+//! to the case count, ALU functions stay in `0..=13`, and the stimulus
+//! for an optional memory-mapped input port holds a word for every cycle
+//! and then some. Such a design cannot fail at runtime, so engines that
+//! run it must agree on every cycle, and any divergence is an engine
+//! bug. Each source carries the value bound `rtl-lint` derives for it,
+//! so subfield reads can be clamped below it and the design lints clean
+//! too (no `field-oob` on a comparator output, for example).
+//! [`random_spec`] asks for that; campaign cases
+//! (`rtl_cosim::generate_case`) do not yet.
 
 use crate::builder::SpecBuilder;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtl_core::width::bits_needed;
+use rtl_core::Word;
 use rtl_lang::Spec;
 
 /// Bound marker for a source whose value is not provably narrow.
@@ -29,69 +43,92 @@ pub fn chain(n: usize) -> Spec {
     b.build()
 }
 
-/// A seeded random-but-valid design: one counter driver, a few memories
-/// with masked addresses, and layers of ALUs/selectors with in-range
-/// constant functions and masked selector indices. Such designs cannot
-/// fail at runtime, so the engines must agree on every cycle — the
-/// property-test oracle. Each source carries the same provable value
-/// bound `rtl-lint` derives, and subfield reads are clamped below it, so
-/// generated designs also lint clean (no `field-oob` on a comparator
-/// output, for example).
+/// A seeded random-but-valid design for differential property tests:
+/// [`generate`] with no input port and clamped subfield reads, so the
+/// design also lints clean.
 pub fn random_spec(seed: u64, size: usize) -> Spec {
+    generate(seed, size, 0, 0, "random design", true).0
+}
+
+/// The seeded design generator: the specification titled `"{title} seed
+/// {seed} size {size}"` and, when it has an input port, its stimulus.
+///
+/// `size` combinational components (clamped to `1..=200`) hang off a
+/// free-running counter, an input port (drawn roughly every
+/// `1/io_every` designs; 0 never) and one to three memories. With
+/// `clamp_fields`, each subfield read starts below its source's
+/// provable bound, the one `rtl-lint` derives. Equal arguments give the
+/// identical design and stimulus.
+pub fn generate(
+    seed: u64,
+    size: usize,
+    io_every: u32,
+    cycles: u64,
+    title: &str,
+    clamp_fields: bool,
+) -> (Spec, Vec<Word>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let size = size.clamp(1, 200);
-    let mut b = SpecBuilder::new(format!("random design seed {seed} size {size}"));
+    let mut b = SpecBuilder::new(format!("{title} seed {seed} size {size}"));
 
-    // Driver.
+    // Driver: a free-running counter every expression can draw from.
     b.trace("c");
     b.memory("c", "0", "next", "1", 1);
     b.alu("next", "4", "c.0.11", "1");
     let mut sources: Vec<(String, u8)> = vec![("c".into(), UNBOUNDED)];
 
-    // A few memories (ROM-like and register-like).
-    let mem_count = rng.random_range(1..=3usize);
-    for m in 0..mem_count {
+    // Optional memory-mapped input port, one word per cycle.
+    let has_input = io_every > 0 && rng.random_range(0..io_every) == 0;
+    if has_input {
+        // Address 1 reads an integer; size 1 (input ops never index cells).
+        b.memory("inp", "1", "0", "2", 1);
+        b.trace("inp");
+        sources.push(("inp".into(), UNBOUNDED));
+    }
+
+    // A few memories: ROMs, registers and dynamically switched.
+    for m in 0..rng.random_range(1..=3usize) {
         let name = format!("m{m}");
         let bits = rng.random_range(1..=4u8);
         let cells = 1u32 << bits;
         let addr = format!("c.0.{}", bits - 1);
-        let (data, opn) = match rng.random_range(0..3) {
-            0 => ("0".to_string(), "0".to_string()), // ROM of zeros? give init
-            1 => (pick_expr(&mut rng, &sources).0, "1".to_string()), // register file write
-            _ => (pick_expr(&mut rng, &sources).0, "c.0".to_string()), // dynamic rd/wr
-        };
-        let bound = if opn == "0" {
-            let init: Vec<i64> = (0..cells).map(|_| rng.random_range(0..1000)).collect();
-            // A ROM's latch only ever holds an init value.
-            let bound = init.iter().copied().map(bits_needed).max().unwrap_or(1);
-            b.memory_init(&name, &addr, &data, &opn, init);
-            bound.max(1)
-        } else {
-            b.memory(&name, &addr, &data, &opn, cells);
-            UNBOUNDED
+        let bound = match rng.random_range(0..3) {
+            0 => {
+                let init: Vec<Word> = (0..cells).map(|_| rng.random_range(0..1000)).collect();
+                // A ROM's latch only ever holds an init value.
+                let bound = init.iter().copied().map(bits_needed).max().unwrap_or(1);
+                b.memory_init(&name, &addr, "0", "0", init);
+                bound
+            }
+            op => {
+                let data = pick_expr(&mut rng, &sources, clamp_fields).0;
+                let op = if op == 1 { "1" } else { "c.0" };
+                b.memory(&name, &addr, &data, op, cells);
+                UNBOUNDED
+            }
         };
         b.trace(&name);
         sources.push((name, bound));
     }
 
-    // Combinational layers.
+    // Combinational layers: selectors with masked indices, ALUs with
+    // constant, in-range functions.
     for i in 0..size {
         let name = format!("x{i}");
         let bound = if rng.random_range(0..4) == 0 {
-            // Selector with a masked index.
             let bits = rng.random_range(1..=3u32);
             let cases: Vec<(String, u8)> = (0..(1 << bits))
-                .map(|_| pick_expr(&mut rng, &sources))
+                .map(|_| pick_expr(&mut rng, &sources, clamp_fields))
                 .collect();
-            let sel = format!("{}.0.{}", pick_source(&mut rng, &sources), bits - 1);
+            let source = &sources[rng.random_range(0..sources.len())].0;
             let bound = cases.iter().map(|(_, b)| *b).max().unwrap_or(UNBOUNDED);
+            let sel = format!("{source}.0.{}", bits - 1);
             b.selector(&name, &sel, cases.into_iter().map(|(text, _)| text));
             bound
         } else {
-            // ALU with a constant, in-range function.
             let f = rng.random_range(0..=13i64);
-            let left = pick_expr(&mut rng, &sources).0;
-            let right = pick_expr(&mut rng, &sources).0;
+            let left = pick_expr(&mut rng, &sources, clamp_fields).0;
+            let right = pick_expr(&mut rng, &sources, clamp_fields).0;
             b.alu(&name, &f.to_string(), &left, &right);
             // zero (0), unused (11), eq (12) and lt (13) are 1-bit.
             if matches!(f, 0 | 11 | 12 | 13) {
@@ -105,18 +142,25 @@ pub fn random_spec(seed: u64, size: usize) -> Spec {
         }
         sources.push((name, bound));
     }
-    b.build()
+
+    // Stimulus: one word per cycle for the input port, plus slack.
+    let input = if has_input {
+        (0..cycles + 8)
+            .map(|_| rng.random_range(0..100_000))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    (b.finish(), input)
 }
 
-fn pick_source(rng: &mut StdRng, sources: &[(String, u8)]) -> String {
-    sources[rng.random_range(0..sources.len())].0.clone()
-}
-
-/// A random expression over `sources`, plus the provable bound `rtl-lint`
-/// assigns it (UNBOUNDED when none): `bits_needed` of the folded value
-/// for all-constant expressions, otherwise the sum of part widths with
-/// the leftmost part allowed to be unsized.
-fn pick_expr(rng: &mut StdRng, sources: &[(String, u8)]) -> (String, u8) {
+/// A random concatenation over `sources` and constants, plus the
+/// provable bound `rtl-lint` assigns it (UNBOUNDED when none):
+/// `bits_needed` of the folded value for all-constant expressions,
+/// otherwise the sum of part widths with the leftmost part allowed to
+/// be unsized. With `clamp`, a subfield read starts below its source's
+/// bound, so it is never entirely above it.
+fn pick_expr(rng: &mut StdRng, sources: &[(String, u8)], clamp: bool) -> (String, u8) {
     let parts = rng.random_range(1..=3usize);
     let mut out = Vec::with_capacity(parts);
     // (value, width) of each part while all are constant; the fold
@@ -142,12 +186,10 @@ fn pick_expr(rng: &mut StdRng, sources: &[(String, u8)]) -> (String, u8) {
             }
         } else {
             consts = None;
-            let idx = rng.random_range(0..sources.len());
-            let (s, bound) = &sources[idx];
+            let (s, bound) = &sources[rng.random_range(0..sources.len())];
             if sized {
-                // Clamp the subfield start below the source's provable
-                // bound so the read is never entirely above it.
-                let from = rng.random_range(0..4u8).min(bound - 1);
+                let from = rng.random_range(0..4u8);
+                let from = if clamp { from.min(bound - 1) } else { from };
                 let to = from + rng.random_range(0..4u8);
                 out.push(format!("{s}.{from}.{to}"));
                 total += u32::from(to - from + 1);
@@ -204,6 +246,28 @@ mod tests {
         let a = rtl_lang::pretty(&random_spec(7, 30));
         let b = rtl_lang::pretty(&random_spec(7, 30));
         assert_eq!(a, b);
+    }
+
+    /// The generator's bytes are pinned: an edit that changes what any
+    /// seed generates fails here, and must say so where it updates the
+    /// digests.
+    #[test]
+    fn random_spec_bytes_are_pinned() {
+        let pinned = [
+            (1, 0x0e61_4614_90a7_b435),
+            (2, 0x4101_ef8b_f234_12e4),
+            (10, 0x2960_167e_2e9b_04ce),
+            (30, 0xe8e1_80f7_6f36_edd8),
+            (200, 0xef2b_ec4c_9a3e_9646),
+        ];
+        for (size, digest) in pinned {
+            let mut fp = rtl_core::Fingerprint::new();
+            for seed in 0..50 {
+                fp.write_str(&rtl_lang::pretty(&random_spec(seed, size)));
+            }
+            let got = fp.finish();
+            assert_eq!(got, digest, "size {size}: {got:#018x}");
+        }
     }
 
     #[test]

@@ -103,14 +103,6 @@ pub fn countdown_image(a: Word) -> Vec<Word> {
     divider_image(a, 1)
 }
 
-/// Instructions the division demo executes before reaching the spin loop
-/// (used to size RTL cycle budgets: 4 cycles per instruction).
-pub fn divider_instructions(a: Word, b: Word) -> u64 {
-    let mut iss = iss::TinyIss::new(divider_image(a, b));
-    iss.run_until_spin(1_000_000);
-    iss.instructions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
