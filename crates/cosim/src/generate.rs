@@ -101,6 +101,7 @@ pub fn generate_case(seed: u64, options: &GenOptions) -> GeneratedCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtl_lang::ComponentKind;
 
     #[test]
     fn generation_is_deterministic() {
@@ -146,9 +147,63 @@ mod tests {
         }
     }
 
-    /// The invariant fuzz cases rest on: elaborating the builder's `Spec`
-    /// gives the design the rendered text parses and elaborates to, and
-    /// the text is the spec pretty-printed.
+    /// Asserts that the value-built `built` is the AST the parser reads
+    /// from its rendering, `parsed`: component by component and
+    /// expression by expression, ignoring spans (the builder leaves them
+    /// all at the default).
+    fn assert_same_ast(built: &Spec, parsed: &Spec, at: &str) {
+        assert_eq!(
+            (&built.title, built.cycles),
+            (&parsed.title, parsed.cycles),
+            "{at}"
+        );
+        let declared = |s: &Spec| -> Vec<(String, bool)> {
+            s.declared
+                .iter()
+                .map(|d| (d.name.to_string(), d.traced))
+                .collect()
+        };
+        assert_eq!(declared(built), declared(parsed), "{at}");
+        assert_eq!(built.components.len(), parsed.components.len(), "{at}");
+        for (b, p) in built.components.iter().zip(&parsed.components) {
+            let at = format!("{at} component {}", b.name);
+            assert_eq!(
+                (&b.name, b.kind.letter()),
+                (&p.name, p.kind.letter()),
+                "{at}"
+            );
+            if let (ComponentKind::Memory(bm), ComponentKind::Memory(pm)) = (&b.kind, &p.kind) {
+                assert_eq!((bm.size, &bm.init), (pm.size, &pm.init), "{at}");
+            }
+            let (be, pe) = (b.kind.expressions(), p.kind.expressions());
+            assert_eq!(be.len(), pe.len(), "{at}");
+            for (i, (x, y)) in be.iter().zip(&pe).enumerate() {
+                assert_eq!(x.parts, y.parts, "{at} expression {i}");
+            }
+        }
+    }
+
+    /// Both generator paths build their expressions as values; each
+    /// built AST must be exactly what the parser reads from its text.
+    /// Campaign cases are checked in
+    /// `builder_spec_elaborates_like_its_text`; this covers the clamped
+    /// path, [`synth::random_spec`], over the same seeds and sizes.
+    #[test]
+    fn random_spec_ast_is_what_its_text_parses_to() {
+        for size in [1, 30, 200] {
+            for seed in 0..200 {
+                let spec = synth::random_spec(seed, size);
+                let text = rtl_lang::pretty(&spec);
+                let parsed = rtl_lang::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+                assert_same_ast(&spec, &parsed, &format!("seed {seed} size {size}"));
+            }
+        }
+    }
+
+    /// The invariant fuzz cases rest on: the builder's `Spec` is the AST
+    /// its rendered text parses to, elaborating it gives the design the
+    /// text parses and elaborates to, and the text is the spec
+    /// pretty-printed.
     #[test]
     fn builder_spec_elaborates_like_its_text() {
         use rtl_core::{design_fingerprint, Design, ElabOptions};
@@ -164,6 +219,9 @@ mod tests {
                     let scenario = generate_scenario(seed, &options);
                     let at = format!("seed {seed} size {size} io_every {io_every}");
                     assert_eq!(rtl_lang::pretty(&case.spec), scenario.source, "{at}");
+                    let ast =
+                        rtl_lang::parse(&scenario.source).unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert_same_ast(&case.spec, &ast, &at);
                     assert_eq!(
                         (&case.name, case.cycles, &case.input),
                         (&scenario.name, scenario.cycles, &scenario.input),

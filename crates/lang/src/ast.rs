@@ -5,6 +5,7 @@
 //! component list. Expressions ([`Expr`]) are bit-concatenations of
 //! [`Part`]s, most-significant part first.
 
+use crate::expr::MAX_BIT;
 use crate::number::Word;
 use crate::span::Span;
 use std::fmt;
@@ -116,7 +117,14 @@ impl Part {
     }
 
     /// A constant masked to `width` bits.
+    ///
+    /// `width` must be `1..=31`, as the parser enforces for `value.width`
+    /// (checked in debug builds).
     pub fn sized(value: Word, width: u8) -> Self {
+        debug_assert!(
+            (1..=31).contains(&width),
+            "constant width {width} is not between 1 and 31"
+        );
         Part::Const {
             value,
             width: Some(width),
@@ -138,7 +146,11 @@ impl Part {
     }
 
     /// A single-bit reference `name.bit`.
+    ///
+    /// `bit` must be at most [`MAX_BIT`], as the parser enforces (checked
+    /// in debug builds).
     pub fn bit(name: impl Into<Ident>, bit: u8) -> Self {
+        debug_assert!(bit <= MAX_BIT, "bit position {bit} exceeds {MAX_BIT}");
         Part::Ref {
             name: name.into(),
             from: Some(bit),
@@ -147,7 +159,14 @@ impl Part {
     }
 
     /// A bit-field reference `name.from.to`.
+    ///
+    /// Needs `from <= to <= MAX_BIT`, as the parser enforces (checked in
+    /// debug builds).
     pub fn field(name: impl Into<Ident>, from: u8, to: u8) -> Self {
+        debug_assert!(
+            from <= to && to <= MAX_BIT,
+            "subfield {from}..={to} is not within 0..={MAX_BIT}"
+        );
         Part::Ref {
             name: name.into(),
             from: Some(from),
@@ -440,6 +459,27 @@ mod tests {
         assert_eq!(refs, ["mem", "count"]);
         assert!(!e.is_constant());
         assert!(Expr::constant(3).is_constant());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "constant width 0")]
+    fn sized_part_rejects_zero_width() {
+        let _ = Part::sized(1, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "bit position 31")]
+    fn bit_part_rejects_position_past_30() {
+        let _ = Part::bit("x", 31);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "subfield 4..=3")]
+    fn field_part_rejects_reversed_range() {
+        let _ = Part::field("x", 4, 3);
     }
 
     #[test]

@@ -12,11 +12,34 @@ use rtl_lang::{
     Word,
 };
 
+/// An expression argument of a [`SpecBuilder`] method: text in the
+/// specification language, parsed (and panicking when malformed), or an
+/// [`Expr`] built as a value, used as it is.
+pub trait IntoExpr {
+    /// The argument as an expression.
+    fn into_expr(self) -> Expr;
+}
+
+impl IntoExpr for &str {
+    fn into_expr(self) -> Expr {
+        parse_expr(self, Span::default())
+            .unwrap_or_else(|e| panic!("bad builder expression {self:?}: {e}"))
+    }
+}
+
+impl IntoExpr for Expr {
+    fn into_expr(self) -> Expr {
+        self
+    }
+}
+
 /// Builds a [`Spec`] incrementally.
 ///
-/// Expression arguments are written in the specification language itself
-/// (e.g. `"rom.3.4"`, `"%110,ir.0"`, `"4096"`), which keeps machine
-/// definitions readable next to the thesis.
+/// Expression arguments ([`IntoExpr`]) are written in the specification
+/// language itself (e.g. `"rom.3.4"`, `"%110,ir.0"`, `"4096"`), which
+/// keeps machine definitions readable next to the thesis, or are
+/// [`Expr`] values, which a generator builds without printing text the
+/// builder would parse back.
 ///
 /// # Panics
 ///
@@ -27,11 +50,12 @@ use rtl_lang::{
 ///
 /// ```
 /// use rtl_machines::builder::SpecBuilder;
+/// use rtl_lang::Expr;
 /// let mut b = SpecBuilder::new("up counter");
 /// b.cycles(8);
 /// b.trace("count");
 /// b.memory("count", "0", "next", "1", 1);
-/// b.alu("next", "4", "count", "1");
+/// b.alu("next", "4", "count", Expr::constant(1));
 /// let spec = b.build();
 /// assert!(rtl_core::Design::elaborate(&spec).is_ok());
 /// ```
@@ -65,26 +89,32 @@ impl SpecBuilder {
     }
 
     /// Adds `A name funct left right`.
-    pub fn alu(&mut self, name: &str, funct: &str, left: &str, right: &str) -> &mut Self {
+    pub fn alu(
+        &mut self,
+        name: &str,
+        funct: impl IntoExpr,
+        left: impl IntoExpr,
+        right: impl IntoExpr,
+    ) -> &mut Self {
         let kind = ComponentKind::Alu(Alu {
-            funct: expr(funct),
-            left: expr(left),
-            right: expr(right),
+            funct: funct.into_expr(),
+            left: left.into_expr(),
+            right: right.into_expr(),
         });
         self.push(name, kind)
     }
 
     /// Adds `S name select case0 case1 ...`.
-    pub fn selector<S: AsRef<str>>(
+    pub fn selector(
         &mut self,
         name: &str,
-        select: &str,
-        cases: impl IntoIterator<Item = S>,
+        select: impl IntoExpr,
+        cases: impl IntoIterator<Item = impl IntoExpr>,
     ) -> &mut Self {
-        let cases: Vec<Expr> = cases.into_iter().map(|c| expr(c.as_ref())).collect();
+        let cases: Vec<Expr> = cases.into_iter().map(IntoExpr::into_expr).collect();
         assert!(!cases.is_empty(), "selector {name} needs at least one case");
         let kind = ComponentKind::Selector(Selector {
-            select: expr(select),
+            select: select.into_expr(),
             cases,
         });
         self.push(name, kind)
@@ -94,16 +124,16 @@ impl SpecBuilder {
     pub fn memory(
         &mut self,
         name: &str,
-        addr: &str,
-        data: &str,
-        opn: &str,
+        addr: impl IntoExpr,
+        data: impl IntoExpr,
+        opn: impl IntoExpr,
         size: u32,
     ) -> &mut Self {
         assert!(size >= 1, "memory {name} needs at least one cell");
         let kind = ComponentKind::Memory(Memory {
-            addr: expr(addr),
-            data: expr(data),
-            opn: expr(opn),
+            addr: addr.into_expr(),
+            data: data.into_expr(),
+            opn: opn.into_expr(),
             size,
             init: None,
         });
@@ -114,17 +144,17 @@ impl SpecBuilder {
     pub fn memory_init(
         &mut self,
         name: &str,
-        addr: &str,
-        data: &str,
-        opn: &str,
+        addr: impl IntoExpr,
+        data: impl IntoExpr,
+        opn: impl IntoExpr,
         init: Vec<Word>,
     ) -> &mut Self {
         assert!(!init.is_empty(), "memory {name} needs at least one cell");
         let size = init.len() as u32;
         let kind = ComponentKind::Memory(Memory {
-            addr: expr(addr),
-            data: expr(data),
-            opn: expr(opn),
+            addr: addr.into_expr(),
+            data: data.into_expr(),
+            opn: opn.into_expr(),
             size,
             init: Some(init),
         });
@@ -176,11 +206,6 @@ impl SpecBuilder {
     pub fn source(&self) -> String {
         rtl_lang::pretty(&self.build())
     }
-}
-
-fn expr(text: &str) -> Expr {
-    parse_expr(text, Span::default())
-        .unwrap_or_else(|e| panic!("bad builder expression {text:?}: {e}"))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use super::isa::Instr;
 use super::ucode;
 use crate::builder::SpecBuilder;
-use rtl_lang::{Spec, Word};
+use rtl_lang::{Expr, Spec, Word};
 
 /// Builds the specification for a program.
 ///
@@ -49,8 +49,11 @@ pub fn spec_with_trace(program: &[Instr], cycles: Option<Word>, traced: &[&str])
     // cycle following the fetch"); later states use the saved ir.
     b.alu("stis1", "12", "state", "1");
     b.selector("curop", "stis1", ["ir.0.3", "prog.0.3"]);
-    let rom_words: Vec<String> = ucode::rom().iter().map(|w| w.to_string()).collect();
-    b.selector("rom", "state.0.2,curop.0.3", rom_words);
+    b.selector(
+        "rom",
+        "state.0.2,curop.0.3",
+        ucode::rom().into_iter().map(Expr::constant),
+    );
 
     // --- Program counter.
     b.alu("pcp1", "4", "pc", "1");

@@ -13,13 +13,19 @@
 //! too (no `field-oob` on a comparator output, for example).
 //! [`random_spec`] asks for that; campaign cases
 //! (`rtl_cosim::generate_case`) do not yet.
+//!
+//! Every expression the generator draws is built as a value (an
+//! [`Expr`] of [`Part`]s over [`Ident`]s it already holds) and handed
+//! to [`SpecBuilder`], so none is printed as text and parsed back; only
+//! the fixed literals (`"0"`, `"c.0"`) are text. Tests check that each
+//! built AST is what the parser reads from the design's rendering.
 
 use crate::builder::SpecBuilder;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtl_core::width::bits_needed;
 use rtl_core::Word;
-use rtl_lang::Spec;
+use rtl_lang::{Expr, Ident, Part, Spec};
 
 /// Bound marker for a source whose value is not provably narrow.
 const UNBOUNDED: u8 = 31;
@@ -38,7 +44,8 @@ pub fn chain(n: usize) -> Spec {
     for i in 1..n {
         // Alternate add and xor to defeat trivial folding.
         let f = if i % 2 == 0 { "4" } else { "10" };
-        b.alu(&format!("a{i}"), f, &format!("a{}.0.15", i - 1), "3");
+        let prev = field(Ident::new_unchecked(format!("a{}", i - 1)), 0, 15);
+        b.alu(&format!("a{i}"), f, prev, "3");
     }
     b.build()
 }
@@ -75,7 +82,7 @@ pub fn generate(
     b.trace("c");
     b.memory("c", "0", "next", "1", 1);
     b.alu("next", "4", "c.0.11", "1");
-    let mut sources: Vec<(String, u8)> = vec![("c".into(), UNBOUNDED)];
+    let mut sources: Vec<(Ident, u8)> = vec![(Ident::from("c"), UNBOUNDED)];
 
     // Optional memory-mapped input port, one word per cycle.
     let has_input = io_every > 0 && rng.random_range(0..io_every) == 0;
@@ -83,7 +90,7 @@ pub fn generate(
         // Address 1 reads an integer; size 1 (input ops never index cells).
         b.memory("inp", "1", "0", "2", 1);
         b.trace("inp");
-        sources.push(("inp".into(), UNBOUNDED));
+        sources.push((Ident::from("inp"), UNBOUNDED));
     }
 
     // A few memories: ROMs, registers and dynamically switched.
@@ -91,24 +98,24 @@ pub fn generate(
         let name = format!("m{m}");
         let bits = rng.random_range(1..=4u8);
         let cells = 1u32 << bits;
-        let addr = format!("c.0.{}", bits - 1);
+        let addr = field("c", 0, bits - 1);
         let bound = match rng.random_range(0..3) {
             0 => {
                 let init: Vec<Word> = (0..cells).map(|_| rng.random_range(0..1000)).collect();
                 // A ROM's latch only ever holds an init value.
                 let bound = init.iter().copied().map(bits_needed).max().unwrap_or(1);
-                b.memory_init(&name, &addr, "0", "0", init);
+                b.memory_init(&name, addr, "0", "0", init);
                 bound
             }
             op => {
                 let data = pick_expr(&mut rng, &sources, clamp_fields).0;
                 let op = if op == 1 { "1" } else { "c.0" };
-                b.memory(&name, &addr, &data, op, cells);
+                b.memory(&name, addr, data, op, cells);
                 UNBOUNDED
             }
         };
         b.trace(&name);
-        sources.push((name, bound));
+        sources.push((Ident::new_unchecked(name), bound));
     }
 
     // Combinational layers: selectors with masked indices, ALUs with
@@ -117,19 +124,19 @@ pub fn generate(
         let name = format!("x{i}");
         let bound = if rng.random_range(0..4) == 0 {
             let bits = rng.random_range(1..=3u32);
-            let cases: Vec<(String, u8)> = (0..(1 << bits))
+            let cases: Vec<(Expr, u8)> = (0..(1 << bits))
                 .map(|_| pick_expr(&mut rng, &sources, clamp_fields))
                 .collect();
             let source = &sources[rng.random_range(0..sources.len())].0;
             let bound = cases.iter().map(|(_, b)| *b).max().unwrap_or(UNBOUNDED);
-            let sel = format!("{source}.0.{}", bits - 1);
-            b.selector(&name, &sel, cases.into_iter().map(|(text, _)| text));
+            let select = field(source.clone(), 0, bits as u8 - 1);
+            b.selector(&name, select, cases.into_iter().map(|(case, _)| case));
             bound
         } else {
             let f = rng.random_range(0..=13i64);
             let left = pick_expr(&mut rng, &sources, clamp_fields).0;
             let right = pick_expr(&mut rng, &sources, clamp_fields).0;
-            b.alu(&name, &f.to_string(), &left, &right);
+            b.alu(&name, Expr::constant(f), left, right);
             // zero (0), unused (11), eq (12) and lt (13) are 1-bit.
             if matches!(f, 0 | 11 | 12 | 13) {
                 1
@@ -140,7 +147,7 @@ pub fn generate(
         if rng.random_range(0..3) == 0 {
             b.trace(&name);
         }
-        sources.push((name, bound));
+        sources.push((Ident::new_unchecked(name), bound));
     }
 
     // Stimulus: one word per cycle for the input port, plus slack.
@@ -154,13 +161,18 @@ pub fn generate(
     (b.finish(), input)
 }
 
+/// The one-part expression `name.from.to`.
+fn field(name: impl Into<Ident>, from: u8, to: u8) -> Expr {
+    Expr::single(Part::field(name, from, to))
+}
+
 /// A random concatenation over `sources` and constants, plus the
 /// provable bound `rtl-lint` assigns it (UNBOUNDED when none):
 /// `bits_needed` of the folded value for all-constant expressions,
 /// otherwise the sum of part widths with the leftmost part allowed to
 /// be unsized. With `clamp`, a subfield read starts below its source's
 /// bound, so it is never entirely above it.
-fn pick_expr(rng: &mut StdRng, sources: &[(String, u8)], clamp: bool) -> (String, u8) {
+fn pick_expr(rng: &mut StdRng, sources: &[(Ident, u8)], clamp: bool) -> (Expr, u8) {
     let parts = rng.random_range(1..=3usize);
     let mut out = Vec::with_capacity(parts);
     // (value, width) of each part while all are constant; the fold
@@ -175,10 +187,10 @@ fn pick_expr(rng: &mut StdRng, sources: &[(String, u8)], clamp: bool) -> (String
             // Constant part.
             let v = rng.random_range(0..16i64);
             if sized {
-                out.push(format!("{v}.4"));
+                out.push(Part::sized(v, 4));
                 total += 4;
             } else {
-                out.push(v.to_string());
+                out.push(Part::constant(v));
                 total += u32::from(bits_needed(v));
             }
             if let Some(c) = &mut consts {
@@ -191,10 +203,10 @@ fn pick_expr(rng: &mut StdRng, sources: &[(String, u8)], clamp: bool) -> (String
                 let from = rng.random_range(0..4u8);
                 let from = if clamp { from.min(bound - 1) } else { from };
                 let to = from + rng.random_range(0..4u8);
-                out.push(format!("{s}.{from}.{to}"));
+                out.push(Part::field(s.clone(), from, to));
                 total += u32::from(to - from + 1);
             } else {
-                out.push(s.clone());
+                out.push(Part::reference(s.clone()));
                 total += u32::from(*bound);
             }
         }
@@ -217,7 +229,7 @@ fn pick_expr(rng: &mut StdRng, sources: &[(String, u8)], clamp: bool) -> (String
         None if total >= u32::from(UNBOUNDED) => UNBOUNDED,
         None => u8::try_from(total.max(1)).unwrap_or(UNBOUNDED),
     };
-    (out.join(","), bound)
+    (Expr::from_parts(out), bound)
 }
 
 #[cfg(test)]
