@@ -77,5 +77,5 @@ pub use runner::{
     aggregate_lanes, campaign_registry, fold_profiles, replay_corpus, resume, run, CampaignReport,
     LaneTotals, NoProgress, Progress, RunOptions, CASE_CHECKPOINT_EVERY,
 };
-pub use shrink::{shrink_divergence, Shrunk};
+pub use shrink::{shrink_divergence, shrink_from, Shrunk};
 pub use state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};

@@ -17,7 +17,7 @@ use crate::caselog::LogWriter;
 use crate::config::CampaignConfig;
 use crate::corpus::{self, kind_label, Archive, CorpusFrames, CorpusIndex, ReplayReport};
 use crate::error::CampaignError;
-use crate::shrink::shrink_divergence;
+use crate::shrink::shrink_from;
 use crate::state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};
 use rtl_compile::{BinaryCache, GeneratedRustFactory};
 use rtl_core::{EngineRegistry, Recorder, StopReason};
@@ -767,13 +767,15 @@ fn run_one(
         Some(report) => {
             recorder.count("campaign", "divergences", 1);
             // Shrink immediately (deterministic per case, so parallelism
-            // is preserved) and archive the minimal reproduction.
-            let shrunk = shrink_divergence(
+            // is preserved), starting from the case's own divergence, and
+            // archive the minimal reproduction.
+            let shrunk = shrink_from(
                 registry,
                 &config.engines,
                 seed,
                 &config.generator,
                 &probe_cosim,
+                &report,
             )?;
             let archived = match &shrunk {
                 Some(shrunk) => {

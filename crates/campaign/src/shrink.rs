@@ -19,16 +19,24 @@
 //! *locally* minimal diverging scenario, found greedily: the search only
 //! ever moves to candidates that were re-run and confirmed to diverge.
 //!
-//! Every probe takes the fuzz case's own path: generate the case's
-//! [`Spec`](rtl_lang::Spec), elaborate it (moved, no text round trip)
-//! and run it through [`rtl_cosim::run_design_names`]. Source text is
-//! rendered once, for the minimal scenario the corpus saves.
+//! A shrink starts from a divergence already observed: the fuzz case's
+//! own run, handed over by the campaign runner ([`shrink_from`]), or one
+//! [`shrink_divergence`] runs first. It counts as the first of the
+//! search's `attempts`, which therefore also count the case's own run.
+//! Each size probe generates that size's [`Spec`](rtl_lang::Spec),
+//! elaborates it (moved, no text round trip) and runs it through
+//! [`rtl_cosim::run_design_names`]. The horizon and stimulus phases then
+//! reuse the best size's design and stimulus: a shorter horizon
+//! generates the same design and a prefix of the same stimulus (pinned
+//! by `rtl_machines::synth`'s tests), so each of their probes runs that
+//! one design on a slice. Source text is rendered once, for the minimal
+//! scenario the corpus saves.
 
 use crate::error::CampaignError;
 use rtl_core::{Design, ElabOptions, EngineRegistry, Word};
 use rtl_cosim::{
-    generate_case, CosimOptions, CosimOutcome, DivergenceReport, GenOptions, GeneratedCase,
-    ScenarioError,
+    generate_case, CosimOptions, CosimOutcome, DivergenceKind, DivergenceReport, GenOptions,
+    GeneratedCase, ScenarioError,
 };
 use rtl_machines::Scenario;
 
@@ -48,13 +56,13 @@ pub struct Shrunk {
     pub cycles: u64,
     /// Final stimulus length.
     pub input_len: usize,
-    /// Lockstep re-runs the search spent.
+    /// Lockstep runs the search spent, the case's own run included.
     pub attempts: u32,
 }
 
 /// Shrinks the fuzz case identified by `seed` under the given generator
-/// options. Returns `Ok(None)` when the case does not diverge in the
-/// first place.
+/// options: runs the case, then [`shrink_from`] its divergence. Returns
+/// `Ok(None)` when the case does not diverge in the first place.
 ///
 /// Deterministic: the result depends only on the arguments, so parallel
 /// workers shrinking different cases stay order-independent.
@@ -70,79 +78,96 @@ pub fn shrink_divergence(
     generator: &GenOptions,
     cosim: &CosimOptions,
 ) -> Result<Option<Shrunk>, CampaignError> {
-    let mut attempts = 0u32;
-    let mut probe_input = |case: &Candidate, input: &[Word]| {
-        attempts += 1;
-        match run(registry, engines, case, input, cosim) {
-            // A candidate is only a valid shrink if its divergence stands
-            // on its own: a comparison that also tripped a runtime halt
-            // (e.g. an over-truncated stimulus exhausting input on the
-            // divergence cycle) would archive a scenario that *halts* for
-            // correct engines instead of agreeing — useless as a
-            // regression gate. Error-kind divergences are the exception:
-            // there the mismatched errors are the bug itself.
-            Ok(CosimOutcome::Divergence(report)) => {
-                let usable = matches!(report.kind, rtl_cosim::DivergenceKind::Error)
-                    || report.lanes.iter().all(|l| l.error.is_none());
-                Ok(usable.then_some(*report))
-            }
-            Ok(CosimOutcome::Agreement { .. }) => Ok(None),
-            Err(e) => Err(CampaignError::from(e)),
+    let case = Candidate::generate(seed, generator.size, generator)?;
+    match run(registry, engines, &case, case.cycles, &case.input, cosim)? {
+        CosimOutcome::Divergence(first) => {
+            shrink_from(registry, engines, seed, generator, cosim, &first)
         }
-    };
-    let generate = |size: usize, cycles: u64| {
-        Candidate::generate(
-            seed,
-            &GenOptions {
-                size,
-                cycles,
-                io_every: generator.io_every,
-            },
-        )
-    };
-    // A size/horizon probe holds its design only while it runs.
-    let mut probe = |size: usize, cycles: u64| -> Result<Option<DivergenceReport>, CampaignError> {
-        let case = generate(size, cycles)?;
-        probe_input(&case, &case.input)
-    };
+        CosimOutcome::Agreement { .. } => Ok(None),
+    }
+}
 
-    let Some(mut best_report) = probe(generator.size, generator.cycles)? else {
+/// Shrinks the fuzz case identified by `seed`, given `first`, the
+/// divergence its own run under `generator` produced (the case's run
+/// counts as the first attempt). Returns `Ok(None)` when `first` is no
+/// usable shrink: a divergence that also tripped a runtime halt, unless
+/// mismatched errors are the divergence itself.
+///
+/// `first` is read only to decide whether to shrink and where the
+/// horizon search starts; it is never saved. The case may have run with
+/// options its probes do not take (a checkpoint or resume document, a
+/// profile hook, a flight-tapped recorder), so the saved report always
+/// comes from a run this search made.
+///
+/// # Errors
+///
+/// As [`shrink_divergence`].
+pub fn shrink_from(
+    registry: &EngineRegistry,
+    engines: &[String],
+    seed: u64,
+    generator: &GenOptions,
+    cosim: &CosimOptions,
+    first: &DivergenceReport,
+) -> Result<Option<Shrunk>, CampaignError> {
+    if !usable(first) {
         return Ok(None);
+    }
+    // A probe's verdict: the divergence, if it is a usable shrink.
+    let verdict = |case: &Candidate, cycles: u64, input: &[Word]| {
+        run(registry, engines, case, cycles, input, cosim).map(|outcome| match outcome {
+            CosimOutcome::Divergence(report) if usable(&report) => Some(*report),
+            _ => None,
+        })
+    };
+    let mut attempts = 1u32;
+    let mut probe = |case: &Candidate, cycles: u64, input: &[Word]| {
+        attempts += 1;
+        verdict(case, cycles, input)
     };
 
     // 1. Size: first-diverging binary search over [1, size]. The upper
     //    bound is always a confirmed-diverging size, so the result is too.
+    //    The last diverging probe's design and full stimulus serve the
+    //    later phases.
     let mut lo = 1usize;
     let mut best_size = generator.size.max(1);
+    let mut best = None;
     while lo < best_size {
         let mid = lo + (best_size - lo) / 2;
-        match probe(mid, generator.cycles)? {
+        let case = Candidate::generate(seed, mid, generator)?;
+        match probe(&case, case.cycles, &case.input)? {
             Some(report) => {
                 best_size = mid;
-                best_report = report;
+                best = Some((case, report));
             }
             None => lo = mid + 1,
         }
     }
+    let (case, mut best_report) = match best {
+        Some((case, report)) => (case, Some(report)),
+        None => (Candidate::generate(seed, best_size, generator)?, None),
+    };
 
     // 2. Horizon: the divergence happened at cycle c, so any horizon
     //    > c reaches it (a shorter horizon only truncates the run). Search
     //    the first-diverging horizon in [1, c + 1].
-    let observed = u64::try_from(best_report.cycle).unwrap_or(generator.cycles);
-    let mut best_cycles = (observed + 1).min(generator.cycles.max(1));
-    match probe(best_size, best_cycles)? {
-        Some(report) => best_report = report,
+    let observed = best_report.as_ref().unwrap_or(first).cycle;
+    let observed = u64::try_from(observed).unwrap_or(case.cycles);
+    let mut best_cycles = (observed + 1).min(case.cycles);
+    match probe(&case, best_cycles, case.stimulus(best_cycles))? {
+        Some(report) => best_report = Some(report),
         // The horizon interacts with the stimulus length; fall back to
         // the full horizon if the tightened bound loses the divergence.
-        None => best_cycles = generator.cycles.max(1),
+        None => best_cycles = case.cycles,
     }
     let mut lo = 1u64;
     while lo < best_cycles {
         let mid = lo + (best_cycles - lo) / 2;
-        match probe(best_size, mid)? {
+        match probe(&case, mid, case.stimulus(mid))? {
             Some(report) => {
                 best_cycles = mid;
-                best_report = report;
+                best_report = Some(report);
             }
             None => lo = mid + 1,
         }
@@ -151,44 +176,64 @@ pub fn shrink_divergence(
     // 3. Stimulus: the shortest prefix of the input script that still
     //    diverges (an over-truncated script halts the lanes unanimously
     //    with input-exhausted instead of diverging, ending the search).
-    let mut minimal = generate(best_size, best_cycles)?;
-    let mut best_len = minimal.input.len();
+    let input = case.stimulus(best_cycles);
+    let mut best_len = input.len();
     let mut lo = 0usize;
     while lo < best_len {
         let mid = lo + (best_len - lo) / 2;
-        match probe_input(&minimal, &minimal.input[..mid])? {
+        match probe(&case, best_cycles, &input[..mid])? {
             Some(report) => {
                 best_len = mid;
-                best_report = report;
+                best_report = Some(report);
             }
             None => lo = mid + 1,
         }
     }
-    minimal.input.truncate(best_len);
+    let input = input[..best_len].to_vec();
 
-    let input_len = minimal.input.len();
+    let mut report = match best_report {
+        Some(report) => report,
+        // No probe diverged, so the minimal scenario is the case itself:
+        // rerun it for its report. This is the first attempt's run, which
+        // `first` stood in for, so it is not counted again.
+        None => match verdict(&case, best_cycles, &input)? {
+            Some(report) => report,
+            None => return Ok(None),
+        },
+    };
     let scenario = Scenario {
         name: format!("corpus/seed-{seed}"),
-        source: rtl_lang::pretty(minimal.design.spec()),
-        cycles: minimal.cycles,
-        input: minimal.input,
+        source: rtl_lang::pretty(case.design.spec()),
+        cycles: best_cycles,
+        input,
     };
-    best_report.scenario = scenario.name.clone();
+    report.scenario = scenario.name.clone();
     Ok(Some(Shrunk {
         seed,
         scenario,
-        report: best_report,
+        report,
         size: best_size,
         cycles: best_cycles,
-        input_len,
+        input_len: best_len,
         attempts,
     }))
+}
+
+/// Whether a divergence is a valid shrink on its own: a comparison that
+/// also tripped a runtime halt (e.g. an over-truncated stimulus
+/// exhausting input on the divergence cycle) would archive a scenario
+/// that *halts* for correct engines instead of agreeing — useless as a
+/// regression gate. Error-kind divergences are the exception: there the
+/// mismatched errors are the bug itself.
+fn usable(report: &DivergenceReport) -> bool {
+    matches!(report.kind, DivergenceKind::Error) || report.lanes.iter().all(|l| l.error.is_none())
 }
 
 fn run(
     registry: &EngineRegistry,
     engines: &[String],
     case: &Candidate,
+    cycles: u64,
     input: &[Word],
     cosim: &CosimOptions,
 ) -> Result<CosimOutcome, ScenarioError> {
@@ -197,7 +242,7 @@ fn run(
         engines,
         &case.design,
         &case.name,
-        case.cycles,
+        cycles,
         input,
         cosim,
     )
@@ -212,13 +257,17 @@ struct Candidate {
 }
 
 impl Candidate {
-    fn generate(seed: u64, options: &GenOptions) -> Result<Candidate, CampaignError> {
+    fn generate(
+        seed: u64,
+        size: usize,
+        generator: &GenOptions,
+    ) -> Result<Candidate, CampaignError> {
         let GeneratedCase {
             name,
             spec,
             cycles,
             input,
-        } = generate_case(seed, options);
+        } = generate_case(seed, &GenOptions { size, ..*generator });
         let design =
             Design::elaborate_with(spec, ElabOptions::default()).map_err(ScenarioError::from)?;
         Ok(Candidate {
@@ -227,6 +276,19 @@ impl Candidate {
             cycles,
             input,
         })
+    }
+
+    /// The stimulus the case generates for a shorter `cycles` horizon:
+    /// the same words, less one from the tail for every cycle cut (none
+    /// without an input port).
+    fn stimulus(&self, cycles: u64) -> &[Word] {
+        debug_assert!(
+            cycles <= self.cycles,
+            "horizon {cycles} beyond {}",
+            self.cycles
+        );
+        let cut = usize::try_from(self.cycles - cycles).unwrap_or(usize::MAX);
+        &self.input[..self.input.len().saturating_sub(cut)]
     }
 }
 
@@ -348,6 +410,111 @@ mod tests {
                 crate::corpus::entry_fingerprint(&shrunk.scenario),
             );
             assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    /// The report a shrink saves is what its saved scenario reports when
+    /// run afresh: no probe's leftovers (lane statistics in particular)
+    /// reach it.
+    #[test]
+    fn the_saved_report_is_what_the_saved_scenario_reports() {
+        let registry = registry_with_fault(rtl_cosim::DEFAULT_FAULT_CYCLE);
+        let engines = names(&["interp", "vm-fault"]);
+        let generator = GenOptions {
+            size: 30,
+            cycles: 64,
+            io_every: 2,
+        };
+        for seed in 1..40 {
+            let shrunk = shrink_divergence(
+                &registry,
+                &engines,
+                seed,
+                &generator,
+                &CosimOptions::default(),
+            )
+            .unwrap()
+            .expect("fault diverges");
+            assert_eq!(
+                fresh_report(&registry, &engines, 2, &shrunk),
+                shrunk.report,
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// A handed report steers the search but is never saved, not even
+    /// when no probe diverges and the minimal scenario is the case
+    /// itself: that scenario is rerun for its report.
+    #[test]
+    fn a_handed_report_is_never_saved() {
+        // One component, no input and a fault on the last cycle: only the
+        // full case diverges, so every probe agrees.
+        let registry = registry_with_fault(63);
+        let engines = names(&["interp", "vm-fault"]);
+        let generator = GenOptions {
+            size: 1,
+            cycles: 64,
+            io_every: 0,
+        };
+        let cosim = CosimOptions::default();
+        let honest = shrink_divergence(&registry, &engines, 2, &generator, &cosim)
+            .unwrap()
+            .expect("fault diverges");
+        let case = generate_case(2, &generator);
+        let design = Design::elaborate_with(case.spec, ElabOptions::default()).unwrap();
+        let outcome =
+            rtl_cosim::run_design_names(&registry, &engines, &design, &case.name, 64, &[], &cosim)
+                .unwrap();
+        let CosimOutcome::Divergence(mut handed) = outcome else {
+            panic!("fault diverges");
+        };
+        // Doctored: an earlier cycle sends the horizon search astray, and
+        // no lane statistics match a fresh run.
+        handed.cycle = 5;
+        for lane in &mut handed.lanes {
+            lane.stats = None;
+        }
+        let shrunk = shrink_from(&registry, &engines, 2, &generator, &cosim, &handed)
+            .unwrap()
+            .expect("the case diverges");
+        assert_eq!((shrunk.cycles, shrunk.input_len), (64, 0));
+        assert_eq!(shrunk.scenario, honest.scenario);
+        assert_eq!(shrunk.report, honest.report);
+        assert_eq!(fresh_report(&registry, &engines, 0, &shrunk), shrunk.report);
+    }
+
+    /// The divergence `shrunk`'s generated case reports, run afresh on
+    /// the saved horizon and stimulus.
+    fn fresh_report(
+        registry: &EngineRegistry,
+        engines: &[String],
+        io_every: u32,
+        shrunk: &Shrunk,
+    ) -> DivergenceReport {
+        let generator = GenOptions {
+            size: shrunk.size,
+            cycles: shrunk.cycles,
+            io_every,
+        };
+        let case = generate_case(shrunk.seed, &generator);
+        assert_eq!(rtl_lang::pretty(&case.spec), shrunk.scenario.source);
+        let design = Design::elaborate_with(case.spec, ElabOptions::default()).unwrap();
+        match rtl_cosim::run_design_names(
+            registry,
+            engines,
+            &design,
+            &shrunk.scenario.name,
+            shrunk.cycles,
+            &shrunk.scenario.input,
+            &CosimOptions::default(),
+        )
+        .unwrap()
+        {
+            CosimOutcome::Divergence(report) => *report,
+            CosimOutcome::Agreement { .. } => {
+                panic!("seed {}: the saved scenario agrees", shrunk.seed)
+            }
         }
     }
 

@@ -1839,8 +1839,10 @@ mod tests {
     fn campaign_case_checkpoint_matches_a_plain_run() {
         // --case-checkpoint must not change outcomes — it only adds the
         // ability to resume a killed case mid-run — and it cleans its
-        // .ckpt files up once each case record is durable.
-        let run_campaign = |name: &str, extra: &[&str]| {
+        // .ckpt files up once each case record is durable. A diverging
+        // case hands its own report to the shrink, so with a faulty lane
+        // the exported corpus must match too.
+        let run_campaign = |name: &str, engines: &str, cycles: &str, extra: &[&str]| {
             let d = campaign_dir(name);
             let mut args = vec![
                 "campaign",
@@ -1852,34 +1854,85 @@ mod tests {
                 "--seed",
                 "5",
                 "--cycles",
-                "16",
+                cycles,
                 "--size",
                 "8",
+                "--engines",
+                engines,
             ];
             args.extend_from_slice(extra);
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             let mut out = Vec::new();
             let mut err = Vec::new();
             let code = run_with_input(&args, &mut &b""[..], &mut out, &mut err);
-            assert_eq!(code, 0, "{}", String::from_utf8_lossy(&err));
-            (d, String::from_utf8(out).unwrap())
+            let out = String::from_utf8(out).unwrap();
+            (d, code, out, String::from_utf8(err).unwrap())
         };
-        let (plain_dir, plain) = run_campaign("ckpt-plain", &[]);
-        let (ckpt_dir, checkpointed) = run_campaign("ckpt-on", &["--case-checkpoint"]);
-        assert_eq!(plain, checkpointed, "case checkpointing is outcome-neutral");
-        let leftovers = std::fs::read_dir(ckpt_dir.join("cases"))
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "ckpt")
-            })
-            .count();
-        assert_eq!(leftovers, 0, "completed cases leave no checkpoints");
-        let _ = std::fs::remove_dir_all(&plain_dir);
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
+        let exported_corpus = |dir: &std::path::Path| {
+            let out = dir.with_extension("export");
+            let _ = std::fs::remove_dir_all(&out);
+            run_ok(&[
+                "campaign",
+                "export",
+                "--dir",
+                dir.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ]);
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(out.join("corpus"))
+                .map(|entries| {
+                    entries
+                        .map(|e| {
+                            let path = e.unwrap().path();
+                            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                            (name, std::fs::read(&path).unwrap())
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            files.sort();
+            let _ = std::fs::remove_dir_all(&out);
+            files
+        };
+        for (tag, engines, cycles, want_code, want_entries) in [
+            ("agree", "interp,vm", "16", 0, 0),
+            ("diverge", "interp,vm-fault", "64", 3, 4),
+        ] {
+            let (plain_dir, code, plain, err) =
+                run_campaign(&format!("ckpt-{tag}-plain"), engines, cycles, &[]);
+            assert_eq!(code, want_code, "{plain}\n{err}");
+            let (ckpt_dir, code, checkpointed, err) = run_campaign(
+                &format!("ckpt-{tag}-on"),
+                engines,
+                cycles,
+                &["--case-checkpoint"],
+            );
+            assert_eq!(code, want_code, "{checkpointed}\n{err}");
+            assert_eq!(plain, checkpointed, "case checkpointing is outcome-neutral");
+            let corpus = exported_corpus(&plain_dir);
+            assert_eq!(
+                corpus.len(),
+                4 * want_entries,
+                "{tag}: four files per entry"
+            );
+            assert!(
+                corpus == exported_corpus(&ckpt_dir),
+                "{tag}: case checkpointing leaves the corpus as it was"
+            );
+            let leftovers = std::fs::read_dir(ckpt_dir.join("cases"))
+                .unwrap()
+                .filter(|e| {
+                    e.as_ref()
+                        .unwrap()
+                        .path()
+                        .extension()
+                        .is_some_and(|x| x == "ckpt")
+                })
+                .count();
+            assert_eq!(leftovers, 0, "completed cases leave no checkpoints");
+            let _ = std::fs::remove_dir_all(&plain_dir);
+            let _ = std::fs::remove_dir_all(&ckpt_dir);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! engine bug, never a bad scenario.
 //!
 //! [`generate_case`] returns the builder's [`Spec`] itself, and a fuzz
-//! case (and every shrink probe) elaborates that AST directly: a
+//! case (and every shrink size probe) elaborates that AST directly: a
 //! generated design has no reader, so it skips the pretty-print → lex →
 //! parse round trip. Source text is a view of the same case,
 //! [`generate_scenario`], rendered only where text is the artifact — the
@@ -80,7 +80,7 @@ pub fn generate_scenario(seed: u64, options: &GenOptions) -> Scenario {
 /// Deterministically generates one fuzz case from a seed, as the
 /// builder's [`Spec`] and the stimulus: [`synth::generate`] titled
 /// `cosim fuzz case`, without clamped subfield reads. Fuzz cases and
-/// shrink probes elaborate the spec directly (moved, with
+/// shrink size probes elaborate the spec directly (moved, with
 /// [`Design::elaborate_with`](rtl_core::Design::elaborate_with));
 /// [`generate_scenario`] is the same case rendered as text.
 pub fn generate_case(seed: u64, options: &GenOptions) -> GeneratedCase {

@@ -7,6 +7,8 @@
 //! text via the pretty-printer, and the round-trip property (`parse ∘
 //! pretty = id`) is covered by tests.
 
+use std::collections::HashSet;
+
 use rtl_lang::{
     parse_expr, Alu, Component, ComponentKind, Declared, Expr, Ident, Memory, Selector, Span, Spec,
     Word,
@@ -63,7 +65,9 @@ impl IntoExpr for Expr {
 pub struct SpecBuilder {
     title: String,
     cycles: Option<Word>,
-    traced: Vec<String>,
+    traced: HashSet<String>,
+    /// Names of `components`, so a duplicate is found without a scan.
+    defined: HashSet<String>,
     components: Vec<Component>,
 }
 
@@ -84,7 +88,7 @@ impl SpecBuilder {
 
     /// Marks a component for per-cycle tracing (the `*` suffix).
     pub fn trace(&mut self, name: &str) -> &mut Self {
-        self.traced.push(name.to_string());
+        self.traced.insert(name.to_string());
         self
     }
 
@@ -164,7 +168,7 @@ impl SpecBuilder {
     fn push(&mut self, name: &str, kind: ComponentKind) -> &mut Self {
         let ident = Ident::parse(name).unwrap_or_else(|| panic!("invalid component name {name:?}"));
         assert!(
-            !self.components.iter().any(|c| c.name == *name),
+            self.defined.insert(name.to_string()),
             "component {name} defined twice"
         );
         self.components.push(Component {
@@ -190,7 +194,7 @@ impl SpecBuilder {
             .iter()
             .map(|c| Declared {
                 name: c.name.clone(),
-                traced: self.traced.iter().any(|t| c.name == t.as_str()),
+                traced: self.traced.contains(c.name.as_str()),
                 span: Span::default(),
             })
             .collect();

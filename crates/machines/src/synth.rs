@@ -282,6 +282,31 @@ mod tests {
         }
     }
 
+    /// A shorter horizon keeps the design and cuts only the stimulus's
+    /// tail, by the cycles it drops: the design never reads `cycles`,
+    /// and the stimulus is drawn last. Shrinking relies on this to run
+    /// one design on prefixes of one stimulus for every horizon.
+    #[test]
+    fn a_shorter_horizon_keeps_the_design_and_a_stimulus_prefix() {
+        const FULL: u64 = 64;
+        for seed in 0..20 {
+            for size in [1, 7, 30] {
+                for io_every in [1, 2] {
+                    let (spec, input) = generate(seed, size, io_every, FULL, "t", false);
+                    for cycles in [0, 1, 9, 40, FULL - 1] {
+                        let (short_spec, short) =
+                            generate(seed, size, io_every, cycles, "t", false);
+                        let at = format!("seed {seed} size {size} io {io_every} cycles {cycles}");
+                        assert_eq!(short_spec, spec, "{at}");
+                        assert!(input.starts_with(&short), "{at}");
+                        let cut = if input.is_empty() { 0 } else { FULL - cycles };
+                        assert_eq!((input.len() - short.len()) as u64, cut, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn random_specs_differ_across_seeds() {
         let a = rtl_lang::pretty(&random_spec(1, 30));
