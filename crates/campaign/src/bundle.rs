@@ -1,46 +1,41 @@
 //! One case's artifacts as one unit: the case record, its optional
-//! profile and flight-recorder sidecars, and the corpus entry the record
+//! profile and flight-recorder logs, and the corpus entry the record
 //! names.
 //!
 //! Every surface moves case artifacts through this module. The runner
 //! builds a bundle and [publishes](CaseBundle::publish) it; a shard
-//! merge [reads](CaseBundle::read_range), [checks](CaseBundle::check) and
-//! publishes each shard's bundles; the fleet worker reads its bundles and
-//! uploads them, and the fleet controller checks and publishes what
-//! arrives. So one set of refusal rules and one commit order hold for
-//! campaign, shard and fleet alike.
+//! merge [reads](CaseBundle::read_range) and [checks](CaseBundle::check)
+//! each shard's bundles; the fleet worker reads its bundles and uploads
+//! them, and the fleet controller checks and publishes what arrives. So
+//! one set of refusal rules and one commit order hold for campaign,
+//! shard and fleet alike.
 //!
-//! **Commit order.** A bundle is written sidecars → corpus entry →
-//! record. Sidecars are files, each published atomically; the corpus
-//! entry is one checksummed frame appended to the publishing thread's
-//! corpus log, and the record one frame appended to its record log
-//! ([`caselog`](crate::caselog)). The record frame is the commit point,
-//! and the writer syncs its corpus log before its record log, so a
-//! corpus entry is durable no later than the record that names it. A
-//! case without a record is re-run, and because every artifact is a pure
-//! function of `(config, index)`, a kill anywhere before the record frame
-//! only leaves files that the re-run rewrites byte for byte, a whole
-//! corpus frame that the re-run finds by its fingerprint and names again,
-//! or a torn tail frame that the reader drops. Nothing ever commits a
-//! record whose sidecars or corpus entry are not already written.
+//! **Commit order.** A bundle is one write to the publishing thread's
+//! log ([`caselog`](crate::caselog)): the corpus frame, the profile
+//! frame, the flight frame, then the record frame, which is the commit
+//! point. A kill mid-write leaves whole frames and at most one torn
+//! tail, which the reader drops. A case without a record is re-run, and
+//! because every frame is a pure function of `(config, index)`, the
+//! re-run writes the same bytes again: a leftover profile or flight
+//! frame is an identical duplicate, and a leftover corpus frame is found
+//! by its fingerprint and named again. Nothing ever commits a record
+//! whose sidecars or corpus entry did not go out before it.
 //!
 //! Once a directory holds every case it owns, its worker logs are
 //! compacted into the canonical `corpus/corpus.log`, one frame per entry
-//! in name order, and `cases/cases.log`, one frame per case in index
+//! in name order, and `cases/cases.log`, each case's frames in index
 //! order ([`CampaignDir::compact`]); a shard merge writes its output
-//! logs the same way. `asim2 campaign export` renders the records and
-//! the corpus entries back out as files.
+//! logs the same way. `asim2 campaign export` renders the records,
+//! sidecars and corpus entries back out as files.
 
-use crate::caselog::{CaseFrames, LogWriter};
+use crate::caselog::{encode_frame, Frames, Kind, LogWriter};
 use crate::config::CampaignConfig;
-use crate::corpus::{self, CorpusFrames};
+use crate::corpus;
 use crate::error::CampaignError;
 use crate::state::{CampaignDir, CaseRecord, CaseStatus};
 use rtl_obs::json::Json;
-use rtl_obs::write_atomic;
 use std::io;
 use std::ops::Range;
-use std::path::Path;
 
 /// The four documents of one corpus entry, as text (every corpus
 /// artifact — spec, stimulus, session checkpoint, metadata — is a text
@@ -108,9 +103,10 @@ pub struct CaseBundle {
     pub index: u32,
     /// The case record's exact text.
     pub record: String,
-    /// The execution-profile sidecar (`case-N.profile`), if any.
+    /// The execution profile, if any (exported as `case-N.profile`).
     pub profile: Option<String>,
-    /// The flight-recorder sidecar (`case-N.flight.jsonl`), if any.
+    /// The flight-recorder log, if any (exported as
+    /// `case-N.flight.jsonl`).
     pub flight: Option<String>,
     /// The corpus entry the record names, unless it is already published
     /// where the bundle goes.
@@ -167,92 +163,64 @@ pub fn parse_record(config: &CampaignConfig, index: u32, text: &str) -> Result<C
 
 impl CaseBundle {
     /// Reads the bundle of every case in `range` that has a record, in
-    /// one scan of `dir`'s record logs ([`CaseFrames::scan`]): `each`
-    /// gets the record, whichever sidecars exist and, given `dir`'s
-    /// scanned `corpus`, the corpus entry the record names, in log order.
-    /// Returns the scan, which locates every record frame.
+    /// case order, from one scan of `dir`'s logs ([`Frames::scan`]):
+    /// `each` gets the record, whichever sidecars exist and the corpus
+    /// entry the record names. Returns the scan.
     ///
     /// # Errors
     ///
-    /// A corrupt log, a record that is not UTF-8, a record naming a
-    /// corpus entry that is missing, an error from `each`, or I/O.
+    /// A corrupt log, a frame that is not UTF-8, a record naming a corpus
+    /// entry that is missing, an error from `each`, or I/O.
     pub fn read_range(
         dir: &CampaignDir,
-        corpus: Option<&CorpusFrames>,
-        cases: u32,
         range: Range<u32>,
         mut each: impl FnMut(CaseBundle) -> Result<(), CampaignError>,
-    ) -> Result<CaseFrames, CampaignError> {
-        CaseFrames::scan(dir, cases, range, |index, record| {
-            let record = String::from_utf8(record.to_vec()).map_err(|_| {
-                CampaignError::Corrupt(format!(
-                    "{}: case {index}'s record is not UTF-8",
-                    dir.cases().display()
-                ))
-            })?;
-            each(CaseBundle::with_record(dir, corpus, index, record)?)
-        })
-    }
-
-    /// Case `index`'s bundle around its record text: the sidecars on
-    /// disk and, given the corpus, the entry the record names.
-    fn with_record(
-        dir: &CampaignDir,
-        corpus: Option<&CorpusFrames>,
-        index: u32,
-        record: String,
-    ) -> Result<CaseBundle, CampaignError> {
-        // An unparseable record names no entry; `check` reports it.
-        let named = corpus.and_then(|corpus| {
-            let doc = Json::parse(&record).ok()?;
-            Some((corpus, doc.get("corpus")?.as_str()?.to_string()))
-        });
-        let corpus = match named {
-            None => None,
-            Some((corpus, name)) => {
-                let files = corpus.files(&name)?.ok_or_else(|| {
+    ) -> Result<Frames, CampaignError> {
+        let frames = Frames::scan(dir, range.clone(), |_, _| Ok(()))?;
+        frames.each_case(range, |index, [profile, flight, record]| {
+            // Sidecars without a record are a bundle a kill cut short.
+            let Some(record) = record else {
+                return Ok(());
+            };
+            // An unparseable record names no entry; `check` reports it.
+            let named = Json::parse(&record)
+                .ok()
+                .and_then(|doc| Some(doc.get("corpus")?.as_str()?.to_string()));
+            let corpus = match named {
+                None => None,
+                Some(name) => Some(frames.entry(&name)?.ok_or_else(|| {
                     CampaignError::Corrupt(format!(
                         "{}: case {index} names corpus entry {name:?}, which is not there",
-                        dir.corpus().display()
+                        dir.root().display()
                     ))
-                })?;
-                let fingerprint = Json::parse(&files.meta)
-                    .ok()
-                    .and_then(|doc| {
-                        doc.get("design_fp")
-                            .and_then(Json::as_str)
-                            .map(String::from)
-                    })
-                    .unwrap_or_default();
-                Some(BundleEntry {
-                    name,
-                    fingerprint,
-                    files,
-                })
-            }
-        };
-        Ok(CaseBundle {
-            index,
-            record,
-            profile: read_optional(&dir.profile_path(index))?,
-            flight: read_optional(&dir.flight_path(index))?,
-            corpus,
-        })
+                })?),
+            };
+            each(CaseBundle {
+                index,
+                record,
+                profile,
+                flight,
+                corpus,
+            })
+        })?;
+        Ok(frames)
     }
 
     /// Checks every artifact before anything is published: the record
     /// describes this case, carries the seed `config` derives and is
-    /// text in its canonical rendering; the profile sidecar parses, and only if the campaign collects profiles
-    /// (`profile`); each flight line parses as an event, and only if the
-    /// campaign arms the recorder (`flight`); and the corpus entry is the
+    /// text in its canonical rendering; the profile parses, and only if
+    /// the campaign collects profiles (`profile`); each flight line parses
+    /// as an event, and only if the campaign arms the recorder (`flight`);
+    /// and the corpus entry is the
     /// one the record names, under a plain file stem, loads with its
     /// reference checkpoint recomputed, and matches its claimed
     /// fingerprint. Returns the record and the entry's fingerprint.
     ///
     /// # Errors
     ///
-    /// A message naming the offending record or file (relative to the
-    /// campaign root) and the broken rule.
+    /// A message naming the offending record, or the file an export
+    /// renders the offending artifact as (relative to the campaign root),
+    /// and the broken rule.
     pub fn check(
         &self,
         config: &CampaignConfig,
@@ -319,36 +287,23 @@ impl CaseBundle {
     }
 
     /// Publishes the bundle into `log`'s directory in the commit order:
-    /// [its sidecars](CaseBundle::publish_sidecars), the corpus frame,
-    /// then the record frame.
+    /// its corpus, profile, flight and record frames in one append.
     ///
     /// # Errors
     ///
-    /// File-system failure.
+    /// A frame over the cap, or file-system failure.
     pub fn publish(&self, log: &mut LogWriter) -> io::Result<()> {
-        self.publish_sidecars(log.dir())?;
-        if let Some(entry) = &self.corpus {
-            log.append_entry(&entry.body()?)?;
-        }
-        log.append(self.index, self.record.as_bytes())
-    }
-
-    /// Publishes the bundle's sidecar files into `dir`, the first step of
-    /// the commit order. A shard merge calls it alone, then writes every
-    /// corpus frame and every record frame into the canonical logs at
-    /// once.
-    ///
-    /// # Errors
-    ///
-    /// File-system failure.
-    pub fn publish_sidecars(&self, dir: &CampaignDir) -> io::Result<()> {
-        if let Some(text) = &self.profile {
-            write_atomic(&dir.profile_path(self.index), text.as_bytes())?;
-        }
-        if let Some(text) = &self.flight {
-            write_atomic(&dir.flight_path(self.index), text.as_bytes())?;
-        }
-        Ok(())
+        log.append(|buf| {
+            if let Some(entry) = &self.corpus {
+                encode_frame(Kind::Corpus, 0, &entry.body()?, buf)?;
+            }
+            for (kind, text) in [(Kind::Profile, &self.profile), (Kind::Flight, &self.flight)] {
+                if let Some(text) = text {
+                    encode_frame(kind, self.index, text.as_bytes(), buf)?;
+                }
+            }
+            encode_frame(Kind::Record, self.index, self.record.as_bytes(), buf)
+        })
     }
 }
 
@@ -374,13 +329,4 @@ fn check_entry(entry: &BundleEntry) -> Result<u64, String> {
         ));
     }
     Ok(fp)
-}
-
-/// A sidecar's text, or `None` when it does not exist.
-fn read_optional(path: &Path) -> io::Result<Option<String>> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
 }

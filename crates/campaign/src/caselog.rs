@@ -1,60 +1,68 @@
-//! Case records and corpus entries in append-only logs.
+//! Case bundles and corpus entries in append-only logs.
 //!
-//! A campaign publishes each case record, and each corpus entry, by
-//! appending one **frame** to a log, not by creating files: a create
-//! costs tens of microseconds to a millisecond of system time on a busy
-//! disk, an append a few.
+//! A campaign publishes a case by appending its **bundle** — the corpus
+//! entry its record names, its profile and flight log when it has them,
+//! and its record — to a log, in one write, not by creating files: a
+//! create costs tens of microseconds to a millisecond of system time on
+//! a busy disk, an append a few.
 //!
 //! ```text
-//! cases/worker-N.log   — the record frames one writer appended, in completion order
-//! cases/cases.log      — the canonical record log: one frame per case, by index
-//! corpus/worker-N.log  — the corpus frames one writer appended
-//! corpus/corpus.log    — the canonical corpus log: one frame per entry, by name
+//! cases/worker-N.log     — the bundles one writer appended, in completion order
+//! cases/cases.log        — the canonical case log: each case's profile, flight and record frames, by index
+//! corpus/corpus.log      — the canonical corpus log: one frame per entry, by name
+//! */worker-pID-….log     — what one process published outside a run (see below)
 //! ```
 //!
-//! **Frame.** A 16-byte little-endian header — body length (`u32`),
-//! key (`u32`), checksum (`u64`) — then the body. A record frame's key
-//! is its case index and its body the record's canonical JSON text
-//! ([`CaseRecord::to_json`](crate::CaseRecord::to_json) rendered). A
-//! corpus frame's key is 0 and its body leads with the entry's
-//! fingerprint, by which it is keyed, then the entry's four documents
-//! ([`corpus::encode_entry`](crate::corpus::encode_entry)). The checksum
-//! is a [`Fingerprint`] of the key and the body. No body may exceed
-//! [`FRAME_CAP`] bytes; the reader checks a frame's length against the
-//! cap before it allocates anything.
+//! **Frame.** A 20-byte little-endian header — body length (`u32`),
+//! [`Kind`] (`u32`), key (`u32`), checksum (`u64`) — then the body. A
+//! record, profile or flight frame is keyed by its case index; its body
+//! is the record's canonical JSON text
+//! ([`CaseRecord::to_json`](crate::CaseRecord::to_json) rendered), the
+//! profile or the flight log. A corpus frame is keyed 0, and its body
+//! leads with the entry's fingerprint, then the entry's name and four
+//! documents ([`corpus::encode_entry`](crate::corpus::encode_entry)). The
+//! checksum is a [`Fingerprint`] of the kind, the key and the body. No
+//! body may exceed [`FRAME_CAP`] bytes; the reader checks a frame's
+//! length against the cap, and its kind, before it allocates anything.
 //!
 //! **Writers.** Each case-running thread owns a [`LogWriter`], which
-//! creates a fresh `worker-N.log` under `cases/` at its first record,
-//! and one under `corpus/` at its first corpus entry, and never appends
-//! to a log it did not create. It `fdatasync`s its logs every
-//! [`SYNC_EVERY`] records and when it finishes, the corpus log before the
-//! record log, so a corpus entry is durable no later than the record
-//! that names it; it syncs each directory at its first sync, so the
-//! logs' names survive an OS crash too. A process kill loses nothing
-//! that was appended. [`CampaignDir::write_case`] and
-//! [`corpus::save`](crate::corpus::save), for what is published outside
-//! a run, append to one unsynced log per process, `worker-pID-….log`.
+//! creates a fresh `cases/worker-N.log` at its first bundle and never
+//! appends to a log it did not create. It `fdatasync`s its log every
+//! [`SYNC_EVERY`] bundles and when it finishes, and syncs `cases/` at its
+//! first sync, so the log's name survives an OS crash too. A process kill
+//! loses nothing that was appended. [`CampaignDir::write_case`] and
+//! [`corpus::save`](crate::corpus::save), for what is published outside a
+//! run, append one frame at a time to one unsynced log per process,
+//! `worker-pID-….log`, under `cases/` and `corpus/` respectively.
 //!
 //! **Reader.** [`FrameReader`] reads a log frame by frame. A frame that
-//! runs past the end of its log, or one whose checksum fails with
-//! nothing but zero bytes after it (all a crash can leave past the
-//! data), is a torn tail: it is dropped, and its case runs again. A bad
-//! frame anywhere else and a frame over the cap are
-//! [`CampaignError::Corrupt`]; so are two different frames for one case
-//! ([`CaseFrames::scan`]). A writer whose append or sync fails abandons
-//! its log, so nothing is ever appended after a torn frame.
+//! runs past the end of its log, or one whose checksum fails (or whose
+//! kind is unknown) with nothing but zero bytes after it (all a crash can
+//! leave past the data), is a torn tail: it is dropped, and its case runs
+//! again. A bad frame anywhere else and a frame over the cap are
+//! [`CampaignError::Corrupt`]. [`Frames::scan`] reads every log of a
+//! campaign directory in one pass and locates its record, profile and
+//! flight frames by case index and its corpus entries by name. Two
+//! identical frames of one kind for one case are one frame; two different
+//! ones are `Corrupt`. A sidecar or corpus frame whose record is missing
+//! is what a kill mid-bundle leaves: its case re-runs and writes the same
+//! bytes again. A writer whose append or sync fails abandons its log, so
+//! nothing is ever appended after a torn frame.
 //!
 //! **Compaction.** Once a directory holds a record for every case it
 //! owns, [`CampaignDir::compact`] streams every corpus frame, in name
-//! order, into `corpus.log` and every record frame, in index order, into
-//! `cases.log` (each a temp file, synced, renamed) and removes the
-//! worker logs. Every frame is a pure function of `(config, index)`, so
-//! the canonical logs are byte-identical however the campaign ran.
+//! order, into `corpus.log`, and every case's profile, flight and record
+//! frames, in index order, into `cases.log` (each a temp file, synced,
+//! renamed), and removes the worker logs. Every frame is a pure function
+//! of `(config, index)`, so the canonical logs are byte-identical however
+//! the campaign ran.
 
 use crate::error::CampaignError;
 use crate::state::CampaignDir;
 use rtl_core::Fingerprint;
 use rtl_obs::write_atomic;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -64,73 +72,128 @@ use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The largest body a frame may carry, in bytes. A record is about
-/// half a kilobyte and a shrunk corpus entry a few; the cap bounds what a
-/// damaged length can make a reader allocate.
+/// half a kilobyte, a profile or flight log a few and a shrunk corpus
+/// entry a few more; the cap bounds what a damaged length can make a
+/// reader allocate.
 pub const FRAME_CAP: u32 = 1 << 20;
 
-/// A writer `fdatasync`s its logs after this many record frames.
+/// A writer `fdatasync`s its log after this many bundles.
 pub const SYNC_EVERY: u32 = 8;
 
-/// The frame header: body length, key, checksum.
-pub const HEADER: usize = 16;
+/// The frame header: body length, kind, key, checksum.
+pub const HEADER: usize = 20;
 
-/// The canonical record log's file name under `cases/`.
+/// The canonical case log's file name under `cases/`.
 pub const CANONICAL: &str = "cases.log";
 
-/// The checksum of one frame: a [`Fingerprint`] of its key and body.
-pub fn frame_sum(index: u32, record: &[u8]) -> u64 {
+/// What a frame carries. A case's frames sort, and the canonical log
+/// holds them, in declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Kind {
+    /// A case's execution profile, keyed by case index.
+    Profile,
+    /// A case's flight-recorder log, keyed by case index.
+    Flight,
+    /// A case record, keyed by case index: the commit point of its bundle.
+    Record,
+    /// A corpus entry, keyed 0.
+    Corpus,
+}
+
+impl Kind {
+    fn code(self) -> u32 {
+        match self {
+            Kind::Profile => 1,
+            Kind::Flight => 2,
+            Kind::Record => 3,
+            Kind::Corpus => 4,
+        }
+    }
+
+    fn from_code(code: u32) -> Option<Kind> {
+        [Kind::Profile, Kind::Flight, Kind::Record, Kind::Corpus]
+            .into_iter()
+            .find(|kind| kind.code() == code)
+    }
+
+    /// The kind's name in messages.
+    pub fn label(self) -> &'static str {
+        match self {
+            Kind::Profile => "profile",
+            Kind::Flight => "flight log",
+            Kind::Record => "record",
+            Kind::Corpus => "corpus entry",
+        }
+    }
+}
+
+/// The checksum of one frame: a [`Fingerprint`] of its kind, key and
+/// body.
+pub fn frame_sum(kind: Kind, key: u32, body: &[u8]) -> u64 {
     let mut fp = Fingerprint::new();
-    fp.write(&index.to_le_bytes());
-    fp.write(record);
+    fp.write(&kind.code().to_le_bytes());
+    fp.write(&key.to_le_bytes());
+    fp.write(body);
     fp.finish()
 }
 
-/// Appends one frame, keyed `index`, to `out`.
+/// Appends one frame of `kind`, keyed `key`, to `out`.
 ///
 /// # Errors
 ///
 /// A body longer than [`FRAME_CAP`].
-pub fn encode_frame(index: u32, record: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
-    let len = u32::try_from(record.len())
+pub fn encode_frame(kind: Kind, key: u32, body: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
+    let len = u32::try_from(body.len())
         .ok()
         .filter(|&len| len <= FRAME_CAP)
         .ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "the body of frame {index} is {} bytes, over the {FRAME_CAP}-byte frame cap",
-                    record.len()
+                    "the {} frame keyed {key} is {} bytes, over the {FRAME_CAP}-byte frame cap",
+                    kind.label(),
+                    body.len()
                 ),
             )
         })?;
-    out.extend_from_slice(&header(len, index, frame_sum(index, record)));
-    out.extend_from_slice(record);
+    out.extend_from_slice(&header(len, kind, key, frame_sum(kind, key, body)));
+    out.extend_from_slice(body);
     Ok(())
 }
 
 /// A frame header's bytes.
-fn header(len: u32, index: u32, sum: u64) -> [u8; HEADER] {
+fn header(len: u32, kind: Kind, key: u32, sum: u64) -> [u8; HEADER] {
     let mut bytes = [0; HEADER];
     bytes[..4].copy_from_slice(&len.to_le_bytes());
-    bytes[4..8].copy_from_slice(&index.to_le_bytes());
-    bytes[8..].copy_from_slice(&sum.to_le_bytes());
+    bytes[4..8].copy_from_slice(&kind.code().to_le_bytes());
+    bytes[8..12].copy_from_slice(&key.to_le_bytes());
+    bytes[12..].copy_from_slice(&sum.to_le_bytes());
     bytes
 }
 
 /// One frame the reader stepped onto.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
-    /// The case index the header names.
-    pub index: u32,
+    /// What the frame carries.
+    pub kind: Kind,
+    /// The key the header names: a case index, or 0 for a corpus entry.
+    pub key: u32,
     /// Where the frame's header starts in its log.
     pub offset: u64,
-    /// The record's length.
+    /// The body's length.
     pub len: u32,
     /// The header's checksum.
     pub sum: u64,
-    /// Whether the record was read and its checksum verified (see
-    /// [`FrameReader::next`]); [`FrameReader::record`] holds it then.
+    /// Whether the body was read and its checksum verified (see
+    /// [`FrameReader::next`]); [`FrameReader::body`] holds it then.
     pub verified: bool,
+}
+
+impl Frame {
+    /// Where the frame ends in its log: just past its body.
+    pub fn end(&self) -> u64 {
+        self.offset + HEADER as u64 + u64::from(self.len)
+    }
 }
 
 /// Reads one log frame by frame.
@@ -159,17 +222,19 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// The next frame, or `None` at the end of the log or at a dropped
-    /// tail ([`tail`](FrameReader::tail) says which). A frame whose index
-    /// `want` accepts is read and verified, and its record is
-    /// [`record`](FrameReader::record); any other is stepped over
-    /// unread.
+    /// tail ([`tail`](FrameReader::tail) says which). A frame whose kind
+    /// and key `want` accepts is read and verified, and its body is
+    /// [`body`](FrameReader::body); any other is stepped over unread.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Corrupt`] for a frame over [`FRAME_CAP`], or a
-    /// checksum failure with non-zero bytes after it;
+    /// [`CampaignError::Corrupt`] for a frame over [`FRAME_CAP`], or an
+    /// unknown kind or a checksum failure with non-zero bytes after it;
     /// [`CampaignError::Io`] for a failed read.
-    pub fn next(&mut self, want: impl Fn(u32) -> bool) -> Result<Option<Frame>, CampaignError> {
+    pub fn next(
+        &mut self,
+        want: impl Fn(Kind, u32) -> bool,
+    ) -> Result<Option<Frame>, CampaignError> {
         let left = self.len - self.offset;
         if self.tail.is_some() || left == 0 {
             return Ok(None);
@@ -181,46 +246,50 @@ impl<R: Read> FrameReader<R> {
         let mut header = [0u8; HEADER];
         self.src.read_exact(&mut header)?;
         let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
-        let mut frame = Frame {
-            index: word(4),
-            offset: self.offset,
-            len: word(0),
-            sum: u64::from_le_bytes(header[8..].try_into().expect("8 bytes")),
-            verified: false,
-        };
-        if frame.len > FRAME_CAP {
+        let len = word(0);
+        if len > FRAME_CAP {
             return Err(CampaignError::Corrupt(format!(
-                "frame at byte {} claims {} bytes, over the {FRAME_CAP}-byte frame cap",
-                frame.offset, frame.len
+                "frame at byte {} claims {len} bytes, over the {FRAME_CAP}-byte frame cap",
+                self.offset
             )));
         }
-        let end = self.offset + HEADER as u64 + u64::from(frame.len);
+        let end = self.offset + HEADER as u64 + u64::from(len);
         if end > self.len {
             self.tail = Some(self.offset);
             return Ok(None);
         }
-        if want(frame.index) {
+        let Some(kind) = Kind::from_code(word(4)) else {
+            let at = self.offset;
+            return self.bad_frame(left - HEADER as u64, || {
+                format!("frame at byte {at} has unknown kind {}", word(4))
+            });
+        };
+        let mut frame = Frame {
+            kind,
+            key: word(8),
+            offset: self.offset,
+            len,
+            sum: u64::from_le_bytes(header[12..].try_into().expect("8 bytes")),
+            verified: false,
+        };
+        if want(kind, frame.key) {
             self.buf.clear();
-            self.buf.reserve_exact(frame.len as usize);
-            self.buf.resize(frame.len as usize, 0);
+            self.buf.reserve_exact(len as usize);
+            self.buf.resize(len as usize, 0);
             self.src.read_exact(&mut self.buf)?;
-            if frame_sum(frame.index, &self.buf) != frame.sum {
-                if self.only_zeros_remain(self.len - end)? {
-                    self.tail = Some(self.offset);
-                    return Ok(None);
-                }
-                return Err(CampaignError::Corrupt(format!(
-                    "frame at byte {} (case {}) fails its checksum",
-                    frame.offset, frame.index
-                )));
+            if frame_sum(kind, frame.key, &self.buf) != frame.sum {
+                return self.bad_frame(self.len - end, || {
+                    let of = match kind {
+                        Kind::Corpus => kind.label().to_string(),
+                        _ => format!("case {}", frame.key),
+                    };
+                    format!("frame at byte {} ({of}) fails its checksum", frame.offset)
+                });
             }
             frame.verified = true;
         } else {
-            let skipped = io::copy(
-                &mut (&mut self.src).take(u64::from(frame.len)),
-                &mut io::sink(),
-            )?;
-            if skipped < u64::from(frame.len) {
+            let skipped = io::copy(&mut (&mut self.src).take(u64::from(len)), &mut io::sink())?;
+            if skipped < u64::from(len) {
                 return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
             }
         }
@@ -228,25 +297,30 @@ impl<R: Read> FrameReader<R> {
         Ok(Some(frame))
     }
 
-    /// Whether the `rest` bytes after the current frame are all zero:
-    /// nothing was written after it, though a crash may have left the
-    /// log's length past its data.
-    fn only_zeros_remain(&mut self, rest: u64) -> io::Result<bool> {
+    /// A bad frame at the current offset: a dropped tail when the `rest`
+    /// of the log is zeros, which a crash may leave past the data, else
+    /// corruption.
+    fn bad_frame(
+        &mut self,
+        rest: u64,
+        message: impl FnOnce() -> String,
+    ) -> Result<Option<Frame>, CampaignError> {
         let mut rest = (&mut self.src).take(rest);
         let mut chunk = [0u8; 4096];
         loop {
             let n = rest.read(&mut chunk)?;
             if n == 0 {
-                return Ok(true);
+                self.tail = Some(self.offset);
+                return Ok(None);
             }
             if chunk[..n].iter().any(|&b| b != 0) {
-                return Ok(false);
+                return Err(CampaignError::Corrupt(message()));
             }
         }
     }
 
-    /// The record of the last verified frame.
-    pub fn record(&self) -> &[u8] {
+    /// The body of the last verified frame.
+    pub fn body(&self) -> &[u8] {
         &self.buf
     }
 
@@ -256,68 +330,84 @@ impl<R: Read> FrameReader<R> {
         self.tail
     }
 
-    /// The record buffer's capacity: never more than [`FRAME_CAP`].
+    /// The body buffer's capacity: never more than [`FRAME_CAP`].
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
     }
 }
 
-/// Appends record frames, and the corpus frames they name, to worker
-/// logs of its own (see the module docs). Dropping it finishes it,
-/// ignoring errors; call [`finish`](LogWriter::finish) to see them.
+/// Appends whole case bundles to a `cases/worker-N.log` of its own (see
+/// the module docs). Dropping it finishes it, ignoring errors; call
+/// [`finish`](LogWriter::finish) to see them.
 #[derive(Debug)]
 pub struct LogWriter {
     dir: CampaignDir,
-    cases: Log,
-    corpus: Log,
-    frame: Vec<u8>,
-}
-
-/// One worker log a [`LogWriter`] appends to.
-#[derive(Debug)]
-struct Log {
-    /// The directory the log lives in.
-    parent: PathBuf,
     file: Option<File>,
-    /// Frames appended since the last sync.
+    /// Bundles appended since the last sync.
     unsynced: u32,
     dir_synced: bool,
+    buf: Vec<u8>,
 }
 
-impl Log {
-    fn new(parent: PathBuf) -> Log {
-        Log {
-            parent,
+impl LogWriter {
+    /// A writer for `dir`'s `cases/`. It creates its log at its first
+    /// append, so a writer that publishes nothing leaves no file.
+    pub fn new(dir: &CampaignDir) -> LogWriter {
+        LogWriter {
+            dir: dir.clone(),
             file: None,
             unsynced: 0,
             dir_synced: false,
+            buf: Vec::new(),
         }
     }
 
-    /// Appends one encoded frame in one write, creating the log first.
-    fn append(&mut self, frame: &[u8]) -> io::Result<()> {
+    /// The campaign directory the writer publishes into.
+    pub fn dir(&self) -> &CampaignDir {
+        &self.dir
+    }
+
+    /// Appends the frames `encode` writes (into an empty buffer) in one
+    /// write: one case's bundle, record last.
+    ///
+    /// # Errors
+    ///
+    /// An error from `encode`, or file-system failure.
+    pub fn append(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        self.buf.clear();
+        encode(&mut self.buf)?;
         let file = match &mut self.file {
             Some(file) => file,
             None => {
-                let file = create_log(&self.parent)?;
+                let file = create_log(&self.dir.cases())?;
                 // A fresh log's directory entry is not yet durable.
                 self.dir_synced = false;
                 self.file.insert(file)
             }
         };
-        if let Err(e) = file.write_all(frame) {
-            // The write may have left part of the frame: that log now
+        if let Err(e) = file.write_all(&self.buf) {
+            // The write may have left part of the bundle: that log now
             // ends in a torn tail, and the next append starts a new one.
             self.file = None;
             self.unsynced = 0;
             return Err(e);
         }
         self.unsynced += 1;
+        if self.unsynced >= SYNC_EVERY {
+            self.finish()?;
+        }
         Ok(())
     }
 
     /// Syncs whatever was appended since the last sync.
-    fn sync(&mut self) -> io::Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// File-system failure.
+    pub fn finish(&mut self) -> io::Result<()> {
         if self.unsynced == 0 {
             return Ok(());
         }
@@ -329,69 +419,11 @@ impl Log {
                 return Err(e);
             }
             if !self.dir_synced {
-                sync_dir(&self.parent)?;
+                sync_dir(&self.dir.cases())?;
                 self.dir_synced = true;
             }
         }
         Ok(())
-    }
-}
-
-impl LogWriter {
-    /// A writer for `dir`'s `cases/` and `corpus/`. It creates each log
-    /// at its first append, so a writer that publishes nothing leaves no
-    /// file.
-    pub fn new(dir: &CampaignDir) -> LogWriter {
-        LogWriter {
-            dir: dir.clone(),
-            cases: Log::new(dir.cases()),
-            corpus: Log::new(dir.corpus()),
-            frame: Vec::new(),
-        }
-    }
-
-    /// The campaign directory the writer publishes into.
-    pub fn dir(&self) -> &CampaignDir {
-        &self.dir
-    }
-
-    /// Appends case `index`'s record as one frame, in one write.
-    ///
-    /// # Errors
-    ///
-    /// A record over [`FRAME_CAP`], or file-system failure.
-    pub fn append(&mut self, index: u32, record: &[u8]) -> io::Result<()> {
-        self.frame.clear();
-        encode_frame(index, record, &mut self.frame)?;
-        self.cases.append(&self.frame)?;
-        if self.cases.unsynced >= SYNC_EVERY {
-            self.finish()?;
-        }
-        Ok(())
-    }
-
-    /// Appends one corpus entry's frame (a body from
-    /// [`corpus::encode_entry`](crate::corpus::encode_entry)), in one
-    /// write. It is synced no later than the next record frame.
-    ///
-    /// # Errors
-    ///
-    /// A body over [`FRAME_CAP`], or file-system failure.
-    pub fn append_entry(&mut self, body: &[u8]) -> io::Result<()> {
-        self.frame.clear();
-        encode_frame(0, body, &mut self.frame)?;
-        self.corpus.append(&self.frame)
-    }
-
-    /// Syncs whatever was appended since the last sync: the corpus log
-    /// first, so no record is durable before the entry it names.
-    ///
-    /// # Errors
-    ///
-    /// File-system failure.
-    pub fn finish(&mut self) -> io::Result<()> {
-        self.corpus.sync()?;
-        self.cases.sync()
     }
 }
 
@@ -407,9 +439,9 @@ impl Drop for LogWriter {
 /// goes out in one `write` on a log opened for appending, so the kernel
 /// places each frame whole after every other thread's; a short write
 /// bumps the log's generation, so no frame ever follows a torn one.
-pub(crate) fn append_direct(parent: &Path, index: u32, record: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(HEADER + record.len());
-    encode_frame(index, record, &mut frame)?;
+pub(crate) fn append_direct(parent: &Path, kind: Kind, key: u32, body: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(HEADER + body.len());
+    encode_frame(kind, key, body, &mut frame)?;
     let generation = DIRECT_GENERATION.load(Ordering::Relaxed);
     let name = format!("worker-{}-{generation}.log", direct_tag());
     let mut file = File::options()
@@ -426,7 +458,7 @@ pub(crate) fn append_direct(parent: &Path, index: u32, record: &[u8]) -> io::Res
         );
         return Err(io::Error::new(
             io::ErrorKind::WriteZero,
-            format!("frame {index} was cut short"),
+            format!("the {} frame keyed {key} was cut short", kind.label()),
         ));
     }
     Ok(())
@@ -446,6 +478,12 @@ fn direct_tag() -> &'static str {
             .map_or(0, |since| since.as_nanos());
         format!("p{}-{nanos:x}", std::process::id())
     })
+}
+
+/// Whether `log` is a direct log ([`append_direct`]).
+pub(crate) fn is_direct(log: &Path) -> bool {
+    log.file_name()
+        .is_some_and(|name| name.to_string_lossy().starts_with("worker-p"))
 }
 
 /// The next `worker-N.log` number [`create_log`] tries. It is shared by
@@ -470,53 +508,33 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// The logs under `parent`: the canonical log `canonical` first, then
-/// the worker logs by name. A missing `parent` holds none.
-///
-/// # Errors
-///
-/// File-system failure.
-pub fn list_logs(parent: &Path, canonical: &str) -> Result<Vec<PathBuf>, CampaignError> {
-    let listing = match std::fs::read_dir(parent) {
-        Ok(listing) => listing,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut workers = Vec::new();
-    for dirent in listing {
-        let name = dirent?.file_name().to_string_lossy().into_owned();
-        if name.starts_with("worker-") && name.ends_with(".log") {
-            workers.push(name);
+/// The worker logs under `dir`'s `cases/`, then under its `corpus/`,
+/// each by name. A missing directory holds none.
+fn worker_logs(dir: &CampaignDir) -> Result<Vec<PathBuf>, CampaignError> {
+    let mut logs = Vec::new();
+    for parent in [dir.cases(), dir.corpus()] {
+        let listing = match std::fs::read_dir(&parent) {
+            Ok(listing) => listing,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let mut workers = Vec::new();
+        for dirent in listing {
+            let name = dirent?.file_name().to_string_lossy().into_owned();
+            if name.starts_with("worker-") && name.ends_with(".log") {
+                workers.push(name);
+            }
         }
+        workers.sort();
+        logs.extend(workers.into_iter().map(|name| parent.join(name)));
     }
-    workers.sort();
-    let path = parent.join(canonical);
-    let mut logs: Vec<PathBuf> = Vec::new();
-    if path.exists() {
-        logs.push(path);
-    }
-    logs.extend(workers.into_iter().map(|name| parent.join(name)));
     Ok(logs)
-}
-
-/// Reads `frame` (header and body) back from `log` into `buf`: `false`
-/// when the bytes there are no longer the frame a scan verified.
-pub(crate) fn reread(log: &mut File, frame: &Frame, buf: &mut Vec<u8>) -> io::Result<bool> {
-    log.seek(SeekFrom::Start(frame.offset))?;
-    buf.resize(HEADER + frame.len as usize, 0);
-    log.read_exact(buf)?;
-    Ok(buf[..HEADER] == header(frame.len, frame.index, frame.sum)
-        && frame_sum(frame.index, &buf[HEADER..]) == frame.sum)
 }
 
 /// Publishes the canonical log `parent/canonical`: `write` streams it
 /// into a temp file, which is synced and renamed over it, and `parent`
 /// is synced.
-///
-/// # Errors
-///
-/// An error from `write`, or file-system failure.
-pub(crate) fn write_canonical(
+fn write_canonical(
     parent: &Path,
     canonical: &str,
     write: impl FnOnce(&mut BufWriter<File>) -> Result<(), CampaignError>,
@@ -542,195 +560,317 @@ pub(crate) fn write_canonical(
     Ok(())
 }
 
-/// Where one case's frame lies.
+/// Where one frame lies.
 #[derive(Debug, Clone, Copy)]
-struct At {
-    log: usize,
+pub(crate) struct At {
+    pub(crate) log: usize,
     frame: Frame,
 }
 
-/// The record frames of campaign logs, by case index: which log holds
-/// each case's frame, and where.
-#[derive(Debug)]
-pub struct CaseFrames {
-    logs: Vec<PathBuf>,
-    at: Vec<Option<At>>,
+/// Where a corpus entry's frame lies, and the entry's fingerprint.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Located {
+    pub(crate) at: At,
+    pub(crate) fingerprint: u64,
 }
 
-impl CaseFrames {
-    /// The logs under `dir`'s `cases/`: the canonical log first, then the
-    /// worker logs by name. A missing `cases/` holds none.
+/// The frames of a campaign directory's logs, located by one
+/// [`scan`](Frames::scan): each case's record, profile and flight frames
+/// by case index, and each corpus entry by name. Only positions are
+/// kept; bodies are read back on demand.
+#[derive(Debug, Default)]
+pub struct Frames {
+    pub(crate) logs: Vec<PathBuf>,
+    /// The record, profile and flight frames, by case and kind.
+    cases: BTreeMap<(u32, Kind), At>,
+    pub(crate) entries: BTreeMap<String, Located>,
+}
+
+impl Frames {
+    /// The logs under `dir`'s `cases/` and `corpus/`: the canonical logs
+    /// first, then the worker logs of `cases/` and of `corpus/` by name.
+    /// When two corpus frames carry one name, the later one replaces the
+    /// earlier, as a later file replaced an earlier one.
     ///
     /// # Errors
     ///
     /// File-system failure.
     pub fn logs(dir: &CampaignDir) -> Result<Vec<PathBuf>, CampaignError> {
-        list_logs(&dir.cases(), CANONICAL)
+        let canonical = [
+            dir.cases().join(CANONICAL),
+            dir.corpus().join(crate::corpus::CANONICAL),
+        ];
+        let mut logs: Vec<PathBuf> = canonical.into_iter().filter(|log| log.exists()).collect();
+        logs.extend(worker_logs(dir)?);
+        Ok(logs)
     }
 
-    /// Scans every log under `dir` for a campaign of `cases` cases. Each
-    /// frame of a case in `range` is verified, and `visit` sees its
-    /// record once; frames of other cases are stepped over unread, so a
-    /// ranged scan neither parses nor judges them.
+    /// Reads every log under `dir` once ([`logs`](Frames::logs)). Each
+    /// record, profile and flight frame of a case in `range` is verified,
+    /// and `visit` sees each record once; the case frames of other cases
+    /// are stepped over unread. Every corpus frame is verified and
+    /// decoded, and its metadata's `design_fp` must be the fingerprint
+    /// it is keyed by. A torn tail is dropped; a missing directory holds
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// A bad frame that is not a torn tail, a frame for a case outside
-    /// the campaign, two different frames for one case in `range`, an
+    /// A bad frame that is not a torn tail, two different frames of one
+    /// kind for one case in `range`, a corpus frame that does not decode
+    /// or whose `design_fp` is missing, malformed or not its key, an
     /// error from `visit`, or file-system failure.
     pub fn scan(
         dir: &CampaignDir,
-        cases: u32,
         range: Range<u32>,
         mut visit: impl FnMut(u32, &[u8]) -> Result<(), CampaignError>,
-    ) -> Result<CaseFrames, CampaignError> {
-        let logs = Self::logs(dir)?;
-        let mut at: Vec<Option<At>> = vec![None; cases as usize];
-        for (log, path) in logs.iter().enumerate() {
+    ) -> Result<Frames, CampaignError> {
+        let mut frames = Frames {
+            logs: Frames::logs(dir)?,
+            ..Frames::default()
+        };
+        for (log, path) in frames.logs.iter().enumerate() {
             let corrupt = |m: String| CampaignError::Corrupt(format!("{}: {m}", path.display()));
             let file = File::open(path)?;
             let len = file.metadata()?.len();
             let mut reader = FrameReader::new(BufReader::new(file), len);
-            while let Some(frame) =
-                reader
-                    .next(|index| range.contains(&index))
-                    .map_err(|e| match e {
-                        CampaignError::Corrupt(m) => corrupt(m),
-                        other => other,
-                    })?
+            while let Some(frame) = reader
+                .next(|kind, key| kind == Kind::Corpus || range.contains(&key))
+                .map_err(|e| match e {
+                    CampaignError::Corrupt(m) => corrupt(m),
+                    other => other,
+                })?
             {
-                let slot = at.get_mut(frame.index as usize).ok_or_else(|| {
-                    corrupt(format!(
-                        "a record for case {}, outside the campaign's {cases} case(s)",
-                        frame.index
-                    ))
-                })?;
-                match slot {
-                    Some(first)
+                let at = At { log, frame };
+                if frame.kind == Kind::Corpus {
+                    let (name, fingerprint) = crate::corpus::check_frame(frame.key, reader.body())
+                        .map_err(|m| {
+                            corrupt(format!("the corpus frame at byte {}: {m}", frame.offset))
+                        })?;
+                    frames.entries.insert(name, Located { at, fingerprint });
+                    continue;
+                }
+                match frames.cases.entry((frame.key, frame.kind)) {
+                    Entry::Occupied(first) => {
+                        let first = first.get();
                         if frame.verified
-                            && (first.frame.len, first.frame.sum) != (frame.len, frame.sum) =>
-                    {
-                        return Err(corrupt(format!(
-                            "case {} has a different record in {}",
-                            frame.index,
-                            logs[first.log].display()
-                        )));
+                            && (first.frame.len, first.frame.sum) != (frame.len, frame.sum)
+                        {
+                            return Err(corrupt(format!(
+                                "case {} has a different {} in {}",
+                                frame.key,
+                                frame.kind.label(),
+                                frames.logs[first.log].display()
+                            )));
+                        }
                     }
-                    Some(_) => {}
-                    None => {
-                        *slot = Some(At { log, frame });
-                        if frame.verified {
-                            visit(frame.index, reader.record())?;
+                    Entry::Vacant(empty) => {
+                        empty.insert(at);
+                        if frame.verified && frame.kind == Kind::Record {
+                            visit(frame.key, reader.body())?;
                         }
                     }
                 }
             }
         }
-        Ok(CaseFrames { logs, at })
+        Ok(frames)
     }
 
-    /// Whether case `index` has a frame.
+    /// Whether case `index` has a record.
     pub fn contains(&self, index: u32) -> bool {
-        matches!(self.at.get(index as usize), Some(Some(_)))
+        self.cases.contains_key(&(index, Kind::Record))
     }
 
-    /// Every case with a frame, ascending.
-    pub fn indices(&self) -> impl Iterator<Item = u32> + '_ {
-        self.at
-            .iter()
-            .enumerate()
-            .filter(|(_, at)| at.is_some())
-            .map(|(index, _)| index as u32)
+    /// Every case with a frame, ascending, once per frame.
+    pub fn indices(&self) -> impl DoubleEndedIterator<Item = u32> + '_ {
+        self.cases.keys().map(|&(index, _)| index)
     }
 
-    /// Takes over `other`'s frames (a merge gathering its shards). The
-    /// two must cover disjoint cases of one campaign.
-    pub fn absorb(&mut self, other: CaseFrames) {
+    /// Takes over `other`'s case frames and the corpus entries of
+    /// `other` that `keep` accepts and that have no name here yet (a
+    /// merge gathering its shards). The two must cover disjoint cases of
+    /// one campaign.
+    pub fn absorb(&mut self, other: Frames, keep: impl Fn(&str) -> bool) {
         let base = self.logs.len();
         self.logs.extend(other.logs);
-        for (slot, theirs) in self.at.iter_mut().zip(other.at) {
-            if let Some(At { log, frame }) = theirs {
-                slot.get_or_insert(At {
-                    log: base + log,
-                    frame,
+        let rebase = |at: At| At {
+            log: base + at.log,
+            ..at
+        };
+        for (key, at) in other.cases {
+            self.cases.entry(key).or_insert(rebase(at));
+        }
+        for (name, located) in other.entries {
+            if keep(&name) {
+                self.entries.entry(name).or_insert(Located {
+                    at: rebase(located.at),
+                    ..located
                 });
             }
         }
     }
 
-    /// Streams every frame, in case order, into `dir`'s canonical log:
-    /// a temp file, synced, renamed over `cases.log`, and the directory
-    /// synced. Each frame is read back and verified on the way.
+    /// Reads back the profile, flight log and record of every case in
+    /// `range` that has a frame, in case order, for `each`.
+    ///
+    /// # Errors
+    ///
+    /// A frame that changed since the scan or is not UTF-8, an error
+    /// from `each`, or file-system failure.
+    pub fn each_case(
+        &self,
+        range: Range<u32>,
+        mut each: impl FnMut(u32, [Option<String>; 3]) -> Result<(), CampaignError>,
+    ) -> Result<(), CampaignError> {
+        let mut reread = self.reread();
+        let mut case: Option<(u32, [Option<String>; 3])> = None;
+        let first = (range.start, Kind::Profile);
+        for (&(index, kind), at) in self.cases.range(first..(range.end, Kind::Profile)) {
+            if let Some((done, texts)) = case.take_if(|(open, _)| *open != index) {
+                each(done, texts)?;
+            }
+            let body = reread.frame(at)?[HEADER..].to_vec();
+            let text = String::from_utf8(body).map_err(|_| {
+                CampaignError::Corrupt(format!(
+                    "{}: case {index}'s {} is not UTF-8",
+                    self.logs[at.log].display(),
+                    kind.label()
+                ))
+            })?;
+            case.get_or_insert((index, [None, None, None])).1[kind as usize] = Some(text);
+        }
+        match case {
+            Some((index, texts)) => each(index, texts),
+            None => Ok(()),
+        }
+    }
+
+    /// Streams every frame into `dir`'s canonical logs, each read back
+    /// and verified on the way: the corpus entries, by name, into
+    /// `corpus/corpus.log`, then each case's profile, flight and record
+    /// frames, by index, into `cases/cases.log`. A log with nothing to
+    /// hold is not written.
     ///
     /// # Errors
     ///
     /// A frame that changed since the scan, or file-system failure.
     pub fn write_canonical(&self, dir: &CampaignDir) -> Result<(), CampaignError> {
-        write_canonical(&dir.cases(), CANONICAL, |out| {
-            let mut sources: Vec<Option<File>> = self.logs.iter().map(|_| None).collect();
-            let mut frame = Vec::new();
-            for at in self.at.iter().flatten() {
-                let source = match &mut sources[at.log] {
-                    Some(file) => file,
-                    slot => slot.insert(File::open(&self.logs[at.log])?),
-                };
-                if !reread(source, &at.frame, &mut frame)? {
-                    return Err(CampaignError::Corrupt(format!(
-                        "{}: case {}'s frame changed since it was scanned",
-                        self.logs[at.log].display(),
-                        at.frame.index
-                    )));
+        let mut reread = self.reread();
+        if !self.entries.is_empty() {
+            write_canonical(&dir.corpus(), crate::corpus::CANONICAL, |out| {
+                for located in self.entries.values() {
+                    out.write_all(reread.frame(&located.at)?)?;
                 }
-                out.write_all(&frame)?;
-            }
-            Ok(())
-        })
+                Ok(())
+            })?;
+        }
+        if !self.cases.is_empty() {
+            write_canonical(&dir.cases(), CANONICAL, |out| {
+                for at in self.cases.values() {
+                    out.write_all(reread.frame(at)?)?;
+                }
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
+
+    /// A reader of this scan's frames.
+    pub(crate) fn reread(&self) -> Reread<'_> {
+        Reread {
+            logs: &self.logs,
+            files: self.logs.iter().map(|_| None).collect(),
+            buf: Vec::new(),
+        }
+    }
+}
+
+/// Reads frames a scan located back from their logs, each log opened
+/// once.
+pub(crate) struct Reread<'a> {
+    logs: &'a [PathBuf],
+    files: Vec<Option<File>>,
+    buf: Vec<u8>,
+}
+
+impl Reread<'_> {
+    /// The frame at `at`, header and body.
+    ///
+    /// # Errors
+    ///
+    /// A frame that is no longer the one the scan saw, or file-system
+    /// failure.
+    pub(crate) fn frame(&mut self, at: &At) -> Result<&[u8], CampaignError> {
+        let log = match &mut self.files[at.log] {
+            Some(file) => file,
+            slot => slot.insert(File::open(&self.logs[at.log])?),
+        };
+        let Frame {
+            kind,
+            key,
+            offset,
+            len,
+            sum,
+            ..
+        } = at.frame;
+        log.seek(SeekFrom::Start(offset))?;
+        self.buf.resize(HEADER + len as usize, 0);
+        log.read_exact(&mut self.buf)?;
+        if self.buf[..HEADER] != header(len, kind, key, sum)
+            || frame_sum(kind, key, &self.buf[HEADER..]) != sum
+        {
+            return Err(CampaignError::Corrupt(format!(
+                "{}: the {} frame at byte {offset} changed since it was scanned",
+                self.logs[at.log].display(),
+                kind.label()
+            )));
+        }
+        Ok(&self.buf)
     }
 }
 
 impl CampaignDir {
-    /// Compacts the corpus and record logs of a campaign of `cases` cases
-    /// into the canonical `corpus/corpus.log` and `cases/cases.log` and
-    /// removes the worker logs (see the [module docs](crate::caselog)).
-    /// Callers compact once the directory holds a record for every case
-    /// it owns. A directory with no worker log is already compact and is
-    /// left alone.
+    /// Compacts the logs of a campaign of `cases` cases into the canonical
+    /// `corpus/corpus.log` and `cases/cases.log` and removes the worker
+    /// logs (see the [module docs](crate::caselog)). Callers compact once
+    /// the directory holds a record for every case it owns. A directory
+    /// with no worker log is already compact and is left alone.
     ///
     /// # Errors
     ///
     /// A corrupt log, or file-system failure.
     pub fn compact(&self, cases: u32) -> Result<(), CampaignError> {
-        crate::corpus::compact(&self.corpus())?;
-        let logs = CaseFrames::logs(self)?;
-        let canonical = self.cases().join(CANONICAL);
-        if logs.iter().all(|log| *log == canonical) {
+        if worker_logs(self)?.is_empty() {
             return Ok(());
         }
-        let frames = CaseFrames::scan(self, cases, 0..cases, |_, _| Ok(()))?;
-        frames.write_canonical(self)?;
-        remove_worker_logs(&self.cases(), CANONICAL)?;
+        self.frames(cases, 0..cases, |_, _| Ok(()))?
+            .write_canonical(self)?;
+        self.remove_worker_logs()?;
+        sync_dir(&self.corpus())?;
         sync_dir(&self.cases())?;
         Ok(())
     }
 
     /// Removes every worker log under `cases/` and `corpus/`, leaving
-    /// the canonical logs and the sidecars alone: for a directory whose
-    /// records and entries are compacted or held elsewhere.
+    /// the canonical logs alone: for a directory whose frames are
+    /// compacted or held elsewhere.
     ///
     /// # Errors
     ///
     /// File-system failure.
     pub fn remove_worker_logs(&self) -> Result<(), CampaignError> {
-        remove_worker_logs(&self.corpus(), crate::corpus::CANONICAL)?;
-        remove_worker_logs(&self.cases(), CANONICAL)
+        for log in worker_logs(self)? {
+            std::fs::remove_file(log)?;
+        }
+        Ok(())
     }
 
-    /// Renders every case record of the campaign in this directory as a
-    /// `case-NNNNNN.json` file at `out`'s [`case_path`](CampaignDir::case_path),
-    /// and every corpus entry as `<name>.asim`, `.stim`, `.ckpt` and
-    /// `.json` files under `out`'s `corpus/`, each through
-    /// [`write_atomic`]: the bytes a campaign that kept one file per
-    /// record and per corpus document published. Returns how many
+    /// Renders every case of the campaign in this directory as files at
+    /// `out`: its record as `case-NNNNNN.json` at `out`'s
+    /// [`case_path`](CampaignDir::case_path), its profile and flight log,
+    /// when it has them, at [`profile_path`](CampaignDir::profile_path)
+    /// and [`flight_path`](CampaignDir::flight_path), and every corpus
+    /// entry as `<name>.asim`, `.stim`, `.ckpt` and `.json` files under
+    /// `out`'s `corpus/`, each through [`write_atomic`]. Returns how many
     /// records and entries were exported.
     ///
     /// # Errors
@@ -739,15 +879,24 @@ impl CampaignDir {
     /// failure.
     pub fn export(&self, out: &CampaignDir) -> Result<(u32, u32), CampaignError> {
         let cases = self.load()?.cases;
-        let corpus = crate::corpus::CorpusFrames::scan(&self.corpus())?;
+        let frames = self.frames(cases, 0..cases, |_, _| Ok(()))?;
         let mut records = 0;
-        CaseFrames::scan(self, cases, 0..cases, |index, record| {
-            write_atomic(&out.case_path(index), record)?;
-            records += 1;
+        frames.each_case(0..cases, |index, [profile, flight, record]| {
+            let paths = [
+                out.profile_path(index),
+                out.flight_path(index),
+                out.case_path(index),
+            ];
+            for (path, text) in paths.iter().zip([&profile, &flight, &record]) {
+                if let Some(text) = text {
+                    write_atomic(path, text.as_bytes())?;
+                }
+            }
+            records += u32::from(record.is_some());
             Ok(())
         })?;
         let mut entries = 0;
-        corpus.each(|name, files| {
+        frames.each_entry(|name, files| {
             for (ext, text) in files.documents() {
                 write_atomic(&out.corpus().join(format!("{name}.{ext}")), text.as_bytes())?;
             }
@@ -758,24 +907,28 @@ impl CampaignDir {
     }
 }
 
-/// Removes every worker log under `parent`.
-pub(crate) fn remove_worker_logs(parent: &Path, canonical: &str) -> Result<(), CampaignError> {
-    let path = parent.join(canonical);
-    for log in list_logs(parent, canonical)? {
-        if log != path {
-            std::fs::remove_file(log)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn record(buf: &mut Vec<u8>, index: u32) -> io::Result<()> {
+        encode_frame(Kind::Record, index, b"{}", buf)
+    }
+
+    /// The records a scan of `dir` visits.
+    fn records(dir: &CampaignDir) -> Vec<(u32, Vec<u8>)> {
+        let mut seen = Vec::new();
+        Frames::scan(dir, 0..u32::MAX, |index, record| {
+            seen.push((index, record.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        seen
+    }
+
     /// A writer whose append fails (here ENOSPC, from a log that is the
     /// full device) abandons that log: its next append starts a fresh
-    /// worker log, so nothing lands after a frame the failure may have
+    /// worker log, so nothing lands after a bundle the failure may have
     /// torn, the fresh log's directory entry is synced at its first sync,
     /// and the scan reads both records back.
     #[test]
@@ -790,24 +943,18 @@ mod tests {
         let dir = CampaignDir::new(&root);
         std::fs::create_dir_all(dir.cases()).unwrap();
         let mut log = LogWriter::new(&dir);
-        log.append(1, b"{}").unwrap();
+        log.append(|buf| record(buf, 1)).unwrap();
         log.finish().unwrap();
-        assert!(log.cases.dir_synced);
-        log.cases.file = Some(File::options().append(true).open(full).unwrap());
-        let err = log.append(3, b"{}").unwrap_err();
+        assert!(log.dir_synced);
+        log.file = Some(File::options().append(true).open(full).unwrap());
+        let err = log.append(|buf| record(buf, 3)).unwrap_err();
         assert_eq!(err.raw_os_error(), Some(28), "ENOSPC: {err}");
-        log.append(3, b"{}").unwrap();
-        assert!(!log.cases.dir_synced);
+        log.append(|buf| record(buf, 3)).unwrap();
+        assert!(!log.dir_synced);
         log.finish().unwrap();
-        assert!(log.cases.dir_synced);
-        let mut seen = Vec::new();
-        CaseFrames::scan(&dir, 4, 0..4, |index, record| {
-            seen.push((index, record.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(seen, [(1, b"{}".to_vec()), (3, b"{}".to_vec())]);
-        assert_eq!(CaseFrames::logs(&dir).unwrap().len(), 2);
+        assert!(log.dir_synced);
+        assert_eq!(records(&dir), [(1, b"{}".to_vec()), (3, b"{}".to_vec())]);
+        assert_eq!(Frames::logs(&dir).unwrap().len(), 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -825,20 +972,56 @@ mod tests {
                 let dir = &dir;
                 scope.spawn(move || {
                     for index in (thread..200).step_by(4) {
-                        append_direct(&dir.cases(), index, record(index).as_bytes()).unwrap();
+                        let body = record(index);
+                        append_direct(&dir.cases(), Kind::Record, index, body.as_bytes()).unwrap();
                     }
                 });
             }
         });
-        let mut seen = 0;
-        CaseFrames::scan(&dir, 200, 0..200, |index, bytes| {
+        let seen = records(&dir);
+        assert_eq!(seen.len(), 200);
+        for (index, bytes) in seen {
             assert_eq!(bytes, record(index).as_bytes());
-            seen += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(seen, 200);
-        assert_eq!(CaseFrames::logs(&dir).unwrap().len(), 1);
+        }
+        assert_eq!(Frames::logs(&dir).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A sidecar follows the record rule: an identical second frame is
+    /// the same frame, a different one is corrupt.
+    #[test]
+    fn a_different_sidecar_for_one_case_is_corrupt() {
+        let root =
+            std::env::temp_dir().join(format!("asim2-caselog-sidecar-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = CampaignDir::new(&root);
+        std::fs::create_dir_all(dir.cases()).unwrap();
+        let mut log = LogWriter::new(&dir);
+        let profile = |text: &'static [u8]| {
+            move |buf: &mut Vec<u8>| {
+                encode_frame(Kind::Profile, 2, text, buf)?;
+                record(buf, 2)
+            }
+        };
+        log.append(profile(b"a")).unwrap();
+        log.append(profile(b"a")).unwrap();
+        log.finish().unwrap();
+        let frames = Frames::scan(&dir, 0..4, |_, _| Ok(())).unwrap();
+        let mut texts = Vec::new();
+        frames
+            .each_case(0..4, |index, texts_of| {
+                texts.push((index, texts_of));
+                Ok(())
+            })
+            .unwrap();
+        let expected = [Some("a".to_string()), None, Some("{}".to_string())];
+        assert_eq!(texts, [(2, expected)]);
+        log.append(profile(b"b")).unwrap();
+        log.finish().unwrap();
+        let err = Frames::scan(&dir, 0..4, |_, _| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("different profile"), "{err}");
+        // Out of range, the frames are stepped over unread and unjudged.
+        Frames::scan(&dir, 3..4, |_, _| Ok(())).unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -12,20 +12,21 @@
 //!                and shrink provenance
 //! ```
 //!
-//! A campaign keeps each entry as one checksummed frame in a log under
-//! its `corpus/` ([`caselog`]): the frame is keyed by the entry's
-//! [`entry_fingerprint`], and its body carries the entry name and the
-//! four documents verbatim ([`encode_entry`]). A run's writers append
-//! to `corpus/worker-N.log`; compaction streams every entry, in name
-//! order, into `corpus/corpus.log` ([`CANONICAL`]). A `corpus.log` copied
-//! into another campaign's `corpus/` pre-seeds it. `asim2 campaign
-//! export` renders each entry back out as the four files above.
+//! A campaign keeps each entry as one checksummed frame in a log
+//! ([`caselog`]): its body leads with the entry's [`entry_fingerprint`]
+//! and carries the entry name and the four documents verbatim
+//! ([`encode_entry`]). A run's writers append it to `cases/worker-N.log`
+//! in the bundle of the case that found it; compaction streams every
+//! entry, in name order, into `corpus/corpus.log` ([`CANONICAL`]). A
+//! `corpus.log` copied into another campaign's `corpus/` pre-seeds it.
+//! `asim2 campaign export` renders each entry back out as the four files
+//! above.
 //!
 //! Archiving is deduplicated by fingerprint against a [`CorpusIndex`]
-//! built once per run from one [scan](CorpusFrames::scan) of the logs.
-//! When two frames carry one name, the later one (canonical log first,
-//! then the worker logs by name) replaces the earlier, as a later file
-//! replaced an earlier one.
+//! built once per run from one [scan](Frames::scan) of the logs, which
+//! sees entries wherever they are. When two frames carry one name, the
+//! later one ([`Frames::logs`] order) replaces the earlier, as a later
+//! file replaced an earlier one.
 //!
 //! The `.ckpt` document reuses [`rtl_core::write_checkpoint`] verbatim:
 //! its design fingerprint ties the checkpoint to the `.asim` beside it (a
@@ -33,18 +34,17 @@
 //! the recomputed reference state byte-for-byte before trusting the entry.
 
 use crate::bundle::{BundleEntry, CorpusFiles};
-use crate::caselog::{self, Frame, FrameReader, FRAME_CAP};
+use crate::caselog::{self, Frames, Kind, FRAME_CAP, HEADER};
 use crate::error::CampaignError;
 use crate::shrink::Shrunk;
-use crate::state::LaneAccess;
+use crate::state::{CampaignDir, LaneAccess};
 use rtl_core::{read_checkpoint, write_checkpoint, Design, Session, Until, Word};
 use rtl_cosim::{CosimOptions, DivergenceKind, ScenarioResult};
 use rtl_interp::Interpreter;
 use rtl_machines::Scenario;
 use rtl_obs::json::Json;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::File;
-use std::io::{self, BufReader, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::SystemTime;
@@ -198,87 +198,25 @@ pub fn decode_entry(body: &[u8]) -> Result<(u64, String, CorpusFiles), String> {
     Ok((fingerprint, name, files))
 }
 
-/// Where one entry's frame lies.
-#[derive(Debug, Clone, Copy)]
-struct Located {
-    log: usize,
-    frame: Frame,
-    fingerprint: u64,
+/// Checks one corpus frame for a scan ([`Frames::scan`]): it is keyed 0,
+/// its body decodes, and its metadata's `design_fp` is the fingerprint
+/// the body leads with. Returns the entry's name and fingerprint.
+pub(crate) fn check_frame(key: u32, body: &[u8]) -> Result<(String, u64), String> {
+    if key != 0 {
+        return Err(format!("it is keyed {key}, not 0"));
+    }
+    let (fingerprint, name, files) = decode_entry(body)?;
+    let meta = Json::parse(&files.meta).map_err(|m| format!("{name}.json: {m}"))?;
+    if stored_fingerprint(&meta).map_err(|m| format!("{name}.json: {m}"))? != fingerprint {
+        return Err(format!(
+            "{name}.json: design_fp is not the fingerprint its frame is keyed by"
+        ));
+    }
+    Ok((name, fingerprint))
 }
 
-/// The corpus frames of one or more `corpus/` directories, by entry
-/// name: which log holds each entry's frame, and where. Only positions
-/// are kept; the documents are read back on demand.
-#[derive(Debug, Default)]
-pub struct CorpusFrames {
-    logs: Vec<PathBuf>,
-    entries: BTreeMap<String, Located>,
-}
-
-impl CorpusFrames {
-    /// Reads every corpus log under `corpus_dir` once: each frame is
-    /// verified and decoded, and its metadata's `design_fp` must be the
-    /// fingerprint the frame is keyed by. A torn tail is dropped; a
-    /// missing directory is an empty corpus.
-    ///
-    /// # Errors
-    ///
-    /// A bad frame that is not a torn tail, a body that does not decode,
-    /// a `design_fp` that is missing, malformed or not the frame's key,
-    /// or file-system failure.
-    pub fn scan(corpus_dir: &Path) -> Result<CorpusFrames, CampaignError> {
-        let logs = caselog::list_logs(corpus_dir, CANONICAL)?;
-        let mut entries = BTreeMap::new();
-        for (log, path) in logs.iter().enumerate() {
-            let corrupt = |m: String| CampaignError::Corrupt(format!("{}: {m}", path.display()));
-            let file = File::open(path)?;
-            let len = file.metadata()?.len();
-            let mut reader = FrameReader::new(BufReader::new(file), len);
-            while let Some(frame) = reader.next(|_| true).map_err(|e| match e {
-                CampaignError::Corrupt(m) => corrupt(m),
-                other => other,
-            })? {
-                let at = frame.offset;
-                if frame.index != 0 {
-                    return Err(corrupt(format!(
-                        "the frame at byte {at} is keyed {}, not as a corpus entry",
-                        frame.index
-                    )));
-                }
-                let (fingerprint, name, files) = decode_entry(reader.record())
-                    .map_err(|m| corrupt(format!("the frame at byte {at}: {m}")))?;
-                let meta =
-                    Json::parse(&files.meta).map_err(|m| corrupt(format!("{name}.json: {m}")))?;
-                if stored_fingerprint(&meta).map_err(|m| corrupt(format!("{name}.json: {m}")))?
-                    != fingerprint
-                {
-                    return Err(corrupt(format!(
-                        "{name}.json: design_fp is not the fingerprint its frame is keyed by"
-                    )));
-                }
-                entries.insert(
-                    name,
-                    Located {
-                        log,
-                        frame,
-                        fingerprint,
-                    },
-                );
-            }
-        }
-        Ok(CorpusFrames { logs, entries })
-    }
-
-    /// How many entries there are.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
+/// The corpus entries a scan located, by name.
+impl Frames {
     /// Every entry name, sorted.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
@@ -286,34 +224,37 @@ impl CorpusFrames {
 
     /// Every entry's fingerprint, in name order.
     pub fn fingerprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.values().map(|at| at.fingerprint)
+        self.entries.values().map(|located| located.fingerprint)
     }
 
-    /// The deduplication index of these entries: fingerprint → name.
+    /// The deduplication index of the entries: fingerprint → name.
     pub fn index(&self) -> CorpusIndex {
         let by_fingerprint = self
             .entries
             .iter()
-            .map(|(name, at)| (at.fingerprint, name.clone()))
+            .map(|(name, located)| (located.fingerprint, name.clone()))
             .collect();
         CorpusIndex(Mutex::new(by_fingerprint))
     }
 
-    /// Entry `name`'s documents, read back from its log; `None` when
-    /// there is no such entry.
+    /// Entry `name`, read back from its log; `None` when there is no
+    /// such entry.
     ///
     /// # Errors
     ///
     /// A frame that changed since the scan, or file-system failure.
-    pub fn files(&self, name: &str) -> Result<Option<CorpusFiles>, CampaignError> {
-        let Some(at) = self.entries.get(name) else {
+    pub fn entry(&self, name: &str) -> Result<Option<BundleEntry>, CampaignError> {
+        let Some(located) = self.entries.get(name) else {
             return Ok(None);
         };
-        let mut frame = Vec::new();
-        self.reread(&mut File::open(&self.logs[at.log])?, at, &mut frame)?;
+        let mut reread = self.reread();
         let (_, _, files) =
-            decode_entry(&frame[caselog::HEADER..]).map_err(CampaignError::Corrupt)?;
-        Ok(Some(files))
+            decode_entry(&reread.frame(&located.at)?[HEADER..]).map_err(CampaignError::Corrupt)?;
+        Ok(Some(BundleEntry {
+            name: name.to_string(),
+            fingerprint: format!("{:016x}", located.fingerprint),
+            files,
+        }))
     }
 
     /// Reads every entry's documents back, in name order, for `each`.
@@ -322,31 +263,15 @@ impl CorpusFrames {
     ///
     /// A frame that changed since the scan, an error from `each`, or
     /// file-system failure.
-    pub fn each(
+    pub fn each_entry(
         &self,
         mut each: impl FnMut(&str, CorpusFiles) -> Result<(), CampaignError>,
     ) -> Result<(), CampaignError> {
-        self.frames(|name, frame| {
-            let (_, _, files) =
-                decode_entry(&frame[caselog::HEADER..]).map_err(CampaignError::Corrupt)?;
-            each(name, files)
-        })
-    }
-
-    /// Reads every entry's whole frame back, in name order, for `each`.
-    fn frames(
-        &self,
-        mut each: impl FnMut(&str, &[u8]) -> Result<(), CampaignError>,
-    ) -> Result<(), CampaignError> {
-        let mut sources: Vec<Option<File>> = self.logs.iter().map(|_| None).collect();
-        let mut frame = Vec::new();
-        for (name, at) in &self.entries {
-            let source = match &mut sources[at.log] {
-                Some(file) => file,
-                slot => slot.insert(File::open(&self.logs[at.log])?),
-            };
-            self.reread(source, at, &mut frame)?;
-            each(name, &frame)?;
+        let mut reread = self.reread();
+        for (name, located) in &self.entries {
+            let (_, _, files) = decode_entry(&reread.frame(&located.at)?[HEADER..])
+                .map_err(CampaignError::Corrupt)?;
+            each(name, files)?;
         }
         Ok(())
     }
@@ -358,10 +283,10 @@ impl CorpusFrames {
     ///
     /// A corrupt entry, or file-system failure.
     pub fn load_all(&self) -> Result<Vec<CorpusEntry>, CampaignError> {
-        let mut entries = Vec::with_capacity(self.len());
-        self.each(|name, files| {
+        let mut entries = Vec::with_capacity(self.entries.len());
+        self.each_entry(|name, files| {
             let entry = entry_from_files(name, &files).map_err(|e| {
-                let log = &self.logs[self.entries[name].log];
+                let log = &self.logs[self.entries[name].at.log];
                 CampaignError::Corrupt(format!("{}: {e}", log.display()))
             })?;
             entries.push(entry);
@@ -369,80 +294,10 @@ impl CorpusFrames {
         })?;
         Ok(entries)
     }
-
-    /// Takes over the entries of `other` that `keep` accepts and that
-    /// have no name here yet (a merge gathering its shards' corpora).
-    pub fn absorb(&mut self, other: CorpusFrames, keep: impl Fn(&str) -> bool) {
-        let base = self.logs.len();
-        self.logs.extend(other.logs);
-        for (name, at) in other.entries {
-            if keep(&name) {
-                self.entries.entry(name).or_insert(Located {
-                    log: base + at.log,
-                    ..at
-                });
-            }
-        }
-    }
-
-    /// Streams every entry's frame, in name order, into the canonical
-    /// log under `corpus_dir` (temp file, sync, rename, directory sync),
-    /// each read back and verified on the way. An empty corpus writes
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// A frame that changed since the scan, or file-system failure.
-    pub fn write_canonical(&self, corpus_dir: &Path) -> Result<(), CampaignError> {
-        if self.is_empty() {
-            return Ok(());
-        }
-        caselog::write_canonical(corpus_dir, CANONICAL, |out| {
-            self.frames(|_, frame| Ok(out.write_all(frame)?))
-        })
-    }
-
-    fn reread(
-        &self,
-        log: &mut File,
-        at: &Located,
-        frame: &mut Vec<u8>,
-    ) -> Result<(), CampaignError> {
-        if caselog::reread(log, &at.frame, frame)? {
-            Ok(())
-        } else {
-            Err(CampaignError::Corrupt(format!(
-                "{}: the corpus frame at byte {} changed since it was scanned",
-                self.logs[at.log].display(),
-                at.frame.offset
-            )))
-        }
-    }
-}
-
-/// Compacts the corpus logs under `corpus_dir` into its canonical log
-/// and removes the worker logs. A directory with no worker log is
-/// already compact and is left alone.
-///
-/// # Errors
-///
-/// A corrupt log, or file-system failure.
-pub fn compact(corpus_dir: &Path) -> Result<(), CampaignError> {
-    let canonical = corpus_dir.join(CANONICAL);
-    if caselog::list_logs(corpus_dir, CANONICAL)?
-        .iter()
-        .all(|log| *log == canonical)
-    {
-        return Ok(());
-    }
-    CorpusFrames::scan(corpus_dir)?.write_canonical(corpus_dir)?;
-    caselog::remove_worker_logs(corpus_dir, CANONICAL)?;
-    caselog::sync_dir(corpus_dir)?;
-    Ok(())
 }
 
 /// The deduplication index of a corpus: entry fingerprint → entry name.
-/// Built once per run from one scan ([`CorpusFrames::index`]), shared by
+/// Built once per run from one scan ([`Frames::index`]), shared by
 /// every thread that archives, and grown as they archive.
 #[derive(Debug, Default)]
 pub struct CorpusIndex(Mutex<HashMap<u64, String>>);
@@ -495,11 +350,12 @@ impl Archive {
 /// shard corpora and long campaigns re-finding a known bug would
 /// otherwise accumulate identical reproductions under different names).
 ///
-/// Outside a run, a new entry is one frame appended, unsynced, to this
-/// process's direct corpus log. The process keeps one [`CorpusIndex`]
-/// per directory, built from one scan and rebuilt only when a log there
-/// changed under it, so a save costs one directory listing, not a read
-/// of every entry.
+/// `corpus_dir` is a campaign directory's `corpus/`: the entries still
+/// in the campaign's case logs count too. Outside a run, a new entry is
+/// one frame appended, unsynced, to this process's direct corpus log.
+/// The process keeps one [`CorpusIndex`] per directory, built from one
+/// scan and rebuilt only when a log that can hold entries changed under
+/// it, so a save costs one directory listing, not a read of every entry.
 ///
 /// # Errors
 ///
@@ -512,12 +368,14 @@ pub fn save(
     compare_every: u64,
 ) -> Result<CorpusEntry, CampaignError> {
     static DIRECT: Mutex<BTreeMap<PathBuf, Direct>> = Mutex::new(BTreeMap::new());
+    let dir = CampaignDir::new(corpus_dir.parent().unwrap_or(Path::new("")));
+    let scan = || Frames::scan(&dir, 0..0, |_, _| Ok(()));
     let mut direct = DIRECT.lock().unwrap_or_else(PoisonError::into_inner);
-    let seen = log_states(corpus_dir)?;
+    let seen = log_states(&dir)?;
     let current = match direct.get(corpus_dir) {
         Some(cached) if cached.seen == seen => cached,
         _ => {
-            let index = CorpusFrames::scan(corpus_dir)?.index();
+            let index = scan()?.index();
             direct.insert(corpus_dir.to_path_buf(), Direct { seen, index });
             &direct[corpus_dir]
         }
@@ -526,11 +384,11 @@ pub fn save(
         Archive::New(entry, new) => {
             let appended = new.body().and_then(|body| {
                 std::fs::create_dir_all(corpus_dir)?;
-                caselog::append_direct(corpus_dir, 0, &body)
+                caselog::append_direct(corpus_dir, Kind::Corpus, 0, &body)
             });
             match appended
                 .map_err(CampaignError::from)
-                .and_then(|()| log_states(corpus_dir))
+                .and_then(|()| log_states(&dir))
             {
                 Ok(seen) => {
                     if let Some(cached) = direct.get_mut(corpus_dir) {
@@ -546,15 +404,13 @@ pub fn save(
             }
         }
         Archive::Existing(name) => {
-            let files = CorpusFrames::scan(corpus_dir)?
-                .files(&name)?
-                .ok_or_else(|| {
-                    CampaignError::Corrupt(format!(
-                        "{}: corpus entry {name} went missing",
-                        corpus_dir.display()
-                    ))
-                })?;
-            entry_from_files(&name, &files)
+            let existing = scan()?.entry(&name)?.ok_or_else(|| {
+                CampaignError::Corrupt(format!(
+                    "{}: corpus entry {name} went missing",
+                    corpus_dir.display()
+                ))
+            })?;
+            entry_from_files(&name, &existing.files)
                 .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", corpus_dir.display())))
         }
     }
@@ -567,11 +423,15 @@ struct Direct {
     index: CorpusIndex,
 }
 
-/// Every corpus log under `corpus_dir`, with its length and modification
-/// time.
-fn log_states(corpus_dir: &Path) -> Result<Vec<(PathBuf, u64, Option<SystemTime>)>, CampaignError> {
-    caselog::list_logs(corpus_dir, CANONICAL)?
+/// Every log of `dir` that can hold a corpus entry, with its length and
+/// modification time. The direct logs under `cases/` hold records only
+/// ([`CampaignDir::write_case`]), so a record published between two
+/// saves does not cost the next one a rescan.
+fn log_states(dir: &CampaignDir) -> Result<Vec<(PathBuf, u64, Option<SystemTime>)>, CampaignError> {
+    let cases = dir.cases();
+    Frames::logs(dir)?
         .into_iter()
+        .filter(|log| !(log.starts_with(&cases) && caselog::is_direct(log)))
         .map(|log| {
             let meta = std::fs::metadata(&log)?;
             Ok((log, meta.len(), meta.modified().ok()))
@@ -678,17 +538,6 @@ fn reference_checkpoint(design: &Design, entry: &CorpusEntry) -> Result<Vec<u8>,
     let mut doc = Vec::new();
     write_checkpoint(design, session.state(), &mut doc).map_err(|e| e.to_string())?;
     Ok(doc)
-}
-
-/// Loads every corpus entry under `corpus_dir`, sorted by name. A missing
-/// directory is an empty corpus.
-///
-/// # Errors
-///
-/// A corrupt log or entry (bad metadata, or a `.ckpt` whose design
-/// fingerprint does not match its `.asim`).
-pub fn load_all(corpus_dir: &Path) -> Result<Vec<CorpusEntry>, CampaignError> {
-    CorpusFrames::scan(corpus_dir)?.load_all()
 }
 
 /// The entry fingerprint a meta document records as `design_fp`, in the
@@ -964,12 +813,24 @@ mod tests {
     use crate::shrink::shrink_divergence;
     use rtl_cosim::fault::FaultyVmFactory;
     use rtl_cosim::GenOptions;
-    use std::path::PathBuf;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("asim2-corpus-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A fresh campaign directory with empty `cases/` and `corpus/`.
+    fn scratch(name: &str) -> CampaignDir {
+        let dir = CampaignDir::new(
+            std::env::temp_dir().join(format!("asim2-corpus-{}-{name}", std::process::id())),
+        );
+        let _ = std::fs::remove_dir_all(dir.root());
+        std::fs::create_dir_all(dir.cases()).unwrap();
+        std::fs::create_dir_all(dir.corpus()).unwrap();
         dir
+    }
+
+    fn scan(dir: &CampaignDir) -> Result<Frames, CampaignError> {
+        Frames::scan(dir, 0..0, |_, _| Ok(()))
+    }
+
+    fn load_all(dir: &CampaignDir) -> Result<Vec<CorpusEntry>, CampaignError> {
+        scan(dir)?.load_all()
     }
 
     fn fault_registry() -> rtl_core::EngineRegistry {
@@ -998,6 +859,29 @@ mod tests {
         .expect("fault diverges")
     }
 
+    /// The entry a fresh index archives for `seed`'s divergence.
+    fn rendered(seed: u64) -> BundleEntry {
+        let archive = render(
+            &CorpusIndex::default(),
+            &shrunk_fault_case(seed),
+            &engines(),
+            1,
+        );
+        let Archive::New(_, entry) = archive.unwrap() else {
+            panic!("an empty index archives anew")
+        };
+        entry
+    }
+
+    /// `entry`'s corpus frame, named `name` and keyed `key`.
+    fn frame(entry: &BundleEntry, name: &str, key: u32) -> Vec<u8> {
+        let fingerprint = u64::from_str_radix(&entry.fingerprint, 16).unwrap();
+        let body = encode_entry(fingerprint, name, &entry.files).unwrap();
+        let mut frame = Vec::new();
+        caselog::encode_frame(Kind::Corpus, key, &body, &mut frame).unwrap();
+        frame
+    }
+
     /// The files directly under `dir`.
     fn listing(dir: &Path) -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(dir)
@@ -1008,36 +892,31 @@ mod tests {
         names
     }
 
-    /// Replaces the corpus under `dir` with one canonical log holding one
+    /// Replaces the corpus of `dir` with one canonical log holding one
     /// entry, framed under `fingerprint`.
-    fn rewrite(dir: &Path, fingerprint: u64, name: &str, files: &CorpusFiles) {
+    fn rewrite(dir: &CampaignDir, fingerprint: u64, name: &str, files: &CorpusFiles) {
         let mut log = Vec::new();
         let body = encode_entry(fingerprint, name, files).unwrap();
-        caselog::encode_frame(0, &body, &mut log).unwrap();
-        for name in listing(dir) {
-            std::fs::remove_file(dir.join(name)).unwrap();
+        caselog::encode_frame(Kind::Corpus, 0, &body, &mut log).unwrap();
+        for name in listing(&dir.corpus()) {
+            std::fs::remove_file(dir.corpus().join(name)).unwrap();
         }
-        std::fs::write(dir.join(CANONICAL), log).unwrap();
+        std::fs::write(dir.corpus().join(CANONICAL), log).unwrap();
     }
 
     #[test]
     fn save_load_replay_round_trip() {
         let dir = scratch("roundtrip");
         let shrunk = shrunk_fault_case(3);
-        let saved = save(&dir, &shrunk, &engines(), 1).unwrap();
+        let saved = save(&dir.corpus(), &shrunk, &engines(), 1).unwrap();
         assert_eq!(saved.name, "seed-3");
         // One frame in this process's direct log, and no file per entry.
-        let files = listing(&dir);
+        let files = listing(&dir.corpus());
         assert_eq!(files.len(), 1, "{files:?}");
         assert!(files[0].starts_with("worker-p") && files[0].ends_with(".log"));
-        let frames = CorpusFrames::scan(&dir).unwrap();
+        let frames = scan(&dir).unwrap();
         assert_eq!(frames.names().collect::<Vec<_>>(), ["seed-3"]);
-        let Archive::New(_, rendered) =
-            render(&CorpusIndex::default(), &shrunk, &engines(), 1).unwrap()
-        else {
-            panic!("an empty index archives anew")
-        };
-        assert_eq!(frames.files("seed-3").unwrap(), Some(rendered.files));
+        assert_eq!(frames.entry("seed-3").unwrap(), Some(rendered(3)));
 
         let loaded = load_all(&dir).unwrap();
         assert_eq!(loaded, vec![saved.clone()]);
@@ -1061,31 +940,31 @@ mod tests {
         assert!(report.clean(), "{report}");
 
         // Compaction leaves the one canonical log, and loads the same.
-        compact(&dir).unwrap();
-        assert_eq!(listing(&dir), [CANONICAL]);
+        dir.compact(0).unwrap();
+        assert_eq!(listing(&dir.corpus()), [CANONICAL]);
         assert_eq!(load_all(&dir).unwrap(), vec![saved]);
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
     fn duplicate_designs_are_archived_once() {
         let dir = scratch("dedup");
         let shrunk = shrunk_fault_case(7);
-        let first = save(&dir, &shrunk, &engines(), 1).unwrap();
+        let first = save(&dir.corpus(), &shrunk, &engines(), 1).unwrap();
 
         // The same shrunk divergence arriving again (a later campaign
         // re-finding the bug, or a shard merge folding overlapping
         // corpora) returns the existing entry instead of re-archiving.
-        let again = save(&dir, &shrunk, &engines(), 1).unwrap();
+        let again = save(&dir.corpus(), &shrunk, &engines(), 1).unwrap();
         assert_eq!(again, first);
 
         // A differently-*named* duplicate (same scenario under another
         // seed label) still dedups: the key is the scenario content.
         let mut renamed = shrunk.clone();
         renamed.seed = 999_999;
-        let deduped = save(&dir, &renamed, &engines(), 1).unwrap();
+        let deduped = save(&dir.corpus(), &renamed, &engines(), 1).unwrap();
         assert_eq!(deduped.name, first.name, "existing entry wins");
-        let frames = CorpusFrames::scan(&dir).unwrap();
+        let frames = scan(&dir).unwrap();
         assert_eq!(
             frames.names().collect::<Vec<_>>(),
             ["seed-7"],
@@ -1099,31 +978,54 @@ mod tests {
             entry_fingerprint(&other.scenario),
             entry_fingerprint(&shrunk.scenario)
         );
-        save(&dir, &other, &engines(), 1).unwrap();
+        save(&dir.corpus(), &other, &engines(), 1).unwrap();
         assert_eq!(load_all(&dir).unwrap().len(), 2);
 
         // The index is built from the logs: a fresh one over a copy of
         // the compacted corpus deduplicates the same way.
-        compact(&dir).unwrap();
+        dir.compact(0).unwrap();
         let copy = scratch("dedup-copy");
-        std::fs::create_dir_all(&copy).unwrap();
-        std::fs::copy(dir.join(CANONICAL), copy.join(CANONICAL)).unwrap();
-        let index = CorpusFrames::scan(&copy).unwrap().index();
+        std::fs::copy(dir.corpus().join(CANONICAL), copy.corpus().join(CANONICAL)).unwrap();
+        let index = scan(&copy).unwrap().index();
         let archive = render(&index, &renamed, &engines(), 1).unwrap();
         assert_eq!(archive, Archive::Existing("seed-7".into()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&copy);
+        let _ = std::fs::remove_dir_all(dir.root());
+        let _ = std::fs::remove_dir_all(copy.root());
+    }
+
+    /// An entry still in a case log, where a run's writer put it, is in
+    /// the corpus for every reader, `save`'s index included.
+    #[test]
+    fn entries_in_case_logs_are_in_the_corpus() {
+        let dir = scratch("case-logs");
+        let entry = rendered(12);
+        std::fs::write(
+            dir.cases().join("worker-0.log"),
+            frame(&entry, "seed-12", 0),
+        )
+        .unwrap();
+        assert_eq!(scan(&dir).unwrap().names().collect::<Vec<_>>(), ["seed-12"]);
+        let mut renamed = shrunk_fault_case(12);
+        renamed.seed = 999_999;
+        let saved = save(&dir.corpus(), &renamed, &engines(), 1).unwrap();
+        assert_eq!(saved.name, "seed-12");
+        assert_eq!(
+            listing(&dir.corpus()),
+            Vec::<String>::new(),
+            "nothing saved"
+        );
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
     fn tampered_entries_are_rejected() {
         let dir = scratch("tamper");
         let shrunk = shrunk_fault_case(4);
-        save(&dir, &shrunk, &engines(), 1).unwrap();
+        save(&dir.corpus(), &shrunk, &engines(), 1).unwrap();
 
-        let frames = CorpusFrames::scan(&dir).unwrap();
+        let frames = scan(&dir).unwrap();
         let fp = frames.fingerprints().next().unwrap();
-        let good = frames.files("seed-4").unwrap().unwrap();
+        let good = frames.entry("seed-4").unwrap().unwrap().files;
         let tampered = |edit: &dyn Fn(&mut CorpusFiles)| {
             let mut files = good.clone();
             edit(&mut files);
@@ -1164,15 +1066,15 @@ mod tests {
             tampered(&|files| files.meta = meta.clone());
             let err = load_all(&dir).unwrap_err().to_string();
             assert!(err.contains("design_fp"), "{err}");
-            let err = save(&dir, &other, &engines(), 1).unwrap_err();
+            let err = save(&dir.corpus(), &other, &engines(), 1).unwrap_err();
             assert!(err.to_string().contains("design_fp"), "{err}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
     fn missing_corpus_directory_is_empty() {
-        assert!(load_all(Path::new("/nonexistent/corpus"))
+        assert!(load_all(&CampaignDir::new("/nonexistent"))
             .unwrap()
             .is_empty());
     }
@@ -1182,69 +1084,46 @@ mod tests {
     #[test]
     fn torn_tails_and_temp_files_do_not_poison_the_corpus() {
         let dir = scratch("leftover");
-        save(&dir, &shrunk_fault_case(6), &engines(), 1).unwrap();
-        let Archive::New(_, torn) = render(
-            &CorpusIndex::default(),
-            &shrunk_fault_case(9),
-            &engines(),
-            1,
-        )
-        .unwrap() else {
-            panic!("an empty index archives anew")
-        };
-        let mut frame = Vec::new();
-        caselog::encode_frame(0, &torn.body().unwrap(), &mut frame).unwrap();
-        std::fs::write(dir.join("worker-7.log"), &frame[..frame.len() / 2]).unwrap();
-        std::fs::write(dir.join(format!(".tmp-999-{CANONICAL}")), "{").unwrap();
+        save(&dir.corpus(), &shrunk_fault_case(6), &engines(), 1).unwrap();
+        let torn = frame(&rendered(9), "seed-9", 0);
+        std::fs::write(dir.cases().join("worker-7.log"), &torn[..torn.len() / 2]).unwrap();
+        std::fs::write(dir.corpus().join(format!(".tmp-999-{CANONICAL}")), "{").unwrap();
         let loaded = load_all(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].name, "seed-6");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     /// A later frame for a name replaces an earlier one, as a later file
-    /// replaced an earlier one; a frame keyed like a record is refused.
+    /// replaced an earlier one; a corpus frame keyed like a case is
+    /// refused.
     #[test]
     fn a_later_frame_for_a_name_replaces_an_earlier_one() {
         let dir = scratch("supersede");
-        let rendered = |seed: u64| {
-            let archive = render(
-                &CorpusIndex::default(),
-                &shrunk_fault_case(seed),
-                &engines(),
-                1,
-            );
-            let Archive::New(_, entry) = archive.unwrap() else {
-                panic!("an empty index archives anew")
-            };
-            entry
-        };
         let (first, second) = (rendered(10), rendered(11));
-        let frame = |entry: &BundleEntry, key: u32| {
-            let body = encode_entry(
-                u64::from_str_radix(&entry.fingerprint, 16).unwrap(),
-                "seed-10",
-                &entry.files,
-            );
-            let mut frame = Vec::new();
-            caselog::encode_frame(key, &body.unwrap(), &mut frame).unwrap();
-            frame
-        };
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(CANONICAL), frame(&first, 0)).unwrap();
-        std::fs::write(dir.join("worker-1.log"), frame(&second, 0)).unwrap();
-        let frames = CorpusFrames::scan(&dir).unwrap();
+        std::fs::write(dir.corpus().join(CANONICAL), frame(&first, "seed-10", 0)).unwrap();
+        std::fs::write(
+            dir.corpus().join("worker-1.log"),
+            frame(&second, "seed-10", 0),
+        )
+        .unwrap();
+        let frames = scan(&dir).unwrap();
         assert_eq!(frames.names().collect::<Vec<_>>(), ["seed-10"]);
-        assert_eq!(frames.files("seed-10").unwrap(), Some(second.files.clone()));
+        let entry = frames.entry("seed-10").unwrap().unwrap();
+        assert_eq!(entry.files, second.files);
         let index = frames.index();
         let fp = |entry: &BundleEntry| u64::from_str_radix(&entry.fingerprint, 16).unwrap();
         assert_eq!(index.name_of(fp(&second)).as_deref(), Some("seed-10"));
         assert_eq!(index.name_of(fp(&first)), None);
 
-        std::fs::write(dir.join("worker-2.log"), frame(&first, 3)).unwrap();
-        let err = CorpusFrames::scan(&dir).unwrap_err().to_string();
-        assert!(err.contains("not as a corpus entry"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::write(
+            dir.corpus().join("worker-2.log"),
+            frame(&first, "seed-10", 3),
+        )
+        .unwrap();
+        let err = scan(&dir).unwrap_err().to_string();
+        assert!(err.contains("keyed 3, not 0"), "{err}");
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]

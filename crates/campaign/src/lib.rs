@@ -16,11 +16,13 @@
 //!   is refused.
 //! * [`state`] — `campaign.json` and the case records; stop the process
 //!   anywhere, [`resume`] runs exactly the gaps.
-//! * [`caselog`] — records and corpus entries as checksummed frames in
-//!   per-worker append-only logs, compacted into one canonical log each.
-//! * [`bundle`] — one case's artifacts (record, sidecars, the corpus
-//!   entry it names) read, checked and published as one unit, in the one
-//!   commit order every surface shares.
+//! * [`caselog`] — every case artifact and corpus entry as a
+//!   kind-tagged, checksummed frame in one append-only log per writer,
+//!   read back by one scan and compacted into one canonical case log
+//!   and one corpus log.
+//! * [`bundle`] — one case's artifacts (record, profile, flight log, the
+//!   corpus entry it names) read, checked and published as one unit, in
+//!   one append.
 //! * [`shrink`] — binary-search minimization over generator size, cycle
 //!   horizon and stimulus length, re-running lockstep per candidate.
 //! * [`corpus`] — `.asim` + stimulus + a fingerprinted session checkpoint
@@ -64,11 +66,9 @@ pub mod shrink;
 pub mod state;
 
 pub use bundle::{BundleEntry, CaseBundle, CorpusFiles};
-pub use caselog::{CaseFrames, LogWriter};
+pub use caselog::{Frames, LogWriter};
 pub use config::CampaignConfig;
-pub use corpus::{
-    Archive, CorpusEntry, CorpusFrames, CorpusIndex, ReplayOutcome, ReplayReport, ReplayResult,
-};
+pub use corpus::{Archive, CorpusEntry, CorpusIndex, ReplayOutcome, ReplayReport, ReplayResult};
 pub use error::CampaignError;
 // The `vm-fault` lane: deliberate trace corruption that proves the
 // find→shrink→archive→replay pipeline end to end.

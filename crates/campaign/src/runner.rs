@@ -13,9 +13,9 @@
 //! resumable.
 
 use crate::bundle::{expected_seed, CaseBundle};
-use crate::caselog::LogWriter;
+use crate::caselog::{Frames, LogWriter};
 use crate::config::CampaignConfig;
-use crate::corpus::{self, kind_label, Archive, CorpusFrames, CorpusIndex, ReplayReport};
+use crate::corpus::{self, kind_label, Archive, CorpusIndex, ReplayReport};
 use crate::error::CampaignError;
 use crate::shrink::shrink_from;
 use crate::state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};
@@ -64,22 +64,22 @@ pub struct RunOptions {
     pub recorder: Recorder,
     /// Collect a per-case execution profile (`rtl-prof`): each case runs
     /// its lanes with a fresh collecting hook, publishes the snapshot as
-    /// a `cases/case-N.profile` sidecar in its [bundle](crate::bundle),
-    /// and folds the counters into the recorder as deterministic
-    /// `profile/<component>/<event>` deltas. Case outcomes, records and
-    /// the campaign fingerprint are unaffected. Not combinable with
-    /// `case_checkpoint`: a mid-case resume would only tally the
-    /// post-resume cycles.
+    /// a profile frame in its [bundle](crate::bundle) (exported as
+    /// `cases/case-N.profile`), and folds the counters into the recorder
+    /// as deterministic `profile/<component>/<event>` deltas. Case
+    /// outcomes, records and the campaign fingerprint are unaffected. Not
+    /// combinable with `case_checkpoint`: a mid-case resume would only
+    /// tally the post-resume cycles.
     pub profile: bool,
     /// Arm the divergence flight recorder: each case runs with a fresh
     /// bounded ring capturing its deterministic counter events in call
     /// order, and when a case ends abnormally (divergence, oracle
-    /// contradiction, halt, harness error) the ring is dumped as a
-    /// `cases/case-N.flight.jsonl` sidecar in the case's bundle, so the
-    /// dump is byte-identical across worker counts and kill+resume.
-    /// Agreed cases leave no sidecar. Not combinable with
-    /// `case_checkpoint`: a case resumed mid-run would only capture its
-    /// post-resume events.
+    /// contradiction, halt, harness error) the ring is dumped as a flight
+    /// frame in the case's bundle (exported as
+    /// `cases/case-N.flight.jsonl`), so the dump is byte-identical across
+    /// worker counts and kill+resume. Agreed cases leave no dump. Not
+    /// combinable with `case_checkpoint`: a case resumed mid-run would
+    /// only capture its post-resume events.
     pub flight: bool,
 }
 
@@ -350,7 +350,7 @@ pub fn run(
     // Pre-seeded regression scenarios replay before any fuzzing: a known
     // bug resurfacing is worth more than a new random case. The same scan
     // indexes them for deduplication.
-    let corpus = CorpusFrames::scan(&dir.corpus())?;
+    let corpus = Frames::scan(dir, 0..0, |_, _| Ok(()))?;
     let entries = corpus.load_all()?;
     options
         .recorder
@@ -392,8 +392,8 @@ pub fn resume(
     if options.case_range.is_none() {
         dir.sweep_orphans()?;
     }
-    let records = dir.load_case_range(config.cases, run_range(options, &config))?;
-    let index = CorpusFrames::scan(&dir.corpus())?.index();
+    let (records, frames) = dir.scan(config.cases, run_range(options, &config))?;
+    let index = frames.index();
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     validate_engines(&config, &campaign_registry(Some(Arc::clone(&cache))))?;
     let report = execute(
@@ -425,7 +425,7 @@ pub fn replay_corpus(
     dir: &CampaignDir,
     engines: Option<&[String]>,
 ) -> Result<ReplayReport, CampaignError> {
-    let entries = corpus::load_all(&dir.corpus())?;
+    let entries = Frames::scan(dir, 0..0, |_, _| Ok(()))?.load_all()?;
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     let registry = campaign_registry(Some(cache));
     corpus::replay(&registry, &entries, engines)
@@ -654,34 +654,38 @@ fn render_flight(events: &[rtl_obs::Event], trigger: &str) -> String {
     text
 }
 
-/// Folds every completed case's profile sidecar into one aggregate
-/// [`Profile`](rtl_core::Profile). Because each sidecar is a pure
+/// Folds every completed case's profile into one aggregate
+/// [`Profile`](rtl_core::Profile). Because each profile is a pure
 /// function of `(config, index)`, the fold is byte-identical across
 /// worker counts, kill+resume splits, and shard merges.
 ///
 /// # Errors
 ///
-/// A completed case without a sidecar (the campaign ran without
-/// profiling), a corrupt sidecar, or I/O.
+/// A completed case without a profile (the campaign ran without
+/// profiling), a corrupt profile, or I/O.
 pub fn fold_profiles(
     dir: &CampaignDir,
     report: &CampaignReport,
 ) -> Result<rtl_core::Profile, CampaignError> {
+    let cases = report.config.cases;
     let mut total = rtl_core::Profile::default();
-    for record in report.records.iter().flatten() {
-        let path = dir.profile_path(record.index);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
+    let frames = dir.frames(cases, 0..cases, |_, _| Ok(()))?;
+    frames.each_case(0..cases, |index, [profile, _, _]| {
+        if report.records[index as usize].is_none() {
+            return Ok(());
+        }
+        let at = dir.profile_path(index);
+        let text = profile.ok_or_else(|| {
             CampaignError::Config(format!(
-                "{}: case {} has no profile sidecar ({e}); run the campaign with \
-                 profiling on",
-                path.display(),
-                record.index
+                "{}: case {index} has no profile; run the campaign with profiling on",
+                at.display()
             ))
         })?;
         let profile = rtl_core::Profile::parse(&text)
-            .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", path.display())))?;
+            .map_err(|e| CampaignError::Corrupt(format!("{}: {e}", at.display())))?;
         total.merge(&profile);
-    }
+        Ok(())
+    })?;
     Ok(total)
 }
 
@@ -850,11 +854,13 @@ fn run_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::caselog::{FrameReader, Kind};
     use rtl_core::{
         Design, Engine, EngineFactory, EngineLane, EngineOptions, HaltKind, InputSource, SimError,
         SimState, TraceBuf,
     };
-    use rtl_cosim::FuzzReport;
+    use rtl_cosim::{FuzzReport, GenOptions};
+    use std::collections::BTreeMap;
 
     /// A lane that steps idly until the cycle of `halt`, then raises it.
     struct Halting<'d> {
@@ -1012,5 +1018,101 @@ mod tests {
             assert_eq!(stored.status, halted);
             let _ = std::fs::remove_dir_all(dir.root());
         }
+    }
+
+    /// `cases/` and `corpus/` of `dir`, relative path → bytes.
+    fn tree(dir: &CampaignDir) -> BTreeMap<String, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        for sub in [dir.cases(), dir.corpus()] {
+            for dirent in std::fs::read_dir(&sub).unwrap() {
+                let path = dirent.unwrap().path();
+                let rel = path.strip_prefix(dir.root()).unwrap();
+                files.insert(rel.display().to_string(), std::fs::read(&path).unwrap());
+            }
+        }
+        files
+    }
+
+    /// Every crash point of a one-write bundle. A two-case diverging
+    /// campaign with profiles and flight logs runs over its range, so
+    /// nothing compacts and both bundles stay in one worker log. That log
+    /// is cut at every frame boundary of the last bundle and at the
+    /// first, middle and last byte of each of its frames — among them
+    /// whole corpus and sidecar frames with no record, and whole sidecars
+    /// with a torn record — and each cut resumes to the bytes and report
+    /// of an uninterrupted run.
+    #[test]
+    fn a_resume_after_any_cut_in_the_last_bundle_is_byte_identical() {
+        let config = CampaignConfig {
+            seed: 1,
+            cases: 2,
+            engines: vec!["interp".into(), "vm-fault".into()],
+            generator: GenOptions {
+                size: 10,
+                cycles: 48,
+                io_every: 2,
+            },
+            ..CampaignConfig::default()
+        };
+        let options = RunOptions {
+            workers: 1,
+            profile: true,
+            flight: true,
+            ..RunOptions::default()
+        };
+        let scratch = |name: &str| {
+            let root = std::env::temp_dir()
+                .join(format!("asim2-bundle-cuts-{}-{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            CampaignDir::new(root)
+        };
+        let reference_dir = scratch("reference");
+        let reference = run(&reference_dir, &config, &options, &mut NoProgress).unwrap();
+        assert_eq!(reference.diverged(), 2, "{reference}");
+
+        let ranged_dir = scratch("ranged");
+        let ranged = RunOptions {
+            case_range: Some(0..2),
+            ..options.clone()
+        };
+        run(&ranged_dir, &config, &ranged, &mut NoProgress).unwrap();
+        let logs = Frames::logs(&ranged_dir).unwrap();
+        assert_eq!(logs.len(), 1, "{logs:?}");
+        let log = std::fs::read(&logs[0]).unwrap();
+        let mut reader = FrameReader::new(&log[..], log.len() as u64);
+        let mut frames = Vec::new();
+        while let Some(frame) = reader.next(|_, _| false).unwrap() {
+            frames.push(frame);
+        }
+        let first = frames.iter().position(|f| f.kind == Kind::Record).unwrap();
+        let bundle = &frames[first + 1..];
+        let kinds: Vec<Kind> = bundle.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            [Kind::Corpus, Kind::Profile, Kind::Flight, Kind::Record]
+        );
+        let mut cuts = vec![log.len()];
+        for frame in bundle {
+            let (start, end) = (frame.offset as usize, frame.end() as usize);
+            cuts.extend([start, start + 1, (start + end) / 2, end - 1]);
+        }
+        let record = bundle[3];
+        assert!(cuts.contains(&(record.offset as usize)), "no record");
+        assert!(cuts.contains(&((record.offset + record.end()) as usize / 2)));
+
+        for cut in cuts {
+            let dir = scratch("cut");
+            std::fs::create_dir_all(dir.cases()).unwrap();
+            std::fs::create_dir_all(dir.corpus()).unwrap();
+            std::fs::copy(ranged_dir.manifest(), dir.manifest()).unwrap();
+            let name = logs[0].file_name().unwrap();
+            std::fs::write(dir.cases().join(name), &log[..cut]).unwrap();
+            let report = resume(&dir, &options, &mut NoProgress).unwrap();
+            assert_eq!(format!("{report}"), format!("{reference}"), "cut at {cut}");
+            assert_eq!(tree(&dir), tree(&reference_dir), "cut at {cut}");
+            let _ = std::fs::remove_dir_all(dir.root());
+        }
+        let _ = std::fs::remove_dir_all(reference_dir.root());
+        let _ = std::fs::remove_dir_all(ranged_dir.root());
     }
 }

@@ -4,24 +4,24 @@
 //!
 //! ```text
 //! campaign.json        — format line, config fingerprint, configuration
-//! cases/cases.log      — every case record, one frame per case by index
-//! cases/worker-N.log   — records appended by a run's writers, until compaction
-//! cases/case-N.profile — sidecars of a case: profile, flight dump, checkpoint
+//! cases/cases.log      — each case's profile, flight log and record, as frames by index
+//! cases/worker-N.log   — the case bundles a run's writers appended, until compaction
+//! cases/case-N.ckpt    — a case's mid-run lockstep checkpoint (`--case-checkpoint` only)
 //! corpus/corpus.log    — shrunk divergence-regression scenarios, one frame per entry
-//! corpus/worker-N.log  — entries appended by a run's writers, until compaction
+//! */worker-p….log     — what one process published outside a run, until compaction
 //! bin-cache/           — compiled `rust`-lane binaries, keyed by source hash
 //! ```
 //!
 //! Stop the process at any point and `resume` picks up exactly the
-//! missing cases: a record is a checksummed frame in a log
-//! ([`caselog`](crate::caselog)), and a frame a kill tore is dropped, so
-//! its case runs again. The manifest carries the
+//! missing cases: a case's bundle is one write of checksummed frames to
+//! a log, record last ([`caselog`]), and a frame a kill tore is dropped,
+//! so its case runs again. The manifest carries the
 //! [`CampaignConfig::fingerprint`] so a resume with a drifted
 //! configuration is refused instead of silently producing different
 //! results, and the [`FORMAT`] line, so a directory laid out by another
 //! version is refused by name.
 
-use crate::caselog::CaseFrames;
+use crate::caselog::{self, Frames, Kind};
 use crate::config::CampaignConfig;
 use crate::error::CampaignError;
 use rtl_core::LaneStats;
@@ -31,15 +31,16 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// The manifest format line; bump on breaking layout changes. Version 3
-/// keeps case records and corpus entries in logs.
-pub const FORMAT: &str = "asim2-campaign v3";
+/// The manifest format line; bump on breaking layout changes. Version 4
+/// keeps each case's whole bundle in one log.
+pub const FORMAT: &str = "asim2-campaign v4";
 
 /// The format lines of earlier layouts, refused by name, with what they
 /// kept as files.
-const RETIRED: [(&str, &str); 2] = [
+const RETIRED: [(&str, &str); 3] = [
     ("asim2-campaign v1", "one file per case record"),
     ("asim2-campaign v2", "four files per corpus entry"),
+    ("asim2-campaign v3", "two files of sidecars per case"),
 ];
 
 /// How one case ended.
@@ -258,7 +259,7 @@ impl CampaignDir {
         self.root.join("campaign.json")
     }
 
-    /// The case record logs and sidecars directory.
+    /// The case log directory.
     pub fn cases(&self) -> PathBuf {
         self.root.join("cases")
     }
@@ -279,17 +280,15 @@ impl CampaignDir {
         self.cases().join(format!("case-{index:06}.json"))
     }
 
-    /// One case's execution-profile sidecar path (present only for cases
-    /// run with [`RunOptions::profile`](crate::RunOptions) on; published
-    /// atomically *before* the case record).
+    /// Where `campaign export` renders one case's execution profile, for
+    /// a case run with [`RunOptions::profile`](crate::RunOptions) on.
     pub fn profile_path(&self, index: u32) -> PathBuf {
         self.cases().join(format!("case-{index:06}.profile"))
     }
 
-    /// One case's flight-recorder sidecar path (present only for
-    /// non-agreed cases run with [`RunOptions::flight`](crate::RunOptions)
-    /// on; published atomically *before* the case record, so worker
-    /// counts and kill+resume cannot change a published dump).
+    /// Where `campaign export` renders one case's flight-recorder log,
+    /// for a non-agreed case run with
+    /// [`RunOptions::flight`](crate::RunOptions) on.
     pub fn flight_path(&self, index: u32) -> PathBuf {
         self.cases().join(format!("case-{index:06}.flight.jsonl"))
     }
@@ -374,7 +373,7 @@ impl CampaignDir {
         if let Some((old, files)) = RETIRED.iter().find(|(old, _)| format == Some(*old)) {
             return Err(CampaignError::Corrupt(format!(
                 "{} holds an {old:?} campaign, which keeps {files}; this asim2 reads \
-                 only {FORMAT:?} campaigns, whose records and corpus entries are logs",
+                 only {FORMAT:?} campaigns, which keep every case and corpus artifact in logs",
                 self.root.display()
             )));
         }
@@ -411,8 +410,8 @@ impl CampaignDir {
     }
 
     /// Removes the `.tmp-*` siblings that a kill between write and rename
-    /// leaves in `cases/` (sidecars, see [`write_atomic`], and the
-    /// compacted record log) and `corpus/` (the compacted corpus log). A process
+    /// leaves in `cases/` (a case checkpoint, see [`write_atomic`], and
+    /// the compacted case log) and `corpus/` (the compacted corpus log). A process
     /// calls this once, when it takes the directory over: an orphan would
     /// otherwise survive into the finished tree and break its byte
     /// identity with an uninterrupted run.
@@ -447,8 +446,9 @@ impl CampaignDir {
     ///
     /// File-system failure.
     pub fn write_case(&self, record: &CaseRecord) -> Result<(), CampaignError> {
-        crate::caselog::append_direct(
+        caselog::append_direct(
             &self.cases(),
+            Kind::Record,
             record.index,
             record.to_json().render().as_bytes(),
         )?;
@@ -462,20 +462,25 @@ impl CampaignDir {
     ///
     /// A corrupt record or log, or file-system failure.
     pub fn load_cases(&self, cases: u32) -> Result<Vec<Option<CaseRecord>>, CampaignError> {
-        self.load_case_range(cases, 0..cases)
+        Ok(self.scan(cases, 0..cases)?.0)
     }
 
     /// [`load_cases`](CampaignDir::load_cases) reading only the records
-    /// of `range`: every case outside it is `None`, its frame stepped
-    /// over unread.
-    pub(crate) fn load_case_range(
+    /// of `range`, every case outside it `None` and its frames stepped
+    /// over unread, and returning the scan the records came from, which
+    /// also indexes the corpus.
+    ///
+    /// # Errors
+    ///
+    /// A corrupt record or log, or file-system failure.
+    pub fn scan(
         &self,
         cases: u32,
         range: Range<u32>,
-    ) -> Result<Vec<Option<CaseRecord>>, CampaignError> {
+    ) -> Result<(Vec<Option<CaseRecord>>, Frames), CampaignError> {
         let mut records = vec![None; cases as usize];
         let cases_dir = self.cases();
-        CaseFrames::scan(self, cases, range, |index, text| {
+        let frames = self.frames(cases, range, |index, text| {
             let record = std::str::from_utf8(text)
                 .map_err(|e| e.to_string())
                 .and_then(Json::parse)
@@ -493,7 +498,26 @@ impl CampaignDir {
             records[index as usize] = Some(record);
             Ok(())
         })?;
-        Ok(records)
+        Ok((records, frames))
+    }
+
+    /// [`Frames::scan`] over this directory for a campaign of `cases`
+    /// cases, `range` clipped to them: a frame for a case outside the
+    /// campaign is corrupt.
+    pub(crate) fn frames(
+        &self,
+        cases: u32,
+        range: Range<u32>,
+        visit: impl FnMut(u32, &[u8]) -> Result<(), CampaignError>,
+    ) -> Result<Frames, CampaignError> {
+        let frames = Frames::scan(self, range.start..range.end.min(cases), visit)?;
+        if let Some(index) = frames.indices().next_back().filter(|&index| index >= cases) {
+            return Err(CampaignError::Corrupt(format!(
+                "{}: a frame for case {index}, outside the campaign's {cases} case(s)",
+                self.cases().display()
+            )));
+        }
+        Ok(frames)
     }
 }
 
@@ -643,7 +667,8 @@ mod tests {
         std::fs::remove_dir_all(dir.cases()).unwrap();
         std::fs::create_dir_all(dir.cases()).unwrap();
         let mut log = LogWriter::new(&dir);
-        log.append(0, dup.as_bytes()).unwrap();
+        log.append(|buf| caselog::encode_frame(Kind::Record, 0, dup.as_bytes(), buf))
+            .unwrap();
         log.finish().unwrap();
         let err = dir.load_cases(1).unwrap_err();
         assert!(

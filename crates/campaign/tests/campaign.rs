@@ -196,8 +196,8 @@ fn ranged_resume_reads_and_sweeps_only_its_range() {
     let mut bytes = std::fs::read(&log).unwrap();
     let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
     let mut offsets = Vec::new();
-    while let Some(frame) = reader.next(|_| false).unwrap() {
-        offsets.push((frame.index, frame.offset));
+    while let Some(frame) = reader.next(|_, _| false).unwrap() {
+        offsets.push((frame.key, frame.offset));
     }
     assert_eq!(
         offsets.iter().map(|f| f.0).collect::<Vec<_>>(),

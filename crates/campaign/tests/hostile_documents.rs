@@ -2,10 +2,11 @@
 //! log decoders: the frame reader ([`FrameReader`]) and the corpus frame
 //! body decoder ([`decode_entry`]).
 //!
-//! A valid log of real record renderings is fed to the decoder as
-//! arbitrary bytes, as every truncation, with zeros where a crash leaves
-//! them, with every single bit flipped, and with a length prefix set
-//! anywhere up to `u32::MAX`. Each
+//! A valid log of real record renderings, some with a profile frame
+//! before them, is fed to the decoder as arbitrary bytes, as every
+//! truncation, with zeros where a crash leaves them, with every single
+//! bit flipped, with a length prefix set anywhere up to `u32::MAX` and
+//! with a kind no writer writes. Each
 //! input must either return `Err` or end in a dropped tail, the frames
 //! read before that must be the log's own, and the record buffer must
 //! never grow past [`FRAME_CAP`]: a damaged length cannot make the reader
@@ -20,20 +21,23 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use rtl_campaign::caselog::{encode_frame, FrameReader, FRAME_CAP, HEADER};
+use rtl_campaign::caselog::{encode_frame, FrameReader, Kind, FRAME_CAP, HEADER};
 use rtl_campaign::corpus::{decode_entry, encode_entry};
 use rtl_campaign::{CampaignError, CaseRecord, CaseStatus, CorpusFiles, LaneAccess};
 
+/// One frame: its kind, key and body.
+type Framed = (Kind, u32, Vec<u8>);
+
 /// What the decoder made of a log: the frames it read, and where a
 /// dropped tail starts.
-type Decoded = Result<(Vec<(u32, Vec<u8>)>, Option<u64>), CampaignError>;
+type Decoded = Result<(Vec<Framed>, Option<u64>), CampaignError>;
 
 fn decode(bytes: &[u8]) -> Decoded {
     let mut reader = FrameReader::new(bytes, bytes.len() as u64);
     let mut frames = Vec::new();
     let result = loop {
-        match reader.next(|_| true) {
-            Ok(Some(frame)) => frames.push((frame.index, reader.record().to_vec())),
+        match reader.next(|_, _| true) {
+            Ok(Some(frame)) => frames.push((frame.kind, frame.key, reader.body().to_vec())),
             Ok(None) => break Ok((frames, reader.tail())),
             Err(e) => break Err(e),
         }
@@ -46,10 +50,11 @@ fn decode(bytes: &[u8]) -> Decoded {
     result
 }
 
-/// Five real records, as the runner renders them.
-fn records() -> Vec<(u32, Vec<u8>)> {
+/// Five real records, as the runner renders them, the odd ones after a
+/// profile frame.
+fn records() -> Vec<Framed> {
     (0..5u32)
-        .map(|index| {
+        .flat_map(|index| {
             let record = CaseRecord {
                 index,
                 seed: 40 + u64::from(index),
@@ -69,7 +74,9 @@ fn records() -> Vec<(u32, Vec<u8>)> {
                     }
                 },
             };
-            (index, record.to_json().render().into_bytes())
+            let profile = (index % 2 == 1).then(|| (Kind::Profile, index, b"profile\n".to_vec()));
+            let record = (Kind::Record, index, record.to_json().render().into_bytes());
+            profile.into_iter().chain([record])
         })
         .collect()
 }
@@ -78,9 +85,9 @@ fn records() -> Vec<(u32, Vec<u8>)> {
 fn valid_log() -> (Vec<u8>, Vec<usize>) {
     let mut log = Vec::new();
     let mut starts = Vec::new();
-    for (index, record) in records() {
+    for (kind, key, body) in records() {
         starts.push(log.len());
-        encode_frame(index, &record, &mut log).unwrap();
+        encode_frame(kind, key, &body, &mut log).unwrap();
     }
     (log, starts)
 }
@@ -124,14 +131,19 @@ fn a_zero_filled_tail_is_dropped_and_zeros_before_a_frame_are_refused() {
         torn.truncate(last + HEADER + 7);
         torn.resize(log.len() + zeros, 0);
         let (frames, tail) = decode(&torn).unwrap();
-        assert_eq!(frames, records()[..4], "{zeros} zeros over the last frame");
+        let before = starts.len() - 1;
+        assert_eq!(
+            frames,
+            records()[..before],
+            "{zeros} zeros over the last frame"
+        );
         assert_eq!(tail, Some(last as u64), "{zeros} zeros over the last frame");
     }
     let mut bytes = log.clone();
     bytes.resize(log.len() + 100, 0);
     bytes.extend_from_slice(&log[..starts[1]]);
     let err = decode(&bytes).unwrap_err();
-    assert!(err.to_string().contains("fails its checksum"), "{err}");
+    assert!(err.to_string().contains("unknown kind 0"), "{err}");
 }
 
 #[test]
@@ -217,18 +229,51 @@ fn a_record_over_the_cap_is_refused_unread() {
     bytes.extend_from_slice(&[0; HEADER - 4]);
     bytes.extend_from_slice(&huge);
     let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
-    let err = reader.next(|_| true).unwrap_err();
+    let err = reader.next(|_, _| true).unwrap_err();
     assert!(err.to_string().contains("frame cap"), "{err}");
     assert_eq!(reader.capacity(), 0, "nothing was allocated");
 
     let mut out = Vec::new();
-    let err = encode_frame(0, &huge, &mut out).unwrap_err();
+    let err = encode_frame(Kind::Record, 0, &huge, &mut out).unwrap_err();
     assert!(err.to_string().contains("frame cap"), "{err}");
     assert!(out.is_empty());
     let mut at_cap = Vec::new();
-    encode_frame(7, &vec![b' '; FRAME_CAP as usize], &mut at_cap).unwrap();
+    encode_frame(
+        Kind::Flight,
+        7,
+        &vec![b' '; FRAME_CAP as usize],
+        &mut at_cap,
+    )
+    .unwrap();
     let (frames, tail) = decode(&at_cap).unwrap();
-    assert_eq!((frames.len(), frames[0].0, tail), (1, 7, None));
+    assert_eq!(
+        (frames.len(), frames[0].0, frames[0].1, tail),
+        (1, Kind::Flight, 7, None)
+    );
+}
+
+/// A kind no writer writes is refused before the body is read; only an
+/// all-zero header with nothing but zeros after it, as a crash may leave
+/// it, is a dropped tail (the zero-fill test above).
+#[test]
+fn an_unknown_kind_is_refused_unread() {
+    let (log, starts) = valid_log();
+    for kind in [0, 5, 1 << 16, u32::MAX] {
+        for &at in &starts {
+            let mut bytes = log.clone();
+            bytes[at + 4..at + 8].copy_from_slice(&kind.to_le_bytes());
+            let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
+            let err = loop {
+                match reader.next(|_, _| true) {
+                    Ok(Some(frame)) => assert!((frame.offset as usize) < at),
+                    Ok(None) => panic!("kind {kind} at byte {at} read as a whole log"),
+                    Err(e) => break e.to_string(),
+                }
+            };
+            assert!(err.contains(&format!("unknown kind {kind}")), "{err}");
+            assert!(reader.capacity() <= FRAME_CAP as usize);
+        }
+    }
 }
 
 /// A corpus entry's documents, shaped like a shrunk entry's.

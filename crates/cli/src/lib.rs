@@ -137,7 +137,7 @@ const USAGE: &str = "usage:
                              trace-event JSON for Perfetto/chrome://tracing; several
                              FILEs merge onto one timeline, one track per log)
   asim2 metrics flight FILE                 (pretty-print a case-N.flight.jsonl divergence
-                             flight-recorder sidecar, or - for stdin)
+                             flight-recorder log from campaign export, or - for stdin)
 
 engine NAMEs come from the registry: interp, interp-faithful, vm, vm-noopt,
 rust (the generated binary run as a subprocess cosim lane) and vm-fault (a
@@ -155,14 +155,15 @@ and the controller's finished directory is bit-identical to a single-machine
 `campaign run`. Handshake refusals (wrong protocol version, bad token,
 fingerprint drift, duplicate worker name) exit 2 with the named reason.
 profile runs one engine with the execution-profile tap on and ranks components
-by event count; campaign/shard --profile-out F folds per-case profile sidecars
+by event count; campaign/shard --profile-out F folds the per-case profiles
 into one asim2-profile v1 document, byte-identical across worker counts and
 kill+resume (incompatible with --case-checkpoint).
 --flight arms the divergence flight recorder: each case runs with a bounded
 ring buffer of its own telemetry, and any case that halts, errors or diverges
-leaves a cases/case-N.flight.jsonl sidecar with the last events before the
-trigger — byte-identical across worker counts and kill+resume, on single
-machines and fleets alike (incompatible with --case-checkpoint).
+keeps the last events before the trigger in its case log, which campaign
+export renders as cases/case-N.flight.jsonl — byte-identical across worker
+counts and kill+resume, on single machines and fleets alike (incompatible
+with --case-checkpoint).
 fleet status watches a serving controller read-only over the same protocol:
 one asim2-fleet-status v1 document per poll, --watch to repeat until the
 campaign drains.";
@@ -947,7 +948,7 @@ struct RunFlags<'a> {
     /// `--workers`, `--limit`, `--case-checkpoint`, `--flight`,
     /// `--metrics-out` and (as `profile`) `--profile-out`.
     options: rtl_campaign::RunOptions,
-    /// Where `--profile-out` folds the profile sidecars.
+    /// Where `--profile-out` folds the per-case profiles.
     profile_out: Option<&'a str>,
     /// `--quiet`: no progress or throughput lines.
     quiet: bool,
@@ -1262,7 +1263,7 @@ fn shard_cmd(args: &Args, out: &mut dyn Write, err: &mut dyn Write) -> Result<()
     }
 }
 
-/// `--profile-out F`: folds the per-case profile sidecars of every
+/// `--profile-out F`: folds the per-case profiles of every
 /// completed case into one `asim2-profile v1` document. Runs before the
 /// exit-status verdict so the profile survives a diverged campaign.
 fn write_profile_out(
@@ -1990,10 +1991,20 @@ mod tests {
             ],
             b"",
         );
-        // The fault lane diverges, so the run exits 3 — with flight
-        // sidecars published next to the diverging case records.
+        // The fault lane diverges, so the run exits 3 — with a flight
+        // log in the bundle of each diverging case, which `campaign
+        // export` renders next to the exported case records.
         assert_eq!(code, 3, "{out}\n{err}");
-        let sidecars: Vec<_> = std::fs::read_dir(d.join("cases"))
+        let exported = d.with_extension("export");
+        run_ok(&[
+            "campaign",
+            "export",
+            "--dir",
+            dir,
+            "--out",
+            exported.to_str().unwrap(),
+        ]);
+        let sidecars: Vec<_> = std::fs::read_dir(exported.join("cases"))
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| p.to_str().unwrap().ends_with(".flight.jsonl"))
@@ -2020,7 +2031,70 @@ mod tests {
         assert_eq!(code, 1, "{err}");
         assert!(err.contains("flight recorder"), "{err}");
         let _ = std::fs::remove_dir_all(&d);
+        let _ = std::fs::remove_dir_all(&exported);
         let _ = std::fs::remove_dir_all(&d2);
+    }
+
+    /// A `--profile-out --flight` diverging run leaves nothing under
+    /// `cases/` and `corpus/` but the two canonical logs; `campaign
+    /// export` renders every case's flight log as a file that `metrics
+    /// flight` reads.
+    #[test]
+    fn campaign_run_flight_export_metrics_flight() {
+        let d = campaign_dir("flight-export");
+        let dir = d.to_str().unwrap();
+        let profile = d.with_extension("profile.json");
+        let (code, out, err) = run_with(
+            &[
+                "campaign",
+                "run",
+                "--dir",
+                dir,
+                "--cases",
+                "3",
+                "--seed",
+                "5",
+                "--cycles",
+                "48",
+                "--size",
+                "10",
+                "--engines",
+                "interp,vm-fault",
+                "--flight",
+                "--profile-out",
+                profile.to_str().unwrap(),
+                "--quiet",
+            ],
+            b"",
+        );
+        assert_eq!(code, 3, "{out}\n{err}");
+        let listing = |sub: &str| -> Vec<String> {
+            std::fs::read_dir(d.join(sub))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        assert_eq!(listing("cases"), ["cases.log"]);
+        assert_eq!(listing("corpus"), ["corpus.log"]);
+        let exported = d.with_extension("export");
+        let out = run_ok(&[
+            "campaign",
+            "export",
+            "--dir",
+            dir,
+            "--out",
+            exported.to_str().unwrap(),
+        ]);
+        assert!(out.contains("exported 3 case record(s)"), "{out}");
+        for index in 0..3 {
+            let flight = exported.join(format!("cases/case-00000{index}.flight.jsonl"));
+            let (code, out, err) = run_with(&["metrics", "flight", flight.to_str().unwrap()], b"");
+            assert_eq!(code, 0, "{out}\n{err}");
+            assert!(out.contains("flight recorder:"), "{out}");
+        }
+        let _ = std::fs::remove_dir_all(&d);
+        let _ = std::fs::remove_dir_all(&exported);
+        let _ = std::fs::remove_file(&profile);
     }
 
     #[test]
@@ -2103,7 +2177,7 @@ mod tests {
         let mut args = vec!["campaign", "run", "--dir", d.to_str().unwrap()];
         args.extend_from_slice(&base);
         // The interrupted leg profiles too — a case executed without the
-        // tap has no sidecar, and the final fold would refuse it.
+        // tap has no profile, and the final fold would refuse it.
         args.extend_from_slice(&["--workers", "2", "--limit", "2", "--profile-out", &prof_str]);
         run_ok(&args);
         run_ok(&[
@@ -2227,7 +2301,8 @@ mod tests {
             "{out}"
         );
         assert!(err.contains("campaign found 2 divergence(s)"), "{err}");
-        let corpus = rtl_campaign::CorpusFrames::scan(&d.join("corpus")).unwrap();
+        let campaign = rtl_campaign::CampaignDir::new(&d);
+        let corpus = rtl_campaign::Frames::scan(&campaign, 0..0, |_, _| Ok(())).unwrap();
         assert!(
             corpus.names().any(|name| name == "seed-3"),
             "corpus archived"
@@ -2493,12 +2568,13 @@ mod tests {
     }
 
     /// A directory laid out by an earlier version — version 1 kept one
-    /// file per case record, version 2 four files per corpus entry — is
-    /// refused by name by every command that takes a campaign directory
-    /// over; none reads it as an empty campaign.
+    /// file per case record, version 2 four files per corpus entry,
+    /// version 3 profile and flight files beside its logs — is refused by
+    /// name by every command that takes a campaign directory over; none
+    /// reads it as an empty campaign.
     #[test]
     fn retired_campaign_layouts_are_refused_by_name() {
-        for version in ["v1", "v2"] {
+        for version in ["v1", "v2", "v3"] {
             let base = campaign_dir(&format!("retired-{version}"));
             let dir = base.join("old");
             quick_campaign(&dir, "2");
@@ -2507,7 +2583,7 @@ mod tests {
             std::fs::remove_file(campaign.cases().join("cases.log")).unwrap();
             let manifest = std::fs::read_to_string(campaign.manifest()).unwrap();
             let format = format!("asim2-campaign {version}");
-            let old = manifest.replace("asim2-campaign v3", &format);
+            let old = manifest.replace("asim2-campaign v4", &format);
             assert_ne!(old, manifest);
             std::fs::write(campaign.manifest(), old).unwrap();
 
@@ -2552,7 +2628,8 @@ mod tests {
 
     /// `shard plan` and `shard run` take the same config and run flags as
     /// `campaign run`: a `--lint-oracle` plan run with `--flight
-    /// --profile-out` merges to the single-machine tree, sidecars and all.
+    /// --profile-out` merges to the single-machine tree, flight logs and
+    /// profiles and all.
     #[test]
     fn campaign_shard_takes_the_shared_run_and_config_flags() {
         let base = campaign_dir("shard-flags");
@@ -2624,11 +2701,7 @@ mod tests {
         assert_eq!(read(&profile), read(&merged_profile), "profile folds");
         let single = std::path::Path::new(&dir);
         let merged = std::path::Path::new(&merged);
-        for rel in [
-            "campaign.json",
-            "cases/case-000003.flight.jsonl",
-            "cases/case-000003.profile",
-        ] {
+        for rel in ["campaign.json", "cases/cases.log", "corpus/corpus.log"] {
             assert_eq!(
                 std::fs::read(single.join(rel)).unwrap(),
                 std::fs::read(merged.join(rel)).unwrap(),

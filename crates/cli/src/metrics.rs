@@ -234,8 +234,8 @@ fn trace_export_cmd(
 }
 
 /// `flight FILE` — pretty-prints a `case-N.flight.jsonl` divergence
-/// flight-recorder sidecar: the ring buffer of events leading up to the
-/// trigger, then the trigger itself.
+/// flight-recorder log, as `campaign export` renders it: the ring buffer
+/// of events leading up to the trigger, then the trigger itself.
 fn flight_cmd(args: &Args, stdin: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), CliError> {
     let file = args
         .positional()

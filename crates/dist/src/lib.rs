@@ -8,8 +8,8 @@
 //! directory ([`run_shard`]): its own `campaign.json`, `cases/`,
 //! `corpus/`, `bin-cache/`, plus a `shard.json` marker tying it to the
 //! plan. [`merge()`] folds the directories back into one canonical
-//! campaign, checking and copying each case's bundle (record, sidecars,
-//! corpus entry) byte-verbatim, deduplicating corpus entries by scenario
+//! campaign, checking and copying each case's bundle (record, profile,
+//! flight log, corpus entry) byte-verbatim, deduplicating corpus entries by scenario
 //! fingerprint, and refusing anything drifted or corrupt — so
 //! the merged campaign is **bit-identical** to what one machine would
 //! have produced, at any shard count.

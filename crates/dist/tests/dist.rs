@@ -5,7 +5,7 @@
 //! with a single-machine run, across shard counts and kill+resume inside
 //! a shard, is the root `tests/identity.rs` matrix.
 
-use rtl_campaign::caselog::CANONICAL;
+use rtl_campaign::caselog::{encode_frame, FrameReader, Kind, CANONICAL};
 use rtl_campaign::{CampaignConfig, CampaignDir, CampaignError, NoProgress, RunOptions};
 use rtl_cosim::GenOptions;
 use rtl_dist::{merge, run_shard, ShardPlan};
@@ -206,12 +206,48 @@ fn run_two_shards(config: &CampaignConfig, options: &RunOptions) -> (ShardPlan, 
     (plan, dirs)
 }
 
-/// The files under `root/cases` whose names end in `suffix`.
+/// The files `campaign export` renders under `cases/` from the campaign
+/// at `root` whose names end in `suffix`.
 fn case_files(root: &Path, suffix: &str) -> BTreeMap<String, Vec<u8>> {
-    tree(root)
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("cases/") && name.ends_with(suffix))
-        .collect()
+    let out = root.with_extension("export");
+    let _ = std::fs::remove_dir_all(&out);
+    CampaignDir::new(root)
+        .export(&CampaignDir::new(&out))
+        .unwrap();
+    let mut files = BTreeMap::new();
+    for dirent in std::fs::read_dir(out.join("cases")).unwrap() {
+        let name = dirent.unwrap().file_name().to_string_lossy().into_owned();
+        if name.ends_with(suffix) {
+            files.insert(
+                name.clone(),
+                std::fs::read(out.join("cases").join(name)).unwrap(),
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&out);
+    files
+}
+
+/// Rewrites the canonical case log of `dir` with the body of case
+/// `index`'s `kind` frame edited and framed again, checksum and all.
+/// Returns the log's bytes before.
+fn reframe(dir: &CampaignDir, kind: Kind, index: u32, edit: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    let path = dir.cases().join(CANONICAL);
+    let bytes = std::fs::read(&path).unwrap();
+    let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
+    let mut log = Vec::new();
+    let mut edited = false;
+    while let Some(frame) = reader.next(|_, _| true).unwrap() {
+        let mut body = reader.body().to_vec();
+        if (frame.kind, frame.key) == (kind, index) {
+            body = edit(&body);
+            edited = true;
+        }
+        encode_frame(frame.kind, frame.key, &body, &mut log).unwrap();
+    }
+    assert!(edited, "case {index} has no {} frame", kind.label());
+    std::fs::write(&path, log).unwrap();
+    bytes
 }
 
 #[test]
@@ -256,19 +292,18 @@ fn merge_refuses_a_corrupt_sidecar_before_writing_anything() {
     let index = plan.shards[0].start + 1;
     let out = CampaignDir::new(scratch("corrupt-out"));
 
-    // A garbage profile sidecar.
-    let profile = std::fs::read(shard.profile_path(index)).unwrap();
-    std::fs::write(shard.profile_path(index), "garbage\n").unwrap();
+    // A garbage profile, framed with a valid checksum.
+    let log = reframe(&shard, Kind::Profile, index, |_| b"garbage\n".to_vec());
     let err = merge(&plan, &dirs, &out).unwrap_err();
     assert!(matches!(err, CampaignError::Corrupt(_)), "{err}");
     assert!(err.to_string().contains("case-000001.profile"), "{err}");
     assert!(!out.root().exists(), "nothing may be written: {err}");
-    std::fs::write(shard.profile_path(index), profile).unwrap();
+    std::fs::write(shard.cases().join(CANONICAL), log).unwrap();
 
     // A flight log with a line that is not an event.
-    let mut flight = std::fs::read_to_string(shard.flight_path(index)).unwrap();
-    flight.push_str("not an event\n");
-    std::fs::write(shard.flight_path(index), flight).unwrap();
+    reframe(&shard, Kind::Flight, index, |body| {
+        [body, b"not an event\n"].concat()
+    });
     let err = merge(&plan, &dirs, &out).unwrap_err();
     assert!(matches!(err, CampaignError::Corrupt(_)), "{err}");
     assert!(

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtl_campaign::{corpus, CampaignConfig, CampaignDir, CorpusFrames, NoProgress, RunOptions};
+use rtl_campaign::{corpus, CampaignConfig, CampaignDir, Frames, NoProgress, RunOptions};
 use rtl_cosim::GenOptions;
 use rtl_dist::{load_marker, run_shard, ShardPlan};
 use std::path::PathBuf;
@@ -131,9 +131,9 @@ fn mutated_corpus_entries_are_refused_or_load() {
     let report = rtl_campaign::run(&dir, &config(), &RunOptions::default(), &mut NoProgress)
         .expect("the campaign runs");
     assert!(report.diverged() > 0, "the fault lane diverges");
-    let frames = CorpusFrames::scan(&dir.corpus()).unwrap();
+    let frames = Frames::scan(&dir, 0..0, |_, _| Ok(())).unwrap();
     let name = frames.names().next().expect("an entry").to_string();
-    let files = frames.files(&name).unwrap().expect("its documents");
+    let files = frames.entry(&name).unwrap().expect("its documents").files;
     corpus::entry_from_files(&name, &files).expect("the shrunk entry loads");
     // An over-long divergence cycle is refused before the reference
     // replay runs to it.

@@ -26,8 +26,7 @@ use crate::error::FleetError;
 use crate::protocol::{Framed, Message, Poll, Refusal, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
 use rtl_campaign::{
-    BundleEntry, CampaignConfig, CampaignDir, CampaignReport, CaseBundle, CaseRecord, CorpusFrames,
-    LogWriter,
+    BundleEntry, CampaignConfig, CampaignDir, CampaignReport, CaseBundle, CaseRecord, LogWriter,
 };
 use rtl_obs::json::Json;
 use rtl_obs::{Event, Histogram, Recorder};
@@ -57,11 +56,11 @@ pub struct ControllerOptions {
     /// byte-identical across worker counts even through a stop+restart.
     pub limit: Option<u32>,
     /// Collect per-case execution profiles (workers run with profiling
-    /// and upload the sidecars).
+    /// and upload each case's profile).
     pub profile: bool,
     /// Arm the divergence flight recorder fleet-wide (workers run with
-    /// the ring buffer armed and upload `case-N.flight.jsonl` sidecars
-    /// for every non-agreeing case).
+    /// the ring buffer armed and upload the flight log of every
+    /// non-agreeing case).
     pub flight: bool,
     /// Telemetry tap (disabled by default). Deterministic fleet counters:
     /// `fleet/leases_granted`, `fleet/cases_dispatched`,
@@ -175,7 +174,7 @@ enum Reply {
 /// loop can hold `&mut Conn` and `&mut State` at once.
 struct State {
     config: CampaignConfig,
-    /// The logs accepted records and corpus entries are appended to.
+    /// The log accepted bundles are appended to.
     log: LogWriter,
     options: ControllerOptions,
     records: Vec<Option<CaseRecord>>,
@@ -233,11 +232,11 @@ impl Controller {
     /// A directory already holding a campaign is *resumed*: its stored
     /// configuration must fingerprint-match `config`, orphaned temp
     /// files are [swept](CampaignDir::sweep_orphans), and only the
-    /// missing cases are leased out. Accepted records and corpus entries
-    /// are appended to the controller's own worker logs, which are
+    /// missing cases are leased out. Accepted bundles are appended to the
+    /// controller's own worker log, which is
     /// [compacted](CampaignDir::compact) once every case has a record.
-    /// The corpus fingerprints already archived come from one scan of
-    /// the corpus logs.
+    /// The records and the corpus fingerprints already archived come
+    /// from one scan of the logs.
     ///
     /// # Errors
     ///
@@ -254,8 +253,8 @@ impl Controller {
         let started = Instant::now();
         let config = dir.open(config)?;
         dir.sweep_orphans()?;
-        let records = dir.load_cases(config.cases)?;
-        let corpus_fps = CorpusFrames::scan(&dir.corpus())?.fingerprints().collect();
+        let (records, frames) = dir.scan(config.cases, 0..config.cases)?;
+        let corpus_fps = frames.fingerprints().collect();
         let pending: BTreeSet<u32> = records
             .iter()
             .enumerate()
@@ -473,12 +472,6 @@ impl State {
             Message::Events { body } => {
                 let name = peer.name.clone();
                 self.handle_events(&name, &mut peer.spans, &body)
-            }
-            Message::Metrics { counters } => {
-                for delta in counters {
-                    self.options.recorder.count(&delta.src, &delta.key, delta.n);
-                }
-                Reply::Send(Message::Ack)
             }
             Message::Welcome { .. }
             | Message::Lease { .. }

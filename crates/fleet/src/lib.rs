@@ -11,8 +11,8 @@
 //! single-machine `campaign run` would have produced.
 //!
 //! The determinism argument is the same as everywhere else in the
-//! workspace: a case's outcome (its record, its profile sidecar, its
-//! shrunk corpus entry) is a pure function of `(config, index)`, so it
+//! workspace: a case's outcome (its record, its profile and flight log,
+//! its shrunk corpus entry) is a pure function of `(config, index)`, so it
 //! does not matter *which* worker executes it, *when*, or *how many
 //! times* — the controller checks each case's bundle against the
 //! campaign configuration, publishes it atomically in the shared commit
@@ -28,13 +28,13 @@
 //!   token, drifted manifest fingerprint, duplicate worker name).
 //! - [`controller`] — [`Controller::serve`](controller::Controller):
 //!   lease dispatch, heartbeat tracking, expiry + reassignment on worker
-//!   death, checked atomic publication of case bundles (record,
-//!   sidecars, corpus entry) and telemetry into the standard campaign
+//!   death, checked publication of case bundles (record, profile,
+//!   flight log, corpus entry) and telemetry into the standard campaign
 //!   layout.
 //! - [`worker`] — [`work`]: wraps the `rtl-campaign` pool
 //!   via `RunOptions.case_range` in a local scratch directory, then
-//!   uploads every case bundle byte-verbatim — profile and
-//!   flight-recorder sidecars, corpus entry, record — and, when the
+//!   uploads every case bundle byte-verbatim — profile,
+//!   flight-recorder log, corpus entry, record — and, when the
 //!   controller records — its full local telemetry log (`events` frames
 //!   the controller folds into one campaign-wide metrics stream).
 //! - [`status`] — [`StatusClient`]: a read-only `role: "status"`

@@ -79,18 +79,6 @@ impl Refusal {
     }
 }
 
-/// One deterministic counter delta forwarded from a worker's local
-/// event log to the controller's recorder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterDelta {
-    /// Source component (`campaign`, `lockstep`, `profile`, ...).
-    pub src: String,
-    /// Counter key.
-    pub key: String,
-    /// The increment (deltas sum, so forwarding preserves fold totals).
-    pub n: u64,
-}
-
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -120,7 +108,8 @@ pub enum Message {
         /// Whether workers must collect per-case execution profiles.
         profile: bool,
         /// Whether workers must arm the divergence flight recorder and
-        /// upload `case-N.flight.jsonl` sidecars.
+        /// upload each non-agreeing case's flight log (which `campaign
+        /// export` renders as `case-N.flight.jsonl`).
         flight: bool,
         /// Whether the controller keeps worker telemetry (its recorder is
         /// enabled). Workers record each lease and upload its
@@ -166,12 +155,12 @@ pub enum Message {
         /// The record file's exact text.
         body: String,
     },
-    /// Worker → controller: one execution-profile sidecar,
+    /// Worker → controller: one case's execution profile,
     /// byte-verbatim, sent before the case record that commits it.
     Profile {
         /// Global case index.
         index: u32,
-        /// The sidecar file's exact text.
+        /// The profile's exact text.
         body: String,
     },
     /// Worker → controller: the shrunk corpus entry the next case record
@@ -185,28 +174,21 @@ pub enum Message {
         /// The entry's four documents.
         files: CorpusFiles,
     },
-    /// Worker → controller: deterministic counter deltas from the
-    /// lease's local event log.
-    Metrics {
-        /// The deltas, in log order.
-        counters: Vec<CounterDelta>,
-    },
     /// Worker → controller: the lease's complete local `asim2-events v1`
     /// log, streamed verbatim. The controller folds the deterministic
     /// counters into its own log untagged (totals stay byte-identical to
     /// a single-machine run) and re-emits the wall-clock events with
-    /// worker provenance. Supersedes [`Message::Metrics`], which only
-    /// carried the counters.
+    /// worker provenance.
     Events {
         /// The event log's exact text (meta header included).
         body: String,
     },
-    /// Worker → controller: one flight-recorder sidecar, byte-verbatim,
-    /// sent before the case record that commits it.
+    /// Worker → controller: one case's flight-recorder log,
+    /// byte-verbatim, sent before the case record that commits it.
     Flight {
         /// Global case index.
         index: u32,
-        /// The sidecar file's exact text.
+        /// The flight log's exact text.
         body: String,
     },
     /// Status client → controller: one live-status query.
@@ -244,7 +226,6 @@ impl Message {
             Message::Record { .. } => "record",
             Message::Profile { .. } => "profile",
             Message::Corpus { .. } => "corpus",
-            Message::Metrics { .. } => "metrics",
             Message::Events { .. } => "events",
             Message::Flight { .. } => "flight",
             Message::StatusRequest => "status-request",
@@ -321,23 +302,6 @@ impl Message {
                 pairs.push(("stim".into(), Json::str(&files.stim)));
                 pairs.push(("ckpt".into(), Json::str(&files.ckpt)));
                 pairs.push(("meta".into(), Json::str(&files.meta)));
-            }
-            Message::Metrics { counters } => {
-                pairs.push((
-                    "counters".into(),
-                    Json::Arr(
-                        counters
-                            .iter()
-                            .map(|c| {
-                                Json::Obj(vec![
-                                    ("src".into(), Json::str(&c.src)),
-                                    ("key".into(), Json::str(&c.key)),
-                                    ("n".into(), Json::num(c.n)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
             }
             Message::Error { reason, detail } => {
                 pairs.push(("reason".into(), Json::str(reason.label())));
@@ -437,34 +401,6 @@ impl Message {
                     meta: text("meta")?,
                 },
             },
-            "metrics" => {
-                let items = doc
-                    .get("counters")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing array field \"counters\"")?;
-                let counters = items
-                    .iter()
-                    .map(|c| {
-                        Ok(CounterDelta {
-                            src: c
-                                .get("src")
-                                .and_then(Json::as_str)
-                                .ok_or("counter without src")?
-                                .to_string(),
-                            key: c
-                                .get("key")
-                                .and_then(Json::as_str)
-                                .ok_or("counter without key")?
-                                .to_string(),
-                            n: c.get("n")
-                                .and_then(Json::as_u64)
-                                .ok_or("counter without n")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, &str>>()
-                    .map_err(str::to_string)?;
-                Message::Metrics { counters }
-            }
             "events" => Message::Events {
                 body: text("body")?,
             },
@@ -700,13 +636,6 @@ mod tests {
                     meta: "{}\n".into(),
                 },
             },
-            Message::Metrics {
-                counters: vec![CounterDelta {
-                    src: "campaign".into(),
-                    key: "cases_executed".into(),
-                    n: 8,
-                }],
-            },
             Message::Events {
                 body: "{\"v\":1,\"e\":\"meta\",\"format\":\"asim2-events v1\"}\n".into(),
             },
@@ -819,6 +748,8 @@ mod tests {
             "not json",
             "{\"type\":\"frobnicate\"}",
             "{\"type\":\"lease\",\"start\":0}",
+            // The counter upload that `events` superseded is gone.
+            "{\"type\":\"metrics\",\"counters\":[]}",
             "{\"type\":\"error\",\"reason\":\"made-up\",\"detail\":\"x\"}",
         ] {
             assert!(decode(bad).is_err(), "{bad:?} should not decode");

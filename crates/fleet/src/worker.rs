@@ -16,18 +16,16 @@
 //! worker records telemetry only when the controller keeps it
 //! (`Welcome::metrics`): otherwise the lease runs with a disabled
 //! recorder, which lints and counts nothing, and uploads no event log.
-//! The scratch never owns a whole campaign, so its record and corpus
-//! logs are never compacted; instead, once a lease's uploads are
-//! acknowledged, the worker removes them. A lease's resume and upload so
-//! scan only the logs of that lease (and of one cut short before it),
-//! however many leases the session has run.
+//! The scratch never owns a whole campaign, so its logs are never
+//! compacted; instead, once a lease's uploads are acknowledged, the
+//! worker removes them. A lease's resume and upload so scan only the
+//! logs of that lease (and of one cut short before it), however many
+//! leases the session has run.
 
 use crate::error::FleetError;
 use crate::protocol::{Framed, Message, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
-use rtl_campaign::{
-    CampaignDir, CampaignError, CaseBundle, CaseRecord, CorpusFrames, Progress, RunOptions,
-};
+use rtl_campaign::{CampaignDir, CampaignError, CaseBundle, CaseRecord, Progress, RunOptions};
 use rtl_obs::Recorder;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -267,15 +265,12 @@ fn run_lease(
     }
     recorder.flush();
 
-    // Upload each case's bundle byte-verbatim from disk — the same record
-    // frames, corpus documents and files a single-machine run publishes,
-    // so the controller's directory diffs clean. One scan of the
-    // scratch's record logs and one of its corpus logs read the lease's
-    // bundles.
+    // Upload each case's bundle byte-verbatim from disk — the same
+    // record, profile, flight and corpus bodies a single-machine run
+    // publishes, so the controller's directory diffs clean. One scan of
+    // the scratch's logs reads the lease's bundles.
     let mut bundles: Vec<Option<CaseBundle>> = (start..end).map(|_| None).collect();
-    let corpus = CorpusFrames::scan(&dir.corpus())?;
-    let cases = lease_report.config.cases;
-    CaseBundle::read_range(dir, Some(&corpus), cases, start..end, |bundle| {
+    CaseBundle::read_range(dir, start..end, |bundle| {
         let slot = (bundle.index - start) as usize;
         bundles[slot] = Some(bundle);
         Ok(())
@@ -284,8 +279,8 @@ fn run_lease(
         let mut bundle = bundle.ok_or_else(|| {
             CampaignError::Corrupt(format!("case {index} has no record after its lease ran"))
         })?;
-        // A reused scratch may hold sidecars this controller does not
-        // collect.
+        // A reused scratch may hold profiles or flight logs this
+        // controller does not collect.
         bundle.profile = bundle.profile.filter(|_| profile);
         bundle.flight = bundle.flight.filter(|_| flight);
         if let Some(Some(record)) = lease_report.records.get(index as usize) {
@@ -314,8 +309,8 @@ fn run_lease(
         }
     }
 
-    // The controller now holds every record and corpus entry of the
-    // lease, so the scratch drops its record and corpus logs: the next
+    // The controller now holds every bundle of the lease, so the
+    // scratch drops its worker logs: the next
     // lease scans only its own, however long the session. Were this
     // range leased here again, its cases would re-run to the same bytes.
     dir.remove_worker_logs()?;

@@ -4,10 +4,7 @@
 //! silent workers. Identity across worker counts and a controller
 //! stop+restart is the root `tests/identity.rs` matrix.
 
-use rtl_campaign::caselog::list_logs;
-use rtl_campaign::{
-    corpus, CampaignConfig, CampaignDir, CaseFrames, CaseRecord, NoProgress, RunOptions,
-};
+use rtl_campaign::{CampaignConfig, CampaignDir, CaseRecord, Frames, NoProgress, RunOptions};
 use rtl_fleet::{
     work, Controller, ControllerOptions, FleetError, FleetProgress, NoFleetProgress, WorkerOptions,
 };
@@ -86,7 +83,7 @@ fn tree(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 /// Asserts the fleet directory is byte-identical to the single-machine
-/// one: manifest, every case record (and sidecar), every corpus file.
+/// one: manifest, case log and corpus log.
 /// `bin-cache/` is excluded on both sides — it is a cache, not state.
 fn assert_identical(single: &Path, fleet: &Path) {
     let filter = |t: BTreeMap<String, Vec<u8>>| -> BTreeMap<String, Vec<u8>> {
@@ -206,40 +203,33 @@ fn accepted_records_count_up_from_the_records_on_disk() {
     assert_eq!(dones, (1..=8).collect::<Vec<u32>>());
 }
 
-/// The most record logs and corpus logs a worker's scratch held whenever
-/// the controller accepted a record (the worker waits for each
-/// acknowledgement, so its scratch is still then).
+/// The most logs a worker's scratch held whenever the controller
+/// accepted a record (the worker waits for each acknowledgement, so its
+/// scratch is still then).
 struct ScratchLogs {
     scratch: CampaignDir,
-    most: (usize, usize),
-}
-
-/// A scratch's record logs and corpus logs.
-fn scratch_logs(scratch: &CampaignDir) -> (Vec<PathBuf>, Vec<PathBuf>) {
-    (
-        CaseFrames::logs(scratch).unwrap(),
-        list_logs(&scratch.corpus(), corpus::CANONICAL).unwrap(),
-    )
+    most: usize,
 }
 
 impl FleetProgress for ScratchLogs {
     fn record_accepted(&mut self, _worker: &str, _record: &CaseRecord, _done: u32, _total: u32) {
-        let (cases, corpus) = scratch_logs(&self.scratch);
-        self.most = (self.most.0.max(cases.len()), self.most.1.max(corpus.len()));
+        let logs = Frames::logs(&self.scratch).unwrap();
+        self.most = self.most.max(logs.len());
     }
 }
 
-/// A worker removes its scratch's record and corpus logs once a lease's
-/// uploads are acknowledged, so however many leases a session runs, a
-/// lease's scans meet only the logs its own threads wrote. With the
-/// faulty lane every case archives a corpus entry.
+/// A worker removes its scratch's logs once a lease's uploads are
+/// acknowledged, so however many leases a session runs, a lease's scans
+/// meet only the logs its own threads wrote: one each, whether or not
+/// the bundles carry corpus entries. With the faulty lane every case
+/// archives one.
 #[test]
 fn a_long_session_keeps_the_scratch_logs_bounded() {
     let mut diverging = small_config(&["interp", "vm-fault"], 40);
     diverging.generator.cycles = 48;
-    for (label, config, corpus_logs) in [
-        ("agreeing", small_config(&["interp", "vm"], 40), 0..=0),
-        ("diverging", diverging, 1..=2),
+    for (label, config) in [
+        ("agreeing", small_config(&["interp", "vm"], 40)),
+        ("diverging", diverging),
     ] {
         let root = scratch(&format!("long-{label}"));
         let scratch_dir = scratch(&format!("long-{label}-w"));
@@ -253,46 +243,48 @@ fn a_long_session_keeps_the_scratch_logs_bounded() {
                 lease: 2,
                 ..ControllerOptions::default()
             };
-            let mut progress = ScratchLogs {
-                scratch,
-                most: (0, 0),
-            };
+            let mut progress = ScratchLogs { scratch, most: 0 };
             let report = controller
                 .serve(&dir, &served, &options, &mut progress)
                 .unwrap();
             (report, progress.most)
         });
         let worker = work(&addr.to_string(), &worker_options("t", "w", &scratch_dir)).unwrap();
-        let (report, (cases, corpus)) = serving.join().unwrap();
+        let (report, most) = serving.join().unwrap();
         assert!(report.complete(), "{label}: {report}");
         assert_eq!((worker.leases, worker.cases), (20, 40), "{label}");
-        // Two threads, so at most two logs of each kind, and none once
-        // the session ends.
-        assert!((1..=2).contains(&cases), "{label}: {cases} record logs");
-        assert!(
-            corpus_logs.contains(&corpus),
-            "{label}: {corpus} corpus logs"
-        );
-        let none = (Vec::<PathBuf>::new(), Vec::<PathBuf>::new());
-        assert_eq!(scratch_logs(&CampaignDir::new(&scratch_dir)), none);
+        // Two threads, so at most two logs, and none once the session
+        // ends.
+        assert!((1..=2).contains(&most), "{label}: {most} logs");
+        let scratch = CampaignDir::new(&scratch_dir);
+        assert_eq!(Frames::logs(&scratch).unwrap(), Vec::<PathBuf>::new());
         if label == "diverging" {
             assert_eq!(report.diverged(), 40, "{report}");
-            let entries = rtl_campaign::CorpusFrames::scan(&CampaignDir::new(&root).corpus());
-            assert_eq!(entries.unwrap().len(), 40);
+            let frames = Frames::scan(&CampaignDir::new(&root), 0..0, |_, _| Ok(()));
+            assert_eq!(frames.unwrap().names().count(), 40);
         }
     }
 }
 
-/// The flight-sidecar files under `cases/`, relative path → bytes.
+/// The flight logs `campaign export` renders from the campaign at
+/// `root`, relative path → bytes.
 fn flight_files(root: &Path) -> BTreeMap<String, Vec<u8>> {
-    tree(root)
+    let out = root.with_extension("export");
+    let _ = std::fs::remove_dir_all(&out);
+    CampaignDir::new(root)
+        .export(&CampaignDir::new(&out))
+        .unwrap();
+    let files = tree(&out)
         .into_iter()
         .filter(|(rel, _)| rel.ends_with(".flight.jsonl"))
-        .collect()
+        .collect();
+    let _ = std::fs::remove_dir_all(&out);
+    files
 }
 
 /// With the flight recorder armed fleet-wide, every diverging case gets
-/// a `cases/case-N.flight.jsonl` sidecar whose bytes are identical to
+/// a flight log, which `campaign export` renders as
+/// `cases/case-N.flight.jsonl`, and whose bytes are identical to
 /// the single-machine run's — across worker counts {1, 2}, whether or
 /// not the controller records (its workers then record too, or run
 /// recorder-less), and across a worker killed mid-lease and replaced.
@@ -363,8 +355,8 @@ fn flight_sidecars_are_deterministic_across_worker_counts_and_kill() {
             flight_files(&fleet_root),
             "{tag} fleet flight sidecars drifted"
         );
-        // The sidecars ride inside the campaign directory, so the whole
-        // tree — records, corpus, manifest, flight logs — still matches.
+        // The flight logs ride in the case log, so the whole tree —
+        // records, corpus, manifest, flight logs — still matches.
         assert_identical(&single_root, &fleet_root);
     }
 

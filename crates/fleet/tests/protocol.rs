@@ -2,8 +2,8 @@
 //! byte-stable error frames, and frame round-trip properties.
 
 use proptest::prelude::*;
-use rtl_campaign::{CampaignConfig, CampaignDir, CaseBundle, CorpusFrames, NoProgress, RunOptions};
-use rtl_fleet::protocol::{self, CorpusFiles, CounterDelta, Framed, Message};
+use rtl_campaign::{CampaignConfig, CampaignDir, CaseBundle, NoProgress, RunOptions};
+use rtl_fleet::protocol::{self, CorpusFiles, Framed, Message};
 use rtl_fleet::{Controller, ControllerOptions, NoFleetProgress, Refusal, WorkerOptions, PROTOCOL};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -394,9 +394,6 @@ proptest! {
                     meta: name.clone(),
                 },
             },
-            Message::Metrics {
-                counters: vec![CounterDelta { src: token.clone(), key: worker.clone(), n }],
-            },
             Message::Error {
                 reason: rtl_fleet::Refusal::BadUpload,
                 detail: body.clone(),
@@ -442,13 +439,6 @@ fn every_prefix_of_a_frame_is_refused() {
         Message::Record {
             index: 3,
             body: record.into(),
-        },
-        Message::Metrics {
-            counters: vec![CounterDelta {
-                src: "campaign".into(),
-                key: "cases_executed".into(),
-                n: u64::MAX,
-            }],
         },
     ];
     for msg in frames {
@@ -675,8 +665,7 @@ fn the_controller_refuses_every_bad_upload_and_publishes_nothing() {
     };
     rtl_campaign::run(&local, &config, &options, &mut NoProgress).unwrap();
     let mut read = Vec::new();
-    let corpus = CorpusFrames::scan(&local.corpus()).unwrap();
-    CaseBundle::read_range(&local, Some(&corpus), config.cases, 0..1, |bundle| {
+    CaseBundle::read_range(&local, 0..1, |bundle| {
         read.push(bundle);
         Ok(())
     })

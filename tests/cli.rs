@@ -253,16 +253,18 @@ fn campaign_archives_and_reproduces_an_injected_engine_bug() {
     assert!(out.contains("bug no longer reproduces"), "{out}");
 
     // An entry whose design_fp is not hex is refused as corrupt: exit 2.
-    let frames = rtl_campaign::CorpusFrames::scan(&dir.join("corpus")).unwrap();
+    let campaign = rtl_campaign::CampaignDir::new(&dir);
+    let frames = rtl_campaign::Frames::scan(&campaign, 0..0, |_, _| Ok(())).unwrap();
     let fingerprint = frames.fingerprints().next().unwrap();
-    let mut files = frames.files("seed-9").unwrap().unwrap();
+    let mut files = frames.entry("seed-9").unwrap().unwrap().files;
     let key = "\"design_fp\": \"";
     let start = files.meta.find(key).unwrap() + key.len();
     let end = start + files.meta[start..].find('"').unwrap();
     files.meta = format!("{}zz{}", &files.meta[..start], &files.meta[end..]);
     let body = rtl_campaign::corpus::encode_entry(fingerprint, "seed-9", &files).unwrap();
     let mut log = Vec::new();
-    rtl_campaign::caselog::encode_frame(0, &body, &mut log).unwrap();
+    let corpus = rtl_campaign::caselog::Kind::Corpus;
+    rtl_campaign::caselog::encode_frame(corpus, 0, &body, &mut log).unwrap();
     std::fs::write(dir.join("corpus/corpus.log"), log).unwrap();
     let (code, _, err) = run_cli(&["campaign", "replay", "--dir", d]);
     assert_eq!(code, 2, "{err}");

@@ -12,8 +12,8 @@
 //!
 //! * the same report text;
 //! * the same `campaign.json`, `cases/` and `corpus/`, byte for byte —
-//!   `cases/` holding one canonical `cases.log` beside the sidecars, and
-//!   `corpus/` one canonical `corpus.log`;
+//!   `cases/` holding one canonical `cases.log`, every case's profile,
+//!   flight and record frames, and `corpus/` one canonical `corpus.log`;
 //! * the same folded deterministic counter section, once the surface's
 //!   own `merge/*` and `fleet/*` keys are set aside. Fleet cells must also
 //!   agree with each other on `fleet/*`.
@@ -23,14 +23,17 @@
 //! behind. No cell may leave one anywhere under its root. A torn cell
 //! instead appends half of a valid frame to a worker log, as a kill
 //! mid-append leaves it, and creates an empty worker log, as a kill
-//! between create and first append leaves it. The two corpus cells take
-//! a case the directory holds no record for and append its corpus frame
-//! to a corpus worker log: half of it, as a kill during the corpus
-//! append leaves it, or all of it, as a kill after the corpus append
-//! and before the record append leaves it.
+//! between create and first append leaves it. Every case's bundle is one
+//! append to its writer's `cases/` log, corpus frame first, so the two
+//! corpus cells take a case the directory holds no record for and append
+//! its corpus frame to a `cases/` worker log: half of it, as a kill early
+//! in the bundle's write leaves it, or all of it, as a kill after the
+//! corpus frame and before the record leaves it.
 
-use rtl_campaign::caselog::{list_logs, CaseFrames, FrameReader, CANONICAL, HEADER};
-use rtl_campaign::{corpus, CampaignConfig, CampaignDir, CampaignReport, NoProgress, RunOptions};
+use rtl_campaign::caselog::{FrameReader, Kind, CANONICAL};
+use rtl_campaign::{
+    corpus, CampaignConfig, CampaignDir, CampaignReport, Frames, NoProgress, RunOptions,
+};
 use rtl_dist::{merge_with, run_shard, ShardPlan};
 use rtl_fleet::{work, Controller, ControllerOptions, NoFleetProgress, WorkerOptions};
 use rtl_obs::{Recorder, Summary};
@@ -104,12 +107,12 @@ fn plant_orphans(root: &Path) {
 /// creates an empty worker log. Returns whether a frame was torn.
 fn plant_torn_tail(root: &Path) -> bool {
     let dir = CampaignDir::new(root);
-    let logs = CaseFrames::logs(&dir).unwrap();
+    let logs = Frames::logs(&dir).unwrap();
     let torn = logs.iter().find_map(|log| {
         let bytes = std::fs::read(log).unwrap();
         let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
-        let frame = reader.next(|_| false).unwrap()?;
-        let end = frame.offset as usize + HEADER + frame.len as usize;
+        let frame = reader.next(|_, _| false).unwrap()?;
+        let end = frame.end() as usize;
         Some((log, bytes[frame.offset as usize..end].to_vec()))
     });
     if let Some((log, frame)) = &torn {
@@ -120,16 +123,30 @@ fn plant_torn_tail(root: &Path) -> bool {
     torn.is_some()
 }
 
+/// The frames of the canonical log `sub/name` under `root`, each with
+/// its bytes.
+fn log_frames(root: &Path, sub: &str, name: &str) -> Vec<(Kind, Vec<u8>)> {
+    let bytes = std::fs::read(root.join(sub).join(name)).unwrap();
+    let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
+    let mut frames = Vec::new();
+    while let Some(frame) = reader.next(|_, _| true).unwrap() {
+        let end = frame.end() as usize;
+        frames.push((frame.kind, bytes[frame.offset as usize..end].to_vec()));
+    }
+    assert_eq!(reader.tail(), None, "{sub}/{name} is whole");
+    frames
+}
+
 /// The frames of a complete run's canonical corpus log, each with the
 /// case whose divergence it archives.
 fn corpus_frames(root: &Path, config: &CampaignConfig) -> Vec<(u32, Vec<u8>)> {
     let bytes = std::fs::read(root.join("corpus").join(corpus::CANONICAL)).unwrap();
     let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
     let mut frames = Vec::new();
-    while let Some(frame) = reader.next(|_| true).unwrap() {
-        let (_, name, _) = corpus::decode_entry(reader.record()).unwrap();
+    while let Some(frame) = reader.next(|_, _| true).unwrap() {
+        let (_, name, _) = corpus::decode_entry(reader.body()).unwrap();
         let seed: u64 = name.strip_prefix("seed-").unwrap().parse().unwrap();
-        let end = frame.offset as usize + HEADER + frame.len as usize;
+        let end = frame.end() as usize;
         let index = u32::try_from(seed - config.seed).unwrap();
         frames.push((index, bytes[frame.offset as usize..end].to_vec()));
     }
@@ -138,12 +155,11 @@ fn corpus_frames(root: &Path, config: &CampaignConfig) -> Vec<(u32, Vec<u8>)> {
 
 /// Appends the corpus frame of the first case in `range` that the
 /// campaign directory at `root` holds no record for — all of it when
-/// `whole`, else its first half — to a corpus worker log there. Returns
-/// whether such a case remained.
+/// `whole`, else its first half — to a `cases/` worker log there.
+/// Returns whether such a case remained.
 fn plant_entry(root: &Path, cell: &Cell, range: Range<u32>, whole: bool) -> bool {
     let dir = CampaignDir::new(root);
-    let cases = cell.config.cases;
-    let recorded = CaseFrames::scan(&dir, cases, 0..cases, |_, _| Ok(())).unwrap();
+    let recorded = Frames::scan(&dir, 0..cell.config.cases, |_, _| Ok(())).unwrap();
     let Some((_, frame)) = cell
         .entries
         .iter()
@@ -151,13 +167,12 @@ fn plant_entry(root: &Path, cell: &Cell, range: Range<u32>, whole: bool) -> bool
     else {
         return false;
     };
-    std::fs::create_dir_all(dir.corpus()).unwrap();
-    let canonical = dir.corpus().join(corpus::CANONICAL);
-    let log = list_logs(&dir.corpus(), corpus::CANONICAL)
+    std::fs::create_dir_all(dir.cases()).unwrap();
+    let log = Frames::logs(&dir)
         .unwrap()
         .into_iter()
-        .find(|log| *log != canonical)
-        .unwrap_or_else(|| dir.corpus().join("worker-98.log"));
+        .find(|log| log.starts_with(dir.cases()) && !log.ends_with(CANONICAL))
+        .unwrap_or_else(|| dir.cases().join("worker-98.log"));
     let bytes = if whole {
         &frame[..]
     } else {
@@ -415,7 +430,6 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
             ],
             "{label}: one canonical log each"
         );
-        let corpus_dir = single_root.join("corpus");
         assert_eq!(
             reference
                 .keys()
@@ -425,17 +439,22 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
         );
         let entries = corpus_frames(&single_root, &config);
         assert_eq!(entries.len(), 6, "{label}: one entry per case");
-        let names: Vec<String> = corpus::CorpusFrames::scan(&corpus_dir)
+        let names: Vec<String> = Frames::scan(&CampaignDir::new(&single_root), 0..0, |_, _| Ok(()))
             .unwrap()
             .names()
             .map(str::to_string)
             .collect();
         assert_eq!(names.len(), 6, "{label}: {names:?}");
-        for suffix in [".profile", ".flight.jsonl"] {
-            assert!(
-                reference.keys().any(|name| name.ends_with(suffix)),
-                "{label}: no {suffix} artifact in {:?}",
-                reference.keys()
+        let kinds: Vec<Kind> = log_frames(&single_root, "cases", CANONICAL)
+            .into_iter()
+            .map(|(kind, _)| kind)
+            .collect();
+        for kind in [Kind::Profile, Kind::Flight, Kind::Record] {
+            assert_eq!(
+                kinds.iter().filter(|&&k| k == kind).count(),
+                6,
+                "{label}: a {} frame per case in {kinds:?}",
+                kind.label()
             );
         }
         let (reference_counters, own) = counters(&recorder, &log);
