@@ -27,7 +27,9 @@ pub struct CampaignConfig {
     pub compare_every: u64,
     /// Attach the `rtl-lint` cross-validation oracle to every case: a
     /// runtime observation contradicting a static claim (dead arm fires,
-    /// undriven cell changes) is a divergence. Outcome-relevant, so it is
+    /// undriven cell changes) is a divergence. It is also the one switch
+    /// that makes a case lint its design (the `lint/*` counters); a
+    /// recorder or flight ring never does. Outcome-relevant, so it is
     /// fingerprinted — but only when set, keeping fingerprints of
     /// existing campaigns unchanged.
     pub lint_oracle: bool,

@@ -145,7 +145,8 @@ deliberately broken VM for validating the find->shrink->replay pipeline).
 cosim comparators: trace, cycles, outputs, cells, vcd, digest, all
 lint checks specs statically (asim2 lint --codes lists the finding codes);
 --lint-oracle cross-validates the analyzer's dead-arm/undriven claims
-against the running lanes — a contradiction reports as a divergence.
+against the running lanes — a contradiction reports as a divergence — and
+is the one switch that makes a campaign case lint (lint/* counters).
 shard plans default to ./shard-plan.json; each shard runs on its own machine
 into a self-contained --dir, and merge folds the directories back into one
 canonical campaign, bit-identical to a single-machine run.
@@ -1012,7 +1013,14 @@ fn engines_flag(args: &Args) -> Result<Option<Vec<String>>, CliError> {
 
 /// Parses the shared config flags over the default configuration.
 fn config_flags(args: &Args) -> Result<rtl_campaign::CampaignConfig, CliError> {
-    let mut config = rtl_campaign::CampaignConfig::default();
+    config_over(rtl_campaign::CampaignConfig::default(), args)
+}
+
+/// Parses the shared config flags over `config`.
+fn config_over(
+    mut config: rtl_campaign::CampaignConfig,
+    args: &Args,
+) -> Result<rtl_campaign::CampaignConfig, CliError> {
     if let Some(engines) = engines_flag(args)? {
         config.engines = engines;
     }
@@ -1031,8 +1039,25 @@ fn config_flags(args: &Args) -> Result<rtl_campaign::CampaignConfig, CliError> {
     if let Some(stride) = args.number::<u64>("--compare-every")? {
         config.compare_every = stride.max(1);
     }
-    config.lint_oracle = args.has("--lint-oracle");
+    config.lint_oracle |= args.has("--lint-oracle");
     Ok(config)
+}
+
+/// The options `campaign shrink` probes with: those of the campaign
+/// living in `dir`, when there is one, as the campaign's own shrink
+/// takes them (engines, generator, stride and lint oracle), or the
+/// defaults; flags override. A shrink must probe the scenario the
+/// campaign flagged, not a generic one.
+fn shrink_options(
+    args: &Args,
+    dir: &rtl_campaign::CampaignDir,
+) -> Result<rtl_cosim::FuzzOptions, CliError> {
+    let config = if dir.manifest().exists() {
+        dir.load().map_err(campaign_err)?
+    } else {
+        rtl_campaign::CampaignConfig::default()
+    };
+    Ok(config_over(config, args)?.fuzz_options())
 }
 
 fn campaign_cmd(args: &Args, out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
@@ -1110,38 +1135,15 @@ fn campaign_cmd(args: &Args, out: &mut dyn Write, err: &mut dyn Write) -> Result
             let seed = args
                 .number::<u64>("--seed")?
                 .ok_or_else(|| usage_err("campaign shrink needs --seed N"))?;
-            // Defaults come from the campaign living in --dir, when there
-            // is one: a shrink must probe the same scenario the campaign
-            // flagged, not a generic one. Flags still override.
-            let stored = if dir.manifest().exists() {
-                Some(dir.load().map_err(campaign_err)?)
-            } else {
-                None
-            };
-            let engines = engines_flag(args)?
-                .or_else(|| stored.as_ref().map(|c| c.engines.clone()))
-                .unwrap_or_else(|| vec!["interp".to_string(), "vm".to_string()]);
-            let mut generator = stored
-                .as_ref()
-                .map(|c| c.generator.clone())
-                .unwrap_or_default();
-            if let Some(cycles) = args.number("--cycles")? {
-                generator.cycles = cycles;
-            }
-            if let Some(size) = args.number::<u64>("--size")? {
-                generator.size = size as usize;
-            }
-            let stride = args
-                .number::<u64>("--compare-every")?
-                .or(stored.as_ref().map(|c| c.compare_every))
-                .unwrap_or(1)
-                .max(1);
+            let rtl_cosim::FuzzOptions {
+                engines,
+                generator,
+                cosim,
+                ..
+            } = shrink_options(args, &dir)?;
+            let stride = cosim.compare_every;
             let cache = std::sync::Arc::new(rtl_compile::BinaryCache::at_dir(dir.bin_cache()));
             let registry = rtl_campaign::campaign_registry(Some(cache));
-            let cosim = rtl_cosim::CosimOptions {
-                compare_every: stride,
-                ..rtl_cosim::CosimOptions::default()
-            };
             let shrunk =
                 rtl_campaign::shrink_divergence(&registry, &engines, seed, &generator, &cosim)
                     .map_err(campaign_err)?;
@@ -2740,6 +2742,70 @@ mod tests {
         ]);
         assert_eq!(code, 1, "{err}");
         assert!(err.contains("no shard plan"), "{err}");
+    }
+
+    /// `campaign shrink --dir D` probes with D's stored config, the lint
+    /// oracle included, as the campaign's own shrink does; flags override
+    /// it, and a directory without a campaign gives the defaults.
+    #[test]
+    fn campaign_shrink_probes_with_the_stored_config() {
+        let d = campaign_dir("shrink-stored");
+        let dir = d.to_str().unwrap();
+        let options = |flags: &[&str]| {
+            let mut words = vec!["campaign", "shrink", "--dir", dir, "--seed", "3"];
+            words.extend_from_slice(flags);
+            args::parse(&words)
+                .and_then(|args| shrink_options(&args, &rtl_campaign::CampaignDir::new(&d)))
+                .unwrap_or_else(|e| panic!("{}", e.message))
+        };
+        let (got, want) = (
+            options(&[]),
+            rtl_campaign::CampaignConfig::default().fuzz_options(),
+        );
+        assert_eq!(
+            (got.engines, got.generator, got.cosim),
+            (want.engines, want.generator, want.cosim)
+        );
+
+        run_ok(&[
+            "campaign",
+            "run",
+            "--dir",
+            dir,
+            "--cases",
+            "1",
+            "--size",
+            "4",
+            "--cycles",
+            "8",
+            "--compare-every",
+            "2",
+            "--lint-oracle",
+        ]);
+        let stored = options(&[]);
+        assert!(
+            stored.cosim.lint_oracle,
+            "the stored oracle reaches the probes"
+        );
+        assert_eq!(
+            (
+                stored.cosim.compare_every,
+                stored.generator.size,
+                stored.generator.cycles
+            ),
+            (2, 4, 8)
+        );
+        let flagged = options(&["--compare-every", "3", "--size", "6"]);
+        assert!(flagged.cosim.lint_oracle);
+        assert_eq!(
+            (
+                flagged.cosim.compare_every,
+                flagged.generator.size,
+                flagged.generator.cycles
+            ),
+            (3, 6, 8)
+        );
+        let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]

@@ -86,8 +86,9 @@ impl std::fmt::Display for FuzzReport {
 /// which worker or in what order cases run.
 ///
 /// The case elaborates the generator's own [`Spec`](rtl_lang::Spec)
-/// ([`generate_case`]), moved into the design; it renders source text
-/// only to lint it under an enabled recorder.
+/// ([`generate_case`]), moved into the design. It lints that design
+/// ([`rtl_lint::lint_design`], into `lint/*` counters) when
+/// [`CosimOptions::lint_oracle`] is set, and only then.
 ///
 /// # Errors
 ///
@@ -105,21 +106,16 @@ pub fn run_fuzz_case(
         cycles,
         input,
     } = generate_case(seed, &options.generator);
-    if options.cosim.recorder.enabled() {
-        // Static tier in front of execution: lint every generated design
-        // and fold per-code counts into the deterministic counter
-        // section. The counts depend only on (config, index), so totals
-        // are byte-identical across worker counts and kill+resume. Lint
-        // reads the rendered text, not `spec`: diagnostics carry source
-        // spans, and the builder's AST has none to tell apart (see
-        // `rtl_lint::lint_spec`).
+    let design = Design::elaborate_with(spec, ElabOptions::default())?;
+    if options.cosim.lint_oracle {
+        // Per-code counts depend only on (config, index), so totals are
+        // byte-identical across worker counts and kill+resume.
         let recorder = &options.cosim.recorder;
         recorder.count("lint", "designs_linted", 1);
-        for (code, n) in rtl_lint::lint_source(&rtl_lang::pretty(&spec)).counts() {
+        for (code, n) in rtl_lint::lint_design(&design).counts() {
             recorder.count("lint", code, n);
         }
     }
-    let design = Design::elaborate_with(spec, ElabOptions::default())?;
     let outcome = run_design_names(
         registry,
         &options.engines,
@@ -272,14 +268,14 @@ mod tests {
         assert!(run_fuzz(&options).unwrap().clean());
     }
 
-    /// Under a recorder, a case folds exactly the lint counts of its
-    /// rendered text. Linting the builder's AST instead would under-count:
-    /// its spans are all default, so `Report::new` merges diagnostics that
-    /// differ only by position (seed 2 at size 30 is such a case).
+    /// A case lints when its options set `lint_oracle`, and only then:
+    /// an enabled recorder alone folds no `lint/` counter. A linted case
+    /// folds exactly the lint counts of its rendered text (beside the
+    /// oracle comparator's own `lint/oracle_*` counters).
     #[test]
-    fn recorded_lint_counts_are_those_of_the_rendered_text() {
+    fn only_oracle_cases_lint_and_they_count_their_text() {
         let generator = GenOptions::default();
-        for seed in [0, 1, 2, 3, 7] {
+        for (seed, lint_oracle) in [(0, true), (1, true), (2, true), (7, true), (2, false)] {
             let (recorder, log) = rtl_obs::Recorder::memory();
             let mut options = FuzzOptions {
                 seed,
@@ -288,6 +284,7 @@ mod tests {
                 ..FuzzOptions::default()
             };
             options.cosim.recorder = recorder.clone();
+            options.cosim.lint_oracle = lint_oracle;
             run_fuzz_case(registry(), &options, 0).unwrap();
             recorder.flush();
             let mut summary = rtl_obs::Summary::new();
@@ -296,26 +293,24 @@ mod tests {
                 .deterministic_section()
                 .lines()
                 .map(str::trim)
-                .filter(|l| l.starts_with("lint/"))
+                .filter(|l| l.starts_with("lint/") && !l.starts_with("lint/oracle_"))
                 .map(str::to_string)
                 .collect();
-            let source = crate::generate_scenario(seed, &generator).source;
-            let mut want: Vec<String> = rtl_lint::lint_source(&source)
-                .counts()
-                .into_iter()
-                .map(|(code, n)| format!("lint/{code} {n}"))
-                .collect();
-            want.push("lint/designs_linted 1".into());
+            let mut want: Vec<String> = Vec::new();
+            if lint_oracle {
+                let source = crate::generate_scenario(seed, &generator).source;
+                want.extend(
+                    rtl_lint::lint_source(&source)
+                        .counts()
+                        .into_iter()
+                        .map(|(code, n)| format!("lint/{code} {n}")),
+                );
+                want.push("lint/designs_linted 1".into());
+            }
             got.sort();
             want.sort();
-            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(got, want, "seed {seed} lint_oracle {lint_oracle}");
         }
-        let spec = crate::generate_case(2, &generator).spec;
-        assert_ne!(
-            rtl_lint::lint_spec(&spec).counts(),
-            rtl_lint::lint_source(&rtl_lang::pretty(&spec)).counts(),
-            "seed 2 shows why lint must read the text"
-        );
     }
 
     #[test]

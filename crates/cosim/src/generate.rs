@@ -11,8 +11,8 @@
 //! generated design has no reader, so it skips the pretty-print → lex →
 //! parse round trip. Source text is a view of the same case,
 //! [`generate_scenario`], rendered only where text is the artifact — the
-//! corpus `.asim` file and its fingerprint, and lint under an enabled
-//! recorder. Both views elaborate to the same design (covered by tests).
+//! corpus `.asim` file and its fingerprint. Both views elaborate to the
+//! same design, and lint to the same counts (covered by tests).
 
 use rtl_core::Word;
 use rtl_lang::Spec;
@@ -41,9 +41,8 @@ impl Default for GenOptions {
 }
 
 /// One generated fuzz case before rendering: the builder's specification
-/// AST plus the run it is driven for. Its spans are all
-/// [`Span::default()`](rtl_lang::Span); nothing on the execution path
-/// reads them.
+/// AST plus the run it is driven for. Its spans are the builder's, one
+/// per node (see `SpecBuilder`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneratedCase {
     /// Scenario name (`fuzz/seed-N`).
@@ -149,8 +148,8 @@ mod tests {
 
     /// Asserts that the value-built `built` is the AST the parser reads
     /// from its rendering, `parsed`: component by component and
-    /// expression by expression, ignoring spans (the builder leaves them
-    /// all at the default).
+    /// expression by expression, ignoring spans (the builder numbers
+    /// tokens, the parser counts bytes).
     fn assert_same_ast(built: &Spec, parsed: &Spec, at: &str) {
         assert_eq!(
             (&built.title, built.cycles),

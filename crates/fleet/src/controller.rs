@@ -67,8 +67,7 @@ pub struct ControllerOptions {
     /// `fleet/records_accepted`, `fleet/corpus_accepted`. Whether it is
     /// enabled also reaches every worker (`Welcome::metrics`): workers
     /// record and stream their lease telemetry only into an enabled
-    /// recorder, so a non-recording fleet lints and counts nothing, like
-    /// a recorder-less single-machine run.
+    /// recorder. It changes nothing a case computes.
     pub recorder: Recorder,
     /// How long to keep answering `Drained` after the campaign finishes,
     /// so sleeping workers can come back, learn they are done, and

@@ -112,12 +112,10 @@ pub enum Message {
         /// export` renders as `case-N.flight.jsonl`).
         flight: bool,
         /// Whether the controller keeps worker telemetry (its recorder is
-        /// enabled). Workers record each lease and upload its
-        /// [`Message::Events`] log only when this is set; otherwise a
-        /// lease runs as a recorder-less single-machine run does, and
-        /// lints and counts nothing. A frame without the field decodes
-        /// as `true`: a controller predating it always folded worker
-        /// events.
+        /// enabled): workers record each lease and upload its
+        /// [`Message::Events`] log only then. It changes nothing a case
+        /// computes. A frame without the field decodes as `true`: a
+        /// controller predating it always folded worker events.
         metrics: bool,
         /// The full campaign configuration; the worker recomputes the
         /// fingerprint from it and refuses a mismatch.

@@ -15,7 +15,8 @@
 //! A lease costs what a single-machine run of its cases costs. The
 //! worker records telemetry only when the controller keeps it
 //! (`Welcome::metrics`): otherwise the lease runs with a disabled
-//! recorder, which lints and counts nothing, and uploads no event log.
+//! recorder and uploads no event log. Either way its cases compute the
+//! same (they lint only under the config's `lint_oracle`).
 //! The scratch never owns a whole campaign, so its logs are never
 //! compacted; instead, once a lease's uploads are acknowledged, the
 //! worker removes them. A lease's resume and upload so scan only the

@@ -346,7 +346,7 @@ fn flight_sidecars_are_deterministic_across_worker_counts_and_kill() {
         controller.join().unwrap().unwrap();
         if let Some(log) = log {
             assert!(
-                fold(&[log.text()]).contains("lint/designs_linted 6"),
+                fold(&[log.text()]).contains("campaign/cases_executed 6"),
                 "a recording controller folds its workers' telemetry"
             );
         }

@@ -100,9 +100,8 @@ impl Report {
     /// duplicates, making rendering deterministic.
     ///
     /// Two findings with the same code and message at the same span are
-    /// one finding. Diagnostics over an AST without source positions (all
-    /// spans default) therefore merge across components; see
-    /// [`lint_spec`](crate::lint_spec).
+    /// one finding, so counts rest on every node having its own span (see
+    /// [`lint_spec`](crate::lint_spec)).
     pub fn new(mut diagnostics: Vec<Diagnostic>) -> Report {
         diagnostics.sort_by(|a, b| a.key().cmp(&b.key()));
         diagnostics.dedup();
@@ -153,15 +152,11 @@ impl Report {
     /// Per-code finding counts, sorted by code — the shape fed into the
     /// deterministic `lint/<code>` campaign counters.
     pub fn counts(&self) -> Vec<(&'static str, u64)> {
-        let mut counts: Vec<(&'static str, u64)> = Vec::new();
+        let mut counts = std::collections::BTreeMap::new();
         for d in &self.diagnostics {
-            match counts.iter_mut().find(|(code, _)| *code == d.code) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((d.code, 1)),
-            }
+            *counts.entry(d.code).or_insert(0) += 1;
         }
-        counts.sort_by_key(|&(code, _)| code);
-        counts
+        counts.into_iter().collect()
     }
 
     /// Renders the findings as `file:line:col: severity[code]: message`

@@ -13,9 +13,10 @@
 //!   the full path, width truncation and constant overflow, dead and
 //!   duplicate selector arms, constant out-of-range selects and
 //!   addresses, undriven-read/unused-write/trace-undriven memory usage.
-//! * [`lint_source`]/[`lint_spec`] — the pipeline: parse, run spec-level
-//!   passes, elaborate, run design-level passes, and promote elaboration
-//!   errors the passes did not already explain into coded diagnostics.
+//! * [`lint_source`]/[`lint_spec`]/[`lint_design`] — the pipeline: parse,
+//!   elaborate, run spec-level and design-level passes, and promote
+//!   elaboration errors the passes did not already explain into coded
+//!   diagnostics.
 //! * [`StaticClaims`]/[`OracleComparator`] — dynamic cross-validation:
 //!   the analyzer's sound claims (dead arms, undriven cells) checked
 //!   against the running simulator through the cosim `Comparator` seam.
@@ -60,33 +61,36 @@ pub fn lint_source(source: &str) -> Report {
     }
 }
 
-/// Lints a parsed spec: runs every shipped pass (spec-level passes
-/// always; design-level passes when elaboration succeeds), then promotes
-/// an elaboration error into a coded diagnostic if no pass already
-/// reported an error for it.
-///
-/// Findings are told apart by their spans (see [`Report::new`]), so the
-/// spec should come from the parser. A spec built in code (with
-/// `SpecBuilder`, or by a generator) carries `Span::default()`
-/// everywhere: findings that differ only in position collapse into one,
-/// and [`Report::counts`] under-counts. Lint such a spec through its
-/// rendered text instead: `lint_source(&rtl_lang::pretty(&spec))`.
+/// Lints a spec: elaborates it, runs every shipped pass (design-level
+/// ones only when elaboration succeeds), and promotes an elaboration
+/// error into a coded diagnostic if no pass already reported one.
+/// Findings are told apart by their spans ([`Report::new`]): the parser
+/// and `SpecBuilder` give every node its own.
 pub fn lint_spec(spec: &Spec) -> Report {
-    let mut out = Vec::new();
-    let elaborated = Design::elaborate(spec);
-    let widths = match &elaborated {
-        Ok(design) => rtl_core::width::infer(design),
-        Err(_) => Vec::new(),
-    };
+    match Design::elaborate(spec) {
+        Ok(design) => lint_design(&design),
+        Err(e) => lint(spec, Err(&e)),
+    }
+}
+
+/// Lints an elaborated design through the spec it keeps
+/// ([`Design::spec`]), with no second elaboration.
+pub fn lint_design(design: &Design) -> Report {
+    lint(design.spec(), Ok(design))
+}
+
+fn lint(spec: &Spec, elaborated: Result<&Design, &ElabError>) -> Report {
+    let widths = elaborated.map_or_else(|_| Vec::new(), rtl_core::width::infer);
     let cx = LintContext {
         spec,
-        design: elaborated.as_ref().ok(),
+        design: elaborated.ok(),
         widths: &widths,
     };
+    let mut out = Vec::new();
     for pass in default_passes() {
         pass.run(&cx, &mut out);
     }
-    if let Err(e) = &elaborated {
+    if let Err(e) = elaborated {
         // The spec-level passes re-derive most elaboration errors with
         // richer detail; promote only when none of them fired, so the
         // load failure is never silent (TooManyCells is the one variant

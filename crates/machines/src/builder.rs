@@ -3,15 +3,15 @@
 //! The reference machines in this crate (the stack machine's 128-word
 //! microcode ROM in particular) are far easier to author as Rust code than
 //! as hand-written specification text. [`SpecBuilder`] assembles an
-//! [`rtl_lang::Spec`] directly; [`SpecBuilder::source`] renders canonical
-//! text via the pretty-printer, and the round-trip property (`parse ∘
-//! pretty = id`) is covered by tests.
+//! [`rtl_lang::Spec`] directly; [`rtl_lang::pretty()`] renders it as
+//! canonical text, and the round-trip property (`parse ∘ pretty = id`) is
+//! covered by tests.
 
 use std::collections::HashSet;
 
 use rtl_lang::{
-    parse_expr, Alu, Component, ComponentKind, Declared, Expr, Ident, Memory, Selector, Span, Spec,
-    Word,
+    parse_expr, Alu, Component, ComponentKind, Declared, Expr, Ident, Memory, Pos, Selector, Span,
+    Spec, Word,
 };
 
 /// An expression argument of a [`SpecBuilder`] method: text in the
@@ -50,6 +50,10 @@ impl IntoExpr for Expr {
 /// at start-up. Errors in the *assembled* spec (unknown references,
 /// circular dependencies) surface through `Design::elaborate` as usual.
 ///
+/// Each declared name, component and expression gets its own span: the
+/// line [`rtl_lang::pretty()`] renders it on (set `cycles` first) and its
+/// token's ordinal there, so `rtl-lint` tells built findings apart.
+///
 /// ```
 /// use rtl_machines::builder::SpecBuilder;
 /// use rtl_lang::Expr;
@@ -58,7 +62,7 @@ impl IntoExpr for Expr {
 /// b.trace("count");
 /// b.memory("count", "0", "next", "1", 1);
 /// b.alu("next", "4", "count", Expr::constant(1));
-/// let spec = b.build();
+/// let spec = b.finish();
 /// assert!(rtl_core::Design::elaborate(&spec).is_ok());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -101,9 +105,9 @@ impl SpecBuilder {
         right: impl IntoExpr,
     ) -> &mut Self {
         let kind = ComponentKind::Alu(Alu {
-            funct: funct.into_expr(),
-            left: left.into_expr(),
-            right: right.into_expr(),
+            funct: self.slot(funct, 0),
+            left: self.slot(left, 1),
+            right: self.slot(right, 2),
         });
         self.push(name, kind)
     }
@@ -115,10 +119,10 @@ impl SpecBuilder {
         select: impl IntoExpr,
         cases: impl IntoIterator<Item = impl IntoExpr>,
     ) -> &mut Self {
-        let cases: Vec<Expr> = cases.into_iter().map(IntoExpr::into_expr).collect();
+        let cases: Vec<Expr> = (1..).zip(cases).map(|(k, e)| self.slot(e, k)).collect();
         assert!(!cases.is_empty(), "selector {name} needs at least one case");
         let kind = ComponentKind::Selector(Selector {
-            select: select.into_expr(),
+            select: self.slot(select, 0),
             cases,
         });
         self.push(name, kind)
@@ -135,9 +139,9 @@ impl SpecBuilder {
     ) -> &mut Self {
         assert!(size >= 1, "memory {name} needs at least one cell");
         let kind = ComponentKind::Memory(Memory {
-            addr: addr.into_expr(),
-            data: data.into_expr(),
-            opn: opn.into_expr(),
+            addr: self.slot(addr, 0),
+            data: self.slot(data, 1),
+            opn: self.slot(opn, 2),
             size,
             init: None,
         });
@@ -156,13 +160,28 @@ impl SpecBuilder {
         assert!(!init.is_empty(), "memory {name} needs at least one cell");
         let size = init.len() as u32;
         let kind = ComponentKind::Memory(Memory {
-            addr: addr.into_expr(),
-            data: data.into_expr(),
-            opn: opn.into_expr(),
+            addr: self.slot(addr, 0),
+            data: self.slot(data, 1),
+            opn: self.slot(opn, 2),
             size,
             init: Some(init),
         });
         self.push(name, kind)
+    }
+
+    /// `expr` as expression `slot` (0-based) of the component added next,
+    /// spanned at its token: the letter and the name come first.
+    fn slot(&self, expr: impl IntoExpr, slot: u32) -> Expr {
+        let mut expr = expr.into_expr();
+        expr.span = self.at(slot + 3);
+        expr
+    }
+
+    /// Token `ordinal` of the line the next component renders on, below
+    /// the title, the `= n` line and the declared-name list.
+    fn at(&self, ordinal: u32) -> Span {
+        let line = 3 + u32::from(self.cycles.is_some()) + self.components.len() as u32;
+        Span::point(Pos::new(line, ordinal))
     }
 
     fn push(&mut self, name: &str, kind: ComponentKind) -> &mut Self {
@@ -174,28 +193,22 @@ impl SpecBuilder {
         self.components.push(Component {
             name: ident,
             kind,
-            span: Span::default(),
+            span: self.at(1),
         });
         self
     }
 
-    /// Finishes the specification, leaving the builder as it was. Every
-    /// component is declared in the name list (in definition order), with
-    /// `*` markers from [`SpecBuilder::trace`].
-    pub fn build(&self) -> Spec {
-        self.clone().finish()
-    }
-
-    /// Finishes the specification like [`SpecBuilder::build`], moving the
-    /// components into the [`Spec`] instead of cloning them.
+    /// Finishes the specification. Every component is declared in the
+    /// name list (in definition order), with `*` markers from
+    /// [`SpecBuilder::trace`].
     pub fn finish(self) -> Spec {
-        let declared = self
-            .components
-            .iter()
-            .map(|c| Declared {
+        let line = 2 + u32::from(self.cycles.is_some());
+        let declared = (1..)
+            .zip(&self.components)
+            .map(|(col, c)| Declared {
                 name: c.name.clone(),
                 traced: self.traced.contains(c.name.as_str()),
-                span: Span::default(),
+                span: Span::point(Pos::new(line, col)),
             })
             .collect();
         Spec {
@@ -204,11 +217,6 @@ impl SpecBuilder {
             declared,
             components: self.components,
         }
-    }
-
-    /// Renders the specification as canonical source text.
-    pub fn source(&self) -> String {
-        rtl_lang::pretty(&self.build())
     }
 }
 
@@ -227,12 +235,28 @@ mod tests {
         b.selector("mux", "count.0", ["next", "0"]);
         b.memory_init("rom", "count.0.1", "0", "0", vec![1, 2, 3, 4]);
 
-        let text = b.source();
+        let built = b.finish();
+        let text = rtl_lang::pretty(&built);
         let spec = rtl_lang::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert_eq!(rtl_lang::pretty(&spec), text);
         let design = Design::elaborate(&spec).unwrap();
         assert_eq!(design.len(), 4);
         assert!(design.warnings().is_empty(), "builder declares everything");
+
+        // Each built node sits on the line the parser reads it from, in
+        // the parser's order along that line.
+        let mut built_spans = Vec::new();
+        let mut parsed_spans = Vec::new();
+        for (s, spans) in [(&built, &mut built_spans), (&spec, &mut parsed_spans)] {
+            spans.extend(s.declared.iter().map(|d| d.span));
+            for c in &s.components {
+                spans.push(c.span);
+                spans.extend(c.kind.expressions().iter().map(|e| e.span));
+            }
+        }
+        let lines = |spans: &[Span]| spans.iter().map(|s| s.start.line).collect::<Vec<_>>();
+        assert_eq!(lines(&built_spans), lines(&parsed_spans));
+        assert!(built_spans.windows(2).all(|w| w[0].start < w[1].start));
     }
 
     #[test]
@@ -254,6 +278,7 @@ mod tests {
         let mut b = SpecBuilder::new("t");
         b.trace("r");
         b.memory("r", "0", "0", "0", 1);
-        assert!(b.source().contains("r* ."), "{}", b.source());
+        let text = rtl_lang::pretty(&b.finish());
+        assert!(text.contains("r* ."), "{text}");
     }
 }

@@ -87,7 +87,7 @@ pub fn spec_with_trace(program: &[Instr], cycles: Option<Word>, traced: &[&str])
     b.memory_init("prog", "pc", "0", "0", words);
     b.memory("ram", "addrsel.0.11", "wdata", "io.0,rom.13", 4096);
 
-    b.build()
+    b.finish()
 }
 
 /// The specification rendered as canonical source text.

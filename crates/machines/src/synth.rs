@@ -47,7 +47,7 @@ pub fn chain(n: usize) -> Spec {
         let prev = field(Ident::new_unchecked(format!("a{}", i - 1)), 0, 15);
         b.alu(&format!("a{i}"), f, prev, "3");
     }
-    b.build()
+    b.finish()
 }
 
 /// A seeded random-but-valid design for differential property tests:

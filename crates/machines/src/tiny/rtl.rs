@@ -74,7 +74,7 @@ pub fn spec_with_trace(image: &[Word], cycles: Option<Word>, traced: &[&str]) ->
     b.alu("bwr", "8", "phase.3", "issu");
     b.memory("borrow", "0", "blt", "bwr", 1);
 
-    b.build()
+    b.finish()
 }
 
 /// Renders the specification as source text.

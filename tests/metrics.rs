@@ -146,6 +146,87 @@ fn metrics_out_never_perturbs_campaign_outputs() {
     let _ = std::fs::remove_file(metrics);
 }
 
+/// `--lint-oracle` is the one lint switch: a campaign with `--metrics-out`
+/// and `--flight` lints nothing without it (no `lint/` counter, no lint
+/// line in any flight log), and with it emits exactly these counters.
+#[test]
+fn only_the_lint_oracle_lints() {
+    for (label, extra, want) in [
+        ("plain", &[][..], &[][..]),
+        (
+            "oracle",
+            &["--lint-oracle"][..],
+            &[
+                "lint/designs_linted 6",
+                "lint/field-oob 15",
+                "lint/oracle_checks 2070",
+            ][..],
+        ),
+    ] {
+        let (dir, export, metrics) = (
+            tmp(&format!("{label}-lint-dir")),
+            tmp(&format!("{label}-lint-export")),
+            tmp(&format!("{label}-lint.jsonl")),
+        );
+        for p in [&dir, &export] {
+            let _ = std::fs::remove_dir_all(p);
+        }
+        let (d, e, m) = (
+            dir.to_str().unwrap(),
+            export.to_str().unwrap(),
+            metrics.to_str().unwrap(),
+        );
+        let mut args = vec![
+            "campaign",
+            "run",
+            "--dir",
+            d,
+            "--cases",
+            "6",
+            "--seed",
+            "2",
+            "--size",
+            "10",
+            "--cycles",
+            "48",
+            "--engines",
+            "interp,vm-fault",
+            "--metrics-out",
+            m,
+            "--flight",
+        ];
+        args.extend_from_slice(extra);
+        let (code, out, err) = run_cli(&args);
+        assert_eq!(code, 3, "{label}: every case diverges\n{out}{err}");
+        let (code, summary, _) = run_cli(&["metrics", "summarize", m]);
+        assert_eq!(code, 0, "{summary}");
+        let got: Vec<&str> = summary
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("lint/"))
+            .collect();
+        assert_eq!(got, want, "{label}: lint counters\n{summary}");
+
+        let (code, _, err) = run_cli(&["campaign", "export", "--dir", d, "--out", e]);
+        assert_eq!(code, 0, "{err}");
+        let flights: Vec<String> = std::fs::read_dir(export.join("cases"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.to_string_lossy().ends_with(".flight.jsonl"))
+            .map(|path| std::fs::read_to_string(path).unwrap())
+            .collect();
+        assert_eq!(flights.len(), 6, "{label}: a flight log per diverged case");
+        for flight in flights {
+            let linted = flight.contains("\"src\":\"lint\"");
+            assert_eq!(linted, !want.is_empty(), "{label}: {flight}");
+        }
+        for p in [&dir, &export] {
+            let _ = std::fs::remove_dir_all(p);
+        }
+        let _ = std::fs::remove_file(metrics);
+    }
+}
+
 #[test]
 fn check_flags_a_real_difference_with_exit_3() {
     let (dir_a, dir_b) = (tmp("diff-a"), tmp("diff-b"));

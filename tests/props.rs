@@ -29,6 +29,17 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
+    /// A `random_spec` design lints as its rendered text does (see
+    /// `built_specs_lint_as_their_text`).
+    #[test]
+    fn random_specs_lint_as_their_text(seed in 0u64..600, size in 1usize..40) {
+        let spec = asim2::machines::synth::random_spec(seed, size);
+        prop_assert_eq!(
+            rtl_lint::lint_spec(&spec).counts(),
+            rtl_lint::lint_source(&pretty(&spec)).counts()
+        );
+    }
+
     /// `land` is 32-bit two's-complement AND: matches the reference
     /// formula for every i64 pair.
     #[test]
@@ -147,4 +158,35 @@ fn topological_order_is_valid_for_many_seeds() {
             }
         }
     }
+}
+
+/// A built spec lints as its rendered text does: the builder gives every
+/// declared name, component and expression its own span, so the report
+/// tells its findings apart as it tells apart the parsed text's. Over
+/// campaign cases at six sizes (a campaign lints the design it built),
+/// one thread per size.
+#[test]
+fn built_specs_lint_as_their_text() {
+    use asim2::cosim::{generate_case, GenOptions};
+    std::thread::scope(|scope| {
+        for size in [1, 5, 10, 30, 60, 120] {
+            scope.spawn(move || {
+                let options = GenOptions {
+                    size,
+                    ..GenOptions::default()
+                };
+                for seed in 0..300 {
+                    let spec = generate_case(seed, &options).spec;
+                    let text = rtl_lint::lint_source(&pretty(&spec)).counts();
+                    let design =
+                        Design::elaborate_with(spec, rtl_core::ElabOptions::default()).unwrap();
+                    assert_eq!(
+                        rtl_lint::lint_design(&design).counts(),
+                        text,
+                        "seed {seed} size {size}"
+                    );
+                }
+            });
+        }
+    });
 }
