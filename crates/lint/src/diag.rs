@@ -152,11 +152,15 @@ impl Report {
     /// Per-code finding counts, sorted by code — the shape fed into the
     /// deterministic `lint/<code>` campaign counters.
     pub fn counts(&self) -> Vec<(&'static str, u64)> {
-        let mut counts = std::collections::BTreeMap::new();
+        let mut counts: Vec<(&'static str, u64)> = Vec::new();
         for d in &self.diagnostics {
-            *counts.entry(d.code).or_insert(0) += 1;
+            match counts.iter_mut().find(|(code, _)| *code == d.code) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((d.code, 1)),
+            }
         }
-        counts.into_iter().collect()
+        counts.sort_by_key(|&(code, _)| code);
+        counts
     }
 
     /// Renders the findings as `file:line:col: severity[code]: message`

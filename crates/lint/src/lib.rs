@@ -67,10 +67,7 @@ pub fn lint_source(source: &str) -> Report {
 /// Findings are told apart by their spans ([`Report::new`]): the parser
 /// and `SpecBuilder` give every node its own.
 pub fn lint_spec(spec: &Spec) -> Report {
-    match Design::elaborate(spec) {
-        Ok(design) => lint_design(&design),
-        Err(e) => lint(spec, Err(&e)),
-    }
+    lint(spec, Design::elaborate(spec).as_ref())
 }
 
 /// Lints an elaborated design through the spec it keeps

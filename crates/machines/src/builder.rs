@@ -50,9 +50,8 @@ impl IntoExpr for Expr {
 /// at start-up. Errors in the *assembled* spec (unknown references,
 /// circular dependencies) surface through `Design::elaborate` as usual.
 ///
-/// Each declared name, component and expression gets its own span: the
-/// line [`rtl_lang::pretty()`] renders it on (set `cycles` first) and its
-/// token's ordinal there, so `rtl-lint` tells built findings apart.
+/// Each declared name, component and expression gets its own span (its
+/// [`rtl_lang::pretty()`] line and token ordinal), so `rtl-lint` tells them apart.
 ///
 /// ```
 /// use rtl_machines::builder::SpecBuilder;
@@ -84,8 +83,9 @@ impl SpecBuilder {
         }
     }
 
-    /// Sets the `= n` cycle count.
+    /// Sets the `= n` cycle count; call it before adding components.
     pub fn cycles(&mut self, n: Word) -> &mut Self {
+        assert!(self.components.is_empty(), "set cycles before components");
         self.cycles = Some(n);
         self
     }
@@ -177,8 +177,7 @@ impl SpecBuilder {
         expr
     }
 
-    /// Token `ordinal` of the line the next component renders on, below
-    /// the title, the `= n` line and the declared-name list.
+    /// Token `ordinal` of the line the next component renders on.
     fn at(&self, ordinal: u32) -> Span {
         let line = 3 + u32::from(self.cycles.is_some()) + self.components.len() as u32;
         Span::point(Pos::new(line, ordinal))
@@ -271,6 +270,14 @@ mod tests {
         SpecBuilder::new("x")
             .alu("a", "4", "1", "2")
             .alu("a", "4", "1", "2");
+    }
+
+    /// `= n` moves every component down a line, so a component spanned
+    /// before it would share its line with the declared names.
+    #[test]
+    #[should_panic(expected = "set cycles before components")]
+    fn cycles_after_a_component_panics() {
+        SpecBuilder::new("x").alu("a", "4", "1", "2").cycles(3);
     }
 
     #[test]
