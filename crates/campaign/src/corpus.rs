@@ -359,8 +359,8 @@ impl Archive {
 ///
 /// # Errors
 ///
-/// A corrupt existing corpus, file-system failure, or a scenario that no
-/// longer elaborates.
+/// A corrupt existing corpus, file-system failure, or a reference run
+/// that stops before the divergence cycle.
 pub fn save(
     corpus_dir: &Path,
     shrunk: &Shrunk,
@@ -444,11 +444,12 @@ fn log_states(dir: &CampaignDir) -> Result<Vec<(PathBuf, u64, Option<SystemTime>
 /// entry and its documents, claimed in `index`. The documents include
 /// the reference checkpoint: the `interp` engine's architectural state
 /// after the verified prefix (the cycles *before* the divergence), in the
-/// session checkpoint format.
+/// session checkpoint format, run over [`Shrunk::design`] (the scenario
+/// text is not parsed back).
 ///
 /// # Errors
 ///
-/// A scenario that no longer elaborates.
+/// A reference run that stops before the divergence cycle.
 pub fn render(
     index: &CorpusIndex,
     shrunk: &Shrunk,
@@ -469,13 +470,9 @@ pub fn render(
     if let Some(existing) = index.name_of(fp) {
         return Ok(Archive::Existing(existing));
     }
-    let design = entry
-        .scenario
-        .design()
-        .map_err(|e| CampaignError::Corrupt(format!("corpus scenario: {e}")))?;
-    let ckpt =
-        String::from_utf8(reference_checkpoint(&design, &entry).map_err(CampaignError::Corrupt)?)
-            .map_err(|_| CampaignError::Corrupt("reference checkpoint is not text".into()))?;
+    let ckpt = reference_checkpoint(&shrunk.design, &entry).map_err(CampaignError::Corrupt)?;
+    let ckpt = String::from_utf8(ckpt)
+        .map_err(|_| CampaignError::Corrupt("reference checkpoint is not text".into()))?;
     let fingerprint = format!("{fp:016x}");
     let meta = Json::Obj(vec![
         ("format".into(), Json::str(FORMAT)),

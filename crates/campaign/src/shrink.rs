@@ -29,14 +29,18 @@
 //! reuse the best size's design and stimulus: a shorter horizon
 //! generates the same design and a prefix of the same stimulus (pinned
 //! by `rtl_machines::synth`'s tests), so each of their probes runs that
-//! one design on a slice. Source text is rendered once, for the minimal
-//! scenario the corpus saves.
+//! one design on a slice. They run on lanes built once: one
+//! [`Harness`] is prepared for the best size's design, and every probe
+//! restarts its lanes at cycle 0 (a restarted run returns what a fresh
+//! one would, statistics and counters included). Source text is
+//! rendered once, for the minimal scenario the corpus saves, and the
+//! minimal design travels with it in [`Shrunk::design`].
 
 use crate::error::CampaignError;
 use rtl_core::{Design, ElabOptions, EngineRegistry, Word};
 use rtl_cosim::{
     generate_case, CosimOptions, CosimOutcome, DivergenceKind, DivergenceReport, GenOptions,
-    GeneratedCase, ScenarioError,
+    GeneratedCase, Harness, ScenarioError,
 };
 use rtl_machines::Scenario;
 
@@ -48,6 +52,9 @@ pub struct Shrunk {
     pub seed: u64,
     /// The minimal scenario (named `corpus/seed-N`).
     pub scenario: Scenario,
+    /// The minimal scenario's design, elaborated: what `scenario`'s
+    /// source parses and elaborates to.
+    pub design: Design,
     /// The divergence the minimal scenario produces.
     pub report: DivergenceReport,
     /// Final generator size (component count knob).
@@ -79,7 +86,7 @@ pub fn shrink_divergence(
     cosim: &CosimOptions,
 ) -> Result<Option<Shrunk>, CampaignError> {
     let case = Candidate::generate(seed, generator.size, generator)?;
-    match run(registry, engines, &case, case.cycles, &case.input, cosim)? {
+    match case.run(registry, engines, cosim)? {
         CosimOutcome::Divergence(first) => {
             shrink_from(registry, engines, seed, generator, cosim, &first)
         }
@@ -113,18 +120,7 @@ pub fn shrink_from(
     if !usable(first) {
         return Ok(None);
     }
-    // A probe's verdict: the divergence, if it is a usable shrink.
-    let verdict = |case: &Candidate, cycles: u64, input: &[Word]| {
-        run(registry, engines, case, cycles, input, cosim).map(|outcome| match outcome {
-            CosimOutcome::Divergence(report) if usable(&report) => Some(*report),
-            _ => None,
-        })
-    };
     let mut attempts = 1u32;
-    let mut probe = |case: &Candidate, cycles: u64, input: &[Word]| {
-        attempts += 1;
-        verdict(case, cycles, input)
-    };
 
     // 1. Size: first-diverging binary search over [1, size]. The upper
     //    bound is always a confirmed-diverging size, so the result is too.
@@ -136,7 +132,8 @@ pub fn shrink_from(
     while lo < best_size {
         let mid = lo + (best_size - lo) / 2;
         let case = Candidate::generate(seed, mid, generator)?;
-        match probe(&case, case.cycles, &case.input)? {
+        attempts += 1;
+        match verdict(case.run(registry, engines, cosim)?) {
             Some(report) => {
                 best_size = mid;
                 best = Some((case, report));
@@ -148,6 +145,13 @@ pub fn shrink_from(
         Some((case, report)) => (case, Some(report)),
         None => (Candidate::generate(seed, best_size, generator)?, None),
     };
+    // Phases 2–3 probe that one design on one harness: its lanes are
+    // built once, and every probe restarts them at cycle 0.
+    let mut harness = Harness::prepare(registry, engines, &case.design, &case.name, cosim)?;
+    let mut probe = |cycles: u64, input: &[Word]| {
+        attempts += 1;
+        harness.run(cycles, input).map(verdict)
+    };
 
     // 2. Horizon: the divergence happened at cycle c, so any horizon
     //    > c reaches it (a shorter horizon only truncates the run). Search
@@ -155,7 +159,7 @@ pub fn shrink_from(
     let observed = best_report.as_ref().unwrap_or(first).cycle;
     let observed = u64::try_from(observed).unwrap_or(case.cycles);
     let mut best_cycles = (observed + 1).min(case.cycles);
-    match probe(&case, best_cycles, case.stimulus(best_cycles))? {
+    match probe(best_cycles, case.stimulus(best_cycles))? {
         Some(report) => best_report = Some(report),
         // The horizon interacts with the stimulus length; fall back to
         // the full horizon if the tightened bound loses the divergence.
@@ -164,7 +168,7 @@ pub fn shrink_from(
     let mut lo = 1u64;
     while lo < best_cycles {
         let mid = lo + (best_cycles - lo) / 2;
-        match probe(&case, mid, case.stimulus(mid))? {
+        match probe(mid, case.stimulus(mid))? {
             Some(report) => {
                 best_cycles = mid;
                 best_report = Some(report);
@@ -181,7 +185,7 @@ pub fn shrink_from(
     let mut lo = 0usize;
     while lo < best_len {
         let mid = lo + (best_len - lo) / 2;
-        match probe(&case, best_cycles, &input[..mid])? {
+        match probe(best_cycles, &input[..mid])? {
             Some(report) => {
                 best_len = mid;
                 best_report = Some(report);
@@ -196,11 +200,13 @@ pub fn shrink_from(
         // No probe diverged, so the minimal scenario is the case itself:
         // rerun it for its report. This is the first attempt's run, which
         // `first` stood in for, so it is not counted again.
-        None => match verdict(&case, best_cycles, &input)? {
+        None => match verdict(harness.run(best_cycles, &input)?) {
             Some(report) => report,
             None => return Ok(None),
         },
     };
+    // The lanes borrow the design `Shrunk` takes.
+    drop(harness);
     let scenario = Scenario {
         name: format!("corpus/seed-{seed}"),
         source: rtl_lang::pretty(case.design.spec()),
@@ -211,12 +217,21 @@ pub fn shrink_from(
     Ok(Some(Shrunk {
         seed,
         scenario,
+        design: case.design,
         report,
         size: best_size,
         cycles: best_cycles,
         input_len: best_len,
         attempts,
     }))
+}
+
+/// A probe's verdict: the divergence, if it is a usable shrink.
+fn verdict(outcome: CosimOutcome) -> Option<DivergenceReport> {
+    match outcome {
+        CosimOutcome::Divergence(report) if usable(&report) => Some(*report),
+        _ => None,
+    }
 }
 
 /// Whether a divergence is a valid shrink on its own: a comparison that
@@ -227,25 +242,6 @@ pub fn shrink_from(
 /// mismatched errors are the bug itself.
 fn usable(report: &DivergenceReport) -> bool {
     matches!(report.kind, DivergenceKind::Error) || report.lanes.iter().all(|l| l.error.is_none())
-}
-
-fn run(
-    registry: &EngineRegistry,
-    engines: &[String],
-    case: &Candidate,
-    cycles: u64,
-    input: &[Word],
-    cosim: &CosimOptions,
-) -> Result<CosimOutcome, ScenarioError> {
-    rtl_cosim::run_design_names(
-        registry,
-        engines,
-        &case.design,
-        &case.name,
-        cycles,
-        input,
-        cosim,
-    )
 }
 
 /// One shrink candidate: a generated case with its spec elaborated.
@@ -276,6 +272,24 @@ impl Candidate {
             cycles,
             input,
         })
+    }
+
+    /// Runs the whole case: its full horizon and stimulus.
+    fn run(
+        &self,
+        registry: &EngineRegistry,
+        engines: &[String],
+        cosim: &CosimOptions,
+    ) -> Result<CosimOutcome, ScenarioError> {
+        rtl_cosim::run_design_names(
+            registry,
+            engines,
+            &self.design,
+            &self.name,
+            self.cycles,
+            &self.input,
+            cosim,
+        )
     }
 
     /// The stimulus the case generates for a shorter `cycles` horizon:
@@ -367,27 +381,59 @@ mod tests {
     /// Exact shrink results for a few fault-registry seeds. The probe
     /// count (`campaign/shrink_probes`) and the saved entry are part of a
     /// campaign's deterministic output, so they must not move when the
-    /// probe path changes.
+    /// probe path changes. The coarse-stride row reuses a harness across
+    /// bisection rewinds, and the lint-oracle row across oracle
+    /// comparators (its minimal design has static claims).
     #[test]
     fn shrink_results_are_pinned() {
-        // (seed, fault cycle, generator) -> (size, cycles, input_len,
-        // attempts, divergence cycle, entry fingerprint)
+        let stride = |compare_every| CosimOptions {
+            compare_every,
+            ..CosimOptions::default()
+        };
+        let oracle = CosimOptions {
+            lint_oracle: true,
+            ..CosimOptions::default()
+        };
+        // (seed, fault cycle, generator, cosim) -> (size, cycles,
+        // input_len, attempts, divergence cycle, entry fingerprint)
         let cases = [
             (
                 5,
                 40,
                 (30, 64, 2),
+                stride(1),
                 (1, 41, 0, 12, 40, 0xe06d_5a63_f483_7a4a),
             ),
             (
                 3,
                 40,
                 (30, 64, 2),
+                stride(1),
                 (1, 41, 41, 18, 40, 0x74ac_205a_effd_5d25),
             ),
-            (0, 8, (20, 64, 1), (1, 9, 9, 15, 8, 0x7f08_fe83_822f_46db)),
+            (
+                0,
+                8,
+                (20, 64, 1),
+                stride(1),
+                (1, 9, 9, 15, 8, 0x7f08_fe83_822f_46db),
+            ),
+            (
+                7,
+                40,
+                (30, 64, 2),
+                stride(16),
+                (1, 41, 41, 18, 40, 0x460a_440b_b02b_dbc1),
+            ),
+            (
+                4,
+                8,
+                (20, 64, 1),
+                oracle,
+                (1, 9, 9, 15, 8, 0x4575_b39a_ddf4_e26e),
+            ),
         ];
-        for (seed, fault, (size, cycles, io_every), want) in cases {
+        for (seed, fault, (size, cycles, io_every), cosim, want) in cases {
             let shrunk = shrink_divergence(
                 &registry_with_fault(fault),
                 &names(&["interp", "vm-fault"]),
@@ -397,7 +443,7 @@ mod tests {
                     cycles,
                     io_every,
                 },
-                &CosimOptions::default(),
+                &cosim,
             )
             .unwrap()
             .expect("fault diverges");

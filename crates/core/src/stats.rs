@@ -53,6 +53,24 @@ impl SimStats {
         }
     }
 
+    /// The work counted since `earlier`, an earlier reading of the same
+    /// counters: every counter less its value there. A harness that
+    /// restarts or rewinds an engine reads per-run statistics this way,
+    /// since [`Engine::restore`](crate::Engine::restore) leaves the
+    /// counters as they were.
+    pub fn since(&self, earlier: &SimStats) -> SimStats {
+        let minus = |now: &[u64], then: &[u64]| -> Vec<u64> {
+            now.iter().zip(then).map(|(n, t)| n - t).collect()
+        };
+        SimStats {
+            cycles: self.cycles - earlier.cycles,
+            reads: minus(&self.reads, &earlier.reads),
+            writes: minus(&self.writes, &earlier.writes),
+            inputs: minus(&self.inputs, &earlier.inputs),
+            outputs: minus(&self.outputs, &earlier.outputs),
+        }
+    }
+
     /// Total memory accesses of all kinds.
     pub fn total_accesses(&self) -> u64 {
         self.reads.iter().sum::<u64>()
@@ -122,5 +140,14 @@ mod tests {
         assert!(report.contains("2 cycles"), "{report}");
         assert!(report.contains("total memory accesses: 4"), "{report}");
         assert_eq!(s.to_string(), "2 cycles, 4 memory accesses");
+
+        let earlier = s.clone();
+        s.record(m, MemOp::Write);
+        s.cycles = 3;
+        let since = s.since(&earlier);
+        assert_eq!(since.cycles, 1);
+        assert_eq!(since.writes[m.index()], 1);
+        assert_eq!(since.total_accesses(), 1);
+        assert_eq!(s.since(&SimStats::new(&d)), s);
     }
 }

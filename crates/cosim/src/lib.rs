@@ -24,7 +24,9 @@
 //!   lane ([`fault`]). Every lane is named by its registry name.
 //! * [`stream`] — drives scenarios across registry lanes by name,
 //!   comparing stream lanes (subprocess stdout) against the stepped
-//!   lanes' agreed trace.
+//!   lanes' agreed trace. A [`Harness`] builds a design's lanes once and
+//!   runs them as often as a caller needs (a shrink's probes), each run
+//!   from cycle 0.
 //! * [`generate`] — seeded, deterministic fuzz cases from
 //!   [`rtl_machines::synth::generate`]: valid random specifications
 //!   *plus stimulus scripts* (memory-mapped input included), so lockstep
@@ -71,4 +73,4 @@ pub use generate::{generate_case, generate_scenario, GenOptions, GeneratedCase};
 pub use lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint};
 pub use report::ScenarioResult;
 pub use rtl_core::observe::{Comparator, CompareMode, DivergenceKind, LaneReport, LaneStats};
-pub use stream::{run_design_names, run_scenario_names, ScenarioError};
+pub use stream::{run_design_names, run_scenario_names, Harness, ScenarioError};

@@ -25,6 +25,20 @@
 //! at a time, so the report always names the *first* divergent cycle
 //! regardless of stride.
 //!
+//! A divergence is reported once, from the verdict of the comparison
+//! that found it: the report is built from that verdict without
+//! comparing again, and after a bisection rewind it is rebuilt only when
+//! the replay reproduces the divergence (an engine that checkpoint and
+//! restore do not fully rewind keeps the coarse report).
+//!
+//! Lane statistics are per run. [`Engine::restore`] leaves an engine's
+//! counters as they were, so each lane keeps the counters it had when
+//! its run (re)started and at its rewind point, and a rewind takes the
+//! replayed work back out: every [`CosimOutcome`] carries the statistics
+//! a fresh stride-1 run would. A harness can also run again from cycle
+//! 0 on the lanes it built: [`Lockstep::restart`] puts every engine back
+//! in the state it was added in, over a new stimulus.
+//!
 //! Because a lane's whole position is a value (engine state + stimulus
 //! offset + verified count), a lockstep run itself can stop and restart
 //! mid-case: [`Lockstep::checkpoint`] writes every lane to one document
@@ -36,8 +50,8 @@ use rtl_core::observe::{stop_state, Comparator, CompareMode, Observation, TRACE_
 use rtl_core::trace::render_text;
 use rtl_core::{
     design_fingerprint, Design, DivergenceKind, Engine, Fingerprint, HaltKind, InputSource,
-    LaneReport, LaneStats, Recorder, ScriptedInput, Session, SimError, SimState, StopReason,
-    TraceEvent, TraceSink, Until, Word,
+    LaneReport, LaneStats, Recorder, ScriptedInput, Session, SimError, SimState, SimStats,
+    StopReason, TraceEvent, TraceSink, Until, Word,
 };
 use std::cell::{Cell, RefCell};
 use std::io::{self, BufRead, Write};
@@ -92,8 +106,10 @@ pub struct CosimOptions {
     /// cycles its lanes executed (`session/cycles`, summed over lanes and
     /// emitted once per [`Lockstep::run`]; lane sessions themselves record
     /// nothing), comparator invocations per lens
-    /// (`lockstep/compare_<lens>`) and bisection rewinds
-    /// (`lockstep/bisect_rewinds`). A [`Recorder`] never affects
+    /// (`lockstep/compare_<lens>`: one per lens and candidate lane at
+    /// each comparison point, bisection replays included; a divergence
+    /// report reuses the verdict that found it and compares nothing
+    /// more) and bisection rewinds (`lockstep/bisect_rewinds`). A [`Recorder`] never affects
     /// behavior, compares equal to every other recorder, and stays out
     /// of harness fingerprints.
     pub recorder: Recorder,
@@ -145,7 +161,9 @@ pub enum CosimOutcome {
         /// failure, as a value.
         stop: StopReason,
         /// Per-lane simulation statistics, for lanes whose engines keep
-        /// them ([`Engine::stats`]).
+        /// them ([`Engine::stats`]): the work of this run alone, since
+        /// the lanes were added or last [restarted](Lockstep::restart),
+        /// with replayed cycles counted once.
         stats: Vec<LaneStats>,
     },
     /// Lanes disagreed; the report pinpoints where and how.
@@ -341,11 +359,19 @@ struct Lane<'d> {
     consumed: Rc<Cell<usize>>,
     /// Sticky stop state: the error this lane raised, if any.
     error: Option<SimError>,
+    /// The engine state the lane was added in: where a restart puts it.
+    initial: SimState,
     /// The lane's engine state at the last agreeing comparison (refreshed
-    /// only at coarse strides, where rewind can happen), with the
-    /// stimulus offset that goes with it.
-    check: SimState,
+    /// only at coarse strides, where rewind can happen; `None` while that
+    /// is the run's start, `initial`), with the stimulus offset and the
+    /// run's statistics that go with it.
+    check: Option<SimState>,
     check_consumed: usize,
+    check_stats: Option<SimStats>,
+    /// What to take off the engine's counters to get this run's
+    /// statistics: the counters at the run's (re)start, plus the work a
+    /// rewind replays. `None` until the lane is restarted or rewound.
+    base: Option<SimStats>,
 }
 
 impl Lane<'_> {
@@ -359,8 +385,18 @@ impl Lane<'_> {
     }
 
     fn snapshot(&mut self) {
-        self.check = self.session.engine().snapshot();
+        self.check = Some(self.session.engine().snapshot());
         self.check_consumed = self.consumed.get();
+        self.check_stats = self.stats();
+    }
+
+    /// The lane's statistics for the current run (see [`CosimOutcome`]).
+    fn stats(&self) -> Option<SimStats> {
+        let now = self.session.engine().stats()?;
+        Some(match &self.base {
+            Some(base) => now.since(base),
+            None => now.clone(),
+        })
     }
 
     /// The text a report quotes for this lane: the committed text (all
@@ -403,6 +439,9 @@ pub struct Lockstep<'d> {
     rewinds: u64,
     /// Cycles executed by all lanes since the last telemetry emit.
     lane_cycles: u64,
+    /// Whether a run or a resume moved the lanes since they were added or
+    /// last restarted, so a restart must put their engines back.
+    moved: bool,
 }
 
 impl<'d> Lockstep<'d> {
@@ -410,12 +449,7 @@ impl<'d> Lockstep<'d> {
     /// The comparator set is built from [`CosimOptions::compare`]; add
     /// custom lenses with [`add_comparator`](Lockstep::add_comparator).
     pub fn new(design: &'d Design, options: CosimOptions) -> Self {
-        let modes: &[CompareMode] = if options.compare.is_empty() {
-            &[CompareMode::All]
-        } else {
-            &options.compare
-        };
-        let comparators: Vec<Box<dyn Comparator>> = modes.iter().map(|m| m.build()).collect();
+        let comparators = configured(&options);
         let compare_calls = vec![0; comparators.len()];
         Lockstep {
             design,
@@ -428,11 +462,12 @@ impl<'d> Lockstep<'d> {
             compare_calls,
             rewinds: 0,
             lane_cycles: 0,
+            moved: false,
         }
     }
 
     /// Sets the scripted input replayed into every lane. Call before
-    /// adding lanes.
+    /// adding lanes; [`restart`](Lockstep::restart) replaces it later.
     pub fn stimulus(&mut self, words: impl Into<Vec<Word>>) -> &mut Self {
         debug_assert!(self.lanes.is_empty(), "set stimulus before adding lanes");
         self.stimulus = words.into();
@@ -456,7 +491,7 @@ impl<'d> Lockstep<'d> {
     pub fn add_lane(&mut self, name: &str, engine: Box<dyn Engine + 'd>) -> &mut Self {
         let events = Rc::new(RefCell::new(Vec::new()));
         let consumed = Rc::new(Cell::new(0usize));
-        let check = engine.snapshot();
+        let initial = engine.snapshot();
         let session = Session::over(engine)
             .sink(LaneSink(Rc::clone(&events)))
             .stimulus(MeteredInput::from_offset(
@@ -473,9 +508,50 @@ impl<'d> Lockstep<'d> {
             trim_at: TRIM_AT,
             consumed,
             error: None,
-            check,
+            initial,
+            check: None,
             check_consumed: 0,
+            check_stats: None,
+            base: None,
         });
+        self
+    }
+
+    /// Puts the harness back at cycle 0 for a new run over `stimulus`,
+    /// keeping the lanes it built: every engine is restored to the state
+    /// it was added in and replays `stimulus` from its first word; trace
+    /// events, lane errors, rewind points, verified cycles and retained
+    /// output are cleared, and lane statistics start again from zero. The
+    /// comparator set is rebuilt from [`CosimOptions::compare`], so a
+    /// stateful lens starts over too; custom comparators are dropped
+    /// (add them again). Telemetry counts need no reset: every
+    /// [`run`](Lockstep::run) ends by emitting its own.
+    ///
+    /// A run after a restart returns what a new harness with the same
+    /// lanes returns over `stimulus`.
+    pub fn restart(&mut self, stimulus: &[Word]) -> &mut Self {
+        self.stimulus.clear();
+        self.stimulus.extend_from_slice(stimulus);
+        self.comparators = configured(&self.options);
+        self.compare_calls = vec![0; self.comparators.len()];
+        self.verified = 0;
+        self.agreed.clear();
+        let moved = std::mem::take(&mut self.moved);
+        for lane in &mut self.lanes {
+            if moved {
+                lane.session.engine_mut().restore(&lane.initial);
+                lane.base = lane.session.engine().stats().cloned();
+            }
+            let stimulus = MeteredInput::from_offset(&self.stimulus, 0, Rc::clone(&lane.consumed));
+            lane.session.set_stimulus(stimulus);
+            lane.events.borrow_mut().clear();
+            lane.committed = 0;
+            lane.trim_at = TRIM_AT;
+            lane.error = None;
+            lane.check = None;
+            lane.check_consumed = 0;
+            lane.check_stats = None;
+        }
         self
     }
 
@@ -485,14 +561,15 @@ impl<'d> Lockstep<'d> {
         self.verified
     }
 
-    /// Per-lane statistics, for lanes whose engines keep them.
+    /// Per-lane statistics of the current run, for lanes whose engines
+    /// keep them (see [`CosimOutcome::Agreement::stats`]).
     pub fn lane_stats(&self) -> Vec<LaneStats> {
         self.lanes
             .iter()
             .filter_map(|l| {
-                l.session.engine().stats().map(|s| LaneStats {
+                l.stats().map(|stats| LaneStats {
                     lane: l.name.clone(),
-                    stats: s.clone(),
+                    stats,
                 })
             })
             .collect()
@@ -521,6 +598,7 @@ impl<'d> Lockstep<'d> {
     /// Panics when fewer than two lanes were added.
     pub fn run(&mut self, cycles: u64) -> CosimOutcome {
         assert!(self.lanes.len() >= 2, "lockstep needs at least two lanes");
+        self.moved = true;
         let outcome = self.run_inner(cycles);
         self.emit_counters();
         outcome
@@ -565,29 +643,29 @@ impl<'d> Lockstep<'d> {
                         stats: self.lane_stats(),
                     };
                 }
-                BurstResult::Diverged(stepped) => {
-                    // Rewind to the last agreeing checkpoint and replay one
-                    // cycle at a time to find the exact divergence point.
-                    // compare() is Some here, so capture the coarse report
-                    // first: an engine whose behavior is not fully restored
-                    // by checkpoint/resume may fail to reproduce on replay,
-                    // and the observed divergence must still be reported
-                    // (at comparison granularity) rather than panic.
-                    let coarse = self.build_report();
+                BurstResult::Diverged(stepped, kind) => {
+                    // Report from the burst's own verdict. Past one cycle,
+                    // rewind to the last agreeing checkpoint and replay one
+                    // cycle at a time to find the exact divergence point;
+                    // only a replay that diverges again replaces the
+                    // report. An engine whose behavior checkpoint/resume
+                    // does not fully restore may fail to reproduce, and
+                    // the observed divergence is then still reported (at
+                    // comparison granularity) rather than panic.
+                    let mut report = self.build_report(kind);
                     if stepped > 1 {
                         self.rewind();
                         for _ in 0..stepped {
                             match self.burst(1) {
                                 BurstResult::Agree => {}
-                                BurstResult::Halted(_) | BurstResult::Diverged(_) => break,
+                                BurstResult::Halted(_) => break,
+                                BurstResult::Diverged(_, kind) => {
+                                    report = self.build_report(kind);
+                                    break;
+                                }
                             }
                         }
                     }
-                    let report = if self.compare().is_some() {
-                        self.build_report()
-                    } else {
-                        coarse
-                    };
                     return CosimOutcome::Divergence(Box::new(report));
                 }
             }
@@ -619,8 +697,8 @@ impl<'d> Lockstep<'d> {
                 break;
             }
         }
-        if self.compare().is_some() {
-            return BurstResult::Diverged(stepped);
+        if let Some(kind) = self.compare() {
+            return BurstResult::Diverged(stepped, kind);
         }
         self.commit();
         if self.lanes.iter().any(|l| l.error.is_some()) {
@@ -701,11 +779,19 @@ impl<'d> Lockstep<'d> {
 
     /// Rewinds every lane to the last agreeing snapshot: engine state
     /// through [`Engine::restore`], stimulus re-supplied from the
-    /// recorded offset, uncommitted trace events dropped.
+    /// recorded offset, uncommitted trace events dropped, and the work
+    /// the replay will do again taken out of the run's statistics.
     fn rewind(&mut self) {
         self.rewinds += 1;
         for lane in &mut self.lanes {
-            lane.session.engine_mut().restore(&lane.check);
+            if let Some(now) = lane.session.engine().stats() {
+                lane.base = Some(match &lane.check_stats {
+                    Some(at_check) => now.since(at_check),
+                    None => now.clone(),
+                });
+            }
+            let check = lane.check.as_ref().unwrap_or(&lane.initial);
+            lane.session.engine_mut().restore(check);
             let stimulus = MeteredInput::from_offset(
                 &self.stimulus,
                 lane.check_consumed,
@@ -717,8 +803,9 @@ impl<'d> Lockstep<'d> {
         }
     }
 
-    fn build_report(&mut self) -> DivergenceReport {
-        let kind = self.compare().expect("report requested without divergence");
+    /// The report of a divergence `kind`, the verdict of the comparison
+    /// that just failed.
+    fn build_report(&self, kind: DivergenceKind) -> DivergenceReport {
         let retain = self.options.retain_output;
         let lanes = self
             .lanes
@@ -726,7 +813,10 @@ impl<'d> Lockstep<'d> {
             .map(|lane| {
                 let events = lane.events.borrow();
                 let text = lane.report_text(retain);
-                LaneReport::from_observation(&lane.name, &kind, &lane.observe(&events), &text)
+                LaneReport {
+                    stats: lane.stats(),
+                    ..LaneReport::from_observation(&lane.name, &kind, &lane.observe(&events), &text)
+                }
             })
             .collect();
         DivergenceReport {
@@ -870,6 +960,7 @@ impl<'d> Lockstep<'d> {
         }
         self.verified = verified;
         self.agreed.clear();
+        self.moved = true;
         Ok(())
     }
 
@@ -886,14 +977,26 @@ impl<'d> Lockstep<'d> {
 
 const LOCKSTEP_MAGIC: &str = "asim2-lockstep v1";
 
+/// The comparator set [`CosimOptions::compare`] names (empty means
+/// [`CompareMode::All`]), freshly built.
+fn configured(options: &CosimOptions) -> Vec<Box<dyn Comparator>> {
+    let modes: &[CompareMode] = if options.compare.is_empty() {
+        &[CompareMode::All]
+    } else {
+        &options.compare
+    };
+    modes.iter().map(|m| m.build()).collect()
+}
+
 enum BurstResult {
     /// All cycles ran and compared equal.
     Agree,
     /// Lanes agree, including an identical runtime error; carries the
     /// number of *completed* cycles in this burst.
     Halted(u64),
-    /// Comparison failed; carries the cycles stepped in this burst.
-    Diverged(u64),
+    /// Comparison failed; carries the cycles stepped in this burst and
+    /// the comparison's verdict.
+    Diverged(u64, DivergenceKind),
 }
 
 #[cfg(test)]

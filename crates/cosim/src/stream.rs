@@ -10,14 +10,20 @@
 //! capture [`TraceSink`](rtl_core::TraceSink) would have seen). A mismatch is a
 //! [`DivergenceKind::Stream`] report with the divergence cycle estimated
 //! from the last matching cycle header.
+//!
+//! Every run goes through a [`Harness`]: it builds the lanes once, and
+//! each of its runs restarts them at cycle 0 ([`Lockstep::restart`]), so
+//! a caller probing one design many times pays for the lane builds once.
 
 use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint};
 use rtl_core::observe::TRACE_WINDOW_LINES;
 use rtl_core::{
-    Design, DivergenceKind, ElabError, EngineLane, EngineOptions, EngineRegistry, LaneReport,
-    LaneStats, LoadError, Session, StopReason, StreamEngine, Until, Word,
+    Design, DivergenceKind, ElabError, Engine, EngineLane, EngineOptions, EngineRegistry,
+    LaneReport, LaneStats, LoadError, Session, SimState, StopReason, StreamEngine, Until, Word,
 };
 use rtl_machines::Scenario;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Why a named-lane scenario run could not start.
 #[derive(Debug)]
@@ -84,10 +90,10 @@ pub fn run_scenario_names(
 }
 
 /// Runs an elaborated design through the named registry lanes for
-/// `cycles` cycles, feeding `input` to its memory-mapped input port —
-/// the one lockstep runner behind [`run_scenario_names`], fuzz cases and
-/// shrink probes. `name` labels the run: it becomes a divergence
-/// report's `scenario` and a digest log's scenario name.
+/// `cycles` cycles, feeding `input` to its memory-mapped input port:
+/// [`Harness::prepare`] followed by one [`Harness::run`]. `name` labels
+/// the run: it becomes a divergence report's `scenario` and a digest
+/// log's scenario name.
 ///
 /// # Errors
 ///
@@ -102,185 +108,296 @@ pub fn run_design_names(
     input: &[Word],
     options: &CosimOptions,
 ) -> Result<CosimOutcome, ScenarioError> {
-    let engine_options = EngineOptions {
-        trace: options.trace,
-        profile: options.profile.clone(),
-    };
-    let mut stepped = Vec::new();
-    let mut streams: Vec<(String, Box<dyn StreamEngine + '_>)> = Vec::new();
-    for lane in names {
-        match registry
-            .build(lane, design, &engine_options)
-            .map_err(ScenarioError::Engine)?
-        {
-            EngineLane::Stepped(engine) => stepped.push((lane.clone(), engine)),
-            EngineLane::Stream(stream) => streams.push((lane.clone(), stream)),
-        }
-    }
-    if stepped.is_empty() {
-        return Err(ScenarioError::Engine(
-            "need at least one in-process engine (stream lanes are compared \
-             against the stepped lanes' agreed trace)"
-                .into(),
-        ));
-    }
+    Harness::prepare(registry, names, design, name, options)?.run(cycles, input)
+}
 
-    // The agreed reference trace: from lockstep when two or more lanes
-    // step, from a single captured session otherwise.
-    let reference_name = stepped[0].0.clone();
-    let (mut outcome, agreed) = if stepped.len() >= 2 {
-        let mut lockstep = Lockstep::new(
-            design,
-            CosimOptions {
-                retain_output: options.retain_output || !streams.is_empty(),
-                ..options.clone()
-            },
-        );
-        lockstep.stimulus(input.to_vec());
-        for (lane, engine) in stepped {
-            lockstep.add_lane(&lane, engine);
-        }
-        // Digest comparators join before any resume: they are part of the
-        // harness identity a lockstep checkpoint fingerprints.
-        let export_log = match &options.export_digests {
-            Some(_) => {
-                let log = std::rc::Rc::new(std::cell::RefCell::new(crate::digest::DigestLog::new(
-                    name.to_string(),
-                    rtl_core::design_fingerprint(design),
-                    options.compare_every,
-                )));
-                lockstep.add_comparator(Box::new(crate::digest::DigestRecorder::new(
-                    std::rc::Rc::clone(&log),
-                )));
-                Some(log)
-            }
-            None => None,
+/// Named registry lanes built once over one design, to run as often as a
+/// caller needs — the one lockstep runner behind [`run_design_names`],
+/// [`run_scenario_names`], fuzz cases and shrink probes.
+/// [`prepare`](Harness::prepare) builds the lanes and the lint oracle's
+/// [`StaticClaims`](rtl_lint::StaticClaims); every [`run`](Harness::run)
+/// starts the lanes at cycle 0 with a fresh stimulus and fresh
+/// comparators. A run returns exactly what a fresh [`run_design_names`]
+/// call with the same arguments returns: report, lane statistics and
+/// emitted counters.
+pub struct Harness<'d> {
+    design: &'d Design,
+    name: &'d str,
+    options: &'d CosimOptions,
+    stepped: Stepped<'d>,
+    streams: Vec<(&'d str, Box<dyn StreamEngine + 'd>)>,
+    /// The first stepped lane's name: the side a stream report quotes.
+    reference: &'d str,
+    /// The lint oracle's claims, when the oracle is on and has any.
+    claims: Option<rtl_lint::StaticClaims>,
+    /// The digest stream every run checks the reference lane against.
+    check_log: Option<crate::digest::DigestLog>,
+}
+
+/// A harness's in-process lanes.
+enum Stepped<'d> {
+    /// Two or more lanes, in lockstep.
+    Lockstep(Lockstep<'d>),
+    /// One lane, whose captured trace the stream lanes are checked
+    /// against. `initial` is its engine's state when built, and `ran`
+    /// whether a run has moved it since.
+    Single {
+        lane: &'d str,
+        engine: Box<dyn Engine + 'd>,
+        initial: SimState,
+        ran: bool,
+    },
+}
+
+impl<'d> Harness<'d> {
+    /// Builds the named lanes over `design` and checks that `options`
+    /// suit them. `name` labels every run (see [`run_design_names`]).
+    ///
+    /// # Errors
+    ///
+    /// Lane construction failures, an unusable lane mix, an unreadable or
+    /// mismatched [`CosimOptions::check_digests`] stream, and options
+    /// that need two stepped lanes (or none of the stream lanes).
+    pub fn prepare(
+        registry: &EngineRegistry,
+        names: &'d [String],
+        design: &'d Design,
+        name: &'d str,
+        options: &'d CosimOptions,
+    ) -> Result<Harness<'d>, ScenarioError> {
+        let engine_options = EngineOptions {
+            trace: options.trace,
+            profile: options.profile.clone(),
         };
-        if options.lint_oracle {
-            let claims = rtl_lint::StaticClaims::of(design);
-            if !claims.is_empty() {
-                lockstep.add_comparator(Box::new(rtl_lint::OracleComparator::new(
-                    claims,
-                    options.recorder.clone(),
-                )));
+        let mut stepped = Vec::new();
+        let mut streams: Vec<(&str, Box<dyn StreamEngine + 'd>)> = Vec::new();
+        for lane in names {
+            match registry
+                .build(lane, design, &engine_options)
+                .map_err(ScenarioError::Engine)?
+            {
+                EngineLane::Stepped(engine) => stepped.push((lane.as_str(), engine)),
+                EngineLane::Stream(stream) => streams.push((lane.as_str(), stream)),
             }
         }
-        if let Some(path) = &options.check_digests {
-            let log = crate::digest::DigestLog::load(path).map_err(|e| {
-                ScenarioError::Engine(format!("cannot read digests {}: {e}", path.display()))
-            })?;
-            if log.design != rtl_core::design_fingerprint(design) {
-                return Err(ScenarioError::Engine(format!(
-                    "digest stream {} was recorded over a different design",
-                    path.display()
-                )));
-            }
-            if log.every != options.compare_every.max(1) {
-                return Err(ScenarioError::Engine(format!(
-                    "digest stream {} was recorded at stride {}, this run compares every {} \
-                     (strides must match for the cycles to line up)",
-                    path.display(),
-                    log.every,
-                    options.compare_every.max(1)
-                )));
-            }
-            lockstep.add_comparator(Box::new(crate::digest::DigestLane::new(log)));
+        if stepped.is_empty() {
+            return Err(ScenarioError::Engine(
+                "need at least one in-process engine (stream lanes are compared \
+                 against the stepped lanes' agreed trace)"
+                    .into(),
+            ));
         }
-        if let Some(path) = &options.resume {
-            if !streams.is_empty() {
+
+        // The agreed reference trace: from lockstep when two or more lanes
+        // step, from a single captured session otherwise.
+        let reference = stepped[0].0;
+        let mut claims = None;
+        let mut check_log = None;
+        let stepped = if stepped.len() >= 2 {
+            let mut lockstep = Lockstep::new(
+                design,
+                CosimOptions {
+                    retain_output: options.retain_output || !streams.is_empty(),
+                    ..options.clone()
+                },
+            );
+            for (lane, engine) in stepped {
+                lockstep.add_lane(lane, engine);
+            }
+            if options.lint_oracle {
+                claims = Some(rtl_lint::StaticClaims::of(design)).filter(|c| !c.is_empty());
+            }
+            if let Some(path) = &options.check_digests {
+                let log = crate::digest::DigestLog::load(path).map_err(|e| {
+                    ScenarioError::Engine(format!("cannot read digests {}: {e}", path.display()))
+                })?;
+                if log.design != rtl_core::design_fingerprint(design) {
+                    return Err(ScenarioError::Engine(format!(
+                        "digest stream {} was recorded over a different design",
+                        path.display()
+                    )));
+                }
+                if log.every != options.compare_every.max(1) {
+                    return Err(ScenarioError::Engine(format!(
+                        "digest stream {} was recorded at stride {}, this run compares every {} \
+                         (strides must match for the cycles to line up)",
+                        path.display(),
+                        log.every,
+                        options.compare_every.max(1)
+                    )));
+                }
+                check_log = Some(log);
+            }
+            if options.resume.is_some() && !streams.is_empty() {
                 return Err(ScenarioError::Engine(
                     "stream lanes cannot join a resumed lockstep run (the agreed trace \
                      before the resume point is not available for comparison)"
                         .into(),
                 ));
             }
-            lockstep.resume_from(path).map_err(|e| {
-                ScenarioError::Engine(format!(
-                    "cannot resume lockstep from {}: {e}",
-                    path.display()
-                ))
-            })?;
-        }
-        let outcome = drive_lockstep(&mut lockstep, cycles, options.checkpoint.as_ref())?;
-        if let (Some(path), Some(log)) = (&options.export_digests, export_log) {
-            log.borrow().save(path).map_err(|e| {
-                ScenarioError::Engine(format!("cannot write digests {}: {e}", path.display()))
-            })?;
-        }
-        // Rendered only when a stream lane will compare against it.
-        let agreed = if streams.is_empty() {
-            Vec::new()
+            Stepped::Lockstep(lockstep)
         } else {
-            lockstep.agreed_output()
+            let (lane, engine) = stepped.into_iter().next().expect("checked non-empty");
+            if streams.is_empty() {
+                return Err(ScenarioError::Engine(format!(
+                    "engine {lane:?} alone is not a comparison (add another lane)"
+                )));
+            }
+            if options.resume.is_some() || options.checkpoint.is_some() {
+                return Err(ScenarioError::Engine(
+                    "lockstep checkpoint/resume needs at least two stepped lanes".into(),
+                ));
+            }
+            if options.export_digests.is_some() || options.check_digests.is_some() {
+                return Err(ScenarioError::Engine(
+                    "digest export/check runs through the lockstep comparators and needs \
+                     at least two stepped lanes"
+                        .into(),
+                ));
+            }
+            let initial = engine.snapshot();
+            Stepped::Single {
+                lane,
+                engine,
+                initial,
+                ran: false,
+            }
         };
-        (outcome, agreed)
-    } else {
-        let (lane, engine) = stepped.into_iter().next().expect("checked non-empty");
-        if streams.is_empty() {
-            return Err(ScenarioError::Engine(format!(
-                "engine {lane:?} alone is not a comparison (add another lane)"
-            )));
-        }
-        if options.resume.is_some() || options.checkpoint.is_some() {
-            return Err(ScenarioError::Engine(
-                "lockstep checkpoint/resume needs at least two stepped lanes".into(),
-            ));
-        }
-        if options.export_digests.is_some() || options.check_digests.is_some() {
-            return Err(ScenarioError::Engine(
-                "digest export/check runs through the lockstep comparators and needs \
-                 at least two stepped lanes"
-                    .into(),
-            ));
-        }
-        let mut session = Session::over(engine)
-            .capture()
-            .scripted(input.iter().copied())
-            .recorder(options.recorder.clone())
-            .build();
-        let run = session.run(Until::Cycles(cycles));
-        let stats = session
-            .engine()
-            .stats()
-            .map(|s| LaneStats {
-                lane: lane.clone(),
-                stats: s.clone(),
-            })
-            .into_iter()
-            .collect();
-        let outcome = CosimOutcome::Agreement {
-            cycles: run.cycles,
-            stop: run.stop,
-            stats,
-        };
-        (outcome, session.output().to_vec())
-    };
+        Ok(Harness {
+            design,
+            name,
+            options,
+            stepped,
+            streams,
+            reference,
+            claims,
+            check_log,
+        })
+    }
 
-    if let CosimOutcome::Agreement {
-        stop: StopReason::CycleLimit,
-        ..
-    } = &outcome
-    {
-        for (lane, mut stream) in streams {
-            let got = stream
-                .run_stream(cycles, input)
-                .map_err(|e| ScenarioError::Engine(format!("stream lane {lane:?}: {e}")))?;
-            if got != agreed {
-                return Ok(CosimOutcome::Divergence(Box::new(stream_report(
-                    name,
-                    &reference_name,
-                    &agreed,
-                    &lane,
-                    &got,
-                ))));
+    /// Runs the lanes from cycle 0 for `cycles` cycles, feeding `input`
+    /// to the design's memory-mapped input port.
+    ///
+    /// # Errors
+    ///
+    /// Digest, checkpoint and resume file failures, and a stream lane
+    /// that fails to run; runtime disagreement is part of the
+    /// [`CosimOutcome`], not an `Err`.
+    pub fn run(&mut self, cycles: u64, input: &[Word]) -> Result<CosimOutcome, ScenarioError> {
+        let options = self.options;
+        let (mut outcome, agreed) = match &mut self.stepped {
+            Stepped::Lockstep(lockstep) => {
+                lockstep.restart(input);
+                // Digest comparators join before any resume: they are part
+                // of the harness identity a lockstep checkpoint
+                // fingerprints.
+                let export_log = options.export_digests.as_ref().map(|_| {
+                    let log = Rc::new(RefCell::new(crate::digest::DigestLog::new(
+                        self.name.to_string(),
+                        rtl_core::design_fingerprint(self.design),
+                        options.compare_every,
+                    )));
+                    lockstep.add_comparator(Box::new(crate::digest::DigestRecorder::new(
+                        Rc::clone(&log),
+                    )));
+                    log
+                });
+                if let Some(claims) = &self.claims {
+                    lockstep.add_comparator(Box::new(rtl_lint::OracleComparator::new(
+                        claims.clone(),
+                        options.recorder.clone(),
+                    )));
+                }
+                if let Some(log) = &self.check_log {
+                    lockstep.add_comparator(Box::new(crate::digest::DigestLane::new(log.clone())));
+                }
+                if let Some(path) = &options.resume {
+                    lockstep.resume_from(path).map_err(|e| {
+                        ScenarioError::Engine(format!(
+                            "cannot resume lockstep from {}: {e}",
+                            path.display()
+                        ))
+                    })?;
+                }
+                let outcome = drive_lockstep(lockstep, cycles, options.checkpoint.as_ref())?;
+                if let (Some(path), Some(log)) = (&options.export_digests, export_log) {
+                    log.borrow().save(path).map_err(|e| {
+                        ScenarioError::Engine(format!(
+                            "cannot write digests {}: {e}",
+                            path.display()
+                        ))
+                    })?;
+                }
+                // Rendered only when a stream lane will compare against it.
+                let agreed = if self.streams.is_empty() {
+                    Vec::new()
+                } else {
+                    lockstep.agreed_output()
+                };
+                (outcome, agreed)
+            }
+            Stepped::Single {
+                lane,
+                engine,
+                initial,
+                ran,
+            } => {
+                let base = if std::mem::replace(ran, true) {
+                    engine.restore(initial);
+                    engine.stats().cloned()
+                } else {
+                    None
+                };
+                let mut session = Session::over(&mut *engine)
+                    .capture()
+                    .scripted(input.iter().copied())
+                    .recorder(options.recorder.clone())
+                    .build();
+                let run = session.run(Until::Cycles(cycles));
+                let stats = session
+                    .engine()
+                    .stats()
+                    .map(|now| LaneStats {
+                        lane: lane.to_string(),
+                        stats: base.as_ref().map_or_else(|| now.clone(), |b| now.since(b)),
+                    })
+                    .into_iter()
+                    .collect();
+                let outcome = CosimOutcome::Agreement {
+                    cycles: run.cycles,
+                    stop: run.stop,
+                    stats,
+                };
+                (outcome, session.output().to_vec())
+            }
+        };
+
+        if let CosimOutcome::Agreement {
+            stop: StopReason::CycleLimit,
+            ..
+        } = &outcome
+        {
+            for (lane, stream) in &mut self.streams {
+                let got = stream
+                    .run_stream(cycles, input)
+                    .map_err(|e| ScenarioError::Engine(format!("stream lane {lane:?}: {e}")))?;
+                if got != agreed {
+                    return Ok(CosimOutcome::Divergence(Box::new(stream_report(
+                        self.name,
+                        self.reference,
+                        &agreed,
+                        lane,
+                        &got,
+                    ))));
+                }
             }
         }
-    }
 
-    if let CosimOutcome::Divergence(report) = &mut outcome {
-        report.scenario = name.to_string();
+        if let CosimOutcome::Divergence(report) = &mut outcome {
+            report.scenario = self.name.to_string();
+        }
+        Ok(outcome)
     }
-    Ok(outcome)
 }
 
 /// Drives a lockstep harness to `horizon` total verified cycles, writing
@@ -490,6 +607,79 @@ mod tests {
         )
         .unwrap();
         assert!(outcome.agreed(), "{outcome:?}");
+    }
+
+    /// A stream lane that runs the interpreter in-process: what a
+    /// correct generated simulator prints.
+    struct Echo<'d>(&'d Design);
+
+    impl StreamEngine for Echo<'_> {
+        fn run_stream(&mut self, cycles: u64, stimulus: &[Word]) -> Result<Vec<u8>, String> {
+            let mut session = Session::over(rtl_interp::Interpreter::new(self.0))
+                .capture()
+                .scripted(stimulus.iter().copied())
+                .build();
+            session.run(Until::Cycles(cycles));
+            Ok(session.output().to_vec())
+        }
+    }
+
+    struct EchoFactory;
+
+    impl rtl_core::EngineFactory for EchoFactory {
+        fn name(&self) -> &str {
+            "echo"
+        }
+        fn is_stepped(&self) -> bool {
+            false
+        }
+        fn build<'d>(
+            &self,
+            design: &'d rtl_core::Design,
+            _options: &EngineOptions,
+        ) -> Result<EngineLane<'d>, String> {
+            Ok(EngineLane::Stream(Box::new(Echo(design))))
+        }
+    }
+
+    #[test]
+    fn a_single_stepped_lane_harness_runs_like_fresh_ones() {
+        // One stepped lane checked against a stream lane: each run puts
+        // the lane back at cycle 0 and counts its statistics afresh.
+        let mut reg = crate::engines::default_registry();
+        reg.register(Box::new(EchoFactory));
+        let scenario = scenarios::by_name("io/accumulator")
+            .unwrap()
+            .with_cycles(32);
+        let design = scenario.design().unwrap();
+        let lanes = names(&["vm", "echo"]);
+        let options = CosimOptions::default();
+        let input = &scenario.input[..];
+        let mut harness =
+            Harness::prepare(&reg, &lanes, &design, &scenario.name, &options).unwrap();
+        for (cycles, input) in [
+            (32, input),
+            (5, &input[..5]),
+            (32, &input[..3]),
+            (32, input),
+        ] {
+            let fresh = run_design_names(
+                &reg,
+                &lanes,
+                &design,
+                &scenario.name,
+                cycles,
+                input,
+                &options,
+            )
+            .unwrap();
+            assert!(!fresh.lane_stats().is_empty());
+            assert_eq!(
+                harness.run(cycles, input).unwrap(),
+                fresh,
+                "{cycles} {input:?}"
+            );
+        }
     }
 
     #[test]

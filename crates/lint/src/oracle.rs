@@ -173,10 +173,10 @@ impl Comparator for OracleComparator {
         _candidate: &Observation<'_>,
     ) -> Option<DivergenceKind> {
         // The harness calls every comparator once per candidate lane
-        // against the same reference, and re-runs the comparison when it
-        // builds a divergence report — so the verdict must be computed
+        // against the same reference — so the verdict must be computed
         // every time (stateless in the observation), and only the
-        // *counters* dedupe by cycle.
+        // *counters* dedupe by cycle. A harness that runs again builds a
+        // new oracle, so `last_cycle` never spans two runs.
         let fresh = self.last_cycle != Some(reference.cycle());
         self.last_cycle = Some(reference.cycle());
         if fresh {
