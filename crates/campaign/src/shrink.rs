@@ -3,8 +3,8 @@
 //! A raw fuzz divergence is a haystack: a few hundred components driven
 //! for a long horizon. Borrowing the binary-search discipline of
 //! property-based shrinking (à la proptest), this module minimizes the
-//! three knobs that matter, re-running the full lockstep comparison per
-//! candidate and keeping only confirmed-diverging shrinks:
+//! three knobs that matter, deciding each candidate by the full lockstep
+//! comparison and keeping only confirmed-diverging shrinks:
 //!
 //! 1. **generator size** — the smallest component count whose scenario
 //!    still diverges (each probe regenerates the scenario from the same
@@ -17,22 +17,45 @@
 //! Divergence is not monotone in the size knob (a smaller design is a
 //! different design), so as in all practical shrinkers the result is a
 //! *locally* minimal diverging scenario, found greedily: the search only
-//! ever moves to candidates that were re-run and confirmed to diverge.
+//! ever moves to candidates whose divergence is confirmed.
 //!
 //! A shrink starts from a divergence already observed: the fuzz case's
 //! own run, handed over by the campaign runner ([`shrink_from`]), or one
 //! [`shrink_divergence`] runs first. It counts as the first of the
 //! search's `attempts`, which therefore also count the case's own run.
 //! Each size probe generates that size's [`Spec`](rtl_lang::Spec),
-//! elaborates it (moved, no text round trip) and runs it through
-//! [`rtl_cosim::run_design_names`]. The horizon and stimulus phases then
-//! reuse the best size's design and stimulus: a shorter horizon
-//! generates the same design and a prefix of the same stimulus (pinned
-//! by `rtl_machines::synth`'s tests), so each of their probes runs that
-//! one design on a slice. They run on lanes built once: one
-//! [`Harness`] is prepared for the best size's design, and every probe
-//! restarts its lanes at cycle 0 (a restarted run returns what a fresh
-//! one would, statistics and counters included). Source text is
+//! elaborates it (moved, no text round trip) and runs it on a
+//! [`Harness`] of its own. The horizon and stimulus phases then reuse
+//! the best size's design and stimulus: a shorter horizon generates the
+//! same design and a prefix of the same stimulus (pinned by
+//! `rtl_machines::synth`'s tests), so each of their probes is that one
+//! design over a prefix of one stimulus.
+//!
+//! Many of those probes are decided by a run the search already made.
+//! A cycle is a pure function of the state and the input words read so
+//! far, so a run with a shorter horizon, or over a stimulus prefix that
+//! still holds every word the lanes read, repeats a longer run cycle for
+//! cycle until it stops. The search keeps its first diverging run of the
+//! best size's design as a *recording* — the size probe that found the
+//! best size, or, when none did, the first phase 2–3 probe that diverges
+//! (the horizon probe at c + 1 when it does) — with the most words any
+//! lane had read through each cycle up to its divergence at cycle c
+//! ([`Harness::words_read_through`]). A later probe the recording decides
+//! is answered without running (`Recording::answer` has the rule): a
+//! horizon h ≤ c agrees, and a longer one diverges with the recording's
+//! report, when its stimulus holds the words read through cycle h − 1
+//! (through c); at a coarser comparison stride, only where the probe
+//! compares where the recorded run did. This is the outcome cache of
+//! delta debugging (Zeller and Hildebrandt, 2002), filled by a prefix
+//! argument instead of by lookups. The search visits the same candidates
+//! in the same order either way, so every result is the one running them
+//! all gives; only the lockstep work it counts (`session/cycles`,
+//! `lockstep/*`, `lint/oracle_checks`) falls.
+//!
+//! The probes that do run share one [`Harness`], prepared at the first
+//! of them (a shrink whose probes are all answered prepares none), and
+//! every run restarts its lanes at cycle 0 (a restarted run returns what
+//! a fresh one would, statistics and counters included). Source text is
 //! rendered once, for the minimal scenario the corpus saves, and the
 //! minimal design travels with it in [`Shrunk::design`].
 
@@ -55,7 +78,9 @@ pub struct Shrunk {
     /// The minimal scenario's design, elaborated: what `scenario`'s
     /// source parses and elaborates to.
     pub design: Design,
-    /// The divergence the minimal scenario produces.
+    /// The divergence the minimal scenario produces: what a run of
+    /// `scenario` reports, though not necessarily from such a run (it
+    /// may be the recording's, which a run of `scenario` repeats).
     pub report: DivergenceReport,
     /// Final generator size (component count knob).
     pub size: usize,
@@ -63,7 +88,8 @@ pub struct Shrunk {
     pub cycles: u64,
     /// Final stimulus length.
     pub input_len: usize,
-    /// Lockstep runs the search spent, the case's own run included.
+    /// Candidates decided, by a run or by the recording, the case's own
+    /// run included.
     pub attempts: u32,
 }
 
@@ -86,7 +112,15 @@ pub fn shrink_divergence(
     cosim: &CosimOptions,
 ) -> Result<Option<Shrunk>, CampaignError> {
     let case = Candidate::generate(seed, generator.size, generator)?;
-    match case.run(registry, engines, cosim)? {
+    match rtl_cosim::run_design_names(
+        registry,
+        engines,
+        &case.design,
+        &case.name,
+        case.cycles,
+        &case.input,
+        cosim,
+    )? {
         CosimOutcome::Divergence(first) => {
             shrink_from(registry, engines, seed, generator, cosim, &first)
         }
@@ -104,7 +138,7 @@ pub fn shrink_divergence(
 /// horizon search starts; it is never saved. The case may have run with
 /// options its probes do not take (a checkpoint or resume document, a
 /// profile hook, a flight-tapped recorder), so the saved report always
-/// comes from a run this search made.
+/// comes from a run this search made, or from its recording.
 ///
 /// # Errors
 ///
@@ -125,7 +159,7 @@ pub fn shrink_from(
     // 1. Size: first-diverging binary search over [1, size]. The upper
     //    bound is always a confirmed-diverging size, so the result is too.
     //    The last diverging probe's design and full stimulus serve the
-    //    later phases.
+    //    later phases, and its run is their recording.
     let mut lo = 1usize;
     let mut best_size = generator.size.max(1);
     let mut best = None;
@@ -133,24 +167,27 @@ pub fn shrink_from(
         let mid = lo + (best_size - lo) / 2;
         let case = Candidate::generate(seed, mid, generator)?;
         attempts += 1;
-        match verdict(case.run(registry, engines, cosim)?) {
-            Some(report) => {
+        match case.record(registry, engines, cosim)? {
+            Some(recording) => {
                 best_size = mid;
-                best = Some((case, report));
+                best = Some((case, recording));
             }
             None => lo = mid + 1,
         }
     }
-    let (case, mut best_report) = match best {
-        Some((case, report)) => (case, Some(report)),
+    let (case, recording) = match best {
+        Some((case, recording)) => (case, Some(recording)),
         None => (Candidate::generate(seed, best_size, generator)?, None),
     };
-    // Phases 2–3 probe that one design on one harness: its lanes are
-    // built once, and every probe restarts them at cycle 0.
-    let mut harness = Harness::prepare(registry, engines, &case.design, &case.name, cosim)?;
-    let mut probe = |cycles: u64, input: &[Word]| {
-        attempts += 1;
-        harness.run(cycles, input).map(verdict)
+    let mut best_report = recording.as_ref().map(|r| r.report.clone());
+    let mut probes = Probes {
+        registry,
+        engines,
+        cosim,
+        case: &case,
+        harness: None,
+        recording,
+        attempts,
     };
 
     // 2. Horizon: the divergence happened at cycle c, so any horizon
@@ -159,7 +196,7 @@ pub fn shrink_from(
     let observed = best_report.as_ref().unwrap_or(first).cycle;
     let observed = u64::try_from(observed).unwrap_or(case.cycles);
     let mut best_cycles = (observed + 1).min(case.cycles);
-    match probe(best_cycles, case.stimulus(best_cycles))? {
+    match probes.decide(best_cycles, case.stimulus(best_cycles))? {
         Some(report) => best_report = Some(report),
         // The horizon interacts with the stimulus length; fall back to
         // the full horizon if the tightened bound loses the divergence.
@@ -168,7 +205,7 @@ pub fn shrink_from(
     let mut lo = 1u64;
     while lo < best_cycles {
         let mid = lo + (best_cycles - lo) / 2;
-        match probe(mid, case.stimulus(mid))? {
+        match probes.decide(mid, case.stimulus(mid))? {
             Some(report) => {
                 best_cycles = mid;
                 best_report = Some(report);
@@ -185,7 +222,7 @@ pub fn shrink_from(
     let mut lo = 0usize;
     while lo < best_len {
         let mid = lo + (best_len - lo) / 2;
-        match probe(best_cycles, &input[..mid])? {
+        match probes.decide(best_cycles, &input[..mid])? {
             Some(report) => {
                 best_len = mid;
                 best_report = Some(report);
@@ -200,13 +237,14 @@ pub fn shrink_from(
         // No probe diverged, so the minimal scenario is the case itself:
         // rerun it for its report. This is the first attempt's run, which
         // `first` stood in for, so it is not counted again.
-        None => match verdict(harness.run(best_cycles, &input)?) {
+        None => match probes.run(best_cycles, &input)? {
             Some(report) => report,
             None => return Ok(None),
         },
     };
+    let attempts = probes.attempts;
     // The lanes borrow the design `Shrunk` takes.
-    drop(harness);
+    drop(probes);
     let scenario = Scenario {
         name: format!("corpus/seed-{seed}"),
         source: rtl_lang::pretty(case.design.spec()),
@@ -244,6 +282,155 @@ fn usable(report: &DivergenceReport) -> bool {
     matches!(report.kind, DivergenceKind::Error) || report.lanes.iter().all(|l| l.error.is_none())
 }
 
+/// A usable diverging run of the best size's design, kept to decide
+/// later probes of that design (see the [module docs](self)). Every
+/// probe's stimulus, and the recorded run's, is a prefix of the case's.
+struct Recording {
+    /// The recorded run's horizon.
+    cycles: u64,
+    /// Its divergence, at cycle `c` = `report.cycle`.
+    report: DivergenceReport,
+    /// `reads[k]`: the most stimulus words any lane had read through
+    /// cycle `k`, for every `k` in `0..=c`; `None` when the run recorded
+    /// none (stream lanes or a single stepped lane), or its options read
+    /// or write a file, which a probe left unrun would not.
+    reads: Option<Vec<usize>>,
+    /// The comparison stride of every run.
+    stride: u64,
+}
+
+impl Recording {
+    /// The recording of `harness`'s last run, a run of `cycles` cycles
+    /// that diverged with `report`.
+    fn of(
+        harness: &Harness<'_>,
+        cycles: u64,
+        report: DivergenceReport,
+        cosim: &CosimOptions,
+    ) -> Self {
+        let self_contained = cosim.checkpoint.is_none()
+            && cosim.resume.is_none()
+            && cosim.export_digests.is_none()
+            && cosim.check_digests.is_none();
+        let reads = u64::try_from(report.cycle)
+            .ok()
+            .filter(|_| self_contained)
+            .and_then(|c| (0..=c).map(|k| harness.words_read_through(k)).collect());
+        Recording {
+            cycles,
+            report,
+            reads,
+            stride: cosim.compare_every.max(1),
+        }
+    }
+
+    /// The verdict of a probe of `cycles` cycles over the first `len`
+    /// words of the case's stimulus, when the recorded run decides it.
+    ///
+    /// A probe repeats the recorded run through cycle k when its
+    /// stimulus holds the words read through k. So, at stride 1, a
+    /// horizon h ≤ c agrees when it holds the words read through h − 1,
+    /// and a horizon c < h ≤ `cycles` diverges with the recorded report
+    /// when it holds those read through c.
+    ///
+    /// At a coarser stride s a probe is answered only where each of its
+    /// comparisons is one the recorded run made with the same verdict.
+    /// That run compared at the multiples of s up to m = ⌊c/s⌋·s; when
+    /// c > m, its bisection replay then compared every cycle up to c
+    /// (agreeing) and c + 1 (diverging). A comparison that ends at a
+    /// replayed point and spans several agreeing replay cycles agrees
+    /// too: trace spans render piecewise, and every other lens reads the
+    /// state at the point. So a horizon h ≤ c is answered when h is a
+    /// multiple of s or h > m; and a longer one when c > m and its
+    /// comparison after m falls at c + 1 (h = c + 1, or m + s = c + 1),
+    /// whereupon it rewinds to m and replays exactly what the recorded
+    /// run replayed. When c = m the replay may not have reproduced the
+    /// divergence, so no longer horizon is answered.
+    fn answer(&self, cycles: u64, len: usize) -> Option<Option<DivergenceReport>> {
+        let reads = self.reads.as_ref()?;
+        let c = reads.len() as u64 - 1;
+        let s = self.stride;
+        let m = c / s * s;
+        let holds = |through: u64| len >= reads[usize::try_from(through).unwrap_or(usize::MAX)];
+        if cycles <= c {
+            let compared = cycles.is_multiple_of(s) || cycles > m;
+            let holds = cycles == 0 || holds(cycles - 1);
+            (compared && holds).then_some(None)
+        } else if cycles <= self.cycles {
+            let compared = s == 1 || (c > m && (cycles == c + 1 || m + s == c + 1));
+            (compared && holds(c)).then(|| Some(self.report.clone()))
+        } else {
+            None
+        }
+    }
+}
+
+/// The horizon and stimulus probes of one design: answered by the
+/// recording where it decides them, otherwise run on one harness,
+/// prepared at the first run.
+struct Probes<'a> {
+    registry: &'a EngineRegistry,
+    engines: &'a [String],
+    cosim: &'a CosimOptions,
+    case: &'a Candidate,
+    harness: Option<Harness<'a>>,
+    recording: Option<Recording>,
+    /// Candidates decided so far, the search's earlier ones included.
+    attempts: u32,
+}
+
+impl Probes<'_> {
+    /// Decides one candidate, counting it as an attempt.
+    fn decide(
+        &mut self,
+        cycles: u64,
+        input: &[Word],
+    ) -> Result<Option<DivergenceReport>, CampaignError> {
+        self.attempts += 1;
+        let answer = self
+            .recording
+            .as_ref()
+            .and_then(|r| r.answer(cycles, input.len()));
+        match answer {
+            Some(verdict) => {
+                #[cfg(test)]
+                tests::ANSWERED.with(|answered| {
+                    answered
+                        .borrow_mut()
+                        .push((cycles, input.to_vec(), verdict.clone()));
+                });
+                Ok(verdict)
+            }
+            None => self.run(cycles, input),
+        }
+    }
+
+    /// Runs one candidate; the first that diverges becomes the recording
+    /// when there is none yet.
+    fn run(
+        &mut self,
+        cycles: u64,
+        input: &[Word],
+    ) -> Result<Option<DivergenceReport>, CampaignError> {
+        let Candidate { design, name, .. } = self.case;
+        let harness = match &mut self.harness {
+            Some(harness) => harness,
+            slot @ None => slot.insert(Harness::prepare(
+                self.registry,
+                self.engines,
+                design,
+                name,
+                self.cosim,
+            )?),
+        };
+        let report = verdict(harness.run(cycles, input)?);
+        if let (None, Some(report)) = (&self.recording, &report) {
+            self.recording = Some(Recording::of(harness, cycles, report.clone(), self.cosim));
+        }
+        Ok(report)
+    }
+}
+
 /// One shrink candidate: a generated case with its spec elaborated.
 struct Candidate {
     name: String,
@@ -274,22 +461,17 @@ impl Candidate {
         })
     }
 
-    /// Runs the whole case: its full horizon and stimulus.
-    fn run(
+    /// Runs the whole case, its full horizon and stimulus, on a harness
+    /// of its own: the recording of that run when it diverges usably.
+    fn record(
         &self,
         registry: &EngineRegistry,
         engines: &[String],
         cosim: &CosimOptions,
-    ) -> Result<CosimOutcome, ScenarioError> {
-        rtl_cosim::run_design_names(
-            registry,
-            engines,
-            &self.design,
-            &self.name,
-            self.cycles,
-            &self.input,
-            cosim,
-        )
+    ) -> Result<Option<Recording>, ScenarioError> {
+        let mut harness = Harness::prepare(registry, engines, &self.design, &self.name, cosim)?;
+        let report = verdict(harness.run(self.cycles, &self.input)?);
+        Ok(report.map(|report| Recording::of(&harness, self.cycles, report, cosim)))
     }
 
     /// The stimulus the case generates for a shorter `cycles` horizon:
@@ -310,6 +492,17 @@ impl Candidate {
 mod tests {
     use super::*;
     use rtl_cosim::fault::FaultyVmFactory;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+
+    /// A candidate the recording answered: horizon, stimulus, verdict.
+    type Answered = (u64, Vec<Word>, Option<DivergenceReport>);
+
+    thread_local! {
+        /// Every candidate this thread's shrinks answered from their
+        /// recordings, in order.
+        pub(super) static ANSWERED: RefCell<Vec<Answered>> = const { RefCell::new(Vec::new()) };
+    }
 
     fn registry_with_fault(from_cycle: u64) -> EngineRegistry {
         let mut r = rtl_cosim::default_registry();
@@ -461,32 +654,236 @@ mod tests {
 
     /// The report a shrink saves is what its saved scenario reports when
     /// run afresh: no probe's leftovers (lane statistics in particular)
-    /// reach it.
+    /// reach it, whether it comes from a run or from the recording. Rows
+    /// cover both strides, the lint oracle, and cases with (`io_every`
+    /// 1) and without (`io_every` 0) an input port.
     #[test]
     fn the_saved_report_is_what_the_saved_scenario_reports() {
         let registry = registry_with_fault(rtl_cosim::DEFAULT_FAULT_CYCLE);
         let engines = names(&["interp", "vm-fault"]);
-        let generator = GenOptions {
-            size: 30,
-            cycles: 64,
-            io_every: 2,
+        for (io_every, compare_every, lint_oracle) in [
+            (2, 1, false),
+            (2, 16, false),
+            (2, 1, true),
+            (1, 16, true),
+            (0, 1, false),
+            (0, 16, false),
+        ] {
+            let generator = GenOptions {
+                size: 30,
+                cycles: 64,
+                io_every,
+            };
+            let cosim = CosimOptions {
+                compare_every,
+                lint_oracle,
+                ..CosimOptions::default()
+            };
+            for seed in 1..40 {
+                let shrunk = shrink_divergence(&registry, &engines, seed, &generator, &cosim)
+                    .unwrap()
+                    .expect("fault diverges");
+                assert_eq!(
+                    fresh_report(&registry, &engines, io_every, &shrunk, &cosim),
+                    shrunk.report,
+                    "seed {seed} io_every {io_every} stride {compare_every} oracle {lint_oracle}"
+                );
+            }
+        }
+    }
+
+    /// Words an [`Ahead`] lane holds ahead of its engine: more than the
+    /// 8 words of slack a generated stimulus has past its horizon's
+    /// reads, so a probe's stimulus can run dry for this lane alone.
+    const AHEAD: usize = 16;
+
+    /// An interpreter lane that reads its input ahead of its engine: once
+    /// the engine has read a word, the lane holds the next [`AHEAD`]
+    /// words, and raises input-exhausted when the stimulus has fewer. So
+    /// the lane before it reads each word some cycles later than it does:
+    /// a rule that counted only lane 0's reads would answer for stimuli
+    /// this lane runs dry on.
+    struct Ahead<'d> {
+        inner: Box<dyn rtl_core::Engine + 'd>,
+        /// The words held after each cycle run, by cycle: a restore to
+        /// cycle k takes the lane back to what it held there.
+        held: Vec<VecDeque<Word>>,
+    }
+
+    /// The input an [`Ahead`] lane's engine reads: the held words first.
+    struct Held<'i> {
+        words: VecDeque<Word>,
+        input: &'i mut dyn rtl_core::InputSource,
+        read: bool,
+    }
+
+    impl rtl_core::InputSource for Held<'_> {
+        fn read_char(&mut self) -> Result<Word, rtl_core::SimError> {
+            self.read = true;
+            self.words
+                .pop_front()
+                .map_or_else(|| self.input.read_char(), Ok)
+        }
+
+        fn read_int(&mut self) -> Result<Word, rtl_core::SimError> {
+            self.read = true;
+            self.words
+                .pop_front()
+                .map_or_else(|| self.input.read_int(), Ok)
+        }
+    }
+
+    impl rtl_core::Engine for Ahead<'_> {
+        fn design(&self) -> &Design {
+            self.inner.design()
+        }
+
+        fn state(&self) -> &rtl_core::SimState {
+            self.inner.state()
+        }
+
+        fn restore(&mut self, snapshot: &rtl_core::SimState) {
+            self.inner.restore(snapshot);
+            self.held
+                .truncate(usize::try_from(snapshot.cycle()).unwrap_or(0));
+        }
+
+        fn observes_output(&self, id: rtl_core::CompId) -> bool {
+            self.inner.observes_output(id)
+        }
+
+        fn stats(&self) -> Option<&rtl_core::SimStats> {
+            self.inner.stats()
+        }
+
+        fn step(
+            &mut self,
+            trace: &mut rtl_core::TraceBuf<'_>,
+            input: &mut dyn rtl_core::InputSource,
+        ) -> Result<(), rtl_core::SimError> {
+            let mut held = Held {
+                words: self.held.last().cloned().unwrap_or_default(),
+                input,
+                read: false,
+            };
+            self.inner.step(trace, &mut held)?;
+            if held.read || !held.words.is_empty() {
+                while held.words.len() < AHEAD {
+                    let word = held.input.read_int()?;
+                    held.words.push_back(word);
+                }
+            }
+            self.held.push(held.words);
+            Ok(())
+        }
+    }
+
+    struct AheadFactory;
+
+    impl rtl_core::EngineFactory for AheadFactory {
+        fn name(&self) -> &str {
+            "ahead"
+        }
+
+        fn build<'d>(
+            &self,
+            design: &'d Design,
+            options: &rtl_core::EngineOptions,
+        ) -> Result<rtl_core::EngineLane<'d>, String> {
+            let rtl_core::EngineLane::Stepped(inner) =
+                rtl_cosim::registry().build("interp", design, options)?
+            else {
+                panic!("interp is a stepped lane");
+            };
+            Ok(rtl_core::EngineLane::Stepped(Box::new(Ahead {
+                inner,
+                held: Vec::new(),
+            })))
+        }
+    }
+
+    /// Every candidate a shrink answers from its recording is answered as
+    /// a fresh run of it answers: the same verdict, and an equal report.
+    #[test]
+    fn an_answered_candidate_is_what_a_run_returns() {
+        let mut answered = 0;
+        for fault in [8, 40] {
+            let mut registry = registry_with_fault(fault);
+            registry.register(Box::new(AheadFactory));
+            // At size 1 there is no size probe, so the recording is the
+            // first phase 2–3 probe that diverges.
+            let rows = [
+                (30, names(&["interp", "vm-fault"])),
+                (30, names(&["interp", "vm-fault", "ahead"])),
+                (1, names(&["interp", "vm-fault"])),
+            ];
+            for (size, engines) in &rows {
+                for io_every in [1, 2] {
+                    for compare_every in [1, 16] {
+                        for lint_oracle in [false, true] {
+                            let generator = GenOptions {
+                                size: *size,
+                                cycles: 64,
+                                io_every,
+                            };
+                            let cosim = CosimOptions {
+                                compare_every,
+                                lint_oracle,
+                                ..CosimOptions::default()
+                            };
+                            for seed in 0..=40 {
+                                let at = format!(
+                                    "{engines:?} size {size} fault {fault} io_every {io_every} \
+                                     stride {compare_every} oracle {lint_oracle} seed {seed}"
+                                );
+                                answered += check_answers(
+                                    &registry, engines, seed, &generator, &cosim, &at,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(answered > 0);
+    }
+
+    /// Shrinks one case and checks each candidate its recording answered
+    /// against a fresh run; returns how many there were.
+    fn check_answers(
+        registry: &EngineRegistry,
+        engines: &[String],
+        seed: u64,
+        generator: &GenOptions,
+        cosim: &CosimOptions,
+        at: &str,
+    ) -> usize {
+        ANSWERED.with(|answered| answered.borrow_mut().clear());
+        let Some(shrunk) = shrink_divergence(registry, engines, seed, generator, cosim).unwrap()
+        else {
+            return 0;
         };
-        for seed in 1..40 {
-            let shrunk = shrink_divergence(
-                &registry,
-                &engines,
-                seed,
-                &generator,
-                &CosimOptions::default(),
+        let answered = ANSWERED.with(|answered| answered.take());
+        let case = Candidate::generate(seed, shrunk.size, generator).unwrap();
+        for (cycles, input, verdict) in &answered {
+            let outcome = rtl_cosim::run_design_names(
+                registry,
+                engines,
+                &case.design,
+                &case.name,
+                *cycles,
+                input,
+                cosim,
             )
-            .unwrap()
-            .expect("fault diverges");
+            .unwrap();
             assert_eq!(
-                fresh_report(&registry, &engines, 2, &shrunk),
-                shrunk.report,
-                "seed {seed}"
+                &super::verdict(outcome),
+                verdict,
+                "{at}: horizon {cycles}, {} words",
+                input.len()
             );
         }
+        answered.len()
     }
 
     /// A handed report steers the search but is never saved, not even
@@ -527,16 +924,20 @@ mod tests {
         assert_eq!((shrunk.cycles, shrunk.input_len), (64, 0));
         assert_eq!(shrunk.scenario, honest.scenario);
         assert_eq!(shrunk.report, honest.report);
-        assert_eq!(fresh_report(&registry, &engines, 0, &shrunk), shrunk.report);
+        assert_eq!(
+            fresh_report(&registry, &engines, 0, &shrunk, &cosim),
+            shrunk.report
+        );
     }
 
     /// The divergence `shrunk`'s generated case reports, run afresh on
-    /// the saved horizon and stimulus.
+    /// the saved horizon and stimulus under `cosim`.
     fn fresh_report(
         registry: &EngineRegistry,
         engines: &[String],
         io_every: u32,
         shrunk: &Shrunk,
+        cosim: &CosimOptions,
     ) -> DivergenceReport {
         let generator = GenOptions {
             size: shrunk.size,
@@ -553,7 +954,7 @@ mod tests {
             &shrunk.scenario.name,
             shrunk.cycles,
             &shrunk.scenario.input,
-            &CosimOptions::default(),
+            cosim,
         )
         .unwrap()
         {

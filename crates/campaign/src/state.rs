@@ -118,8 +118,8 @@ pub struct CaseRecord {
     /// Cycles verified in lockstep.
     pub cycles: u64,
     /// Per-lane simulation statistics, for lanes whose engines keep
-    /// them. (For a case resumed mid-run via `--case-checkpoint`, only
-    /// the post-resume portion is counted.)
+    /// them: the whole run's, also for a case resumed mid-run via
+    /// `--case-checkpoint` (its checkpoint carries the statistics so far).
     pub lane_stats: Vec<LaneAccess>,
     /// How the case ended.
     pub status: CaseStatus,

@@ -4,11 +4,13 @@
 //! and interrupt + resume is the root `tests/identity.rs` matrix.
 
 use rtl_campaign::caselog::{FrameReader, CANONICAL, HEADER};
+use rtl_campaign::CASE_CHECKPOINT_EVERY;
 use rtl_campaign::{
     replay_corpus, resume, run, CampaignConfig, CampaignDir, CampaignError, CaseStatus, NoProgress,
     ReplayOutcome, RunOptions,
 };
-use rtl_cosim::GenOptions;
+use rtl_core::{Design, ElabOptions};
+use rtl_cosim::{registry, CosimOptions, GenOptions, Harness, LockstepCheckpoint};
 use std::path::PathBuf;
 
 fn scratch(name: &str) -> PathBuf {
@@ -51,6 +53,65 @@ fn opts(workers: usize) -> RunOptions {
     RunOptions {
         workers,
         ..RunOptions::default()
+    }
+}
+
+/// A case resumed from the checkpoint a kill left mid-run records the
+/// lane statistics of an uninterrupted run, not only its resumed part.
+#[test]
+fn a_case_resumed_from_its_checkpoint_records_the_whole_run_s_lane_stats() {
+    let config = CampaignConfig {
+        generator: GenOptions {
+            size: 10,
+            cycles: 600,
+            io_every: 2,
+        },
+        ..quick_config(1)
+    };
+    let checkpointed = RunOptions {
+        case_checkpoint: true,
+        ..opts(1)
+    };
+    let whole_root = scratch("whole-case");
+    let whole = run(
+        &CampaignDir::new(&whole_root),
+        &config,
+        &checkpointed,
+        &mut NoProgress,
+    )
+    .unwrap();
+    let whole = whole.records[0].clone().expect("case 0 ran");
+    let cycles: Vec<u64> = whole.lane_stats.iter().map(|l| l.cycles).collect();
+    assert_eq!(cycles, [600, 600]);
+
+    // What a kill after the case's first checkpoint leaves behind: the
+    // document its run writes at cycle CASE_CHECKPOINT_EVERY.
+    let root = scratch("resumed-case");
+    let dir = CampaignDir::new(&root);
+    std::fs::create_dir_all(dir.cases()).unwrap();
+    let ckpt = dir.cases().join("case-000000.ckpt");
+    let case = rtl_cosim::generate_case(config.seed, &config.generator);
+    let design = Design::elaborate_with(case.spec, ElabOptions::default()).unwrap();
+    let cosim = CosimOptions {
+        checkpoint: Some(LockstepCheckpoint {
+            path: ckpt.clone(),
+            every: CASE_CHECKPOINT_EVERY,
+        }),
+        ..config.fuzz_options().cosim
+    };
+    let mut harness =
+        Harness::prepare(registry(), &config.engines, &design, &case.name, &cosim).unwrap();
+    assert!(harness
+        .run(CASE_CHECKPOINT_EVERY, &case.input)
+        .unwrap()
+        .agreed());
+    assert!(ckpt.exists());
+
+    let resumed = run(&dir, &config, &checkpointed, &mut NoProgress).unwrap();
+    assert!(!ckpt.exists(), "the case resumed from its checkpoint");
+    assert_eq!(resumed.records[0].as_ref(), Some(&whole));
+    for root in [&whole_root, &root] {
+        let _ = std::fs::remove_dir_all(root);
     }
 }
 

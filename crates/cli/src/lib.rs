@@ -1163,7 +1163,7 @@ fn campaign_cmd(args: &Args, out: &mut dyn Write, err: &mut dyn Write) -> Result
                     let _ = writeln!(
                         out,
                         "seed {seed}: shrunk to size {}, {} cycles, {} stimulus words \
-                         in {} lockstep runs -> corpus {}",
+                         in {} probes -> corpus {}",
                         shrunk.size, shrunk.cycles, shrunk.input_len, shrunk.attempts, entry.name,
                     );
                     let _ = write!(out, "{}", shrunk.report);

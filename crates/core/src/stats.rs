@@ -71,6 +71,21 @@ impl SimStats {
         }
     }
 
+    /// These counters with `more`'s added, saturating: a harness resumed
+    /// mid-run adds the work counted before its resume point this way.
+    pub fn plus(&self, more: &SimStats) -> SimStats {
+        let add = |a: &[u64], b: &[u64]| -> Vec<u64> {
+            a.iter().zip(b).map(|(a, b)| a.saturating_add(*b)).collect()
+        };
+        SimStats {
+            cycles: self.cycles.saturating_add(more.cycles),
+            reads: add(&self.reads, &more.reads),
+            writes: add(&self.writes, &more.writes),
+            inputs: add(&self.inputs, &more.inputs),
+            outputs: add(&self.outputs, &more.outputs),
+        }
+    }
+
     /// Total memory accesses of all kinds.
     pub fn total_accesses(&self) -> u64 {
         self.reads.iter().sum::<u64>()
@@ -148,6 +163,7 @@ mod tests {
         assert_eq!(since.cycles, 1);
         assert_eq!(since.writes[m.index()], 1);
         assert_eq!(since.total_accesses(), 1);
+        assert_eq!(earlier.plus(&since), s);
         assert_eq!(s.since(&SimStats::new(&d)), s);
     }
 }

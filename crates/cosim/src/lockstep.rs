@@ -39,12 +39,25 @@
 //! 0 on the lanes it built: [`Lockstep::restart`] puts every engine back
 //! in the state it was added in, over a new stimulus.
 //!
+//! The harness also records, for each stimulus word of the run, the
+//! cycle in which the first lane to read it did, keyed by read: an entry
+//! is pushed when a lane's consumed count passes the record's length, so
+//! the record never holds more entries than the stimulus has words, and
+//! a design without an input port records nothing. A restart clears the
+//! record, a bisection rewind cuts it back to the rewind point, and a
+//! resume starts it afresh.
+//! [`Lockstep::words_read_through`] answers from it how much of the
+//! stimulus the run had read by a given cycle. A cycle is a pure
+//! function of the state and the words read so far, so a run over a
+//! stimulus prefix holding those words repeats this run up to that cycle.
+//!
 //! Because a lane's whole position is a value (engine state + stimulus
-//! offset + verified count), a lockstep run itself can stop and restart
-//! mid-case: [`Lockstep::checkpoint`] writes every lane to one document
-//! (each lane's state as a [`Session::checkpoint`]) and
+//! offset + verified count + run statistics), a lockstep run itself can
+//! stop and restart mid-case: [`Lockstep::checkpoint`] writes every lane
+//! to one document (each lane's state as a [`Session::checkpoint`]) and
 //! [`Lockstep::resume`] restores it — the mechanism behind `asim2 cosim
-//! --checkpoint/--resume` and `asim2 campaign run --case-checkpoint`.
+//! --checkpoint/--resume` and `asim2 campaign run --case-checkpoint`. A
+//! resumed run reports the statistics an uninterrupted one would.
 
 use rtl_core::observe::{stop_state, Comparator, CompareMode, Observation, TRACE_WINDOW_LINES};
 use rtl_core::trace::render_text;
@@ -368,10 +381,12 @@ struct Lane<'d> {
     check: Option<SimState>,
     check_consumed: usize,
     check_stats: Option<SimStats>,
-    /// What to take off the engine's counters to get this run's
-    /// statistics: the counters at the run's (re)start, plus the work a
-    /// rewind replays. `None` until the lane is restarted or rewound.
-    base: Option<SimStats>,
+    /// Where the run's statistics were last anchored (see
+    /// [`Lane::anchor`]): the engine's counters there and the run's
+    /// statistics there, each `None` for zero. A lane is anchored at zero
+    /// when added.
+    mark: Option<SimStats>,
+    prior: Option<SimStats>,
 }
 
 impl Lane<'_> {
@@ -390,12 +405,25 @@ impl Lane<'_> {
         self.check_stats = self.stats();
     }
 
+    /// Anchors the run's statistics here: from now on they are `prior`
+    /// (`None` for zero) plus the engine's work since this call. A
+    /// restart anchors at zero, a rewind at the statistics of its rewind
+    /// point, a resume at those its document carries.
+    fn anchor(&mut self, prior: Option<SimStats>) {
+        self.mark = self.session.engine().stats().cloned();
+        self.prior = prior;
+    }
+
     /// The lane's statistics for the current run (see [`CosimOutcome`]).
     fn stats(&self) -> Option<SimStats> {
         let now = self.session.engine().stats()?;
-        Some(match &self.base {
-            Some(base) => now.since(base),
+        let since = match &self.mark {
+            Some(mark) => now.since(mark),
             None => now.clone(),
+        };
+        Some(match &self.prior {
+            Some(prior) => prior.plus(&since),
+            None => since,
         })
     }
 
@@ -426,6 +454,9 @@ pub struct Lockstep<'d> {
     comparators: Vec<Box<dyn Comparator>>,
     stimulus: Vec<Word>,
     lanes: Vec<Lane<'d>>,
+    /// `reads[i]`: the cycle of the run in which the first lane to read
+    /// stimulus word `i` read it.
+    reads: Vec<u64>,
     /// Cycles verified equal so far; also the index of the next cycle.
     verified: u64,
     /// The agreed trace text, rendered from lane 0 at each commit — kept
@@ -457,6 +488,7 @@ impl<'d> Lockstep<'d> {
             comparators,
             stimulus: Vec::new(),
             lanes: Vec::new(),
+            reads: Vec::new(),
             verified: 0,
             agreed: Vec::new(),
             compare_calls,
@@ -512,7 +544,8 @@ impl<'d> Lockstep<'d> {
             check: None,
             check_consumed: 0,
             check_stats: None,
-            base: None,
+            mark: None,
+            prior: None,
         });
         self
     }
@@ -520,8 +553,9 @@ impl<'d> Lockstep<'d> {
     /// Puts the harness back at cycle 0 for a new run over `stimulus`,
     /// keeping the lanes it built: every engine is restored to the state
     /// it was added in and replays `stimulus` from its first word; trace
-    /// events, lane errors, rewind points, verified cycles and retained
-    /// output are cleared, and lane statistics start again from zero. The
+    /// events, read records, lane errors, rewind points, verified cycles
+    /// and retained output are cleared, and lane statistics start again
+    /// from zero. The
     /// comparator set is rebuilt from [`CosimOptions::compare`], so a
     /// stateful lens starts over too; custom comparators are dropped
     /// (add them again). Telemetry counts need no reset: every
@@ -534,13 +568,14 @@ impl<'d> Lockstep<'d> {
         self.stimulus.extend_from_slice(stimulus);
         self.comparators = configured(&self.options);
         self.compare_calls = vec![0; self.comparators.len()];
+        self.reads.clear();
         self.verified = 0;
         self.agreed.clear();
         let moved = std::mem::take(&mut self.moved);
         for lane in &mut self.lanes {
             if moved {
                 lane.session.engine_mut().restore(&lane.initial);
-                lane.base = lane.session.engine().stats().cloned();
+                lane.anchor(None);
             }
             let stimulus = MeteredInput::from_offset(&self.stimulus, 0, Rc::clone(&lane.consumed));
             lane.session.set_stimulus(stimulus);
@@ -559,6 +594,17 @@ impl<'d> Lockstep<'d> {
     /// and including any prefix restored by [`resume`](Lockstep::resume)).
     pub fn verified_cycles(&self) -> u64 {
         self.verified
+    }
+
+    /// The most stimulus words any lane had read by the end of cycle
+    /// `cycle` of the current run (0-based; through the last cycle run
+    /// when `cycle` is beyond it). Every word any lane read in cycles
+    /// `0..=cycle` lies below this count, so a run over a stimulus prefix
+    /// at least this long repeats the current run through `cycle`. Words
+    /// read before a [`resume`](Lockstep::resume) point count as read at
+    /// cycle 0: the document does not say when they were read.
+    pub fn words_read_through(&self, cycle: u64) -> usize {
+        self.reads.partition_point(|&at| at <= cycle)
     }
 
     /// Per-lane statistics of the current run, for lanes whose engines
@@ -682,12 +728,17 @@ impl<'d> Lockstep<'d> {
     fn burst(&mut self, cycles: u64) -> BurstResult {
         let mut stepped = 0;
         for _ in 0..cycles {
+            let cycle = self.verified + stepped;
             for lane in &mut self.lanes {
                 if lane.error.is_some() {
                     continue;
                 }
                 let outcome = lane.session.run(Until::Cycles(1));
                 self.lane_cycles += outcome.cycles;
+                let consumed = lane.consumed.get();
+                if consumed > self.reads.len() {
+                    self.reads.resize(consumed, cycle);
+                }
                 if let Some(e) = outcome.stop.into_error() {
                     lane.error = Some(e);
                 }
@@ -779,17 +830,15 @@ impl<'d> Lockstep<'d> {
 
     /// Rewinds every lane to the last agreeing snapshot: engine state
     /// through [`Engine::restore`], stimulus re-supplied from the
-    /// recorded offset, uncommitted trace events dropped, and the work
-    /// the replay will do again taken out of the run's statistics.
+    /// recorded offset, uncommitted trace events and the reads after the
+    /// snapshot dropped, and the work the replay will do again taken out
+    /// of the run's statistics.
     fn rewind(&mut self) {
         self.rewinds += 1;
+        let read = self.lanes.iter().map(|l| l.check_consumed).max();
+        self.reads.truncate(read.unwrap_or(0));
         for lane in &mut self.lanes {
-            if let Some(now) = lane.session.engine().stats() {
-                lane.base = Some(match &lane.check_stats {
-                    Some(at_check) => now.since(at_check),
-                    None => now.clone(),
-                });
-            }
+            lane.anchor(lane.check_stats.clone());
             let check = lane.check.as_ref().unwrap_or(&lane.initial);
             lane.session.engine_mut().restore(check);
             let stimulus = MeteredInput::from_offset(
@@ -854,10 +903,10 @@ impl<'d> Lockstep<'d> {
     }
 
     /// Serializes the whole harness position — verified cycle count and,
-    /// per lane, the stimulus offset and the lane's
-    /// [`Session::checkpoint`] document — so one long case can stop and
-    /// restart mid-run. Call between [`run`](Lockstep::run) calls (the
-    /// lanes are at an agreed point there).
+    /// per lane, the stimulus offset, the run's statistics so far and
+    /// the lane's [`Session::checkpoint`] document — so one long case can
+    /// stop and restart mid-run. Call between [`run`](Lockstep::run)
+    /// calls (the lanes are at an agreed point there).
     ///
     /// # Errors
     ///
@@ -868,6 +917,7 @@ impl<'d> Lockstep<'d> {
         writeln!(out, "verified {}", self.verified)?;
         for lane in &self.lanes {
             writeln!(out, "lane {} consumed {}", lane.name, lane.consumed.get())?;
+            write_stats(out, lane.stats().as_ref())?;
             lane.session.checkpoint(out)?;
         }
         Ok(())
@@ -891,11 +941,14 @@ impl<'d> Lockstep<'d> {
     /// list and stimulus (validated by fingerprint). Call after adding
     /// all lanes and before [`run`](Lockstep::run); the lanes' trace
     /// buffers restart empty, so [`agreed_output`](Lockstep::agreed_output)
-    /// only covers the resumed suffix.
+    /// only covers the resumed suffix. Lane statistics carry on from the
+    /// document's, so a resumed run reports what an uninterrupted one
+    /// does.
     ///
     /// # Errors
     ///
-    /// I/O failure, a malformed document, or a fingerprint/lane mismatch
+    /// I/O failure, a malformed document, a fingerprint/lane mismatch, or
+    /// an `asim2-lockstep v1` document, which holds no lane statistics
     /// (all as [`io::Error`]).
     pub fn resume(&mut self, input: &mut dyn BufRead) -> io::Result<()> {
         let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
@@ -903,8 +956,16 @@ impl<'d> Lockstep<'d> {
             rtl_core::session::read_doc_line(input, what)
         }
 
-        if next(input, "magic")? != LOCKSTEP_MAGIC {
-            return Err(bad("not an asim2 lockstep v1 checkpoint".into()));
+        let magic = next(input, "magic")?;
+        if magic == "asim2-lockstep v1" {
+            return Err(bad(
+                "an asim2-lockstep v1 checkpoint holds no lane statistics and cannot be \
+                 resumed; run the case again from its start"
+                    .into(),
+            ));
+        }
+        if magic != LOCKSTEP_MAGIC {
+            return Err(bad("not an asim2-lockstep v2 checkpoint".into()));
         }
         let fp = next(input, "fingerprint")?
             .strip_prefix("fingerprint ")
@@ -922,6 +983,9 @@ impl<'d> Lockstep<'d> {
             .and_then(|v| v.trim().parse().ok())
             .ok_or_else(|| bad("bad verified line".into()))?;
 
+        // The document does not say when the words read so far were
+        // read: they count as read at cycle 0.
+        let mut read = 0;
         for lane in &mut self.lanes {
             let header = next(input, "lane header")?;
             let rest = header
@@ -946,18 +1010,25 @@ impl<'d> Lockstep<'d> {
                     self.stimulus.len()
                 )));
             }
+            let line = next(input, "lane statistics")?;
+            let stats = parse_stats(&line, self.design.len())
+                .ok_or_else(|| bad(format!("bad statistics line for lane {name:?}")))?;
             // Session::resume consumes exactly its own document and
             // leaves the reader at the next lane header.
             lane.session.resume(input)?;
+            lane.anchor(stats);
             let stimulus =
                 MeteredInput::from_offset(&self.stimulus, consumed, Rc::clone(&lane.consumed));
             lane.session.set_stimulus(stimulus);
             lane.events.borrow_mut().clear();
+            read = read.max(consumed);
             lane.committed = 0;
             lane.trim_at = TRIM_AT;
             lane.error = None;
             lane.snapshot();
         }
+        self.reads.clear();
+        self.reads.resize(read, 0);
         self.verified = verified;
         self.agreed.clear();
         self.moved = true;
@@ -975,7 +1046,66 @@ impl<'d> Lockstep<'d> {
     }
 }
 
-const LOCKSTEP_MAGIC: &str = "asim2-lockstep v1";
+const LOCKSTEP_MAGIC: &str = "asim2-lockstep v2";
+
+/// Writes a lane's run statistics as one checkpoint line: `stats none`
+/// for an engine that keeps none, else `stats CYCLES` followed by each
+/// counter list (`reads`, `writes`, `inputs`, `outputs`) as its label
+/// and one value per component.
+fn write_stats(out: &mut dyn Write, stats: Option<&SimStats>) -> io::Result<()> {
+    let Some(stats) = stats else {
+        return writeln!(out, "stats none");
+    };
+    write!(out, "stats {}", stats.cycles)?;
+    let lists = [
+        ("reads", &stats.reads),
+        ("writes", &stats.writes),
+        ("inputs", &stats.inputs),
+        ("outputs", &stats.outputs),
+    ];
+    for (label, counts) in lists {
+        write!(out, " {label}")?;
+        for n in counts {
+            write!(out, " {n}")?;
+        }
+    }
+    writeln!(out)
+}
+
+/// Parses a [`write_stats`] line over a design of `len` components:
+/// `None` when malformed, `Some(None)` for `stats none`.
+fn parse_stats(line: &str, len: usize) -> Option<Option<SimStats>> {
+    let rest = line.strip_prefix("stats ")?;
+    if rest == "none" {
+        return Some(None);
+    }
+    let mut words = rest.split(' ');
+    let mut stats = SimStats {
+        cycles: words.next()?.parse().ok()?,
+        ..SimStats::default()
+    };
+    let SimStats {
+        reads,
+        writes,
+        inputs,
+        outputs,
+        ..
+    } = &mut stats;
+    for (label, counts) in [
+        ("reads", reads),
+        ("writes", writes),
+        ("inputs", inputs),
+        ("outputs", outputs),
+    ] {
+        if words.next()? != label {
+            return None;
+        }
+        *counts = (0..len)
+            .map(|_| words.next()?.parse().ok())
+            .collect::<Option<_>>()?;
+    }
+    words.next().is_none().then_some(Some(stats))
+}
 
 /// The comparator set [`CosimOptions::compare`] names (empty means
 /// [`CompareMode::All`]), freshly built.
@@ -1184,6 +1314,73 @@ mod tests {
     }
 
     #[test]
+    fn a_resumed_run_keeps_the_lane_stats_from_before_its_resume_point() {
+        // Checkpoint after 24 of 64 cycles, resume on a fresh harness:
+        // the lanes report 64 cycles, as an uninterrupted run does, and a
+        // divergence after the resume point (at a coarse stride, so the
+        // replay rewinds to the snapshot taken at resume) reports the
+        // uninterrupted run's lane statistics too.
+        let d = design(COUNTER);
+        let harness = |compare_every: u64| {
+            let mut ls = Lockstep::new(
+                &d,
+                CosimOptions {
+                    compare_every,
+                    ..CosimOptions::default()
+                },
+            );
+            add_lanes(&mut ls, &["interp"]);
+            let Ok(EngineLane::Stepped(inner)) =
+                registry().build("vm", &d, &EngineOptions::default())
+            else {
+                panic!("vm is a stepped registry lane");
+            };
+            ls.add_lane("vm", Box::new(GarbageAfter { inner, at: 50 }));
+            ls
+        };
+        for (compare_every, horizon) in [(1, 40), (1, 64), (16, 64)] {
+            let uninterrupted = harness(compare_every).run(horizon);
+            let mut first = harness(compare_every);
+            assert!(first.run(24).agreed());
+            let mut doc = Vec::new();
+            first.checkpoint(&mut doc).unwrap();
+            let mut resumed = harness(compare_every);
+            resumed.resume(&mut &doc[..]).unwrap();
+            let outcome = resumed.run(horizon - 24);
+            let cycles: Vec<u64> = outcome
+                .lane_stats()
+                .iter()
+                .map(|s| s.stats.cycles)
+                .collect();
+            let want = horizon.min(51);
+            assert_eq!(cycles, [want, want], "stride {compare_every}");
+            assert_eq!(
+                outcome.lane_stats(),
+                uninterrupted.lane_stats(),
+                "stride {compare_every}"
+            );
+            if let CosimOutcome::Divergence(_) = &uninterrupted {
+                assert_eq!(outcome, uninterrupted, "stride {compare_every}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_is_refused_by_name() {
+        let d = design(COUNTER);
+        let mut ls = Lockstep::new(&d, CosimOptions::default());
+        add_lanes(&mut ls, &["interp", "vm"]);
+        let mut doc = Vec::new();
+        ls.checkpoint(&mut doc).unwrap();
+        let doc = String::from_utf8(doc)
+            .unwrap()
+            .replacen(LOCKSTEP_MAGIC, "asim2-lockstep v1", 1);
+        let err = ls.resume(&mut doc.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("v1"), "{err}");
+        assert!(err.to_string().contains("no lane statistics"), "{err}");
+    }
+
+    #[test]
     fn resume_refuses_a_different_harness() {
         let d = design(COUNTER);
         let mut ls = Lockstep::new(&d, CosimOptions::default());
@@ -1305,6 +1502,10 @@ mod tests {
 
         fn restore(&mut self, snapshot: &SimState) {
             self.inner.restore(snapshot);
+        }
+
+        fn stats(&self) -> Option<&SimStats> {
+            self.inner.stats()
         }
 
         fn step(

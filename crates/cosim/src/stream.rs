@@ -137,7 +137,7 @@ pub struct Harness<'d> {
 /// A harness's in-process lanes.
 enum Stepped<'d> {
     /// Two or more lanes, in lockstep.
-    Lockstep(Lockstep<'d>),
+    Lockstep(Box<Lockstep<'d>>),
     /// One lane, whose captured trace the stream lanes are checked
     /// against. `initial` is its engine's state when built, and `ran`
     /// whether a run has moved it since.
@@ -235,7 +235,7 @@ impl<'d> Harness<'d> {
                         .into(),
                 ));
             }
-            Stepped::Lockstep(lockstep)
+            Stepped::Lockstep(Box::new(lockstep))
         } else {
             let (lane, engine) = stepped.into_iter().next().expect("checked non-empty");
             if streams.is_empty() {
@@ -397,6 +397,24 @@ impl<'d> Harness<'d> {
             report.scenario = self.name.to_string();
         }
         Ok(outcome)
+    }
+
+    /// The most stimulus words any stepped lane had read by the end of
+    /// cycle `cycle` of the last run (see
+    /// [`Lockstep::words_read_through`]). A cycle is a pure function of
+    /// the state and the words read so far, so a run over a prefix of
+    /// that run's stimulus holding this many words steps its lanes
+    /// through `cycle` exactly as that run did. `None` when the lanes
+    /// record no reads:
+    /// a harness with stream lanes, whose verdict comes after the
+    /// stepped lanes', or with a single stepped lane.
+    pub fn words_read_through(&self, cycle: u64) -> Option<usize> {
+        match &self.stepped {
+            Stepped::Lockstep(lockstep) if self.streams.is_empty() => {
+                Some(lockstep.words_read_through(cycle))
+            }
+            _ => None,
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! One seeded mutation property over a valid document of each format the
 //! lockstep layer reads back — a session checkpoint (`asim2-checkpoint
-//! v1`), a lockstep checkpoint (`asim2-lockstep v1`) and a digest stream
+//! v1`), a lockstep checkpoint (`asim2-lockstep v2`) and a digest stream
 //! (`asim2-digests v1`). Each mutant is a byte flip, a deletion, a
 //! truncation or an over-long digit run. It must be refused with an
 //! `Err`, or load and then run without a panic. Lockstep mutants resume

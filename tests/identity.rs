@@ -1,6 +1,7 @@
 //! The identity matrix: a campaign's bytes do not depend on how it ran.
 //!
-//! Every cell of config {diverging, diverging under the lint oracle} ×
+//! Every cell of config {diverging, diverging under the lint oracle,
+//! diverging compared every 16 cycles} ×
 //! surface {campaign, shard+merge, fleet} × workers {1, 2} ×
 //! {uninterrupted, `limit` stop + resume, `limit` stop + torn tail +
 //! resume, `limit` stop + torn corpus frame + resume, `limit` stop +
@@ -67,6 +68,17 @@ fn oracle() -> CampaignConfig {
     CampaignConfig {
         seed: 2,
         lint_oracle: true,
+        ..diverging()
+    }
+}
+
+/// The same campaign from another seed, compared every 16 cycles: every
+/// divergence is found by a bisection rewind, and a shrink answers fewer
+/// of its probes from its recording than at stride 1.
+fn coarse() -> CampaignConfig {
+    CampaignConfig {
+        seed: 3,
+        compare_every: 16,
         ..diverging()
     }
 }
@@ -409,7 +421,11 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
         ("shard", shards, "merged"),
         ("fleet", fleet, "fleet"),
     ];
-    for (label, config) in [("diverging", diverging()), ("oracle", oracle())] {
+    for (label, config) in [
+        ("diverging", diverging()),
+        ("oracle", oracle()),
+        ("coarse", coarse()),
+    ] {
         let single_root = scratch(&format!("{label}-single"));
         let (recorder, log) = Recorder::memory();
         let single = rtl_campaign::run(

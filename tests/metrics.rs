@@ -159,7 +159,7 @@ fn only_the_lint_oracle_lints() {
             &[
                 "lint/designs_linted 6",
                 "lint/field-oob 15",
-                "lint/oracle_checks 2070",
+                "lint/oracle_checks 1002",
             ][..],
         ),
     ] {
