@@ -40,8 +40,11 @@ pub struct RunOptions {
     /// Checkpoint each case's lockstep run mid-flight
     /// (`cases/case-N.ckpt`, written every [`CASE_CHECKPOINT_EVERY`]
     /// cycles): a kill inside one *giant* case resumes from the last
-    /// checkpoint instead of recomputing the whole horizon. Off by
-    /// default — worth it only when a single case runs long.
+    /// checkpoint instead of recomputing the whole horizon. A leftover
+    /// checkpoint the lockstep refuses to resume is dropped (a
+    /// `campaign/checkpoint_dropped` mark) and its case runs again from
+    /// the start. Off by default — worth it only when a single case runs
+    /// long.
     pub case_checkpoint: bool,
     /// Run only the case indices in this half-open range — the
     /// distributed-shard hook (`rtl-dist`): each machine executes its
@@ -704,8 +707,8 @@ fn run_one(
 ) -> Result<DoneCase, CampaignError> {
     let dir = &log.dir().clone();
     // Thread the per-case lockstep checkpoint through: write it while the
-    // case runs, resume from a leftover document (a kill mid-case), and
-    // remove it once the record is durable.
+    // case runs, resume from a leftover document (a kill mid-case) or
+    // drop it if refused, and remove it once the record is durable.
     let ckpt_path = case_checkpoint_path(dir, index);
     // A *fresh* hook per case: the sidecar is the case's own tally, a
     // pure function of (config, index), regardless of which worker ran
@@ -739,7 +742,20 @@ fn run_one(
     } else {
         fuzz
     };
-    let case = run_fuzz_case(registry, fuzz, index)?;
+    let case = match run_fuzz_case(registry, fuzz, index) {
+        // A leftover checkpoint the harness refuses (an older format, a
+        // torn document, a lane mix that cannot resume) costs a rerun of
+        // the case from its start, not the campaign. Whether there is one
+        // depends on where a kill fell, so the drop is a wall-clock mark.
+        Err(e) if fuzz.cosim.resume.is_some() => {
+            let detail = format!("case {index}: {e}");
+            recorder.mark("campaign", "checkpoint_dropped", Some(&detail));
+            let mut fresh = fuzz.clone();
+            fresh.cosim.resume = None;
+            run_fuzz_case(registry, &fresh, index)?
+        }
+        case => case?,
+    };
     let seed = expected_seed(config, index);
     // Snapshot the ring *now*, before any shrink probes can run: the dump
     // must hold only the case's own final events.

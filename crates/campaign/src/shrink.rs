@@ -292,7 +292,7 @@ struct Recording {
     report: DivergenceReport,
     /// `reads[k]`: the most stimulus words any lane had read through
     /// cycle `k`, for every `k` in `0..=c`; `None` when the run recorded
-    /// none (stream lanes or a single stepped lane), or its options read
+    /// none (a harness with stream lanes), or its options read
     /// or write a file, which a probe left unrun would not.
     reads: Option<Vec<usize>>,
     /// The comparison stride of every run.

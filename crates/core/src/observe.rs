@@ -371,9 +371,21 @@ pub fn stop_state(
 /// the lockstep harness drives any set of comparators, shipped or custom.
 /// `compare` takes `&mut self` so lenses may keep caches (see
 /// [`VcdDiff`]).
+///
+/// A harness calls a state lens once per candidate lane at each
+/// comparison point, and a [reference-only](Comparator::reference_only)
+/// lens once per point, with the reference lane on both sides.
 pub trait Comparator {
     /// A stable name for configuration listings and reports.
     fn name(&self) -> &str;
+
+    /// `true` for a lens that reads only the reference lane's
+    /// observation (a recorder, or a check of the reference against
+    /// something other than a lane): it then works with a single lane,
+    /// and is called once per comparison point whatever the lane count.
+    fn reference_only(&self) -> bool {
+        false
+    }
 
     /// `None` when `candidate` is observationally equivalent to
     /// `reference` under this lens; otherwise the first divergence found.

@@ -170,10 +170,12 @@ impl DigestLog {
     }
 }
 
-/// A [`Comparator`] that records the reference lane's observation
-/// fingerprint at every comparison interval into a shared [`DigestLog`]
-/// — and never reports a divergence itself. Append it last so the log
-/// only grows when the configured lenses agreed up to it.
+/// A [reference-only](Comparator::reference_only) [`Comparator`] that
+/// records the reference lane's observation fingerprint at every
+/// comparison interval into a shared [`DigestLog`] — and never reports a
+/// divergence itself, so it records with one stepped lane as with many.
+/// Append it last so the log only grows when the configured lenses
+/// agreed up to it.
 pub struct DigestRecorder {
     log: Rc<RefCell<DigestLog>>,
 }
@@ -190,13 +192,17 @@ impl Comparator for DigestRecorder {
         "digest-record"
     }
 
+    fn reference_only(&self) -> bool {
+        true
+    }
+
     fn compare(
         &mut self,
         reference: &Observation<'_>,
         _candidate: &Observation<'_>,
     ) -> Option<DivergenceKind> {
-        // Called once per candidate lane at the same cycle; record()
-        // drops the repeats (and any bisection replays below the tip).
+        // record() drops a cycle at or below the tip: a halting cycle's
+        // repeat and a bisection replay's.
         let cycle = u64::try_from(reference.cycle()).unwrap_or(0);
         self.log.borrow_mut().record(cycle, reference.fingerprint());
         None
@@ -204,9 +210,10 @@ impl Comparator for DigestRecorder {
 }
 
 /// A remote lane replayed from its recorded digest stream: a
-/// [`Comparator`] that checks the local reference lane's fingerprint
-/// against the log's digest at the same cycle. Cycles the log has no
-/// entry for (between intervals) pass unchecked.
+/// [reference-only](Comparator::reference_only) [`Comparator`] that
+/// checks the local reference lane's fingerprint against the log's
+/// digest at the same cycle. Cycles the log has no entry for (between
+/// intervals) pass unchecked.
 pub struct DigestLane {
     log: DigestLog,
 }
@@ -226,6 +233,10 @@ impl DigestLane {
 impl Comparator for DigestLane {
     fn name(&self) -> &str {
         "digest-lane"
+    }
+
+    fn reference_only(&self) -> bool {
+        true
     }
 
     fn compare(

@@ -23,7 +23,10 @@
 //! fails, every lane rewinds to the last agreeing snapshot
 //! ([`Engine::restore`] plus re-supplied stimulus) and replays one cycle
 //! at a time, so the report always names the *first* divergent cycle
-//! regardless of stride.
+//! regardless of stride. A lens that reads only lane 0
+//! ([`Comparator::reference_only`]: the lint oracle, digest recording and
+//! checking) runs once per comparison point, so it also runs over a
+//! single lane, whose trace each point commits as the agreed output.
 //!
 //! A divergence is reported once, from the verdict of the comparison
 //! that found it: the report is built from that verdict without
@@ -120,7 +123,8 @@ pub struct CosimOptions {
     /// emitted once per [`Lockstep::run`]; lane sessions themselves record
     /// nothing), comparator invocations per lens
     /// (`lockstep/compare_<lens>`: one per lens and candidate lane at
-    /// each comparison point, bisection replays included; a divergence
+    /// each comparison point — one per point for a reference-only lens —
+    /// bisection replays included; a divergence
     /// report reuses the verdict that found it and compares nothing
     /// more) and bisection rewinds (`lockstep/bisect_rewinds`). A [`Recorder`] never affects
     /// behavior, compares equal to every other recorder, and stays out
@@ -637,13 +641,16 @@ impl<'d> Lockstep<'d> {
         tail(&render_text(self.design, &committed[start..])).to_vec()
     }
 
-    /// Runs up to `cycles` further cycles in lockstep.
+    /// Runs up to `cycles` further cycles in lockstep. A single lane has
+    /// no candidate to compare: each comparison point commits its trace
+    /// as the agreed output and runs only the
+    /// [reference-only](Comparator::reference_only) lenses.
     ///
     /// # Panics
     ///
-    /// Panics when fewer than two lanes were added.
+    /// Panics when no lane was added.
     pub fn run(&mut self, cycles: u64) -> CosimOutcome {
-        assert!(self.lanes.len() >= 2, "lockstep needs at least two lanes");
+        assert!(!self.lanes.is_empty(), "lockstep needs a lane");
         self.moved = true;
         let outcome = self.run_inner(cycles);
         self.emit_counters();
@@ -765,9 +772,10 @@ impl<'d> Lockstep<'d> {
 
     /// Compares all lanes against lane 0: the error-state pre-check
     /// first, then the configured comparators over each lane's
-    /// [`Observation`]. `None` means agreement.
+    /// [`Observation`] — a reference-only lens once, over lane 0 alone.
+    /// `None` means agreement.
     fn compare(&mut self) -> Option<DivergenceKind> {
-        let (first, rest) = self.lanes.split_first().expect("at least two lanes");
+        let (first, rest) = self.lanes.split_first().expect("a lane");
         let first_events = first.events.borrow();
         let reference = first.observe(&first_events);
 
@@ -784,6 +792,13 @@ impl<'d> Lockstep<'d> {
             .iter_mut()
             .zip(self.compare_calls.iter_mut())
         {
+            if comparator.reference_only() {
+                *calls += 1;
+                if let Some(kind) = comparator.compare(&reference, &reference) {
+                    return Some(kind);
+                }
+                continue;
+            }
             for lane in rest {
                 let events = lane.events.borrow();
                 *calls += 1;

@@ -1,25 +1,30 @@
 //! Driving a scenario across registry lanes by *name*, including stream
 //! lanes.
 //!
-//! Stepped lanes (interpreter, VM) run in per-cycle lockstep as usual.
+//! Stepped lanes (interpreter, VM) run in per-cycle lockstep as usual —
+//! one [`Lockstep`], whether one lane steps or several.
 //! Stream lanes — the generated-Rust simulator binary run as a subprocess
 //! — cannot be stepped, so they join differently: after the stepped lanes
 //! agree over the full horizon, each stream lane replays the same
 //! scenario in one shot and its stdout is compared byte-for-byte against
 //! the trace the stepped lanes agreed on, rendered (the same bytes a
-//! capture [`TraceSink`](rtl_core::TraceSink) would have seen). A mismatch is a
-//! [`DivergenceKind::Stream`] report with the divergence cycle estimated
-//! from the last matching cycle header.
+//! capture [`TraceSink`](rtl_core::TraceSink) would have seen). A single
+//! stepped lane agrees with itself, so its own trace is that reference.
+//! A mismatch is a [`DivergenceKind::Stream`] report with the divergence
+//! cycle estimated from the last matching cycle header.
 //!
 //! Every run goes through a [`Harness`]: it builds the lanes once, and
 //! each of its runs restarts them at cycle 0 ([`Lockstep::restart`]), so
 //! a caller probing one design many times pays for the lane builds once.
+//! Every [`CosimOptions`] field — lint oracle, digest export and check,
+//! checkpoint — applies to every lane mix; only a resume refuses stream
+//! lanes, which would have no trace before the resume point to check.
 
-use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint};
+use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep};
 use rtl_core::observe::TRACE_WINDOW_LINES;
 use rtl_core::{
-    Design, DivergenceKind, ElabError, Engine, EngineLane, EngineOptions, EngineRegistry,
-    LaneReport, LaneStats, LoadError, Session, SimState, StopReason, StreamEngine, Until, Word,
+    Design, DivergenceKind, ElabError, EngineLane, EngineOptions, EngineRegistry, LaneReport,
+    LoadError, StopReason, StreamEngine, Word,
 };
 use rtl_machines::Scenario;
 use std::cell::RefCell;
@@ -120,11 +125,18 @@ pub fn run_design_names(
 /// comparators. A run returns exactly what a fresh [`run_design_names`]
 /// call with the same arguments returns: report, lane statistics and
 /// emitted counters.
+///
+/// The stepped lanes always run in one [`Lockstep`], one lane or many,
+/// so every [`CosimOptions`] field means the same for every lane mix.
+/// With one stepped lane there is nothing to compare it with: its trace
+/// is the agreed output the stream lanes are checked against, and only
+/// the lenses that read the reference lane alone run (the lint oracle,
+/// digest export and check).
 pub struct Harness<'d> {
     design: &'d Design,
     name: &'d str,
     options: &'d CosimOptions,
-    stepped: Stepped<'d>,
+    lockstep: Lockstep<'d>,
     streams: Vec<(&'d str, Box<dyn StreamEngine + 'd>)>,
     /// The first stepped lane's name: the side a stream report quotes.
     reference: &'d str,
@@ -134,30 +146,18 @@ pub struct Harness<'d> {
     check_log: Option<crate::digest::DigestLog>,
 }
 
-/// A harness's in-process lanes.
-enum Stepped<'d> {
-    /// Two or more lanes, in lockstep.
-    Lockstep(Box<Lockstep<'d>>),
-    /// One lane, whose captured trace the stream lanes are checked
-    /// against. `initial` is its engine's state when built, and `ran`
-    /// whether a run has moved it since.
-    Single {
-        lane: &'d str,
-        engine: Box<dyn Engine + 'd>,
-        initial: SimState,
-        ran: bool,
-    },
-}
-
 impl<'d> Harness<'d> {
     /// Builds the named lanes over `design` and checks that `options`
     /// suit them. `name` labels every run (see [`run_design_names`]).
     ///
     /// # Errors
     ///
-    /// Lane construction failures, an unusable lane mix, an unreadable or
-    /// mismatched [`CosimOptions::check_digests`] stream, and options
-    /// that need two stepped lanes (or none of the stream lanes).
+    /// Lane construction failures; a lane mix with no stepped lane, or a
+    /// single stepped lane and no stream lane (which compares nothing);
+    /// an unreadable [`CosimOptions::check_digests`] stream, or one
+    /// recorded over another design or at another stride; and a
+    /// [`CosimOptions::resume`] with stream lanes, which cannot check the
+    /// trace before the resume point.
     pub fn prepare(
         registry: &EngineRegistry,
         names: &'d [String],
@@ -180,94 +180,49 @@ impl<'d> Harness<'d> {
                 EngineLane::Stream(stream) => streams.push((lane.as_str(), stream)),
             }
         }
-        if stepped.is_empty() {
+        let Some(&(reference, _)) = stepped.first() else {
             return Err(ScenarioError::Engine(
                 "need at least one in-process engine (stream lanes are compared \
                  against the stepped lanes' agreed trace)"
                     .into(),
             ));
-        }
-
-        // The agreed reference trace: from lockstep when two or more lanes
-        // step, from a single captured session otherwise.
-        let reference = stepped[0].0;
-        let mut claims = None;
-        let mut check_log = None;
-        let stepped = if stepped.len() >= 2 {
-            let mut lockstep = Lockstep::new(
-                design,
-                CosimOptions {
-                    retain_output: options.retain_output || !streams.is_empty(),
-                    ..options.clone()
-                },
-            );
-            for (lane, engine) in stepped {
-                lockstep.add_lane(lane, engine);
-            }
-            if options.lint_oracle {
-                claims = Some(rtl_lint::StaticClaims::of(design)).filter(|c| !c.is_empty());
-            }
-            if let Some(path) = &options.check_digests {
-                let log = crate::digest::DigestLog::load(path).map_err(|e| {
-                    ScenarioError::Engine(format!("cannot read digests {}: {e}", path.display()))
-                })?;
-                if log.design != rtl_core::design_fingerprint(design) {
-                    return Err(ScenarioError::Engine(format!(
-                        "digest stream {} was recorded over a different design",
-                        path.display()
-                    )));
-                }
-                if log.every != options.compare_every.max(1) {
-                    return Err(ScenarioError::Engine(format!(
-                        "digest stream {} was recorded at stride {}, this run compares every {} \
-                         (strides must match for the cycles to line up)",
-                        path.display(),
-                        log.every,
-                        options.compare_every.max(1)
-                    )));
-                }
-                check_log = Some(log);
-            }
-            if options.resume.is_some() && !streams.is_empty() {
-                return Err(ScenarioError::Engine(
-                    "stream lanes cannot join a resumed lockstep run (the agreed trace \
-                     before the resume point is not available for comparison)"
-                        .into(),
-                ));
-            }
-            Stepped::Lockstep(Box::new(lockstep))
-        } else {
-            let (lane, engine) = stepped.into_iter().next().expect("checked non-empty");
-            if streams.is_empty() {
-                return Err(ScenarioError::Engine(format!(
-                    "engine {lane:?} alone is not a comparison (add another lane)"
-                )));
-            }
-            if options.resume.is_some() || options.checkpoint.is_some() {
-                return Err(ScenarioError::Engine(
-                    "lockstep checkpoint/resume needs at least two stepped lanes".into(),
-                ));
-            }
-            if options.export_digests.is_some() || options.check_digests.is_some() {
-                return Err(ScenarioError::Engine(
-                    "digest export/check runs through the lockstep comparators and needs \
-                     at least two stepped lanes"
-                        .into(),
-                ));
-            }
-            let initial = engine.snapshot();
-            Stepped::Single {
-                lane,
-                engine,
-                initial,
-                ran: false,
-            }
         };
+        if stepped.len() == 1 && streams.is_empty() {
+            return Err(ScenarioError::Engine(format!(
+                "engine {reference:?} alone is not a comparison (add another lane)"
+            )));
+        }
+        let mut lockstep = Lockstep::new(
+            design,
+            CosimOptions {
+                retain_output: options.retain_output || !streams.is_empty(),
+                ..options.clone()
+            },
+        );
+        for (lane, engine) in stepped {
+            lockstep.add_lane(lane, engine);
+        }
+        let claims = options
+            .lint_oracle
+            .then(|| rtl_lint::StaticClaims::of(design))
+            .filter(|c| !c.is_empty());
+        let check_log = options
+            .check_digests
+            .as_deref()
+            .map(|path| check_log(path, design, options))
+            .transpose()?;
+        if options.resume.is_some() && !streams.is_empty() {
+            return Err(ScenarioError::Engine(
+                "stream lanes cannot join a resumed lockstep run (the agreed trace \
+                 before the resume point is not available for comparison)"
+                    .into(),
+            ));
+        }
         Ok(Harness {
             design,
             name,
             options,
-            stepped,
+            lockstep,
             streams,
             reference,
             claims,
@@ -285,98 +240,54 @@ impl<'d> Harness<'d> {
     /// [`CosimOutcome`], not an `Err`.
     pub fn run(&mut self, cycles: u64, input: &[Word]) -> Result<CosimOutcome, ScenarioError> {
         let options = self.options;
-        let (mut outcome, agreed) = match &mut self.stepped {
-            Stepped::Lockstep(lockstep) => {
-                lockstep.restart(input);
-                // Digest comparators join before any resume: they are part
-                // of the harness identity a lockstep checkpoint
-                // fingerprints.
-                let export_log = options.export_digests.as_ref().map(|_| {
-                    let log = Rc::new(RefCell::new(crate::digest::DigestLog::new(
-                        self.name.to_string(),
-                        rtl_core::design_fingerprint(self.design),
-                        options.compare_every,
-                    )));
-                    lockstep.add_comparator(Box::new(crate::digest::DigestRecorder::new(
-                        Rc::clone(&log),
-                    )));
-                    log
-                });
-                if let Some(claims) = &self.claims {
-                    lockstep.add_comparator(Box::new(rtl_lint::OracleComparator::new(
-                        claims.clone(),
-                        options.recorder.clone(),
-                    )));
-                }
-                if let Some(log) = &self.check_log {
-                    lockstep.add_comparator(Box::new(crate::digest::DigestLane::new(log.clone())));
-                }
-                if let Some(path) = &options.resume {
-                    lockstep.resume_from(path).map_err(|e| {
-                        ScenarioError::Engine(format!(
-                            "cannot resume lockstep from {}: {e}",
-                            path.display()
-                        ))
-                    })?;
-                }
-                let outcome = drive_lockstep(lockstep, cycles, options.checkpoint.as_ref())?;
-                if let (Some(path), Some(log)) = (&options.export_digests, export_log) {
-                    log.borrow().save(path).map_err(|e| {
-                        ScenarioError::Engine(format!(
-                            "cannot write digests {}: {e}",
-                            path.display()
-                        ))
-                    })?;
-                }
-                // Rendered only when a stream lane will compare against it.
-                let agreed = if self.streams.is_empty() {
-                    Vec::new()
-                } else {
-                    lockstep.agreed_output()
-                };
-                (outcome, agreed)
-            }
-            Stepped::Single {
-                lane,
-                engine,
-                initial,
-                ran,
-            } => {
-                let base = if std::mem::replace(ran, true) {
-                    engine.restore(initial);
-                    engine.stats().cloned()
-                } else {
-                    None
-                };
-                let mut session = Session::over(&mut *engine)
-                    .capture()
-                    .scripted(input.iter().copied())
-                    .recorder(options.recorder.clone())
-                    .build();
-                let run = session.run(Until::Cycles(cycles));
-                let stats = session
-                    .engine()
-                    .stats()
-                    .map(|now| LaneStats {
-                        lane: lane.to_string(),
-                        stats: base.as_ref().map_or_else(|| now.clone(), |b| now.since(b)),
-                    })
-                    .into_iter()
-                    .collect();
-                let outcome = CosimOutcome::Agreement {
-                    cycles: run.cycles,
-                    stop: run.stop,
-                    stats,
-                };
-                (outcome, session.output().to_vec())
-            }
-        };
+        let lockstep = &mut self.lockstep;
+        lockstep.restart(input);
+        // Digest comparators join before any resume: they are part of the
+        // harness identity a lockstep checkpoint fingerprints.
+        let export_log = options.export_digests.as_ref().map(|_| {
+            let log = Rc::new(RefCell::new(crate::digest::DigestLog::new(
+                self.name.to_string(),
+                rtl_core::design_fingerprint(self.design),
+                options.compare_every,
+            )));
+            lockstep.add_comparator(Box::new(crate::digest::DigestRecorder::new(Rc::clone(
+                &log,
+            ))));
+            log
+        });
+        if let Some(claims) = &self.claims {
+            lockstep.add_comparator(Box::new(rtl_lint::OracleComparator::new(
+                claims.clone(),
+                options.recorder.clone(),
+            )));
+        }
+        if let Some(log) = &self.check_log {
+            lockstep.add_comparator(Box::new(crate::digest::DigestLane::new(log.clone())));
+        }
+        if let Some(path) = &options.resume {
+            lockstep.resume_from(path).map_err(|e| {
+                ScenarioError::Engine(format!(
+                    "cannot resume lockstep from {}: {e}",
+                    path.display()
+                ))
+            })?;
+        }
+        let mut outcome = drive_lockstep(lockstep, cycles, options)?;
+        if let (Some(path), Some(log)) = (&options.export_digests, export_log) {
+            log.borrow().save(path).map_err(|e| {
+                ScenarioError::Engine(format!("cannot write digests {}: {e}", path.display()))
+            })?;
+        }
 
-        if let CosimOutcome::Agreement {
-            stop: StopReason::CycleLimit,
-            ..
-        } = &outcome
-        {
+        let full_horizon = matches!(
+            outcome,
+            CosimOutcome::Agreement {
+                stop: StopReason::CycleLimit,
+                ..
+            }
+        );
+        if full_horizon && !self.streams.is_empty() {
+            let agreed = lockstep.agreed_output();
             for (lane, stream) in &mut self.streams {
                 let got = stream
                     .run_stream(cycles, input)
@@ -404,36 +315,68 @@ impl<'d> Harness<'d> {
     /// [`Lockstep::words_read_through`]). A cycle is a pure function of
     /// the state and the words read so far, so a run over a prefix of
     /// that run's stimulus holding this many words steps its lanes
-    /// through `cycle` exactly as that run did. `None` when the lanes
-    /// record no reads:
-    /// a harness with stream lanes, whose verdict comes after the
-    /// stepped lanes', or with a single stepped lane.
+    /// through `cycle` exactly as that run did. `None` for a harness with
+    /// stream lanes, whose verdict comes after the stepped lanes'.
     pub fn words_read_through(&self, cycle: u64) -> Option<usize> {
-        match &self.stepped {
-            Stepped::Lockstep(lockstep) if self.streams.is_empty() => {
-                Some(lockstep.words_read_through(cycle))
-            }
-            _ => None,
-        }
+        self.streams
+            .is_empty()
+            .then(|| self.lockstep.words_read_through(cycle))
     }
 }
 
+/// The digest stream at `path`, checked to suit a run over `design` with
+/// `options`.
+fn check_log(
+    path: &std::path::Path,
+    design: &Design,
+    options: &CosimOptions,
+) -> Result<crate::digest::DigestLog, ScenarioError> {
+    let log = crate::digest::DigestLog::load(path).map_err(|e| {
+        ScenarioError::Engine(format!("cannot read digests {}: {e}", path.display()))
+    })?;
+    if log.design != rtl_core::design_fingerprint(design) {
+        return Err(ScenarioError::Engine(format!(
+            "digest stream {} was recorded over a different design",
+            path.display()
+        )));
+    }
+    if log.every != options.compare_every.max(1) {
+        return Err(ScenarioError::Engine(format!(
+            "digest stream {} was recorded at stride {}, this run compares every {} \
+             (strides must match for the cycles to line up)",
+            path.display(),
+            log.every,
+            options.compare_every.max(1)
+        )));
+    }
+    Ok(log)
+}
+
 /// Drives a lockstep harness to `horizon` total verified cycles, writing
-/// the checkpoint document after every `checkpoint.every`-cycle chunk —
-/// a kill at any instant leaves an atomically-published document a later
+/// the checkpoint document after every chunk of
+/// [`LockstepCheckpoint::every`](crate::LockstepCheckpoint::every) cycles, rounded up to a whole number of
+/// comparison strides so every comparison stays on the stride grid — a
+/// kill at any instant leaves an atomically-published document a later
 /// `--resume` picks up. Agreement cycle counts are reported as *total*
 /// verified cycles (resumed prefix included), so a resumed run's outcome
 /// is byte-identical to an uninterrupted one.
 fn drive_lockstep(
     lockstep: &mut Lockstep<'_>,
     horizon: u64,
-    checkpoint: Option<&LockstepCheckpoint>,
+    options: &CosimOptions,
 ) -> Result<CosimOutcome, ScenarioError> {
+    let checkpoint = options.checkpoint.as_ref();
+    let stride = options.compare_every.max(1);
     loop {
         let done = lockstep.verified_cycles();
         let remaining = horizon.saturating_sub(done);
         let chunk = match checkpoint {
-            Some(ck) => ck.every.max(1).min(remaining),
+            Some(ck) => ck
+                .every
+                .div_ceil(stride)
+                .max(1)
+                .saturating_mul(stride)
+                .min(remaining),
             None => remaining,
         };
         match lockstep.run(chunk) {
@@ -526,7 +469,7 @@ fn cycle_at(prefix: &[u8]) -> Word {
 mod tests {
     use super::*;
     use crate::engines::registry;
-    use rtl_core::HaltKind;
+    use rtl_core::{HaltKind, Session, Until};
     use rtl_machines::scenarios;
 
     fn names(list: &[&str]) -> Vec<String> {
@@ -698,6 +641,131 @@ mod tests {
                 "{cycles} {input:?}"
             );
         }
+    }
+
+    /// The default registry with the `echo` stream lane added.
+    fn echo_registry() -> EngineRegistry {
+        let mut reg = crate::engines::default_registry();
+        reg.register(Box::new(EchoFactory));
+        reg
+    }
+
+    /// A counter-driven selector whose arm 4 can never fire: a design the
+    /// lint oracle holds a claim about.
+    const DEAD_ARM: &str =
+        "# dead arm\nc* n s* .\nM c 0 n 1 1\nA n 4 c 1\nS s c.0.1 10 20 30 40 50 .\n";
+
+    /// The counters one agreeing 64-cycle run of `lanes` over `design`
+    /// emits under `options`.
+    fn counters(lanes: &[&str], design: &Design, options: &CosimOptions) -> rtl_obs::Summary {
+        let (recorder, log) = rtl_obs::Recorder::memory();
+        let options = CosimOptions {
+            recorder: recorder.clone(),
+            ..options.clone()
+        };
+        let outcome = run_design_names(
+            &echo_registry(),
+            &names(lanes),
+            design,
+            "dead-arm",
+            64,
+            &[],
+            &options,
+        )
+        .unwrap();
+        assert!(outcome.agreed(), "{lanes:?}: {outcome:?}");
+        recorder.flush();
+        let mut summary = rtl_obs::Summary::new();
+        summary.fold_text(&log.text(), "memory").unwrap();
+        summary
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("asim2-stream-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn a_single_stepped_lane_runs_the_lint_oracle() {
+        let design = Design::from_source(DEAD_ARM).unwrap();
+        let options = CosimOptions {
+            lint_oracle: true,
+            ..CosimOptions::default()
+        };
+        let single = counters(&["vm", "echo"], &design, &options);
+        let pair = counters(&["vm", "interp"], &design, &options);
+        assert_eq!(single.counter("lint", "oracle_checks"), Some(64));
+        assert_eq!(
+            single.counter("lint", "oracle_checks"),
+            pair.counter("lint", "oracle_checks")
+        );
+    }
+
+    #[test]
+    fn reference_only_lenses_run_once_per_comparison_point() {
+        let design = Design::from_source(DEAD_ARM).unwrap();
+        let options = CosimOptions {
+            lint_oracle: true,
+            ..CosimOptions::default()
+        };
+        let three = counters(&["vm", "interp", "vm-noopt"], &design, &options);
+        let two = counters(&["vm", "interp"], &design, &options);
+        for (src, key) in [
+            ("lint", "oracle_checks"),
+            ("lockstep", "compare_lint-oracle"),
+        ] {
+            assert_eq!(three.counter(src, key), Some(64), "{src}/{key}");
+            assert_eq!(
+                three.counter(src, key),
+                two.counter(src, key),
+                "{src}/{key}"
+            );
+        }
+        // A state lens still compares every candidate lane.
+        assert_eq!(three.counter("lockstep", "compare_all"), Some(128));
+    }
+
+    #[test]
+    fn a_single_stepped_lane_exports_the_digests_a_pair_does() {
+        let design = Design::from_source(DEAD_ARM).unwrap();
+        let export = |lanes: &[&str], name: &str| {
+            let path = scratch(name);
+            let options = CosimOptions {
+                compare_every: 4,
+                export_digests: Some(path.clone()),
+                ..CosimOptions::default()
+            };
+            counters(lanes, &design, &options);
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            bytes
+        };
+        let single = export(&["vm", "echo"], "single.digests");
+        assert!(single.starts_with(crate::digest::FORMAT.as_bytes()));
+        assert_eq!(single, export(&["vm", "interp"], "pair.digests"));
+    }
+
+    #[test]
+    fn a_single_stepped_lane_writes_a_checkpoint() {
+        let design = Design::from_source(DEAD_ARM).unwrap();
+        let path = scratch("single.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let options = CosimOptions {
+            checkpoint: Some(crate::LockstepCheckpoint {
+                path: path.clone(),
+                every: 16,
+            }),
+            ..CosimOptions::default()
+        };
+        let plain = counters(&["vm", "echo"], &design, &CosimOptions::default());
+        let checkpointed = counters(&["vm", "echo"], &design, &options);
+        assert_eq!(
+            checkpointed.deterministic_section(),
+            plain.deterministic_section()
+        );
+        let doc = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(doc.starts_with("asim2-lockstep v2\n"), "{doc}");
+        assert!(doc.contains("\nverified 64\n"), "{doc}");
     }
 
     #[test]

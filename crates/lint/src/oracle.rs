@@ -60,13 +60,17 @@ impl StaticClaims {
     }
 }
 
-/// A [`Comparator`] that checks [`StaticClaims`] against each runtime
-/// observation instead of comparing two lanes — the reference lane alone
-/// carries all the evidence, so candidate observations are ignored, and
-/// the repeated comparisons at one cycle (one per candidate lane) bump
-/// the counters only once. Emits `lint/oracle_checks` and
+/// A [reference-only](Comparator::reference_only) [`Comparator`] that
+/// checks [`StaticClaims`] against each runtime observation instead of
+/// comparing two lanes — the reference lane alone carries all the
+/// evidence, so the harness calls it once per comparison point, with one
+/// stepped lane or many. Emits `lint/oracle_checks` and
 /// `lint/oracle_contradictions` counters when given an enabled
-/// [`Recorder`].
+/// [`Recorder`], once per observed cycle: a run can compare at one cycle
+/// twice (a halting cycle leaves the cycle counter where the comparison
+/// before it saw it, and a bisection replay reaches again the cycle
+/// whose comparison sent it back), and the repeat is checked but not
+/// counted.
 pub struct OracleComparator {
     claims: StaticClaims,
     recorder: Recorder,
@@ -167,16 +171,19 @@ impl Comparator for OracleComparator {
         "lint-oracle"
     }
 
+    fn reference_only(&self) -> bool {
+        true
+    }
+
     fn compare(
         &mut self,
         reference: &Observation<'_>,
         _candidate: &Observation<'_>,
     ) -> Option<DivergenceKind> {
-        // The harness calls every comparator once per candidate lane
-        // against the same reference — so the verdict must be computed
-        // every time (stateless in the observation), and only the
-        // *counters* dedupe by cycle. A harness that runs again builds a
-        // new oracle, so `last_cycle` never spans two runs.
+        // The verdict is computed every time (stateless in the
+        // observation); only the *counters* dedupe a repeated cycle. A
+        // harness that runs again builds a new oracle, so `last_cycle`
+        // never spans two runs.
         let fresh = self.last_cycle != Some(reference.cycle());
         self.last_cycle = Some(reference.cycle());
         if fresh {

@@ -137,6 +137,147 @@ fn cosim_runs_the_generated_rust_subprocess_lane() {
 }
 
 #[test]
+fn cosim_digests_take_a_single_stepped_lane() {
+    if !asim2::compile::rustc_available() {
+        eprintln!("skipping: rustc not on PATH");
+        return;
+    }
+    let digests =
+        std::env::temp_dir().join(format!("asim2-it-{}-single.digests", std::process::id()));
+    let tampered = digests.with_extension("tampered");
+    let cosim = |engines: &str, digest_flag: &str, path: &std::path::Path| {
+        run_cli(&[
+            "cosim",
+            "--scenario",
+            "classic/counter",
+            "--cycles",
+            "48",
+            "--engines",
+            engines,
+            digest_flag,
+            path.to_str().unwrap(),
+        ])
+    };
+    // One stepped lane checked against the rust stream lane records the
+    // reference digests a stepped pair checks against.
+    let (code, out, err) = cosim("vm,rust", "--export-digests", &digests);
+    assert_eq!(code, 0, "{out}{err}");
+    let (code, out, err) = cosim("interp,vm", "--check-digests", &digests);
+    assert_eq!(code, 0, "{out}{err}");
+    let log = std::fs::read_to_string(&digests).unwrap();
+    let (head, last) = log.trim_end().rsplit_once('\n').unwrap();
+    let (cycle, digest) = last.split_once(' ').unwrap();
+    let flipped = if digest.starts_with('0') { "1" } else { "0" };
+    std::fs::write(
+        &tampered,
+        format!("{head}\n{cycle} {flipped}{}\n", &digest[1..]),
+    )
+    .unwrap();
+    let (code, out, err) = cosim("interp,vm", "--check-digests", &tampered);
+    assert_eq!(code, 3, "a tampered digest is a divergence: {out}{err}");
+    assert!(out.contains("digest mismatch"), "{out}");
+    let _ = std::fs::remove_file(&digests);
+    let _ = std::fs::remove_file(&tampered);
+}
+
+#[test]
+fn campaign_case_checkpoint_takes_a_single_stepped_lane() {
+    if !asim2::compile::rustc_available() {
+        eprintln!("skipping: rustc not on PATH");
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("asim2-it-{}-single-ckpt", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (code, out, err) = run_cli(&[
+        "campaign",
+        "run",
+        "--dir",
+        dir.to_str().unwrap(),
+        "--cases",
+        "2",
+        "--cycles",
+        "600",
+        "--size",
+        "8",
+        "--engines",
+        "vm,rust",
+        "--case-checkpoint",
+    ]);
+    assert_eq!(code, 0, "{out}{err}");
+    assert!(out.contains("summary: 2/2 agreed"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir/cases` and `dir/corpus`, by relative path.
+fn case_and_corpus_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files = Vec::new();
+    for sub in ["cases", "corpus"] {
+        let Ok(entries) = std::fs::read_dir(dir.join(sub)) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            files.push((format!("{sub}/{name}"), std::fs::read(&path).unwrap()));
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn a_refused_case_checkpoint_costs_a_rerun_not_the_campaign() {
+    let root = std::env::temp_dir().join(format!("asim2-it-{}-refused-ckpt", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (plain, planted) = (root.join("plain"), root.join("planted"));
+    let campaign = |dir: &std::path::Path, extra: &[&str]| {
+        let mut args = vec![
+            "campaign",
+            "run",
+            "--dir",
+            dir.to_str().unwrap(),
+            "--cases",
+            "2",
+            "--seed",
+            "4",
+            "--cycles",
+            "600",
+            "--size",
+            "8",
+            "--engines",
+            "interp,vm-fault",
+        ];
+        args.extend_from_slice(extra);
+        run_cli(&args)
+    };
+    let (code, reference, err) = campaign(&plain, &[]);
+    assert_eq!(code, 3, "{reference}{err}");
+    // Leftovers a kill could leave: a document in the old format, which
+    // holds no lane statistics, and a torn current one.
+    std::fs::create_dir_all(planted.join("cases")).unwrap();
+    std::fs::write(
+        planted.join("cases/case-000000.ckpt"),
+        "asim2-lockstep v1\nfingerprint 0000000000000000\nverified 256\n",
+    )
+    .unwrap();
+    std::fs::write(
+        planted.join("cases/case-000001.ckpt"),
+        "asim2-lockstep v2\ngarbage\n",
+    )
+    .unwrap();
+    let (code, out, err) = campaign(&planted, &["--case-checkpoint"]);
+    assert_eq!(code, 3, "{out}{err}");
+    assert_eq!(out, reference);
+    let files = case_and_corpus_files(&planted);
+    assert!(files.iter().any(|(name, _)| name.starts_with("corpus/")));
+    assert!(
+        files == case_and_corpus_files(&plain),
+        "cases/ and corpus/ differ"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn campaign_end_to_end_run_interrupt_resume_replay() {
     let dir = std::env::temp_dir().join(format!("asim2-it-{}-campaign", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

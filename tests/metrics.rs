@@ -400,3 +400,51 @@ fn bin_cache_stats_stay_out_of_the_deterministic_section() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&metrics);
 }
+
+/// `--case-checkpoint` is a run flag: it must not move what a run
+/// compares. Its 256-cycle chunks are rounded up to whole comparison
+/// strides, so a stride that does not divide 256 keeps every comparison
+/// on the stride grid.
+#[test]
+fn case_checkpoints_keep_an_odd_stride_on_its_grid() {
+    let mut metrics = Vec::new();
+    for (label, extra) in [("plain", &[][..]), ("ckpt", &["--case-checkpoint"][..])] {
+        let (dir, m) = (
+            tmp(&format!("stride7-{label}-dir")),
+            tmp(&format!("stride7-{label}.jsonl")),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let (d, ms) = (dir.to_str().unwrap(), m.to_str().unwrap());
+        let mut args = vec![
+            "campaign",
+            "run",
+            "--dir",
+            d,
+            "--cases",
+            "12",
+            "--seed",
+            "5",
+            "--cycles",
+            "600",
+            "--compare-every",
+            "7",
+            "--engines",
+            "interp,vm",
+            "--metrics-out",
+            ms,
+        ];
+        args.extend_from_slice(extra);
+        let (code, out, err) = run_cli(&args);
+        assert_eq!(code, 0, "{label}: {out}{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+        metrics.push(m);
+    }
+    let (a, b) = (metrics[0].to_str().unwrap(), metrics[1].to_str().unwrap());
+    let (code, out, err) = run_cli(&["metrics", "summarize", "--check", a, b]);
+    assert_eq!(code, 0, "{out}{err}");
+    let (_, summary, _) = run_cli(&["metrics", "summarize", b]);
+    assert!(summary.contains("lockstep/compare_all 1032"), "{summary}");
+    for m in metrics {
+        let _ = std::fs::remove_file(m);
+    }
+}
