@@ -176,7 +176,7 @@ impl CaseBundle {
         range: Range<u32>,
         mut each: impl FnMut(CaseBundle) -> Result<(), CampaignError>,
     ) -> Result<Frames, CampaignError> {
-        let frames = Frames::scan(dir, range.clone(), |_, _| Ok(()))?;
+        let frames = Frames::scan(dir, range.clone(), &Kind::BUNDLE, |_, _| Ok(()))?;
         frames.each_case(range, |index, [profile, flight, record]| {
             // Sidecars without a record are a bundle a kill cut short.
             let Some(record) = record else {

@@ -7,7 +7,8 @@
 //! a busy disk, an append a few.
 //!
 //! ```text
-//! cases/worker-N.log     — the bundles one writer appended, in completion order
+//! cases/worker-N.log     — the bundles one writer appended, in completion order, and
+//!                          at most one case checkpoint, at its tail
 //! cases/cases.log        — the canonical case log: each case's profile, flight and record frames, by index
 //! corpus/corpus.log      — the canonical corpus log: one frame per entry, by name
 //! */worker-pID-….log     — what one process published outside a run (see below)
@@ -15,12 +16,13 @@
 //!
 //! **Frame.** A 20-byte little-endian header — body length (`u32`),
 //! [`Kind`] (`u32`), key (`u32`), checksum (`u64`) — then the body. A
-//! record, profile or flight frame is keyed by its case index; its body
-//! is the record's canonical JSON text
+//! record, profile, flight or checkpoint frame is keyed by its case
+//! index; its body is the record's canonical JSON text
 //! ([`CaseRecord::to_json`](crate::CaseRecord::to_json) rendered), the
-//! profile or the flight log. A corpus frame is keyed 0, and its body
-//! leads with the entry's fingerprint, then the entry's name and four
-//! documents ([`corpus::encode_entry`](crate::corpus::encode_entry)). The
+//! profile, the flight log or a [`CaseCheckpoint`]. A corpus frame is
+//! keyed 0, and its body leads with the entry's fingerprint, then the
+//! entry's name and four documents
+//! ([`corpus::encode_entry`](crate::corpus::encode_entry)). The
 //! checksum is a [`Fingerprint`] of the kind, the key and the body. No
 //! body may exceed [`FRAME_CAP`] bytes; the reader checks a frame's
 //! length against the cap, and its kind, before it allocates anything.
@@ -30,10 +32,16 @@
 //! appends to a log it did not create. It `fdatasync`s its log every
 //! [`SYNC_EVERY`] bundles and when it finishes, and syncs `cases/` at its
 //! first sync, so the log's name survives an OS crash too. A process kill
-//! loses nothing that was appended. [`CampaignDir::write_case`] and
-//! [`corpus::save`](crate::corpus::save), for what is published outside a
-//! run, append one frame at a time to one unsynced log per process,
-//! `worker-pID-….log`, under `cases/` and `corpus/` respectively.
+//! loses nothing that was appended. Under `--case-checkpoint` a writer
+//! also appends its in-flight case's lockstep checkpoints
+//! ([`LogWriter::checkpoint`]), unsynced, as a checkpoint only saves
+//! work: it keeps at most one checkpoint frame, at its log's tail, and
+//! cuts it off before it appends the next one or the case's bundle, so
+//! an uninterrupted run's log is a plain run's.
+//! [`CampaignDir::write_case`] and [`corpus::save`](crate::corpus::save),
+//! for what is published outside a run, append one frame at a time to
+//! one unsynced log per process, `worker-pID-….log`, under `cases/` and
+//! `corpus/` respectively.
 //!
 //! **Reader.** [`FrameReader`] reads a log frame by frame. A frame that
 //! runs past the end of its log, or one whose checksum fails (or whose
@@ -41,10 +49,14 @@
 //! leave past the data), is a torn tail: it is dropped, and its case runs
 //! again. A bad frame anywhere else and a frame over the cap are
 //! [`CampaignError::Corrupt`]. [`Frames::scan`] reads every log of a
-//! campaign directory in one pass and locates its record, profile and
-//! flight frames by case index and its corpus entries by name. Two
-//! identical frames of one kind for one case are one frame; two different
-//! ones are `Corrupt`. A sidecar or corpus frame whose record is missing
+//! campaign directory in one pass, only the frames of the kinds its
+//! caller asks for, and locates its record, profile and flight frames by
+//! case index and its corpus entries by name. Two identical frames of
+//! one kind for one case are one frame; two different ones are
+//! `Corrupt`. Checkpoint frames are the exception: a case may have
+//! several (one per kill), each a valid resume point of its
+//! deterministic run, and the scan keeps the one with the most verified
+//! cycles. A sidecar or corpus frame whose record is missing
 //! is what a kill mid-bundle leaves: its case re-runs and writes the same
 //! bytes again. A writer whose append or sync fails abandons its log, so
 //! nothing is ever appended after a torn frame.
@@ -53,10 +65,12 @@
 //! owns, [`CampaignDir::compact`] streams every corpus frame, in name
 //! order, into `corpus.log`, and every case's profile, flight and record
 //! frames, in index order, into `cases.log` (each a temp file, synced,
-//! renamed), and removes the worker logs. Every frame is a pure function
-//! of `(config, index)`, so the canonical logs are byte-identical however
-//! the campaign ran.
+//! renamed), and removes the worker logs. A checkpoint frame is never
+//! canonical: compaction, a shard merge and an export leave it out. Every
+//! other frame is a pure function of `(config, index)`, so the canonical
+//! logs are byte-identical however the campaign ran.
 
+use crate::checkpoint::CaseCheckpoint;
 use crate::error::CampaignError;
 use crate::state::CampaignDir;
 use rtl_core::Fingerprint;
@@ -98,21 +112,30 @@ pub enum Kind {
     Record,
     /// A corpus entry, keyed 0.
     Corpus,
+    /// A case's mid-run lockstep checkpoint, keyed by case index: never
+    /// canonical (see [`checkpoint`](crate::checkpoint)).
+    Checkpoint,
 }
 
 impl Kind {
+    /// What a case bundle and a corpus log carry: every kind but
+    /// [`Checkpoint`](Kind::Checkpoint).
+    pub const BUNDLE: [Kind; 4] = [Kind::Profile, Kind::Flight, Kind::Record, Kind::Corpus];
+
     fn code(self) -> u32 {
         match self {
             Kind::Profile => 1,
             Kind::Flight => 2,
             Kind::Record => 3,
             Kind::Corpus => 4,
+            Kind::Checkpoint => 5,
         }
     }
 
     fn from_code(code: u32) -> Option<Kind> {
-        [Kind::Profile, Kind::Flight, Kind::Record, Kind::Corpus]
+        Kind::BUNDLE
             .into_iter()
+            .chain([Kind::Checkpoint])
             .find(|kind| kind.code() == code)
     }
 
@@ -123,6 +146,7 @@ impl Kind {
             Kind::Flight => "flight log",
             Kind::Record => "record",
             Kind::Corpus => "corpus entry",
+            Kind::Checkpoint => "case checkpoint",
         }
     }
 }
@@ -347,6 +371,11 @@ pub struct LogWriter {
     unsynced: u32,
     dir_synced: bool,
     buf: Vec<u8>,
+    /// The log's length: where the next append lands.
+    len: u64,
+    /// Where the checkpoint frame at the log's tail starts, while the
+    /// log ends in one.
+    checkpoint: Option<u64>,
 }
 
 impl LogWriter {
@@ -359,6 +388,8 @@ impl LogWriter {
             unsynced: 0,
             dir_synced: false,
             buf: Vec::new(),
+            len: 0,
+            checkpoint: None,
         }
     }
 
@@ -368,7 +399,8 @@ impl LogWriter {
     }
 
     /// Appends the frames `encode` writes (into an empty buffer) in one
-    /// write: one case's bundle, record last.
+    /// write: one case's bundle, record last. A checkpoint frame at the
+    /// log's tail is cut off first.
     ///
     /// # Errors
     ///
@@ -379,27 +411,60 @@ impl LogWriter {
     ) -> io::Result<()> {
         self.buf.clear();
         encode(&mut self.buf)?;
+        self.write()?;
+        self.unsynced += 1;
+        if self.unsynced >= SYNC_EVERY {
+            self.finish()?;
+        }
+        Ok(())
+    }
+
+    /// Replaces the checkpoint frame at the log's tail, if there is one,
+    /// with a checkpoint frame for case `index` holding `body`: a log
+    /// holds at most one, its writer's in-flight case's latest, and once
+    /// the case's bundle is appended, none. Like a document published
+    /// through [`write_atomic`], it is not synced: a checkpoint only
+    /// saves work.
+    ///
+    /// # Errors
+    ///
+    /// A body over the frame cap, or file-system failure.
+    pub fn checkpoint(&mut self, index: u32, body: &[u8]) -> io::Result<()> {
+        self.buf.clear();
+        encode_frame(Kind::Checkpoint, index, body, &mut self.buf)?;
+        self.checkpoint = Some(self.write()?);
+        Ok(())
+    }
+
+    /// Writes the buffer at the end of the log, after cutting off its
+    /// tail checkpoint frame, and returns where it starts.
+    fn write(&mut self) -> io::Result<u64> {
         let file = match &mut self.file {
             Some(file) => file,
             None => {
                 let file = create_log(&self.dir.cases())?;
                 // A fresh log's directory entry is not yet durable.
                 self.dir_synced = false;
+                self.len = 0;
+                self.checkpoint = None;
                 self.file.insert(file)
             }
         };
-        if let Err(e) = file.write_all(&self.buf) {
-            // The write may have left part of the bundle: that log now
+        let mut written = Ok(());
+        if let Some(at) = self.checkpoint.take() {
+            written = file.set_len(at);
+            self.len = at;
+        }
+        if let Err(e) = written.and_then(|()| file.write_all(&self.buf)) {
+            // The write may have left part of the frames: that log now
             // ends in a torn tail, and the next append starts a new one.
             self.file = None;
             self.unsynced = 0;
             return Err(e);
         }
-        self.unsynced += 1;
-        if self.unsynced >= SYNC_EVERY {
-            self.finish()?;
-        }
-        Ok(())
+        let at = self.len;
+        self.len += self.buf.len() as u64;
+        Ok(at)
     }
 
     /// Syncs whatever was appended since the last sync.
@@ -577,13 +642,17 @@ pub(crate) struct Located {
 /// The frames of a campaign directory's logs, located by one
 /// [`scan`](Frames::scan): each case's record, profile and flight frames
 /// by case index, and each corpus entry by name. Only positions are
-/// kept; bodies are read back on demand.
+/// kept, and bodies are read back on demand; but for each case the scan
+/// found checkpoint frames for, the decoded checkpoint with the most
+/// verified cycles.
 #[derive(Debug, Default)]
 pub struct Frames {
     pub(crate) logs: Vec<PathBuf>,
     /// The record, profile and flight frames, by case and kind.
     cases: BTreeMap<(u32, Kind), At>,
     pub(crate) entries: BTreeMap<String, Located>,
+    /// The latest checkpoint of each case, by case.
+    pub(crate) checkpoints: BTreeMap<u32, CaseCheckpoint>,
 }
 
 impl Frames {
@@ -605,49 +674,74 @@ impl Frames {
         Ok(logs)
     }
 
-    /// Reads every log under `dir` once ([`logs`](Frames::logs)). Each
-    /// record, profile and flight frame of a case in `range` is verified,
-    /// and `visit` sees each record once; the case frames of other cases
-    /// are stepped over unread. Every corpus frame is verified and
-    /// decoded, and its metadata's `design_fp` must be the fingerprint
-    /// it is keyed by. A torn tail is dropped; a missing directory holds
+    /// Reads every log under `dir` once ([`logs`](Frames::logs)),
+    /// verifying the frames of `kinds` and stepping over the others
+    /// unread. Each record, profile and flight frame of a case in
+    /// `range` is verified if its kind is in `kinds`, and `visit` sees
+    /// each record once; the case frames of other cases and kinds are
+    /// located unread. Each checkpoint frame of a case in `range` is
+    /// decoded if [`Kind::Checkpoint`] is in `kinds`, and the scan keeps
+    /// the one with the most verified cycles: every checkpoint of a case
+    /// is a valid resume point of its deterministic run. Each corpus
+    /// frame is verified and decoded if [`Kind::Corpus`] is in `kinds`,
+    /// and its metadata's `design_fp` must be the fingerprint it is
+    /// keyed by. A torn tail is dropped; a missing directory holds
     /// nothing.
     ///
     /// # Errors
     ///
     /// A bad frame that is not a torn tail, two different frames of one
-    /// kind for one case in `range`, a corpus frame that does not decode
-    /// or whose `design_fp` is missing, malformed or not its key, an
-    /// error from `visit`, or file-system failure.
+    /// kind for one case in `range`, a checkpoint body that does not
+    /// decode, a corpus frame that does not decode or whose `design_fp`
+    /// is missing, malformed or not its key, an error from `visit`, or
+    /// file-system failure.
     pub fn scan(
         dir: &CampaignDir,
         range: Range<u32>,
+        kinds: &[Kind],
         mut visit: impl FnMut(u32, &[u8]) -> Result<(), CampaignError>,
     ) -> Result<Frames, CampaignError> {
         let mut frames = Frames {
             logs: Frames::logs(dir)?,
             ..Frames::default()
         };
+        let want = |kind: Kind, key: u32| {
+            kinds.contains(&kind) && (kind == Kind::Corpus || range.contains(&key))
+        };
         for (log, path) in frames.logs.iter().enumerate() {
             let corrupt = |m: String| CampaignError::Corrupt(format!("{}: {m}", path.display()));
             let file = File::open(path)?;
             let len = file.metadata()?.len();
             let mut reader = FrameReader::new(BufReader::new(file), len);
-            while let Some(frame) = reader
-                .next(|kind, key| kind == Kind::Corpus || range.contains(&key))
-                .map_err(|e| match e {
-                    CampaignError::Corrupt(m) => corrupt(m),
-                    other => other,
-                })?
-            {
+            while let Some(frame) = reader.next(want).map_err(|e| match e {
+                CampaignError::Corrupt(m) => corrupt(m),
+                other => other,
+            })? {
                 let at = At { log, frame };
-                if frame.kind == Kind::Corpus {
-                    let (name, fingerprint) = crate::corpus::check_frame(frame.key, reader.body())
-                        .map_err(|m| {
-                            corrupt(format!("the corpus frame at byte {}: {m}", frame.offset))
+                match frame.kind {
+                    Kind::Corpus if frame.verified => {
+                        let (name, fingerprint) =
+                            crate::corpus::check_frame(frame.key, reader.body()).map_err(|m| {
+                                corrupt(format!("the corpus frame at byte {}: {m}", frame.offset))
+                            })?;
+                        frames.entries.insert(name, Located { at, fingerprint });
+                        continue;
+                    }
+                    Kind::Checkpoint if frame.verified => {
+                        let checkpoint = CaseCheckpoint::decode(reader.body()).map_err(|m| {
+                            corrupt(format!(
+                                "the case {} checkpoint at byte {}: {m}",
+                                frame.key, frame.offset
+                            ))
                         })?;
-                    frames.entries.insert(name, Located { at, fingerprint });
-                    continue;
+                        let kept = frames.checkpoints.get(&frame.key);
+                        if kept.is_none_or(|kept| kept.verified < checkpoint.verified) {
+                            frames.checkpoints.insert(frame.key, checkpoint);
+                        }
+                        continue;
+                    }
+                    Kind::Corpus | Kind::Checkpoint => continue,
+                    Kind::Profile | Kind::Flight | Kind::Record => {}
                 }
                 match frames.cases.entry((frame.key, frame.kind)) {
                     Entry::Occupied(first) => {
@@ -842,7 +936,7 @@ impl CampaignDir {
         if worker_logs(self)?.is_empty() {
             return Ok(());
         }
-        self.frames(cases, 0..cases, |_, _| Ok(()))?
+        self.frames(cases, 0..cases, &Kind::BUNDLE, |_, _| Ok(()))?
             .write_canonical(self)?;
         self.remove_worker_logs()?;
         sync_dir(&self.corpus())?;
@@ -879,7 +973,7 @@ impl CampaignDir {
     /// failure.
     pub fn export(&self, out: &CampaignDir) -> Result<(u32, u32), CampaignError> {
         let cases = self.load()?.cases;
-        let frames = self.frames(cases, 0..cases, |_, _| Ok(()))?;
+        let frames = self.frames(cases, 0..cases, &Kind::BUNDLE, |_, _| Ok(()))?;
         let mut records = 0;
         frames.each_case(0..cases, |index, [profile, flight, record]| {
             let paths = [
@@ -918,7 +1012,7 @@ mod tests {
     /// The records a scan of `dir` visits.
     fn records(dir: &CampaignDir) -> Vec<(u32, Vec<u8>)> {
         let mut seen = Vec::new();
-        Frames::scan(dir, 0..u32::MAX, |index, record| {
+        Frames::scan(dir, 0..u32::MAX, &Kind::BUNDLE, |index, record| {
             seen.push((index, record.to_vec()));
             Ok(())
         })
@@ -987,6 +1081,61 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Different checkpoint frames of one case are all valid resume
+    /// points: the scan keeps the one with the most verified cycles,
+    /// whichever log holds it, and only if asked for checkpoints. A
+    /// writer keeps only its latest, at its log's tail, and a bundle
+    /// cuts it off.
+    #[test]
+    fn the_checkpoint_with_the_most_verified_cycles_wins() {
+        let root =
+            std::env::temp_dir().join(format!("asim2-caselog-checkpoint-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = CampaignDir::new(&root);
+        std::fs::create_dir_all(dir.cases()).unwrap();
+        let body = |verified: u64| {
+            CaseCheckpoint {
+                verified,
+                profile: None,
+                flight: None,
+                lockstep: format!("at {verified}").into_bytes(),
+            }
+            .encode()
+            .unwrap()
+        };
+        let (mut first, mut second) = (LogWriter::new(&dir), LogWriter::new(&dir));
+        first.checkpoint(2, &body(16)).unwrap();
+        first.checkpoint(2, &body(48)).unwrap();
+        second.checkpoint(2, &body(32)).unwrap();
+        let lens = || {
+            let mut lens: Vec<u64> = Frames::logs(&dir)
+                .unwrap()
+                .iter()
+                .map(|log| std::fs::metadata(log).unwrap().len())
+                .collect();
+            lens.sort();
+            lens
+        };
+        let frame = |verified: u64| (HEADER + body(verified).len()) as u64;
+        assert_eq!(lens(), [frame(32), frame(48)], "one frame a log");
+        let kinds = [Kind::Record, Kind::Checkpoint];
+        let mut scan = Frames::scan(&dir, 0..4, &kinds, |_, _| Ok(())).unwrap();
+        assert_eq!(scan.checkpoints.remove(&2).unwrap().lockstep, b"at 48");
+        assert!(scan.checkpoints.is_empty());
+        let bundles = Frames::scan(&dir, 0..4, &Kind::BUNDLE, |_, _| Ok(())).unwrap();
+        assert!(bundles.checkpoints.is_empty());
+        first.append(|buf| record(buf, 2)).unwrap();
+        first.finish().unwrap();
+        assert_eq!(records(&dir), [(2, b"{}".to_vec())]);
+        let bundle = (HEADER + 2) as u64;
+        assert_eq!(
+            lens(),
+            [bundle, frame(32)],
+            "the bundle cut the checkpoint off"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// A sidecar follows the record rule: an identical second frame is
     /// the same frame, a different one is corrupt.
     #[test]
@@ -1006,7 +1155,7 @@ mod tests {
         log.append(profile(b"a")).unwrap();
         log.append(profile(b"a")).unwrap();
         log.finish().unwrap();
-        let frames = Frames::scan(&dir, 0..4, |_, _| Ok(())).unwrap();
+        let frames = Frames::scan(&dir, 0..4, &Kind::BUNDLE, |_, _| Ok(())).unwrap();
         let mut texts = Vec::new();
         frames
             .each_case(0..4, |index, texts_of| {
@@ -1018,10 +1167,10 @@ mod tests {
         assert_eq!(texts, [(2, expected)]);
         log.append(profile(b"b")).unwrap();
         log.finish().unwrap();
-        let err = Frames::scan(&dir, 0..4, |_, _| Ok(())).unwrap_err();
+        let err = Frames::scan(&dir, 0..4, &Kind::BUNDLE, |_, _| Ok(())).unwrap_err();
         assert!(err.to_string().contains("different profile"), "{err}");
         // Out of range, the frames are stepped over unread and unjudged.
-        Frames::scan(&dir, 3..4, |_, _| Ok(())).unwrap();
+        Frames::scan(&dir, 3..4, &Kind::BUNDLE, |_, _| Ok(())).unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -369,7 +369,7 @@ pub fn save(
 ) -> Result<CorpusEntry, CampaignError> {
     static DIRECT: Mutex<BTreeMap<PathBuf, Direct>> = Mutex::new(BTreeMap::new());
     let dir = CampaignDir::new(corpus_dir.parent().unwrap_or(Path::new("")));
-    let scan = || Frames::scan(&dir, 0..0, |_, _| Ok(()));
+    let scan = || Frames::scan(&dir, 0..0, &[Kind::Corpus], |_, _| Ok(()));
     let mut direct = DIRECT.lock().unwrap_or_else(PoisonError::into_inner);
     let seen = log_states(&dir)?;
     let current = match direct.get(corpus_dir) {
@@ -823,7 +823,7 @@ mod tests {
     }
 
     fn scan(dir: &CampaignDir) -> Result<Frames, CampaignError> {
-        Frames::scan(dir, 0..0, |_, _| Ok(()))
+        Frames::scan(dir, 0..0, &[Kind::Corpus], |_, _| Ok(()))
     }
 
     fn load_all(dir: &CampaignDir) -> Result<Vec<CorpusEntry>, CampaignError> {

@@ -20,6 +20,8 @@
 //!   kind-tagged, checksummed frame in one append-only log per writer,
 //!   read back by one scan and compacted into one canonical case log
 //!   and one corpus log.
+//! * [`checkpoint`] — a long case's mid-run lockstep checkpoints, as
+//!   frames of its worker's log.
 //! * [`bundle`] — one case's artifacts (record, profile, flight log, the
 //!   corpus entry it names) read, checked and published as one unit, in
 //!   one append.
@@ -57,6 +59,7 @@
 
 pub mod bundle;
 pub mod caselog;
+pub mod checkpoint;
 pub mod config;
 pub mod corpus;
 pub mod error;
@@ -67,6 +70,7 @@ pub mod state;
 
 pub use bundle::{BundleEntry, CaseBundle, CorpusFiles};
 pub use caselog::{Frames, LogWriter};
+pub use checkpoint::{CaseCheckpoint, LogCheckpoints, CASE_CHECKPOINT_EVERY};
 pub use config::CampaignConfig;
 pub use corpus::{Archive, CorpusEntry, CorpusIndex, ReplayOutcome, ReplayReport, ReplayResult};
 pub use error::CampaignError;
@@ -75,7 +79,7 @@ pub use error::CampaignError;
 pub use rtl_cosim::fault::{FaultyVmFactory, DEFAULT_FAULT_CYCLE};
 pub use runner::{
     aggregate_lanes, campaign_registry, fold_profiles, replay_corpus, resume, run, CampaignReport,
-    LaneTotals, NoProgress, Progress, RunOptions, CASE_CHECKPOINT_EVERY,
+    LaneTotals, NoProgress, Progress, RunOptions,
 };
 pub use shrink::{shrink_divergence, shrink_from, Shrunk};
 pub use state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};

@@ -13,19 +13,21 @@
 //! resumable.
 
 use crate::bundle::{expected_seed, CaseBundle};
-use crate::caselog::{Frames, LogWriter};
+use crate::caselog::{Frames, Kind, LogWriter};
+use crate::checkpoint::{CaseCheckpoint, LogCheckpoints};
 use crate::config::CampaignConfig;
 use crate::corpus::{self, kind_label, Archive, CorpusIndex, ReplayReport};
 use crate::error::CampaignError;
 use crate::shrink::shrink_from;
 use crate::state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};
 use rtl_compile::{BinaryCache, GeneratedRustFactory};
-use rtl_core::{EngineRegistry, Recorder, StopReason};
+use rtl_core::{EngineRegistry, ProfileHook, StopReason};
 use rtl_cosim::fault::FaultyVmFactory;
-use rtl_cosim::{run_fuzz_case, FuzzOptions};
-use std::collections::BTreeSet;
+use rtl_cosim::{run_fuzz_case, Checkpoints, FuzzOptions};
+use rtl_obs::{FlightRing, Recorder};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Run-time knobs that do **not** affect case outcomes (and are therefore
@@ -37,14 +39,17 @@ pub struct RunOptions {
     /// Stop after completing this many *new* cases — the programmatic
     /// interrupt (`campaign resume` finishes the rest).
     pub limit: Option<u32>,
-    /// Checkpoint each case's lockstep run mid-flight
-    /// (`cases/case-N.ckpt`, written every [`CASE_CHECKPOINT_EVERY`]
-    /// cycles): a kill inside one *giant* case resumes from the last
-    /// checkpoint instead of recomputing the whole horizon. A leftover
-    /// checkpoint the lockstep refuses to resume is dropped (a
+    /// Checkpoint each case's lockstep run mid-flight, every
+    /// [`CASE_CHECKPOINT_EVERY`](crate::CASE_CHECKPOINT_EVERY) cycles, as
+    /// a frame of the worker's own log ([`checkpoint`](crate::checkpoint)):
+    /// a kill inside one *giant* case resumes from the last checkpoint
+    /// instead of recomputing the whole horizon, with the profile and
+    /// flight ring it had there. A
+    /// leftover checkpoint the lockstep refuses to resume is dropped (a
     /// `campaign/checkpoint_dropped` mark) and its case runs again from
-    /// the start. Off by default — worth it only when a single case runs
-    /// long.
+    /// the start. A lane mix with a stream lane, which cannot resume,
+    /// writes none. Off by default — worth it only when a single case
+    /// runs long.
     pub case_checkpoint: bool,
     /// Run only the case indices in this half-open range — the
     /// distributed-shard hook (`rtl-dist`): each machine executes its
@@ -52,9 +57,9 @@ pub struct RunOptions {
     /// depends only on `(config, index)`, the union of the slices is
     /// bit-identical to a single-machine run. Cases outside the range are
     /// left unrun (the report shows them as gaps). A ranged
-    /// [`resume`] reads and sweeps only the range's case files, so its
-    /// cost follows the range, not the campaign: a completed record
-    /// outside the range is reported as a gap too, and is never read.
+    /// [`resume`] reads only the range's case frames, so its cost follows
+    /// the range, not the campaign: a completed record outside the range
+    /// is reported as a gap too, and is never read.
     /// `None` runs everything.
     pub case_range: Option<std::ops::Range<u32>>,
     /// Telemetry tap (disabled/no-op by default), threaded into every
@@ -70,9 +75,7 @@ pub struct RunOptions {
     /// a profile frame in its [bundle](crate::bundle) (exported as
     /// `cases/case-N.profile`), and folds the counters into the recorder
     /// as deterministic `profile/<component>/<event>` deltas. Case
-    /// outcomes, records and the campaign fingerprint are unaffected. Not
-    /// combinable with `case_checkpoint`: a mid-case resume would only
-    /// tally the post-resume cycles.
+    /// outcomes, records and the campaign fingerprint are unaffected.
     pub profile: bool,
     /// Arm the divergence flight recorder: each case runs with a fresh
     /// bounded ring capturing its deterministic counter events in call
@@ -80,14 +83,9 @@ pub struct RunOptions {
     /// contradiction, halt, harness error) the ring is dumped as a flight
     /// frame in the case's bundle (exported as
     /// `cases/case-N.flight.jsonl`), so the dump is byte-identical across
-    /// worker counts and kill+resume. Agreed cases leave no dump. Not
-    /// combinable with `case_checkpoint`: a case resumed mid-run would
-    /// only capture its post-resume events.
+    /// worker counts and kill+resume. Agreed cases leave no dump.
     pub flight: bool,
 }
-
-/// The cycle cadence of `--case-checkpoint` lockstep checkpoints.
-pub const CASE_CHECKPOINT_EVERY: u64 = 256;
 
 impl Default for RunOptions {
     fn default() -> Self {
@@ -353,7 +351,7 @@ pub fn run(
     // Pre-seeded regression scenarios replay before any fuzzing: a known
     // bug resurfacing is worth more than a new random case. The same scan
     // indexes them for deduplication.
-    let corpus = Frames::scan(dir, 0..0, |_, _| Ok(()))?;
+    let corpus = Frames::scan(dir, 0..0, &[Kind::Corpus], |_, _| Ok(()))?;
     let entries = corpus.load_all()?;
     options
         .recorder
@@ -368,14 +366,23 @@ pub fn run(
     let records = vec![None; config.cases as usize];
     let index = corpus.index();
     let report = execute(
-        dir, config, options, cache, records, replay, &index, progress,
+        dir,
+        config,
+        options,
+        cache,
+        records,
+        replay,
+        &index,
+        &BTreeMap::new(),
+        progress,
     )?;
     compact_when_complete(dir, options, &report)?;
     Ok(report)
 }
 
 /// Resumes the campaign in `dir`: validates the stored configuration's
-/// fingerprint, loads completed case records, and runs only the gaps.
+/// fingerprint, loads completed case records, and runs only the gaps,
+/// each from the latest checkpoint a kill left of it, if any.
 /// An unranged resume takes the directory over and first
 /// [sweeps](CampaignDir::sweep_orphans) orphaned temp files, and
 /// [compacts](CampaignDir::compact) the record logs once the campaign is
@@ -395,12 +402,31 @@ pub fn resume(
     if options.case_range.is_none() {
         dir.sweep_orphans()?;
     }
-    let (records, frames) = dir.scan(config.cases, run_range(options, &config))?;
+    // Checkpoints are read only for a run that resumes from them.
+    let kinds: &[Kind] = match options.case_checkpoint {
+        true => &[
+            Kind::Profile,
+            Kind::Flight,
+            Kind::Record,
+            Kind::Corpus,
+            Kind::Checkpoint,
+        ],
+        false => &Kind::BUNDLE,
+    };
+    let (records, frames) = dir.scan(config.cases, run_range(options, &config), kinds)?;
     let index = frames.index();
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     validate_engines(&config, &campaign_registry(Some(Arc::clone(&cache))))?;
     let report = execute(
-        dir, &config, options, cache, records, None, &index, progress,
+        dir,
+        &config,
+        options,
+        cache,
+        records,
+        None,
+        &index,
+        &frames.checkpoints,
+        progress,
     )?;
     compact_when_complete(dir, options, &report)?;
     Ok(report)
@@ -428,7 +454,7 @@ pub fn replay_corpus(
     dir: &CampaignDir,
     engines: Option<&[String]>,
 ) -> Result<ReplayReport, CampaignError> {
-    let entries = Frames::scan(dir, 0..0, |_, _| Ok(()))?.load_all()?;
+    let entries = Frames::scan(dir, 0..0, &[Kind::Corpus], |_, _| Ok(()))?.load_all()?;
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     let registry = campaign_registry(Some(cache));
     corpus::replay(&registry, &entries, engines)
@@ -451,13 +477,17 @@ fn validate_engines(
         .map_err(CampaignError::Config)
 }
 
+/// Why a worker's log is unusable: a thread panicked while writing it.
+pub(crate) const LOG_POISONED: &str = "a worker's log writer panicked mid-write";
+
 struct DoneCase {
     record: CaseRecord,
     corpus: Option<String>,
 }
 
 /// Runs the pending cases of `records` on a pool of workers, each
-/// deduplicating what it archives against `index`.
+/// deduplicating what it archives against `index` and, under
+/// `--case-checkpoint`, resuming a case from its entry in `checkpoints`.
 #[allow(clippy::too_many_arguments)]
 fn execute(
     dir: &CampaignDir,
@@ -467,16 +497,10 @@ fn execute(
     mut records: Vec<Option<CaseRecord>>,
     replay: Option<ReplayReport>,
     corpus_index: &CorpusIndex,
+    checkpoints: &BTreeMap<u32, CaseCheckpoint>,
     progress: &mut dyn Progress,
 ) -> Result<CampaignReport, CampaignError> {
     let started = Instant::now();
-    if options.case_checkpoint && (options.profile || options.flight) {
-        let option = if options.profile { "profile" } else { "flight" };
-        return Err(CampaignError::Config(format!(
-            "the {option} option cannot be combined with per-case checkpointing: a case \
-             resumed mid-run would only capture its post-resume part"
-        )));
-    }
     let mut fuzz = config.fuzz_options();
     // The recorder reaches every lane session and lockstep harness from
     // here; it is a run-time tap, so the config fingerprint is unchanged.
@@ -492,17 +516,6 @@ fn execute(
 
     let next = AtomicU32::new(0);
     let abort = AtomicBool::new(false);
-    let case_checkpoint = options.case_checkpoint;
-    let profile = options.profile;
-    let flight = options.flight;
-    // A kill between record publication and checkpoint removal can leave
-    // a stale .ckpt next to a completed record; sweep those up front,
-    // within the run's range only.
-    for index in range {
-        if records[index as usize].is_some() {
-            let _ = std::fs::remove_file(case_checkpoint_path(dir, index));
-        }
-    }
     let workers = options.workers.clamp(1, pending.len().max(1));
     options
         .recorder
@@ -521,8 +534,9 @@ fn execute(
                 let _worker_span = recorder.span("campaign", "worker");
                 let mut claimed = 0u64;
                 let registry = campaign_registry(Some(cache));
-                // One log per thread: publishing a case is an append.
-                let mut log = LogWriter::new(dir);
+                // One log per thread: publishing a case is an append, and
+                // so is each of its checkpoints.
+                let log = Arc::new(Mutex::new(LogWriter::new(dir)));
                 loop {
                     if abort.load(Ordering::Relaxed) {
                         break;
@@ -538,12 +552,10 @@ fn execute(
                         config,
                         fuzz,
                         index,
-                        &mut log,
+                        &log,
                         corpus_index,
-                        case_checkpoint,
-                        profile,
-                        flight,
-                        &recorder,
+                        options,
+                        checkpoints.get(&index),
                     );
                     drop(case_span);
                     let failed = result.is_err();
@@ -552,7 +564,7 @@ fn execute(
                         break;
                     }
                 }
-                if let Err(e) = log.finish() {
+                if let Err(e) = log.lock().expect(LOG_POISONED).finish() {
                     let _ = tx.send(Err(e.into()));
                 }
                 // Which worker claimed how many cases is scheduling
@@ -603,11 +615,6 @@ fn execute(
         new_corpus: new_corpus.into_iter().collect(),
         elapsed: started.elapsed(),
     })
-}
-
-/// The per-case lockstep checkpoint path (`--case-checkpoint`).
-fn case_checkpoint_path(dir: &CampaignDir, index: u32) -> std::path::PathBuf {
-    dir.cases().join(format!("case-{index:06}.ckpt"))
 }
 
 /// What (if anything) triggers a flight dump for this record: a one-line
@@ -672,7 +679,7 @@ pub fn fold_profiles(
 ) -> Result<rtl_core::Profile, CampaignError> {
     let cases = report.config.cases;
     let mut total = rtl_core::Profile::default();
-    let frames = dir.frames(cases, 0..cases, |_, _| Ok(()))?;
+    let frames = dir.frames(cases, 0..cases, &[Kind::Profile], |_, _| Ok(()))?;
     frames.each_case(0..cases, |index, [profile, _, _]| {
         if report.records[index as usize].is_none() {
             return Ok(());
@@ -692,85 +699,89 @@ pub fn fold_profiles(
     Ok(total)
 }
 
+/// One run of a case: its fuzz options patched with a fresh profile
+/// hook and flight ring, so its profile and flight log are its own
+/// tally, a pure function of `(config, index)` whichever worker ran it
+/// and whatever else this process ran (the lockstep run is
+/// single-threaded, so the ring's order is too), and, under
+/// `--case-checkpoint`, a checkpoint store in the worker's log that
+/// resumes from `resume`.
+struct CaseRun {
+    patched: Option<FuzzOptions>,
+    profile: Option<ProfileHook>,
+    flight: Option<Arc<FlightRing>>,
+}
+
+impl CaseRun {
+    fn new(
+        fuzz: &FuzzOptions,
+        index: u32,
+        log: &Arc<Mutex<LogWriter>>,
+        options: &RunOptions,
+        resume: Option<&CaseCheckpoint>,
+    ) -> CaseRun {
+        let profile = options.profile.then(ProfileHook::collecting);
+        let flight = options
+            .flight
+            .then(|| Arc::new(FlightRing::new(FlightRing::DEFAULT_CAP)));
+        let patched = (options.case_checkpoint || options.profile || options.flight).then(|| {
+            let mut patched = fuzz.clone();
+            if let Some(hook) = &profile {
+                patched.cosim.profile = hook.clone();
+            }
+            if let Some(ring) = &flight {
+                patched.cosim.recorder = patched.cosim.recorder.with_flight(Arc::clone(ring));
+            }
+            if options.case_checkpoint {
+                patched.cosim.checkpoint = Some(Checkpoints::new(LogCheckpoints {
+                    log: Arc::clone(log),
+                    index,
+                    profile: profile.clone().unwrap_or_default(),
+                    flight: flight.clone(),
+                    resume: resume.cloned(),
+                }));
+            }
+            patched
+        });
+        CaseRun {
+            patched,
+            profile,
+            flight,
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_one(
     registry: &EngineRegistry,
     config: &CampaignConfig,
     fuzz: &FuzzOptions,
     index: u32,
-    log: &mut LogWriter,
+    log: &Arc<Mutex<LogWriter>>,
     corpus_index: &CorpusIndex,
-    case_checkpoint: bool,
-    profile: bool,
-    flight: bool,
-    recorder: &Recorder,
+    options: &RunOptions,
+    resume: Option<&CaseCheckpoint>,
 ) -> Result<DoneCase, CampaignError> {
-    let dir = &log.dir().clone();
-    // Thread the per-case lockstep checkpoint through: write it while the
-    // case runs, resume from a leftover document (a kill mid-case) or
-    // drop it if refused, and remove it once the record is durable.
-    let ckpt_path = case_checkpoint_path(dir, index);
-    // A *fresh* hook per case: the sidecar is the case's own tally, a
-    // pure function of (config, index), regardless of which worker ran
-    // it or what else this process executed.
-    let profile_hook = profile.then(rtl_core::ProfileHook::collecting);
-    // Likewise a fresh flight ring per case: the lockstep run is
-    // single-threaded, so the captured counter order is a pure function
-    // of (config, index).
-    let flight_ring =
-        flight.then(|| Arc::new(rtl_obs::FlightRing::new(rtl_obs::FlightRing::DEFAULT_CAP)));
-    let fuzz_for_case;
-    let fuzz = if case_checkpoint || profile_hook.is_some() || flight_ring.is_some() {
-        let mut patched = fuzz.clone();
-        if case_checkpoint {
-            patched.cosim.checkpoint = Some(rtl_cosim::LockstepCheckpoint {
-                path: ckpt_path.clone(),
-                every: CASE_CHECKPOINT_EVERY,
-            });
-            if ckpt_path.exists() {
-                patched.cosim.resume = Some(ckpt_path.clone());
-            }
-        }
-        if let Some(hook) = &profile_hook {
-            patched.cosim.profile = hook.clone();
-        }
-        if let Some(ring) = &flight_ring {
-            patched.cosim.recorder = patched.cosim.recorder.with_flight(Arc::clone(ring));
-        }
-        fuzz_for_case = patched;
-        &fuzz_for_case
-    } else {
-        fuzz
-    };
-    let case = match run_fuzz_case(registry, fuzz, index) {
+    let recorder = &options.recorder;
+    let mut run = CaseRun::new(fuzz, index, log, options, resume);
+    let case = match run_fuzz_case(registry, run.patched.as_ref().unwrap_or(fuzz), index) {
         // A leftover checkpoint the harness refuses (an older format, a
-        // torn document, a lane mix that cannot resume) costs a rerun of
-        // the case from its start, not the campaign. Whether there is one
-        // depends on where a kill fell, so the drop is a wall-clock mark.
-        Err(e) if fuzz.cosim.resume.is_some() => {
+        // document from another harness) costs a rerun of the case from
+        // its start, with a fresh hook and ring, not the campaign.
+        // Whether there is one depends on where a kill fell, so the drop
+        // is a wall-clock mark.
+        Err(e) if resume.is_some() => {
             let detail = format!("case {index}: {e}");
             recorder.mark("campaign", "checkpoint_dropped", Some(&detail));
-            let mut fresh = fuzz.clone();
-            fresh.cosim.resume = None;
-            run_fuzz_case(registry, &fresh, index)?
+            run = CaseRun::new(fuzz, index, log, options, None);
+            run_fuzz_case(registry, run.patched.as_ref().unwrap_or(fuzz), index)?
         }
         case => case?,
     };
     let seed = expected_seed(config, index);
     // Snapshot the ring *now*, before any shrink probes can run: the dump
     // must hold only the case's own final events.
-    let flight_snapshot = flight_ring.as_ref().map(|ring| ring.snapshot());
-    // Shrink probes must not inherit the case's checkpoint/resume paths
-    // (they re-run many *different* candidate scenarios), its profile
-    // hook (hook clones share one tally; probe work would pollute the
-    // case's sidecar), or its flight-tapped recorder.
-    let probe_cosim = rtl_cosim::CosimOptions {
-        checkpoint: None,
-        resume: None,
-        profile: rtl_core::ProfileHook::disabled(),
-        recorder: recorder.clone(),
-        ..fuzz.cosim.clone()
-    };
+    let flight_snapshot = run.flight.as_ref().map(|ring| ring.snapshot());
     let (status, archived) = match case.divergence {
         None => {
             let status = match case.stop {
@@ -794,7 +805,12 @@ fn run_one(
                 &config.engines,
                 seed,
                 &config.generator,
-                &probe_cosim,
+                // Shrink probes run on the unpatched options: not the
+                // case's checkpoint store (they re-run many *different*
+                // candidate scenarios), its profile hook (hook clones
+                // share one tally; probe work would pollute the case's
+                // sidecar), or its flight-tapped recorder.
+                &fuzz.cosim,
                 &report,
             )?;
             let archived = match &shrunk {
@@ -830,7 +846,7 @@ fn run_one(
     recorder.count("campaign", "cycles_verified", record.cycles);
     // The counters reach the recorder as per-case deltas, the same scheme
     // lint counters use; only abnormal endings leave a flight dump.
-    let profile = profile_hook.map(|hook| {
+    let profile = run.profile.map(|hook| {
         let snapshot = hook.snapshot();
         for (key, n) in snapshot.iter() {
             recorder.count("profile", key, n);
@@ -857,10 +873,7 @@ fn run_one(
         flight,
         corpus: new_entry,
     }
-    .publish(log)?;
-    if case_checkpoint {
-        let _ = std::fs::remove_file(&ckpt_path);
-    }
+    .publish(&mut log.lock().expect(LOG_POISONED))?;
     Ok(DoneCase {
         record,
         corpus: name,
@@ -870,13 +883,12 @@ fn run_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::caselog::{FrameReader, Kind};
+    use crate::caselog::{Frame, FrameReader};
     use rtl_core::{
         Design, Engine, EngineFactory, EngineLane, EngineOptions, HaltKind, InputSource, SimError,
         SimState, TraceBuf,
     };
-    use rtl_cosim::{FuzzReport, GenOptions};
-    use std::collections::BTreeMap;
+    use rtl_cosim::{CheckpointStore, FuzzReport, GenOptions};
 
     /// A lane that steps idly until the cycle of `halt`, then raises it.
     struct Halting<'d> {
@@ -1011,25 +1023,23 @@ mod tests {
             )));
             let _ = std::fs::remove_dir_all(dir.root());
             dir.init(&config).unwrap();
-            let mut log = LogWriter::new(&dir);
+            let log = Arc::new(Mutex::new(LogWriter::new(&dir)));
             let done = run_one(
                 &registry,
                 &config,
                 &fuzz,
                 0,
-                &mut log,
+                &log,
                 &CorpusIndex::default(),
-                false,
-                false,
-                false,
-                &Recorder::disabled(),
+                &RunOptions::default(),
+                None,
             )
             .unwrap();
             let halted = CaseStatus::Halted {
                 detail: text.to_string(),
             };
             assert_eq!(done.record.status, halted);
-            log.finish().unwrap();
+            log.lock().unwrap().finish().unwrap();
             let stored = dir.load_cases(1).unwrap().remove(0).unwrap();
             assert_eq!(stored.status, halted);
             let _ = std::fs::remove_dir_all(dir.root());
@@ -1049,17 +1059,203 @@ mod tests {
         files
     }
 
-    /// Every crash point of a one-write bundle. A two-case diverging
-    /// campaign with profiles and flight logs runs over its range, so
-    /// nothing compacts and both bundles stay in one worker log. That log
-    /// is cut at every frame boundary of the last bundle and at the
-    /// first, middle and last byte of each of its frames — among them
-    /// whole corpus and sidecar frames with no record, and whole sidecars
-    /// with a torn record — and each cut resumes to the bytes and report
-    /// of an uninterrupted run.
+    /// A store that hands its saves to the case's log store and stops
+    /// the run once one reaches `stop` verified cycles, so the worker's
+    /// log ends as a kill right after that checkpoint leaves it.
+    struct Killed {
+        store: LogCheckpoints,
+        stop: u64,
+    }
+
+    impl CheckpointStore for Killed {
+        fn every(&self) -> Option<u64> {
+            self.store.every()
+        }
+        fn resumes(&self) -> bool {
+            false
+        }
+        fn load(&self) -> std::io::Result<Vec<u8>> {
+            self.store.load()
+        }
+        fn save(&self, verified: u64, doc: &[u8]) -> std::io::Result<()> {
+            self.store.save(verified, doc)?;
+            match verified >= self.stop {
+                true => Err(std::io::Error::other("killed")),
+                false => Ok(()),
+            }
+        }
+        fn optional(&self) -> bool {
+            true
+        }
+    }
+
+    /// Runs case `index` of `config` as a worker of `dir` runs it under
+    /// `options` (which checkpoint), until its checkpoint at `stop`
+    /// verified cycles, and returns the worker log that holds it.
+    fn kill_after_checkpoint(
+        registry: &EngineRegistry,
+        config: &CampaignConfig,
+        options: &RunOptions,
+        dir: &CampaignDir,
+        index: u32,
+        stop: u64,
+    ) -> std::path::PathBuf {
+        let before = Frames::logs(dir).unwrap();
+        let log = Arc::new(Mutex::new(LogWriter::new(dir)));
+        let mut fuzz = config.fuzz_options();
+        fuzz.cosim.recorder = options.recorder.clone();
+        let run = CaseRun::new(&fuzz, index, &log, options, None);
+        let mut patched = run.patched.expect("a checkpointing run is patched");
+        patched.cosim.checkpoint = Some(Checkpoints::new(Killed {
+            store: LogCheckpoints {
+                log,
+                index,
+                profile: run.profile.unwrap_or_default(),
+                flight: run.flight,
+                resume: None,
+            },
+            stop,
+        }));
+        let err = run_fuzz_case(registry, &patched, index).unwrap_err();
+        assert!(err.to_string().contains("killed"), "{err}");
+        let mut logs = Frames::logs(dir).unwrap();
+        logs.retain(|log| !before.contains(log));
+        assert_eq!(logs.len(), 1, "{logs:?}");
+        logs.remove(0)
+    }
+
+    /// The frames of the log at `path`, each with its bytes.
+    fn frames_of(path: &std::path::Path) -> Vec<(Frame, Vec<u8>)> {
+        let log = std::fs::read(path).unwrap();
+        let mut reader = FrameReader::new(&log[..], log.len() as u64);
+        let mut frames = Vec::new();
+        while let Some(frame) = reader.next(|_, _| false).unwrap() {
+            let bytes = log[frame.offset as usize..frame.end() as usize].to_vec();
+            frames.push((frame, bytes));
+        }
+        assert_eq!(reader.tail(), None);
+        frames
+    }
+
+    /// A case killed right after its checkpoint at cycle 256 resumes
+    /// from it to the very bundle an uninterrupted checkpointing run
+    /// publishes: record, profile, flight log and corpus entry. Its
+    /// record and profile also equal a plain run's; its flight log holds
+    /// one `session/cycles` per 256-cycle chunk, so it does not. The case
+    /// diverges at cycle 300, past its checkpoint, so it has a flight log
+    /// and a corpus entry.
+    #[test]
+    fn a_case_killed_after_a_checkpoint_resumes_to_the_bundle_it_would_have_published() {
+        let mut registry = campaign_registry(None);
+        registry.register(Box::new(FaultyVmFactory::from_cycle(300)));
+        let config = CampaignConfig {
+            seed: 3,
+            cases: 1,
+            engines: vec!["interp".into(), "vm-fault".into()],
+            generator: GenOptions {
+                size: 10,
+                cycles: 600,
+                io_every: 2,
+            },
+            ..CampaignConfig::default()
+        };
+        let scratch = |name: &str| {
+            let root =
+                std::env::temp_dir().join(format!("asim2-case-kill-{}-{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let dir = CampaignDir::new(root);
+            dir.init(&config).unwrap();
+            dir
+        };
+        // One run of case 0 into `dir`, resumed from `resume`: its bundle's
+        // frames and the cycles its lanes stepped.
+        let run_case = |dir: &CampaignDir, options: &RunOptions, resume| {
+            let (recorder, memory) = Recorder::memory();
+            let options = RunOptions {
+                recorder,
+                ..options.clone()
+            };
+            let before = Frames::logs(dir).unwrap();
+            let log = Arc::new(Mutex::new(LogWriter::new(dir)));
+            let mut fuzz = config.fuzz_options();
+            fuzz.cosim.recorder = options.recorder.clone();
+            let index = CorpusIndex::default();
+            run_one(&registry, &config, &fuzz, 0, &log, &index, &options, resume).unwrap();
+            log.lock().unwrap().finish().unwrap();
+            options.recorder.flush();
+            let mut summary = rtl_obs::Summary::new();
+            summary.fold_text(&memory.text(), "memory").unwrap();
+            let logs = Frames::logs(dir).unwrap();
+            let new: Vec<_> = logs.iter().filter(|log| !before.contains(log)).collect();
+            assert_eq!(new.len(), 1, "{logs:?}");
+            let frames: BTreeMap<Kind, Vec<u8>> = frames_of(new[0])
+                .into_iter()
+                .map(|(frame, bytes)| (frame.kind, bytes))
+                .collect();
+            (frames, summary.counter("session", "cycles").unwrap())
+        };
+        let checkpointed = RunOptions {
+            workers: 1,
+            case_checkpoint: true,
+            profile: true,
+            flight: true,
+            ..RunOptions::default()
+        };
+
+        let (whole, whole_cycles) = run_case(&scratch("whole"), &checkpointed, None);
+        let kinds: Vec<Kind> = whole.keys().copied().collect();
+        assert_eq!(
+            kinds,
+            [Kind::Profile, Kind::Flight, Kind::Record, Kind::Corpus]
+        );
+
+        let killed = scratch("killed");
+        let tail = kill_after_checkpoint(&registry, &config, &checkpointed, &killed, 0, 256);
+        let left: Vec<Kind> = frames_of(&tail).iter().map(|(f, _)| f.kind).collect();
+        assert_eq!(left, [Kind::Checkpoint]);
+        let mut scan = Frames::scan(&killed, 0..1, &[Kind::Checkpoint], |_, _| Ok(())).unwrap();
+        let checkpoint = scan.checkpoints.remove(&0).expect("the scan finds it");
+        assert_eq!(checkpoint.verified, 256);
+        let (resumed, resumed_cycles) = run_case(&killed, &checkpointed, Some(&checkpoint));
+        assert_eq!(resumed, whole, "the resumed case's bundle");
+        assert!(
+            resumed_cycles < whole_cycles,
+            "{resumed_cycles} lane cycles: the case ran from its start"
+        );
+
+        let plain = RunOptions {
+            case_checkpoint: false,
+            ..checkpointed.clone()
+        };
+        let (plain, _) = run_case(&scratch("plain"), &plain, None);
+        for kind in [Kind::Profile, Kind::Record, Kind::Corpus] {
+            assert_eq!(plain[&kind], whole[&kind], "{}", kind.label());
+        }
+        assert_ne!(plain[&Kind::Flight], whole[&Kind::Flight]);
+        for name in ["whole", "killed", "plain"] {
+            let _ = std::fs::remove_dir_all(scratch(name).root());
+        }
+    }
+
+    /// Every crash point of a one-write bundle and of a checkpoint
+    /// append. A two-case campaign runs over its range, so nothing
+    /// compacts and both bundles stay in one worker log. That log is cut
+    /// at every frame boundary of its last frames and at the first,
+    /// middle and last byte of each of them, and each cut resumes to the
+    /// bytes and report of an uninterrupted run.
+    ///
+    /// * A diverging campaign with profiles and flight logs: the last
+    ///   bundle's cuts leave whole corpus and sidecar frames with no
+    ///   record, and whole sidecars with a torn record.
+    /// * A long agreeing campaign under `case_checkpoint`, its last
+    ///   case's checkpoint at cycle 512 put before that case's bundle:
+    ///   the cuts leave a torn checkpoint (the case reruns from its
+    ///   start), a whole one (it resumes from it) and a whole one before
+    ///   a torn or whole bundle (which it is ignored beside, and dropped
+    ///   by compaction).
     #[test]
     fn a_resume_after_any_cut_in_the_last_bundle_is_byte_identical() {
-        let config = CampaignConfig {
+        let diverging = CampaignConfig {
             seed: 1,
             cases: 2,
             engines: vec!["interp".into(), "vm-fault".into()],
@@ -1070,11 +1266,24 @@ mod tests {
             },
             ..CampaignConfig::default()
         };
-        let options = RunOptions {
+        let sidecars = RunOptions {
             workers: 1,
             profile: true,
             flight: true,
             ..RunOptions::default()
+        };
+        let agreeing = CampaignConfig {
+            engines: vec!["interp".into(), "vm".into()],
+            generator: GenOptions {
+                size: 10,
+                cycles: 600,
+                io_every: 2,
+            },
+            ..diverging.clone()
+        };
+        let checkpointed = RunOptions {
+            case_checkpoint: true,
+            ..sidecars.clone()
         };
         let scratch = |name: &str| {
             let root = std::env::temp_dir()
@@ -1082,53 +1291,60 @@ mod tests {
             let _ = std::fs::remove_dir_all(&root);
             CampaignDir::new(root)
         };
-        let reference_dir = scratch("reference");
-        let reference = run(&reference_dir, &config, &options, &mut NoProgress).unwrap();
-        assert_eq!(reference.diverged(), 2, "{reference}");
+        for (config, options) in [(&diverging, &sidecars), (&agreeing, &checkpointed)] {
+            let reference_dir = scratch("reference");
+            let reference = run(&reference_dir, config, options, &mut NoProgress).unwrap();
+            assert!(reference.complete(), "{reference}");
 
-        let ranged_dir = scratch("ranged");
-        let ranged = RunOptions {
-            case_range: Some(0..2),
-            ..options.clone()
-        };
-        run(&ranged_dir, &config, &ranged, &mut NoProgress).unwrap();
-        let logs = Frames::logs(&ranged_dir).unwrap();
-        assert_eq!(logs.len(), 1, "{logs:?}");
-        let log = std::fs::read(&logs[0]).unwrap();
-        let mut reader = FrameReader::new(&log[..], log.len() as u64);
-        let mut frames = Vec::new();
-        while let Some(frame) = reader.next(|_, _| false).unwrap() {
-            frames.push(frame);
-        }
-        let first = frames.iter().position(|f| f.kind == Kind::Record).unwrap();
-        let bundle = &frames[first + 1..];
-        let kinds: Vec<Kind> = bundle.iter().map(|f| f.kind).collect();
-        assert_eq!(
-            kinds,
-            [Kind::Corpus, Kind::Profile, Kind::Flight, Kind::Record]
-        );
-        let mut cuts = vec![log.len()];
-        for frame in bundle {
-            let (start, end) = (frame.offset as usize, frame.end() as usize);
-            cuts.extend([start, start + 1, (start + end) / 2, end - 1]);
-        }
-        let record = bundle[3];
-        assert!(cuts.contains(&(record.offset as usize)), "no record");
-        assert!(cuts.contains(&((record.offset + record.end()) as usize / 2)));
+            let ranged_dir = scratch("ranged");
+            let ranged = RunOptions {
+                case_range: Some(0..2),
+                ..options.clone()
+            };
+            run(&ranged_dir, config, &ranged, &mut NoProgress).unwrap();
+            let logs = Frames::logs(&ranged_dir).unwrap();
+            assert_eq!(logs.len(), 1, "{logs:?}");
+            let mut frames = frames_of(&logs[0]);
+            let first = frames
+                .iter()
+                .position(|f| f.0.kind == Kind::Record)
+                .unwrap();
+            if options.case_checkpoint {
+                let registry = campaign_registry(None);
+                let killed = kill_after_checkpoint(&registry, config, options, &ranged_dir, 1, 512);
+                let checkpoint = frames_of(&killed).remove(0);
+                std::fs::remove_file(killed).unwrap();
+                frames.insert(first + 1, checkpoint);
+            }
+            let kinds: Vec<Kind> = frames[first + 1..].iter().map(|f| f.0.kind).collect();
+            let expected: &[Kind] = match options.case_checkpoint {
+                true => &[Kind::Checkpoint, Kind::Profile, Kind::Record],
+                false => &[Kind::Corpus, Kind::Profile, Kind::Flight, Kind::Record],
+            };
+            assert_eq!(kinds, expected);
+            let log: Vec<u8> = frames.iter().flat_map(|f| f.1.clone()).collect();
+            let mut at: usize = frames[..=first].iter().map(|f| f.1.len()).sum();
+            let mut cuts = vec![log.len()];
+            for (_, bytes) in &frames[first + 1..] {
+                let end = at + bytes.len();
+                cuts.extend([at, at + 1, (at + end) / 2, end - 1]);
+                at = end;
+            }
 
-        for cut in cuts {
-            let dir = scratch("cut");
-            std::fs::create_dir_all(dir.cases()).unwrap();
-            std::fs::create_dir_all(dir.corpus()).unwrap();
-            std::fs::copy(ranged_dir.manifest(), dir.manifest()).unwrap();
-            let name = logs[0].file_name().unwrap();
-            std::fs::write(dir.cases().join(name), &log[..cut]).unwrap();
-            let report = resume(&dir, &options, &mut NoProgress).unwrap();
-            assert_eq!(format!("{report}"), format!("{reference}"), "cut at {cut}");
-            assert_eq!(tree(&dir), tree(&reference_dir), "cut at {cut}");
-            let _ = std::fs::remove_dir_all(dir.root());
+            for cut in cuts {
+                let dir = scratch("cut");
+                std::fs::create_dir_all(dir.cases()).unwrap();
+                std::fs::create_dir_all(dir.corpus()).unwrap();
+                std::fs::copy(ranged_dir.manifest(), dir.manifest()).unwrap();
+                let name = logs[0].file_name().unwrap();
+                std::fs::write(dir.cases().join(name), &log[..cut]).unwrap();
+                let report = resume(&dir, options, &mut NoProgress).unwrap();
+                assert_eq!(format!("{report}"), format!("{reference}"), "cut at {cut}");
+                assert_eq!(tree(&dir), tree(&reference_dir), "cut at {cut}");
+                let _ = std::fs::remove_dir_all(dir.root());
+            }
+            let _ = std::fs::remove_dir_all(reference_dir.root());
+            let _ = std::fs::remove_dir_all(ranged_dir.root());
         }
-        let _ = std::fs::remove_dir_all(reference_dir.root());
-        let _ = std::fs::remove_dir_all(ranged_dir.root());
     }
 }

@@ -309,7 +309,6 @@ impl Recording {
         cosim: &CosimOptions,
     ) -> Self {
         let self_contained = cosim.checkpoint.is_none()
-            && cosim.resume.is_none()
             && cosim.export_digests.is_none()
             && cosim.check_digests.is_none();
         let reads = u64::try_from(report.cycle)

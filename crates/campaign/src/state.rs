@@ -5,8 +5,8 @@
 //! ```text
 //! campaign.json        — format line, config fingerprint, configuration
 //! cases/cases.log      — each case's profile, flight log and record, as frames by index
-//! cases/worker-N.log   — the case bundles a run's writers appended, until compaction
-//! cases/case-N.ckpt    — a case's mid-run lockstep checkpoint (`--case-checkpoint` only)
+//! cases/worker-N.log   — the case bundles a run's writers appended, until compaction,
+//!                        and a killed case's last checkpoint (`--case-checkpoint` only)
 //! corpus/corpus.log    — shrunk divergence-regression scenarios, one frame per entry
 //! */worker-p….log     — what one process published outside a run, until compaction
 //! bin-cache/           — compiled `rust`-lane binaries, keyed by source hash
@@ -31,16 +31,17 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// The manifest format line; bump on breaking layout changes. Version 4
-/// keeps each case's whole bundle in one log.
-pub const FORMAT: &str = "asim2-campaign v4";
+/// The manifest format line; bump on breaking layout changes. Version 5
+/// keeps a case's mid-run checkpoint as a frame of its writer's log.
+pub const FORMAT: &str = "asim2-campaign v5";
 
 /// The format lines of earlier layouts, refused by name, with what they
 /// kept as files.
-const RETIRED: [(&str, &str); 3] = [
+const RETIRED: [(&str, &str); 4] = [
     ("asim2-campaign v1", "one file per case record"),
     ("asim2-campaign v2", "four files per corpus entry"),
     ("asim2-campaign v3", "two files of sidecars per case"),
+    ("asim2-campaign v4", "a file per case checkpoint"),
 ];
 
 /// How one case ended.
@@ -410,8 +411,8 @@ impl CampaignDir {
     }
 
     /// Removes the `.tmp-*` siblings that a kill between write and rename
-    /// leaves in `cases/` (a case checkpoint, see [`write_atomic`], and
-    /// the compacted case log) and `corpus/` (the compacted corpus log). A process
+    /// leaves in `cases/` (the compacted case log) and `corpus/` (the
+    /// compacted corpus log). A process
     /// calls this once, when it takes the directory over: an orphan would
     /// otherwise survive into the finished tree and break its byte
     /// identity with an uninterrupted run.
@@ -462,13 +463,13 @@ impl CampaignDir {
     ///
     /// A corrupt record or log, or file-system failure.
     pub fn load_cases(&self, cases: u32) -> Result<Vec<Option<CaseRecord>>, CampaignError> {
-        Ok(self.scan(cases, 0..cases)?.0)
+        Ok(self.scan(cases, 0..cases, &[Kind::Record])?.0)
     }
 
     /// [`load_cases`](CampaignDir::load_cases) reading only the records
     /// of `range`, every case outside it `None` and its frames stepped
     /// over unread, and returning the scan the records came from, which
-    /// also indexes the corpus.
+    /// also reads the frames of the other `kinds` (see [`Frames::scan`]).
     ///
     /// # Errors
     ///
@@ -477,10 +478,11 @@ impl CampaignDir {
         &self,
         cases: u32,
         range: Range<u32>,
+        kinds: &[Kind],
     ) -> Result<(Vec<Option<CaseRecord>>, Frames), CampaignError> {
         let mut records = vec![None; cases as usize];
         let cases_dir = self.cases();
-        let frames = self.frames(cases, range, |index, text| {
+        let frames = self.frames(cases, range, kinds, |index, text| {
             let record = std::str::from_utf8(text)
                 .map_err(|e| e.to_string())
                 .and_then(Json::parse)
@@ -508,9 +510,10 @@ impl CampaignDir {
         &self,
         cases: u32,
         range: Range<u32>,
+        kinds: &[Kind],
         visit: impl FnMut(u32, &[u8]) -> Result<(), CampaignError>,
     ) -> Result<Frames, CampaignError> {
-        let frames = Frames::scan(self, range.start..range.end.min(cases), visit)?;
+        let frames = Frames::scan(self, range.start..range.end.min(cases), kinds, visit)?;
         if let Some(index) = frames.indices().next_back().filter(|&index| index >= cases) {
             return Err(CampaignError::Corrupt(format!(
                 "{}: a frame for case {index}, outside the campaign's {cases} case(s)",

@@ -3,15 +3,17 @@
 //! drifted, foreign and corrupt state. Determinism across worker counts
 //! and interrupt + resume is the root `tests/identity.rs` matrix.
 
-use rtl_campaign::caselog::{FrameReader, CANONICAL, HEADER};
-use rtl_campaign::CASE_CHECKPOINT_EVERY;
+use rtl_campaign::caselog::{encode_frame, FrameReader, Kind, CANONICAL, HEADER};
 use rtl_campaign::{
-    replay_corpus, resume, run, CampaignConfig, CampaignDir, CampaignError, CaseStatus, NoProgress,
-    ReplayOutcome, RunOptions,
+    replay_corpus, resume, run, CampaignConfig, CampaignDir, CampaignError, CaseCheckpoint,
+    CaseStatus, Frames, LogCheckpoints, LogWriter, NoProgress, ReplayOutcome, RunOptions,
+    CASE_CHECKPOINT_EVERY,
 };
-use rtl_core::{Design, ElabOptions};
-use rtl_cosim::{registry, CosimOptions, GenOptions, Harness, LockstepCheckpoint};
+use rtl_core::{Design, ElabOptions, ProfileHook};
+use rtl_cosim::{registry, Checkpoints, CosimOptions, GenOptions, Harness};
+use rtl_obs::{Recorder, Summary};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asim2-campaign-it-{}-{name}", std::process::id()));
@@ -56,8 +58,9 @@ fn opts(workers: usize) -> RunOptions {
     }
 }
 
-/// A case resumed from the checkpoint a kill left mid-run records the
-/// lane statistics of an uninterrupted run, not only its resumed part.
+/// A case resumed from the checkpoint frame a kill left mid-run records
+/// the lane statistics of an uninterrupted run, not only its resumed
+/// part, and compaction drops the frame.
 #[test]
 fn a_case_resumed_from_its_checkpoint_records_the_whole_run_s_lane_stats() {
     let config = CampaignConfig {
@@ -85,18 +88,21 @@ fn a_case_resumed_from_its_checkpoint_records_the_whole_run_s_lane_stats() {
     assert_eq!(cycles, [600, 600]);
 
     // What a kill after the case's first checkpoint leaves behind: the
-    // document its run writes at cycle CASE_CHECKPOINT_EVERY.
+    // frame its run appends to the worker's log at cycle
+    // CASE_CHECKPOINT_EVERY.
     let root = scratch("resumed-case");
     let dir = CampaignDir::new(&root);
-    std::fs::create_dir_all(dir.cases()).unwrap();
-    let ckpt = dir.cases().join("case-000000.ckpt");
+    dir.init(&config).unwrap();
     let case = rtl_cosim::generate_case(config.seed, &config.generator);
     let design = Design::elaborate_with(case.spec, ElabOptions::default()).unwrap();
     let cosim = CosimOptions {
-        checkpoint: Some(LockstepCheckpoint {
-            path: ckpt.clone(),
-            every: CASE_CHECKPOINT_EVERY,
-        }),
+        checkpoint: Some(Checkpoints::new(LogCheckpoints {
+            log: Arc::new(Mutex::new(LogWriter::new(&dir))),
+            index: 0,
+            profile: ProfileHook::disabled(),
+            flight: None,
+            resume: None,
+        })),
         ..config.fuzz_options().cosim
     };
     let mut harness =
@@ -105,11 +111,30 @@ fn a_case_resumed_from_its_checkpoint_records_the_whole_run_s_lane_stats() {
         .run(CASE_CHECKPOINT_EVERY, &case.input)
         .unwrap()
         .agreed());
-    assert!(ckpt.exists());
+    drop(harness);
+    let planted = Frames::logs(&dir).unwrap();
+    assert_eq!(planted.len(), 1);
 
-    let resumed = run(&dir, &config, &checkpointed, &mut NoProgress).unwrap();
-    assert!(!ckpt.exists(), "the case resumed from its checkpoint");
+    let (recorder, memory) = Recorder::memory();
+    let resumed = resume(
+        &dir,
+        &RunOptions {
+            recorder: recorder.clone(),
+            ..checkpointed
+        },
+        &mut NoProgress,
+    )
+    .unwrap();
     assert_eq!(resumed.records[0].as_ref(), Some(&whole));
+    recorder.flush();
+    let mut summary = Summary::new();
+    summary.fold_text(&memory.text(), "memory").unwrap();
+    assert_eq!(
+        summary.counter("session", "cycles"),
+        Some(2 * (600 - CASE_CHECKPOINT_EVERY)),
+        "the case resumed from its checkpoint"
+    );
+    assert!(!planted[0].exists(), "compaction dropped the checkpoint");
     for root in [&whole_root, &root] {
         let _ = std::fs::remove_dir_all(root);
     }
@@ -239,22 +264,25 @@ fn run_refuses_unknown_engines_and_existing_campaigns() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A ranged resume reads and sweeps only its own range: a corrupt record
-/// and a stale checkpoint outside it are left alone, a stale checkpoint
-/// beside a completed in-range record is swept, and the missing in-range
-/// case reruns to the reference record. An unranged resume still reads
-/// every record and refuses the corrupt one by name.
+/// A ranged resume reads only its own range: a corrupt record and a
+/// checkpoint frame that does not decode outside it are left alone, a
+/// stale checkpoint frame beside a completed in-range record is ignored,
+/// and the missing in-range case reruns to the reference record. An
+/// unranged resume still reads every record and refuses the corrupt one
+/// by name; once the record is mended, it resumes nothing, and its
+/// compaction drops the stale checkpoint.
 #[test]
-fn ranged_resume_reads_and_sweeps_only_its_range() {
+fn ranged_resume_reads_only_its_range() {
     let root = scratch("ranged");
     let dir = CampaignDir::new(&root);
     let reference = run(&dir, &quick_config(6), &opts(2), &mut NoProgress).unwrap();
     assert!(reference.complete(), "{reference}");
+    let canonical = std::fs::read(dir.cases().join(CANONICAL)).unwrap();
 
     // Flip one record byte of case 0's frame, the first of the canonical
     // log, and cut case 5's, its last, off at its frame boundary.
     let log = dir.cases().join(CANONICAL);
-    let mut bytes = std::fs::read(&log).unwrap();
+    let mut bytes = canonical.clone();
     let mut reader = FrameReader::new(&bytes[..], bytes.len() as u64);
     let mut offsets = Vec::new();
     while let Some(frame) = reader.next(|_, _| false).unwrap() {
@@ -267,16 +295,28 @@ fn ranged_resume_reads_and_sweeps_only_its_range() {
     bytes.truncate(offsets[5].1 as usize);
     bytes[HEADER + 2] ^= 0x20;
     std::fs::write(&log, bytes).unwrap();
-    let stale_outside = dir.cases().join("case-000001.ckpt");
-    let stale_inside = dir.cases().join("case-000004.ckpt");
-    std::fs::write(&stale_outside, "stale").unwrap();
-    std::fs::write(&stale_inside, "stale").unwrap();
+    let plant = |name: &str, index: u32, body: &[u8]| {
+        let mut frame = Vec::new();
+        encode_frame(Kind::Checkpoint, index, body, &mut frame).unwrap();
+        let path = dir.cases().join(name);
+        std::fs::write(&path, frame).unwrap();
+        path
+    };
+    let undecodable = plant("worker-90.log", 1, b"stale");
+    let stale = CaseCheckpoint {
+        verified: 16,
+        profile: None,
+        flight: None,
+        lockstep: b"asim2-lockstep v2\nstale\n".to_vec(),
+    };
+    let stale = plant("worker-91.log", 4, &stale.encode().unwrap());
 
     let ranged = resume(
         &dir,
         &RunOptions {
             workers: 1,
             case_range: Some(3..6),
+            case_checkpoint: true,
             ..RunOptions::default()
         },
         &mut NoProgress,
@@ -284,8 +324,7 @@ fn ranged_resume_reads_and_sweeps_only_its_range() {
     .unwrap();
     assert!(ranged.records[..3].iter().all(Option::is_none));
     assert_eq!(ranged.records[3..], reference.records[3..]);
-    assert!(stale_outside.exists(), "out-of-range checkpoint was swept");
-    assert!(!stale_inside.exists(), "in-range stale checkpoint survived");
+    assert!(stale.exists(), "a ranged run compacts nothing");
 
     let err = resume(&dir, &opts(1), &mut NoProgress).unwrap_err();
     assert!(
@@ -293,5 +332,12 @@ fn ranged_resume_reads_and_sweeps_only_its_range() {
             if m.contains("cases.log") && m.contains("(case 0) fails its checksum")),
         "expected corrupt-record refusal, got: {err}"
     );
+
+    std::fs::write(&log, &canonical).unwrap();
+    std::fs::remove_file(undecodable).unwrap();
+    let mended = resume(&dir, &opts(1), &mut NoProgress).unwrap();
+    assert_eq!(mended.records, reference.records);
+    assert!(!stale.exists(), "compaction dropped the stale checkpoint");
+    assert_eq!(std::fs::read(&log).unwrap(), canonical);
     let _ = std::fs::remove_dir_all(&root);
 }

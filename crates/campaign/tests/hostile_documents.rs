@@ -18,12 +18,21 @@
 //! to `u32::MAX`, with a document that is not UTF-8 and with a document
 //! missing. Each must return `Err`, or for a flip that leaves the body
 //! well formed, an entry; never a panic.
+//!
+//! A case checkpoint frame's body ([`CaseCheckpoint::decode`]) carries
+//! its own checksum, so every truncation, every single bit flip and
+//! arbitrary bytes must return `Err`; so must a body whose checksum
+//! was recomputed over a length prefix set anywhere up to `u32::MAX`, a
+//! tally that is not UTF-8 or does not parse, or a presence byte no
+//! writer writes. Never a panic.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rtl_campaign::caselog::{encode_frame, FrameReader, Kind, FRAME_CAP, HEADER};
 use rtl_campaign::corpus::{decode_entry, encode_entry};
-use rtl_campaign::{CampaignError, CaseRecord, CaseStatus, CorpusFiles, LaneAccess};
+use rtl_campaign::{
+    CampaignError, CaseCheckpoint, CaseRecord, CaseStatus, CorpusFiles, LaneAccess,
+};
 
 /// One frame: its kind, key and body.
 type Framed = (Kind, u32, Vec<u8>);
@@ -258,7 +267,7 @@ fn a_record_over_the_cap_is_refused_unread() {
 #[test]
 fn an_unknown_kind_is_refused_unread() {
     let (log, starts) = valid_log();
-    for kind in [0, 5, 1 << 16, u32::MAX] {
+    for kind in [0, 6, 1 << 16, u32::MAX] {
         for &at in &starts {
             let mut bytes = log.clone();
             bytes[at + 4..at + 8].copy_from_slice(&kind.to_le_bytes());
@@ -401,5 +410,122 @@ fn arbitrary_bytes_are_never_a_corpus_panic() {
             bytes.splice(0..0, body[..keep].iter().copied());
         }
         let _ = decode_entry(&bytes);
+    }
+}
+
+/// A case checkpoint with both tallies, shaped like a real one.
+fn checkpoint() -> CaseCheckpoint {
+    let profile = rtl_core::Profile::parse(
+        "{\"format\": \"asim2-profile v1\", \"counters\": {\"alu/eval\": 256, \"mem/read/3\": 7}}",
+    )
+    .unwrap();
+    let event = |key: &str, n: u64| rtl_obs::Event::Counter {
+        src: "lockstep".into(),
+        key: key.into(),
+        n,
+    };
+    CaseCheckpoint {
+        verified: 256,
+        profile: Some(profile),
+        flight: Some(vec![event("compare_all", 256), event("cycles", 512)]),
+        lockstep: b"asim2-lockstep v2\nfingerprint 0123456789abcdef\nverified 256\n".to_vec(),
+    }
+}
+
+/// Recomputes a checkpoint body's checksum over whatever it now holds.
+fn reseal(body: &mut [u8]) {
+    let mut fp = rtl_core::Fingerprint::new();
+    fp.write(&body[8..]);
+    let sum = fp.finish();
+    body[..8].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn a_checkpoint_body_reads_back_whole() {
+    let body = checkpoint().encode().unwrap();
+    assert_eq!(CaseCheckpoint::decode(&body).unwrap(), checkpoint());
+    let bare = CaseCheckpoint {
+        profile: None,
+        flight: Some(Vec::new()),
+        ..checkpoint()
+    };
+    let body = bare.encode().unwrap();
+    assert_eq!(CaseCheckpoint::decode(&body).unwrap(), bare);
+}
+
+#[test]
+fn every_truncation_of_a_checkpoint_body_is_refused() {
+    let body = checkpoint().encode().unwrap();
+    for cut in 0..body.len() {
+        assert!(
+            CaseCheckpoint::decode(&body[..cut]).is_err(),
+            "cut at {cut}"
+        );
+    }
+}
+
+#[test]
+fn every_single_bit_flip_of_a_checkpoint_body_is_refused() {
+    let body = checkpoint().encode().unwrap();
+    for bit in 0..body.len() * 8 {
+        let mut bytes = body.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let err = CaseCheckpoint::decode(&bytes).unwrap_err();
+        assert!(err.contains("checksum"), "bit {bit}: {err}");
+    }
+}
+
+#[test]
+fn a_resealed_checkpoint_body_is_refused_part_by_part() {
+    let body = checkpoint().encode().unwrap();
+    // The profile's presence byte follows the checksum and the verified
+    // count; its length follows that.
+    let (presence, len) = (16, 17);
+    let profile_len = u32::from_le_bytes(body[len..len + 4].try_into().unwrap()) as usize;
+    let flight = len + 4 + profile_len;
+    let mut rng = StdRng::seed_from_u64(0xca5e_0005);
+    let mut longer = body.clone();
+    longer[len..len + 4].copy_from_slice(&(profile_len as u32 + 1).to_le_bytes());
+    reseal(&mut longer);
+    let err = CaseCheckpoint::decode(&longer).unwrap_err();
+    assert!(err.contains("profile tally"), "{err}");
+    let mut lengths = vec![1 << 20, 1 << 31, u32::MAX];
+    lengths.extend((0..500).map(|_| rng.next_u64() as u32 | (1 << 16)));
+    for at in [len, flight + 1] {
+        for &n in &lengths {
+            let mut bytes = body.clone();
+            bytes[at..at + 4].copy_from_slice(&n.to_le_bytes());
+            reseal(&mut bytes);
+            let err = CaseCheckpoint::decode(&bytes).unwrap_err();
+            assert!(err.contains("malformed"), "length {n} at {at}: {err}");
+        }
+    }
+    for (at, byte, what) in [
+        (presence, 2, "malformed"),
+        (flight, 7, "malformed"),
+        (len + 4, 0xff, "not UTF-8"),
+        (len + 4, b'[', "profile tally"),
+        (flight + 5, b'x', "flight ring"),
+    ] {
+        let mut bytes = body.clone();
+        bytes[at] = byte;
+        reseal(&mut bytes);
+        let err = CaseCheckpoint::decode(&bytes).unwrap_err();
+        assert!(err.contains(what), "byte {byte} at {at}: {err}");
+    }
+}
+
+#[test]
+fn arbitrary_bytes_are_never_a_checkpoint() {
+    let body = checkpoint().encode().unwrap();
+    let mut rng = StdRng::seed_from_u64(0xca5e_0006);
+    for round in 0..20_000 {
+        let len = rng.random_range(0..=96);
+        let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        if round % 2 == 1 {
+            let keep = rng.random_range(0..body.len());
+            bytes.splice(0..0, body[..keep].iter().copied());
+        }
+        assert!(CaseCheckpoint::decode(&bytes).is_err(), "round {round}");
     }
 }

@@ -158,13 +158,15 @@ fingerprint drift, duplicate worker name) exit 2 with the named reason.
 profile runs one engine with the execution-profile tap on and ranks components
 by event count; campaign/shard --profile-out F folds the per-case profiles
 into one asim2-profile v1 document, byte-identical across worker counts and
-kill+resume (incompatible with --case-checkpoint).
+kill+resume, --case-checkpoint's mid-case resumes included.
 --flight arms the divergence flight recorder: each case runs with a bounded
 ring buffer of its own telemetry, and any case that halts, errors or diverges
 keeps the last events before the trigger in its case log, which campaign
 export renders as cases/case-N.flight.jsonl — byte-identical across worker
-counts and kill+resume, on single machines and fleets alike (incompatible
-with --case-checkpoint).
+counts and kill+resume, on single machines and fleets alike.
+--case-checkpoint saves a long case's lockstep position every 256 cycles as
+a frame of its worker's log, so a killed case resumes mid-run with its
+profile and flight ring; a lane mix with a stream lane saves none.
 fleet status watches a serving controller read-only over the same protocol:
 one asim2-fleet-status v1 document per poll, --watch to repeat until the
 campaign drains.";
@@ -564,16 +566,16 @@ fn cosim_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if checkpoint_every == Some(0) {
         return Err(usage_err("--checkpoint-every needs a positive interval"));
     }
-    let checkpoint = checkpoint_path.map(|path| rtl_cosim::LockstepCheckpoint {
-        path: path.into(),
-        every: checkpoint_every.unwrap_or(256),
-    });
-    let resume = args.value("--resume").map(std::path::PathBuf::from);
+    let files = rtl_cosim::CheckpointFiles {
+        save: checkpoint_path.map(|path| (path.into(), checkpoint_every.unwrap_or(256))),
+        resume: args.value("--resume").map(std::path::PathBuf::from),
+    };
+    let checkpoint = (files.save.is_some() || files.resume.is_some())
+        .then(|| rtl_cosim::Checkpoints::new(files));
     let dump_divergence = args.value("--dump-divergence");
     let export_digests = args.value("--export-digests").map(std::path::PathBuf::from);
     let check_digests = args.value("--check-digests").map(std::path::PathBuf::from);
     if (checkpoint.is_some()
-        || resume.is_some()
         || dump_divergence.is_some()
         || export_digests.is_some()
         || check_digests.is_some())
@@ -589,7 +591,6 @@ fn cosim_cmd(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         compare_every: compare_every.max(1),
         compare,
         checkpoint,
-        resume,
         export_digests,
         check_digests,
         lint_oracle: args.has("--lint-oracle"),
@@ -2018,9 +2019,9 @@ mod tests {
         assert!(flight.contains("trigger:"), "{flight}");
         assert!(flight.contains("diverged at cycle"), "{flight}");
 
-        // The recorder cannot be combined with per-case checkpointing.
-        let d2 = campaign_dir("flight-conflict");
-        let (code, err) = run_fail(&[
+        // The recorder combines with per-case checkpointing.
+        let d2 = campaign_dir("flight-checkpointed");
+        run_ok(&[
             "campaign",
             "run",
             "--dir",
@@ -2030,8 +2031,6 @@ mod tests {
             "--flight",
             "--case-checkpoint",
         ]);
-        assert_eq!(code, 1, "{err}");
-        assert!(err.contains("flight recorder"), "{err}");
         let _ = std::fs::remove_dir_all(&d);
         let _ = std::fs::remove_dir_all(&exported);
         let _ = std::fs::remove_dir_all(&d2);
@@ -2198,21 +2197,25 @@ mod tests {
         let _ = std::fs::remove_file(&prof);
     }
 
+    /// A case checkpoint carries the case's profile tally, so
+    /// `--case-checkpoint` folds to the profile a plain run does.
     #[test]
-    fn campaign_profile_out_rejects_case_checkpoint() {
-        let d = campaign_dir("prof-ckpt");
-        let (code, err) = run_fail(&[
-            "campaign",
-            "run",
-            "--dir",
-            d.to_str().unwrap(),
-            "--profile-out",
-            "/tmp/never-written.json",
-            "--case-checkpoint",
-        ]);
-        assert_eq!(code, 1);
-        assert!(err.contains("per-case checkpointing"), "{err}");
-        let _ = std::fs::remove_dir_all(&d);
+    fn campaign_profile_out_takes_case_checkpoint() {
+        let profile = |name: &str, extra: &[&str]| {
+            let d = campaign_dir(name);
+            let prof = d.with_extension("profile.json");
+            let mut args = vec!["campaign", "run", "--dir", d.to_str().unwrap()];
+            args.extend(["--cases", "2", "--cycles", "600", "--size", "8"]);
+            args.extend(["--profile-out", prof.to_str().unwrap()]);
+            args.extend(extra);
+            run_ok(&args);
+            let doc = std::fs::read_to_string(&prof).unwrap();
+            let _ = std::fs::remove_dir_all(&d);
+            let _ = std::fs::remove_file(&prof);
+            doc
+        };
+        let plain = profile("prof-plain", &[]);
+        assert_eq!(plain, profile("prof-ckpt", &["--case-checkpoint"]));
     }
 
     #[test]
@@ -2304,7 +2307,13 @@ mod tests {
         );
         assert!(err.contains("campaign found 2 divergence(s)"), "{err}");
         let campaign = rtl_campaign::CampaignDir::new(&d);
-        let corpus = rtl_campaign::Frames::scan(&campaign, 0..0, |_, _| Ok(())).unwrap();
+        let corpus = rtl_campaign::Frames::scan(
+            &campaign,
+            0..0,
+            &[rtl_campaign::caselog::Kind::Corpus],
+            |_, _| Ok(()),
+        )
+        .unwrap();
         assert!(
             corpus.names().any(|name| name == "seed-3"),
             "corpus archived"
@@ -2571,12 +2580,13 @@ mod tests {
 
     /// A directory laid out by an earlier version — version 1 kept one
     /// file per case record, version 2 four files per corpus entry,
-    /// version 3 profile and flight files beside its logs — is refused by
+    /// version 3 profile and flight files beside its logs, version 4 a
+    /// file per case checkpoint — is refused by
     /// name by every command that takes a campaign directory over; none
     /// reads it as an empty campaign.
     #[test]
     fn retired_campaign_layouts_are_refused_by_name() {
-        for version in ["v1", "v2", "v3"] {
+        for version in ["v1", "v2", "v3", "v4"] {
             let base = campaign_dir(&format!("retired-{version}"));
             let dir = base.join("old");
             quick_campaign(&dir, "2");
@@ -2585,7 +2595,7 @@ mod tests {
             std::fs::remove_file(campaign.cases().join("cases.log")).unwrap();
             let manifest = std::fs::read_to_string(campaign.manifest()).unwrap();
             let format = format!("asim2-campaign {version}");
-            let old = manifest.replace("asim2-campaign v4", &format);
+            let old = manifest.replace(rtl_campaign::state::FORMAT, &format);
             assert_ne!(old, manifest);
             std::fs::write(campaign.manifest(), old).unwrap();
 

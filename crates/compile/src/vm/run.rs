@@ -244,6 +244,12 @@ impl Engine for Vm<'_> {
         Some(&self.stats)
     }
 
+    fn flush_profile(&mut self) {
+        if let Some(tally) = self.tally.as_deref_mut() {
+            tally.flush();
+        }
+    }
+
     fn observes_output(&self, id: rtl_core::CompId) -> bool {
         self.observed[id.index()]
     }

@@ -57,6 +57,12 @@ pub trait Engine {
         None
     }
 
+    /// Folds the execution-profile counts this engine has kept since its
+    /// last fold into its profile hook, so a snapshot of the hook covers
+    /// the run so far (a lockstep checkpoint takes one). A no-op for an
+    /// engine that does not profile.
+    fn flush_profile(&mut self) {}
+
     /// Executes one cycle per the contract documented on
     /// [`design`](crate::design) (combinational phase, trace, memory
     /// capture, memory update, cycle increment).
@@ -105,6 +111,10 @@ impl<E: Engine + ?Sized> Engine for &mut E {
         (**self).stats()
     }
 
+    fn flush_profile(&mut self) {
+        (**self).flush_profile();
+    }
+
     fn step(
         &mut self,
         trace: &mut TraceBuf<'_>,
@@ -137,6 +147,10 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
 
     fn stats(&self) -> Option<&SimStats> {
         (**self).stats()
+    }
+
+    fn flush_profile(&mut self) {
+        (**self).flush_profile();
     }
 
     fn step(

@@ -155,6 +155,10 @@ impl Engine for FaultInjector<'_> {
         self.inner.stats()
     }
 
+    fn flush_profile(&mut self) {
+        self.inner.flush_profile();
+    }
+
     fn step(
         &mut self,
         trace: &mut TraceBuf<'_>,

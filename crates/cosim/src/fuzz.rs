@@ -4,7 +4,7 @@ use crate::engines::registry;
 use crate::generate::{generate_case, GenOptions, GeneratedCase};
 use crate::lockstep::CosimOptions;
 use crate::report::{self, ScenarioResult};
-use crate::stream::{run_design_names, ScenarioError};
+use crate::stream::{Harness, ScenarioError};
 use rtl_core::{Design, ElabOptions};
 
 /// Fuzz campaign configuration.
@@ -88,7 +88,8 @@ impl std::fmt::Display for FuzzReport {
 /// The case elaborates the generator's own [`Spec`](rtl_lang::Spec)
 /// ([`generate_case`]), moved into the design. It lints that design
 /// ([`rtl_lint::lint_design`], into `lint/*` counters) when
-/// [`CosimOptions::lint_oracle`] is set, and only then.
+/// [`CosimOptions::lint_oracle`] is set, unless the run resumes from a
+/// checkpoint: the run that saved it linted.
 ///
 /// # Errors
 ///
@@ -107,7 +108,10 @@ pub fn run_fuzz_case(
         input,
     } = generate_case(seed, &options.generator);
     let design = Design::elaborate_with(spec, ElabOptions::default())?;
-    if options.cosim.lint_oracle {
+    let mut harness = Harness::prepare(registry, &options.engines, &design, &name, &options.cosim)?;
+    // A run resumed from a checkpoint does not lint: the run that saved
+    // the checkpoint did.
+    if options.cosim.lint_oracle && !harness.resumes() {
         // Per-code counts depend only on (config, index), so totals are
         // byte-identical across worker counts and kill+resume.
         let recorder = &options.cosim.recorder;
@@ -116,15 +120,8 @@ pub fn run_fuzz_case(
             recorder.count("lint", code, n);
         }
     }
-    let outcome = run_design_names(
-        registry,
-        &options.engines,
-        &design,
-        &name,
-        cycles,
-        &input,
-        &options.cosim,
-    )?;
+    let outcome = harness.run(cycles, &input)?;
+    drop(harness);
     Ok(ScenarioResult::new(name, outcome))
 }
 

@@ -16,7 +16,8 @@
 //!   the lanes through [`Engine::snapshot`](rtl_core::Engine::snapshot)/
 //!   [`restore`](rtl_core::Engine::restore) and bisects to the exact
 //!   cycle. A long case can also stop and restart mid-run through the
-//!   on-disk [`Lockstep::checkpoint`]/[`Lockstep::resume`] document.
+//!   [`Lockstep::checkpoint`]/[`Lockstep::resume`] document, kept in a
+//!   [`CheckpointStore`].
 //! * [`engines`] — assembles the *default* core
 //!   [`EngineRegistry`](rtl_core::EngineRegistry): `interp`,
 //!   `interp-faithful`, `vm`, `vm-noopt`, the `rust` generated-binary
@@ -70,7 +71,10 @@ pub use engines::{default_registry, registry};
 pub use fault::{FaultyVmFactory, DEFAULT_FAULT_CYCLE};
 pub use fuzz::{run_fuzz, run_fuzz_case, FuzzOptions, FuzzReport};
 pub use generate::{generate_case, generate_scenario, GenOptions, GeneratedCase};
-pub use lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep, LockstepCheckpoint};
+pub use lockstep::{
+    CheckpointFiles, CheckpointStore, Checkpoints, CosimOptions, CosimOutcome, DivergenceReport,
+    Lockstep,
+};
 pub use report::ScenarioResult;
 pub use rtl_core::observe::{Comparator, CompareMode, DivergenceKind, LaneReport, LaneStats};
 pub use stream::{run_design_names, run_scenario_names, Harness, ScenarioError};

@@ -59,8 +59,9 @@
 //! stop and restart mid-case: [`Lockstep::checkpoint`] writes every lane
 //! to one document (each lane's state as a [`Session::checkpoint`]) and
 //! [`Lockstep::resume`] restores it — the mechanism behind `asim2 cosim
-//! --checkpoint/--resume` and `asim2 campaign run --case-checkpoint`. A
-//! resumed run reports the statistics an uninterrupted one would.
+//! --checkpoint/--resume` and `asim2 campaign run --case-checkpoint`,
+//! which keep the documents in a [`CheckpointStore`]. A resumed run
+//! reports the statistics an uninterrupted one would.
 
 use rtl_core::observe::{stop_state, Comparator, CompareMode, Observation, TRACE_WINDOW_LINES};
 use rtl_core::trace::render_text;
@@ -73,15 +74,116 @@ use std::cell::{Cell, RefCell};
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+use std::sync::Arc;
 
-/// Mid-run checkpointing for one lockstep case: where to write the
-/// document and how often (in cycles).
+/// Where a lockstep run keeps its mid-run checkpoints
+/// ([`CosimOptions::checkpoint`]). A [`Harness`](crate::Harness) run
+/// loads the document it resumes from, when the store holds one, before
+/// its first cycle, and saves a [`Lockstep::checkpoint`] document every
+/// [`every`](CheckpointStore::every) verified cycles.
+/// [`CheckpointFiles`] keeps them as files (`asim2 cosim --checkpoint
+/// --resume`); a campaign keeps each case's as a frame of its worker's
+/// log.
+pub trait CheckpointStore: Send + Sync {
+    /// Save a document every this many verified cycles (at least 1);
+    /// `None` for a store that only resumes.
+    fn every(&self) -> Option<u64>;
+
+    /// Whether the store holds a document to resume from.
+    fn resumes(&self) -> bool;
+
+    /// The document to resume from. A store may also put back what it
+    /// saved alongside the document (a campaign case's profile tally and
+    /// flight ring).
+    ///
+    /// # Errors
+    ///
+    /// The store cannot read it.
+    fn load(&self) -> io::Result<Vec<u8>>;
+
+    /// Keeps `doc`, the harness position after `verified` verified
+    /// cycles, as the latest checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// The store cannot keep it.
+    fn save(&self, verified: u64, doc: &[u8]) -> io::Result<()>;
+
+    /// Whether a lane mix that cannot resume runs without the store
+    /// rather than being refused: `true` for a store whose checkpoints
+    /// only save work. Stream lanes cannot join a resumed run, so a
+    /// harness with a stream lane never checkpoints.
+    fn optional(&self) -> bool {
+        false
+    }
+}
+
+/// A shared [`CheckpointStore`], as [`CosimOptions::checkpoint`] holds
+/// it. Two compare equal when they are one store.
+#[derive(Clone)]
+pub struct Checkpoints(pub Arc<dyn CheckpointStore>);
+
+impl Checkpoints {
+    /// Shares `store`.
+    pub fn new(store: impl CheckpointStore + 'static) -> Self {
+        Checkpoints(Arc::new(store))
+    }
+}
+
+impl PartialEq for Checkpoints {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Checkpoints {}
+
+impl std::fmt::Debug for Checkpoints {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Checkpoints")
+            .field("every", &self.0.every())
+            .field("resumes", &self.0.resumes())
+            .finish()
+    }
+}
+
+/// Checkpoints kept as files: `save` is written every `every` cycles
+/// through [`write_atomic`](rtl_obs::write_atomic), so a kill mid-write
+/// never leaves a truncated document, and `resume` is read before the
+/// run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockstepCheckpoint {
-    /// Checkpoint file path (written atomically: temp sibling + rename).
-    pub path: PathBuf,
-    /// Write a checkpoint every `every` verified cycles (clamped to 1).
-    pub every: u64,
+pub struct CheckpointFiles {
+    /// Where to write a document, and every how many verified cycles.
+    pub save: Option<(PathBuf, u64)>,
+    /// The document to resume from.
+    pub resume: Option<PathBuf>,
+}
+
+/// An I/O error that names the file it was about.
+fn at_path(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+impl CheckpointStore for CheckpointFiles {
+    fn every(&self) -> Option<u64> {
+        self.save.as_ref().map(|(_, every)| (*every).max(1))
+    }
+
+    fn resumes(&self) -> bool {
+        self.resume.is_some()
+    }
+
+    fn load(&self) -> io::Result<Vec<u8>> {
+        let path = self.resume.as_deref().ok_or(io::ErrorKind::NotFound)?;
+        std::fs::read(path).map_err(|e| at_path(path, e))
+    }
+
+    fn save(&self, _verified: u64, doc: &[u8]) -> io::Result<()> {
+        match &self.save {
+            Some((path, _)) => rtl_obs::write_atomic(path, doc).map_err(|e| at_path(path, e)),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Lockstep configuration.
@@ -104,12 +206,10 @@ pub struct CosimOptions {
     /// back to [`CompareMode::All`]. Lane error states are always
     /// compared first, regardless of this list.
     pub compare: Vec<CompareMode>,
-    /// Write a mid-run checkpoint at this cadence (scenario drivers honor
-    /// it; a bare [`Lockstep`] exposes the same through
-    /// [`Lockstep::checkpoint`]).
-    pub checkpoint: Option<LockstepCheckpoint>,
-    /// Resume the run from this lockstep checkpoint before executing.
-    pub resume: Option<PathBuf>,
+    /// Where the run resumes from and saves its mid-run checkpoints
+    /// (scenario drivers honor it; a bare [`Lockstep`] exposes the same
+    /// through [`Lockstep::checkpoint`] and [`Lockstep::resume`]).
+    pub checkpoint: Option<Checkpoints>,
     /// Record the reference lane's observation digest at every comparison
     /// interval and write the stream here after the run (see
     /// [`crate::digest`]) — the cheap cross-machine comparison artifact.
@@ -155,7 +255,6 @@ impl Default for CosimOptions {
             retain_output: false,
             compare: vec![CompareMode::All],
             checkpoint: None,
-            resume: None,
             export_digests: None,
             check_digests: None,
             recorder: Recorder::disabled(),
@@ -938,17 +1037,13 @@ impl<'d> Lockstep<'d> {
         Ok(())
     }
 
-    /// [`checkpoint`](Lockstep::checkpoint) to a file path, written
-    /// atomically (temp sibling + rename) so a kill mid-write never
-    /// leaves a truncated document.
-    ///
-    /// # Errors
-    ///
-    /// File creation, write, or rename failure.
-    pub fn checkpoint_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut doc = Vec::new();
-        self.checkpoint(&mut doc)?;
-        rtl_obs::write_atomic(path.as_ref(), &doc)
+    /// Folds every lane's execution-profile counts so far into the
+    /// profile hook ([`Engine::flush_profile`]), so a snapshot of the
+    /// hook taken with a checkpoint covers the run up to it.
+    pub fn flush_profiles(&mut self) {
+        for lane in &mut self.lanes {
+            lane.session.engine_mut().flush_profile();
+        }
     }
 
     /// Restores a harness position previously written by
@@ -1048,16 +1143,6 @@ impl<'d> Lockstep<'d> {
         self.agreed.clear();
         self.moved = true;
         Ok(())
-    }
-
-    /// [`resume`](Lockstep::resume) from a file path.
-    ///
-    /// # Errors
-    ///
-    /// See [`Lockstep::resume`].
-    pub fn resume_from(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut file = io::BufReader::new(std::fs::File::open(path)?);
-        self.resume(&mut file)
     }
 }
 

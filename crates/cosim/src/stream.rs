@@ -16,11 +16,12 @@
 //! Every run goes through a [`Harness`]: it builds the lanes once, and
 //! each of its runs restarts them at cycle 0 ([`Lockstep::restart`]), so
 //! a caller probing one design many times pays for the lane builds once.
-//! Every [`CosimOptions`] field — lint oracle, digest export and check,
-//! checkpoint — applies to every lane mix; only a resume refuses stream
-//! lanes, which would have no trace before the resume point to check.
+//! Every [`CosimOptions`] field — lint oracle, digest export and check —
+//! applies to every lane mix, except a checkpoint store: a resumed run
+//! has no trace before its resume point to check stream lanes against,
+//! so a mix with a stream lane never checkpoints.
 
-use crate::lockstep::{CosimOptions, CosimOutcome, DivergenceReport, Lockstep};
+use crate::lockstep::{CheckpointStore, CosimOptions, CosimOutcome, DivergenceReport, Lockstep};
 use rtl_core::observe::TRACE_WINDOW_LINES;
 use rtl_core::{
     Design, DivergenceKind, ElabError, EngineLane, EngineOptions, EngineRegistry, LaneReport,
@@ -144,6 +145,9 @@ pub struct Harness<'d> {
     claims: Option<rtl_lint::StaticClaims>,
     /// The digest stream every run checks the reference lane against.
     check_log: Option<crate::digest::DigestLog>,
+    /// Where every run resumes from and saves its checkpoints: the
+    /// options' store, unless the lane mix cannot resume.
+    checkpoint: Option<&'d dyn CheckpointStore>,
 }
 
 impl<'d> Harness<'d> {
@@ -156,8 +160,10 @@ impl<'d> Harness<'d> {
     /// single stepped lane and no stream lane (which compares nothing);
     /// an unreadable [`CosimOptions::check_digests`] stream, or one
     /// recorded over another design or at another stride; and a
-    /// [`CosimOptions::resume`] with stream lanes, which cannot check the
-    /// trace before the resume point.
+    /// [`CosimOptions::checkpoint`] store with stream lanes, which could
+    /// not check the trace before a resume point, unless the store is
+    /// [optional](CheckpointStore::optional): the harness then runs
+    /// without it.
     pub fn prepare(
         registry: &EngineRegistry,
         names: &'d [String],
@@ -211,13 +217,17 @@ impl<'d> Harness<'d> {
             .as_deref()
             .map(|path| check_log(path, design, options))
             .transpose()?;
-        if options.resume.is_some() && !streams.is_empty() {
-            return Err(ScenarioError::Engine(
-                "stream lanes cannot join a resumed lockstep run (the agreed trace \
-                 before the resume point is not available for comparison)"
-                    .into(),
-            ));
-        }
+        let checkpoint = match options.checkpoint.as_ref().map(|handle| &*handle.0) {
+            Some(store) if !streams.is_empty() && !store.optional() => {
+                return Err(ScenarioError::Engine(
+                    "stream lanes cannot join a checkpointed lockstep run (a resumed run \
+                     has no agreed trace before its resume point to compare them with)"
+                        .into(),
+                ));
+            }
+            Some(_) if !streams.is_empty() => None,
+            store => store,
+        };
         Ok(Harness {
             design,
             name,
@@ -227,7 +237,14 @@ impl<'d> Harness<'d> {
             reference,
             claims,
             check_log,
+            checkpoint,
         })
+    }
+
+    /// Whether every run resumes from a document its checkpoint store
+    /// holds: such a run repeats no work the run that saved it did.
+    pub fn resumes(&self) -> bool {
+        self.checkpoint.is_some_and(|store| store.resumes())
     }
 
     /// Runs the lanes from cycle 0 for `cycles` cycles, feeding `input`
@@ -235,9 +252,10 @@ impl<'d> Harness<'d> {
     ///
     /// # Errors
     ///
-    /// Digest, checkpoint and resume file failures, and a stream lane
-    /// that fails to run; runtime disagreement is part of the
-    /// [`CosimOutcome`], not an `Err`.
+    /// Digest file and checkpoint store failures, a checkpoint the
+    /// lockstep refuses to resume, and a stream lane that fails to run;
+    /// runtime disagreement is part of the [`CosimOutcome`], not an
+    /// `Err`.
     pub fn run(&mut self, cycles: u64, input: &[Word]) -> Result<CosimOutcome, ScenarioError> {
         let options = self.options;
         let lockstep = &mut self.lockstep;
@@ -264,15 +282,13 @@ impl<'d> Harness<'d> {
         if let Some(log) = &self.check_log {
             lockstep.add_comparator(Box::new(crate::digest::DigestLane::new(log.clone())));
         }
-        if let Some(path) = &options.resume {
-            lockstep.resume_from(path).map_err(|e| {
-                ScenarioError::Engine(format!(
-                    "cannot resume lockstep from {}: {e}",
-                    path.display()
-                ))
-            })?;
+        if let Some(store) = self.checkpoint.filter(|store| store.resumes()) {
+            store
+                .load()
+                .and_then(|doc| lockstep.resume(&mut &doc[..]))
+                .map_err(|e| ScenarioError::Engine(format!("cannot resume lockstep: {e}")))?;
         }
-        let mut outcome = drive_lockstep(lockstep, cycles, options)?;
+        let mut outcome = drive_lockstep(lockstep, cycles, options.compare_every, self.checkpoint)?;
         if let (Some(path), Some(log)) = (&options.export_digests, export_log) {
             log.borrow().save(path).map_err(|e| {
                 ScenarioError::Engine(format!("cannot write digests {}: {e}", path.display()))
@@ -352,27 +368,26 @@ fn check_log(
     Ok(log)
 }
 
-/// Drives a lockstep harness to `horizon` total verified cycles, writing
-/// the checkpoint document after every chunk of
-/// [`LockstepCheckpoint::every`](crate::LockstepCheckpoint::every) cycles, rounded up to a whole number of
-/// comparison strides so every comparison stays on the stride grid — a
-/// kill at any instant leaves an atomically-published document a later
-/// `--resume` picks up. Agreement cycle counts are reported as *total*
-/// verified cycles (resumed prefix included), so a resumed run's outcome
-/// is byte-identical to an uninterrupted one.
+/// Drives a lockstep harness to `horizon` total verified cycles, saving
+/// a checkpoint document to `checkpoint` after every chunk of
+/// [`CheckpointStore::every`] cycles, rounded up to a whole number of
+/// comparison strides so every comparison stays on the stride grid.
+/// Agreement cycle counts are reported as *total* verified cycles
+/// (resumed prefix included), so a resumed run's outcome is
+/// byte-identical to an uninterrupted one.
 fn drive_lockstep(
     lockstep: &mut Lockstep<'_>,
     horizon: u64,
-    options: &CosimOptions,
+    compare_every: u64,
+    checkpoint: Option<&dyn CheckpointStore>,
 ) -> Result<CosimOutcome, ScenarioError> {
-    let checkpoint = options.checkpoint.as_ref();
-    let stride = options.compare_every.max(1);
+    let stride = compare_every.max(1);
+    let every = checkpoint.and_then(|store| store.every());
     loop {
         let done = lockstep.verified_cycles();
         let remaining = horizon.saturating_sub(done);
-        let chunk = match checkpoint {
-            Some(ck) => ck
-                .every
+        let chunk = match every {
+            Some(every) => every
                 .div_ceil(stride)
                 .max(1)
                 .saturating_mul(stride)
@@ -385,13 +400,15 @@ fn drive_lockstep(
                 stats,
                 ..
             } => {
-                if let Some(ck) = checkpoint {
-                    lockstep.checkpoint_to(&ck.path).map_err(|e| {
-                        ScenarioError::Engine(format!(
-                            "cannot write lockstep checkpoint {}: {e}",
-                            ck.path.display()
-                        ))
-                    })?;
+                if let Some(store) = checkpoint.filter(|_| every.is_some()) {
+                    lockstep.flush_profiles();
+                    let mut doc = Vec::new();
+                    lockstep
+                        .checkpoint(&mut doc)
+                        .and_then(|()| store.save(lockstep.verified_cycles(), &doc))
+                        .map_err(|e| {
+                            ScenarioError::Engine(format!("cannot save a lockstep checkpoint: {e}"))
+                        })?;
                 }
                 if lockstep.verified_cycles() >= horizon {
                     return Ok(CosimOutcome::Agreement {
@@ -471,6 +488,7 @@ mod tests {
     use crate::engines::registry;
     use rtl_core::{HaltKind, Session, Until};
     use rtl_machines::scenarios;
+    use std::sync::Arc;
 
     fn names(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -744,28 +762,78 @@ mod tests {
         assert_eq!(single, export(&["vm", "interp"], "pair.digests"));
     }
 
+    /// A store that keeps every document it is handed, and says whether
+    /// its checkpoints only save work.
+    struct Kept {
+        optional: bool,
+        docs: std::sync::Mutex<Vec<(u64, Vec<u8>)>>,
+    }
+
+    impl CheckpointStore for Kept {
+        fn every(&self) -> Option<u64> {
+            Some(16)
+        }
+        fn resumes(&self) -> bool {
+            false
+        }
+        fn load(&self) -> std::io::Result<Vec<u8>> {
+            Err(std::io::ErrorKind::NotFound.into())
+        }
+        fn save(&self, verified: u64, doc: &[u8]) -> std::io::Result<()> {
+            self.docs.lock().unwrap().push((verified, doc.to_vec()));
+            Ok(())
+        }
+        fn optional(&self) -> bool {
+            self.optional
+        }
+    }
+
+    /// A stream lane cannot join a resumed run, so a mix with one never
+    /// checkpoints: a store that is asked for is refused by name before
+    /// the lanes run, and one whose checkpoints only save work is left
+    /// unused. A stepped mix saves a document every interval.
     #[test]
-    fn a_single_stepped_lane_writes_a_checkpoint() {
+    fn a_stream_lane_mix_never_checkpoints() {
         let design = Design::from_source(DEAD_ARM).unwrap();
-        let path = scratch("single.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let options = CosimOptions {
-            checkpoint: Some(crate::LockstepCheckpoint {
-                path: path.clone(),
-                every: 16,
-            }),
-            ..CosimOptions::default()
+        let with = |optional: bool| {
+            let store = Arc::new(Kept {
+                optional,
+                docs: Default::default(),
+            });
+            let options = CosimOptions {
+                checkpoint: Some(crate::Checkpoints(store.clone())),
+                ..CosimOptions::default()
+            };
+            (store, options)
         };
+        let (_, asked) = with(false);
+        let err = Harness::prepare(
+            &echo_registry(),
+            &names(&["vm", "echo"]),
+            &design,
+            "x",
+            &asked,
+        )
+        .err()
+        .expect("a stream lane refuses a checkpoint store");
+        assert!(
+            err.to_string()
+                .contains("stream lanes cannot join a checkpointed"),
+            "{err}"
+        );
+
+        let (cache, optional) = with(true);
         let plain = counters(&["vm", "echo"], &design, &CosimOptions::default());
-        let checkpointed = counters(&["vm", "echo"], &design, &options);
+        let unused = counters(&["vm", "echo"], &design, &optional);
         assert_eq!(
-            checkpointed.deterministic_section(),
+            unused.deterministic_section(),
             plain.deterministic_section()
         );
-        let doc = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert!(doc.starts_with("asim2-lockstep v2\n"), "{doc}");
-        assert!(doc.contains("\nverified 64\n"), "{doc}");
+        assert!(cache.docs.lock().unwrap().is_empty());
+
+        counters(&["vm", "interp"], &design, &optional);
+        let saved: Vec<u64> = cache.docs.lock().unwrap().iter().map(|d| d.0).collect();
+        assert_eq!(saved, [16, 32, 48, 64]);
     }
 
     #[test]

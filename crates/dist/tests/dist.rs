@@ -6,7 +6,9 @@
 //! a shard, is the root `tests/identity.rs` matrix.
 
 use rtl_campaign::caselog::{encode_frame, FrameReader, Kind, CANONICAL};
-use rtl_campaign::{CampaignConfig, CampaignDir, CampaignError, NoProgress, RunOptions};
+use rtl_campaign::{
+    CampaignConfig, CampaignDir, CampaignError, CaseCheckpoint, NoProgress, RunOptions,
+};
 use rtl_cosim::GenOptions;
 use rtl_dist::{merge, run_shard, ShardPlan};
 use std::collections::BTreeMap;
@@ -248,6 +250,40 @@ fn reframe(dir: &CampaignDir, kind: Kind, index: u32, edit: impl Fn(&[u8]) -> Ve
     assert!(edited, "case {index} has no {} frame", kind.label());
     std::fs::write(&path, log).unwrap();
     bytes
+}
+
+/// A case checkpoint is never canonical: one a kill left in a shard's
+/// worker log reaches neither the merged campaign nor an export.
+#[test]
+fn merge_and_export_leave_a_checkpoint_frame_out() {
+    let config = quick_config(4, &["interp", "vm"], 12);
+    let single = CampaignDir::new(scratch("ckpt-single"));
+    rtl_campaign::run(&single, &config, &RunOptions::default(), &mut NoProgress).unwrap();
+    let (plan, dirs) = run_two_shards(&config, &RunOptions::default());
+    let shard = CampaignDir::new(&dirs[0]);
+    let exported = case_files(shard.root(), "");
+    let checkpoint = CaseCheckpoint {
+        verified: 8,
+        profile: None,
+        flight: None,
+        lockstep: b"asim2-lockstep v2\n".to_vec(),
+    };
+    let mut log = Vec::new();
+    let body = checkpoint.encode().unwrap();
+    encode_frame(Kind::Checkpoint, plan.shards[0].start, &body, &mut log).unwrap();
+    std::fs::write(shard.cases().join("worker-90.log"), log).unwrap();
+
+    assert_eq!(case_files(shard.root(), ""), exported);
+    let out = CampaignDir::new(scratch("ckpt-merged"));
+    merge(&plan, &dirs, &out).unwrap();
+    assert_eq!(tree(out.root()), tree(single.root()));
+    for dir in dirs
+        .iter()
+        .map(PathBuf::as_path)
+        .chain([single.root(), out.root()])
+    {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

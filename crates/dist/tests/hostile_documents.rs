@@ -131,7 +131,13 @@ fn mutated_corpus_entries_are_refused_or_load() {
     let report = rtl_campaign::run(&dir, &config(), &RunOptions::default(), &mut NoProgress)
         .expect("the campaign runs");
     assert!(report.diverged() > 0, "the fault lane diverges");
-    let frames = Frames::scan(&dir, 0..0, |_, _| Ok(())).unwrap();
+    let frames = Frames::scan(
+        &dir,
+        0..0,
+        &[rtl_campaign::caselog::Kind::Corpus],
+        |_, _| Ok(()),
+    )
+    .unwrap();
     let name = frames.names().next().expect("an entry").to_string();
     let files = frames.entry(&name).unwrap().expect("its documents").files;
     corpus::entry_from_files(&name, &files).expect("the shrunk entry loads");

@@ -24,6 +24,7 @@
 
 use crate::error::FleetError;
 use crate::protocol::{Framed, Message, Poll, Refusal, PROTOCOL};
+use rtl_campaign::caselog::Kind;
 use rtl_campaign::state::CaseStatus;
 use rtl_campaign::{
     BundleEntry, CampaignConfig, CampaignDir, CampaignReport, CaseBundle, CaseRecord, LogWriter,
@@ -252,7 +253,7 @@ impl Controller {
         let started = Instant::now();
         let config = dir.open(config)?;
         dir.sweep_orphans()?;
-        let (records, frames) = dir.scan(config.cases, 0..config.cases)?;
+        let (records, frames) = dir.scan(config.cases, 0..config.cases, &Kind::BUNDLE)?;
         let corpus_fps = frames.fingerprints().collect();
         let pending: BTreeSet<u32> = records
             .iter()

@@ -260,7 +260,12 @@ fn a_long_session_keeps_the_scratch_logs_bounded() {
         assert_eq!(Frames::logs(&scratch).unwrap(), Vec::<PathBuf>::new());
         if label == "diverging" {
             assert_eq!(report.diverged(), 40, "{report}");
-            let frames = Frames::scan(&CampaignDir::new(&root), 0..0, |_, _| Ok(()));
+            let frames = Frames::scan(
+                &CampaignDir::new(&root),
+                0..0,
+                &[rtl_campaign::caselog::Kind::Corpus],
+                |_, _| Ok(()),
+            );
             assert_eq!(frames.unwrap().names().count(), 40);
         }
     }

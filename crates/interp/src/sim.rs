@@ -236,6 +236,12 @@ impl Engine for Interpreter<'_> {
         Some(&self.stats)
     }
 
+    fn flush_profile(&mut self) {
+        if let Some(tally) = self.tally.as_deref_mut() {
+            tally.flush();
+        }
+    }
+
     fn step(
         &mut self,
         trace: &mut TraceBuf<'_>,

@@ -68,6 +68,16 @@ impl FlightRing {
         }
     }
 
+    /// Replaces the ring's contents with `events` (the newest `cap` of
+    /// them): a run resumed from a checkpoint carries on from the ring
+    /// the checkpoint saved.
+    pub fn restore(&self, events: Vec<Event>) {
+        if let Ok(mut ring) = self.events.lock() {
+            let skip = events.len().saturating_sub(self.cap);
+            *ring = events.into_iter().skip(skip).collect();
+        }
+    }
+
     /// The ring's current contents, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
         match self.events.lock() {

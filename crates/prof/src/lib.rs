@@ -104,6 +104,15 @@ impl ProfileHook {
         }
     }
 
+    /// Replaces the tally with `profile`'s counters: a run resumed from a
+    /// checkpoint carries on from the tally the checkpoint saved. A
+    /// no-op for a disabled hook.
+    pub fn restore(&self, profile: &Profile) {
+        if let Some(inner) = &self.inner {
+            *inner.totals.lock().unwrap_or_else(|e| e.into_inner()) = profile.counters.clone();
+        }
+    }
+
     /// The counters collected so far, as a document. An empty profile for
     /// a disabled hook.
     pub fn snapshot(&self) -> Profile {
@@ -163,8 +172,8 @@ impl CompMeta {
 }
 
 /// The per-engine hot-path collector: plain `Vec` counters indexed by
-/// component (design index order), flushed into the shared hook exactly
-/// once — on [`LaneTally::flush`] or drop. Increment methods are
+/// component (design index order), folded into the shared hook on
+/// [`LaneTally::flush`] and on drop. Increment methods are
 /// bounds-checked no-ops for out-of-range indices, so instrumentation
 /// never has to guard.
 #[derive(Debug)]
@@ -179,7 +188,6 @@ pub struct LaneTally {
     writes: Vec<Vec<u64>>,
     inputs: Vec<u64>,
     outputs: Vec<u64>,
-    flushed: bool,
 }
 
 impl LaneTally {
@@ -197,7 +205,6 @@ impl LaneTally {
             outputs: vec![0; n],
             comps,
             hook,
-            flushed: false,
         }
     }
 
@@ -265,31 +272,30 @@ impl LaneTally {
         }
     }
 
-    /// Folds every non-zero counter into the hook. Idempotent; also runs
-    /// on drop.
+    /// Folds every counter counted since the last flush into the hook
+    /// and zeroes it, so a hook snapshot taken next covers the lane's
+    /// run so far; also runs on drop.
     pub fn flush(&mut self) {
-        if self.flushed {
-            return;
-        }
-        self.flushed = true;
+        let take = std::mem::take::<u64>;
         for (i, comp) in self.comps.iter().enumerate() {
             let name = &comp.name;
-            self.hook.add(name, "eval", self.evals[i]);
-            self.hook.add(name, "change", self.changes[i]);
-            for (a, n) in self.arms[i].iter().enumerate() {
-                self.hook.add(name, &format!("arm/{a}"), *n);
+            self.hook.add(name, "eval", take(&mut self.evals[i]));
+            self.hook.add(name, "change", take(&mut self.changes[i]));
+            for (a, n) in self.arms[i].iter_mut().enumerate() {
+                self.hook.add(name, &format!("arm/{a}"), take(n));
             }
-            for (o, n) in self.ops[i].iter().enumerate() {
-                self.hook.add(name, &format!("op/{}", ALU_OP_NAMES[o]), *n);
+            for (o, n) in self.ops[i].iter_mut().enumerate() {
+                self.hook
+                    .add(name, &format!("op/{}", ALU_OP_NAMES[o]), take(n));
             }
-            for (c, n) in self.reads[i].iter().enumerate() {
-                self.hook.add(name, &format!("read/{c}"), *n);
+            for (c, n) in self.reads[i].iter_mut().enumerate() {
+                self.hook.add(name, &format!("read/{c}"), take(n));
             }
-            for (c, n) in self.writes[i].iter().enumerate() {
-                self.hook.add(name, &format!("write/{c}"), *n);
+            for (c, n) in self.writes[i].iter_mut().enumerate() {
+                self.hook.add(name, &format!("write/{c}"), take(n));
             }
-            self.hook.add(name, "input", self.inputs[i]);
-            self.hook.add(name, "output", self.outputs[i]);
+            self.hook.add(name, "input", take(&mut self.inputs[i]));
+            self.hook.add(name, "output", take(&mut self.outputs[i]));
         }
     }
 }
@@ -506,7 +512,8 @@ mod tests {
             tally.arm(1, 99);
             tally.read(2, 99);
             tally.flush();
-            tally.flush(); // idempotent; drop will be a no-op too
+            tally.flush(); // nothing new to fold
+            tally.eval(0); // folded on drop
         }
         let profile = hook.snapshot();
         let counters: Vec<(&str, u64)> = profile.iter().collect();
@@ -514,7 +521,7 @@ mod tests {
             counters,
             vec![
                 ("alu/change", 1),
-                ("alu/eval", 2),
+                ("alu/eval", 3),
                 ("alu/op/add", 1),
                 ("mem/input", 1),
                 ("mem/output", 1),

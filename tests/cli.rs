@@ -205,7 +205,45 @@ fn campaign_case_checkpoint_takes_a_single_stepped_lane() {
     ]);
     assert_eq!(code, 0, "{out}{err}");
     assert!(out.contains("summary: 2/2 agreed"), "{out}");
+    // A lane mix with a stream lane cannot resume, so it checkpoints
+    // nothing: its directory is a plain run's.
+    let plain = dir.with_extension("plain");
+    let _ = std::fs::remove_dir_all(&plain);
+    let (code, out, err) = run_cli(&[
+        "campaign",
+        "run",
+        "--dir",
+        plain.to_str().unwrap(),
+        "--cases",
+        "2",
+        "--cycles",
+        "600",
+        "--size",
+        "8",
+        "--engines",
+        "vm,rust",
+    ]);
+    assert_eq!(code, 0, "{out}{err}");
+    assert!(case_and_corpus_files(&dir) == case_and_corpus_files(&plain));
+    // `cosim --checkpoint` names the reason before it runs anything.
+    let ckpt = dir.with_extension("ckpt");
+    let (code, out, err) = run_cli(&[
+        "cosim",
+        "--scenario",
+        "classic/counter",
+        "--engines",
+        "vm,rust",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 2, "{out}{err}");
+    assert!(
+        err.contains("stream lanes cannot join a checkpointed lockstep run"),
+        "{err}"
+    );
+    assert!(!ckpt.exists());
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&plain);
 }
 
 /// Every file under `dir/cases` and `dir/corpus`, by relative path.
@@ -225,11 +263,21 @@ fn case_and_corpus_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// Checkpoint frames a kill could leave that the lockstep refuses — a
+/// document in the old format, which holds no lane statistics, and one
+/// written by another harness — each cost their case a rerun from its
+/// start, not the campaign. The refused attempt lints nothing, so the
+/// rerun's lint counters are the case's only ones.
 #[test]
 fn a_refused_case_checkpoint_costs_a_rerun_not_the_campaign() {
+    use asim2::campaign::caselog::{encode_frame, Kind};
+    use asim2::campaign::CaseCheckpoint;
     let root = std::env::temp_dir().join(format!("asim2-it-{}-refused-ckpt", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
     let (plain, planted) = (root.join("plain"), root.join("planted"));
+    let metrics = |name: &str| root.join(name).to_str().unwrap().to_string();
+    let (plain_metrics, planted_metrics) = (metrics("plain.jsonl"), metrics("planted.jsonl"));
     let campaign = |dir: &std::path::Path, extra: &[&str]| {
         let mut args = vec![
             "campaign",
@@ -246,26 +294,45 @@ fn a_refused_case_checkpoint_costs_a_rerun_not_the_campaign() {
             "8",
             "--engines",
             "interp,vm-fault",
+            "--lint-oracle",
         ];
         args.extend_from_slice(extra);
         run_cli(&args)
     };
-    let (code, reference, err) = campaign(&plain, &[]);
+    let (code, reference, err) = campaign(&plain, &["--metrics-out", &plain_metrics]);
     assert_eq!(code, 3, "{reference}{err}");
-    // Leftovers a kill could leave: a document in the old format, which
-    // holds no lane statistics, and a torn current one.
-    std::fs::create_dir_all(planted.join("cases")).unwrap();
-    std::fs::write(
-        planted.join("cases/case-000000.ckpt"),
-        "asim2-lockstep v1\nfingerprint 0000000000000000\nverified 256\n",
-    )
-    .unwrap();
-    std::fs::write(
-        planted.join("cases/case-000001.ckpt"),
-        "asim2-lockstep v2\ngarbage\n",
-    )
-    .unwrap();
-    let (code, out, err) = campaign(&planted, &["--case-checkpoint"]);
+    let (code, out, err) = campaign(&planted, &["--limit", "0"]);
+    assert_eq!(code, 0, "{out}{err}");
+    let mut log = Vec::new();
+    for (index, doc) in [
+        (
+            0,
+            "asim2-lockstep v1\nfingerprint 0000000000000000\nverified 256\n",
+        ),
+        (
+            1,
+            "asim2-lockstep v2\nfingerprint 0123456789abcdef\nverified 256\n",
+        ),
+    ] {
+        let checkpoint = CaseCheckpoint {
+            verified: 256,
+            profile: None,
+            flight: None,
+            lockstep: doc.as_bytes().to_vec(),
+        };
+        let body = checkpoint.encode().unwrap();
+        encode_frame(Kind::Checkpoint, index, &body, &mut log).unwrap();
+    }
+    std::fs::write(planted.join("cases/worker-90.log"), log).unwrap();
+    let (code, out, err) = run_cli(&[
+        "campaign",
+        "resume",
+        "--dir",
+        planted.to_str().unwrap(),
+        "--case-checkpoint",
+        "--metrics-out",
+        &planted_metrics,
+    ]);
     assert_eq!(code, 3, "{out}{err}");
     assert_eq!(out, reference);
     let files = case_and_corpus_files(&planted);
@@ -274,6 +341,17 @@ fn a_refused_case_checkpoint_costs_a_rerun_not_the_campaign() {
         files == case_and_corpus_files(&plain),
         "cases/ and corpus/ differ"
     );
+    let (code, out, err) = run_cli(&[
+        "metrics",
+        "summarize",
+        "--check",
+        &plain_metrics,
+        &planted_metrics,
+    ]);
+    assert_eq!(code, 0, "{out}{err}");
+    assert!(out.contains("lint/designs_linted 2"), "{out}");
+    let (_, summary, _) = run_cli(&["metrics", "summarize", &planted_metrics]);
+    assert!(summary.contains("campaign/checkpoint_dropped"), "{summary}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -395,7 +473,13 @@ fn campaign_archives_and_reproduces_an_injected_engine_bug() {
 
     // An entry whose design_fp is not hex is refused as corrupt: exit 2.
     let campaign = rtl_campaign::CampaignDir::new(&dir);
-    let frames = rtl_campaign::Frames::scan(&campaign, 0..0, |_, _| Ok(())).unwrap();
+    let frames = rtl_campaign::Frames::scan(
+        &campaign,
+        0..0,
+        &[rtl_campaign::caselog::Kind::Corpus],
+        |_, _| Ok(()),
+    )
+    .unwrap();
     let fingerprint = frames.fingerprints().next().unwrap();
     let mut files = frames.entry("seed-9").unwrap().unwrap().files;
     let key = "\"design_fp\": \"";

@@ -30,17 +30,28 @@
 //! its corpus frame to a `cases/` worker log: half of it, as a kill early
 //! in the bundle's write leaves it, or all of it, as a kill after the
 //! corpus frame and before the record leaves it.
+//!
+//! One more cell kills a case mid-run: a campaign of 600-cycle cases
+//! under `case_checkpoint`, with profiles, the flight recorder and the
+//! lint oracle on, stops after one case, and the next case runs until
+//! its checkpoint frame at cycle 256 is in its worker's log. The resume
+//! carries that case on from it to the bytes, report and folded
+//! deterministic counters of a plain single-machine run.
 
 use rtl_campaign::caselog::{FrameReader, Kind, CANONICAL};
 use rtl_campaign::{
-    corpus, CampaignConfig, CampaignDir, CampaignReport, Frames, NoProgress, RunOptions,
+    campaign_registry, corpus, CampaignConfig, CampaignDir, CampaignReport, Frames, LogCheckpoints,
+    LogWriter, NoProgress, RunOptions,
 };
+use rtl_core::ProfileHook;
+use rtl_cosim::{run_fuzz_case, CheckpointStore, Checkpoints};
 use rtl_dist::{merge_with, run_shard, ShardPlan};
 use rtl_fleet::{work, Controller, ControllerOptions, NoFleetProgress, WorkerOptions};
-use rtl_obs::{Recorder, Summary};
+use rtl_obs::{FlightRing, Recorder, Summary};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asim2-identity-{}-{name}", std::process::id()));
@@ -171,7 +182,8 @@ fn corpus_frames(root: &Path, config: &CampaignConfig) -> Vec<(u32, Vec<u8>)> {
 /// Returns whether such a case remained.
 fn plant_entry(root: &Path, cell: &Cell, range: Range<u32>, whole: bool) -> bool {
     let dir = CampaignDir::new(root);
-    let recorded = Frames::scan(&dir, 0..cell.config.cases, |_, _| Ok(())).unwrap();
+    let recorded =
+        Frames::scan(&dir, 0..cell.config.cases, &[Kind::Record], |_, _| Ok(())).unwrap();
     let Some((_, frame)) = cell
         .entries
         .iter()
@@ -455,11 +467,16 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
         );
         let entries = corpus_frames(&single_root, &config);
         assert_eq!(entries.len(), 6, "{label}: one entry per case");
-        let names: Vec<String> = Frames::scan(&CampaignDir::new(&single_root), 0..0, |_, _| Ok(()))
-            .unwrap()
-            .names()
-            .map(str::to_string)
-            .collect();
+        let names: Vec<String> = Frames::scan(
+            &CampaignDir::new(&single_root),
+            0..0,
+            &[Kind::Corpus],
+            |_, _| Ok(()),
+        )
+        .unwrap()
+        .names()
+        .map(str::to_string)
+        .collect();
         assert_eq!(names.len(), 6, "{label}: {names:?}");
         let kinds: Vec<Kind> = log_frames(&single_root, "cases", CANONICAL)
             .into_iter()
@@ -550,4 +567,150 @@ fn every_surface_worker_count_and_interruption_is_byte_identical() {
         }
         let _ = std::fs::remove_dir_all(&single_root);
     }
+}
+
+/// Stops a case's run right after its checkpoint at `stop` verified
+/// cycles, as a kill there would.
+struct Killed {
+    store: LogCheckpoints,
+    stop: u64,
+}
+
+impl CheckpointStore for Killed {
+    fn every(&self) -> Option<u64> {
+        self.store.every()
+    }
+    fn resumes(&self) -> bool {
+        false
+    }
+    fn load(&self) -> std::io::Result<Vec<u8>> {
+        self.store.load()
+    }
+    fn save(&self, verified: u64, doc: &[u8]) -> std::io::Result<()> {
+        self.store.save(verified, doc)?;
+        match verified >= self.stop {
+            true => Err(std::io::Error::other("killed")),
+            false => Ok(()),
+        }
+    }
+    fn optional(&self) -> bool {
+        true
+    }
+}
+
+/// Runs case `index` of `config` as a `case_checkpoint` worker of `dir`
+/// runs it under `options` — a fresh profile hook and flight ring, and a
+/// checkpoint store in a worker log of its own — until its checkpoint at
+/// `stop` verified cycles is appended.
+fn kill_mid_case(
+    dir: &CampaignDir,
+    config: &CampaignConfig,
+    options: &RunOptions,
+    index: u32,
+    stop: u64,
+) {
+    let profile = ProfileHook::collecting();
+    let ring = Arc::new(FlightRing::new(FlightRing::DEFAULT_CAP));
+    let mut fuzz = config.fuzz_options();
+    fuzz.cosim.profile = profile.clone();
+    fuzz.cosim.recorder = options.recorder.with_flight(Arc::clone(&ring));
+    fuzz.cosim.checkpoint = Some(Checkpoints::new(Killed {
+        store: LogCheckpoints {
+            log: Arc::new(Mutex::new(LogWriter::new(dir))),
+            index,
+            profile,
+            flight: Some(ring),
+            resume: None,
+        },
+        stop,
+    }));
+    let err = run_fuzz_case(&campaign_registry(None), &fuzz, index).unwrap_err();
+    assert!(err.to_string().contains("killed"), "{err}");
+}
+
+/// The worker logs of `dir`, by content: a writer names its log by a
+/// process-wide counter, so two runs in one process differ in their
+/// names only.
+fn worker_logs(dir: &CampaignDir) -> Vec<Vec<u8>> {
+    let mut logs: Vec<Vec<u8>> = Frames::logs(dir)
+        .unwrap()
+        .iter()
+        .map(|log| std::fs::read(log).unwrap())
+        .collect();
+    logs.sort();
+    logs
+}
+
+#[test]
+fn a_case_killed_mid_run_resumes_from_its_checkpoint_frame() {
+    let mut config = CampaignConfig {
+        seed: 5,
+        cases: 3,
+        lint_oracle: true,
+        ..CampaignConfig::default()
+    };
+    config.generator.size = 10;
+    config.generator.cycles = 600;
+    config.generator.io_every = 2;
+    let checkpointed = |workers: usize, limit: Option<u32>, recorder: &Recorder| RunOptions {
+        case_checkpoint: true,
+        ..options(workers, limit, recorder)
+    };
+
+    let plain_root = scratch("kill-plain");
+    let (recorder, log) = Recorder::memory();
+    let plain = rtl_campaign::run(
+        &CampaignDir::new(&plain_root),
+        &config,
+        &options(1, None, &recorder),
+        &mut NoProgress,
+    )
+    .unwrap();
+    assert!(plain.clean(), "{plain}");
+    let reference = tree(&plain_root);
+    let (reference_counters, _) = counters(&recorder, &log);
+    assert!(reference_counters.contains("lint/designs_linted 3"));
+
+    // Uninterrupted, case checkpoints leave no trace: not in the worker
+    // logs of a ranged run, which does not compact, nor after compaction.
+    let mut ranged = Vec::new();
+    for (label, case_checkpoint) in [("ranged-plain", false), ("ranged-ckpt", true)] {
+        let root = scratch(&format!("kill-{label}"));
+        let dir = CampaignDir::new(&root);
+        let options = RunOptions {
+            case_range: Some(0..config.cases),
+            case_checkpoint,
+            ..options(1, None, &Recorder::disabled())
+        };
+        rtl_campaign::run(&dir, &config, &options, &mut NoProgress).unwrap();
+        ranged.push(worker_logs(&dir));
+        dir.compact(config.cases).unwrap();
+        assert_eq!(tree(&root), reference, "{label} compacted");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    assert_eq!(ranged[0], ranged[1], "the worker logs differ");
+
+    for workers in [1, 2] {
+        let name = format!("kill-w{workers}");
+        let root = scratch(&name);
+        let dir = CampaignDir::new(&root);
+        let (recorder, log) = Recorder::memory();
+        let first = checkpointed(workers, Some(1), &recorder);
+        let partial = rtl_campaign::run(&dir, &config, &first, &mut NoProgress).unwrap();
+        assert_eq!(partial.completed(), 1, "{name}: {partial}");
+        let index = partial.records.iter().position(Option::is_none).unwrap() as u32;
+        kill_mid_case(&dir, &config, &first, index, 256);
+        let resumed = rtl_campaign::resume(
+            &dir,
+            &checkpointed(workers, None, &recorder),
+            &mut NoProgress,
+        )
+        .unwrap();
+        assert_eq!(format!("{resumed}"), format!("{plain}"), "{name} report");
+        assert_eq!(tree(&root), reference, "{name} tree");
+        let (shared, _) = counters(&recorder, &log);
+        assert_eq!(shared, reference_counters, "{name} counters");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    let _ = std::fs::remove_dir_all(&plain_root);
 }
