@@ -31,17 +31,19 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// The manifest format line; bump on breaking layout changes. Version 5
-/// keeps a case's mid-run checkpoint as a frame of its writer's log.
-pub const FORMAT: &str = "asim2-campaign v5";
+/// The manifest format line; bump on breaking layout changes. Version 6
+/// keeps the statistics in every session checkpoint: a corpus entry's
+/// `.ckpt` and each lane of a case checkpoint.
+pub const FORMAT: &str = "asim2-campaign v6";
 
 /// The format lines of earlier layouts, refused by name, with what they
-/// kept as files.
-const RETIRED: [(&str, &str); 4] = [
+/// kept that this layout does not.
+const RETIRED: [(&str, &str); 5] = [
     ("asim2-campaign v1", "one file per case record"),
     ("asim2-campaign v2", "four files per corpus entry"),
     ("asim2-campaign v3", "two files of sidecars per case"),
     ("asim2-campaign v4", "a file per case checkpoint"),
+    ("asim2-campaign v5", "checkpoints without statistics"),
 ];
 
 /// How one case ended.

@@ -1674,6 +1674,27 @@ mod tests {
             fresh.push(horizon);
             assert_eq!(run_ok(&resume), run_ok(&fresh), "{scenario:?} resumes");
         }
+        // Documents of retired versions, in the whole or in a lane, are
+        // refused by name.
+        let doc = std::fs::read_to_string(ck).unwrap();
+        for (current, old) in [
+            ("asim2-lockstep v3", "asim2-lockstep v2"),
+            ("asim2-checkpoint v2", "asim2-checkpoint v1"),
+        ] {
+            assert!(doc.contains(current), "{doc}");
+            std::fs::write(ck, doc.replace(current, old)).unwrap();
+            let (code, err) = run_fail(&[
+                "cosim",
+                "--scenario",
+                "stack/sieve",
+                "--cycles",
+                "2341",
+                "--resume",
+                ck,
+            ]);
+            assert_eq!(code, 2, "{err}");
+            assert!(err.contains(old), "{err}");
+        }
         let _ = std::fs::remove_file(ck);
     }
 
@@ -2586,7 +2607,7 @@ mod tests {
     /// reads it as an empty campaign.
     #[test]
     fn retired_campaign_layouts_are_refused_by_name() {
-        for version in ["v1", "v2", "v3", "v4"] {
+        for version in ["v1", "v2", "v3", "v4", "v5"] {
             let base = campaign_dir(&format!("retired-{version}"));
             let dir = base.join("old");
             quick_campaign(&dir, "2");

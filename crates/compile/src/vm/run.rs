@@ -27,7 +27,6 @@ pub struct Vm<'d> {
     state: SimState,
     regs: Vec<Word>,
     scratch: Vec<[Word; 3]>,
-    stats: SimStats,
     tally: Option<Box<LaneTally>>,
     /// Per component index: whether its visible output is maintained
     /// (latch elision, §5.4, stops maintaining dead memory latches).
@@ -61,7 +60,6 @@ impl<'d> Vm<'d> {
             state: SimState::new(design),
             regs,
             scratch,
-            stats: SimStats::new(design),
             tally: None,
             observed,
         }
@@ -88,7 +86,7 @@ impl<'d> Vm<'d> {
     /// Accumulated simulation statistics (§1.4): cycle count and memory
     /// accesses per memory.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.state.stats()
     }
 
     /// The compiled program (for inspection / disassembly).
@@ -99,7 +97,6 @@ impl<'d> Vm<'d> {
     /// Resets to cycle 0 / initial values, clearing statistics.
     pub fn reset(&mut self) {
         self.state = SimState::new(self.design);
-        self.stats = SimStats::new(self.design);
     }
 
     fn comp_id(&self, index: u32) -> rtl_core::CompId {
@@ -241,7 +238,7 @@ impl Engine for Vm<'_> {
     }
 
     fn stats(&self) -> Option<&SimStats> {
-        Some(&self.stats)
+        Some(self.state.stats())
     }
 
     fn flush_profile(&mut self) {
@@ -283,7 +280,7 @@ impl Engine for Vm<'_> {
             let [addr, dyn_opn, data] = self.scratch[mi];
             let opn = m.const_opn.unwrap_or(dyn_opn);
             let op = MemOp::from_word(opn);
-            self.stats.record(id, op);
+            self.state.stats_mut().record(id, op);
             let latch = match op {
                 MemOp::Read => {
                     let a = check_addr(self.design.name(id), addr, m.size, cycle)?;
@@ -368,7 +365,6 @@ impl Engine for Vm<'_> {
             }
         }
 
-        self.stats.cycles += 1;
         self.state.bump_cycle();
         Ok(())
     }

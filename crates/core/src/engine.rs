@@ -26,18 +26,20 @@ pub trait Engine {
     fn state(&self) -> &SimState;
 
     /// A point-in-time copy of the architectural state (outputs, memory
-    /// cells, cycle counter). Pair with [`restore`](Engine::restore) to
-    /// checkpoint long runs or bisect a divergence window: the cosim
-    /// harness compares engines at a coarse interval, then rewinds to the
-    /// last agreeing checkpoint and replays cycle-by-cycle.
+    /// cells, cycle counter) and the run's statistics so far. Pair with
+    /// [`restore`](Engine::restore) to checkpoint long runs or bisect a
+    /// divergence window: the cosim harness compares engines at a coarse
+    /// interval, then rewinds to the last agreeing checkpoint and replays
+    /// cycle-by-cycle.
     fn snapshot(&self) -> SimState {
         self.state().clone()
     }
 
     /// Rewinds the engine to a snapshot previously taken over the *same
     /// design*. Engine-private caches (registers, scratch, interpretation
-    /// tables) are rebuilt or reused; only the architectural state is
-    /// restored. Accumulated statistics are left untouched.
+    /// tables) are rebuilt or reused; the architectural state is restored,
+    /// and the statistics come back with it, so a rewound or resumed run
+    /// counts what an uninterrupted one does.
     fn restore(&mut self, snapshot: &SimState);
 
     /// Whether this engine maintains component `id`'s visible output.
@@ -52,7 +54,8 @@ pub trait Engine {
     }
 
     /// Accumulated simulation statistics (§1.4), when the engine keeps
-    /// them. `None` for engines without counters.
+    /// them: those of its [`state`](Engine::state). `None` for engines
+    /// that do not count.
     fn stats(&self) -> Option<&SimStats> {
         None
     }

@@ -9,9 +9,10 @@
 //! ([`HaltKind`]), or a harness error — instead of a stringified error.
 //!
 //! Sessions also own checkpointing: [`Session::checkpoint`] serializes the
-//! architectural state to a writer (a versioned, design-fingerprinted
-//! format) and [`Session::resume`] restores it, so long runs can stop and
-//! continue byte-identically.
+//! architectural state and its statistics to a writer (a versioned,
+//! design-fingerprinted format) and [`Session::resume`] restores them, so
+//! long runs can stop and continue byte-identically, `--stats` report
+//! included.
 //!
 //! ```
 //! use rtl_core::{Design, Session, Until};
@@ -51,6 +52,7 @@ use crate::factory::{EngineLane, EngineOptions, EngineRegistry};
 use crate::io::{InputSource, NoInput, ScriptedInput};
 use crate::sink::{BufferSink, NullSink, TraceSink};
 use crate::state::SimState;
+use crate::stats::SimStats;
 use crate::trace::{TraceBuf, TraceEvent};
 use crate::word::Word;
 use rtl_obs::Recorder;
@@ -422,8 +424,8 @@ impl<'d> Session<'d> {
     }
 
     /// Serializes the architectural state (cycle counter, outputs, memory
-    /// cells) to a writer, fingerprinted against the design. See
-    /// [`write_checkpoint`].
+    /// cells, statistics) to a writer, fingerprinted against the design.
+    /// See [`write_checkpoint`].
     ///
     /// # Errors
     ///
@@ -446,15 +448,16 @@ impl<'d> Session<'d> {
         rtl_obs::write_atomic(path.as_ref(), &doc)
     }
 
-    /// Restores the engine from a checkpoint previously written over the
-    /// *same design*. The trace sink and stimulus are left untouched —
-    /// resuming a run with scripted input is the caller's job (re-supply
-    /// the stimulus from the right offset).
+    /// Restores the engine, statistics included, from a checkpoint
+    /// previously written over the *same design*. The trace sink and
+    /// stimulus are left untouched — resuming a run with scripted input is
+    /// the caller's job (re-supply the stimulus from the right offset).
     ///
     /// # Errors
     ///
-    /// I/O failure, a malformed document, or a design-fingerprint
-    /// mismatch (all as [`io::Error`]).
+    /// I/O failure, a malformed document, a design-fingerprint mismatch,
+    /// or an `asim2-checkpoint v1` document, which holds no statistics
+    /// (all as [`io::Error`]).
     pub fn resume(&mut self, input: &mut dyn BufRead) -> io::Result<()> {
         let state = read_checkpoint(self.engine.design(), input)?;
         self.engine.restore(&state);
@@ -482,7 +485,7 @@ impl std::fmt::Debug for Session<'_> {
     }
 }
 
-const CHECKPOINT_MAGIC: &str = "asim2-checkpoint v1";
+const CHECKPOINT_MAGIC: &str = "asim2-checkpoint v2";
 
 /// The streaming FNV-1a hasher behind every stable on-disk fingerprint:
 /// design fingerprints in checkpoints, and campaign configuration/corpus
@@ -563,7 +566,9 @@ pub fn design_fingerprint(design: &Design) -> u64 {
 
 /// Writes the versioned checkpoint document: magic line, design
 /// fingerprint, cycle counter, component outputs (design order), memory
-/// cells (memory order, address order).
+/// cells (memory order, address order), and the statistics: `stats
+/// CYCLES` followed by each counter list (`reads`, `writes`, `inputs`,
+/// `outputs`) as its label and one value per component.
 ///
 /// # Errors
 ///
@@ -586,6 +591,20 @@ pub fn write_checkpoint(design: &Design, state: &SimState, out: &mut dyn Write) 
     for &id in design.memories() {
         for &cell in state.cells(id) {
             write!(out, " {cell}")?;
+        }
+    }
+    writeln!(out)?;
+    let stats = state.stats();
+    write!(out, "stats {}", stats.cycles)?;
+    for (label, counts) in [
+        ("reads", &stats.reads),
+        ("writes", &stats.writes),
+        ("inputs", &stats.inputs),
+        ("outputs", &stats.outputs),
+    ] {
+        write!(out, " {label}")?;
+        for n in counts {
+            write!(out, " {n}")?;
         }
     }
     writeln!(out)
@@ -627,8 +646,15 @@ pub fn read_doc_line(input: &mut dyn BufRead, what: &str) -> io::Result<String> 
 pub fn read_checkpoint(design: &Design, input: &mut dyn BufRead) -> io::Result<SimState> {
     let mut next = |what: &str| read_doc_line(input, what);
 
-    if next("magic")? != CHECKPOINT_MAGIC {
-        return Err(malformed("not an asim2 v1 checkpoint"));
+    let magic = next("magic")?;
+    if magic == "asim2-checkpoint v1" {
+        return Err(malformed(
+            "an asim2-checkpoint v1 document holds no statistics and cannot be resumed; \
+             run again from the start",
+        ));
+    }
+    if magic != CHECKPOINT_MAGIC {
+        return Err(malformed("not an asim2-checkpoint v2 document"));
     }
     let fp_line = next("fingerprint")?;
     let fp = fp_line
@@ -681,7 +707,10 @@ pub fn read_checkpoint(design: &Design, input: &mut dyn BufRead) -> io::Result<S
         .map(|&id| state.cells(id).len())
         .sum();
     let cells = parse_words(&next("cells")?, "cells", total)?;
+    let stats =
+        parse_stats(&next("stats")?, design).ok_or_else(|| malformed("bad statistics line"))?;
     state.set_cycle(cycle);
+    *state.stats_mut() = stats;
     for ((id, _), value) in design.iter().zip(outputs) {
         state.set_output(id, value);
     }
@@ -692,6 +721,28 @@ pub fn read_checkpoint(design: &Design, input: &mut dyn BufRead) -> io::Result<S
         }
     }
     Ok(state)
+}
+
+/// Parses the statistics line [`write_checkpoint`] writes: `None` when
+/// malformed.
+fn parse_stats(line: &str, design: &Design) -> Option<SimStats> {
+    let mut words = line.strip_prefix("stats ")?.split(' ');
+    let mut stats = SimStats::new(design);
+    stats.cycles = words.next()?.parse().ok()?;
+    for (label, counts) in [
+        ("reads", &mut stats.reads),
+        ("writes", &mut stats.writes),
+        ("inputs", &mut stats.inputs),
+        ("outputs", &mut stats.outputs),
+    ] {
+        if words.next()? != label {
+            return None;
+        }
+        for n in counts.iter_mut() {
+            *n = words.next()?.parse().ok()?;
+        }
+    }
+    words.next().is_none().then_some(stats)
 }
 
 #[cfg(test)]
@@ -748,15 +799,23 @@ mod tests {
         let count = d.find("count").unwrap();
         state.set_output(count, 41);
         state.set_cell(count, 0, 41);
+        state.bump_cycle();
+        state.stats_mut().record(count, crate::word::MemOp::Write);
 
         let mut doc = Vec::new();
         write_checkpoint(&d, &state, &mut doc).unwrap();
         let text = String::from_utf8(doc.clone()).unwrap();
         assert!(text.starts_with(CHECKPOINT_MAGIC), "{text}");
-        assert!(text.contains("cycle 42"), "{text}");
+        assert!(text.contains("cycle 43"), "{text}");
+        assert!(text.contains("stats 1 reads"), "{text}");
 
         let restored = read_checkpoint(&d, &mut &doc[..]).unwrap();
         assert_eq!(restored, state);
+        assert_eq!(restored.stats().writes[count.index()], 1);
+
+        let v1 = text.replacen(CHECKPOINT_MAGIC, "asim2-checkpoint v1", 1);
+        let err = read_checkpoint(&d, &mut v1.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("asim2-checkpoint v1"), "{err}");
     }
 
     #[test]

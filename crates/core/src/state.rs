@@ -6,6 +6,7 @@
 
 use crate::design::{Design, RKind};
 use crate::resolve::CompId;
+use crate::stats::SimStats;
 use crate::word::Word;
 
 /// The mutable state of a simulation run.
@@ -14,6 +15,10 @@ use crate::word::Word;
 ///   for ALUs/selectors, the output latch (`temp…` in the generated Pascal)
 ///   for memories.
 /// * cells — the backing storage of every memory, flattened.
+/// * statistics — the §1.4 counters ([`SimStats`]): cycles executed and
+///   accesses per memory. They are state like the rest, so a snapshot
+///   holds the counters of the run up to it, a restore puts them back
+///   and a checkpoint carries them.
 ///
 /// All components start at zero ("All components are initialized to zero
 /// before simulation begins"), except memory cells with initializer lists.
@@ -24,6 +29,7 @@ pub struct SimState {
     cell_off: Vec<u32>,
     cell_len: Vec<u32>,
     cycle: Word,
+    stats: SimStats,
 }
 
 impl SimState {
@@ -46,6 +52,7 @@ impl SimState {
             cell_off,
             cell_len,
             cycle: 0,
+            stats: SimStats::new(design),
         }
     }
 
@@ -54,15 +61,28 @@ impl SimState {
         self.cycle
     }
 
-    /// Advances the cycle counter.
+    /// Advances the cycle counter and counts the cycle executed.
     pub fn bump_cycle(&mut self) {
         self.cycle += 1;
+        self.stats.cycles = self.stats.cycles.saturating_add(1);
     }
 
     /// Sets the cycle counter — checkpoint restoration only; engines
     /// advance through [`bump_cycle`](SimState::bump_cycle).
     pub fn set_cycle(&mut self, cycle: Word) {
         self.cycle = cycle;
+    }
+
+    /// The run's statistics so far (§1.4).
+    pub fn stats(&self) -> &SimStats {
+        &self.stats
+    }
+
+    /// The statistics, for engines to count memory operations into
+    /// ([`SimStats::record`]) and for checkpoint restoration.
+    #[inline]
+    pub fn stats_mut(&mut self) -> &mut SimStats {
+        &mut self.stats
     }
 
     /// A component's visible output (combinational value or memory latch).
@@ -145,6 +165,7 @@ mod tests {
             "latches start at zero even when cells do not"
         );
         assert_eq!(s.cycle(), 0);
+        assert_eq!(s.stats(), &SimStats::new(&d));
     }
 
     #[test]
@@ -170,5 +191,10 @@ mod tests {
         assert_eq!(a, b);
         a.set_cell(d.find("m").unwrap(), 1, 5);
         assert_ne!(a, b);
+        let mut c = b.clone();
+        c.bump_cycle();
+        assert_eq!(c.stats().cycles, 1, "the cycle is counted with the state");
+        c.set_cycle(0);
+        assert_ne!(c, b, "the counters are state too");
     }
 }

@@ -4,14 +4,17 @@
 //! about the actual simulation, such as execution cycles required, memory
 //! accesses, and other related information. This extra output is
 //! invaluable when the designer desires to view the internal states of a
-//! microprocessor" (§1.4). Both engines maintain a [`SimStats`] and the
-//! CLI prints it with `asim run --stats`.
+//! microprocessor" (§1.4). The counters are part of every
+//! [`SimState`](crate::SimState): the interpreter and the VM count into
+//! their state, so snapshots, restores and checkpoints carry them, and
+//! the CLI prints them with `asim run --stats`.
 
 use crate::design::Design;
 use crate::resolve::CompId;
 use std::fmt;
 
-/// Per-memory access counters plus the cycle count.
+/// Per-memory access counters plus the cycle count, kept in the
+/// [`SimState`](crate::SimState) they describe.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SimStats {
     /// Cycles executed.
@@ -40,58 +43,27 @@ impl SimStats {
         }
     }
 
-    /// Records one memory operation of the given kind.
+    /// Records one memory operation of the given kind. Counters saturate:
+    /// a restored checkpoint may start them anywhere.
     #[inline]
     pub fn record(&mut self, id: CompId, op: crate::word::MemOp) {
         use crate::word::MemOp::*;
         let i = id.index();
-        match op {
-            Read => self.reads[i] += 1,
-            Write => self.writes[i] += 1,
-            Input => self.inputs[i] += 1,
-            Output => self.outputs[i] += 1,
-        }
-    }
-
-    /// The work counted since `earlier`, an earlier reading of the same
-    /// counters: every counter less its value there. A harness that
-    /// restarts or rewinds an engine reads per-run statistics this way,
-    /// since [`Engine::restore`](crate::Engine::restore) leaves the
-    /// counters as they were.
-    pub fn since(&self, earlier: &SimStats) -> SimStats {
-        let minus = |now: &[u64], then: &[u64]| -> Vec<u64> {
-            now.iter().zip(then).map(|(n, t)| n - t).collect()
+        let counter = match op {
+            Read => &mut self.reads[i],
+            Write => &mut self.writes[i],
+            Input => &mut self.inputs[i],
+            Output => &mut self.outputs[i],
         };
-        SimStats {
-            cycles: self.cycles - earlier.cycles,
-            reads: minus(&self.reads, &earlier.reads),
-            writes: minus(&self.writes, &earlier.writes),
-            inputs: minus(&self.inputs, &earlier.inputs),
-            outputs: minus(&self.outputs, &earlier.outputs),
-        }
+        *counter = counter.saturating_add(1);
     }
 
-    /// These counters with `more`'s added, saturating: a harness resumed
-    /// mid-run adds the work counted before its resume point this way.
-    pub fn plus(&self, more: &SimStats) -> SimStats {
-        let add = |a: &[u64], b: &[u64]| -> Vec<u64> {
-            a.iter().zip(b).map(|(a, b)| a.saturating_add(*b)).collect()
-        };
-        SimStats {
-            cycles: self.cycles.saturating_add(more.cycles),
-            reads: add(&self.reads, &more.reads),
-            writes: add(&self.writes, &more.writes),
-            inputs: add(&self.inputs, &more.inputs),
-            outputs: add(&self.outputs, &more.outputs),
-        }
-    }
-
-    /// Total memory accesses of all kinds.
+    /// Total memory accesses of all kinds, saturating.
     pub fn total_accesses(&self) -> u64 {
-        self.reads.iter().sum::<u64>()
-            + self.writes.iter().sum::<u64>()
-            + self.inputs.iter().sum::<u64>()
-            + self.outputs.iter().sum::<u64>()
+        [&self.reads, &self.writes, &self.inputs, &self.outputs]
+            .into_iter()
+            .flatten()
+            .fold(0, |total, &n| total.saturating_add(n))
     }
 
     /// Renders the report the CLI prints: one row per memory, plus totals.
@@ -155,15 +127,5 @@ mod tests {
         assert!(report.contains("2 cycles"), "{report}");
         assert!(report.contains("total memory accesses: 4"), "{report}");
         assert_eq!(s.to_string(), "2 cycles, 4 memory accesses");
-
-        let earlier = s.clone();
-        s.record(m, MemOp::Write);
-        s.cycles = 3;
-        let since = s.since(&earlier);
-        assert_eq!(since.cycles, 1);
-        assert_eq!(since.writes[m.index()], 1);
-        assert_eq!(since.total_accesses(), 1);
-        assert_eq!(earlier.plus(&since), s);
-        assert_eq!(s.since(&SimStats::new(&d)), s);
     }
 }

@@ -34,13 +34,13 @@
 //! the replay reproduces the divergence (an engine that checkpoint and
 //! restore do not fully rewind keeps the coarse report).
 //!
-//! Lane statistics are per run. [`Engine::restore`] leaves an engine's
-//! counters as they were, so each lane keeps the counters it had when
-//! its run (re)started and at its rewind point, and a rewind takes the
-//! replayed work back out: every [`CosimOutcome`] carries the statistics
-//! a fresh stride-1 run would. A harness can also run again from cycle
-//! 0 on the lanes it built: [`Lockstep::restart`] puts every engine back
-//! in the state it was added in, over a new stimulus.
+//! Lane statistics are per run. They are engine state: a snapshot holds
+//! an engine's counters and [`Engine::restore`] puts them back, so a
+//! rewind takes the replayed work back out and every [`CosimOutcome`]
+//! carries the statistics a fresh stride-1 run would. A harness can also
+//! run again from cycle 0 on the lanes it built: [`Lockstep::restart`]
+//! puts every engine back in the state it was added in, counters
+//! included, over a new stimulus.
 //!
 //! The harness also records, for each stimulus word of the run, the
 //! cycle in which the first lane to read it did, keyed by read: an entry
@@ -54,8 +54,8 @@
 //! function of the state and the words read so far, so a run over a
 //! stimulus prefix holding those words repeats this run up to that cycle.
 //!
-//! Because a lane's whole position is a value (engine state + stimulus
-//! offset + verified count + run statistics), a lockstep run itself can
+//! Because a lane's whole position is a value (engine state with its
+//! statistics + stimulus offset + verified count), a lockstep run itself can
 //! stop and restart mid-case: [`Lockstep::checkpoint`] writes every lane
 //! to one document (each lane's state as a [`Session::checkpoint`]) and
 //! [`Lockstep::resume`] restores it — the mechanism behind `asim2 cosim
@@ -67,8 +67,8 @@ use rtl_core::observe::{stop_state, Comparator, CompareMode, Observation, TRACE_
 use rtl_core::trace::render_text;
 use rtl_core::{
     design_fingerprint, Design, DivergenceKind, Engine, Fingerprint, HaltKind, InputSource,
-    LaneReport, LaneStats, Recorder, ScriptedInput, Session, SimError, SimState, SimStats,
-    StopReason, TraceEvent, TraceSink, Until, Word,
+    LaneReport, LaneStats, Recorder, ScriptedInput, Session, SimError, SimState, StopReason,
+    TraceEvent, TraceSink, Until, Word,
 };
 use std::cell::{Cell, RefCell};
 use std::io::{self, BufRead, Write};
@@ -479,17 +479,10 @@ struct Lane<'d> {
     initial: SimState,
     /// The lane's engine state at the last agreeing comparison (refreshed
     /// only at coarse strides, where rewind can happen; `None` while that
-    /// is the run's start, `initial`), with the stimulus offset and the
-    /// run's statistics that go with it.
+    /// is the run's start, `initial`), with the stimulus offset that goes
+    /// with it.
     check: Option<SimState>,
     check_consumed: usize,
-    check_stats: Option<SimStats>,
-    /// Where the run's statistics were last anchored (see
-    /// [`Lane::anchor`]): the engine's counters there and the run's
-    /// statistics there, each `None` for zero. A lane is anchored at zero
-    /// when added.
-    mark: Option<SimStats>,
-    prior: Option<SimStats>,
 }
 
 impl Lane<'_> {
@@ -505,29 +498,6 @@ impl Lane<'_> {
     fn snapshot(&mut self) {
         self.check = Some(self.session.engine().snapshot());
         self.check_consumed = self.consumed.get();
-        self.check_stats = self.stats();
-    }
-
-    /// Anchors the run's statistics here: from now on they are `prior`
-    /// (`None` for zero) plus the engine's work since this call. A
-    /// restart anchors at zero, a rewind at the statistics of its rewind
-    /// point, a resume at those its document carries.
-    fn anchor(&mut self, prior: Option<SimStats>) {
-        self.mark = self.session.engine().stats().cloned();
-        self.prior = prior;
-    }
-
-    /// The lane's statistics for the current run (see [`CosimOutcome`]).
-    fn stats(&self) -> Option<SimStats> {
-        let now = self.session.engine().stats()?;
-        let since = match &self.mark {
-            Some(mark) => now.since(mark),
-            None => now.clone(),
-        };
-        Some(match &self.prior {
-            Some(prior) => prior.plus(&since),
-            None => since,
-        })
     }
 
     /// The text a report quotes for this lane: the committed text (all
@@ -646,9 +616,6 @@ impl<'d> Lockstep<'d> {
             initial,
             check: None,
             check_consumed: 0,
-            check_stats: None,
-            mark: None,
-            prior: None,
         });
         self
     }
@@ -678,7 +645,6 @@ impl<'d> Lockstep<'d> {
         for lane in &mut self.lanes {
             if moved {
                 lane.session.engine_mut().restore(&lane.initial);
-                lane.anchor(None);
             }
             let stimulus = MeteredInput::from_offset(&self.stimulus, 0, Rc::clone(&lane.consumed));
             lane.session.set_stimulus(stimulus);
@@ -688,7 +654,6 @@ impl<'d> Lockstep<'d> {
             lane.error = None;
             lane.check = None;
             lane.check_consumed = 0;
-            lane.check_stats = None;
         }
         self
     }
@@ -716,9 +681,9 @@ impl<'d> Lockstep<'d> {
         self.lanes
             .iter()
             .filter_map(|l| {
-                l.stats().map(|stats| LaneStats {
+                l.session.engine().stats().map(|stats| LaneStats {
                     lane: l.name.clone(),
-                    stats,
+                    stats: stats.clone(),
                 })
             })
             .collect()
@@ -942,17 +907,15 @@ impl<'d> Lockstep<'d> {
         }
     }
 
-    /// Rewinds every lane to the last agreeing snapshot: engine state
-    /// through [`Engine::restore`], stimulus re-supplied from the
-    /// recorded offset, uncommitted trace events and the reads after the
-    /// snapshot dropped, and the work the replay will do again taken out
-    /// of the run's statistics.
+    /// Rewinds every lane to the last agreeing snapshot: engine state,
+    /// statistics included, through [`Engine::restore`], stimulus
+    /// re-supplied from the recorded offset, and uncommitted trace events
+    /// and the reads after the snapshot dropped.
     fn rewind(&mut self) {
         self.rewinds += 1;
         let read = self.lanes.iter().map(|l| l.check_consumed).max();
         self.reads.truncate(read.unwrap_or(0));
         for lane in &mut self.lanes {
-            lane.anchor(lane.check_stats.clone());
             let check = lane.check.as_ref().unwrap_or(&lane.initial);
             lane.session.engine_mut().restore(check);
             let stimulus = MeteredInput::from_offset(
@@ -977,7 +940,7 @@ impl<'d> Lockstep<'d> {
                 let events = lane.events.borrow();
                 let text = lane.report_text(retain);
                 LaneReport {
-                    stats: lane.stats(),
+                    stats: lane.session.engine().stats().cloned(),
                     ..LaneReport::from_observation(&lane.name, &kind, &lane.observe(&events), &text)
                 }
             })
@@ -1017,10 +980,11 @@ impl<'d> Lockstep<'d> {
     }
 
     /// Serializes the whole harness position — verified cycle count and,
-    /// per lane, the stimulus offset, the run's statistics so far and
-    /// the lane's [`Session::checkpoint`] document — so one long case can
-    /// stop and restart mid-run. Call between [`run`](Lockstep::run)
-    /// calls (the lanes are at an agreed point there).
+    /// per lane, the stimulus offset and the lane's [`Session::checkpoint`]
+    /// document, which holds the run's statistics so far — so one long
+    /// case can stop and restart mid-run. Call between
+    /// [`run`](Lockstep::run) calls (the lanes are at an agreed point
+    /// there).
     ///
     /// # Errors
     ///
@@ -1031,7 +995,6 @@ impl<'d> Lockstep<'d> {
         writeln!(out, "verified {}", self.verified)?;
         for lane in &self.lanes {
             writeln!(out, "lane {} consumed {}", lane.name, lane.consumed.get())?;
-            write_stats(out, lane.stats().as_ref())?;
             lane.session.checkpoint(out)?;
         }
         Ok(())
@@ -1051,15 +1014,15 @@ impl<'d> Lockstep<'d> {
     /// list and stimulus (validated by fingerprint). Call after adding
     /// all lanes and before [`run`](Lockstep::run); the lanes' trace
     /// buffers restart empty, so [`agreed_output`](Lockstep::agreed_output)
-    /// only covers the resumed suffix. Lane statistics carry on from the
-    /// document's, so a resumed run reports what an uninterrupted one
+    /// only covers the resumed suffix. Lane statistics come back with the
+    /// engine states, so a resumed run reports what an uninterrupted one
     /// does.
     ///
     /// # Errors
     ///
     /// I/O failure, a malformed document, a fingerprint/lane mismatch, or
-    /// an `asim2-lockstep v1` document, which holds no lane statistics
-    /// (all as [`io::Error`]).
+    /// an `asim2-lockstep v1` or `v2` document, written by an older
+    /// harness (all as [`io::Error`]).
     pub fn resume(&mut self, input: &mut dyn BufRead) -> io::Result<()> {
         let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         fn next(input: &mut dyn BufRead, what: &str) -> io::Result<String> {
@@ -1067,15 +1030,14 @@ impl<'d> Lockstep<'d> {
         }
 
         let magic = next(input, "magic")?;
-        if magic == "asim2-lockstep v1" {
-            return Err(bad(
-                "an asim2-lockstep v1 checkpoint holds no lane statistics and cannot be \
+        if magic == "asim2-lockstep v1" || magic == "asim2-lockstep v2" {
+            return Err(bad(format!(
+                "an {magic} checkpoint was written by an older harness and cannot be \
                  resumed; run the case again from its start"
-                    .into(),
-            ));
+            )));
         }
         if magic != LOCKSTEP_MAGIC {
-            return Err(bad("not an asim2-lockstep v2 checkpoint".into()));
+            return Err(bad("not an asim2-lockstep v3 checkpoint".into()));
         }
         let fp = next(input, "fingerprint")?
             .strip_prefix("fingerprint ")
@@ -1120,13 +1082,9 @@ impl<'d> Lockstep<'d> {
                     self.stimulus.len()
                 )));
             }
-            let line = next(input, "lane statistics")?;
-            let stats = parse_stats(&line, self.design.len())
-                .ok_or_else(|| bad(format!("bad statistics line for lane {name:?}")))?;
             // Session::resume consumes exactly its own document and
             // leaves the reader at the next lane header.
             lane.session.resume(input)?;
-            lane.anchor(stats);
             let stimulus =
                 MeteredInput::from_offset(&self.stimulus, consumed, Rc::clone(&lane.consumed));
             lane.session.set_stimulus(stimulus);
@@ -1146,66 +1104,7 @@ impl<'d> Lockstep<'d> {
     }
 }
 
-const LOCKSTEP_MAGIC: &str = "asim2-lockstep v2";
-
-/// Writes a lane's run statistics as one checkpoint line: `stats none`
-/// for an engine that keeps none, else `stats CYCLES` followed by each
-/// counter list (`reads`, `writes`, `inputs`, `outputs`) as its label
-/// and one value per component.
-fn write_stats(out: &mut dyn Write, stats: Option<&SimStats>) -> io::Result<()> {
-    let Some(stats) = stats else {
-        return writeln!(out, "stats none");
-    };
-    write!(out, "stats {}", stats.cycles)?;
-    let lists = [
-        ("reads", &stats.reads),
-        ("writes", &stats.writes),
-        ("inputs", &stats.inputs),
-        ("outputs", &stats.outputs),
-    ];
-    for (label, counts) in lists {
-        write!(out, " {label}")?;
-        for n in counts {
-            write!(out, " {n}")?;
-        }
-    }
-    writeln!(out)
-}
-
-/// Parses a [`write_stats`] line over a design of `len` components:
-/// `None` when malformed, `Some(None)` for `stats none`.
-fn parse_stats(line: &str, len: usize) -> Option<Option<SimStats>> {
-    let rest = line.strip_prefix("stats ")?;
-    if rest == "none" {
-        return Some(None);
-    }
-    let mut words = rest.split(' ');
-    let mut stats = SimStats {
-        cycles: words.next()?.parse().ok()?,
-        ..SimStats::default()
-    };
-    let SimStats {
-        reads,
-        writes,
-        inputs,
-        outputs,
-        ..
-    } = &mut stats;
-    for (label, counts) in [
-        ("reads", reads),
-        ("writes", writes),
-        ("inputs", inputs),
-        ("outputs", outputs),
-    ] {
-        if words.next()? != label {
-            return None;
-        }
-        *counts = (0..len)
-            .map(|_| words.next()?.parse().ok())
-            .collect::<Option<_>>()?;
-    }
-    words.next().is_none().then_some(Some(stats))
-}
+const LOCKSTEP_MAGIC: &str = "asim2-lockstep v3";
 
 /// The comparator set [`CosimOptions::compare`] names (empty means
 /// [`CompareMode::All`]), freshly built.
@@ -1472,12 +1371,13 @@ mod tests {
         add_lanes(&mut ls, &["interp", "vm"]);
         let mut doc = Vec::new();
         ls.checkpoint(&mut doc).unwrap();
-        let doc = String::from_utf8(doc)
-            .unwrap()
-            .replacen(LOCKSTEP_MAGIC, "asim2-lockstep v1", 1);
-        let err = ls.resume(&mut doc.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("v1"), "{err}");
-        assert!(err.to_string().contains("no lane statistics"), "{err}");
+        let doc = String::from_utf8(doc).unwrap();
+        for old in ["asim2-lockstep v1", "asim2-lockstep v2"] {
+            let doc = doc.replacen(LOCKSTEP_MAGIC, old, 1);
+            let err = ls.resume(&mut doc.as_bytes()).unwrap_err();
+            assert!(err.to_string().contains(old), "{err}");
+            assert!(err.to_string().contains("older harness"), "{err}");
+        }
     }
 
     #[test]
@@ -1604,7 +1504,7 @@ mod tests {
             self.inner.restore(snapshot);
         }
 
-        fn stats(&self) -> Option<&SimStats> {
+        fn stats(&self) -> Option<&rtl_core::SimStats> {
             self.inner.stats()
         }
 

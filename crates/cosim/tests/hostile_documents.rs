@@ -2,12 +2,15 @@
 //!
 //! One seeded mutation property over a valid document of each format the
 //! lockstep layer reads back — a session checkpoint (`asim2-checkpoint
-//! v1`), a lockstep checkpoint (`asim2-lockstep v2`) and a digest stream
+//! v2`), a lockstep checkpoint (`asim2-lockstep v3`) and a digest stream
 //! (`asim2-digests v1`). Each mutant is a byte flip, a deletion, a
 //! truncation or an over-long digit run. It must be refused with an
 //! `Err`, or load and then run without a panic. Lockstep mutants resume
 //! at a coarse stride, so a mutant that desynchronises one lane also
-//! drives the bisection rewind to the snapshot taken at resume.
+//! drives the bisection rewind to the snapshot taken at resume. The
+//! statistics lines of both checkpoints are also cut at every byte and
+//! flipped at every bit, and documents of retired versions are refused by
+//! name.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,6 +130,111 @@ fn mutated_lockstep_checkpoints_are_refused_or_resume_cleanly() {
         diverged > 0,
         "no resumed mutant diverged; the rewind path went untested"
     );
+}
+
+/// Every cut of `doc` inside a statistics line, and every single-bit
+/// flip there, as mutants.
+fn statistics_line_mutants(doc: &[u8]) -> Vec<Vec<u8>> {
+    let mut mutants = Vec::new();
+    let mut start = 0;
+    for line in doc.split_inclusive(|&b| b == b'\n') {
+        if line.starts_with(b"stats ") {
+            for at in start..start + line.len() {
+                mutants.push(doc[..at].to_vec());
+                for bit in 0..8 {
+                    let mut flipped = doc.to_vec();
+                    flipped[at] ^= 1 << bit;
+                    mutants.push(flipped);
+                }
+            }
+        }
+        start += line.len();
+    }
+    mutants
+}
+
+#[test]
+fn every_cut_and_flip_of_a_statistics_line_is_refused_or_resumes_cleanly() {
+    let design = Design::from_source(ACCUMULATOR).unwrap();
+    let session = |design| {
+        Session::builder(design)
+            .engine_named(registry(), "interp", &EngineOptions::default())
+            .unwrap()
+            .capture()
+            .scripted(stimulus())
+            .build()
+    };
+    let mut valid = session(&design);
+    valid.run(Until::Cycles(12));
+    let mut doc = Vec::new();
+    valid.checkpoint(&mut doc).unwrap();
+    let mutants = statistics_line_mutants(&doc);
+    assert!(mutants.len() > 100, "{} mutants", mutants.len());
+    let mut resumed = 0;
+    for mutant in &mutants {
+        let mut run = session(&design);
+        if run.resume(&mut &mutant[..]).is_ok() {
+            resumed += 1;
+            run.run(Until::Cycles(16));
+        }
+    }
+    assert!(resumed > 0, "no mutant resumed; the run path went untested");
+
+    // Counters restored at their ceiling saturate rather than overflow.
+    let text = String::from_utf8(doc).unwrap();
+    let line = text.lines().find(|l| l.starts_with("stats ")).unwrap();
+    let max = line
+        .split(' ')
+        .map(|w| match w.parse::<u64>() {
+            Ok(_) => u64::MAX.to_string(),
+            Err(_) => w.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join(" ");
+    let mut run = session(&design);
+    run.resume(&mut text.replacen(line, &max, 1).as_bytes())
+        .unwrap();
+    assert!(run.run(Until::Cycles(16)).completed());
+    let stats = run.engine().stats().unwrap();
+    assert_eq!(stats.cycles, u64::MAX);
+    assert_eq!(stats.total_accesses(), u64::MAX);
+
+    let mut valid = harness(&design, &["interp", "vm"]);
+    assert!(valid.run(12).agreed());
+    let mut doc = Vec::new();
+    valid.checkpoint(&mut doc).unwrap();
+    let mutants = statistics_line_mutants(&doc);
+    let mut resumed = 0;
+    for mutant in &mutants {
+        let mut lockstep = harness(&design, &["interp", "vm"]);
+        if lockstep.resume(&mut &mutant[..]).is_ok() {
+            resumed += 1;
+            lockstep.run(16);
+        }
+    }
+    assert!(resumed > 0, "no mutant resumed; the run path went untested");
+}
+
+#[test]
+fn retired_checkpoint_versions_are_refused_by_name() {
+    let design = Design::from_source(ACCUMULATOR).unwrap();
+    let mut valid = harness(&design, &["interp", "vm"]);
+    assert!(valid.run(12).agreed());
+    let mut doc = Vec::new();
+    valid.checkpoint(&mut doc).unwrap();
+    let doc = String::from_utf8(doc).unwrap();
+    for (current, old) in [
+        ("asim2-lockstep v3", "asim2-lockstep v1"),
+        ("asim2-lockstep v3", "asim2-lockstep v2"),
+        ("asim2-checkpoint v2", "asim2-checkpoint v1"),
+    ] {
+        assert!(doc.contains(current), "{doc}");
+        let mut lockstep = harness(&design, &["interp", "vm"]);
+        let err = lockstep
+            .resume(&mut doc.replace(current, old).as_bytes())
+            .unwrap_err();
+        assert!(err.to_string().contains(old), "{old}: {err}");
+    }
 }
 
 #[test]

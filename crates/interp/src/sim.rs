@@ -104,7 +104,6 @@ pub struct Interpreter<'d> {
     scratch: Vec<MemScratch>,
     stack: Vec<Word>,
     symbols: Option<SymbolTable>,
-    stats: SimStats,
     options: InterpOptions,
     tally: Option<Box<LaneTally>>,
 }
@@ -162,7 +161,6 @@ impl<'d> Interpreter<'d> {
             scratch,
             stack: Vec::with_capacity(16),
             symbols,
-            stats: SimStats::new(design),
             options,
             tally: None,
         }
@@ -185,7 +183,7 @@ impl<'d> Interpreter<'d> {
     /// Accumulated simulation statistics (§1.4): cycle count and memory
     /// accesses per memory.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.state.stats()
     }
 
     /// Total size of the interpretation tables in postfix operations —
@@ -215,7 +213,6 @@ impl<'d> Interpreter<'d> {
     /// Resets all state to cycle 0 / initial values, clearing statistics.
     pub fn reset(&mut self) {
         self.state = SimState::new(self.design);
-        self.stats = SimStats::new(self.design);
     }
 }
 
@@ -233,7 +230,7 @@ impl Engine for Interpreter<'_> {
     }
 
     fn stats(&self) -> Option<&SimStats> {
-        Some(&self.stats)
+        Some(self.state.stats())
     }
 
     fn flush_profile(&mut self) {
@@ -337,7 +334,7 @@ impl Engine for Interpreter<'_> {
             let addr = scratch.addr;
             let opn = scratch.opn;
             let op = MemOp::from_word(opn);
-            self.stats.record(plan.id, op);
+            self.state.stats_mut().record(plan.id, op);
             let latch = match op {
                 MemOp::Read => {
                     let a = cell_index(name, addr, plan.size, cycle)?;
@@ -408,7 +405,6 @@ impl Engine for Interpreter<'_> {
         }
 
         // 5. Next cycle.
-        self.stats.cycles += 1;
         self.state.bump_cycle();
         Ok(())
     }

@@ -82,6 +82,7 @@ fn lint(spec: &Spec, elaborated: Result<&Design, &ElabError>) -> Report {
         spec,
         design: elaborated.ok(),
         widths: &widths,
+        bounds: &passes::exact_bounds(spec),
     };
     let mut out = Vec::new();
     for pass in default_passes() {

@@ -23,7 +23,7 @@
 //! for *all* input values, checking a cycle that may never execute can
 //! never contradict a correct analyzer.
 
-use crate::passes::{dead_arms, undriven_memories};
+use crate::passes::{dead_arms, exact_bounds, undriven_memories};
 use rtl_core::observe::{Comparator, DivergenceKind, Observation};
 use rtl_core::{AluFn, Design, RKind, Recorder, Word};
 
@@ -46,7 +46,7 @@ impl StaticClaims {
     /// Extracts every claim the shipped passes can prove about `design`.
     pub fn of(design: &Design) -> StaticClaims {
         StaticClaims {
-            dead_arms: dead_arms(design)
+            dead_arms: dead_arms(design, &exact_bounds(design.spec()))
                 .into_iter()
                 .map(|(index, dead, _)| (index, dead))
                 .collect(),

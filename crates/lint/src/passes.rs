@@ -33,6 +33,8 @@ pub struct LintContext<'a> {
     /// Inferred output widths by [`rtl_core::resolve::CompId::index`];
     /// empty when `design` is `None`.
     pub widths: &'a [u8],
+    /// The spec's [`exact_bounds`], computed once per lint.
+    pub bounds: &'a HashMap<&'a str, u8>,
 }
 
 /// One analysis over a specification. Implementations push any findings
@@ -430,7 +432,7 @@ fn const_value(expr: &Expr) -> Option<Word> {
 /// [`rtl_core::width::infer`] fixpoint is deliberately *not* used here:
 /// its widths over-narrow signed intermediates (`Sub` can go negative),
 /// and these bounds back claims the dynamic oracle treats as sound.
-fn exact_bounds(spec: &Spec) -> HashMap<&str, u8> {
+pub fn exact_bounds(spec: &Spec) -> HashMap<&str, u8> {
     let mut bounds: HashMap<&str, u8> = HashMap::new();
     loop {
         let mut changed = false;
@@ -504,7 +506,7 @@ fn expr_bound(expr: &Expr, bounds: &HashMap<&str, u8>) -> Option<u8> {
 
 /// `field-oob`: a subfield read entirely above a provable value bound —
 /// `x.5.8` when `x` is a 1-bit comparator always reads 0. Only exact
-/// bounds (see `exact_bounds`) are used, so the finding is sound even
+/// bounds (see [`exact_bounds`]) are used, so the finding is sound even
 /// for designs with signed intermediates.
 pub struct FieldOob;
 
@@ -518,7 +520,6 @@ impl LintPass for FieldOob {
     }
 
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let bounds = exact_bounds(cx.spec);
         for c in &cx.spec.components {
             for expr in c.kind.expressions() {
                 for part in &expr.parts {
@@ -530,7 +531,7 @@ impl LintPass for FieldOob {
                     else {
                         continue;
                     };
-                    let Some(&bound) = bounds.get(name.as_str()) else {
+                    let Some(&bound) = cx.bounds.get(name.as_str()) else {
                         continue;
                     };
                     if *f >= bound {
@@ -555,7 +556,7 @@ impl LintPass for FieldOob {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeadArmReason {
     /// The select expression's value is provably in `[0, 2^bits)` (see
-    /// `exact_bounds`), so indices `2^bits..` can never occur.
+    /// [`exact_bounds`]), so indices `2^bits..` can never occur.
     Masked {
         /// The provable bound, in bits, on the select expression.
         bits: u8,
@@ -569,11 +570,13 @@ pub enum DeadArmReason {
 }
 
 /// Statically-dead arms of one selector: the component name, the design
-/// index, the dead arm indices (sorted), and the reasoning. Shared
-/// between the [`DeadArm`] pass and the dynamic oracle so both trust the
-/// same claim.
-pub fn dead_arms(design: &Design) -> Vec<(usize, Vec<usize>, DeadArmReason)> {
-    let bounds = exact_bounds(design.spec());
+/// index, the dead arm indices (sorted), and the reasoning, given the
+/// design's [`exact_bounds`]. Shared between the [`DeadArm`] pass and the
+/// dynamic oracle so both trust the same claim.
+pub fn dead_arms(
+    design: &Design,
+    bounds: &HashMap<&str, u8>,
+) -> Vec<(usize, Vec<usize>, DeadArmReason)> {
     let mut claims = Vec::new();
     for (id, comp) in design.iter() {
         let RKind::Selector(s) = &comp.kind else {
@@ -584,7 +587,7 @@ pub fn dead_arms(design: &Design) -> Vec<(usize, Vec<usize>, DeadArmReason)> {
             let live = usize::try_from(value).ok();
             let dead: Vec<usize> = (0..arms).filter(|&i| Some(i) != live).collect();
             Some((dead, DeadArmReason::Constant { value }))
-        } else if let Some(bits) = expr_bound(&s.select.source, &bounds) {
+        } else if let Some(bits) = expr_bound(&s.select.source, bounds) {
             let max = (1usize << bits) - 1;
             let dead: Vec<usize> = (max + 1..arms).collect();
             Some((dead, DeadArmReason::Masked { bits }))
@@ -614,7 +617,7 @@ impl LintPass for DeadArm {
 
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let Some(design) = cx.design else { return };
-        for (index, dead, reason) in dead_arms(design) {
+        for (index, dead, reason) in dead_arms(design, cx.bounds) {
             let id = design.id_at(index);
             let name = design.name(id);
             let Some(ast) = find_component(cx.spec, name) else {

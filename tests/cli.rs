@@ -70,9 +70,10 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
     let ck = std::env::temp_dir().join(format!("asim2-it-{}-ckpt.state", std::process::id()));
     let ck = ck.to_str().unwrap();
 
-    // Uninterrupted reference run: cycles 0..=100.
-    let (code, full, err) = run_cli(&["run", spec, "--cycles", "100"]);
+    // Uninterrupted reference run: cycles 0..=100, then the statistics.
+    let (code, full, err) = run_cli(&["run", spec, "--cycles", "100", "--stats"]);
     assert_eq!(code, 0, "{err}");
+    assert!(full.contains("simulation statistics: 101 cycles"), "{full}");
 
     // The same run with periodic checkpoints must not perturb the trace;
     // the file is left at the last boundary (cycle 64).
@@ -85,12 +86,15 @@ fn checkpoint_resume_is_byte_identical_to_an_uninterrupted_run() {
         ck,
         "--checkpoint-every",
         "64",
+        "--stats",
     ]);
     assert_eq!(code, 0, "{err}");
     assert_eq!(checkpointed, full, "checkpointing must not change the run");
 
-    // Resuming from the checkpoint replays cycles 64..=100 byte-identically.
-    let (code, resumed, err) = run_cli(&["run", spec, "--cycles", "100", "--resume", ck]);
+    // Resuming from the checkpoint replays cycles 64..=100 byte-identically,
+    // and the statistics block counts the cycles before the checkpoint too.
+    let (code, resumed, err) =
+        run_cli(&["run", spec, "--cycles", "100", "--resume", ck, "--stats"]);
     assert_eq!(code, 0, "{err}");
     assert!(resumed.starts_with("Cycle  64 "), "{resumed}");
     assert!(
@@ -264,8 +268,8 @@ fn case_and_corpus_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 }
 
 /// Checkpoint frames a kill could leave that the lockstep refuses — a
-/// document in the old format, which holds no lane statistics, and one
-/// written by another harness — each cost their case a rerun from its
+/// document in a retired format and one written by another harness —
+/// each cost their case a rerun from its
 /// start, not the campaign. The refused attempt lints nothing, so the
 /// rerun's lint counters are the case's only ones.
 #[test]
@@ -311,7 +315,7 @@ fn a_refused_case_checkpoint_costs_a_rerun_not_the_campaign() {
         ),
         (
             1,
-            "asim2-lockstep v2\nfingerprint 0123456789abcdef\nverified 256\n",
+            "asim2-lockstep v3\nfingerprint 0123456789abcdef\nverified 256\n",
         ),
     ] {
         let checkpoint = CaseCheckpoint {

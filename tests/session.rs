@@ -105,6 +105,10 @@ proptest! {
                 resumed.output(), expected_tail,
                 "engine {} resumed tail diverged", name
             );
+            prop_assert_eq!(
+                resumed.engine().stats(), full.engine().stats(),
+                "engine {} resumed statistics differ", name
+            );
         }
     }
 }
