@@ -210,6 +210,14 @@ impl<'d> Interpreter<'d> {
         comb + mems
     }
 
+    /// A listing of the interpretation tables: every combinational step
+    /// and memory plan with its postfix programs, in evaluation order.
+    /// It shows what the tables hold, for inspection and for pinning
+    /// what the table generator produces.
+    pub fn tables(&self) -> String {
+        format!("{:?}\n{:?}", self.comb, self.mems)
+    }
+
     /// Resets all state to cycle 0 / initial values, clearing statistics.
     pub fn reset(&mut self) {
         self.state = SimState::new(self.design);
