@@ -1699,6 +1699,41 @@ mod tests {
     }
 
     #[test]
+    fn cosim_resume_refuses_an_out_of_range_cycle() {
+        // A lockstep checkpoint whose lanes' `cycle` lines are negative,
+        // or so large that the next step overflows, is refused with a
+        // load error that names the line, before any cycle runs.
+        let ck = std::env::temp_dir().join(format!("asim-cli-cycle-{}.ckpt", std::process::id()));
+        let ck = ck.to_str().unwrap();
+        let cosim = ["cosim", "--scenario", "classic/counter", "--cycles"];
+        let mut first = cosim.to_vec();
+        first.extend(["300", "--checkpoint", ck, "--checkpoint-every", "128"]);
+        run_ok(&first);
+        let doc = std::fs::read_to_string(ck).unwrap();
+        for cycle in ["-1", "9223372036854775807"] {
+            let edited: String = doc
+                .lines()
+                .map(|l| {
+                    if l.starts_with("cycle ") {
+                        format!("cycle {cycle}\n")
+                    } else {
+                        format!("{l}\n")
+                    }
+                })
+                .collect();
+            assert_ne!(edited, doc);
+            std::fs::write(ck, edited).unwrap();
+            let mut resume = cosim.to_vec();
+            resume.extend(["600", "--resume", ck]);
+            let (code, err) = run_fail(&resume);
+            assert_eq!(code, 2, "{err}");
+            let named = format!("checkpoint cycle {cycle} is out of range");
+            assert!(err.contains(&named), "{err}");
+        }
+        let _ = std::fs::remove_file(ck);
+    }
+
+    #[test]
     fn cosim_dump_divergence_writes_side_by_side_vcds() {
         let dir = std::env::temp_dir().join(format!("asim-cli-wavedump-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

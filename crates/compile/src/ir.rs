@@ -6,7 +6,7 @@
 //! (§4.4). The IR makes those decisions explicit and testable; the bytecode
 //! VM and both source backends consume it.
 
-use rtl_core::{AluFn, CompId, RExpr, RefMode, Word, WORD_MASK};
+use rtl_core::{AluFn, CompId, RExpr, RefMode, RefOp, Word, WORD_MASK};
 
 /// A pure expression over component outputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,35 +68,22 @@ pub enum IrExpr {
 }
 
 impl IrExpr {
-    /// Builds the IR for a resolved concatenation expression.
+    /// Builds the IR for a resolved concatenation expression: one term
+    /// per reference, plus the constant total when it is non-zero. A
+    /// lone term (or a constant) is the expression itself; only two or
+    /// more make a [`IrExpr::Sum`].
     pub fn from_rexpr(r: &RExpr) -> IrExpr {
-        let mut terms: Vec<IrExpr> = Vec::with_capacity(r.ops.len() + 1);
-        for op in &r.ops {
-            let base = IrExpr::Output(op.comp);
-            let t = match op.mode {
-                RefMode::Field {
-                    mask,
-                    rshift,
-                    lshift,
-                } => {
-                    let f = IrExpr::Field {
-                        inner: Box::new(base),
-                        mask,
-                        rshift,
-                    };
-                    shl(f, lshift)
+        match (r.ops.as_slice(), r.const_total) {
+            ([], total) => IrExpr::Const(total),
+            ([op], 0) => term(op),
+            (ops, total) => {
+                let mut terms = Vec::with_capacity(ops.len() + usize::from(total != 0));
+                terms.extend(ops.iter().map(term));
+                if total != 0 {
+                    terms.push(IrExpr::Const(total));
                 }
-                RefMode::Raw { lshift } => shl(base, lshift),
-            };
-            terms.push(t);
-        }
-        if r.const_total != 0 || terms.is_empty() {
-            terms.push(IrExpr::Const(r.const_total));
-        }
-        if terms.len() == 1 {
-            terms.pop().expect("one term")
-        } else {
-            IrExpr::Sum(terms)
+                IrExpr::Sum(terms)
+            }
         }
     }
 
@@ -111,99 +98,104 @@ impl IrExpr {
     /// Applies a constant ALU function to two IR operands, producing the
     /// specialized operator node (the §4.4 inlining).
     pub fn apply_fn(f: AluFn, left: IrExpr, right: IrExpr) -> IrExpr {
-        let l = Box::new(left);
-        let r = Box::new(right);
-        match f {
-            AluFn::Zero | AluFn::Unused => IrExpr::Const(0),
-            AluFn::Right => *r,
-            AluFn::Left => *l,
-            AluFn::Not => IrExpr::Not(l),
-            AluFn::Add => IrExpr::Add(l, r),
-            AluFn::Sub => IrExpr::Sub(l, r),
-            AluFn::Shl => IrExpr::ShlLoop(l, r),
-            AluFn::Mul => IrExpr::Mul(l, r),
-            AluFn::And => IrExpr::And(l, r),
-            AluFn::Or => IrExpr::Or(l, r),
-            AluFn::Xor => IrExpr::Xor(l, r),
-            AluFn::Eq => IrExpr::Eq(l, r),
-            AluFn::Lt => IrExpr::Lt(l, r),
-        }
+        let ctor: fn(Box<IrExpr>, Box<IrExpr>) -> IrExpr = match f {
+            AluFn::Zero | AluFn::Unused => return IrExpr::Const(0),
+            AluFn::Right => return right,
+            AluFn::Left => return left,
+            AluFn::Not => return IrExpr::Not(Box::new(left)),
+            AluFn::Add => IrExpr::Add,
+            AluFn::Sub => IrExpr::Sub,
+            AluFn::Shl => IrExpr::ShlLoop,
+            AluFn::Mul => IrExpr::Mul,
+            AluFn::And => IrExpr::And,
+            AluFn::Or => IrExpr::Or,
+            AluFn::Xor => IrExpr::Xor,
+            AluFn::Eq => IrExpr::Eq,
+            AluFn::Lt => IrExpr::Lt,
+        };
+        ctor(Box::new(left), Box::new(right))
     }
 
     /// Recursively folds constant sub-expressions. `Dologic` with a
     /// constant function is *not* folded here — that is the inlining
     /// pass's job, so the two optimizations can be ablated independently.
+    ///
+    /// Folding works in place: a node that stays keeps its `Box`es and a
+    /// [`IrExpr::Sum`] its term vector, so it allocates nothing; a node
+    /// that folds to a constant frees its operands.
     pub fn fold(self) -> IrExpr {
         use IrExpr::*;
-        let fold_box = |b: Box<IrExpr>| Box::new(b.fold());
         match self {
-            Const(v) => Const(v),
-            Output(c) => Output(c),
+            Const(_) | Output(_) => self,
             Field {
-                inner,
+                mut inner,
                 mask,
                 rshift,
-            } => {
-                let inner = fold_box(inner);
-                match inner.as_const() {
-                    Some(v) => Const((rtl_core::land(v, mask)) >> rshift),
-                    None => Field {
-                        inner,
-                        mask,
-                        rshift,
-                    },
-                }
-            }
-            Shl { inner, amount } => {
-                let inner = fold_box(inner);
-                match inner.as_const() {
-                    Some(v) => Const(v.wrapping_shl(u32::from(amount))),
-                    None => Shl { inner, amount },
-                }
-            }
-            Sum(terms) => {
+            } => match fold_in_place(&mut inner) {
+                Some(v) => Const((rtl_core::land(v, mask)) >> rshift),
+                None => Field {
+                    inner,
+                    mask,
+                    rshift,
+                },
+            },
+            Shl { mut inner, amount } => match fold_in_place(&mut inner) {
+                Some(v) => Const(v.wrapping_shl(u32::from(amount))),
+                None => Shl { inner, amount },
+            },
+            Sum(mut terms) => {
                 let mut konst: Word = 0;
-                let mut rest = Vec::new();
-                for t in terms {
-                    match t.fold() {
-                        Const(v) => konst = konst.wrapping_add(v),
-                        other => rest.push(other),
+                terms.retain_mut(|t| match fold_in_place(t) {
+                    Some(v) => {
+                        konst = konst.wrapping_add(v);
+                        false
                     }
-                }
-                if rest.is_empty() {
+                    None => true,
+                });
+                if terms.is_empty() {
                     Const(konst)
                 } else {
+                    // A non-zero constant came from a dropped term, so
+                    // this push reuses its slot.
                     if konst != 0 {
-                        rest.push(Const(konst));
+                        terms.push(Const(konst));
                     }
-                    if rest.len() == 1 {
-                        rest.pop().expect("one term")
+                    if terms.len() == 1 {
+                        terms.pop().expect("one term")
                     } else {
-                        Sum(rest)
+                        Sum(terms)
                     }
                 }
             }
-            Not(a) => unary(*a, AluFn::Not, IrExpr::Not),
-            Add(a, b) => binary(*a, *b, AluFn::Add, IrExpr::Add),
-            Sub(a, b) => binary(*a, *b, AluFn::Sub, IrExpr::Sub),
-            ShlLoop(a, b) => binary(*a, *b, AluFn::Shl, IrExpr::ShlLoop),
-            Mul(a, b) => binary(*a, *b, AluFn::Mul, IrExpr::Mul),
-            And(a, b) => binary(*a, *b, AluFn::And, IrExpr::And),
-            Or(a, b) => binary(*a, *b, AluFn::Or, IrExpr::Or),
-            Xor(a, b) => binary(*a, *b, AluFn::Xor, IrExpr::Xor),
-            Eq(a, b) => binary(*a, *b, AluFn::Eq, IrExpr::Eq),
-            Lt(a, b) => binary(*a, *b, AluFn::Lt, IrExpr::Lt),
-            Dologic {
-                funct,
-                left,
-                right,
-                comp,
-            } => Dologic {
-                funct: fold_box(funct),
-                left: fold_box(left),
-                right: fold_box(right),
-                comp,
+            Not(mut a) => match fold_in_place(&mut a) {
+                Some(v) => Const(AluFn::Not.apply(v, 0)),
+                None => Not(a),
             },
+            Add(a, b) => binary(a, b, AluFn::Add, IrExpr::Add),
+            Sub(a, b) => binary(a, b, AluFn::Sub, IrExpr::Sub),
+            ShlLoop(a, b) => binary(a, b, AluFn::Shl, IrExpr::ShlLoop),
+            Mul(a, b) => binary(a, b, AluFn::Mul, IrExpr::Mul),
+            And(a, b) => binary(a, b, AluFn::And, IrExpr::And),
+            Or(a, b) => binary(a, b, AluFn::Or, IrExpr::Or),
+            Xor(a, b) => binary(a, b, AluFn::Xor, IrExpr::Xor),
+            Eq(a, b) => binary(a, b, AluFn::Eq, IrExpr::Eq),
+            Lt(a, b) => binary(a, b, AluFn::Lt, IrExpr::Lt),
+            Dologic {
+                mut funct,
+                mut left,
+                mut right,
+                comp,
+            } => {
+                fold_in_place(&mut funct);
+                fold_in_place(&mut left);
+                fold_in_place(&mut right);
+                Dologic {
+                    funct,
+                    left,
+                    right,
+                    comp,
+                }
+            }
         }
     }
 
@@ -230,6 +222,27 @@ impl IrExpr {
     }
 }
 
+/// The term of one reference: the output, its subfield taken in place
+/// and shifted to its position in the concatenation.
+fn term(op: &RefOp) -> IrExpr {
+    let base = IrExpr::Output(op.comp);
+    match op.mode {
+        RefMode::Field {
+            mask,
+            rshift,
+            lshift,
+        } => {
+            let f = IrExpr::Field {
+                inner: Box::new(base),
+                mask,
+                rshift,
+            };
+            shl(f, lshift)
+        }
+        RefMode::Raw { lshift } => shl(base, lshift),
+    }
+}
+
 fn shl(e: IrExpr, amount: u8) -> IrExpr {
     if amount == 0 {
         e
@@ -241,20 +254,22 @@ fn shl(e: IrExpr, amount: u8) -> IrExpr {
     }
 }
 
-fn unary(a: IrExpr, f: AluFn, ctor: fn(Box<IrExpr>) -> IrExpr) -> IrExpr {
-    let a = a.fold();
-    match a.as_const() {
-        Some(v) => IrExpr::Const(f.apply(v, 0)),
-        None => ctor(Box::new(a)),
-    }
+/// Folds the expression in `slot` where it lies (its allocation is
+/// reused) and returns its value if it folded to a constant.
+fn fold_in_place(slot: &mut IrExpr) -> Option<Word> {
+    *slot = std::mem::replace(slot, IrExpr::Const(0)).fold();
+    slot.as_const()
 }
 
-fn binary(a: IrExpr, b: IrExpr, f: AluFn, ctor: fn(Box<IrExpr>, Box<IrExpr>) -> IrExpr) -> IrExpr {
-    let a = a.fold();
-    let b = b.fold();
-    match (a.as_const(), b.as_const()) {
+fn binary(
+    mut a: Box<IrExpr>,
+    mut b: Box<IrExpr>,
+    f: AluFn,
+    ctor: fn(Box<IrExpr>, Box<IrExpr>) -> IrExpr,
+) -> IrExpr {
+    match (fold_in_place(&mut a), fold_in_place(&mut b)) {
         (Some(x), Some(y)) => IrExpr::Const(f.apply(x, y)),
-        _ => ctor(Box::new(a), Box::new(b)),
+        _ => ctor(a, b),
     }
 }
 

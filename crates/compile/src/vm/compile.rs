@@ -5,7 +5,12 @@ use crate::ir::{CycleIr, IrExpr, OpnPlan, Step};
 
 /// Compiles a lowered cycle to a flat bytecode program.
 pub fn compile_program(ir: &CycleIr) -> Program {
-    let mut c = Compiler::default();
+    let (instrs, tables) = program_len(ir);
+    let mut c = Compiler {
+        instrs: Vec::with_capacity(instrs),
+        tables: Vec::with_capacity(tables),
+        ..Compiler::default()
+    };
 
     for step in &ir.steps {
         match step {
@@ -96,6 +101,7 @@ pub fn compile_program(ir: &CycleIr) -> Program {
         });
     }
 
+    debug_assert_eq!((c.instrs.len(), c.tables.len()), (instrs, tables));
     Program {
         instrs: c.instrs,
         tables: c.tables,
@@ -103,6 +109,60 @@ pub fn compile_program(ir: &CycleIr) -> Program {
         mems,
         traced: ir.traced.iter().map(|t| t.index() as u32).collect(),
         trace: ir.trace,
+    }
+}
+
+/// The instruction and jump-table lengths [`compile_program`] emits for
+/// `ir`, so both vectors are sized once.
+fn program_len(ir: &CycleIr) -> (usize, usize) {
+    let (mut instrs, mut tables) = (0, 0);
+    for step in &ir.steps {
+        match step {
+            // The expression, then its store.
+            Step::Assign { expr, .. } => instrs += expr_len(expr) + 1,
+            // The select and its switch; each case, its store and its jump.
+            Step::Select { select, cases, .. } => {
+                instrs += expr_len(select) + 1;
+                instrs += cases.iter().map(|e| expr_len(e) + 2).sum::<usize>();
+                tables += cases.len();
+            }
+        }
+    }
+    for m in &ir.mems {
+        // Each evaluated expression, then its scratch store.
+        let opn = match &m.opn {
+            OpnPlan::Const(_) => None,
+            OpnPlan::Dynamic(e) => Some(e),
+        };
+        instrs += [Some(&m.addr), opn, m.data.as_ref()]
+            .into_iter()
+            .flatten()
+            .map(|e| expr_len(e) + 1)
+            .sum::<usize>();
+    }
+    (instrs, tables)
+}
+
+/// The instructions [`Compiler::emit_expr`] emits for `e`: one per node,
+/// except that a sum of `n` terms emits `n - 1` adds.
+fn expr_len(e: &IrExpr) -> usize {
+    use IrExpr::*;
+    match e {
+        Const(_) | Output(_) => 1,
+        Field { inner, .. } | Shl { inner, .. } | Not(inner) => 1 + expr_len(inner),
+        Sum(terms) => terms.iter().map(expr_len).sum::<usize>() + terms.len() - 1,
+        Add(a, b)
+        | Sub(a, b)
+        | ShlLoop(a, b)
+        | Mul(a, b)
+        | And(a, b)
+        | Or(a, b)
+        | Xor(a, b)
+        | Eq(a, b)
+        | Lt(a, b) => 1 + expr_len(a) + expr_len(b),
+        Dologic {
+            funct, left, right, ..
+        } => 1 + expr_len(funct) + expr_len(left) + expr_len(right),
     }
 }
 

@@ -36,7 +36,7 @@ use crate::error::{ElabError, Warning};
 use crate::graph::sort_combinational;
 use crate::resolve::{resolve_expr, CompId, RExpr};
 use crate::word::Word;
-use rtl_lang::{ComponentKind, Ident, Spec};
+use rtl_lang::{Component, ComponentKind, Ident, Spec};
 use std::collections::HashMap;
 
 /// The component limit of the original implementation (`maxcomponents`).
@@ -111,17 +111,15 @@ impl RKind {
         matches!(self, RKind::Memory(_))
     }
 
-    /// Every expression of the component, in source order.
-    pub fn expressions(&self) -> Vec<&RExpr> {
-        match self {
-            RKind::Alu(a) => vec![&a.funct, &a.left, &a.right],
-            RKind::Selector(s) => {
-                let mut v = vec![&s.select];
-                v.extend(s.cases.iter());
-                v
-            }
-            RKind::Memory(m) => vec![&m.addr, &m.data, &m.opn],
-        }
+    /// Iterates over every expression of the component, in source order
+    /// (the order of [`ComponentKind::expressions`]), without allocating.
+    pub fn expressions(&self) -> impl Iterator<Item = &RExpr> {
+        let (fixed, cases): ([Option<&RExpr>; 3], &[RExpr]) = match self {
+            RKind::Alu(a) => ([Some(&a.funct), Some(&a.left), Some(&a.right)], &[]),
+            RKind::Selector(s) => ([Some(&s.select), None, None], &s.cases),
+            RKind::Memory(m) => ([Some(&m.addr), Some(&m.data), Some(&m.opn)], &[]),
+        };
+        fixed.into_iter().flatten().chain(cases)
     }
 }
 
@@ -139,7 +137,7 @@ pub struct CompData {
 pub struct Design {
     spec: Spec,
     comps: Vec<CompData>,
-    names: HashMap<String, CompId>,
+    names: HashMap<Ident, CompId>,
     comb_order: Vec<CompId>,
     memories: Vec<CompId>,
     traced: Vec<CompId>,
@@ -182,10 +180,7 @@ impl Design {
         // we reject duplicates outright).
         let mut names = HashMap::with_capacity(spec.components.len());
         for (i, c) in spec.components.iter().enumerate() {
-            if names
-                .insert(c.name.as_str().to_string(), CompId::new(i))
-                .is_some()
-            {
+            if names.insert(c.name.clone(), CompId::new(i)).is_some() {
                 return Err(ElabError::DuplicateComponent {
                     name: c.name.as_str().to_string(),
                     span: c.span,
@@ -261,7 +256,6 @@ impl Design {
                 let mut ds: Vec<usize> = comps[id.index()]
                     .kind
                     .expressions()
-                    .iter()
                     .flat_map(|e| e.comps())
                     .filter_map(|c| node_of[c.index()])
                     .collect();
@@ -403,6 +397,18 @@ impl Design {
     /// The parsed specification this design was elaborated from.
     pub fn spec(&self) -> &Spec {
         &self.spec
+    }
+
+    /// The parsed definition of component `id`: its name, its span and
+    /// the source [`Expr`](rtl_lang::Expr) of each resolved expression.
+    /// The slots match: `source(id).kind.expressions()` yields, in order,
+    /// what `comp(id).kind.expressions()` resolved, and an ALU's, a
+    /// selector's or a memory's fields are the same fields on both sides.
+    /// Readers that need the text-level parts of an expression (subfield
+    /// bounds, names as written) read them here; the [`RExpr`] holds only
+    /// what evaluation needs.
+    pub fn source(&self, id: CompId) -> &Component {
+        &self.spec.components[id.index()]
     }
 
     /// Convenience: the resolved memory with id `id`.

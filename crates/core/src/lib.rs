@@ -64,7 +64,7 @@ pub use rtl_obs::Recorder;
 pub use rtl_prof::{CompMeta, LaneTally, Profile, ProfileHook};
 pub use session::{
     design_fingerprint, read_checkpoint, write_checkpoint, Fingerprint, RunOutcome, Session,
-    SessionBuilder, StopReason, Until,
+    SessionBuilder, StopReason, Until, MAX_CHECKPOINT_CYCLE,
 };
 pub use sink::{BufferSink, NullSink, TraceSink, WriteSink};
 pub use state::SimState;

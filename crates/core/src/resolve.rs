@@ -10,7 +10,7 @@
 
 use crate::error::ElabError;
 use crate::word::{land, Word};
-use rtl_lang::{Expr, Part};
+use rtl_lang::{Expr, Ident, Part};
 use std::collections::HashMap;
 
 /// Identifies a component within a [`Design`](crate::design::Design); the
@@ -81,6 +81,12 @@ impl RefOp {
 }
 
 /// A resolved expression: a constant plus a sum of shifted bit fields.
+///
+/// It holds only what evaluation needs. The parsed expression it was
+/// resolved from stays in the design's [`Spec`](rtl_lang::Spec), in the
+/// same slot of the same component (see
+/// [`Design::source`](crate::design::Design::source)), so a design keeps
+/// one copy of each expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RExpr {
     /// Sum of all constant parts, pre-shifted into position.
@@ -90,8 +96,6 @@ pub struct RExpr {
     /// Width of the concatenation in bits (31 when a full-width part is
     /// present).
     pub width: u8,
-    /// The source expression (for diagnostics and code generation).
-    pub source: Expr,
 }
 
 impl RExpr {
@@ -134,7 +138,7 @@ impl RExpr {
 ///   room behind it.
 pub fn resolve_expr(
     expr: &Expr,
-    names: &HashMap<String, CompId>,
+    names: &HashMap<Ident, CompId>,
     referrer: &str,
 ) -> Result<RExpr, ElabError> {
     let too_many = || ElabError::TooManyBits {
@@ -214,7 +218,6 @@ pub fn resolve_expr(
         const_total,
         ops,
         width: pos.min(31) as u8,
-        source: expr.clone(),
     })
 }
 
@@ -223,10 +226,10 @@ mod tests {
     use super::*;
     use rtl_lang::{parse_expr, Span};
 
-    fn names(list: &[&str]) -> HashMap<String, CompId> {
+    fn names(list: &[&str]) -> HashMap<Ident, CompId> {
         list.iter()
             .enumerate()
-            .map(|(i, n)| (n.to_string(), CompId::new(i)))
+            .map(|(i, n)| (Ident::from(*n), CompId::new(i)))
             .collect()
     }
 

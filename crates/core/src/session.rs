@@ -487,6 +487,30 @@ impl std::fmt::Debug for Session<'_> {
 
 const CHECKPOINT_MAGIC: &str = "asim2-checkpoint v2";
 
+/// The largest cycle count a checkpoint may hold, 2^62: the bound on its
+/// `cycle` line, on its statistics' cycle count and on a lockstep
+/// checkpoint's `verified` line. A run resumed at the bound needs another
+/// 2^62 cycles, far more than any run steps, before a cycle counter could
+/// overflow, so a document past it is refused ([`check_cycle_count`])
+/// rather than loaded into a state whose next step wraps.
+pub const MAX_CHECKPOINT_CYCLE: Word = 1 << 62;
+
+/// Refuses a cycle count read from a checkpoint's `what` line unless it
+/// lies in `0..=`[`MAX_CHECKPOINT_CYCLE`].
+///
+/// # Errors
+///
+/// A negative count, or one past the bound.
+pub fn check_cycle_count(what: &str, count: i128) -> io::Result<()> {
+    if (0..=i128::from(MAX_CHECKPOINT_CYCLE)).contains(&count) {
+        Ok(())
+    } else {
+        Err(malformed(format!(
+            "checkpoint {what} {count} is out of range (0 to {MAX_CHECKPOINT_CYCLE})"
+        )))
+    }
+}
+
 /// The streaming FNV-1a hasher behind every stable on-disk fingerprint:
 /// design fingerprints in checkpoints, and campaign configuration/corpus
 /// fingerprints downstream. Stable across platforms, runs and Rust
@@ -642,7 +666,8 @@ pub fn read_doc_line(input: &mut dyn BufRead, what: &str) -> io::Result<String> 
 ///
 /// # Errors
 ///
-/// I/O failure, malformed document, or fingerprint mismatch.
+/// I/O failure, malformed document, fingerprint mismatch, or a cycle
+/// count outside `0..=`[`MAX_CHECKPOINT_CYCLE`].
 pub fn read_checkpoint(design: &Design, input: &mut dyn BufRead) -> io::Result<SimState> {
     let mut next = |what: &str| read_doc_line(input, what);
 
@@ -671,6 +696,7 @@ pub fn read_checkpoint(design: &Design, input: &mut dyn BufRead) -> io::Result<S
         .strip_prefix("cycle ")
         .and_then(|c| c.trim().parse().ok())
         .ok_or_else(|| malformed("bad cycle line"))?;
+    check_cycle_count("cycle", cycle.into())?;
 
     let parse_words = |line: &str, tag: &str, expect: usize| -> io::Result<Vec<Word>> {
         let rest = line
@@ -709,6 +735,7 @@ pub fn read_checkpoint(design: &Design, input: &mut dyn BufRead) -> io::Result<S
     let cells = parse_words(&next("cells")?, "cells", total)?;
     let stats =
         parse_stats(&next("stats")?, design).ok_or_else(|| malformed("bad statistics line"))?;
+    check_cycle_count("statistics cycle count", stats.cycles.into())?;
     state.set_cycle(cycle);
     *state.stats_mut() = stats;
     for ((id, _), value) in design.iter().zip(outputs) {

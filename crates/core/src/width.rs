@@ -10,7 +10,7 @@
 
 use crate::design::{Design, RKind};
 use crate::word::{AluFn, Word};
-use rtl_lang::Part;
+use rtl_lang::{ComponentKind, Part};
 
 /// Bits needed to represent a non-negative value (at least 1, capped at 31).
 pub fn bits_needed(value: Word) -> u8 {
@@ -43,7 +43,7 @@ pub fn infer(design: &Design) -> Vec<u8> {
     for _ in 0..(31 * n.max(1)) {
         let mut changed = false;
         for (id, comp) in design.iter() {
-            let w = component_width(design, &comp.kind, &widths);
+            let w = component_width(design, &comp.kind, &design.source(id).kind, &widths);
             if w > widths[id.index()] {
                 widths[id.index()] = w;
                 changed = true;
@@ -56,11 +56,13 @@ pub fn infer(design: &Design) -> Vec<u8> {
     widths
 }
 
-fn component_width(design: &Design, kind: &RKind, widths: &[u8]) -> u8 {
-    match kind {
-        RKind::Alu(a) => {
-            let lw = expr_width(design, &a.left.source, widths);
-            let rw = expr_width(design, &a.right.source, widths);
+/// The width of one component: `kind` is its resolved form, `source` the
+/// parsed one the operand widths are read from.
+fn component_width(design: &Design, kind: &RKind, source: &ComponentKind, widths: &[u8]) -> u8 {
+    match (kind, source) {
+        (RKind::Alu(a), ComponentKind::Alu(s)) => {
+            let lw = expr_width(design, &s.left, widths);
+            let rw = expr_width(design, &s.right, widths);
             match a.funct.as_constant().and_then(AluFn::from_word) {
                 Some(AluFn::Zero) | Some(AluFn::Unused) => 1,
                 Some(AluFn::Right) => rw,
@@ -75,17 +77,18 @@ fn component_width(design: &Design, kind: &RKind, widths: &[u8]) -> u8 {
                 None => 31, // dynamic function: anything is possible
             }
         }
-        RKind::Selector(s) => s
+        (RKind::Selector(_), ComponentKind::Selector(s)) => s
             .cases
             .iter()
-            .map(|c| expr_width(design, &c.source, widths))
+            .map(|c| expr_width(design, c, widths))
             .max()
             .unwrap_or(1),
-        RKind::Memory(m) => {
-            let data = expr_width(design, &m.data.source, widths);
+        (RKind::Memory(m), ComponentKind::Memory(s)) => {
+            let data = expr_width(design, &s.data, widths);
             let init = m.init.iter().copied().map(bits_needed).max().unwrap_or(1);
             data.max(init)
         }
+        _ => unreachable!("a resolved component keeps the kind of its source"),
     }
 }
 

@@ -87,9 +87,10 @@ impl std::fmt::Display for FuzzReport {
 ///
 /// The case elaborates the generator's own [`Spec`](rtl_lang::Spec)
 /// ([`generate_case`]), moved into the design. It lints that design
-/// ([`rtl_lint::lint_design`], into `lint/*` counters) when
-/// [`CosimOptions::lint_oracle`] is set, unless the run resumes from a
-/// checkpoint: the run that saved it linted.
+/// ([`Harness::lint`], into `lint/*` counters, the oracle's claims drawn
+/// from the same analysis) when [`CosimOptions::lint_oracle`] is set,
+/// unless the run resumes from a checkpoint: the run that saved it
+/// linted.
 ///
 /// # Errors
 ///
@@ -116,7 +117,7 @@ pub fn run_fuzz_case(
         // byte-identical across worker counts and kill+resume.
         let recorder = &options.cosim.recorder;
         recorder.count("lint", "designs_linted", 1);
-        for (code, n) in rtl_lint::lint_design(&design).counts() {
+        for (code, n) in harness.lint().counts() {
             recorder.count("lint", code, n);
         }
     }

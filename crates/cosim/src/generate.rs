@@ -174,7 +174,8 @@ mod tests {
             if let (ComponentKind::Memory(bm), ComponentKind::Memory(pm)) = (&b.kind, &p.kind) {
                 assert_eq!((bm.size, &bm.init), (pm.size, &pm.init), "{at}");
             }
-            let (be, pe) = (b.kind.expressions(), p.kind.expressions());
+            let be: Vec<_> = b.kind.expressions().collect();
+            let pe: Vec<_> = p.kind.expressions().collect();
             assert_eq!(be.len(), pe.len(), "{at}");
             for (i, (x, y)) in be.iter().zip(&pe).enumerate() {
                 assert_eq!(x.parts, y.parts, "{at} expression {i}");

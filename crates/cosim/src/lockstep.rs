@@ -1020,9 +1020,10 @@ impl<'d> Lockstep<'d> {
     ///
     /// # Errors
     ///
-    /// I/O failure, a malformed document, a fingerprint/lane mismatch, or
-    /// an `asim2-lockstep v1` or `v2` document, written by an older
-    /// harness (all as [`io::Error`]).
+    /// I/O failure, a malformed document, a fingerprint/lane mismatch, a
+    /// cycle count past [`rtl_core::MAX_CHECKPOINT_CYCLE`], or an
+    /// `asim2-lockstep v1` or `v2` document, written by an older harness
+    /// (all as [`io::Error`]).
     pub fn resume(&mut self, input: &mut dyn BufRead) -> io::Result<()> {
         let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         fn next(input: &mut dyn BufRead, what: &str) -> io::Result<String> {
@@ -1054,6 +1055,7 @@ impl<'d> Lockstep<'d> {
             .strip_prefix("verified ")
             .and_then(|v| v.trim().parse().ok())
             .ok_or_else(|| bad("bad verified line".into()))?;
+        rtl_core::session::check_cycle_count("verified", verified.into())?;
 
         // The document does not say when the words read so far were
         // read: they count as read at cycle 0.

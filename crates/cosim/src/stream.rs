@@ -28,7 +28,7 @@ use rtl_core::{
     LoadError, StopReason, StreamEngine, Word,
 };
 use rtl_machines::Scenario;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
 /// Why a named-lane scenario run could not start.
@@ -120,8 +120,9 @@ pub fn run_design_names(
 /// Named registry lanes built once over one design, to run as often as a
 /// caller needs — the one lockstep runner behind [`run_design_names`],
 /// [`run_scenario_names`], fuzz cases and shrink probes.
-/// [`prepare`](Harness::prepare) builds the lanes and the lint oracle's
-/// [`StaticClaims`](rtl_lint::StaticClaims); every [`run`](Harness::run)
+/// [`prepare`](Harness::prepare) builds the lanes; the lint oracle's
+/// [`StaticClaims`](rtl_lint::StaticClaims) are made once, by
+/// [`lint`](Harness::lint) or the first run. Every [`run`](Harness::run)
 /// starts the lanes at cycle 0 with a fresh stimulus and fresh
 /// comparators. A run returns exactly what a fresh [`run_design_names`]
 /// call with the same arguments returns: report, lane statistics and
@@ -141,8 +142,10 @@ pub struct Harness<'d> {
     streams: Vec<(&'d str, Box<dyn StreamEngine + 'd>)>,
     /// The first stepped lane's name: the side a stream report quotes.
     reference: &'d str,
-    /// The lint oracle's claims, when the oracle is on and has any.
-    claims: Option<rtl_lint::StaticClaims>,
+    /// The lint oracle's claims, when the oracle is on and has any:
+    /// drawn from [`lint`](Harness::lint)'s analysis when it ran,
+    /// otherwise made at the first run.
+    claims: OnceCell<Option<rtl_lint::StaticClaims>>,
     /// The digest stream every run checks the reference lane against.
     check_log: Option<crate::digest::DigestLog>,
     /// Where every run resumes from and saves its checkpoints: the
@@ -208,10 +211,6 @@ impl<'d> Harness<'d> {
         for (lane, engine) in stepped {
             lockstep.add_lane(lane, engine);
         }
-        let claims = options
-            .lint_oracle
-            .then(|| rtl_lint::StaticClaims::of(design))
-            .filter(|c| !c.is_empty());
         let check_log = options
             .check_digests
             .as_deref()
@@ -235,10 +234,22 @@ impl<'d> Harness<'d> {
             lockstep,
             streams,
             reference,
-            claims,
+            claims: OnceCell::new(),
             check_log,
             checkpoint,
         })
+    }
+
+    /// Lints the design ([`rtl_lint::lint_design`]). Under
+    /// [`CosimOptions::lint_oracle`] the oracle's claims come from this
+    /// same analysis, so a run does not analyse the design again.
+    pub fn lint(&self) -> rtl_lint::Report {
+        let (report, claims) = rtl_lint::lint_with_claims(self.design);
+        if self.options.lint_oracle {
+            // Set before any run, or equal to what a run set.
+            let _ = self.claims.set(Some(claims).filter(|c| !c.is_empty()));
+        }
+        report
     }
 
     /// Whether every run resumes from a document its checkpoint store
@@ -273,7 +284,13 @@ impl<'d> Harness<'d> {
             ))));
             log
         });
-        if let Some(claims) = &self.claims {
+        let claims = self.claims.get_or_init(|| {
+            options
+                .lint_oracle
+                .then(|| rtl_lint::StaticClaims::of(self.design))
+                .filter(|c| !c.is_empty())
+        });
+        if let Some(claims) = claims {
             lockstep.add_comparator(Box::new(rtl_lint::OracleComparator::new(
                 claims.clone(),
                 options.recorder.clone(),

@@ -9,12 +9,13 @@
 //! at a coarse stride, so a mutant that desynchronises one lane also
 //! drives the bisection rewind to the snapshot taken at resume. The
 //! statistics lines of both checkpoints are also cut at every byte and
-//! flipped at every bit, and documents of retired versions are refused by
-//! name.
+//! flipped at every bit, documents of retired versions are refused by
+//! name, and so are cycle counts a resumed run could step past `Word::MAX`
+//! (or that are negative).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtl_core::{Design, EngineLane, EngineOptions, Session, Until};
+use rtl_core::{Design, EngineLane, EngineOptions, Session, Until, Word, MAX_CHECKPOINT_CYCLE};
 use rtl_cosim::{registry, CosimOptions, CosimOutcome, DigestLane, DigestLog, DigestRecorder};
 use rtl_cosim::{Lockstep, DEFAULT_FAULT_CYCLE};
 use std::cell::RefCell;
@@ -180,12 +181,16 @@ fn every_cut_and_flip_of_a_statistics_line_is_refused_or_resumes_cleanly() {
     }
     assert!(resumed > 0, "no mutant resumed; the run path went untested");
 
-    // Counters restored at their ceiling saturate rather than overflow.
+    // Access counters restored at their ceiling saturate rather than
+    // overflow. The cycle count has a lower ceiling, the checkpoint
+    // bound, which no run steps past (`out_of_range_cycle_counts_...`).
     let text = String::from_utf8(doc).unwrap();
     let line = text.lines().find(|l| l.starts_with("stats ")).unwrap();
     let max = line
         .split(' ')
-        .map(|w| match w.parse::<u64>() {
+        .enumerate()
+        .map(|(i, w)| match w.parse::<u64>() {
+            Ok(_) if i == 1 => MAX_CHECKPOINT_CYCLE.to_string(),
             Ok(_) => u64::MAX.to_string(),
             Err(_) => w.to_string(),
         })
@@ -194,9 +199,10 @@ fn every_cut_and_flip_of_a_statistics_line_is_refused_or_resumes_cleanly() {
     let mut run = session(&design);
     run.resume(&mut text.replacen(line, &max, 1).as_bytes())
         .unwrap();
-    assert!(run.run(Until::Cycles(16)).completed());
+    let outcome = run.run(Until::Cycles(16));
+    assert!(outcome.completed());
     let stats = run.engine().stats().unwrap();
-    assert_eq!(stats.cycles, u64::MAX);
+    assert_eq!(stats.cycles, MAX_CHECKPOINT_CYCLE as u64 + outcome.cycles);
     assert_eq!(stats.total_accesses(), u64::MAX);
 
     let mut valid = harness(&design, &["interp", "vm"]);
@@ -213,6 +219,102 @@ fn every_cut_and_flip_of_a_statistics_line_is_refused_or_resumes_cleanly() {
         }
     }
     assert!(resumed > 0, "no mutant resumed; the run path went untested");
+}
+
+/// `doc` with the first number of every line tagged `tag` replaced by
+/// `value`.
+fn with_count(doc: &str, tag: &str, value: &str) -> String {
+    doc.lines()
+        .map(|line| match line.strip_prefix(tag) {
+            Some(rest) => {
+                let tail = rest.split_once(' ').map_or("", |(_, tail)| tail);
+                format!("{tag}{value} {tail}").trim_end().to_string()
+            }
+            None => line.to_string(),
+        })
+        .map(|line| line + "\n")
+        .collect()
+}
+
+/// A cycle count outside `0..=MAX_CHECKPOINT_CYCLE`, negative or near
+/// `Word::MAX` where the next step overflows, is refused by name: on a
+/// session checkpoint's `cycle` and `stats` lines, and on a lockstep
+/// checkpoint's `verified` line and its lanes' documents. A document at
+/// the bound itself resumes and runs.
+#[test]
+fn out_of_range_cycle_counts_are_refused() {
+    let design = Design::from_source(ACCUMULATOR).unwrap();
+    let session = |design| {
+        Session::builder(design)
+            .engine_named(registry(), "vm", &EngineOptions::default())
+            .unwrap()
+            .capture()
+            .scripted(stimulus())
+            .build()
+    };
+    let mut valid = session(&design);
+    valid.run(Until::Cycles(12));
+    let mut doc = Vec::new();
+    valid.checkpoint(&mut doc).unwrap();
+    let session_doc = String::from_utf8(doc).unwrap();
+
+    let mut valid = harness(&design, &["interp", "vm"]);
+    assert!(valid.run(12).agreed());
+    let mut doc = Vec::new();
+    valid.checkpoint(&mut doc).unwrap();
+    let lockstep_doc = String::from_utf8(doc).unwrap();
+
+    let huge = Word::MAX.to_string();
+    let past = (MAX_CHECKPOINT_CYCLE + 1).to_string();
+    let beyond_word = u64::MAX.to_string();
+    let refusals = [
+        ("cycle ", "-1", "checkpoint cycle -1 is out of range"),
+        (
+            "cycle ",
+            huge.as_str(),
+            "checkpoint cycle 9223372036854775807 is out of range",
+        ),
+        ("cycle ", past.as_str(), "is out of range"),
+        ("stats ", huge.as_str(), "checkpoint statistics cycle count"),
+        (
+            "stats ",
+            beyond_word.as_str(),
+            "checkpoint statistics cycle count",
+        ),
+    ];
+    for (tag, value, named) in refusals {
+        let mutant = with_count(&session_doc, tag, value);
+        let err = session(&design).resume(&mut mutant.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains(named), "{tag}{value}: {err}");
+        let mutant = with_count(&lockstep_doc, tag, value);
+        let err = harness(&design, &["interp", "vm"])
+            .resume(&mut mutant.as_bytes())
+            .unwrap_err();
+        assert!(err.to_string().contains(named), "{tag}{value}: {err}");
+    }
+    let mutant = with_count(&lockstep_doc, "verified ", &beyond_word);
+    let err = harness(&design, &["interp", "vm"])
+        .resume(&mut mutant.as_bytes())
+        .unwrap_err();
+    assert!(err.to_string().contains("checkpoint verified"), "{err}");
+
+    let bound = MAX_CHECKPOINT_CYCLE.to_string();
+    let mut at_bound = session_doc.clone();
+    for tag in ["cycle ", "stats "] {
+        at_bound = with_count(&at_bound, tag, &bound);
+    }
+    let mut run = session(&design);
+    run.resume(&mut at_bound.as_bytes()).unwrap();
+    assert!(run.run(Until::Cycles(16)).completed());
+    assert_eq!(run.engine().state().cycle(), MAX_CHECKPOINT_CYCLE + 16);
+
+    let mut at_bound = lockstep_doc.clone();
+    for tag in ["cycle ", "stats ", "verified "] {
+        at_bound = with_count(&at_bound, tag, &bound);
+    }
+    let mut lockstep = harness(&design, &["interp", "vm"]);
+    lockstep.resume(&mut at_bound.as_bytes()).unwrap();
+    assert!(lockstep.run(16).agreed());
 }
 
 #[test]

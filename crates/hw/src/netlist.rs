@@ -6,8 +6,8 @@
 //! inside a component's expressions becomes a [`Net`] from the producer to
 //! the consuming port, carrying its bit range.
 
-use rtl_core::{CompId, Design, RExpr, RKind};
-use rtl_lang::Part;
+use rtl_core::{CompId, Design};
+use rtl_lang::{ComponentKind, Expr, Part};
 
 /// Which input port of a component a net drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,23 +101,23 @@ impl Netlist {
     pub fn extract(design: &Design) -> Netlist {
         let widths = rtl_core::width::infer(design);
         let mut nets = Vec::new();
-        for (id, comp) in design.iter() {
-            let mut push = |expr: &RExpr, role: PortRole| {
+        for (id, _) in design.iter() {
+            let mut push = |expr: &Expr, role: PortRole| {
                 collect_nets(design, id, expr, role, &mut nets);
             };
-            match &comp.kind {
-                RKind::Alu(a) => {
+            match &design.source(id).kind {
+                ComponentKind::Alu(a) => {
                     push(&a.funct, PortRole::Funct);
                     push(&a.left, PortRole::Left);
                     push(&a.right, PortRole::Right);
                 }
-                RKind::Selector(s) => {
+                ComponentKind::Selector(s) => {
                     push(&s.select, PortRole::Select);
                     for (i, c) in s.cases.iter().enumerate() {
                         push(c, PortRole::Case(i));
                     }
                 }
-                RKind::Memory(m) => {
+                ComponentKind::Memory(m) => {
                     push(&m.addr, PortRole::Addr);
                     push(&m.data, PortRole::Data);
                     push(&m.opn, PortRole::Opn);
@@ -143,8 +143,8 @@ impl Netlist {
     }
 }
 
-fn collect_nets(design: &Design, to: CompId, expr: &RExpr, role: PortRole, nets: &mut Vec<Net>) {
-    for part in &expr.source.parts {
+fn collect_nets(design: &Design, to: CompId, expr: &Expr, role: PortRole, nets: &mut Vec<Net>) {
+    for part in &expr.parts {
         if let Part::Ref { name, from, to: hi } = part {
             let from_id = design
                 .find(name.as_str())

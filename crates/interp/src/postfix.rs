@@ -144,14 +144,14 @@ impl Program {
 mod tests {
     use super::*;
     use rtl_core::resolve::resolve_expr;
-    use rtl_lang::{parse_expr, Span};
+    use rtl_lang::{parse_expr, Ident, Span};
     use std::collections::HashMap;
 
     fn compile(text: &str, names: &[&str]) -> Program {
-        let table: HashMap<String, CompId> = names
+        let table: HashMap<Ident, CompId> = names
             .iter()
             .enumerate()
-            .map(|(i, n)| (n.to_string(), crate::postfix::tests::id(i)))
+            .map(|(i, n)| (Ident::from(*n), crate::postfix::tests::id(i)))
             .collect();
         let e = parse_expr(text, Span::default()).unwrap();
         let r = resolve_expr(&e, &table, "test").unwrap();

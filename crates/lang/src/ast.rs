@@ -8,15 +8,24 @@
 use crate::expr::MAX_BIT;
 use crate::number::Word;
 use crate::span::Span;
+use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A component or declared name: letters followed by letters and digits.
 /// Names are case-sensitive, as in the original (Pascal `strcmp`).
+///
+/// The bytes are shared: cloning an `Ident` bumps a reference count and
+/// never allocates, so a name is allocated once however many references,
+/// declarations and tables hold it. Hashing, equality, ordering and
+/// `Debug` are those of the name's `str`, and `Ident` borrows as `str`,
+/// so a map keyed by `Ident` is looked up with a `&str`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Ident(String);
+pub struct Ident(Arc<str>);
 
 impl Ident {
-    /// Wraps a string as an identifier **without validating it**.
+    /// Wraps a string as an identifier **without validating it** (only
+    /// debug builds check it).
     ///
     /// Invariant: the caller must guarantee the string is already a valid
     /// name — an ASCII letter followed by letters and digits — because
@@ -25,10 +34,10 @@ impl Ident {
     /// as the concatenation of two validated identifiers during module
     /// flattening; any name originating in user input (spec text,
     /// bindings, CLI arguments) must go through [`Ident::parse`] instead.
-    pub fn new_unchecked(s: impl Into<String>) -> Self {
+    pub fn new_unchecked(s: impl Into<Arc<str>>) -> Self {
         let s = s.into();
         debug_assert!(
-            Ident::parse(&s).is_some(),
+            Ident::is_valid(&s),
             "new_unchecked called with invalid identifier {s:?}"
         );
         Ident(s)
@@ -36,16 +45,15 @@ impl Ident {
 
     /// Validates and wraps a name: first char a letter, rest letters/digits.
     pub fn parse(s: &str) -> Option<Self> {
+        Ident::is_valid(s).then(|| Ident(Arc::from(s)))
+    }
+
+    /// `true` if `s` is a valid name: an ASCII letter followed by ASCII
+    /// letters and digits.
+    pub fn is_valid(s: &str) -> bool {
         let mut chars = s.chars();
-        let first = chars.next()?;
-        if !first.is_ascii_alphabetic() {
-            return None;
-        }
-        if chars.all(|c| c.is_ascii_alphanumeric()) {
-            Some(Ident(s.to_string()))
-        } else {
-            None
-        }
+        chars.next().is_some_and(|c| c.is_ascii_alphabetic())
+            && chars.all(|c| c.is_ascii_alphanumeric())
     }
 
     /// The name as a string slice.
@@ -60,21 +68,30 @@ impl fmt::Display for Ident {
     }
 }
 
+impl Borrow<str> for Ident {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl PartialEq<str> for Ident {
     fn eq(&self, other: &str) -> bool {
-        self.0 == other
+        *self.0 == *other
     }
 }
 
 impl PartialEq<&str> for Ident {
     fn eq(&self, other: &&str) -> bool {
-        self.0 == *other
+        *self.0 == **other
     }
 }
 
+/// A literal name, as in `Part::reference("count")`. Like
+/// [`Ident::new_unchecked`], the text must already be a valid name, and
+/// only debug builds check it.
 impl From<&str> for Ident {
     fn from(s: &str) -> Self {
-        Ident(s.to_string())
+        Ident::new_unchecked(s)
     }
 }
 
@@ -350,17 +367,15 @@ impl ComponentKind {
         }
     }
 
-    /// Iterates over every expression inside the component, in source order.
-    pub fn expressions(&self) -> Vec<&Expr> {
-        match self {
-            ComponentKind::Alu(a) => vec![&a.funct, &a.left, &a.right],
-            ComponentKind::Selector(s) => {
-                let mut v = vec![&s.select];
-                v.extend(s.cases.iter());
-                v
-            }
-            ComponentKind::Memory(m) => vec![&m.addr, &m.data, &m.opn],
-        }
+    /// Iterates over every expression inside the component, in source
+    /// order, without allocating.
+    pub fn expressions(&self) -> impl Iterator<Item = &Expr> {
+        let (fixed, cases): ([Option<&Expr>; 3], &[Expr]) = match self {
+            ComponentKind::Alu(a) => ([Some(&a.funct), Some(&a.left), Some(&a.right)], &[]),
+            ComponentKind::Selector(s) => ([Some(&s.select), None, None], &s.cases),
+            ComponentKind::Memory(m) => ([Some(&m.addr), Some(&m.data), Some(&m.opn)], &[]),
+        };
+        fixed.into_iter().flatten().chain(cases)
     }
 }
 
@@ -419,6 +434,57 @@ mod tests {
         assert!(Ident::parse("").is_none());
         assert!(Ident::parse("a-b").is_none());
         assert!(Ident::parse("a.b").is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "invalid identifier \"2x\"")]
+    fn ident_from_str_checks_the_name() {
+        let _ = Ident::from("2x");
+    }
+
+    /// `Ident` hashes, compares and sorts as its `str`, so a map keyed
+    /// by it answers a `&str` lookup and sorted names keep `str` order.
+    #[test]
+    fn ident_behaves_as_its_str() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::HashMap;
+        use std::hash::{Hash, Hasher};
+
+        let names = ["mem", "Zed", "a10", "a9", "count", "a"];
+        let table: HashMap<Ident, usize> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (Ident::from(*n), i))
+            .collect();
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(table.get(*n), Some(&i), "{n}");
+        }
+        assert_eq!(table.get("ghost"), None);
+
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        for n in names {
+            let id = Ident::from(n);
+            assert_eq!(hash(&|s| id.hash(s)), hash(&|s| n.hash(s)), "{n}");
+            assert_eq!(format!("{id:?}"), format!("Ident({n:?})"));
+        }
+
+        let mut idents: Vec<Ident> = names.iter().map(|n| Ident::from(*n)).collect();
+        let mut strs = names.to_vec();
+        idents.sort();
+        strs.sort();
+        assert_eq!(idents.iter().map(Ident::as_str).collect::<Vec<_>>(), strs);
+    }
+
+    #[test]
+    fn cloning_an_ident_shares_its_bytes() {
+        let a = Ident::from("count");
+        let b = a.clone();
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
     }
 
     #[test]

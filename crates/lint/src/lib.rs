@@ -76,13 +76,35 @@ pub fn lint_design(design: &Design) -> Report {
     lint(design.spec(), Ok(design))
 }
 
+/// Lints an elaborated design as [`lint_design`] does, and draws the lint
+/// oracle's [`StaticClaims`] from the same analysis: one
+/// [`exact_bounds`](passes::exact_bounds) fixpoint and one
+/// [`dead_arms`](passes::dead_arms) scan serve both, where
+/// [`StaticClaims::of`] and [`lint_design`] would each make their own.
+pub fn lint_with_claims(design: &Design) -> (Report, StaticClaims) {
+    let (report, dead_arms) = analyse(design.spec(), Ok(design));
+    (report, StaticClaims::from_dead_arms(design, dead_arms))
+}
+
 fn lint(spec: &Spec, elaborated: Result<&Design, &ElabError>) -> Report {
+    analyse(spec, elaborated).0
+}
+
+/// Runs every shipped pass: the report, and the dead arms the passes read
+/// (empty when elaboration failed).
+fn analyse(
+    spec: &Spec,
+    elaborated: Result<&Design, &ElabError>,
+) -> (Report, Vec<(usize, Vec<usize>, DeadArmReason)>) {
     let widths = elaborated.map_or_else(|_| Vec::new(), rtl_core::width::infer);
+    let bounds = passes::exact_bounds(spec);
+    let dead_arms = elaborated.map_or_else(|_| Vec::new(), |d| passes::dead_arms(d, &bounds));
     let cx = LintContext {
         spec,
         design: elaborated.ok(),
         widths: &widths,
-        bounds: &passes::exact_bounds(spec),
+        bounds: &bounds,
+        dead_arms: &dead_arms,
     };
     let mut out = Vec::new();
     for pass in default_passes() {
@@ -97,7 +119,7 @@ fn lint(spec: &Spec, elaborated: Result<&Design, &ElabError>) -> Report {
             out.push(promote(spec, e));
         }
     }
-    Report::new(out)
+    (Report::new(out), dead_arms)
 }
 
 /// Maps an [`ElabError`] onto the lint code space, recovering a span from

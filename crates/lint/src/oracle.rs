@@ -23,7 +23,7 @@
 //! for *all* input values, checking a cycle that may never execute can
 //! never contradict a correct analyzer.
 
-use crate::passes::{dead_arms, exact_bounds, undriven_memories};
+use crate::passes::{dead_arms, exact_bounds, undriven_memories, DeadArmReason};
 use rtl_core::observe::{Comparator, DivergenceKind, Observation};
 use rtl_core::{AluFn, Design, RKind, Recorder, Word};
 
@@ -44,9 +44,19 @@ pub struct StaticClaims {
 
 impl StaticClaims {
     /// Extracts every claim the shipped passes can prove about `design`.
+    /// [`lint_with_claims`](crate::lint_with_claims) gives the same claims
+    /// from the analysis its lint makes anyway.
     pub fn of(design: &Design) -> StaticClaims {
+        StaticClaims::from_dead_arms(design, dead_arms(design, &exact_bounds(design.spec())))
+    }
+
+    /// The claims over `design` given its [`dead_arms`].
+    pub(crate) fn from_dead_arms(
+        design: &Design,
+        dead: Vec<(usize, Vec<usize>, DeadArmReason)>,
+    ) -> StaticClaims {
         StaticClaims {
-            dead_arms: dead_arms(design, &exact_bounds(design.spec()))
+            dead_arms: dead
                 .into_iter()
                 .map(|(index, dead, _)| (index, dead))
                 .collect(),

@@ -35,6 +35,9 @@ pub struct LintContext<'a> {
     pub widths: &'a [u8],
     /// The spec's [`exact_bounds`], computed once per lint.
     pub bounds: &'a HashMap<&'a str, u8>,
+    /// The design's [`dead_arms`] under `bounds`, computed once per lint;
+    /// empty when `design` is `None`.
+    pub dead_arms: &'a [(usize, Vec<usize>, DeadArmReason)],
 }
 
 /// One analysis over a specification. Implementations push any findings
@@ -579,7 +582,9 @@ pub fn dead_arms(
 ) -> Vec<(usize, Vec<usize>, DeadArmReason)> {
     let mut claims = Vec::new();
     for (id, comp) in design.iter() {
-        let RKind::Selector(s) = &comp.kind else {
+        let (RKind::Selector(s), ComponentKind::Selector(source)) =
+            (&comp.kind, &design.source(id).kind)
+        else {
             continue;
         };
         let arms = s.cases.len();
@@ -587,7 +592,7 @@ pub fn dead_arms(
             let live = usize::try_from(value).ok();
             let dead: Vec<usize> = (0..arms).filter(|&i| Some(i) != live).collect();
             Some((dead, DeadArmReason::Constant { value }))
-        } else if let Some(bits) = expr_bound(&s.select.source, bounds) {
+        } else if let Some(bits) = expr_bound(&source.select, bounds) {
             let max = (1usize << bits) - 1;
             let dead: Vec<usize> = (max + 1..arms).collect();
             Some((dead, DeadArmReason::Masked { bits }))
@@ -617,18 +622,16 @@ impl LintPass for DeadArm {
 
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let Some(design) = cx.design else { return };
-        for (index, dead, reason) in dead_arms(design, cx.bounds) {
-            let id = design.id_at(index);
+        for (index, dead, reason) in cx.dead_arms {
+            let id = design.id_at(*index);
             let name = design.name(id);
-            let Some(ast) = find_component(cx.spec, name) else {
-                continue;
-            };
+            let ast = design.source(id);
             let ComponentKind::Selector(s) = &ast.kind else {
                 continue;
             };
-            for arm in dead {
+            for &arm in dead {
                 let span = s.cases.get(arm).map_or(ast.span, |case| case.span);
-                let why = match &reason {
+                let why = match reason {
                     DeadArmReason::Masked { bits } => format!(
                         "the select value fits in {bits} bit(s), so the index \
                          never exceeds {}",
@@ -688,9 +691,7 @@ impl LintPass for ConstOob {
         let Some(design) = cx.design else { return };
         for (id, comp) in design.iter() {
             let name = design.name(id);
-            let Some(ast) = find_component(cx.spec, name) else {
-                continue;
-            };
+            let ast = design.source(id);
             match &comp.kind {
                 RKind::Selector(s) => {
                     let arms = s.cases.len();
@@ -798,7 +799,7 @@ impl LintPass for MemoryUsage {
             };
             let traced = design.traced().contains(&id);
             let zero_cells = m.init.iter().all(|&v| v == 0);
-            let span = find_component(cx.spec, name).map_or_else(Default::default, |c| c.span);
+            let span = design.source(id).span;
             match land(op, 3) {
                 0 => {
                     // Never written: every read latches an init value.
@@ -854,8 +855,4 @@ impl LintPass for MemoryUsage {
             }
         }
     }
-}
-
-fn find_component<'a>(spec: &'a Spec, name: &str) -> Option<&'a Component> {
-    spec.components.iter().find(|c| c.name.as_str() == name)
 }

@@ -35,6 +35,27 @@ impl IntoExpr for Expr {
     }
 }
 
+/// A component name argument of a [`SpecBuilder`] method: text, checked
+/// (and panicking when it is not a name), or an [`Ident`], used as it
+/// is. A generator that keeps the names it adds passes `Ident`s, so each
+/// name is allocated once.
+pub trait IntoName {
+    /// The argument as a name.
+    fn into_name(self) -> Ident;
+}
+
+impl IntoName for &str {
+    fn into_name(self) -> Ident {
+        Ident::parse(self).unwrap_or_else(|| panic!("invalid component name {self:?}"))
+    }
+}
+
+impl IntoName for Ident {
+    fn into_name(self) -> Ident {
+        self
+    }
+}
+
 /// Builds a [`Spec`] incrementally.
 ///
 /// Expression arguments ([`IntoExpr`]) are written in the specification
@@ -68,9 +89,9 @@ impl IntoExpr for Expr {
 pub struct SpecBuilder {
     title: String,
     cycles: Option<Word>,
-    traced: HashSet<String>,
+    traced: HashSet<Ident>,
     /// Names of `components`, so a duplicate is found without a scan.
-    defined: HashSet<String>,
+    defined: HashSet<Ident>,
     components: Vec<Component>,
 }
 
@@ -91,15 +112,15 @@ impl SpecBuilder {
     }
 
     /// Marks a component for per-cycle tracing (the `*` suffix).
-    pub fn trace(&mut self, name: &str) -> &mut Self {
-        self.traced.insert(name.to_string());
+    pub fn trace(&mut self, name: impl IntoName) -> &mut Self {
+        self.traced.insert(name.into_name());
         self
     }
 
     /// Adds `A name funct left right`.
     pub fn alu(
         &mut self,
-        name: &str,
+        name: impl IntoName,
         funct: impl IntoExpr,
         left: impl IntoExpr,
         right: impl IntoExpr,
@@ -109,16 +130,17 @@ impl SpecBuilder {
             left: self.slot(left, 1),
             right: self.slot(right, 2),
         });
-        self.push(name, kind)
+        self.push(name.into_name(), kind)
     }
 
     /// Adds `S name select case0 case1 ...`.
     pub fn selector(
         &mut self,
-        name: &str,
+        name: impl IntoName,
         select: impl IntoExpr,
         cases: impl IntoIterator<Item = impl IntoExpr>,
     ) -> &mut Self {
+        let name = name.into_name();
         let cases: Vec<Expr> = (1..).zip(cases).map(|(k, e)| self.slot(e, k)).collect();
         assert!(!cases.is_empty(), "selector {name} needs at least one case");
         let kind = ComponentKind::Selector(Selector {
@@ -131,12 +153,13 @@ impl SpecBuilder {
     /// Adds `M name addr data opn size` (zero-initialized).
     pub fn memory(
         &mut self,
-        name: &str,
+        name: impl IntoName,
         addr: impl IntoExpr,
         data: impl IntoExpr,
         opn: impl IntoExpr,
         size: u32,
     ) -> &mut Self {
+        let name = name.into_name();
         assert!(size >= 1, "memory {name} needs at least one cell");
         let kind = ComponentKind::Memory(Memory {
             addr: self.slot(addr, 0),
@@ -151,12 +174,13 @@ impl SpecBuilder {
     /// Adds `M name addr data opn -n v0 ... vn-1` (initialized memory).
     pub fn memory_init(
         &mut self,
-        name: &str,
+        name: impl IntoName,
         addr: impl IntoExpr,
         data: impl IntoExpr,
         opn: impl IntoExpr,
         init: Vec<Word>,
     ) -> &mut Self {
+        let name = name.into_name();
         assert!(!init.is_empty(), "memory {name} needs at least one cell");
         let size = init.len() as u32;
         let kind = ComponentKind::Memory(Memory {
@@ -183,14 +207,13 @@ impl SpecBuilder {
         Span::point(Pos::new(line, ordinal))
     }
 
-    fn push(&mut self, name: &str, kind: ComponentKind) -> &mut Self {
-        let ident = Ident::parse(name).unwrap_or_else(|| panic!("invalid component name {name:?}"));
+    fn push(&mut self, name: Ident, kind: ComponentKind) -> &mut Self {
         assert!(
-            self.defined.insert(name.to_string()),
+            self.defined.insert(name.clone()),
             "component {name} defined twice"
         );
         self.components.push(Component {
-            name: ident,
+            name,
             kind,
             span: self.at(1),
         });
@@ -250,7 +273,7 @@ mod tests {
             spans.extend(s.declared.iter().map(|d| d.span));
             for c in &s.components {
                 spans.push(c.span);
-                spans.extend(c.kind.expressions().iter().map(|e| e.span));
+                spans.extend(c.kind.expressions().map(|e| e.span));
             }
         }
         let lines = |spans: &[Span]| spans.iter().map(|s| s.start.line).collect::<Vec<_>>();

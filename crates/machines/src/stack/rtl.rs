@@ -33,7 +33,7 @@ pub fn spec_with_trace(program: &[Instr], cycles: Option<Word>, traced: &[&str])
         b.cycles(n);
     }
     for t in traced {
-        b.trace(t);
+        b.trace(*t);
     }
 
     // --- Registers and memories (update order matters for nothing here,

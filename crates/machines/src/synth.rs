@@ -41,11 +41,13 @@ pub fn chain(n: usize) -> Spec {
     b.memory("c", "0", "next", "1", 1);
     b.alu("next", "4", "c.0.7", "1");
     b.alu("a0", "4", "c.0.7", "1");
+    let mut prev = Ident::from("a0");
     for i in 1..n {
         // Alternate add and xor to defeat trivial folding.
         let f = if i % 2 == 0 { "4" } else { "10" };
-        let prev = field(Ident::new_unchecked(format!("a{}", i - 1)), 0, 15);
-        b.alu(&format!("a{i}"), f, prev, "3");
+        let name = Ident::new_unchecked(format!("a{i}"));
+        b.alu(name.clone(), f, field(prev, 0, 15), "3");
+        prev = name;
     }
     b.finish()
 }
@@ -83,6 +85,9 @@ pub fn generate(
     b.memory("c", "0", "next", "1", 1);
     b.alu("next", "4", "c.0.11", "1");
     let mut sources: Vec<(Ident, u8)> = vec![(Ident::from("c"), UNBOUNDED)];
+    // Each generated name is formatted here and allocated once, as the
+    // `Ident` the builder, the trace set and `sources` share.
+    let mut buf = String::new();
 
     // Optional memory-mapped input port, one word per cycle.
     let has_input = io_every > 0 && rng.random_range(0..io_every) == 0;
@@ -95,33 +100,33 @@ pub fn generate(
 
     // A few memories: ROMs, registers and dynamically switched.
     for m in 0..rng.random_range(1..=3usize) {
-        let name = format!("m{m}");
+        let name = numbered(&mut buf, 'm', m);
         let bits = rng.random_range(1..=4u8);
         let cells = 1u32 << bits;
-        let addr = field("c", 0, bits - 1);
+        let addr = field(sources[0].0.clone(), 0, bits - 1);
         let bound = match rng.random_range(0..3) {
             0 => {
                 let init: Vec<Word> = (0..cells).map(|_| rng.random_range(0..1000)).collect();
                 // A ROM's latch only ever holds an init value.
                 let bound = init.iter().copied().map(bits_needed).max().unwrap_or(1);
-                b.memory_init(&name, addr, "0", "0", init);
+                b.memory_init(name.clone(), addr, "0", "0", init);
                 bound
             }
             op => {
                 let data = pick_expr(&mut rng, &sources, clamp_fields).0;
                 let op = if op == 1 { "1" } else { "c.0" };
-                b.memory(&name, addr, data, op, cells);
+                b.memory(name.clone(), addr, data, op, cells);
                 UNBOUNDED
             }
         };
-        b.trace(&name);
-        sources.push((Ident::new_unchecked(name), bound));
+        b.trace(name.clone());
+        sources.push((name, bound));
     }
 
     // Combinational layers: selectors with masked indices, ALUs with
     // constant, in-range functions.
     for i in 0..size {
-        let name = format!("x{i}");
+        let name = numbered(&mut buf, 'x', i);
         let bound = if rng.random_range(0..4) == 0 {
             let bits = rng.random_range(1..=3u32);
             let cases: Vec<(Expr, u8)> = (0..(1 << bits))
@@ -130,13 +135,17 @@ pub fn generate(
             let source = &sources[rng.random_range(0..sources.len())].0;
             let bound = cases.iter().map(|(_, b)| *b).max().unwrap_or(UNBOUNDED);
             let select = field(source.clone(), 0, bits as u8 - 1);
-            b.selector(&name, select, cases.into_iter().map(|(case, _)| case));
+            b.selector(
+                name.clone(),
+                select,
+                cases.into_iter().map(|(case, _)| case),
+            );
             bound
         } else {
             let f = rng.random_range(0..=13i64);
             let left = pick_expr(&mut rng, &sources, clamp_fields).0;
             let right = pick_expr(&mut rng, &sources, clamp_fields).0;
-            b.alu(&name, Expr::constant(f), left, right);
+            b.alu(name.clone(), Expr::constant(f), left, right);
             // zero (0), unused (11), eq (12) and lt (13) are 1-bit.
             if matches!(f, 0 | 11 | 12 | 13) {
                 1
@@ -145,9 +154,9 @@ pub fn generate(
             }
         };
         if rng.random_range(0..3) == 0 {
-            b.trace(&name);
+            b.trace(name.clone());
         }
-        sources.push((Ident::new_unchecked(name), bound));
+        sources.push((name, bound));
     }
 
     // Stimulus: one word per cycle for the input port, plus slack.
@@ -159,6 +168,15 @@ pub fn generate(
         Vec::new()
     };
     (b.finish(), input)
+}
+
+/// The name `{prefix}{n}`: formatted into `buf`, which the caller reuses,
+/// so the `Ident` is its only allocation.
+fn numbered(buf: &mut String, prefix: char, n: usize) -> Ident {
+    use std::fmt::Write;
+    buf.clear();
+    write!(buf, "{prefix}{n}").expect("formatting into a String cannot fail");
+    Ident::new_unchecked(buf.as_str())
 }
 
 /// The one-part expression `name.from.to`.

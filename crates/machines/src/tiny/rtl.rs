@@ -31,7 +31,7 @@ pub fn spec_with_trace(image: &[Word], cycles: Option<Word>, traced: &[&str]) ->
         b.cycles(n);
     }
     for t in traced {
-        b.trace(t);
+        b.trace(*t);
     }
 
     // Phase counter: a 2-bit state register decoded one-hot, exactly the

@@ -80,7 +80,7 @@ proptest! {
         let names = {
             let d = Design::from_source("# p\nx .\nA x 0 0 0 .").unwrap();
             let mut m = std::collections::HashMap::new();
-            m.insert("x".to_string(), d.find("x").unwrap());
+            m.insert(asim2::lang::Ident::from("x"), d.find("x").unwrap());
             m
         };
         let r = rtl_core::resolve::resolve_expr(&expr, &names, "prop").unwrap();
