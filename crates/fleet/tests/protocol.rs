@@ -474,6 +474,78 @@ fn a_welcome_without_metrics_decodes_as_recording() {
     }
 }
 
+/// What a scripted controller does with the worker frames it reads.
+struct Script {
+    config: CampaignConfig,
+    profile: bool,
+    flight: bool,
+    metrics: bool,
+    /// The leases granted, in order; then every lease request is
+    /// answered `drained`.
+    leases: Vec<std::ops::Range<u32>>,
+    /// Refuse the record frame with this 1-based number with
+    /// `bad-upload` and this detail, then close the connection.
+    refuse_record: Option<(usize, &'static str)>,
+}
+
+/// Serves `script` to one worker on a localhost port: answers `hello`
+/// with a welcome to its campaign, grants its leases, acknowledges
+/// everything else, and returns every frame the worker sent, heartbeats
+/// left out (their number depends on timing), once the worker says
+/// `bye` or the script refuses a record.
+fn scripted_controller(script: Script) -> (SocketAddr, std::thread::JoinHandle<Vec<Message>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut framed = Framed::new(stream).unwrap();
+        let mut frames = Vec::new();
+        let mut leases = script.leases.into_iter();
+        let mut records = 0;
+        loop {
+            let msg = framed.recv().unwrap();
+            let reply = match &msg {
+                Message::Hello { .. } => Message::Welcome {
+                    protocol: PROTOCOL.into(),
+                    fingerprint: format!("{:016x}", script.config.fingerprint()),
+                    profile: script.profile,
+                    flight: script.flight,
+                    metrics: script.metrics,
+                    config: script.config.clone(),
+                },
+                Message::LeaseRequest => match leases.next() {
+                    Some(lease) => Message::Lease {
+                        start: lease.start,
+                        end: lease.end,
+                        deadline_ms: 60_000,
+                    },
+                    None => Message::Drained,
+                },
+                Message::Record { .. } => {
+                    records += 1;
+                    match script.refuse_record {
+                        Some((n, detail)) if n == records => Message::Error {
+                            reason: Refusal::BadUpload,
+                            detail: detail.into(),
+                        },
+                        _ => Message::Ack,
+                    }
+                }
+                _ => Message::Ack,
+            };
+            framed.send(&reply).unwrap();
+            let done = matches!(msg, Message::Bye) || matches!(reply, Message::Error { .. });
+            if !matches!(msg, Message::Heartbeat) {
+                frames.push(msg);
+            }
+            if done {
+                return frames;
+            }
+        }
+    });
+    (addr, peer)
+}
+
 /// The frame kinds a real worker sends a scripted controller that
 /// answers `hello` with `welcome(metrics)`, grants one 2-case lease,
 /// acknowledges everything else and then answers `drained` —
@@ -486,43 +558,13 @@ fn scripted_lease_frames(tag: &str, metrics: bool) -> Vec<&'static str> {
     };
     config.generator.size = 8;
     config.generator.cycles = 16;
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let peer = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut framed = Framed::new(stream).unwrap();
-        let mut kinds = Vec::new();
-        let mut leased = false;
-        loop {
-            let msg = framed.recv().unwrap();
-            let reply = match msg {
-                Message::Hello { .. } => Message::Welcome {
-                    protocol: PROTOCOL.into(),
-                    fingerprint: format!("{:016x}", config.fingerprint()),
-                    profile: false,
-                    flight: false,
-                    metrics,
-                    config: config.clone(),
-                },
-                Message::LeaseRequest if !leased => {
-                    leased = true;
-                    Message::Lease {
-                        start: 0,
-                        end: 2,
-                        deadline_ms: 60_000,
-                    }
-                }
-                Message::LeaseRequest => Message::Drained,
-                _ => Message::Ack,
-            };
-            framed.send(&reply).unwrap();
-            if !matches!(msg, Message::Heartbeat) {
-                kinds.push(msg.kind());
-            }
-            if matches!(msg, Message::Bye) {
-                return kinds;
-            }
-        }
+    let (addr, peer) = scripted_controller(Script {
+        config,
+        profile: false,
+        flight: false,
+        metrics,
+        leases: vec![0..2],
+        refuse_record: None,
     });
     let report = rtl_fleet::work(
         &addr.to_string(),
@@ -535,7 +577,7 @@ fn scripted_lease_frames(tag: &str, metrics: bool) -> Vec<&'static str> {
     )
     .unwrap();
     assert_eq!((report.leases, report.cases), (1, 2), "{report}");
-    peer.join().unwrap()
+    peer.join().unwrap().iter().map(Message::kind).collect()
 }
 
 /// A worker uploads its lease's event log only when the controller
@@ -609,6 +651,141 @@ fn frames(bundle: &CaseBundle) -> Vec<Message> {
         body: bundle.record.clone(),
     });
     frames
+}
+
+/// The bundles of `config`'s cases `0..config.cases` as a
+/// single-machine run with profiles and flight logs on publishes them.
+fn local_bundles(tag: &str, config: &CampaignConfig) -> Vec<CaseBundle> {
+    let local = CampaignDir::new(scratch(tag));
+    let options = RunOptions {
+        workers: 1,
+        profile: true,
+        flight: true,
+        ..RunOptions::default()
+    };
+    rtl_campaign::run(&local, config, &options, &mut NoProgress).unwrap();
+    let mut bundles = Vec::new();
+    CaseBundle::read_range(&local, 0..config.cases, |bundle| {
+        bundles.push(bundle);
+        Ok(())
+    })
+    .unwrap();
+    let _ = std::fs::remove_dir_all(local.root());
+    bundles
+}
+
+/// What a worker of two threads uploads for a diverging campaign with
+/// profiles and flight logs on, served in two leases: each case's frames
+/// back to back, in the order profile, flight, corpus entry, record, and
+/// each body the bytes a single-machine run publishes for that case.
+/// The order of the cases is left free: it is the pool's completion
+/// order.
+#[test]
+fn a_worker_uploads_each_case_bundle_as_a_single_machine_run_publishes_it() {
+    let config = CampaignConfig {
+        cases: 6,
+        ..upload_config()
+    };
+    let bundles = local_bundles("pin-local", &config);
+    assert_eq!(bundles.len(), 6);
+    assert!(bundles
+        .iter()
+        .all(|b| b.profile.is_some() && b.flight.is_some() && b.corpus.is_some()));
+    let (addr, peer) = scripted_controller(Script {
+        config: config.clone(),
+        profile: true,
+        flight: true,
+        metrics: false,
+        leases: vec![0..3, 3..6],
+        refuse_record: None,
+    });
+    let report = rtl_fleet::work(
+        &addr.to_string(),
+        &WorkerOptions {
+            name: "pin".into(),
+            threads: 2,
+            scratch: scratch("pin-w"),
+            ..WorkerOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!((report.leases, report.cases, report.diverged), (2, 6, 6));
+    let sent = peer.join().unwrap();
+    let kinds: Vec<&str> = sent.iter().map(Message::kind).collect();
+    assert_eq!(kinds[..2], ["hello", "lease-request"]);
+    assert_eq!(kinds[kinds.len() - 2..], ["lease-request", "bye"]);
+    let uploads = &sent[2..sent.len() - 2];
+    let mut seen = Vec::new();
+    let mut at = 0;
+    for (i, msg) in uploads.iter().enumerate() {
+        match msg {
+            Message::LeaseRequest => {
+                assert_eq!(seen.len(), 3, "the first lease's cases come first");
+                assert_eq!(at, i, "a lease request between a case's frames");
+                at = i + 1;
+            }
+            Message::Record { index, .. } => {
+                let bundle = &bundles[*index as usize];
+                assert_eq!(uploads[at..=i], frames(bundle)[..], "case {index}");
+                seen.push(*index);
+                at = i + 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(at, uploads.len(), "frames after the last record");
+    seen.sort_unstable();
+    assert_eq!(seen, (0..6).collect::<Vec<u32>>());
+}
+
+/// A controller that refuses a record in the middle of a lease and
+/// closes the connection ends the session with its refusal, reason and
+/// detail, whatever the worker was sending at the time: not with an I/O
+/// error, and without hanging.
+#[test]
+fn a_refusal_in_the_middle_of_a_stream_ends_the_session_with_it() {
+    let mut config = CampaignConfig {
+        seed: 1,
+        cases: 8,
+        ..CampaignConfig::default()
+    };
+    config.generator.size = 8;
+    config.generator.cycles = 16;
+    let detail = "cases/: case 1 differs from the already-published record";
+    let (addr, peer) = scripted_controller(Script {
+        config,
+        profile: false,
+        flight: false,
+        metrics: false,
+        leases: vec![0..8],
+        refuse_record: Some((2, detail)),
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let options = WorkerOptions {
+            name: "refused-mid-stream".into(),
+            threads: 2,
+            scratch: scratch("refused-mid-stream"),
+            ..WorkerOptions::default()
+        };
+        let _ = tx.send(rtl_fleet::work(&addr.to_string(), &options));
+    });
+    let outcome = rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the worker hangs after a refusal");
+    match outcome {
+        Err(rtl_fleet::FleetError::Refused {
+            reason,
+            detail: got,
+        }) => {
+            assert_eq!(reason, Refusal::BadUpload);
+            assert_eq!(got, detail);
+        }
+        other => panic!("{other:?}"),
+    }
+    let sent = peer.join().unwrap();
+    let records = sent.iter().filter(|m| m.kind() == "record").count();
+    assert_eq!(records, 2, "the controller stops reading at its refusal");
 }
 
 /// Sends `frames` as worker `name` and returns the refusal that ends
