@@ -460,8 +460,12 @@ pub struct Framed {
     reader: TcpStream,
     writer: TcpStream,
     buf: Vec<u8>,
-    /// How many leading bytes of `buf` are known to hold no newline, so
-    /// each byte is scanned once however many reads a frame takes.
+    /// Where the first frame not yet returned starts in `buf`: the
+    /// frames of one read are taken from the front by moving this, and
+    /// the consumed prefix is dropped once, before the next read.
+    start: usize,
+    /// `buf[start..scanned]` is known to hold no newline, so each byte
+    /// is scanned once however many reads a frame takes.
     scanned: usize,
 }
 
@@ -477,6 +481,7 @@ impl Framed {
             reader: stream,
             writer,
             buf: Vec::new(),
+            start: 0,
             scanned: 0,
         })
     }
@@ -507,15 +512,17 @@ impl Framed {
     /// Stream failure, or a frame exceeding [`MAX_FRAME`].
     pub fn poll(&mut self) -> std::io::Result<Poll> {
         loop {
-            let unscanned = &self.buf[self.scanned..];
-            if let Some(pos) = unscanned.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(self.scanned + pos + 1);
-                let line = std::mem::replace(&mut self.buf, rest);
-                self.scanned = 0;
+            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + pos + 1;
+                let line = self.buf[self.start..end].to_vec();
+                self.start = end;
+                self.scanned = end;
                 let line =
                     String::from_utf8(line).map_err(|_| std::io::Error::other("non-utf8 frame"))?;
                 return Ok(Poll::Frame(line));
             }
+            self.buf.drain(..self.start);
+            self.start = 0;
             self.scanned = self.buf.len();
             if self.buf.len() > MAX_FRAME {
                 return Err(std::io::Error::other("frame exceeds MAX_FRAME"));

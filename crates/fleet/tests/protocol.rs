@@ -1009,6 +1009,29 @@ fn a_frame_split_across_many_reads_is_followed_by_the_next() {
     sender.join().unwrap();
 }
 
+/// A thousand frames sent in one write, which reads deliver many at a
+/// time, come out whole and in order.
+#[test]
+fn a_thousand_frames_in_one_write_come_out_whole_and_in_order() {
+    let sent: Vec<Message> = (0..1000)
+        .map(|index| Message::Record {
+            index,
+            body: format!("record {index} {}", "y".repeat(index as usize % 97)),
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    for msg in &sent {
+        bytes.extend_from_slice(protocol::encode(msg).as_bytes());
+        bytes.push(b'\n');
+    }
+    let (mut framed, mut writer) = framed_pair();
+    let sender = std::thread::spawn(move || writer.write_all(&bytes).unwrap());
+    for msg in &sent {
+        assert_eq!(&framed.recv().unwrap(), msg);
+    }
+    sender.join().unwrap();
+}
+
 /// A stream that never sends a newline is refused once it exceeds
 /// `MAX_FRAME`, not buffered without bound.
 #[test]
