@@ -5,8 +5,9 @@
 //! Every surface moves case artifacts through this module. The runner
 //! builds a bundle and [publishes](CaseBundle::publish) it; a shard
 //! merge [reads](CaseBundle::read_range) and [checks](CaseBundle::check)
-//! each shard's bundles; the fleet worker reads its bundles and uploads
-//! them, and the fleet controller checks and publishes what arrives. So
+//! each shard's bundles; the fleet worker uploads the bundles a
+//! [streamed run](crate::run_streamed) hands it, and the fleet
+//! controller checks and publishes what arrives. So
 //! one set of refusal rules and one commit order hold for campaign,
 //! shard and fleet alike.
 //!

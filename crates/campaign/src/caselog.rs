@@ -933,28 +933,17 @@ impl CampaignDir {
     ///
     /// A corrupt log, or file-system failure.
     pub fn compact(&self, cases: u32) -> Result<(), CampaignError> {
-        if worker_logs(self)?.is_empty() {
+        let logs = worker_logs(self)?;
+        if logs.is_empty() {
             return Ok(());
         }
         self.frames(cases, 0..cases, &Kind::BUNDLE, |_, _| Ok(()))?
             .write_canonical(self)?;
-        self.remove_worker_logs()?;
-        sync_dir(&self.corpus())?;
-        sync_dir(&self.cases())?;
-        Ok(())
-    }
-
-    /// Removes every worker log under `cases/` and `corpus/`, leaving
-    /// the canonical logs alone: for a directory whose frames are
-    /// compacted or held elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// File-system failure.
-    pub fn remove_worker_logs(&self) -> Result<(), CampaignError> {
-        for log in worker_logs(self)? {
+        for log in logs {
             std::fs::remove_file(log)?;
         }
+        sync_dir(&self.corpus())?;
+        sync_dir(&self.cases())?;
         Ok(())
     }
 

@@ -30,7 +30,9 @@
 //! * [`corpus`] — `.asim` + stimulus + a fingerprinted session checkpoint
 //!   per entry, one log frame each, deduplicated by fingerprint;
 //!   [`replay_corpus`] is the CI gate.
-//! * [`runner`] — the pool itself, plus [`CampaignReport`].
+//! * [`runner`] — the pool itself, over a campaign directory or
+//!   streaming each case's bundle to its caller ([`run_streamed`]),
+//!   plus [`CampaignReport`].
 //!
 //! ```
 //! use rtl_campaign::{run, CampaignConfig, CampaignDir, NoProgress, RunOptions};
@@ -74,12 +76,15 @@ pub use checkpoint::{CaseCheckpoint, LogCheckpoints, CASE_CHECKPOINT_EVERY};
 pub use config::CampaignConfig;
 pub use corpus::{Archive, CorpusEntry, CorpusIndex, ReplayOutcome, ReplayReport, ReplayResult};
 pub use error::CampaignError;
+// The `rust` lane's compiled-binary cache, which a streamed run is
+// handed.
+pub use rtl_compile::BinaryCache;
 // The `vm-fault` lane: deliberate trace corruption that proves the
 // find→shrink→archive→replay pipeline end to end.
 pub use rtl_cosim::fault::{FaultyVmFactory, DEFAULT_FAULT_CYCLE};
 pub use runner::{
-    aggregate_lanes, campaign_registry, fold_profiles, replay_corpus, resume, run, CampaignReport,
-    LaneTotals, NoProgress, Progress, RunOptions,
+    aggregate_lanes, campaign_registry, fold_profiles, replay_corpus, resume, run, run_streamed,
+    CampaignReport, LaneTotals, NoProgress, Progress, RunOptions,
 };
 pub use shrink::{shrink_divergence, shrink_from, Shrunk};
 pub use state::{CampaignDir, CaseRecord, CaseStatus, LaneAccess};

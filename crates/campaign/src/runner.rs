@@ -365,8 +365,8 @@ pub fn run(
 
     let records = vec![None; config.cases as usize];
     let index = corpus.index();
-    let report = execute(
-        dir,
+    let report = execute::<CampaignError>(
+        Sink::Dir(dir, progress),
         config,
         options,
         cache,
@@ -374,7 +374,6 @@ pub fn run(
         replay,
         &index,
         &BTreeMap::new(),
-        progress,
     )?;
     compact_when_complete(dir, options, &report)?;
     Ok(report)
@@ -417,8 +416,8 @@ pub fn resume(
     let index = frames.index();
     let cache = Arc::new(BinaryCache::at_dir(dir.bin_cache()));
     validate_engines(&config, &campaign_registry(Some(Arc::clone(&cache))))?;
-    let report = execute(
-        dir,
+    let report = execute::<CampaignError>(
+        Sink::Dir(dir, progress),
         &config,
         options,
         cache,
@@ -426,10 +425,50 @@ pub fn resume(
         None,
         &index,
         &frames.checkpoints,
-        progress,
     )?;
     compact_when_complete(dir, options, &report)?;
     Ok(report)
+}
+
+/// Runs the cases of `config` in `options.case_range` (all of them when
+/// it is `None`) without a campaign directory: the pool threads move
+/// each case's bundle to the collector, which hands it to `each` with
+/// the case's record, on the calling thread, as the case finishes.
+/// Nothing is written, so nothing resumes; the bundles are the bytes a
+/// directory run publishes for the same cases. Nothing is archived
+/// before the run, so every diverging case's bundle carries its own
+/// corpus entry. `cache` holds the `rust` lane's binaries, so a caller
+/// that runs many ranges compiles each design once.
+///
+/// # Errors
+///
+/// `options.case_checkpoint`, refused by name: a streamed run has no
+/// log to keep checkpoints in. Unknown engine names, lane failures, or
+/// the first error `each` returns: `each` is not called again, and the
+/// pool stops once its threads finish the cases they are running.
+pub fn run_streamed<E: From<CampaignError>>(
+    config: &CampaignConfig,
+    options: &RunOptions,
+    cache: Arc<BinaryCache>,
+    each: &mut dyn FnMut(&CaseRecord, CaseBundle) -> Result<(), E>,
+) -> Result<CampaignReport, E> {
+    if options.case_checkpoint {
+        return Err(CampaignError::Config(
+            "a streamed run takes no case checkpoints: it writes no log to keep them in".into(),
+        )
+        .into());
+    }
+    validate_engines(config, &campaign_registry(Some(Arc::clone(&cache))))?;
+    execute(
+        Sink::Stream(each),
+        config,
+        options,
+        cache,
+        vec![None; config.cases as usize],
+        None,
+        &CorpusIndex::default(),
+        &BTreeMap::new(),
+    )
 }
 
 /// Compacts the record logs once an unranged run leaves the campaign
@@ -483,14 +522,26 @@ pub(crate) const LOG_POISONED: &str = "a worker's log writer panicked mid-write"
 struct DoneCase {
     record: CaseRecord,
     corpus: Option<String>,
+    /// The case's bundle, when no log holds it.
+    bundle: Option<CaseBundle>,
+}
+
+/// Where the pool's case bundles go.
+enum Sink<'a, E> {
+    /// Each thread appends its bundles to a log of its own in the
+    /// campaign directory; the collector reports progress.
+    Dir(&'a CampaignDir, &'a mut dyn Progress),
+    /// Each thread moves its bundles to the collector, which hands them
+    /// to the caller.
+    Stream(&'a mut dyn FnMut(&CaseRecord, CaseBundle) -> Result<(), E>),
 }
 
 /// Runs the pending cases of `records` on a pool of workers, each
 /// deduplicating what it archives against `index` and, under
 /// `--case-checkpoint`, resuming a case from its entry in `checkpoints`.
 #[allow(clippy::too_many_arguments)]
-fn execute(
-    dir: &CampaignDir,
+fn execute<E: From<CampaignError>>(
+    mut sink: Sink<'_, E>,
     config: &CampaignConfig,
     options: &RunOptions,
     cache: Arc<BinaryCache>,
@@ -498,9 +549,13 @@ fn execute(
     replay: Option<ReplayReport>,
     corpus_index: &CorpusIndex,
     checkpoints: &BTreeMap<u32, CaseCheckpoint>,
-    progress: &mut dyn Progress,
-) -> Result<CampaignReport, CampaignError> {
+) -> Result<CampaignReport, E> {
     let started = Instant::now();
+    let (hits_before, misses_before) = cache.stats();
+    let dir = match &sink {
+        Sink::Dir(dir, _) => Some(*dir),
+        Sink::Stream(_) => None,
+    };
     let mut fuzz = config.fuzz_options();
     // The recorder reaches every lane session and lockstep harness from
     // here; it is a run-time tap, so the config fingerprint is unchanged.
@@ -521,7 +576,7 @@ fn execute(
         .recorder
         .gauge("campaign", "workers", workers as u64);
     let mut new_corpus = BTreeSet::new();
-    let mut first_error: Option<CampaignError> = None;
+    let mut first_error: Option<E> = None;
 
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<Result<DoneCase, CampaignError>>();
@@ -536,7 +591,7 @@ fn execute(
                 let registry = campaign_registry(Some(cache));
                 // One log per thread: publishing a case is an append, and
                 // so is each of its checkpoints.
-                let log = Arc::new(Mutex::new(LogWriter::new(dir)));
+                let log = dir.map(|dir| Arc::new(Mutex::new(LogWriter::new(dir))));
                 loop {
                     if abort.load(Ordering::Relaxed) {
                         break;
@@ -552,7 +607,7 @@ fn execute(
                         config,
                         fuzz,
                         index,
-                        &log,
+                        log.as_ref(),
                         corpus_index,
                         options,
                         checkpoints.get(&index),
@@ -564,7 +619,7 @@ fn execute(
                         break;
                     }
                 }
-                if let Err(e) = log.lock().expect(LOG_POISONED).finish() {
+                if let Some(Err(e)) = log.map(|log| log.lock().expect(LOG_POISONED).finish()) {
                     let _ = tx.send(Err(e.into()));
                 }
                 // Which worker claimed how many cases is scheduling
@@ -579,7 +634,20 @@ fn execute(
             match result {
                 Ok(case) => {
                     done += 1;
-                    progress.case_done(&case.record, done, config.cases);
+                    let handed = match (&mut sink, case.bundle) {
+                        (Sink::Dir(_, progress), _) => {
+                            progress.case_done(&case.record, done, config.cases);
+                            Ok(())
+                        }
+                        (Sink::Stream(each), Some(bundle)) if first_error.is_none() => {
+                            each(&case.record, bundle)
+                        }
+                        (Sink::Stream(_), _) => Ok(()),
+                    };
+                    if let Err(e) = handed {
+                        abort.store(true, Ordering::Relaxed);
+                        first_error.get_or_insert(e);
+                    }
                     if let Some(name) = case.corpus {
                         new_corpus.insert(name);
                     }
@@ -588,7 +656,7 @@ fn execute(
                 }
                 Err(e) => {
                     abort.store(true, Ordering::Relaxed);
-                    first_error.get_or_insert(e);
+                    first_error.get_or_insert(e.into());
                 }
             }
         }
@@ -602,6 +670,7 @@ fn execute(
     // into a miss, so these are wall-clock gauges, not deterministic
     // counters.
     let (hits, misses) = cache.stats();
+    let (hits, misses) = (hits - hits_before, misses - misses_before);
     if hits + misses > 0 {
         options.recorder.gauge("campaign", "bin_cache_hits", hits);
         options
@@ -716,7 +785,7 @@ impl CaseRun {
     fn new(
         fuzz: &FuzzOptions,
         index: u32,
-        log: &Arc<Mutex<LogWriter>>,
+        log: Option<&Arc<Mutex<LogWriter>>>,
         options: &RunOptions,
         resume: Option<&CaseCheckpoint>,
     ) -> CaseRun {
@@ -732,7 +801,7 @@ impl CaseRun {
             if let Some(ring) = &flight {
                 patched.cosim.recorder = patched.cosim.recorder.with_flight(Arc::clone(ring));
             }
-            if options.case_checkpoint {
+            if let (true, Some(log)) = (options.case_checkpoint, log) {
                 patched.cosim.checkpoint = Some(Checkpoints::new(LogCheckpoints {
                     log: Arc::clone(log),
                     index,
@@ -757,7 +826,7 @@ fn run_one(
     config: &CampaignConfig,
     fuzz: &FuzzOptions,
     index: u32,
-    log: &Arc<Mutex<LogWriter>>,
+    log: Option<&Arc<Mutex<LogWriter>>>,
     corpus_index: &CorpusIndex,
     options: &RunOptions,
     resume: Option<&CaseCheckpoint>,
@@ -858,25 +927,32 @@ fn run_one(
         recorder.count("campaign", "flight_dumps", 1);
         Some(render_flight(&events, &trigger))
     });
-    // Publish from the worker, so I/O overlaps across workers instead of
-    // serializing in the collector. Once this returns, the case survives
-    // a kill: a resume right after runs past it.
     let name = archived.as_ref().map(|archive| archive.name().to_string());
     let new_entry = match archived {
         Some(Archive::New(_, entry)) => Some(entry),
         _ => None,
     };
-    CaseBundle {
+    let bundle = CaseBundle {
         index,
         record: record.to_json().render(),
         profile,
         flight,
         corpus: new_entry,
-    }
-    .publish(&mut log.lock().expect(LOG_POISONED))?;
+    };
+    // Publish from the worker, so I/O overlaps across workers instead of
+    // serializing in the collector. Once this returns, the case survives
+    // a kill: a resume right after runs past it.
+    let bundle = match log {
+        Some(log) => {
+            bundle.publish(&mut log.lock().expect(LOG_POISONED))?;
+            None
+        }
+        None => Some(bundle),
+    };
     Ok(DoneCase {
         record,
         corpus: name,
+        bundle,
     })
 }
 
@@ -1029,7 +1105,7 @@ mod tests {
                 &config,
                 &fuzz,
                 0,
-                &log,
+                Some(&log),
                 &CorpusIndex::default(),
                 &RunOptions::default(),
                 None,
@@ -1044,6 +1120,77 @@ mod tests {
             assert_eq!(stored.status, halted);
             let _ = std::fs::remove_dir_all(dir.root());
         }
+    }
+
+    /// A streamed run hands over, case by case and with its record, the
+    /// bundle a directory run publishes for the same case, corpus entry
+    /// and sidecars included; it refuses case checkpoints by name, and
+    /// the first error of the caller's hand-over ends it.
+    #[test]
+    fn a_streamed_run_hands_over_the_bundles_a_directory_run_publishes() {
+        let config = CampaignConfig {
+            seed: 1,
+            cases: 6,
+            engines: vec!["interp".into(), "vm-fault".into()],
+            generator: GenOptions {
+                size: 10,
+                cycles: 48,
+                io_every: 2,
+            },
+            ..CampaignConfig::default()
+        };
+        let options = RunOptions {
+            workers: 2,
+            profile: true,
+            flight: true,
+            case_range: Some(1..5),
+            ..RunOptions::default()
+        };
+        let root = std::env::temp_dir().join(format!("asim2-streamed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = CampaignDir::new(&root);
+        run(&dir, &config, &options, &mut NoProgress).unwrap();
+        let mut published = BTreeMap::new();
+        CaseBundle::read_range(&dir, 0..6, |bundle| {
+            published.insert(bundle.index, bundle);
+            Ok(())
+        })
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        assert!(published.values().all(|b| b.corpus.is_some()));
+
+        let cache = Arc::new(BinaryCache::in_memory());
+        let mut streamed = BTreeMap::new();
+        let mut keep = |record: &CaseRecord, bundle: CaseBundle| {
+            assert_eq!(record.to_json().render(), bundle.record);
+            streamed.insert(bundle.index, bundle);
+            Ok::<_, CampaignError>(())
+        };
+        let report = run_streamed(&config, &options, Arc::clone(&cache), &mut keep).unwrap();
+        assert_eq!(report.completed(), 4, "{report}");
+        assert_eq!(streamed.keys().copied().collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert_eq!(streamed, published);
+
+        let checkpointed = RunOptions {
+            case_checkpoint: true,
+            ..options.clone()
+        };
+        let mut ignore = |_: &CaseRecord, _: CaseBundle| Ok::<_, CampaignError>(());
+        let err = run_streamed(&config, &checkpointed, Arc::clone(&cache), &mut ignore);
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("takes no case checkpoints"), "{err}");
+
+        let mut calls = 0;
+        let mut refuse = |_: &CaseRecord, _: CaseBundle| {
+            calls += 1;
+            Err(CampaignError::Config("refused".into()))
+        };
+        let err = run_streamed(&config, &options, cache, &mut refuse).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            CampaignError::Config("refused".into()).to_string()
+        );
+        assert_eq!(calls, 1);
     }
 
     /// `cases/` and `corpus/` of `dir`, relative path → bytes.
@@ -1104,7 +1251,7 @@ mod tests {
         let log = Arc::new(Mutex::new(LogWriter::new(dir)));
         let mut fuzz = config.fuzz_options();
         fuzz.cosim.recorder = options.recorder.clone();
-        let run = CaseRun::new(&fuzz, index, &log, options, None);
+        let run = CaseRun::new(&fuzz, index, Some(&log), options, None);
         let mut patched = run.patched.expect("a checkpointing run is patched");
         patched.cosim.checkpoint = Some(Checkpoints::new(Killed {
             store: LogCheckpoints {
@@ -1180,7 +1327,17 @@ mod tests {
             let mut fuzz = config.fuzz_options();
             fuzz.cosim.recorder = options.recorder.clone();
             let index = CorpusIndex::default();
-            run_one(&registry, &config, &fuzz, 0, &log, &index, &options, resume).unwrap();
+            run_one(
+                &registry,
+                &config,
+                &fuzz,
+                0,
+                Some(&log),
+                &index,
+                &options,
+                resume,
+            )
+            .unwrap();
             log.lock().unwrap().finish().unwrap();
             options.recorder.flush();
             let mut summary = rtl_obs::Summary::new();

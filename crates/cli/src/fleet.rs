@@ -205,8 +205,8 @@ fn work(
     }
     options.scratch = match args.value("--scratch") {
         Some(path) => path.into(),
-        // A per-name default keeps two workers on one host from
-        // sharing (and fighting over) a scratch campaign.
+        // A per-name default gives each worker on a host its own
+        // binary cache (the scratch holds nothing else).
         None => std::env::temp_dir().join(format!("asim2-fleet-{}", options.name)),
     };
     if let Some(hex) = args.value("--fingerprint") {

@@ -123,6 +123,8 @@ const USAGE: &str = "usage:
                              [--progress[=MS]] [--quiet]
   asim2 fleet work  --connect HOST:PORT --token T [--name N] [--workers N] [--scratch D]
                              [--fingerprint HEX] [--abandon-after N] [--quiet]
+                             (streams each case to the controller as it finishes; D
+                             keeps only the rust lane's binary cache, D/bin-cache)
   asim2 fleet status --connect HOST:PORT --token T [--watch[=MS]] [--format text|json]
                              (read-only live fleet status: cases done/remaining, leases
                              with deadlines, per-worker heartbeat age and throughput, ETA)

@@ -2,11 +2,11 @@
 //! to authenticated workers, and publishes validated uploads atomically.
 //!
 //! The controller is a single-threaded event loop over non-blocking
-//! accepts and short-timeout reads — the protocol is strict
-//! request/response, frames are small, and a lease is coarse (a worker
-//! talks once per lease plus rate-limited heartbeats), so one thread
-//! multiplexing every connection is simpler than a thread-per-connection
-//! design and leaves nothing to lock.
+//! accepts and short-timeout reads — every frame gets one answer, in
+//! order, frames are small, and a worker keeps at most a bounded window
+//! of them unanswered, so one thread multiplexing every connection is
+//! simpler than a thread-per-connection design and leaves nothing to
+//! lock.
 //!
 //! Determinism of the *directory* is inherited from the campaign layer:
 //! every uploaded artifact is a pure function of `(config, index)`. A

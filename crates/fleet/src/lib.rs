@@ -31,12 +31,13 @@
 //!   death, checked publication of case bundles (record, profile,
 //!   flight log, corpus entry) and telemetry into the standard campaign
 //!   layout.
-//! - [`worker`] — [`work`]: wraps the `rtl-campaign` pool
-//!   via `RunOptions.case_range` in a local scratch directory, then
-//!   uploads every case bundle byte-verbatim — profile,
-//!   flight-recorder log, corpus entry, record — and, when the
-//!   controller records — its full local telemetry log (`events` frames
-//!   the controller folds into one campaign-wide metrics stream).
+//! - [`worker`] — [`work`]: runs each lease on the `rtl-campaign` pool
+//!   via `RunOptions.case_range` and streams every case bundle to the
+//!   controller byte-verbatim as the case finishes — profile,
+//!   flight-recorder log, corpus entry, record — writing no log of its
+//!   own; and, when the controller records, its full local telemetry
+//!   log (`events` frames the controller folds into one campaign-wide
+//!   metrics stream).
 //! - [`status`] — [`StatusClient`]: a read-only `role: "status"`
 //!   handshake and the `asim2-fleet-status v1` live status document,
 //!   for watching a campaign without joining it.

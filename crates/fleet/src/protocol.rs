@@ -1,15 +1,18 @@
 //! The `asim2-fleet v1` wire protocol: typed messages over
 //! newline-delimited JSON frames.
 //!
-//! A fleet conversation is strictly request/response on one TCP stream:
-//! the worker opens with [`Message::Hello`] (protocol version, shared
-//! token, worker name, optionally a pinned campaign fingerprint), the
-//! controller answers [`Message::Welcome`] (the campaign configuration
-//! and its fingerprint) or a structured [`Message::Error`] refusal, and
-//! from then on every worker frame gets exactly one controller frame
-//! back. Frames are single-line JSON documents rendered *compactly* and
-//! byte-stably — refusals are part of the protocol's golden surface, so
-//! two controllers refusing the same handshake emit identical bytes.
+//! A fleet conversation is one TCP stream: the worker opens with
+//! [`Message::Hello`] (protocol version, shared token, worker name,
+//! optionally a pinned campaign fingerprint), the controller answers
+//! [`Message::Welcome`] (the campaign configuration and its
+//! fingerprint) or a structured [`Message::Error`] refusal, and from
+//! then on every worker frame gets exactly one controller frame back,
+//! in order. A worker need not wait for an answer before it sends its
+//! next frame: it uploads a case's frames as the case finishes and
+//! reads their acks later. Frames are single-line JSON documents
+//! rendered *compactly* and byte-stably — refusals are part of the
+//! protocol's golden surface, so two controllers refusing the same
+//! handshake emit identical bytes.
 //!
 //! Frames are the shared [`Json`] codec's compact layout; no serde, no
 //! framing library. String escaping guarantees a rendered frame never

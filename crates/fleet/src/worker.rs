@@ -1,36 +1,40 @@
-//! The fleet worker: leases case ranges from a controller, executes them
-//! with the standard `rtl-campaign` pool in a local scratch directory,
-//! and uploads every case's [bundle](rtl_campaign::bundle) byte-verbatim,
-//! its frames in the commit order that module states, record last.
+//! The fleet worker: leases case ranges from a controller, runs each
+//! with the standard `rtl-campaign` pool
+//! ([`run_streamed`](rtl_campaign::run_streamed), scoped to the lease by
+//! `RunOptions.case_range`), and streams every case's
+//! [bundle](rtl_campaign::bundle) to the controller as it finishes,
+//! byte-verbatim: profile, flight log, corpus entry, record. Case `i`
+//! keeps its global index and derived seed, so the upload is exactly
+//! what a single-machine run publishes.
 //!
-//! The worker is deliberately thin. All execution — engine registries,
-//! per-case seeds, shrinking, profiling — is the campaign runner's,
-//! scoped to the lease via `RunOptions.case_range`, so case `i` keeps
-//! its global index and derived seed and the uploaded record is the
-//! exact file a single-machine run would have published. The scratch
-//! directory is a normal campaign directory (resumable, inspectable) and
-//! survives reconnects: the records of a lease cut short are simply
-//! re-uploaded, which the controller acknowledges idempotently.
+//! The worker writes no log. Its scratch directory holds only the
+//! `rust` lane's binary cache, kept for the session; a worker that
+//! reconnects re-runs what it had not uploaded, and the controller
+//! acknowledges duplicates idempotently. Uploads are pipelined: acks
+//! are read only once `WINDOW` frames are unanswered, and after a
+//! lease's last frame the worker asks for the next lease and then reads
+//! the acks, which the controller sends before its answer.
 //!
-//! A lease costs what a single-machine run of its cases costs. The
-//! worker records telemetry only when the controller keeps it
-//! (`Welcome::metrics`): otherwise the lease runs with a disabled
-//! recorder and uploads no event log. Either way its cases compute the
-//! same (they lint only under the config's `lint_oracle`).
-//! The scratch never owns a whole campaign, so its logs are never
-//! compacted; instead, once a lease's uploads are acknowledged, the
-//! worker removes them. A lease's resume and upload so scan only the
-//! logs of that lease (and of one cut short before it), however many
-//! leases the session has run.
+//! The worker records telemetry only when the controller keeps it
+//! (`Welcome::metrics`), and then uploads each lease's event log after
+//! its bundles. Either way its cases compute the same (they lint only
+//! under the config's `lint_oracle`).
 
 use crate::error::FleetError;
 use crate::protocol::{Framed, Message, PROTOCOL};
 use rtl_campaign::state::CaseStatus;
-use rtl_campaign::{CampaignDir, CampaignError, CaseBundle, CaseRecord, Progress, RunOptions};
+use rtl_campaign::{BinaryCache, CampaignConfig, CaseBundle, CaseRecord, RunOptions};
 use rtl_obs::Recorder;
 use std::net::TcpStream;
+use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The most frames a worker has sent and not seen acknowledged. This
+/// many acks fit any socket buffer, so the controller's one thread never
+/// blocks writing acks to a worker that is busy sending.
+const WINDOW: usize = 64;
 
 /// Worker knobs. None affect case outcomes.
 #[derive(Debug, Clone)]
@@ -41,8 +45,9 @@ pub struct WorkerOptions {
     pub name: String,
     /// Threads for the lease's local campaign pool.
     pub threads: usize,
-    /// The local scratch campaign directory (created on first lease,
-    /// validated against the controller's fingerprint on reuse).
+    /// The local scratch directory. It holds only the `rust` lane's
+    /// binary cache (`bin-cache/`), kept across the session's leases and
+    /// across sessions; the worker writes no campaign state there.
     pub scratch: PathBuf,
     /// Refuse to work unless the controller's campaign fingerprint
     /// equals this (drift pinning; refusal happens in the handshake).
@@ -91,34 +96,69 @@ impl std::fmt::Display for WorkerReport {
     }
 }
 
-/// Rate-limited liveness signals sent from inside the lease's campaign
-/// run (the `Progress` callback runs on the calling thread, so the
-/// request/response conversation stays strictly sequential).
-struct HeartbeatProgress<'a> {
-    framed: &'a mut Framed,
-    last: Instant,
-    error: Option<FleetError>,
+/// The worker's end of the connection: the frames it has sent and how
+/// many of them still await their ack.
+struct Uplink {
+    framed: Framed,
+    unacked: usize,
 }
 
-impl Progress for HeartbeatProgress<'_> {
-    fn case_done(&mut self, _record: &CaseRecord, _done: u32, _total: u32) {
-        if self.error.is_some() || self.last.elapsed() < Duration::from_secs(1) {
-            return;
+impl Uplink {
+    /// Sends `msg`, which the controller acknowledges, reading one ack
+    /// first if `WINDOW` frames are unanswered.
+    fn post(&mut self, msg: &Message) -> Result<(), FleetError> {
+        if self.unacked >= WINDOW {
+            self.ack()?;
         }
-        self.last = Instant::now();
-        match self.framed.call(&Message::Heartbeat) {
-            Ok(Message::Ack) => {}
-            Ok(Message::Error { reason, detail }) => {
-                self.error = Some(FleetError::Refused { reason, detail });
-            }
-            Ok(other) => {
-                self.error = Some(FleetError::Protocol(format!(
-                    "heartbeat answered with {:?}",
-                    other.kind()
-                )));
-            }
-            Err(e) => self.error = Some(e),
+        self.send(msg)?;
+        self.unacked += 1;
+        Ok(())
+    }
+
+    /// Sends `msg` and returns the controller's answer, which follows
+    /// the acks of every frame posted before it.
+    fn call(&mut self, msg: &Message) -> Result<Message, FleetError> {
+        self.send(msg)?;
+        self.drain()?;
+        self.framed.recv()
+    }
+
+    /// Reads the ack of every posted frame.
+    fn drain(&mut self) -> Result<(), FleetError> {
+        while self.unacked > 0 {
+            self.ack()?;
         }
+        Ok(())
+    }
+
+    fn ack(&mut self) -> Result<(), FleetError> {
+        match self.framed.recv()? {
+            Message::Ack => {
+                self.unacked -= 1;
+                Ok(())
+            }
+            Message::Error { reason, detail } => Err(FleetError::Refused { reason, detail }),
+            other => Err(FleetError::Protocol(format!(
+                "an upload answered with {:?}",
+                other.kind()
+            ))),
+        }
+    }
+
+    /// Sends one frame. A controller that refuses a frame closes the
+    /// connection, and a frame posted after it can fail to send: then
+    /// the refusal, read from the answers still on the way, is the
+    /// error, not the broken pipe.
+    fn send(&mut self, msg: &Message) -> Result<(), FleetError> {
+        let Err(e) = self.framed.send(msg) else {
+            return Ok(());
+        };
+        while let Ok(answer) = self.framed.recv() {
+            if let Message::Error { reason, detail } = answer {
+                return Err(FleetError::Refused { reason, detail });
+            }
+        }
+        Err(FleetError::Io(e))
     }
 }
 
@@ -127,14 +167,16 @@ impl Progress for HeartbeatProgress<'_> {
 ///
 /// # Errors
 ///
-/// A handshake refusal ([`FleetError::Refused`] with the controller's
-/// named reason), a drifted scratch directory, campaign execution
-/// failure, protocol violations, or I/O. [`FleetError::Abandoned`] when
-/// `abandon_after` tripped.
+/// A refusal ([`FleetError::Refused`] with the controller's named
+/// reason), campaign execution failure, protocol violations, or I/O.
+/// [`FleetError::Abandoned`] when `abandon_after` tripped.
 pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetError> {
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
-    let mut framed = Framed::new(stream)?;
+    let mut link = Uplink {
+        framed: Framed::new(stream)?,
+        unacked: 0,
+    };
 
     let hello = Message::Hello {
         protocol: PROTOCOL.into(),
@@ -143,7 +185,7 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
         fingerprint: options.pin.map(|fp| format!("{fp:016x}")),
         role: None,
     };
-    let (config, profile, flight, metrics, fingerprint) = match framed.call(&hello)? {
+    let (lane, fingerprint) = match link.call(&hello)? {
         Message::Welcome {
             fingerprint,
             profile,
@@ -158,7 +200,17 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
                     "controller's fingerprint does not match its own configuration".into(),
                 ));
             }
-            (config, profile, flight, metrics, fp)
+            // One cache for the session: the `rust` lane compiles a
+            // design once however many leases run it.
+            let cache = Arc::new(BinaryCache::at_dir(options.scratch.join("bin-cache")));
+            let lane = Lane {
+                config,
+                profile,
+                flight,
+                metrics,
+                cache,
+            };
+            (lane, fp)
         }
         Message::Error { reason, detail } => return Err(FleetError::Refused { reason, detail }),
         other => {
@@ -169,14 +221,6 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
         }
     };
 
-    // The scratch is a normal campaign directory pinned to the
-    // controller's configuration; a drifted leftover is refused, not
-    // silently overwritten, and a killed predecessor's temp files are
-    // swept.
-    let dir = CampaignDir::new(&options.scratch);
-    dir.open(&config)?;
-    dir.sweep_orphans()?;
-
     let mut report = WorkerReport {
         name: options.name.clone(),
         fingerprint,
@@ -184,29 +228,17 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
         cases: 0,
         diverged: 0,
     };
-    let mut uploads = 0u32;
     loop {
-        match framed.call(&Message::LeaseRequest)? {
+        match link.call(&Message::LeaseRequest)? {
             Message::Lease { start, end, .. } => {
-                run_lease(
-                    &mut framed,
-                    &dir,
-                    options,
-                    profile,
-                    flight,
-                    metrics,
-                    start,
-                    end,
-                    &mut uploads,
-                    &mut report,
-                )?;
+                lane.run(&mut link, options, start..end, &mut report)?;
                 report.leases += 1;
             }
             Message::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.min(2_000))),
             Message::Drained => {
                 // A clean goodbye; tolerate a controller that has already
                 // torn down by the time the ack would arrive.
-                let _ = framed.call(&Message::Bye);
+                let _ = link.call(&Message::Bye);
                 return Ok(report);
             }
             Message::Error { reason, detail } => {
@@ -222,103 +254,78 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_lease(
-    framed: &mut Framed,
-    dir: &CampaignDir,
-    options: &WorkerOptions,
+/// What the controller's welcome fixes for every lease of a session.
+struct Lane {
+    config: CampaignConfig,
     profile: bool,
     flight: bool,
     metrics: bool,
-    start: u32,
-    end: u32,
-    uploads: &mut u32,
-    report: &mut WorkerReport,
-) -> Result<(), FleetError> {
-    // For a recording controller, a fresh in-memory recorder per lease:
-    // its full event log is this lease's telemetry, streamed to the
-    // controller afterwards so the controller-side counter fold equals a
-    // single-machine run's. Otherwise nothing is recorded, as in a
-    // recorder-less single-machine run.
-    let (recorder, log) = if metrics {
-        let (recorder, log) = Recorder::memory();
-        (recorder, Some(log))
-    } else {
-        (Recorder::disabled(), None)
-    };
-    let run = RunOptions {
-        workers: options.threads.max(1),
-        limit: None,
-        case_checkpoint: false,
-        case_range: Some(start..end),
-        recorder: recorder.clone(),
-        profile,
-        flight,
-    };
-    let mut hb = HeartbeatProgress {
-        framed,
-        last: Instant::now(),
-        error: None,
-    };
-    let lease_report = rtl_campaign::resume(dir, &run, &mut hb)?;
-    if let Some(e) = hb.error.take() {
-        return Err(e);
-    }
-    recorder.flush();
-
-    // Upload each case's bundle byte-verbatim from disk — the same
-    // record, profile, flight and corpus bodies a single-machine run
-    // publishes, so the controller's directory diffs clean. One scan of
-    // the scratch's logs reads the lease's bundles.
-    let mut bundles: Vec<Option<CaseBundle>> = (start..end).map(|_| None).collect();
-    CaseBundle::read_range(dir, start..end, |bundle| {
-        let slot = (bundle.index - start) as usize;
-        bundles[slot] = Some(bundle);
-        Ok(())
-    })?;
-    for (index, bundle) in (start..end).zip(bundles) {
-        let mut bundle = bundle.ok_or_else(|| {
-            CampaignError::Corrupt(format!("case {index} has no record after its lease ran"))
-        })?;
-        // A reused scratch may hold profiles or flight logs this
-        // controller does not collect.
-        bundle.profile = bundle.profile.filter(|_| profile);
-        bundle.flight = bundle.flight.filter(|_| flight);
-        if let Some(Some(record)) = lease_report.records.get(index as usize) {
-            if matches!(record.status, CaseStatus::Diverged { .. }) {
-                report.diverged += 1;
-            }
-        }
-        for msg in bundle_frames(bundle) {
-            expect_ack(framed, &msg)?;
-        }
-        *uploads += 1;
-        report.cases += 1;
-        if options.abandon_after.is_some_and(|n| *uploads >= n) {
-            return Err(FleetError::Abandoned);
-        }
-    }
-
-    // The lease's full local event log, streamed to the controller:
-    // deterministic counters fold into the campaign-wide metrics log
-    // untagged, wall-clock events are re-emitted under this worker's
-    // provenance.
-    if let Some(log) = log {
-        let body = log.text();
-        if !body.trim().is_empty() {
-            expect_ack(framed, &Message::Events { body })?;
-        }
-    }
-
-    // The controller now holds every bundle of the lease, so the
-    // scratch drops its worker logs: the next
-    // lease scans only its own, however long the session. Were this
-    // range leased here again, its cases would re-run to the same bytes.
-    dir.remove_worker_logs()?;
-    Ok(())
+    cache: Arc<BinaryCache>,
 }
 
-/// A bundle as upload frames, in its commit order.
+impl Lane {
+    /// Runs the cases of `range`, posting each bundle as its case
+    /// finishes (and a heartbeat at most once a second), then the
+    /// lease's event log when the controller records.
+    fn run(
+        &self,
+        link: &mut Uplink,
+        options: &WorkerOptions,
+        range: Range<u32>,
+        report: &mut WorkerReport,
+    ) -> Result<(), FleetError> {
+        // A fresh in-memory recorder per lease, so the controller's fold
+        // of the lease logs equals a single-machine run's counters.
+        let (recorder, log) = if self.metrics {
+            let (recorder, log) = Recorder::memory();
+            (recorder, Some(log))
+        } else {
+            (Recorder::disabled(), None)
+        };
+        let run = RunOptions {
+            workers: options.threads.max(1),
+            limit: None,
+            case_checkpoint: false,
+            case_range: Some(range),
+            recorder: recorder.clone(),
+            profile: self.profile,
+            flight: self.flight,
+        };
+        let mut heartbeat = Instant::now();
+        let mut upload = |record: &CaseRecord, bundle: CaseBundle| -> Result<(), FleetError> {
+            if heartbeat.elapsed() >= Duration::from_secs(1) {
+                heartbeat = Instant::now();
+                link.post(&Message::Heartbeat)?;
+            }
+            for msg in bundle_frames(bundle) {
+                link.post(&msg)?;
+            }
+            report.cases += 1;
+            report.diverged += u32::from(matches!(record.status, CaseStatus::Diverged { .. }));
+            if options.abandon_after.is_some_and(|n| report.cases >= n) {
+                // Closing a socket with unread acks resets it, which
+                // could lose frames the controller has not read yet.
+                link.drain()?;
+                return Err(FleetError::Abandoned);
+            }
+            Ok(())
+        };
+        rtl_campaign::run_streamed(&self.config, &run, Arc::clone(&self.cache), &mut upload)?;
+        recorder.flush();
+
+        // Deterministic counters fold into the campaign-wide metrics log
+        // untagged; wall-clock events go under this worker's name.
+        if let Some(log) = log {
+            let body = log.text();
+            if !body.trim().is_empty() {
+                link.post(&Message::Events { body })?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A bundle as upload frames: profile, flight log, corpus entry, record.
 fn bundle_frames(bundle: CaseBundle) -> Vec<Message> {
     let CaseBundle {
         index,
@@ -340,16 +347,4 @@ fn bundle_frames(bundle: CaseBundle) -> Vec<Message> {
         body: record,
     });
     frames
-}
-
-fn expect_ack(framed: &mut Framed, msg: &Message) -> Result<(), FleetError> {
-    match framed.call(msg)? {
-        Message::Ack => Ok(()),
-        Message::Error { reason, detail } => Err(FleetError::Refused { reason, detail }),
-        other => Err(FleetError::Protocol(format!(
-            "{} upload answered with {:?}",
-            msg.kind(),
-            other.kind()
-        ))),
-    }
 }

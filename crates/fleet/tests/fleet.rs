@@ -204,8 +204,7 @@ fn accepted_records_count_up_from_the_records_on_disk() {
 }
 
 /// The most logs a worker's scratch held whenever the controller
-/// accepted a record (the worker waits for each acknowledgement, so its
-/// scratch is still then).
+/// accepted a record.
 struct ScratchLogs {
     scratch: CampaignDir,
     most: usize,
@@ -218,13 +217,13 @@ impl FleetProgress for ScratchLogs {
     }
 }
 
-/// A worker removes its scratch's logs once a lease's uploads are
-/// acknowledged, so however many leases a session runs, a lease's scans
-/// meet only the logs its own threads wrote: one each, whether or not
+/// A worker streams each case's bundle from its pool to the controller
+/// and writes no log: however many leases a session runs, its scratch
+/// holds no log at any record the controller accepts, whether or not
 /// the bundles carry corpus entries. With the faulty lane every case
 /// archives one.
 #[test]
-fn a_long_session_keeps_the_scratch_logs_bounded() {
+fn a_long_session_writes_no_log_to_the_worker_scratch() {
     let mut diverging = small_config(&["interp", "vm-fault"], 40);
     diverging.generator.cycles = 48;
     for (label, config) in [
@@ -253,9 +252,7 @@ fn a_long_session_keeps_the_scratch_logs_bounded() {
         let (report, most) = serving.join().unwrap();
         assert!(report.complete(), "{label}: {report}");
         assert_eq!((worker.leases, worker.cases), (20, 40), "{label}");
-        // Two threads, so at most two logs, and none once the session
-        // ends.
-        assert!((1..=2).contains(&most), "{label}: {most} logs");
+        assert_eq!(most, 0, "{label}: {most} logs");
         let scratch = CampaignDir::new(&scratch_dir);
         assert_eq!(Frames::logs(&scratch).unwrap(), Vec::<PathBuf>::new());
         if label == "diverging" {

@@ -482,7 +482,7 @@ struct Script {
     metrics: bool,
     /// The leases granted, in order; then every lease request is
     /// answered `drained`.
-    leases: Vec<std::ops::Range<u32>>,
+    leases: Vec<(u32, u32)>,
     /// Refuse the record frame with this 1-based number with
     /// `bad-upload` and this detail, then close the connection.
     refuse_record: Option<(usize, &'static str)>,
@@ -492,12 +492,15 @@ struct Script {
 /// with a welcome to its campaign, grants its leases, acknowledges
 /// everything else, and returns every frame the worker sent, heartbeats
 /// left out (their number depends on timing), once the worker says
-/// `bye` or the script refuses a record.
+/// `bye` or the script refuses a record. Like the real controller it
+/// sends each answer at once (no Nagle delay), so a refusal is on the
+/// wire before the close.
 fn scripted_controller(script: Script) -> (SocketAddr, std::thread::JoinHandle<Vec<Message>>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let peer = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
         let mut framed = Framed::new(stream).unwrap();
         let mut frames = Vec::new();
         let mut leases = script.leases.into_iter();
@@ -514,9 +517,9 @@ fn scripted_controller(script: Script) -> (SocketAddr, std::thread::JoinHandle<V
                     config: script.config.clone(),
                 },
                 Message::LeaseRequest => match leases.next() {
-                    Some(lease) => Message::Lease {
-                        start: lease.start,
-                        end: lease.end,
+                    Some((start, end)) => Message::Lease {
+                        start,
+                        end,
                         deadline_ms: 60_000,
                     },
                     None => Message::Drained,
@@ -563,7 +566,7 @@ fn scripted_lease_frames(tag: &str, metrics: bool) -> Vec<&'static str> {
         profile: false,
         flight: false,
         metrics,
-        leases: vec![0..2],
+        leases: vec![(0, 2)],
         refuse_record: None,
     });
     let report = rtl_fleet::work(
@@ -696,7 +699,7 @@ fn a_worker_uploads_each_case_bundle_as_a_single_machine_run_publishes_it() {
         profile: true,
         flight: true,
         metrics: false,
-        leases: vec![0..3, 3..6],
+        leases: vec![(0, 3), (3, 6)],
         refuse_record: None,
     });
     let report = rtl_fleet::work(
@@ -757,7 +760,7 @@ fn a_refusal_in_the_middle_of_a_stream_ends_the_session_with_it() {
         profile: false,
         flight: false,
         metrics: false,
-        leases: vec![0..8],
+        leases: vec![(0, 8)],
         refuse_record: Some((2, detail)),
     });
     let (tx, rx) = std::sync::mpsc::channel();

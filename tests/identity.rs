@@ -211,26 +211,36 @@ fn plant_entry(root: &Path, cell: &Cell, range: Range<u32>, whole: bool) -> bool
     true
 }
 
-/// Every `.tmp-*` file under `root`, at any depth.
-fn orphans(root: &Path) -> Vec<PathBuf> {
-    let mut found = Vec::new();
+/// Every file under `root`, at any depth, with its bytes.
+fn files(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut found = BTreeMap::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         for dirent in std::fs::read_dir(&dir).unwrap() {
             let path = dirent.unwrap().path();
             if path.is_dir() {
                 stack.push(path);
-            } else if path
-                .file_name()
-                .unwrap()
-                .to_string_lossy()
-                .starts_with(".tmp-")
-            {
-                found.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                found.insert(path, bytes);
             }
         }
     }
     found
+}
+
+/// Every `.tmp-*` file under `root`, at any depth, but for the ones a
+/// worker's scratch holds as the test planted them (`fleet` checks
+/// those are left as planted).
+fn orphans(root: &Path) -> Vec<PathBuf> {
+    files(root)
+        .into_keys()
+        .filter(|path| {
+            let top = path.strip_prefix(root).unwrap().iter().next().unwrap();
+            let name = path.file_name().unwrap().to_string_lossy();
+            !top.to_string_lossy().starts_with("scratch-") && name.starts_with(".tmp-")
+        })
+        .collect()
 }
 
 /// Run options with both sidecars on, recording into `recorder`.
@@ -393,8 +403,13 @@ fn serve(cell: &Cell, limit: Option<u32>, tag: &str) -> CampaignReport {
     serving.join().unwrap().unwrap()
 }
 
-/// A limit of 3 rounds up to two whole leases of 2.
+/// A limit of 3 rounds up to two whole leases of 2. What the
+/// interruption plants in the controller's directory is planted in each
+/// worker's scratch too, which a worker neither writes nor reads: the
+/// second serve leaves every scratch exactly as planted, and the plants
+/// reach neither the upload nor the outcome.
 fn fleet(cell: &Cell) -> CampaignReport {
+    let mut scratches = Vec::new();
     if cell.interrupt != Interrupt::None {
         let partial = serve(cell, Some(3), "first");
         assert_eq!(partial.completed(), 4, "{partial}");
@@ -405,10 +420,16 @@ fn fleet(cell: &Cell) -> CampaignReport {
         assert_eq!(planted, cell.interrupt.plants_a_frame());
         for i in 0..cell.workers {
             let scratch = cell.root.join(format!("scratch-{i}"));
+            std::fs::create_dir_all(scratch.join("cases")).unwrap();
             cell.interrupt.plant(&scratch, cell, cases.clone());
+            scratches.push((files(&scratch), scratch));
         }
     }
-    serve(cell, None, "second")
+    let report = serve(cell, None, "second");
+    for (planted, scratch) in scratches {
+        assert_eq!(files(&scratch), planted, "{}", scratch.display());
+    }
+    report
 }
 
 /// The recorder's folded deterministic counter section, split into the
