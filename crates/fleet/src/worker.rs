@@ -53,7 +53,8 @@ pub struct WorkerOptions {
     /// equals this (drift pinning; refusal happens in the handshake).
     pub pin: Option<u64>,
     /// Fault injection: deliberately drop the connection after this many
-    /// record uploads — the reassignment test's worker-death lever.
+    /// record uploads, once their acks are read — the reassignment
+    /// test's worker-death lever.
     pub abandon_after: Option<u32>,
 }
 
@@ -185,7 +186,7 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
         fingerprint: options.pin.map(|fp| format!("{fp:016x}")),
         role: None,
     };
-    let (lane, fingerprint) = match link.call(&hello)? {
+    let (leases, fingerprint) = match link.call(&hello)? {
         Message::Welcome {
             fingerprint,
             profile,
@@ -203,14 +204,14 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
             // One cache for the session: the `rust` lane compiles a
             // design once however many leases run it.
             let cache = Arc::new(BinaryCache::at_dir(options.scratch.join("bin-cache")));
-            let lane = Lane {
+            let leases = Leases {
                 config,
                 profile,
                 flight,
                 metrics,
                 cache,
             };
-            (lane, fp)
+            (leases, fp)
         }
         Message::Error { reason, detail } => return Err(FleetError::Refused { reason, detail }),
         other => {
@@ -231,7 +232,7 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
     loop {
         match link.call(&Message::LeaseRequest)? {
             Message::Lease { start, end, .. } => {
-                lane.run(&mut link, options, start..end, &mut report)?;
+                leases.run(&mut link, options, start..end, &mut report)?;
                 report.leases += 1;
             }
             Message::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.min(2_000))),
@@ -255,7 +256,7 @@ pub fn work(addr: &str, options: &WorkerOptions) -> Result<WorkerReport, FleetEr
 }
 
 /// What the controller's welcome fixes for every lease of a session.
-struct Lane {
+struct Leases {
     config: CampaignConfig,
     profile: bool,
     flight: bool,
@@ -263,7 +264,7 @@ struct Lane {
     cache: Arc<BinaryCache>,
 }
 
-impl Lane {
+impl Leases {
     /// Runs the cases of `range`, posting each bundle as its case
     /// finishes (and a heartbeat at most once a second), then the
     /// lease's event log when the controller records.
