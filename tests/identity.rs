@@ -21,7 +21,10 @@
 //!
 //! A stopped cell first plants, in every directory it will take over,
 //! the `.tmp-*` files that a kill between write and rename leaves
-//! behind. No cell may leave one anywhere under its root. A torn cell
+//! behind. No cell may leave one anywhere under its root, but for a
+//! fleet worker's scratch: a worker writes and reads nothing there, so
+//! a fleet cell plants there too and requires each scratch left exactly
+//! as planted. A torn cell
 //! instead appends half of a valid frame to a worker log, as a kill
 //! mid-append leaves it, and creates an empty worker log, as a kill
 //! between create and first append leaves it. Every case's bundle is one
